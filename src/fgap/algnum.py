@@ -149,10 +149,6 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
     def lead(self):
         self._require_nonzero()
         return self.coeffs[-1]
@@ -171,9 +167,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self):
-        return IntPoly(_deriv(self.coeffs))
 
     def primitive(self):
         return IntPoly(_primitive_pos(self.coeffs))
@@ -354,11 +347,6 @@ class Surd:
     @property
     def is_rational(self):
         return self.q == 0
-
-    def as_fraction(self):
-        if not self.is_rational:
-            raise InvalidInputError("surd is irrational")
-        return self.p
 
     def _same_field(self, other):
         return self.n == other.n or self.is_rational or other.is_rational
@@ -812,11 +800,6 @@ def _surd_is_root(poly, s):
     for c in reversed(poly.coeffs):
         acc = acc * s + c
     return acc.sign() == 0
-
-
-def refine_root(a, width):
-    """Sub-interval of a.isol of width <= width containing the same root."""
-    return a.refine(width)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The text and JSON renderers read from one payload and share the %.12g
 float format, so the two views agree numerically.  Text output opens with
 a reproducibility header (the subcommand plus its mathematical
-configuration); thread counts, timing, and backend choice never appear in
-the output, so reruns are byte-identical.
+configuration); timing never appears in the output, so reruns are
+byte-identical.
 
 Exit codes: 0 success, 1 invalid input, 2 uncertified precision,
 3 obstruction found under --expect-pass.
@@ -17,14 +17,14 @@ import sys
 from fractions import Fraction
 
 from .algnum import (AlgebraicNumber, IntPoly, Surd, factor_over_integers,
-                     is_d_number, isolate_real_roots, largest_integer_divisor,
-                     poly_gcd_int, power_char_poly, ratio_integrality_oracle)
+                     is_d_number, isolate_real_roots, poly_gcd_int,
+                     ratio_integrality_oracle)
 from .errors import AmbiguityError, InvalidInputError
 from .fusionring import (builtin_ring, emit_ring_file, fp_dimension_vector,
                          parse_ring_file, rep_g_codegrees, sum_identity_check)
 from .gapsearch import (QUAD_DEFAULT_HI, SearchConfig, search_cubic,
-                        search_gap, search_quadratic, surd_text)
-from .obstruct import spherical_obstruction_report
+                        search_gap, search_quadratic)
+from .obstruct import ffib_fpdim_bound, spherical_obstruction_report
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -243,7 +243,6 @@ def _candidate_json(cand):
 def _cmd_search(args):
     mode = args.mode
     drops = tuple(args.drop_filter or ())
-    threads = args.threads
     if mode == "gap":
         if drops:
             raise InvalidInputError("the gap search has no droppable "
@@ -256,7 +255,7 @@ def _cmd_search(args):
             raise InvalidInputError("the gap search takes --dmax, "
                                     "not --window")
         d_max = parse_exact(args.dmax) if args.dmax else QUAD_DEFAULT_HI
-        result = search_gap(d_max, threads=threads, audit=args.audit)
+        result = search_gap(d_max, audit=args.audit)
     else:
         degree = 2 if mode == "quadratic" else 3
         allowed = set(_FILTERS[degree])
@@ -275,7 +274,7 @@ def _cmd_search(args):
                 raise InvalidInputError("--window takes LO,HI")
             d_lo, d_hi = parse_exact(parts[0]), parse_exact(parts[1])
         cfg = SearchConfig(degree, d_lo=d_lo, d_hi=d_hi, a_max=args.amax,
-                           drop=drops, audit=args.audit, threads=threads)
+                           drop=drops, audit=args.audit)
         result = search_quadratic(cfg) if degree == 2 else search_cubic(cfg)
 
     config = dict(result.config)
@@ -368,9 +367,7 @@ def _cmd_ffib_bound(args):
         raise InvalidInputError("the bound needs a totally positive "
                                 "polynomial")
     d = AlgebraicNumber(poly, prof.roots[-1][0])
-    m = d.floor()
-    pcp = power_char_poly(d, m)
-    bound = largest_integer_divisor(pcp)
+    bound, m, pcp = ffib_fpdim_bound(d)
     config = {"poly": poly.to_str()}
     lines = _header(["ffib-bound"], config)
     lines.append("largest conjugate ~ %s" % _g(d.approx_float()))
@@ -478,8 +475,6 @@ def _build_parser():
                    help="trace bound a <= N (quadratic/cubic)")
     p.add_argument("--dmax", metavar="TOKEN",
                    help="upper dimension bound, exact token (gap)")
-    p.add_argument("--threads", type=int, metavar="N",
-                   help="worker threads (default: FGAP_THREADS or 1)")
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("dnumber", help="decide whether a monic polynomial "

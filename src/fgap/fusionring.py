@@ -9,8 +9,8 @@ codegree functionals evaluated on characters.
 
 from fractions import Fraction
 
-from .algnum import (AlgebraicNumber, IntPoly, charpoly_int,
-                     factor_over_integers, isolate_real_roots)
+from .algnum import (AlgebraicNumber, charpoly_int, factor_over_integers,
+                     isolate_real_roots)
 from .errors import AmbiguityError, InvalidInputError, UnsupportedRingError
 
 
@@ -351,75 +351,6 @@ def fp_dimension_vector(ring, tol=Fraction(1, 10 ** 12), max_iter=20000):
         "certified": True,
     }
     return v, fp, certificate
-
-
-class CharacterTable:
-    """Numeric character data: values[j][i] = phi_j(b_i)."""
-
-    __slots__ = ("values", "codegrees", "tol", "max_defect", "attempts")
-
-    def __init__(self, values, codegrees, tol, max_defect, attempts):
-        self.values = values
-        self.codegrees = codegrees
-        self.tol = tol
-        self.max_defect = max_defect
-        self.attempts = attempts
-
-
-def characters_numeric(ring, tol=1e-9):
-    """Simultaneous numeric eigenbasis of the fusion matrices.
-
-    Diagonalizes a random real combination M = sum t_i N_i (normal, since
-    M^T lies in the same commuting family), reads off each character as the
-    eigenvalue tuple on one eigenvector, and cross-checks the resulting
-    codegrees f_phi = sum_i phi(b_i) phi(b_dual(i)) against the exact
-    spectrum.  Retries with fresh weights on eigenvalue collisions; raises
-    a precision error after 5 attempts.
-    """
-    import numpy as np
-
-    if not ring.is_commutative:
-        raise UnsupportedRingError("characters need a commutative ring")
-    r = ring.rank
-    mats = [np.array(ring.matrix(i), dtype=float) for i in range(r)]
-    exact = formal_codegrees(ring).approx()
-    for attempt in range(1, 6):
-        rng = np.random.default_rng(911 + attempt)
-        t = rng.uniform(1.0, 2.0, size=r)
-        m = sum(t[i] * mats[i] for i in range(r))
-        eigvals, eigvecs = np.linalg.eig(m)
-        gaps = np.abs(eigvals[:, None] - eigvals[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < 1e-6 * (1.0 + np.abs(eigvals).max()):
-            continue
-        values = []
-        codegs = []
-        defect = 0.0
-        for col in range(r):
-            w = eigvecs[:, col]
-            denom = np.vdot(w, w)
-            phi = [complex(np.vdot(w, mats[i] @ w) / denom) for i in range(r)]
-            # homomorphism defect
-            for i in range(r):
-                for j in range(r):
-                    want = sum(ring.N[i][j][k] * phi[k] for k in range(r))
-                    defect = max(defect, abs(phi[i] * phi[j] - want))
-            f = sum(phi[i] * phi[ring.dual[i]] for i in range(r))
-            codegs.append(f)
-            values.append(tuple(phi))
-        if defect > tol:
-            continue
-        got = sorted(x.real for x in codegs)
-        if max(abs(x.imag) for x in codegs) > tol:
-            continue
-        if max(abs(a - b) for a, b in zip(got, exact)) > 1e-8:
-            raise AmbiguityError(
-                "numeric codegrees disagree with the exact spectrum")
-        return CharacterTable(tuple(values), tuple(codegs), tol, defect,
-                              attempt)
-    raise AmbiguityError(
-        "eigenvalue separation failed after 5 attempts; use the exact "
-        "spectrum or lower the tolerance")
 
 
 class RepGCodegrees:

@@ -88,10 +88,10 @@ class SearchConfig:
     """Window and override state for the fixed-degree searches."""
 
     __slots__ = ("degree", "d_lo", "d_hi", "a_max", "drop", "audit",
-                 "threads", "exploratory")
+                 "exploratory")
 
     def __init__(self, degree, d_lo=None, d_hi=None, a_max=None, drop=(),
-                 audit=False, threads=None):
+                 audit=False):
         if degree not in (2, 3):
             raise InvalidInputError("degree must be 2 or 3")
         default_lo = QUAD_DEFAULT_LO if degree == 2 else CUBIC_DEFAULT_LO
@@ -118,7 +118,6 @@ class SearchConfig:
             loosened = True
         self.drop = drop
         self.audit = bool(audit)
-        self.threads = threads
         self.exploratory = loosened
 
     def echo(self):
@@ -154,31 +153,6 @@ def _as_surd(x):
         raise InvalidInputError("window endpoints must be exact; pass a "
                                 "string, Fraction, or Surd")
     return Surd(Fraction(x))
-
-
-def _resolve_threads(threads):
-    if threads is not None:
-        n = int(threads)
-    else:
-        import os
-        raw = os.environ.get("FGAP_THREADS", "1")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise InvalidInputError("FGAP_THREADS must be a positive "
-                                    "integer, got %r" % raw) from None
-    if n < 1:
-        raise InvalidInputError("thread count must be >= 1")
-    return n
-
-
-def _parallel_map(fn, items, threads):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +287,6 @@ def search_quadratic(cfg=None):
         cfg = SearchConfig(2)
     if cfg.degree != 2:
         raise InvalidInputError("config degree must be 2")
-    threads = _resolve_threads(cfg.threads)
 
     def run_a(a):
         cands = []
@@ -337,7 +310,7 @@ def search_quadratic(cfg=None):
             cands.append(_quad_candidate(cfg, a, b))
         return cands
 
-    batches = _parallel_map(run_a, range(3, cfg.a_max + 1), threads)
+    batches = [run_a(a) for a in range(3, cfg.a_max + 1)]
     return _assemble("quadratic", cfg, batches)
 
 
@@ -384,7 +357,6 @@ def search_cubic(cfg=None):
         cfg = SearchConfig(3)
     if cfg.degree != 3:
         raise InvalidInputError("config degree must be 3")
-    threads = _resolve_threads(cfg.threads)
     drop_window = "window" in cfg.drop
     lo1, lo2, lo3 = cfg.d_lo, cfg.d_lo ** 2, cfg.d_lo ** 3
     hi1, hi2, hi3 = cfg.d_hi, cfg.d_hi ** 2, cfg.d_hi ** 3
@@ -409,7 +381,7 @@ def search_cubic(cfg=None):
                 cands.append(_cubic_candidate(cfg, a, b, c))
         return cands
 
-    batches = _parallel_map(run_a, range(1, cfg.a_max + 1), threads)
+    batches = [run_a(a) for a in range(1, cfg.a_max + 1)]
     return _assemble("cubic", cfg, batches)
 
 
@@ -456,15 +428,21 @@ def _cubic_candidate(cfg, a, b, c):
     return Candidate(poly, trace, roots)
 
 
-def _assemble(kind, cfg, batches):
+def _split(batches, audit):
+    """Survivors, and the rejected candidates when auditing, in order."""
     survivors = []
     rejected = []
     for batch in batches:
         for cand in batch:
             if cand.survivor:
                 survivors.append(cand)
-            elif cfg.audit:
+            elif audit:
                 rejected.append(cand)
+    return survivors, rejected
+
+
+def _assemble(kind, cfg, batches):
+    survivors, rejected = _split(batches, cfg.audit)
     warnings = []
     if cfg.exploratory:
         warnings.append(EXPLORATORY_MARK)
@@ -788,7 +766,7 @@ def _gap_degree(k, d_max, box_lo, f_hi, cuts, audit):
     return out
 
 
-def search_gap(d_max, threads=None, audit=False):
+def search_gap(d_max, audit=False):
     """Certified enumeration of minimal polynomials of candidate spherical
     dimensions in (4/3, d_max].
 
@@ -803,7 +781,6 @@ def search_gap(d_max, threads=None, audit=False):
         raise InvalidInputError("d_max must exceed 4/3")
     if d_max.cmp(SQRT2) >= 0:
         raise InvalidInputError("d_max must stay below sqrt(2)")
-    threads = _resolve_threads(threads)
 
     k_max = 2
     while threshold("gdim_k", k_max + 1).cmp(d_max) <= 0:
@@ -851,15 +828,7 @@ def search_gap(d_max, threads=None, audit=False):
             return [cand] if cand is not None else []
         return _gap_degree(k, d_max, box_floor(k), f_hi, cuts, audit)
 
-    batches = _parallel_map(run_degree, degrees, threads)
-    survivors = []
-    rejected = []
-    for batch in batches:
-        for cand in batch:
-            if cand.survivor:
-                survivors.append(cand)
-            elif audit:
-                rejected.append(cand)
+    survivors, rejected = _split([run_degree(d) for d in degrees], audit)
     config = {
         "d_max": surd_text(d_max),
         "k_max": k_max,

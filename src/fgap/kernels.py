@@ -1,22 +1,25 @@
-# cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled twin of fgap.kernels._pure.
+"""Integer polynomial kernels.
 
-Same names, same semantics, byte-identical results: coefficients stay
-arbitrary-precision Python ints, only the loop framework is compiled.
-The test suite runs both backends against each other.
+Coefficient lists are ascending: c[i] is the coefficient of x**i, the last
+entry is nonzero (the zero polynomial is the empty list).  Everything is
+exact integer arithmetic; these are the hot loops behind root isolation,
+resultants and the search pruning, so they stay free of Fraction objects.
+
+Callers reach these functions as module attributes (`kernels.name(...)`),
+so a profiler can wrap them in one place.
 """
 
 from math import gcd
 
-BACKEND = "c"
+BACKEND = "pure"  # the kernel implementation, recorded in benchmark reports
 
 
 def normalize(c):
     """Strip trailing zero coefficients, return a list."""
-    cdef list out = list(c)
-    while out and out[len(out) - 1] == 0:
-        out.pop()
-    return out
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
 
 
 def int_content(c):
@@ -31,21 +34,14 @@ def int_content(c):
 
 def poly_mul(a, b):
     """Product of two coefficient lists."""
-    cdef Py_ssize_t i, j, na, nb
-    cdef list aa = list(a)
-    cdef list bb = list(b)
-    na = len(aa)
-    nb = len(bb)
-    if na == 0 or nb == 0:
+    if not a or not b:
         return []
-    cdef list out = [0] * (na + nb - 1)
-    for i in range(na):
-        x = aa[i]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
         if x:
-            for j in range(nb):
-                y = bb[j]
+            for j, y in enumerate(b):
                 if y:
-                    out[i + j] = out[i + j] + x * y
+                    out[i + j] += x * y
     return normalize(out)
 
 
@@ -56,20 +52,17 @@ def pseudo_rem(a, b):
     even when a reduction step is trivial, so the multiplier is exactly
     lb**(da-db+1) (the resultant algorithm depends on that).
     """
-    cdef Py_ssize_t da, db, k, i, nr
-    cdef list bb = list(b)
-    cdef list r = list(a)
-    da = len(r) - 1
-    db = len(bb) - 1
-    lb = bb[db]
+    da = len(a) - 1
+    db = len(b) - 1
+    lb = b[db]
+    r = list(a)
     for k in range(da - db, -1, -1):
         c = r[db + k]
-        nr = len(r)
-        for i in range(nr):
-            r[i] = r[i] * lb
+        for i in range(len(r)):
+            r[i] *= lb
         if c:
             for i in range(db + 1):
-                r[i + k] = r[i + k] - c * bb[i]
+                r[i + k] -= c * b[i]
     del r[db:]
     return normalize(r)
 
@@ -79,27 +72,24 @@ def eval_qnum(c, p, q):
 
     For q > 0 the sign equals the sign of the polynomial at p/q.
     """
-    cdef list cc = list(c)
-    cdef Py_ssize_t d = len(cc) - 1
-    cdef Py_ssize_t i
-    acc = cc[d]
+    d = len(c) - 1
+    acc = c[d]
     qq = 1
     for i in range(d - 1, -1, -1):
-        qq = qq * q
-        acc = acc * p + cc[i] * qq
+        qq *= q
+        acc = acc * p + c[i] * qq
     return acc
 
 
 def sign_variations(vals):
     """Number of sign changes in a sequence, zeros skipped."""
-    cdef int count = 0
-    cdef int prev = 0
-    cdef int s
+    count = 0
+    prev = 0
     for v in vals:
         if v == 0:
             continue
         s = 1 if v > 0 else -1
-        if prev != 0 and s != prev:
+        if prev and s != prev:
             count += 1
         prev = s
     return count
@@ -111,16 +101,13 @@ def sturm_chain(c):
     Uses pseudo-remainders with the sign corrected so each element is a
     positive multiple of the exact Sturm sequence entry.
     """
-    cdef Py_ssize_t i, delta
-    cdef list p0 = normalize(c)
+    p0 = normalize(c)
     if len(p0) <= 1:
         return [p0] if p0 else []
-    cdef list d0 = [i * p0[i] for i in range(1, len(p0))]
-    cdef list chain = [_primitive(p0), _primitive(d0)]
-    cdef list a, b, r, nxt
+    d0 = [i * p0[i] for i in range(1, len(p0))]
+    chain = [_primitive(p0), _primitive(d0)]
     while True:
-        a = chain[len(chain) - 2]
-        b = chain[len(chain) - 1]
+        a, b = chain[-2], chain[-1]
         if len(b) <= 1 or len(a) < len(b):
             break
         r = pseudo_rem(a, b)
@@ -128,19 +115,20 @@ def sturm_chain(c):
             break
         # pseudo_rem scales by lb**(delta+1); undo its sign so the chain
         # keeps the Sturm sign pattern
-        lb = b[len(b) - 1]
+        lb = b[-1]
         delta = len(a) - len(b)
         if lb < 0 and (delta + 1) % 2 == 1:
-            nxt = _primitive(r)
+            sgn = -1
         else:
-            nxt = _primitive([-x for x in r])
+            sgn = 1
+        nxt = _primitive([-x * sgn for x in r])
         chain.append(nxt)
         if len(nxt) <= 1:
             break
     return chain
 
 
-cdef list _primitive(c):
+def _primitive(c):
     g = int_content(c)
     if g > 1:
         return [x // g for x in c]
@@ -154,9 +142,9 @@ def varcount_at(chain, p, q):
 
 def varcount_inf(chain, positive):
     """Sign variations of a chain at +infinity (positive, truthy) or -infinity."""
-    cdef list vals = []
+    vals = []
     for c in chain:
-        lead = c[len(c) - 1]
+        lead = c[-1]
         if positive:
             vals.append(lead)
         else:
@@ -169,47 +157,45 @@ def resultant(a, b):
 
     Returns 0 when either input is zero or when they share a factor.
     """
-    cdef Py_ssize_t da, db, delta
-    cdef int s = 1
-    cdef list aa = normalize(a)
-    cdef list bb = normalize(b)
-    if not aa or not bb:
+    a = normalize(a)
+    b = normalize(b)
+    if not a or not b:
         return 0
-    da = len(aa) - 1
-    db = len(bb) - 1
+    da = len(a) - 1
+    db = len(b) - 1
     if da == 0 and db == 0:
         return 1
     if da == 0:
-        return aa[0] ** db
+        return a[0] ** db
     if db == 0:
-        return bb[0] ** da
+        return b[0] ** da
+    s = 1
     if da < db:
-        aa, bb = bb, aa
+        a, b = b, a
         if (da & 1) and (db & 1):
             s = -s
-    ca = int_content(aa)
-    cb = int_content(bb)
-    aa = [x // ca for x in aa]
-    bb = [x // cb for x in bb]
-    t = ca ** (len(bb) - 1) * cb ** (len(aa) - 1)
+    ca = int_content(a)
+    cb = int_content(b)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
     g = 1
     h = 1
-    cdef list r
     while True:
-        da = len(aa) - 1
-        db = len(bb) - 1
+        da = len(a) - 1
+        db = len(b) - 1
         delta = da - db
         if (da & 1) and (db & 1):
             s = -s
-        r = pseudo_rem(aa, bb)
+        r = pseudo_rem(a, b)
         if not r:
             return 0
-        aa = bb
+        a = b
         divisor = g * h ** delta
-        bb = [x // divisor for x in r]
-        g = aa[len(aa) - 1]
+        b = [x // divisor for x in r]
+        g = a[-1]
         if delta > 0:
             h = g ** delta // h ** (delta - 1)
-        if len(bb) == 1:
-            da = len(aa) - 1
-            return s * t * (bb[0] ** da // h ** (da - 1))
+        if len(b) == 1:
+            da = len(a) - 1
+            return s * t * (b[0] ** da // h ** (da - 1))

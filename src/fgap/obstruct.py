@@ -212,6 +212,7 @@ def ffib_fpdim_bound(d):
 
     f is the largest conjugate of d; M is the largest integer divisor (in
     the M^i | c_i sense) of the characteristic polynomial of d^floor(f).
+    Returns (M, floor(f), that characteristic polynomial).
     """
     if not isinstance(d, AlgebraicNumber):
         raise InvalidInputError("expected an AlgebraicNumber")
@@ -220,4 +221,5 @@ def ffib_fpdim_bound(d):
         raise InvalidInputError("bound requires a totally positive input")
     f = AlgebraicNumber(d.minpoly, prof.roots[-1][0])
     m = f.floor()  # certified; AmbiguityError if undecidable at the cap
-    return largest_integer_divisor(power_char_poly(d, m))
+    pcp = power_char_poly(d, m)
+    return largest_integer_divisor(pcp), m, pcp

@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -244,15 +246,29 @@ def test_builtin_bad_kind():
 # ---------------------------------------------------------------------------
 # determinism and help
 
-def test_threads_env_does_not_change_bytes():
-    a = run_cli("search", "quadratic", "--audit", "--json",
-                env_extra={"FGAP_THREADS": "1"})
-    b = run_cli("search", "quadratic", "--audit", "--json",
-                env_extra={"FGAP_THREADS": "8"})
-    assert a == b
-
-
 def test_help_exits_zero():
     rc, out, _ = run_cli("-h")
     assert rc == 0
     assert "analyze" in out and "search" in out
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+NO_NUMPY = """
+import io, sys
+import fgap.cli
+sys.stdin = io.StringIO(%r)
+assert fgap.cli.main(["analyze", "-"]) == 0
+assert fgap.cli.main(["search", "quadratic"]) == 0
+sys.stderr.write(repr(sorted(m for m in sys.modules
+                             if m.split(".")[0] == "numpy")))
+""" % FIB
+
+
+def test_cli_runs_without_numpy():
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "survivors: 1" in proc.stdout
+    assert proc.stderr == "[]"

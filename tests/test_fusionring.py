@@ -1,15 +1,16 @@
 """Based rings: construction, codegrees, dimension vectors, ring files."""
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fgap.errors import InvalidInputError, UnsupportedRingError
 from fgap.fusionring import (
     FusionRing,
     builtin_ring,
-    characters_numeric,
     codegree_matrix,
     emit_ring_file,
     formal_codegrees,
@@ -203,6 +204,56 @@ def test_fp_dimensions_cyclic():
     dims, top, cert = fp_dimension_vector(builtin_ring("cyclic", 5))
     assert all(abs(d - 1) < 1e-9 for d in dims)
     assert float(top.approx_float()) == pytest.approx(5.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# numeric character oracle
+
+CharacterTable = namedtuple("CharacterTable", "values codegrees max_defect")
+
+
+def characters_numeric(ring, tol=1e-9):
+    """Simultaneous numeric eigenbasis of the fusion matrices.
+
+    Diagonalizes a random real combination M = sum t_i N_i (normal, since
+    M^T lies in the same commuting family), reads off each character as the
+    eigenvalue tuple on one eigenvector (values[j][i] = phi_j(b_i)), and
+    cross-checks the codegrees f_phi = sum_i phi(b_i) phi(b_dual(i))
+    against the exact spectrum.  Retries with fresh weights on eigenvalue
+    collisions, at most 5 times.
+    """
+    r = ring.rank
+    mats = [np.array(ring.matrix(i), dtype=float) for i in range(r)]
+    exact = formal_codegrees(ring).approx()
+    for attempt in range(1, 6):
+        rng = np.random.default_rng(911 + attempt)
+        t = rng.uniform(1.0, 2.0, size=r)
+        m = sum(t[i] * mats[i] for i in range(r))
+        eigvals, eigvecs = np.linalg.eig(m)
+        gaps = np.abs(eigvals[:, None] - eigvals[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() < 1e-6 * (1.0 + np.abs(eigvals).max()):
+            continue
+        values = []
+        codegs = []
+        defect = 0.0
+        for col in range(r):
+            w = eigvecs[:, col]
+            denom = np.vdot(w, w)
+            phi = [complex(np.vdot(w, mats[i] @ w) / denom) for i in range(r)]
+            # homomorphism defect
+            for i in range(r):
+                for j in range(r):
+                    want = sum(ring.N[i][j][k] * phi[k] for k in range(r))
+                    defect = max(defect, abs(phi[i] * phi[j] - want))
+            codegs.append(sum(phi[i] * phi[ring.dual[i]] for i in range(r)))
+            values.append(tuple(phi))
+        if defect > tol or max(abs(x.imag) for x in codegs) > tol:
+            continue
+        got = sorted(x.real for x in codegs)
+        assert max(abs(a - b) for a, b in zip(got, exact)) <= 1e-8
+        return CharacterTable(tuple(values), tuple(codegs), defect)
+    raise AssertionError("eigenvalue separation failed after 5 attempts")
 
 
 def test_characters_fibonacci(fibonacci):

@@ -202,16 +202,6 @@ def test_quadratic_truncated_amax_is_exploratory():
     assert EXPLORATORY_MARK in r.warnings
 
 
-def test_quadratic_threads_deterministic():
-    a = search_quadratic(SearchConfig(2, audit=True, threads=1))
-    b = search_quadratic(SearchConfig(2, audit=True, threads=4))
-    assert [c.poly.coeffs for c in a.survivors] == \
-        [c.poly.coeffs for c in b.survivors]
-    assert [c.poly.coeffs for c in a.rejected] == \
-        [c.poly.coeffs for c in b.rejected]
-    assert a.config == b.config
-
-
 # ---------------------------------------------------------------------------
 # cubic search
 
@@ -324,16 +314,6 @@ def test_gap_fmax_formula():
         d = Fraction(num, den)
         got = Fraction(search_gap(Surd(d)).config["f_max"])
         assert got == d * d / (2 - d * d)
-
-
-def test_gap_threads_deterministic():
-    a = search_gap(Surd(Fraction(27, 20)), threads=1, audit=True)
-    b = search_gap(Surd(Fraction(27, 20)), threads=4, audit=True)
-    assert [c.poly.coeffs for c in a.survivors] == \
-        [c.poly.coeffs for c in b.survivors]
-    assert [c.poly.coeffs for c in a.rejected] == \
-        [c.poly.coeffs for c in b.rejected]
-    assert a.config == b.config and a.warnings == b.warnings
 
 
 # ---------------------------------------------------------------------------

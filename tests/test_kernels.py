@@ -1,20 +1,14 @@
 """Kernel correctness against independent oracles (Fraction Sylvester
-matrices, sympy) plus pure/compiled backend parity."""
+matrices, sympy)."""
 
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgap.kernels import _pure
-
-try:
-    from fgap.kernels import _ck
-except ImportError:
-    _ck = None
+from fgap import kernels
 
 X = sympy.Symbol("x")
 
@@ -23,8 +17,8 @@ coeff_lists = st.lists(st.integers(-30, 30), min_size=1, max_size=7)
 
 def sylvester_resultant(a, b):
     """Independent oracle: determinant of the Sylvester matrix over Q."""
-    a = _pure.normalize(a)
-    b = _pure.normalize(b)
+    a = kernels.normalize(a)
+    b = kernels.normalize(b)
     if not a or not b:
             return 0
     da, db = len(a) - 1, len(b) - 1
@@ -76,63 +70,63 @@ def to_sympy(c):
 
 
 def test_normalize_strips_trailing_zeros():
-    assert _pure.normalize([1, 2, 0, 0]) == [1, 2]
-    assert _pure.normalize([0, 0]) == []
-    assert _pure.normalize([]) == []
+    assert kernels.normalize([1, 2, 0, 0]) == [1, 2]
+    assert kernels.normalize([0, 0]) == []
+    assert kernels.normalize([]) == []
 
 
 def test_int_content():
-    assert _pure.int_content([6, -9, 12]) == 3
-    assert _pure.int_content([0, 0]) == 0
-    assert _pure.int_content([5]) == 5
+    assert kernels.int_content([6, -9, 12]) == 3
+    assert kernels.int_content([0, 0]) == 0
+    assert kernels.int_content([5]) == 5
 
 
 def test_poly_mul_known():
     # (x - 1)(x + 1) = x^2 - 1
-    assert _pure.poly_mul([-1, 1], [1, 1]) == [-1, 0, 1]
-    assert _pure.poly_mul([], [1, 1]) == []
+    assert kernels.poly_mul([-1, 1], [1, 1]) == [-1, 0, 1]
+    assert kernels.poly_mul([], [1, 1]) == []
 
 
 def test_eval_qnum_matches_fraction_evaluation():
     rng = random.Random(5)
     for _ in range(300):
         c = [rng.randint(-20, 20) for _ in range(rng.randint(1, 6))]
-        if not _pure.normalize(c):
+        if not kernels.normalize(c):
             continue
-        c = _pure.normalize(c)
+        c = kernels.normalize(c)
         p, q = rng.randint(-15, 15), rng.randint(1, 15)
         d = len(c) - 1
         want = sum(Fraction(c[i]) * Fraction(p, q) ** i
                    for i in range(d + 1)) * Fraction(q) ** d
-        assert _pure.eval_qnum(c, p, q) == want
+        assert kernels.eval_qnum(c, p, q) == want
 
 
 def test_sign_variations_cases():
-    assert _pure.sign_variations([1, -1, 1]) == 2
-    assert _pure.sign_variations([1, 0, 1]) == 0
-    assert _pure.sign_variations([1, 0, -1, 0, -2, 3]) == 2
-    assert _pure.sign_variations([]) == 0
+    assert kernels.sign_variations([1, -1, 1]) == 2
+    assert kernels.sign_variations([1, 0, 1]) == 0
+    assert kernels.sign_variations([1, 0, -1, 0, -2, 3]) == 2
+    assert kernels.sign_variations([]) == 0
 
 
 def test_sturm_counts_match_sympy_real_roots():
     rng = random.Random(11)
     for _ in range(120):
-        c = _pure.normalize(
+        c = kernels.normalize(
             [rng.randint(-12, 12) for _ in range(rng.randint(2, 6))])
         if len(c) < 2:
             continue
         expr = to_sympy(c)
         sym_roots = sympy.real_roots(expr)
         distinct = sorted(set(sym_roots))
-        chain = _pure.sturm_chain(c)
-        total = (_pure.varcount_inf(chain, False)
-                 - _pure.varcount_inf(chain, True))
+        chain = kernels.sturm_chain(c)
+        total = (kernels.varcount_inf(chain, False)
+                 - kernels.varcount_inf(chain, True))
         assert total == len(distinct)
         # half-open interval counts (a, b] at a couple of rational cuts
         for a, b in ((-20, 0), (0, 20), (-3, 2)):
             want = sum(1 for r in distinct if a < r <= b)
-            got = (_pure.varcount_at(chain, a, 1)
-                   - _pure.varcount_at(chain, b, 1))
+            got = (kernels.varcount_at(chain, a, 1)
+                   - kernels.varcount_at(chain, b, 1))
             assert got == want, (c, a, b)
 
 
@@ -141,7 +135,7 @@ def test_resultant_against_sylvester_oracle():
     for _ in range(250):
         a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
         b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
-        assert _pure.resultant(a, b) == sylvester_resultant(a, b), (a, b)
+        assert kernels.resultant(a, b) == sylvester_resultant(a, b), (a, b)
 
 
 def test_resultant_against_sympy():
@@ -150,26 +144,26 @@ def test_resultant_against_sympy():
     # compare magnitudes here (the Sylvester oracle above pins the sign)
     rng = random.Random(37)
     for _ in range(120):
-        a = _pure.normalize([rng.randint(-9, 9)
+        a = kernels.normalize([rng.randint(-9, 9)
                              for _ in range(rng.randint(2, 6))])
-        b = _pure.normalize([rng.randint(-9, 9)
+        b = kernels.normalize([rng.randint(-9, 9)
                              for _ in range(rng.randint(2, 6))])
         if len(a) < 2 or len(b) < 2:
             continue
         want = sympy.resultant(to_sympy(a), to_sympy(b), X)
-        assert abs(_pure.resultant(a, b)) == abs(want)
+        assert abs(kernels.resultant(a, b)) == abs(want)
 
 
 def test_pseudo_rem_defining_identity():
     rng = random.Random(41)
     for _ in range(200):
-        a = _pure.normalize([rng.randint(-9, 9)
+        a = kernels.normalize([rng.randint(-9, 9)
                              for _ in range(rng.randint(2, 7))])
-        b = _pure.normalize([rng.randint(-9, 9)
+        b = kernels.normalize([rng.randint(-9, 9)
                              for _ in range(rng.randint(1, 6))])
         if not a or not b or len(a) < len(b) or len(b) < 2:
             continue
-        r = _pure.pseudo_rem(a, b)
+        r = kernels.pseudo_rem(a, b)
         # lb^(da-db+1) * a = q*b + r for some integer q; check mod b over Q
         pa = to_sympy(a)
         pb = to_sympy(b)
@@ -182,67 +176,35 @@ def test_pseudo_rem_defining_identity():
 @given(coeff_lists, coeff_lists)
 @settings(max_examples=60, deadline=None)
 def test_resultant_swap_sign_property(a, b):
-    a = _pure.normalize(a)
-    b = _pure.normalize(b)
+    a = kernels.normalize(a)
+    b = kernels.normalize(b)
     if not a or not b:
         return
     da, db = len(a) - 1, len(b) - 1
     sign = -1 if (da % 2 == 1 and db % 2 == 1) else 1
-    assert _pure.resultant(a, b) == sign * _pure.resultant(b, a)
+    assert kernels.resultant(a, b) == sign * kernels.resultant(b, a)
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)
 @settings(max_examples=40, deadline=None)
 def test_resultant_multiplicative_property(a, b, c):
-    a = _pure.normalize(a)
-    b = _pure.normalize(b)
-    c = _pure.normalize(c)
+    a = kernels.normalize(a)
+    b = kernels.normalize(b)
+    c = kernels.normalize(c)
     if not a or not b or not c:
         return
-    bc = _pure.poly_mul(b, c)
-    assert _pure.resultant(a, bc) == (_pure.resultant(a, b)
-                                      * _pure.resultant(a, c))
+    bc = kernels.poly_mul(b, c)
+    assert kernels.resultant(a, bc) == (kernels.resultant(a, b)
+                                      * kernels.resultant(a, c))
 
 
 @given(coeff_lists)
 @settings(max_examples=60, deadline=None)
 def test_sturm_total_count_property(c):
-    c = _pure.normalize(c)
+    c = kernels.normalize(c)
     if len(c) < 2:
         return
-    chain = _pure.sturm_chain(c)
-    total = _pure.varcount_inf(chain, False) - _pure.varcount_inf(chain, True)
+    chain = kernels.sturm_chain(c)
+    total = (kernels.varcount_inf(chain, False)
+             - kernels.varcount_inf(chain, True))
     assert total == len(set(sympy.real_roots(to_sympy(c))))
-
-
-@pytest.mark.skipif(_ck is None, reason="compiled backend not built")
-def test_backend_parity_randomized():
-    rng = random.Random(97)
-    for _ in range(800):
-        a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))]
-        b = [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))]
-        assert _pure.normalize(a) == _ck.normalize(a)
-        assert _pure.int_content(a) == _ck.int_content(a)
-        assert _pure.poly_mul(a, b) == _ck.poly_mul(a, b)
-        assert _pure.resultant(a, b) == _ck.resultant(a, b)
-        an, bn = _pure.normalize(a), _pure.normalize(b)
-        if an and bn and len(an) >= len(bn):
-            assert _pure.pseudo_rem(an, bn) == _ck.pseudo_rem(an, bn)
-        if an:
-            c1 = _pure.sturm_chain(an)
-            c2 = _ck.sturm_chain(an)
-            assert c1 == c2
-            p, q = rng.randint(-9, 9), rng.randint(1, 9)
-            assert (_pure.varcount_at(c1, p, q)
-                    == _ck.varcount_at(c2, p, q))
-            assert (_pure.varcount_inf(c1, True)
-                    == _ck.varcount_inf(c2, True))
-            assert (_pure.varcount_inf(c1, False)
-                    == _ck.varcount_inf(c2, False))
-            assert _pure.eval_qnum(an, p, q) == _ck.eval_qnum(an, p, q)
-
-
-@pytest.mark.skipif(_ck is None, reason="compiled backend not built")
-def test_backend_constants():
-    assert _pure.BACKEND == "pure"
-    assert _ck.BACKEND == "c"

@@ -161,10 +161,10 @@ def test_report_global_check_names(k2):
 # dimension bound for minimal-dimension candidates
 
 def test_ffib_bound_pinned():
-    assert ffib_fpdim_bound(alg(1, -5, 5)) == 5
-    assert ffib_fpdim_bound(alg(1, -2)) == 4
-    assert ffib_fpdim_bound(alg(1, -3)) == 27
-    assert ffib_fpdim_bound(alg(1, -14, 49, -49)) == 117649
+    assert ffib_fpdim_bound(alg(1, -5, 5))[0] == 5
+    assert ffib_fpdim_bound(alg(1, -2))[0] == 4
+    assert ffib_fpdim_bound(alg(1, -3))[0] == 27
+    assert ffib_fpdim_bound(alg(1, -14, 49, -49))[0] == 117649
 
 
 def test_ffib_bound_divides_norm_power():
@@ -172,7 +172,7 @@ def test_ffib_bound_divides_norm_power():
                  (1, -3, 1), (1, -7, 13, -5)]:
         a = alg(*desc)
         m = a.floor()
-        bound = ffib_fpdim_bound(a)
+        bound = ffib_fpdim_bound(a)[0]
         assert bound >= 1
         assert (abs(desc[-1]) ** m) % bound == 0
 
