@@ -149,11 +149,6 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     @property
-    def lead(self):
-        self._require_nonzero()
-        return self.coeffs[-1]
-
-    @property
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -654,10 +649,6 @@ class AlgebraicNumber:
         if _count_in(self._chain, isol.lo, isol.hi) != 1:
             raise InvalidInputError("interval does not isolate one root")
         self._isol = RatInterval(isol.lo, isol.hi)
-
-    @property
-    def isol(self):
-        return self._isol
 
     @property
     def degree(self):

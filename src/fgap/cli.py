@@ -20,8 +20,9 @@ from .algnum import (AlgebraicNumber, IntPoly, Surd, factor_over_integers,
                      is_d_number, isolate_real_roots, poly_gcd_int,
                      ratio_integrality_oracle)
 from .errors import AmbiguityError, InvalidInputError
-from .fusionring import (builtin_ring, emit_ring_file, fp_dimension_vector,
-                         parse_ring_file, rep_g_codegrees, sum_identity_check)
+from .fusionring import (builtin_ring, emit_ring_file, formal_codegrees,
+                         fp_dimension_vector, parse_ring_file,
+                         rep_g_codegrees)
 from .gapsearch import (QUAD_DEFAULT_HI, SearchConfig, search_cubic,
                         search_gap, search_quadratic)
 from .obstruct import ffib_fpdim_bound, spherical_obstruction_report
@@ -143,15 +144,18 @@ def _check_json(chk):
 def _cmd_analyze(args):
     ring = parse_ring_file(_read_source(args.ring))
     tol = _parse_fraction(args.tol) if args.tol else Fraction(1, 10 ** 12)
-    report = spherical_obstruction_report(ring)
-    spectrum = report.spectrum
-    dims, fp_root, cert = fp_dimension_vector(ring, tol=tol)
-    sum_id = sum_identity_check(ring)
+    spectrum = formal_codegrees(ring)
+    report = spherical_obstruction_report(spectrum)
+    dims, cert = fp_dimension_vector(ring, spectrum, tol=tol)
+    sum_id = spectrum.sum_identity()
 
     config = {"source": args.ring, "tol": _frac_text(tol)}
     lines = _header(["analyze"], config)
     lines.append("rank: %d" % ring.rank)
-    lines.append("commutative: %s" % ("yes" if ring.is_commutative else "no"))
+    # formal_codegrees raised UnsupportedRingError (exit 1, nothing printed)
+    # if the ring were noncommutative, so this line and the JSON field are
+    # constant
+    lines.append("commutative: yes")
     lines.append("codegree charpoly: %s" % spectrum.charpoly.to_str())
     lines.append("codegrees ~ [%s]"
                  % ", ".join(_g(v) for v in spectrum.approx()))
@@ -194,7 +198,7 @@ def _cmd_analyze(args):
         "config": config,
         "results": {
             "rank": ring.rank,
-            "commutative": ring.is_commutative,
+            "commutative": True,
             "charpoly": spectrum.charpoly.to_str(),
             "charpoly_coeffs": spectrum.charpoly.to_csv(),
             "codegrees": [_jf(v) for v in spectrum.approx()],

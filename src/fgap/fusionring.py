@@ -5,6 +5,14 @@ b_i*b_j) plus the duality permutation; index 0 is the unit.  The codegree
 spectrum is computed exactly as the spectrum of Z = sum_i N_i N_i^T, which
 for a commutative ring carries the same eigenvalues as the canonical
 codegree functionals evaluated on characters.
+
+`formal_codegrees(ring)` is the one place Z and its spectrum are computed
+(and the one caller of `FusionRing.is_commutative`); everything derived
+from them takes the spectrum as an argument:
+`fp_dimension_vector(ring, spectrum, tol)` certifies the Perron dimensions
+against `spectrum.matrix` (Z) and `spectrum.fp_root`,
+`CodegreeSpectrum.sum_identity()` decides sum 1/f_i == 1, and
+`obstruct.spherical_obstruction_report(spectrum)` runs the battery.
 """
 
 from fractions import Fraction
@@ -109,17 +117,19 @@ class FusionRing:
 
     @property
     def is_commutative(self):
-        r = self.rank
+        """True iff b_i b_j = b_j b_i for all i < j, i.e. N[i][j] == N[j][i].
+
+        This is the commutator test N_i N_j == N_j N_i of the fusion
+        matrices read at row 0: with the unit axiom N[i][0][k] = delta_ik,
+        row 0 of N_i N_j is N[j][i] and row 0 of N_j N_i is N[i][j].  On an
+        associative ring the converse holds as well (entry (a, b) of the two
+        products is the coefficient of b_b in (b_j b_i) b_a and in
+        (b_i b_j) b_a), so for a valid ring the two tests agree.
+        """
         n = self.N
-        for i in range(r):
-            for j in range(i + 1, r):
-                for a in range(r):
-                    for b in range(r):
-                        ab = sum(n[i][a][m] * n[j][m][b] for m in range(r))
-                        ba = sum(n[j][a][m] * n[i][m][b] for m in range(r))
-                        if ab != ba:
-                            return False
-        return True
+        r = self.rank
+        return all(n[i][j] == n[j][i]
+                   for i in range(r) for j in range(i + 1, r))
 
     def __eq__(self, other):
         return (isinstance(other, FusionRing) and self.rank == other.rank
@@ -202,28 +212,27 @@ class CodegreeOrbit:
 
 
 class CodegreeSpectrum:
-    """Exact codegree data of a commutative based ring."""
+    """Exact codegree data of a commutative based ring: Z, its
+    characteristic polynomial and its Galois orbits."""
 
-    __slots__ = ("rank", "charpoly", "orbits", "fp_orbit_index", "fp_root",
+    __slots__ = ("rank", "matrix", "charpoly", "orbits", "fp_root",
                  "all_real", "all_ge_one")
 
-    def __init__(self, rank, charpoly, orbits):
+    def __init__(self, rank, matrix, charpoly, orbits):
         self.rank = rank
+        self.matrix = matrix
         self.charpoly = charpoly
         self.orbits = tuple(orbits)
-        fp_idx = None
         fp = None
         ok_real = True
         ok_ge1 = True
-        for idx, orb in enumerate(self.orbits):
+        for orb in self.orbits:
             prof_real = (orb.size == orb.poly.degree)
             ok_real = ok_real and prof_real
             if orb.size and orb.min_root.cmp_fraction(Fraction(1)) < 0:
                 ok_ge1 = False
             if orb.size and (fp is None or orb.max_root.cmp(fp) > 0):
                 fp = orb.max_root
-                fp_idx = idx
-        self.fp_orbit_index = fp_idx
         self.fp_root = fp
         self.all_real = ok_real
         self.all_ge_one = ok_real and ok_ge1
@@ -286,25 +295,24 @@ def formal_codegrees(ring):
         prof = isolate_real_roots(poly)
         roots = [AlgebraicNumber(poly, iv) for iv, _ in prof.roots]
         orbits.append(CodegreeOrbit(poly, mult, roots))
-    return CodegreeSpectrum(ring.rank, cp, orbits)
+    return CodegreeSpectrum(ring.rank, z, cp, orbits)
 
 
-def sum_identity_check(ring):
-    """Exact integer identity e_{r-1} = e_r for the codegree spectrum."""
-    return formal_codegrees(ring).sum_identity()
+POWER_ITERATIONS = 20000
 
 
-def fp_dimension_vector(ring, tol=Fraction(1, 10 ** 12), max_iter=20000):
-    """Perron data: per-basis dimensions and the exact top codegree.
+def fp_dimension_vector(ring, spectrum, tol=Fraction(1, 10 ** 12)):
+    """Perron dimensions of `ring`, certified against its codegree spectrum.
 
-    Power iteration runs on B = sum_i N_i (primitive for a valid ring, and
-    its Perron direction is the common positive eigenvector of every N_i);
-    the vector is then certified against Z with an exact rational Rayleigh
-    residual: ||(Z - rho) v||^2 <= tol^2 * rho^2 * ||v||^2.
+    `spectrum` is `formal_codegrees(ring)`.  Power iteration runs on
+    B = sum_i N_i (primitive for a valid ring, and its Perron direction is
+    the common positive eigenvector of every N_i); the vector is then
+    certified against Z = `spectrum.matrix` with an exact rational Rayleigh
+    residual, ||(Z - rho) v||^2 <= tol^2 * rho^2 * ||v||^2, and rho must
+    lie on the enclosure of the top codegree `spectrum.fp_root`.
 
-    Returns (dims, fp_root, certificate) where dims are floats normalized
-    to dims[0] = 1 and fp_root is the designated largest root of the exact
-    characteristic polynomial of Z.
+    Returns (dims, certificate) where dims are floats normalized to
+    dims[0] = 1.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -314,7 +322,7 @@ def fp_dimension_vector(ring, tol=Fraction(1, 10 ** 12), max_iter=20000):
          for j in range(r)]
     v = [1.0] * r
     last = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_ITERATIONS):
         w = [sum(b[j][k] * v[k] for k in range(r)) for j in range(r)]
         norm = max(abs(x) for x in w)
         v = [x / norm for x in w]
@@ -326,9 +334,8 @@ def fp_dimension_vector(ring, tol=Fraction(1, 10 ** 12), max_iter=20000):
         raise AmbiguityError("power iteration lost positivity")
     v = [x / scale for x in v]
 
-    spectrum = formal_codegrees(ring)
     fp = spectrum.fp_root
-    z = codegree_matrix(ring)
+    z = spectrum.matrix
     vq = [Fraction(x) for x in v]
     zv = [sum(z[j][k] * vq[k] for k in range(r)) for j in range(r)]
     vv = sum(x * x for x in vq)
@@ -350,7 +357,7 @@ def fp_dimension_vector(ring, tol=Fraction(1, 10 ** 12), max_iter=20000):
         "tol": tol,
         "certified": True,
     }
-    return v, fp, certificate
+    return v, certificate
 
 
 class RepGCodegrees:

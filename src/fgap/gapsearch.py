@@ -23,10 +23,9 @@ from .algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd, WIDTH_CAP,
                      factor_over_integers, is_d_number, isolate_real_roots,
                      poly_div_exact, poly_gcd_int)
 from .errors import AmbiguityError, InvalidInputError
-from .obstruct import threshold
+from .obstruct import FOUR_THIRDS, threshold
 
 SQRT2 = Surd(0, 1, 2)
-FOUR_THIRDS = Fraction(4, 3)
 
 QUAD_DEFAULT_LO = Surd(Fraction(-1, 4), Fraction(1, 4), 41)   # (sqrt41 - 1)/4
 QUAD_DEFAULT_HI = Surd(0, Fraction(4, 5), 3)                  # 4*sqrt(3)/5
@@ -483,10 +482,6 @@ def _gap_cut_points(d_max):
     raise AmbiguityError("could not certify a root-free band above d_max")
 
 
-def _qnum(poly_asc, p, q):
-    return kernels.eval_qnum(list(poly_asc), p, q)
-
-
 def _deriv_prefix(prefix, k):
     """Ascending coefficients of P^(k-j) for the descending prefix."""
     j = len(prefix) - 1
@@ -587,7 +582,7 @@ def _next_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
 
     sig_lo = -1 if (j + 1) % 2 else 1
     add(sig_lo, _frac_eval(w_asc, box_lo))
-    add(1, Fraction(_qnum(w_asc, f_hi, 1)))
+    add(1, Fraction(kernels.eval_qnum(w_asc, f_hi, 1)))
     if final and lo <= hi:
         sig_cut = 1 if (k - 1) % 2 == 0 else -1
         add(sig_cut, _frac_eval(w_asc, gamma), strict=True)
@@ -710,7 +705,7 @@ def _gap_leaf(poly, d_max, gamma, keep_all):
         trace.append(("d-number", "pass" if is_d_number(poly) else "fail"))
         ok = trace[-1][1] == "pass"
     if ok:
-        pref = (-1 if k % 2 else 1) * _qnum(asc, 4, 3)
+        pref = (-1 if k % 2 else 1) * kernels.eval_qnum(asc, 4, 3)
         trace.append(("integer-prefilter", "pass" if pref >= 1 else "fail"))
         ok = pref >= 1
     prof = None

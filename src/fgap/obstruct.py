@@ -13,7 +13,6 @@ from .algnum import (AlgebraicNumber, Surd, is_d_number,
                      largest_integer_divisor, power_char_poly,
                      isolate_real_roots)
 from .errors import InvalidInputError
-from .fusionring import formal_codegrees
 
 FOUR_THIRDS = Fraction(4, 3)
 
@@ -26,8 +25,6 @@ def threshold(kind, param=None):
     Galois conjugates.
     kind = "codeg_r": sqrt(2r/(r+1)), lower bound for every codegree of a
     rank-r ring.
-    kind = "psc_F": sqrt(2F/(F+1)), smallest-codegree bound in terms of a
-    dimension value F (exposed for reporting; not used in verdicts).
     """
     if kind == "gdim_i":
         return Surd(FOUR_THIRDS)
@@ -41,11 +38,6 @@ def threshold(kind, param=None):
         if r < 1:
             raise InvalidInputError("codeg_r needs r >= 1")
         return Surd.sqrt_fraction(Fraction(2 * r, r + 1))
-    if kind == "psc_F":
-        f = Fraction(param)
-        if f < 1:
-            raise InvalidInputError("psc_F needs F >= 1")
-        return Surd.sqrt_fraction(2 * f / (f + 1))
     raise InvalidInputError("unknown threshold kind %r" % (kind,))
 
 
@@ -75,22 +67,14 @@ class OrbitResult:
 class ObstructionReport:
     """Verdict is a pure function of the check statuses."""
 
-    __slots__ = ("rank", "spectrum", "orbit_results", "global_checks",
-                 "surviving", "obstructed")
+    __slots__ = ("orbit_results", "global_checks", "surviving", "obstructed")
 
-    def __init__(self, rank, spectrum, orbit_results, global_checks):
-        self.rank = rank
-        self.spectrum = spectrum
+    def __init__(self, orbit_results, global_checks):
         self.orbit_results = tuple(orbit_results)
         self.global_checks = tuple(global_checks)
         self.surviving = tuple(o.index for o in orbit_results if o.survives)
         global_ok = all(c.status != "fail" for c in global_checks)
         self.obstructed = (not self.surviving) or (not global_ok)
-
-
-def _cmp_root_surd(root, bound):
-    """Exact sign of (root - bound) for AlgebraicNumber vs Surd."""
-    return root.cmp_surd(bound)
 
 
 def pseudo_unitary_inequality(spectrum, f):
@@ -111,8 +95,8 @@ def pseudo_unitary_inequality(spectrum, f):
     return status, "lhs %s, needs f <= %s (f ~ %.6f)" % (lhs, 1 / t, fv)
 
 
-def spherical_obstruction_report(ring):
-    """Run the full battery on every Galois orbit of the codegree spectrum.
+def spherical_obstruction_report(spectrum):
+    """Run the full battery on every Galois orbit of a codegree spectrum.
 
     Per orbit O: (a) min(O) >= 4/3 (the trivial rank-1 ring is exempt);
     (b) for |O| > 1, min(O) >= sqrt((16k-16)/(8k-7)) with k = |O|;
@@ -120,10 +104,9 @@ def spherical_obstruction_report(ring):
     every f in O.  Global: every orbit polynomial is a d-number, all
     codegrees are real and >= 1, and the smallest codegree clears
     sqrt(2r/(r+1)).  Verdict "obstructed" iff no orbit survives or a
-    global check fails.
+    global check fails.  `spectrum` is `formal_codegrees(ring)`.
     """
-    spectrum = formal_codegrees(ring)
-    r = ring.rank
+    r = spectrum.rank
     trivial_ring = (r == 1)
 
     orbit_results = []
@@ -143,7 +126,7 @@ def spherical_obstruction_report(ring):
 
         if k > 1:
             bound = threshold("gdim_k", k)
-            c = _cmp_root_surd(orb.min_root, bound)
+            c = orb.min_root.cmp_surd(bound)
             checks.append(CheckResult(
                 "conjugate-count-bound", "pass" if c >= 0 else "fail",
                 "k = %d, bound sqrt(%s), min root ~ %.9f"
@@ -187,7 +170,7 @@ def spherical_obstruction_report(ring):
             "codegrees-at-least-1", "pass" if ge1 else "fail",
             "min codegree ~ %.9f" % spectrum.min_root().approx_float()))
         bound = threshold("codeg_r", r)
-        c = _cmp_root_surd(spectrum.min_root(), bound)
+        c = spectrum.min_root().cmp_surd(bound)
         global_checks.append(CheckResult(
             "min-codegree-bound", "pass" if c >= 0 else "fail",
             "bound sqrt(%s), min ~ %.9f"
@@ -204,7 +187,7 @@ def spherical_obstruction_report(ring):
         "every orbit polynomial divides-all-roots" if not bad
         else "not a d-number: " + "; ".join(bad)))
 
-    return ObstructionReport(r, spectrum, orbit_results, global_checks)
+    return ObstructionReport(orbit_results, global_checks)
 
 
 def ffib_fpdim_bound(d):

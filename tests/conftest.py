@@ -21,6 +21,24 @@ def run_cli(*argv, env_extra=None, stdin_text=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.fixture(scope="session")
+def run_cli_once():
+    """run_cli memoised for the session, keyed by (argv, stdin_text).
+
+    For tests that only read the output of a command: the CLI is
+    deterministic, so identical slow searches run once per session.  Tests
+    that time a run or compare two fresh processes call run_cli instead.
+    """
+    seen = {}
+
+    def run(*argv, stdin_text=None):
+        key = (argv, stdin_text)
+        if key not in seen:
+            seen[key] = run_cli(*argv, stdin_text=stdin_text)
+        return seen[key]
+    return run
+
+
 @pytest.fixture
 def fibonacci():
     return builtin_ring("kn", 1)

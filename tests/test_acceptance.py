@@ -62,13 +62,13 @@ def test_c02_cubic_search_empty(capsys):
         assert elapsed <= 10.0
 
 
-def test_c03_gap_search_window(capsys):
+def test_c03_gap_search_window(capsys, run_cli_once):
     with criterion(capsys, 3, "gap search certifies (5 - sqrt 5)/2"):
-        rc, out, _ = run_cli("search", "gap", "--dmax", "4√3/5")
+        rc, out, _ = run_cli_once("search", "gap", "--dmax", "4√3/5")
         assert rc == 0
         assert "survivors: 1" in out
         assert "+ x^2 - 5x + 5" in out
-        rc, out, _ = run_cli("search", "gap", "--dmax", "1.34")
+        rc, out, _ = run_cli_once("search", "gap", "--dmax", "1.34")
         assert rc == 0
         assert "survivors: 0" in out
 

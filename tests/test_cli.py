@@ -1,5 +1,7 @@
-"""End-to-end command-line checks through a real subprocess."""
+"""End-to-end command-line checks, through a real subprocess unless a test
+needs to count calls inside the program."""
 
+import io
 import json
 import re
 import subprocess
@@ -7,7 +9,9 @@ import sys
 
 import pytest
 
+import fgap.cli
 from conftest import run_cli
+from fgap.fusionring import FusionRing, builtin_ring, emit_ring_file
 
 FIB = ("rank 2\n"
        "dual 0 1\n"
@@ -85,6 +89,44 @@ def test_analyze_missing_file():
     assert err.startswith("error:")
 
 
+def test_analyze_noncommutative_exits_1(s3_ring):
+    rc, out, err = run_cli("analyze", "-", stdin_text=emit_ring_file(s3_ring))
+    assert rc == 1
+    assert err.startswith("error: ring is noncommutative")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_analyze_computes_one_spectrum(monkeypatch, capsys):
+    """One codegree spectrum and one commutativity check per request."""
+    calls = {"formal_codegrees": 0, "is_commutative": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    # rebind the name in every fgap module that holds it
+    original = fgap.fusionring.formal_codegrees
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fgap" and \
+                vars(module).get("formal_codegrees") is original:
+            monkeypatch.setattr(module, "formal_codegrees",
+                                counted("formal_codegrees", original))
+    prop = vars(FusionRing)["is_commutative"]
+    monkeypatch.setattr(FusionRing, "is_commutative",
+                        property(counted("is_commutative", prop.fget)))
+    ring = emit_ring_file(builtin_ring("cyclic", 4))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ring))
+
+    assert fgap.cli.main(["analyze", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "rank: 4\ncommutative: yes\n" in out
+    assert "verdict: no obstruction" in out
+    assert calls == {"formal_codegrees": 1, "is_commutative": 1}
+
+
 def test_analyze_uncertifiable_tolerance_is_ambiguous(fib_file):
     rc, _, err = run_cli("analyze", fib_file, "--tol",
                          "1/" + "1" + "0" * 30)
@@ -105,17 +147,17 @@ def test_search_quadratic_json():
     assert j["certificates"]["necessary_condition_certificate"] is True
 
 
-def test_search_gap_tokens_equivalent():
-    rc1, out1, _ = run_cli("search", "gap", "--dmax", "4√3/5")
-    rc2, out2, _ = run_cli("search", "gap", "--dmax", "4sqrt(3)/5")
+def test_search_gap_tokens_equivalent(run_cli_once):
+    rc1, out1, _ = run_cli_once("search", "gap", "--dmax", "4√3/5")
+    rc2, out2, _ = run_cli_once("search", "gap", "--dmax", "4sqrt(3)/5")
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert "x^2 - 5x + 5" in out1
     assert "survivors: 1" in out1
 
 
-def test_search_gap_decimal_empty():
-    rc, out, _ = run_cli("search", "gap", "--dmax", "1.34")
+def test_search_gap_decimal_empty(run_cli_once):
+    rc, out, _ = run_cli_once("search", "gap", "--dmax", "1.34")
     assert rc == 0
     assert "survivors: 0" in out
 
@@ -149,8 +191,8 @@ def test_search_exploratory_marker_in_text():
     assert "exploratory" in out
 
 
-def test_search_cubic_audit_histogram():
-    rc, out, _ = run_cli("search", "cubic", "--audit")
+def test_search_cubic_audit_histogram(run_cli_once):
+    rc, out, _ = run_cli_once("search", "cubic", "--audit")
     assert rc == 0
     assert "survivors: 0" in out
     assert "rejected: 18393" in out

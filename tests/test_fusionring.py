@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import group_ring
 from fgap.errors import InvalidInputError, UnsupportedRingError
 from fgap.fusionring import (
     FusionRing,
@@ -17,7 +18,6 @@ from fgap.fusionring import (
     fp_dimension_vector,
     parse_ring_file,
     rep_g_codegrees,
-    sum_identity_check,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -82,6 +82,42 @@ def test_validate_associativity():
 def test_is_commutative(fibonacci, s3_ring):
     assert fibonacci.is_commutative
     assert not s3_ring.is_commutative
+
+
+def commutes_by_matrices(ring):
+    """Reference: N_i N_j == N_j N_i for every pair of fusion matrices."""
+    r = ring.rank
+    n = ring.N
+    for i in range(r):
+        for j in range(i + 1, r):
+            for a in range(r):
+                for b in range(r):
+                    ab = sum(n[i][a][m] * n[j][m][b] for m in range(r))
+                    ba = sum(n[j][a][m] * n[i][m][b] for m in range(r))
+                    if ab != ba:
+                        return False
+    return True
+
+
+def _dihedral4_ring():
+    # elements r^a s^b as index a + 4b, with s r = r^-1 s
+    def mul(x, y):
+        a, b = x % 4, x // 4
+        c, d = y % 4, y // 4
+        return ((a + (-c if b else c)) % 4) + 4 * ((b + d) % 2)
+    table = [[mul(x, y) for y in range(8)] for x in range(8)]
+    inv = [next(y for y in range(8) if table[x][y] == 0) for x in range(8)]
+    return group_ring(table, inv)
+
+
+def test_is_commutative_matches_matrix_commutators(s3_ring):
+    rings = [builtin_ring("kn", n) for n in range(6)]
+    rings += [builtin_ring("cyclic", n) for n in range(1, 9)]
+    rings += [s3_ring, _dihedral4_ring()]
+    for ring in rings:
+        assert ring.validate() == []
+        assert ring.is_commutative == commutes_by_matrices(ring), ring
+    assert [r.is_commutative for r in rings[-2:]] == [False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +208,7 @@ def test_spectrum_symmetric_functions(fibonacci):
 
 def test_sum_identity_check_builtins():
     for name, n in [("kn", 1), ("kn", 5), ("cyclic", 2), ("cyclic", 7)]:
-        assert sum_identity_check(builtin_ring(name, n))
+        assert formal_codegrees(builtin_ring(name, n)).sum_identity()
 
 
 def test_formal_codegrees_noncommutative_unsupported(s3_ring):
@@ -184,26 +220,29 @@ def test_formal_codegrees_noncommutative_unsupported(s3_ring):
 # dimension vectors and characters
 
 def test_fp_dimensions_fibonacci(fibonacci):
-    dims, top, cert = fp_dimension_vector(fibonacci)
+    spec = formal_codegrees(fibonacci)
+    dims, cert = fp_dimension_vector(fibonacci, spec)
     assert abs(dims[0] - 1) < 1e-9
     assert abs(dims[1] - PHI) < 1e-9
     assert cert["certified"]
     assert abs(float(cert["rayleigh"]) - (5 + math.sqrt(5)) / 2) < 1e-6
     assert cert["residual_sq"] <= cert["tol"]
     # the top codegree is FPdim of the ring: 1 + phi^2
-    assert abs(float(top.approx_float()) - (1 + PHI * PHI)) < 1e-9
+    assert abs(float(spec.fp_root.approx_float()) - (1 + PHI * PHI)) < 1e-9
 
 
 def test_fp_dimensions_k2(k2):
-    dims, top, cert = fp_dimension_vector(k2)
+    dims, cert = fp_dimension_vector(k2, formal_codegrees(k2))
     assert abs(dims[1] - (1 + math.sqrt(2))) < 1e-9
     assert cert["certified"]
 
 
 def test_fp_dimensions_cyclic():
-    dims, top, cert = fp_dimension_vector(builtin_ring("cyclic", 5))
+    ring = builtin_ring("cyclic", 5)
+    spec = formal_codegrees(ring)
+    dims, cert = fp_dimension_vector(ring, spec)
     assert all(abs(d - 1) < 1e-9 for d in dims)
-    assert float(top.approx_float()) == pytest.approx(5.0, abs=1e-9)
+    assert float(spec.fp_root.approx_float()) == pytest.approx(5.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

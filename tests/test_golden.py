@@ -1,7 +1,9 @@
 """Golden stdout: every command of the README's CLI block, byte for byte.
 
-Each command runs in a fresh `python -m fgap` process; the test compares
-its exit code and the sha256 of its stdout with the values pinned below.
+Each command runs in a fresh `python -m fgap` process, once per test
+session (tests elsewhere that read the same command share the run); the
+test compares its exit code and the sha256 of its stdout with the values
+pinned below.
 Where the README reads `ring.txt`, the ring `fgap builtin kn --n 2` is
 piped on stdin instead.
 """
@@ -63,19 +65,19 @@ GOLDEN = {
 }
 
 
-def _run(argv, piped):
+def _run(argv, piped, run=run_cli):
     stdin_text = None
     if piped:
-        rc, stdin_text, _ = run_cli(*RING)
+        rc, stdin_text, _ = run(*RING)
         assert rc == 0
-    rc, out, _ = run_cli(*argv, stdin_text=stdin_text)
+    rc, out, _ = run(*argv, stdin_text=stdin_text)
     return rc, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("argv,piped", COMMANDS,
                          ids=[" ".join(a) for a, _ in COMMANDS])
-def test_readme_command_stdout_is_pinned(argv, piped):
-    assert _run(argv, piped) == GOLDEN[" ".join(argv)]
+def test_readme_command_stdout_is_pinned(argv, piped, run_cli_once):
+    assert _run(argv, piped, run_cli_once) == GOLDEN[" ".join(argv)]
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ def test_inverse_square_sum_matches_numeric():
 # full report
 
 def test_report_fibonacci_clean(fibonacci):
-    rep = spherical_obstruction_report(fibonacci)
+    rep = spherical_obstruction_report(formal_codegrees(fibonacci))
     assert not rep.obstructed
     assert rep.surviving == (0,)
     orb = rep.orbit_results[0]
@@ -121,7 +121,7 @@ def test_report_fibonacci_clean(fibonacci):
 
 
 def test_report_k2_obstructed(k2):
-    rep = spherical_obstruction_report(k2)
+    rep = spherical_obstruction_report(formal_codegrees(k2))
     assert rep.obstructed
     assert rep.surviving == ()
     failed = {c.name for c in rep.orbit_results[0].checks
@@ -135,12 +135,14 @@ def test_report_k2_obstructed(k2):
 
 def test_report_kn_family_obstructed():
     for n in range(2, 11):
-        assert spherical_obstruction_report(builtin_ring("kn", n)).obstructed
+        ring = builtin_ring("kn", n)
+        assert spherical_obstruction_report(formal_codegrees(ring)).obstructed
 
 
 def test_report_cyclic_family_clean():
     for n in range(1, 9):
-        rep = spherical_obstruction_report(builtin_ring("cyclic", n))
+        ring = builtin_ring("cyclic", n)
+        rep = spherical_obstruction_report(formal_codegrees(ring))
         assert not rep.obstructed
         if n >= 2:
             # single orbit (x - n) with multiplicity n: mean equals rank
@@ -151,7 +153,7 @@ def test_report_cyclic_family_clean():
 
 
 def test_report_global_check_names(k2):
-    rep = spherical_obstruction_report(k2)
+    rep = spherical_obstruction_report(formal_codegrees(k2))
     assert [c.name for c in rep.global_checks] == [
         "codegrees-real", "codegrees-at-least-1",
         "min-codegree-bound", "codegrees-are-d-numbers"]
