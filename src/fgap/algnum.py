@@ -3,13 +3,21 @@
 Coefficient sequences are ascending: index i holds the coefficient of x**i.
 All decisions (signs, comparisons, root locations) are exact; floats appear
 only in reporting helpers.  Root isolation is squarefree decomposition
-followed by Sturm bisection; comparisons against quadratic irrationals are
-done in closed form through the Surd class, so no decision ever rests on a
-rounded value.
+followed by Sturm bisection.
+
+Quadratic irrationals are Surds, stored as integers (a + b*sqrt(n))/d with
+n squarefree.  square_free_part runs only when a radicand enters from
+outside (the constructor, sqrt_fraction); arithmetic within one field, the
+sign (one comparison of x^2 with y^2 n), floor and ceil (one isqrt of
+b^2 n) stay on plain integers, and a polynomial is evaluated at a surd by
+one Horner pass in Z[sqrt(n)] (kernels.eval_surd).  A real algebraic
+number is compared with a surd s by a Sturm variation count at the point s
+itself (kernels.varcount_at_surd) plus an exact root test, so no decision
+ever rests on a rounded value and no interval is bisected for it.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import kernels
 from ._intfactor import factorize, square_free_part
@@ -259,10 +267,6 @@ class RatInterval:
     def mid(self):
         return (self.lo + self.hi) / 2
 
-    def contains(self, x):
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
     def __add__(self, other):
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
 
@@ -290,24 +294,54 @@ class RatInterval:
             return RatInterval(1 / self.hi, 1 / self.lo)
         raise InvalidInputError("interval straddles zero, cannot invert")
 
-    def square(self):
-        return self * self
-
     def __repr__(self):
         return "RatInterval(%s, %s)" % (self.lo, self.hi)
 
 
 # ---------------------------------------------------------------------------
-# Surd: p + q*sqrt(n), the exact carrier for every window endpoint
+# Surd: (a + b*sqrt(n))/d, the exact carrier for every window endpoint
+
+def _surd(a, b, n, d):
+    """Surd (a + b*sqrt(n))/d from integers, n squarefree whenever b != 0.
+
+    Builds the reduced form directly; square_free_part never runs here, so
+    arithmetic inside one field stays on plain integers.
+    """
+    if b == 0:
+        n = 0
+    if d < 0:
+        a, b, d = -a, -b, -d
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    s = object.__new__(Surd)
+    s.a = a
+    s.b = b
+    s.n = n
+    s.d = d
+    return s
+
+
+def _floor_root(b, n):
+    """floor(b * sqrt(n)) for integers b and n >= 0."""
+    m = b * b * n
+    r = isqrt(m)
+    if b >= 0:
+        return r
+    return -r if r * r == m else -r - 1
+
 
 class Surd:
-    """Quadratic surd p + q*sqrt(n) with rational p, q and squarefree n.
+    """Quadratic surd (a + b*sqrt(n))/d with integer a, b, d and squarefree n.
 
-    Rational values are normalized to q == 0, n == 0.  Comparisons against
-    rationals and other surds (also from a different field) are exact.
+    The stored form is reduced: d > 0, gcd(a, b, d) == 1, and a rational
+    value has b == 0, n == 0.  The rational and irrational parts read as
+    Fractions through p and q.  Sign, floor and ceil reduce to one integer
+    square root; comparisons against rationals and other surds (also from a
+    different field) are exact.
     """
 
-    __slots__ = ("p", "q", "n")
+    __slots__ = ("a", "b", "n", "d")
 
     def __init__(self, p, q=0, n=0):
         p = Fraction(p)
@@ -324,9 +358,11 @@ class Surd:
             if n == 1:
                 p += q
                 q, n = Fraction(0), 0
-        self.p = p
-        self.q = q
+        d = lcm(p.denominator, q.denominator)
+        self.a = p.numerator * (d // p.denominator)
+        self.b = q.numerator * (d // q.denominator)
         self.n = n
+        self.d = d
 
     @staticmethod
     def sqrt_fraction(fr):
@@ -340,28 +376,39 @@ class Surd:
         return Surd(0, Fraction(1, b), a * b)
 
     @property
+    def p(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def q(self):
+        return Fraction(self.b, self.d)
+
+    @property
     def is_rational(self):
-        return self.q == 0
+        return self.b == 0
 
     def _same_field(self, other):
-        return self.n == other.n or self.is_rational or other.is_rational
+        return self.n == other.n or self.b == 0 or other.b == 0
 
     def _coerce(self, other):
         if isinstance(other, Surd):
             return other
-        return Surd(Fraction(other))
+        if isinstance(other, int):
+            return _surd(other, 0, 0, 1)
+        other = Fraction(other)
+        return _surd(other.numerator, 0, 0, other.denominator)
 
     def __add__(self, other):
         o = self._coerce(other)
         if not self._same_field(o):
             raise InvalidInputError("surds from different fields")
-        n = self.n or o.n
-        return Surd(self.p + o.p, self.q + o.q, n)
+        return _surd(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d,
+                     self.n or o.n, self.d * o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.p, -self.q, self.n)
+        return _surd(-self.a, -self.b, self.n, self.d)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -374,8 +421,8 @@ class Surd:
         if not self._same_field(o):
             raise InvalidInputError("surds from different fields")
         n = self.n or o.n
-        return Surd(self.p * o.p + self.q * o.q * n,
-                    self.p * o.q + self.q * o.p, n)
+        return _surd(self.a * o.a + self.b * o.b * n,
+                     self.a * o.b + self.b * o.a, n, self.d * o.d)
 
     __rmul__ = __mul__
 
@@ -393,51 +440,45 @@ class Surd:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o.is_rational:
-            if o.p == 0:
+            if o.a == 0:
                 raise ZeroDivisionError("surd division by zero")
-            return Surd(self.p / o.p, self.q / o.p, self.n)
+            return _surd(self.a * o.d, self.b * o.d, self.n, self.d * o.a)
         if not self._same_field(o):
             raise InvalidInputError("surds from different fields")
-        den = o.p * o.p - o.q * o.q * o.n
-        return (self * o.conjugate()) / den
+        # 1/o = d (a - b sqrt n) / (a^2 - b^2 n)
+        return self * _surd(o.d * o.a, -o.d * o.b, o.n,
+                            o.a * o.a - o.b * o.b * o.n)
 
     def conjugate(self):
-        return Surd(self.p, -self.q, self.n)
+        return _surd(self.a, -self.b, self.n, self.d)
 
     def sign(self):
-        if self.q == 0:
-            return (self.p > 0) - (self.p < 0)
-        if self.p == 0:
-            return 1 if self.q > 0 else -1
-        # p and q both nonzero; p**2 == q**2 * n is impossible (n squarefree)
-        if self.p > 0 and self.q > 0:
-            return 1
-        if self.p < 0 and self.q < 0:
-            return -1
-        big_rat = self.p * self.p > self.q * self.q * self.n
-        if big_rat:
-            return 1 if self.p > 0 else -1
-        return 1 if self.q > 0 else -1
+        return kernels.surd_sign(self.a, self.b, self.n)
 
     def cmp_fraction(self, r):
-        return (self - Fraction(r)).sign()
+        r = Fraction(r)
+        rn, rd = r.numerator, r.denominator
+        return kernels.surd_sign(self.a * rd - rn * self.d, self.b * rd,
+                                 self.n)
 
     def cmp(self, other):
         """Exact trichotomy against a rational or any Surd."""
         if not isinstance(other, Surd):
             return self.cmp_fraction(other)
+        # d1 d2 (self - other) = x + y sqrt(n1) - z sqrt(n2)
+        x = self.a * other.d - other.a * self.d
+        y = self.b * other.d
+        z = other.b * self.d
         if self._same_field(other):
-            return (self - other).sign()
-        # different radicands: shift so the right side is a pure radical
-        x = Surd(self.p - other.p, self.q, self.n)
-        y = Surd(0, other.q, other.n)
-        sx, sy = x.sign(), y.sign()
-        if sx != sy:
-            return 1 if sx > sy else -1
-        if sx == 0:
-            return 0
-        # same nonzero sign: compare squares (y**2 is rational)
-        c = (x * x).cmp_fraction(y.q * y.q * y.n)
+            return kernels.surd_sign(x, y - z, self.n or other.n)
+        # different radicands: compare x + y sqrt(n1) with z sqrt(n2)
+        sx = kernels.surd_sign(x, y, self.n)
+        sz = 1 if z > 0 else -1
+        if sx != sz:
+            return 1 if sx > sz else -1
+        # same nonzero sign: compare squares (the right one is rational)
+        c = kernels.surd_sign(x * x + y * y * self.n - z * z * other.n,
+                              2 * x * y, self.n)
         return c if sx > 0 else -c
 
     def __eq__(self, other):
@@ -446,33 +487,34 @@ class Surd:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.q, self.n))
+        return hash((self.a, self.b, self.n, self.d))
 
     def floor(self):
-        m = int(float(self))  # seed only; certified below
-        while self.cmp_fraction(m + 1) >= 0:
-            m += 1
-        while self.cmp_fraction(m) < 0:
-            m -= 1
-        return m
+        return (self.a + _floor_root(self.b, self.n)) // self.d
 
     def ceil(self):
-        return -((-self).floor())
+        return -((_floor_root(-self.b, self.n) - self.a) // self.d)
 
     def approx(self, eps):
-        """Enclosing RatInterval of width <= eps (outward rounding)."""
+        """Enclosing RatInterval of width <= eps (outward rounding).
+
+        The endpoints lie on the decimal grid 10**-k of the smallest k >= 1
+        with |q| / 10**k <= eps, so a given eps always yields the same
+        rationals.
+        """
         eps = Fraction(eps)
         if eps <= 0:
             raise InvalidInputError("width must be positive")
         if self.is_rational:
             return RatInterval(self.p, self.p)
-        k = 1
-        while Fraction(abs(self.q), 10 ** k) > eps:
-            k += 1
-        scale = 10 ** k
+        a, b, d = self.a, self.b, self.d
+        scale = 10
+        while abs(b) * eps.denominator > eps.numerator * d * scale:
+            scale *= 10
         r = isqrt(self.n * scale * scale)
-        root = RatInterval(Fraction(r, scale), Fraction(r + 1, scale))
-        return root.scale(self.q).shift(self.p)
+        lo = Fraction(a * scale + b * r, d * scale)
+        hi = Fraction(a * scale + b * (r + 1), d * scale)
+        return RatInterval(lo, hi) if b > 0 else RatInterval(hi, lo)
 
     def __float__(self):
         iv = self.approx(Fraction(1, 10 ** 18))
@@ -480,20 +522,27 @@ class Surd:
 
     def is_algebraic_integer(self):
         if self.is_rational:
-            return self.p.denominator == 1
-        tr = 2 * self.p
-        nm = self.p * self.p - self.q * self.q * self.n
-        return tr.denominator == 1 and nm.denominator == 1
+            return self.d == 1
+        d = self.d
+        return (2 * self.a) % d == 0 and \
+            (self.a * self.a - self.b * self.b * self.n) % (d * d) == 0
 
     def min_poly(self):
         """Monic minimal polynomial; requires an algebraic integer."""
         if not self.is_algebraic_integer():
             raise InvalidInputError("surd is not an algebraic integer")
         if self.is_rational:
-            return IntPoly([-int(self.p), 1])
-        tr = 2 * self.p
-        nm = self.p * self.p - self.q * self.q * self.n
-        return IntPoly([int(nm), -int(tr), 1])
+            return IntPoly([-self.a, 1])
+        d = self.d
+        tr = 2 * self.a // d
+        nm = (self.a * self.a - self.b * self.b * self.n) // (d * d)
+        return IntPoly([nm, -tr, 1])
+
+    def poly_value(self, c):
+        """Exact value at this point of the integer polynomial c (ascending
+        coefficients, nonempty), by one Horner pass in Z[sqrt(n)]."""
+        x, y = kernels.eval_surd(c, self.a, self.b, self.n, self.d)
+        return _surd(x, y, self.n, self.d ** (len(c) - 1))
 
     def __repr__(self):
         if self.is_rational:
@@ -703,25 +752,29 @@ class AlgebraicNumber:
         return 1 if iv.lo > r else -1
 
     def cmp_surd(self, s):
-        """Exact sign of (self - s) for a Surd s."""
+        """Exact sign of (self - s) for a Surd s.
+
+        The root lies in the isolating interval (lo, hi].  An irrational s
+        outside it is decided by its position; inside, s equals the root iff
+        the minimal polynomial vanishes at s (the interval holds no other
+        root), and otherwise the Sturm count over (lo, s] places the root on
+        one side.  No interval is shrunk.
+        """
         if s.is_rational:
             return self.cmp_fraction(s.p)
-        if _surd_is_root(self.minpoly, s):
-            # s is one of the two conjugate roots; the designated root never
-            # leaves the interval, so shrink until only one of the pair fits
-            other = s.conjugate()
-            iv = self._isol
-            while _surd_in(s, iv) and _surd_in(other, iv):
-                iv = _shrink(self._chain, iv)
-                self._isol = iv
-            if _surd_in(s, iv):
-                return 0
-            return 1 if s.cmp_fraction(iv.lo) < 0 else -1
-        iv = self._isol
-        while _surd_in(s, iv):
-            iv = _shrink(self._chain, iv)
-            self._isol = iv
-        return 1 if s.cmp_fraction(iv.lo) < 0 else -1
+        lo, hi = self._isol.lo, self._isol.hi
+        if self.degree == 1:
+            return -s.cmp_fraction(lo)
+        if s.cmp_fraction(lo) <= 0:
+            return 1
+        if s.cmp_fraction(hi) >= 0:
+            return -1
+        a, b, n, d = s.a, s.b, s.n, s.d
+        if kernels.eval_surd(self.minpoly.coeffs, a, b, n, d) == (0, 0):
+            return 0
+        below = (kernels.varcount_at(self._chain, lo.numerator, lo.denominator)
+                 - kernels.varcount_at_surd(self._chain, a, b, n, d))
+        return -1 if below else 1
 
     def cmp(self, other):
         """Exact trichotomy against Fraction/int, Surd or AlgebraicNumber."""
@@ -780,17 +833,6 @@ class AlgebraicNumber:
 
 def _sign(x):
     return (x > 0) - (x < 0)
-
-
-def _surd_in(s, iv):
-    return s.cmp_fraction(iv.lo) >= 0 and s.cmp_fraction(iv.hi) <= 0
-
-
-def _surd_is_root(poly, s):
-    acc = Surd(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * s + c
-    return acc.sign() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algnum import (AlgebraicNumber, IntPoly, Surd, factor_over_integers,
                      is_d_number, isolate_real_roots, poly_gcd_int,
                      ratio_integrality_oracle)
-from .errors import AmbiguityError, InvalidInputError
+from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .fusionring import (builtin_ring, emit_ring_file, formal_codegrees,
                          fp_dimension_vector, parse_ring_file,
                          rep_g_codegrees)
@@ -519,6 +519,9 @@ def main(argv=None):
         return EXIT_INVALID
     except AmbiguityError as exc:
         sys.stderr.write("ambiguous: %s\n" % exc)
+        return EXIT_AMBIGUOUS
+    except BudgetError as exc:
+        sys.stderr.write("not certified: %s\n" % exc)
         return EXIT_AMBIGUOUS
     if args.json:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -1,8 +1,8 @@
 """Error types shared across the package.
 
 Exit-code mapping used by the CLI: InvalidInputError and its subclasses are
-input/validation failures (exit 1), AmbiguityError is a certified-precision
-failure (exit 2).
+input/validation failures (exit 1); AmbiguityError (a certified-precision
+failure) and BudgetError (a run over its enumeration budget) exit 2.
 """
 
 
@@ -20,3 +20,7 @@ class DegreeCapError(InvalidInputError):
 
 class AmbiguityError(ArithmeticError):
     """A sign or floor could not be certified within the precision cap."""
+
+
+class BudgetError(ArithmeticError):
+    """A bounded search would exceed its enumeration budget."""

@@ -13,6 +13,17 @@ Window conventions: the appendix searches use a half-open root window
 [d_lo, d_hi); search_gap uses (4/3, d_max].  Irrational endpoints can
 never tie with algebraic-integer candidates, which is asserted by the
 exact comparisons rather than assumed.
+
+search_gap brackets d_max once between rationals r_lo <= d_max <= r_hi
+(equal when d_max is rational).  A leaf counts its roots in (4/3, r_lo]
+and (4/3, r_hi] with Sturm chains: a root in the first passes the window,
+none in the second fails it, and only a smallest root between the two
+needs isolation and the exact comparison with d_max.  Coefficient bounds
+at quadratic critical points are exact surd values, rounded once.
+
+search_cubic counts the (a, b) pairs and candidates its window implies
+before building any candidate and stops with BudgetError above
+CUBIC_BUDGET, so no window or --amax makes it run without bound.
 """
 
 from fractions import Fraction
@@ -22,7 +33,7 @@ from . import kernels
 from .algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd, WIDTH_CAP,
                      factor_over_integers, is_d_number, isolate_real_roots,
                      poly_div_exact, poly_gcd_int)
-from .errors import AmbiguityError, InvalidInputError
+from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .obstruct import FOUR_THIRDS, threshold
 
 SQRT2 = Surd(0, 1, 2)
@@ -34,6 +45,12 @@ CUBIC_DEFAULT_HI = QUAD_DEFAULT_HI
 
 QUAD_A_MAX = 23
 CUBIC_A_MAX = 45
+
+# Most (a, b) coefficient pairs plus candidates one cubic search may visit:
+# the default window needs 28,848 (10,455 + 18,393), --window 1.4,3 about
+# 1.6 million; a wider window or --amax stops with BudgetError before any
+# candidate is built.
+CUBIC_BUDGET = 2 * 10 ** 6
 
 EXPLORATORY_MARK = ("exploratory run - necessary-condition certificate "
                     "does not apply")
@@ -363,8 +380,10 @@ def search_cubic(cfg=None):
     # r below every root, which keeps the dropped-window enumeration sane
     r_lo = cfg.d_lo.approx(Fraction(1, 10 ** 20)).lo
 
-    def run_a(a):
-        cands = []
+    # the c values of every (a, b), counted before any candidate is built
+    plan = []
+    size = 0
+    for a in range(1, cfg.a_max + 1):
         lo_base = lo3 - lo2 * a
         hi_base = hi3 - hi2 * a
         for b in range(1, a * a // 3 + 1):
@@ -372,16 +391,22 @@ def search_cubic(cfg=None):
                 # finiteness comes from the divisibility constraint
                 c_min = r_lo * (r_lo * (r_lo - a) + b)
                 c_iter = [c for c in _divisors(a ** 3) if c >= c_min]
+                size += 1 + len(c_iter)
             else:
-                c_lo = (lo_base + lo1 * b).ceil()
+                c_lo = max(1, (lo_base + lo1 * b).ceil())
                 c_hi = (hi_base + hi1 * b).ceil() - 1
-                c_iter = range(max(1, c_lo), c_hi + 1)
-            for c in c_iter:
-                cands.append(_cubic_candidate(cfg, a, b, c))
-        return cands
-
-    batches = [run_a(a) for a in range(1, cfg.a_max + 1)]
-    return _assemble("cubic", cfg, batches)
+                c_iter = range(c_lo, c_hi + 1)
+                size += 1 + max(0, c_hi - c_lo + 1)
+            if size > CUBIC_BUDGET:
+                raise BudgetError(
+                    "the cubic search would enumerate more than %d "
+                    "coefficient pairs and candidates; narrow --window or "
+                    "lower --amax" % CUBIC_BUDGET)
+            plan.append((a, b, c_iter))
+    # streamed: only the candidates the result keeps stay in memory
+    cands = (_cubic_candidate(cfg, a, b, c)
+             for a, b, c_iter in plan for c in c_iter)
+    return _assemble("cubic", cfg, [cands])
 
 
 def _cubic_candidate(cfg, a, b, c):
@@ -564,20 +589,21 @@ def _next_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
     else:
         lo, hi = e_min.__ceil__(), e_max.__floor__()
 
-    def add(sigma, a_val, strict=False):
+    def add(sigma, value, strict=False):
         nonlocal lo, hi
-        # sigma * (a + B*s) >= 0   (or > 0 when strict)
-        if sigma > 0:
-            bound = -Fraction(a_val) / bcoef
-            b = bound.__ceil__()
+        # sigma * (value + bcoef*s) >= 0   (or > 0 when strict); value is
+        # exact: a Fraction, or a Surd at a quadratic critical point (the
+        # strict conditions, at the rational cuts, always pass a Fraction)
+        bound = -value / bcoef
+        if isinstance(bound, Surd):
+            b = bound.ceil() if sigma > 0 else bound.floor()
+        else:
+            b = bound.__ceil__() if sigma > 0 else bound.__floor__()
             if strict and bound == b:
-                b += 1
+                b += sigma
+        if sigma > 0:
             lo = max(lo, b)
         else:
-            bound = -Fraction(a_val) / bcoef
-            b = bound.__floor__()
-            if strict and bound == b:
-                b -= 1
             hi = min(hi, b)
 
     sig_lo = -1 if (j + 1) % 2 else 1
@@ -599,10 +625,11 @@ def _next_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
         if disc > 0:
             r1 = Surd(Fraction(-q2[1], 2 * q2[2]),
                       Fraction(-1, 2 * q2[2]), disc)
-            r2 = Surd(Fraction(-q2[1], 2 * q2[2]),
-                      Fraction(1, 2 * q2[2]), disc)
-            add(1, _surd_eval_bound(w_asc, r1, want_upper=True))
-            add(-1, _surd_eval_bound(w_asc, r2, want_upper=False))
+            # the other root from the root sum: a square disc makes r1
+            # rational, and then it is its own conjugate
+            r2 = Fraction(-q2[1], q2[2]) - r1
+            add(1, _surd_eval_bound(w_asc, r1))
+            add(-1, _surd_eval_bound(w_asc, r2))
     elif j >= 3 and lo <= hi:
         prof = isolate_real_roots(_deriv_prefix(prefix, k))
         roots = prof.roots
@@ -625,13 +652,9 @@ def _frac_eval(asc, x):
     return acc
 
 
-def _surd_eval_bound(asc, s, want_upper):
-    """Rational bound for the exact value of the polynomial at a surd."""
-    acc = Surd(0)
-    for c in reversed(asc):
-        acc = acc * s + c
-    iv = acc.approx(Fraction(1, 10 ** 30))
-    return iv.hi if want_upper else iv.lo
+def _surd_eval_bound(asc, s):
+    """Exact value of the polynomial at a surd, for a coefficient bound."""
+    return s.poly_value(asc)
 
 
 def _irreducible_fast(poly):
@@ -655,14 +678,15 @@ def _irreducible_fast(poly):
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0] == poly
 
 
-def _gap_leaf(poly, d_max, gamma, keep_all):
+def _gap_leaf(poly, d_max, bracket, keep_all):
     """Run the survivor battery on one candidate.
 
     Decisions are exact but routed through cheap paths: Sturm counts for
-    realness and window membership (the root-free band makes the rational
-    cut gamma decisive unless a root falls between 4/3 and gamma, where
-    the exact algebraic comparison takes over), isolation only for the
-    few candidates that reach the orbit inequality.
+    realness and window membership (bracket holds rationals r_lo <= d_max
+    <= r_hi; a root in (4/3, r_lo] passes the window and no root in
+    (4/3, r_hi] fails it, so the exact algebraic comparison only runs for
+    a smallest root between them), isolation only for the few candidates
+    that reach the orbit inequality.
     """
     trace = []
     roots = None
@@ -683,22 +707,20 @@ def _gap_leaf(poly, d_max, gamma, keep_all):
         trace.append(("roots-real-ge-1", "pass" if good else "fail"))
         ok = good
     if ok:
+        r_lo, r_hi = bracket
         v43 = kernels.varcount_at(chain, 4, 3)
         if v_minus - v43 != 0:
             inwin = False  # a root at or below 4/3
-        elif d_max.is_rational:
-            q = d_max.p
-            inwin = (v43 - kernels.varcount_at(chain, q.numerator,
-                                               q.denominator)) >= 1
+        elif v43 - kernels.varcount_at(chain, r_lo.numerator,
+                                       r_lo.denominator) >= 1:
+            inwin = True
+        elif r_lo == r_hi or v43 == kernels.varcount_at(chain, r_hi.numerator,
+                                                        r_hi.denominator):
+            inwin = False  # smallest root above d_max
         else:
-            n_gamma = v43 - kernels.varcount_at(chain, gamma.numerator,
-                                                gamma.denominator)
-            if n_gamma == 0:
-                inwin = False  # smallest root beyond the band
-            else:
-                prof = isolate_real_roots(poly)
-                d1 = AlgebraicNumber(poly, prof.roots[0][0])
-                inwin = d1.cmp_surd(d_max) <= 0
+            prof = isolate_real_roots(poly)
+            d1 = AlgebraicNumber(poly, prof.roots[0][0])
+            inwin = d1.cmp_surd(d_max) <= 0
         trace.append(("root-window", "pass" if inwin else "fail"))
         ok = inwin
     if ok:
@@ -724,16 +746,15 @@ def _gap_leaf(poly, d_max, gamma, keep_all):
     return None
 
 
-def _gap_degree(k, d_max, box_lo, f_hi, cuts, audit):
+def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
     """All candidates of one degree via depth-first coefficient search."""
     out = []
-    gamma = cuts[0]
 
     if k == 1:
         lo = 2  # > 4/3
         hi = d_max.floor()
         for c in range(lo, hi + 1):
-            cand = _gap_leaf(IntPoly([-c, 1]), d_max, gamma, audit)
+            cand = _gap_leaf(IntPoly([-c, 1]), d_max, bracket, audit)
             if cand is not None:
                 out.append(cand)
         return out
@@ -743,8 +764,8 @@ def _gap_degree(k, d_max, box_lo, f_hi, cuts, audit):
     def descend(prefix):
         j = len(prefix) - 1
         if j == k:
-            cand = _gap_leaf(IntPoly(list(reversed(prefix))), d_max, gamma,
-                             audit)
+            cand = _gap_leaf(IntPoly(list(reversed(prefix))), d_max,
+                             bracket, audit)
             if cand is not None:
                 out.append(cand)
             return
@@ -788,6 +809,10 @@ def search_gap(d_max, audit=False):
     f_max = (d_max * d_max) / (Surd(2) - d_max * d_max)
     f_hi = f_max.ceil()
     cuts = _gap_cut_points(d_max)
+    # rationals r_lo <= d_max <= r_hi (both equal to a rational d_max), so a
+    # leaf settles its root window with Sturm counts at fixed points
+    iv = d_max.approx(Fraction(1, 10 ** 20))
+    bracket = (iv.lo, iv.hi)
 
     skipped = []
     degrees = []
@@ -819,9 +844,10 @@ def search_gap(d_max, audit=False):
     def run_degree(item):
         k, forced = item
         if forced is not None:
-            cand = _gap_leaf(forced, d_max, cuts[0], audit)
+            cand = _gap_leaf(forced, d_max, bracket, audit)
             return [cand] if cand is not None else []
-        return _gap_degree(k, d_max, box_floor(k), f_hi, cuts, audit)
+        return _gap_degree(k, d_max, box_floor(k), f_hi, cuts, bracket,
+                           audit)
 
     survivors, rejected = _split([run_degree(d) for d in degrees], audit)
     config = {

@@ -81,6 +81,35 @@ def eval_qnum(c, p, q):
     return acc
 
 
+def surd_sign(x, y, n):
+    """Sign of x + y*sqrt(n) for integers x, y and n >= 0, where n is not a
+    perfect square unless y == 0 (so x + y*sqrt(n) == 0 only if x == y == 0).
+    """
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0)
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    # opposite signs: the larger of x^2 and y^2 n wins (they never tie)
+    return sx if x * x > y * y * n else sy
+
+
+def eval_surd(c, a, b, n, d):
+    """Homogeneous evaluation at the surd (a + b*sqrt(n))/d, d > 0.
+
+    Returns integers (x, y) with d**deg * c((a + b sqrt n)/d) = x + y sqrt n,
+    so surd_sign(x, y, n) is the sign of c at that point.
+    """
+    deg = len(c) - 1
+    x, y = c[deg], 0
+    dd = 1
+    for i in range(deg - 1, -1, -1):
+        dd *= d
+        x, y = x * a + y * b * n + c[i] * dd, x * b + y * a
+    return x, y
+
+
 def sign_variations(vals):
     """Number of sign changes in a sequence, zeros skipped."""
     count = 0
@@ -138,6 +167,12 @@ def _primitive(c):
 def varcount_at(chain, p, q):
     """Sign variations of a Sturm chain at the rational p/q (q > 0)."""
     return sign_variations([eval_qnum(c, p, q) for c in chain])
+
+
+def varcount_at_surd(chain, a, b, n, d):
+    """Sign variations of a Sturm chain at the surd (a + b*sqrt(n))/d."""
+    return sign_variations([surd_sign(*eval_surd(c, a, b, n, d), n)
+                            for c in chain])
 
 
 def varcount_inf(chain, positive):

@@ -3,6 +3,7 @@ roots, d-numbers, power polynomials, divisor bounds."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -15,7 +16,8 @@ from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          power_char_poly, ratio_integrality_oracle,
                          squarefree_decomposition)
 from fgap.errors import DegreeCapError, InvalidInputError
-from fgap.kernels import sturm_chain, varcount_at, varcount_inf
+from fgap.kernels import (sturm_chain, varcount_at, varcount_at_surd,
+                          varcount_inf)
 
 X = sympy.Symbol("x")
 
@@ -314,6 +316,159 @@ def test_surd_floor_matches_float(p, q):
     assert s.ceil() == math.ceil(f)
 
 
+def test_surd_floor_exact_far_from_float_range():
+    # the float-seeded floor overflowed or stepped ~10**14 times here
+    assert (Surd(10 ** 30) + Surd(0, 1, 2)).floor() == 10 ** 30 + 1
+    assert (Surd(10 ** 30) - Surd(0, 1, 2)).ceil() == 10 ** 30 - 1
+    assert Surd(10 ** 400).floor() == 10 ** 400
+    assert Surd(-10 ** 400, 3, 5).ceil() == -10 ** 400 + 7
+
+
+@pytest.mark.parametrize("a, b, n", [(1, -1, 2), (-3, 2, 2), (2, -1, 3),
+                                     (7, -4, 3), (-9, 4, 5), (-99, 70, 2)])
+def test_surd_sign_at_units(a, b, n):
+    # a^2 - b^2 n = +-1: the closest an integer surd gets to zero
+    want = 1 if a + b * float(n) ** 0.5 > 0 else -1
+    s = Surd(a, b, n)
+    assert s.sign() == want and (-s).sign() == -want
+    assert s.floor() == (0 if want > 0 else -1)
+
+
+# ---------------------------------------------------------------------------
+# reference: the Fraction-based surd the integer Surd replaced
+
+class RefSurd:
+    """p + q*sqrt(n) with Fraction p, q and squarefree n, as Surd computed
+    it before it stored integers: the oracle for sign, floor, ceil, cmp,
+    approx and arithmetic.  n is taken as given (already squarefree)."""
+
+    def __init__(self, p, q=0, n=0):
+        self.p = Fraction(p)
+        self.q = Fraction(q)
+        self.n = n if self.q else 0
+        if not self.n:
+            self.q = Fraction(0)
+
+    def _field(self, o):
+        assert self.n == o.n or not self.n or not o.n
+        return self.n or o.n
+
+    def __add__(self, o):
+        return RefSurd(self.p + o.p, self.q + o.q, self._field(o))
+
+    def __neg__(self):
+        return RefSurd(-self.p, -self.q, self.n)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        n = self._field(o)
+        return RefSurd(self.p * o.p + self.q * o.q * n,
+                       self.p * o.q + self.q * o.p, n)
+
+    def conjugate(self):
+        return RefSurd(self.p, -self.q, self.n)
+
+    def sign(self):
+        if self.q == 0:
+            return (self.p > 0) - (self.p < 0)
+        if self.p == 0:
+            return 1 if self.q > 0 else -1
+        if self.p > 0 and self.q > 0:
+            return 1
+        if self.p < 0 and self.q < 0:
+            return -1
+        if self.p * self.p > self.q * self.q * self.n:
+            return 1 if self.p > 0 else -1
+        return 1 if self.q > 0 else -1
+
+    def cmp_fraction(self, r):
+        return RefSurd(self.p - Fraction(r), self.q, self.n).sign()
+
+    def cmp(self, other):
+        if self.n == other.n or not self.n or not other.n:
+            return (self - other).sign()
+        x = RefSurd(self.p - other.p, self.q, self.n)
+        y = RefSurd(0, other.q, other.n)
+        sx, sy = x.sign(), y.sign()
+        if sx != sy:
+            return 1 if sx > sy else -1
+        c = (x * x).cmp_fraction(y.q * y.q * y.n)
+        return c if sx > 0 else -c
+
+    def approx(self, eps):
+        eps = Fraction(eps)
+        if self.q == 0:
+            return RatInterval(self.p, self.p)
+        k = 1
+        while Fraction(abs(self.q), 10 ** k) > eps:
+            k += 1
+        scale = 10 ** k
+        r = isqrt(self.n * scale * scale)
+        root = RatInterval(Fraction(r, scale), Fraction(r + 1, scale))
+        return root.scale(self.q).shift(self.p)
+
+    def floor(self):
+        m = int(float(self.approx(Fraction(1, 10 ** 18)).mid))
+        while self.cmp_fraction(m + 1) >= 0:
+            m += 1
+        while self.cmp_fraction(m) < 0:
+            m -= 1
+        return m
+
+    def ceil(self):
+        return -((-self).floor())
+
+    def surd(self):
+        return Surd(self.p, self.q, self.n)
+
+
+SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 41, 102)
+ref_surds = st.builds(RefSurd, small_fracs, small_fracs,
+                      st.sampled_from(SQUAREFREE))
+
+
+def same_value(s, ref):
+    return (s.p, s.q, s.n) == (ref.p, ref.q, ref.n)
+
+
+@given(ref_surds, ref_surds, small_fracs)
+@settings(max_examples=300, deadline=None)
+def test_surd_matches_fraction_reference(x, y, r):
+    s, t = x.surd(), y.surd()
+    assert same_value(s, x)
+    assert s.sign() == x.sign()
+    assert s.floor() == x.floor()
+    assert s.ceil() == x.ceil()
+    assert s.cmp_fraction(r) == x.cmp_fraction(r)
+    assert s.cmp(t) == x.cmp(y) == -t.cmp(s)
+    for eps in (Fraction(1, 3), Fraction(1, 10 ** 6), Fraction(7, 10 ** 20)):
+        got, want = s.approx(eps), x.approx(eps)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert float(s) == float(x.approx(Fraction(1, 10 ** 18)).mid)
+    y = RefSurd(y.p, y.q, x.n)  # same field for the arithmetic
+    t = y.surd()
+    assert same_value(s + t, x + y)
+    assert same_value(s - t, x - y)
+    assert same_value(s * t, x * y)
+    assert same_value(-s, -x) and same_value(s.conjugate(), x.conjugate())
+    if y.sign():
+        quot = x * y.conjugate()
+        norm = (y * y.conjugate()).p
+        assert same_value(s / t, RefSurd(quot.p / norm, quot.q / norm, x.n))
+
+
+@given(ref_surds)
+@settings(max_examples=200, deadline=None)
+def test_surd_floor_matches_sympy(x):
+    value = sympy.Rational(x.p.numerator, x.p.denominator) + sympy.Rational(
+        x.q.numerator, x.q.denominator) * sympy.sqrt(x.n)
+    s = x.surd()
+    assert s.floor() == int(sympy.floor(value))
+    assert s.ceil() == int(sympy.ceiling(value))
+
+
 # ---------------------------------------------------------------------------
 # AlgebraicNumber comparisons
 
@@ -347,6 +502,95 @@ def test_algnum_floor():
     assert lo.floor() == 1
     assert hi.floor() == 3
     assert AlgebraicNumber(P(1, -2), None).floor() == 2
+
+
+def bisect_cmp_surd(poly, iv, s):
+    """Sign of (the root of poly in iv) - s for an irrational RefSurd s, by
+    the interval bisection cmp_surd ran before its surd-point Sturm count:
+    the reference.  poly is squarefree and iv = (lo, hi] isolates one root."""
+    chain = sturm_chain(list(poly.coeffs))
+    lo, hi = iv.lo, iv.hi
+
+    def shrink():
+        mid = (lo + hi) / 2
+        if (varcount_at(chain, lo.numerator, lo.denominator)
+                - varcount_at(chain, mid.numerator, mid.denominator)) == 1:
+            return lo, mid
+        return mid, hi
+
+    def inside(x):
+        return x.cmp_fraction(lo) >= 0 and x.cmp_fraction(hi) <= 0
+
+    acc = RefSurd(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * s + RefSurd(c)
+    if acc.sign() == 0:
+        other = s.conjugate()
+        while inside(s) and inside(other):
+            lo, hi = shrink()
+        if inside(s):
+            return 0
+        return 1 if s.cmp_fraction(lo) < 0 else -1
+    while inside(s):
+        lo, hi = shrink()
+    return 1 if s.cmp_fraction(lo) < 0 else -1
+
+
+def surd_points(poly, rng):
+    """Irrational RefSurds around the real roots of poly: its own quadratic
+    roots and their conjugates, points just beside each root, and a few
+    random ones."""
+    pts = []
+    if poly.degree == 2:
+        c0, c1, _ = poly.coeffs
+        disc = c1 * c1 - 4 * c0
+        if disc > 0 and isqrt(disc) ** 2 != disc:
+            n, m = sympy_squarefree(disc)
+            for sgn in (1, -1):
+                pts.append(RefSurd(Fraction(-c1, 2), Fraction(sgn * m, 2), n))
+    for iv, _ in isolate_real_roots(poly).roots:
+        for n in (2, 3, 5):
+            for k in (1, 6, 30):
+                step = Fraction(1, 10 ** k)
+                pts.append(RefSurd(iv.mid, step, n))
+                pts.append(RefSurd(iv.mid, -step, n))
+    for _ in range(4):
+        pts.append(RefSurd(Fraction(rng.randint(-60, 60), rng.randint(1, 9)),
+                           Fraction(rng.randint(-9, 9) or 1,
+                                    rng.randint(1, 9)),
+                           rng.choice(SQUAREFREE)))
+    return pts
+
+
+def sympy_squarefree(n):
+    """(squarefree s, m) with n = m^2 s."""
+    s, m = 1, 1
+    for p, e in sympy.factorint(n).items():
+        m *= p ** (e // 2)
+        s *= p ** (e % 2)
+    return s, m
+
+
+poly_coeffs = st.lists(st.integers(-12, 12), min_size=2, max_size=4)
+
+
+@given(poly_coeffs, st.integers(0, 10 ** 6))
+@settings(max_examples=120, deadline=None)
+def test_cmp_surd_and_surd_sturm_count_match_bisection(low, seed):
+    poly = IntPoly(low + [1])
+    if [m for _, m in squarefree_decomposition(list(poly.coeffs))] != [1]:
+        return  # the reference needs a squarefree polynomial
+    rng = random.Random(seed)
+    chain = sturm_chain(list(poly.coeffs))
+    roots = [iv for iv, _ in isolate_real_roots(poly).roots]
+    for s in surd_points(poly, rng):
+        want = [bisect_cmp_surd(poly, iv, s) for iv in roots]
+        got = [AlgebraicNumber(poly, iv).cmp_surd(s.surd()) for iv in roots]
+        assert got == want
+        surd = s.surd()
+        below = varcount_inf(chain, False) - varcount_at_surd(
+            chain, surd.a, surd.b, surd.n, surd.d)
+        assert below == sum(1 for c in want if c <= 0)
 
 
 # ---------------------------------------------------------------------------

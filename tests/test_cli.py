@@ -205,6 +205,22 @@ def test_search_cubic_audit_histogram(run_cli_once):
 # ---------------------------------------------------------------------------
 # dnumber / ffib-bound / repg
 
+@pytest.mark.parametrize("extra", [
+    ["--drop-filter", "mainineq", "--window", "1.4,1" + "0" * 400],
+    ["--amax", "100000000"],
+], ids=["400-digit-window", "huge-amax"])
+def test_search_cubic_over_budget_exits_2(extra):
+    # unbounded enumerations stop before building a candidate
+    proc = subprocess.run(
+        [sys.executable, "-m", "fgap", "search", "cubic", *extra],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("not certified: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 def test_dnumber_yes_with_oracle():
     rc, out, _ = run_cli("dnumber", "--poly", "1,-5,5")
     assert rc == 0

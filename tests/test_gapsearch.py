@@ -1,5 +1,6 @@
 """Exhaustive small-degree searches and their supporting inequalities."""
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 
 from fgap.algnum import AlgebraicNumber, IntPoly, Surd, isolate_real_roots
 from fgap.errors import InvalidInputError
+from fgap.obstruct import FOUR_THIRDS
 from fgap.gapsearch import (
     EXPLORATORY_MARK,
     QUAD_DEFAULT_HI,
@@ -30,6 +32,11 @@ GOLDEN_GAP = Surd(Fraction(5, 2), Fraction(-1, 2), 5)  # (5 - sqrt 5)/2
 @pytest.fixture(scope="module")
 def gap_default_audit():
     return search_gap(QUAD_DEFAULT_HI, audit=True)
+
+
+@pytest.fixture(scope="module")
+def gap_rational_audit():
+    return search_gap(Surd(Fraction(277, 200)), audit=True)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +278,49 @@ def test_gap_default_audit_histogram(gap_default_audit):
     assert dict(hist) == {"d-number": 2623, "root-window": 1991,
                           "orbit-inequality": 1, "irreducible": 138,
                           "roots-real-ge-1": 56}
+
+
+@pytest.mark.parametrize("audit, d_max", [
+    ("gap_default_audit", QUAD_DEFAULT_HI),
+    ("gap_rational_audit", Surd(Fraction(277, 200))),
+], ids=["4sqrt(3)/5", "277/200"])
+def test_gap_bracket_verdicts_match_isolation(audit, d_max, request):
+    # every leaf that reaches the root window: the Sturm counts against the
+    # rational bracket of d_max give the verdict that isolating the
+    # smallest root and comparing it exactly with d_max gives
+    r = request.getfixturevalue(audit)
+    seen = Counter()
+    for cand in r.survivors + r.rejected:
+        got = dict(cand.trace).get("root-window")
+        if got is None:
+            continue
+        d1 = AlgebraicNumber(cand.poly,
+                             isolate_real_roots(cand.poly).roots[0][0])
+        inwin = d1.cmp_fraction(FOUR_THIRDS) > 0 and d1.cmp_surd(d_max) <= 0
+        assert got == ("pass" if inwin else "fail"), cand
+        seen[got] += 1
+    assert seen["pass"] > 0 and seen["fail"] > 1000
+
+
+# Exit code and stdout sha256 of searches whose bytes depend on every
+# coefficient range of the walk (the audit lists each rejected leaf) and on
+# the exact ceil of an irrational window endpoint, captured before the
+# integer surd core replaced the Fraction one.
+PINNED = {
+    ("search", "gap", "--dmax", "4sqrt(3)/5", "--audit"): (0,
+        "33d5ecdf12841585b024abfe6d864f031657ac64ab5ceb8a78d2e5ce9499e84e"),
+    ("search", "gap", "--dmax", "277/200", "--audit"): (0,
+        "7d0284d9a582f520cff3e848de23555aca763f2dfdaa5c11d5e49e3e55267110"),
+    ("search", "cubic", "--drop-filter", "mainineq",
+     "--window", "1.3,sqrt(3)"): (0,
+        "e18016b3ccb4e361f2ee2407f829a69bcba2692f164e8157d2a592908bb61920"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
+def test_search_bytes_pinned(argv, run_cli_once):
+    rc, out, _ = run_cli_once(*argv)
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == PINNED[argv]
 
 
 def test_gap_includes_quadratic_survivors(gap_default_audit):
