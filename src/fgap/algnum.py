@@ -538,12 +538,6 @@ class Surd:
         nm = (self.a * self.a - self.b * self.b * self.n) // (d * d)
         return IntPoly([nm, -tr, 1])
 
-    def poly_value(self, c):
-        """Exact value at this point of the integer polynomial c (ascending
-        coefficients, nonempty), by one Horner pass in Z[sqrt(n)]."""
-        x, y = kernels.eval_surd(c, self.a, self.b, self.n, self.d)
-        return _surd(x, y, self.n, self.d ** (len(c) - 1))
-
     def __repr__(self):
         if self.is_rational:
             return "Surd(%s)" % self.p
@@ -712,20 +706,28 @@ class AlgebraicNumber:
             return self._isol
         iv = self._isol
         # sign bisection: simple root of an irreducible polynomial, so the
-        # endpoint signs differ and no rational point is a root
-        p = self.minpoly
-        lo, hi = iv.lo, iv.hi
-        s_lo = _sign(p(lo))
-        if s_lo == 0 or _sign(p(hi)) == 0:
+        # endpoint signs differ and no rational point is a root.  The
+        # endpoints are lo/den and hi/den over one denominator; an odd
+        # lo + hi doubles all three first, so each midpoint (lo + hi)/2 is an
+        # integer and the same rational a Fraction bisection would take.
+        c = self.minpoly.coeffs
+        den = lcm(iv.lo.denominator, iv.hi.denominator)
+        lo = iv.lo.numerator * (den // iv.lo.denominator)
+        hi = iv.hi.numerator * (den // iv.hi.denominator)
+        s_lo = _sign(kernels.eval_qnum(c, lo, den))
+        if s_lo == 0 or kernels.eval_qnum(c, hi, den) == 0:
             # endpoint happens to be a root of a *different* conjugate: fall
             # back to Sturm shrinking, which needs no sign assumptions
             while iv.width > width:
                 iv = _shrink(self._chain, iv)
             self._isol = iv
             return iv
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            s_mid = _sign(p(mid))
+        w_num, w_den = width.numerator, width.denominator
+        while (hi - lo) * w_den > w_num * den:
+            if (lo + hi) % 2:
+                lo, hi, den = 2 * lo, 2 * hi, 2 * den
+            mid = (lo + hi) // 2
+            s_mid = _sign(kernels.eval_qnum(c, mid, den))
             if s_mid == 0:
                 raise InvalidInputError("rational root in an irreducible "
                                         "polynomial of degree >= 2")
@@ -733,7 +735,7 @@ class AlgebraicNumber:
                 lo = mid
             else:
                 hi = mid
-        self._isol = RatInterval(lo, hi)
+        self._isol = RatInterval(Fraction(lo, den), Fraction(hi, den))
         return self._isol
 
     def approx_float(self):

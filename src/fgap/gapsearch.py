@@ -18,21 +18,28 @@ search_gap brackets d_max once between rationals r_lo <= d_max <= r_hi
 (equal when d_max is rational).  A leaf counts its roots in (4/3, r_lo]
 and (4/3, r_hi] with Sturm chains: a root in the first passes the window,
 none in the second fails it, and only a smallest root between the two
-needs isolation and the exact comparison with d_max.  Coefficient bounds
-at quadratic critical points are exact surd values, rounded once.
+needs isolation and the exact comparison with d_max.
 
-search_cubic counts the (a, b) pairs and candidates its window implies
-before building any candidate and stops with BudgetError above
-CUBIC_BUDGET, so no window or --amax makes it run without bound.
+The coefficient walk computes each bound on integers: a polynomial value
+at a rational point or a quadratic critical point comes from one
+homogeneous evaluation (kernels.eval_qnum, kernels.eval_surd), and the one
+rounding point of each bound is a floor division, after one isqrt for a
+surd.  The prefix-free envelope of each depth is built once per degree.
+
+Both appendix searches count their enumeration before building any
+candidate and stop with BudgetError above SEARCH_BUDGET, so no window or
+--amax makes them run without bound: search_cubic counts (a, b) pairs and
+candidates, search_quadratic the values of a and the trial divisions that
+list the divisors of a^2.
 """
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 from . import kernels
 from .algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd, WIDTH_CAP,
-                     factor_over_integers, is_d_number, isolate_real_roots,
-                     poly_div_exact, poly_gcd_int)
+                     _floor_root, factor_over_integers, is_d_number,
+                     isolate_real_roots, poly_div_exact, poly_gcd_int)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .obstruct import FOUR_THIRDS, threshold
 
@@ -46,11 +53,13 @@ CUBIC_DEFAULT_HI = QUAD_DEFAULT_HI
 QUAD_A_MAX = 23
 CUBIC_A_MAX = 45
 
-# Most (a, b) coefficient pairs plus candidates one cubic search may visit:
-# the default window needs 28,848 (10,455 + 18,393), --window 1.4,3 about
-# 1.6 million; a wider window or --amax stops with BudgetError before any
-# candidate is built.
-CUBIC_BUDGET = 2 * 10 ** 6
+# Most enumeration steps one appendix search may take, counted before any
+# candidate is built: for the cubic search (a, b) pairs plus candidates (the
+# default window needs 28,848 = 10,455 + 18,393, --window 1.4,3 about 1.6
+# million), for the quadratic search each a plus the a trial divisions that
+# list the divisors of a^2 (the default needs 294, --amax 1998 is the last
+# within budget).  A wider window or --amax stops with BudgetError.
+SEARCH_BUDGET = 2 * 10 ** 6
 
 EXPLORATORY_MARK = ("exploratory run - necessary-condition certificate "
                     "does not apply")
@@ -304,8 +313,10 @@ def search_quadratic(cfg=None):
     if cfg.degree != 2:
         raise InvalidInputError("config degree must be 2")
 
-    def run_a(a):
-        cands = []
+    # the b window of every a, counted before any candidate is built
+    plan = []
+    size = 0
+    for a in range(3, cfg.a_max + 1):
         if "window" in cfg.drop:
             blo, bhi = 1, a * a
         else:
@@ -314,20 +325,23 @@ def search_quadratic(cfg=None):
             # past the peak fall back to the unconditional b < a^2/4
             half_a = Fraction(a, 2)
             if cfg.d_lo.cmp_fraction(half_a) >= 0:
-                return cands
+                continue
             blo = (cfg.d_lo * Fraction(a) - cfg.d_lo * cfg.d_lo).ceil()
             if cfg.d_hi.cmp_fraction(half_a) <= 0:
                 bhi = (cfg.d_hi * Fraction(a) - cfg.d_hi * cfg.d_hi).ceil() - 1
             else:
                 bhi = (a * a - 1) // 4
-        for b in _divisors(a * a):
-            if b < blo or b > bhi:
-                continue
-            cands.append(_quad_candidate(cfg, a, b))
-        return cands
-
-    batches = [run_a(a) for a in range(3, cfg.a_max + 1)]
-    return _assemble("quadratic", cfg, batches)
+        # _divisors(a * a) tries every d <= a
+        size += 1 + a
+        if size > SEARCH_BUDGET:
+            raise BudgetError(
+                "the quadratic search would take more than %d enumeration "
+                "steps (values of a and divisor trials); lower --amax"
+                % SEARCH_BUDGET)
+        plan.append((a, blo, bhi))
+    cands = (_quad_candidate(cfg, a, b) for a, blo, bhi in plan
+             for b in _divisors(a * a) if blo <= b <= bhi)
+    return _assemble("quadratic", cfg, [cands])
 
 
 def _quad_candidate(cfg, a, b):
@@ -397,11 +411,11 @@ def search_cubic(cfg=None):
                 c_hi = (hi_base + hi1 * b).ceil() - 1
                 c_iter = range(c_lo, c_hi + 1)
                 size += 1 + max(0, c_hi - c_lo + 1)
-            if size > CUBIC_BUDGET:
+            if size > SEARCH_BUDGET:
                 raise BudgetError(
                     "the cubic search would enumerate more than %d "
                     "coefficient pairs and candidates; narrow --window or "
-                    "lower --amax" % CUBIC_BUDGET)
+                    "lower --amax" % SEARCH_BUDGET)
             plan.append((a, b, c_iter))
     # streamed: only the candidates the result keeps stay in memory
     cands = (_cubic_candidate(cfg, a, b, c)
@@ -563,98 +577,105 @@ def _interval_eval(asc, iv):
     return acc
 
 
-def _next_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
+def _coeff_envelope(k, box_lo, f_hi, cuts):
+    """Integer envelope (lo, hi) of the next descending coefficient, one per
+    depth j = 0..k-1.
+
+    The coefficient at depth j is (-1)^m e_m with m = j + 1, where e_m is
+    the elementary symmetric function of one root in (box_lo, gamma) and
+    k-1 roots in (delta, f_hi]; the envelope bounds e_m by its values at
+    the ends of those ranges.  It depends on no prefix, so a degree builds
+    it once.
+    """
+    gamma, delta = cuts
+    out = []
+    for m in range(1, k + 1):
+        e_min = (box_lo * comb(k - 1, m - 1) * delta ** (m - 1)
+                 + comb(k - 1, m) * delta ** m)
+        e_max = (gamma * comb(k - 1, m - 1) * f_hi ** (m - 1)
+                 + comb(k - 1, m) * f_hi ** m)
+        if m % 2:
+            out.append(((-e_max).__ceil__(), (-e_min).__floor__()))
+        else:
+            out.append((e_min.__ceil__(), e_max.__floor__()))
+    return out
+
+
+def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
     """Integer range [lo, hi] for the next descending coefficient.
 
-    Linear sign conditions on P^(k-j-1) at the box endpoints, at the
-    (exactly computable) critical points for low depth, and, at the final
-    coefficient, at the root-free band cut points.  The outer envelope
-    bounds the elementary symmetric function of one root in (box_lo,
-    gamma) and k-1 roots in (delta, f_hi].  All rounding is outward, so
-    no valid candidate is lost.
+    deriv is _deriv_prefix(prefix, k) and env the depth's (lo, hi) from
+    _coeff_envelope.  P^(k-j-1) of the prefix extended by the coefficient s
+    is w + bcoef*s, with w of degree deg = j + 1; each further bound is a
+    sign condition sigma * (w(x) + bcoef*s) >= 0 at the box endpoints, at
+    the (exactly computable) critical points for low depth, and, strict, at
+    the root-free band cut points for the final coefficient.
+
+    Evaluation is integer-only.  At a rational x = p/q (q > 0) the bound on
+    s is -N/M with N = q^deg w(p/q) (kernels.eval_qnum) and M = q^deg bcoef;
+    at a quadratic critical point x = (a + b sqrt(disc))/d (d > 0) it is
+    -(X + Y sqrt(disc))/M with X + Y sqrt(disc) = d^deg w(x)
+    (kernels.eval_surd) and M = d^deg bcoef.  Each bound is rounded once,
+    outward (ceil for lo, floor for hi) by one floor division, after one
+    isqrt for a surd, so no valid candidate is lost.
     """
     j = len(prefix) - 1
-    gamma, delta = cuts
-    w_asc = _deriv_prefix(prefix + [0], k)
-    bcoef = 1
-    for v in range(1, k - j):
-        bcoef *= v
-    m = j + 1
-    e_min = (box_lo * comb(k - 1, m - 1) * delta ** (m - 1)
-             + comb(k - 1, m) * delta ** m)
-    e_max = (gamma * comb(k - 1, m - 1) * f_hi ** (m - 1)
-             + comb(k - 1, m) * f_hi ** m)
-    if m % 2:
-        lo, hi = (-e_max).__ceil__(), (-e_min).__floor__()
+    w = _deriv_prefix(prefix + [0], k)
+    deg = j + 1
+    bcoef = factorial(k - j - 1)
+    lo, hi = env
+
+    # lower box end: sigma = -1 for odd j + 1
+    n, q = box_lo.numerator, box_lo.denominator
+    num = kernels.eval_qnum(w, n, q)
+    if (j + 1) % 2:
+        hi = min(hi, (-num) // (q ** deg * bcoef))
     else:
-        lo, hi = e_min.__ceil__(), e_max.__floor__()
-
-    def add(sigma, value, strict=False):
-        nonlocal lo, hi
-        # sigma * (value + bcoef*s) >= 0   (or > 0 when strict); value is
-        # exact: a Fraction, or a Surd at a quadratic critical point (the
-        # strict conditions, at the rational cuts, always pass a Fraction)
-        bound = -value / bcoef
-        if isinstance(bound, Surd):
-            b = bound.ceil() if sigma > 0 else bound.floor()
-        else:
-            b = bound.__ceil__() if sigma > 0 else bound.__floor__()
-            if strict and bound == b:
-                b += sigma
-        if sigma > 0:
-            lo = max(lo, b)
-        else:
-            hi = min(hi, b)
-
-    sig_lo = -1 if (j + 1) % 2 else 1
-    add(sig_lo, _frac_eval(w_asc, box_lo))
-    add(1, Fraction(kernels.eval_qnum(w_asc, f_hi, 1)))
+        lo = max(lo, -(num // (q ** deg * bcoef)))
+    lo = max(lo, -(kernels.eval_qnum(w, f_hi, 1) // bcoef))
     if final and lo <= hi:
-        sig_cut = 1 if (k - 1) % 2 == 0 else -1
-        add(sig_cut, _frac_eval(w_asc, gamma), strict=True)
-        add(sig_cut, _frac_eval(w_asc, delta), strict=True)
+        # strict at the cut points: an exact tie moves the bound by one
+        for cut in cuts:
+            n, q = cut.numerator, cut.denominator
+            num = kernels.eval_qnum(w, n, q)
+            mod = q ** deg * bcoef
+            if (k - 1) % 2:
+                hi = min(hi, (-num) // mod - (num % mod == 0))
+            else:
+                lo = max(lo, -(num // mod) + (num % mod == 0))
 
     # interior alternation at the critical points (roots of P^(k-j))
     if j == 1 and lo <= hi:
-        q1 = _deriv_prefix(prefix, k)
-        root = Fraction(-q1[0], q1[1])
-        add(-1, _frac_eval(w_asc, root))
+        # the root -deriv[0]/deriv[1] needs no sign flip: deg is 2, so N
+        # and M keep their signs when numerator and denominator change sign
+        q = deriv[1]
+        num = kernels.eval_qnum(w, -deriv[0], q)
+        hi = min(hi, (-num) // (q * q * bcoef))
     elif j == 2 and lo <= hi:
-        q2 = _deriv_prefix(prefix, k)
-        disc = q2[1] * q2[1] - 4 * q2[2] * q2[0]
+        c0, c1, c2 = deriv
+        disc = c1 * c1 - 4 * c2 * c0
         if disc > 0:
-            r1 = Surd(Fraction(-q2[1], 2 * q2[2]),
-                      Fraction(-1, 2 * q2[2]), disc)
-            # the other root from the root sum: a square disc makes r1
-            # rational, and then it is its own conjugate
-            r2 = Fraction(-q2[1], q2[2]) - r1
-            add(1, _surd_eval_bound(w_asc, r1))
-            add(-1, _surd_eval_bound(w_asc, r2))
+            # r1 = (-c1 - sqrt disc)/(2 c2) bounds from below, its conjugate
+            # r2 from above; a negative c2 flips the signs into d > 0
+            a, b, d = (-c1, -1, 2 * c2) if c2 > 0 else (c1, 1, -2 * c2)
+            mod = d ** deg * bcoef
+            x, y = kernels.eval_surd(w, a, b, disc, d)
+            lo = max(lo, -((x + _floor_root(y, disc)) // mod))
+            x, y = kernels.eval_surd(w, a, -b, disc, d)
+            hi = min(hi, (-x + _floor_root(-y, disc)) // mod)
     elif j >= 3 and lo <= hi:
-        prof = isolate_real_roots(_deriv_prefix(prefix, k))
+        prof = isolate_real_roots(deriv)
         roots = prof.roots
         if prof.totally_real and all(m == 1 for _, m in roots):
             for t, (iv, _) in enumerate(roots, start=1):
-                sigma = 1 if (j + 1 - t) % 2 == 0 else -1
-                enc = _interval_eval(w_asc, iv)
-                if sigma > 0:
-                    add(1, enc.hi)
+                enc = _interval_eval(w, iv)
+                if (j + 1 - t) % 2 == 0:
+                    v = enc.hi
+                    lo = max(lo, -(v.numerator // (v.denominator * bcoef)))
                 else:
-                    add(-1, enc.lo)
+                    v = enc.lo
+                    hi = min(hi, (-v.numerator) // (v.denominator * bcoef))
     return lo, hi
-
-
-def _frac_eval(asc, x):
-    x = Fraction(x)
-    acc = Fraction(asc[-1])
-    for c in reversed(asc[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def _surd_eval_bound(asc, s):
-    """Exact value of the polynomial at a surd, for a coefficient bound."""
-    return s.poly_value(asc)
 
 
 def _irreducible_fast(poly):
@@ -760,6 +781,7 @@ def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
         return out
 
     lo_n, lo_d = box_lo.numerator, box_lo.denominator
+    envelope = _coeff_envelope(k, box_lo, f_hi, cuts)
 
     def descend(prefix):
         j = len(prefix) - 1
@@ -769,12 +791,11 @@ def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
             if cand is not None:
                 out.append(cand)
             return
-        if j >= 1:
-            asc = _deriv_prefix(prefix, k)
-            if not _totally_real_in_box(asc, lo_n, lo_d, f_hi):
-                return
-        lo, hi = _next_coeff_range(prefix, k, box_lo, f_hi, cuts,
-                                   j + 1 == k)
+        asc = _deriv_prefix(prefix, k)
+        if j >= 1 and not _totally_real_in_box(asc, lo_n, lo_d, f_hi):
+            return
+        lo, hi = _next_coeff_range(prefix, asc, k, envelope[j], box_lo,
+                                   f_hi, cuts, j + 1 == k)
         for s in range(lo, hi + 1):
             descend(prefix + [s])
 

@@ -1,6 +1,5 @@
 """Shared fixtures: reference rings and a CLI subprocess runner."""
 
-import os
 import subprocess
 import sys
 
@@ -9,15 +8,11 @@ import pytest
 from fgap import FusionRing, builtin_ring
 
 
-def run_cli(*argv, env_extra=None, stdin_text=None):
+def run_cli(*argv, stdin_text=None):
     """Run the CLI in a subprocess; returns (exit code, stdout, stderr)."""
-    env = dict(os.environ)
-    env.pop("FGAP_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "fgap", *argv],
-        input=stdin_text, capture_output=True, text=True, env=env)
+        input=stdin_text, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -53,8 +53,7 @@ def test_c01_quadratic_search_unique_survivor(capsys):
 def test_c02_cubic_search_empty(capsys):
     with criterion(capsys, 2, "cubic search is exhaustive and empty"):
         t0 = time.monotonic()
-        rc, out, _ = run_cli("search", "cubic",
-                             env_extra={"FGAP_THREADS": "1"})
+        rc, out, _ = run_cli("search", "cubic")
         elapsed = time.monotonic() - t0
         assert rc == 0
         assert "survivors: 0" in out
@@ -195,14 +194,14 @@ def test_c10_threshold_table(capsys):
             assert threshold("gdim_k", k).cmp(sqrt2) < 0
 
 
-def test_c11_thread_count_never_changes_bytes(capsys):
-    with criterion(capsys, 11, "FGAP_THREADS = 1 vs 8 byte-identical"):
+def test_c11_two_processes_byte_identical(capsys):
+    with criterion(capsys, 11, "two fresh processes byte-identical"):
         invocations = [
             ("search", "quadratic", "--audit", "--json"),
             ("search", "cubic",),
             ("search", "gap", "--dmax", "4sqrt(3)/5"),
         ]
         for argv in invocations:
-            one = run_cli(*argv, env_extra={"FGAP_THREADS": "1"})
-            eight = run_cli(*argv, env_extra={"FGAP_THREADS": "8"})
-            assert one == eight, argv
+            first = run_cli(*argv)
+            second = run_cli(*argv)
+            assert first == second, argv

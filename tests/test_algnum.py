@@ -7,14 +7,14 @@ from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
-                         conjugate_stats, factor_over_integers, is_d_number,
-                         isolate_real_roots, largest_integer_divisor,
-                         power_char_poly, ratio_integrality_oracle,
-                         squarefree_decomposition)
+                         _shrink, conjugate_stats, factor_over_integers,
+                         is_d_number, isolate_real_roots,
+                         largest_integer_divisor, power_char_poly,
+                         ratio_integrality_oracle, squarefree_decomposition)
 from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.kernels import (sturm_chain, varcount_at, varcount_at_surd,
                           varcount_inf)
@@ -138,6 +138,56 @@ def test_refine_deterministic():
     r1 = a1.refine(w)
     r2 = a2.refine(w)
     assert (r1.lo, r1.hi) == (r2.lo, r2.hi)
+
+
+def refine_reference(a, iv, width):
+    """Refinement by bisection on Fraction endpoints, as refine ran before
+    it kept its endpoints as integers over one denominator."""
+    p = a.minpoly
+    lo, hi = iv.lo, iv.hi
+    s_lo = (p(lo) > 0) - (p(lo) < 0)
+    if s_lo == 0 or p(hi) == 0:
+        chain = sturm_chain(list(p.coeffs))
+        while iv.width > width:
+            iv = _shrink(chain, iv)
+        return iv
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = p(mid)
+        if ((v > 0) - (v < 0)) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return RatInterval(lo, hi)
+
+
+REFINE_WIDTHS = [Fraction(1, 10 ** 3), Fraction(3, 2 ** 31),
+                 Fraction(1, 10 ** 12), Fraction(1, 10 ** 18)]
+
+
+def _assert_refine_matches_reference(poly, iv):
+    a = AlgebraicNumber(poly, iv)
+    for width in REFINE_WIDTHS:
+        got = a.refine(width)
+        iv = refine_reference(a, iv, width)
+        assert (got.lo, got.hi) == (iv.lo, iv.hi), width
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=5))
+def test_refine_matches_fraction_bisection(low):
+    poly = IntPoly(low + [1])
+    assume(factor_over_integers(poly) == [(poly, 1)])
+    for iv, _ in isolate_real_roots(poly).roots:
+        _assert_refine_matches_reference(poly, iv)
+
+
+def test_refine_endpoint_root_falls_back_to_sturm_halving():
+    # (x - 1)(x^2 - 2): the interval (1, 2] holds only sqrt 2, and its lower
+    # end is the root 1, so no endpoint sign brackets the root
+    poly = P(1, -1, -2, 2)
+    _assert_refine_matches_reference(poly, RatInterval(1, 2))
+    _assert_refine_matches_reference(poly, RatInterval(Fraction(1, 2), 1))
 
 
 # ---------------------------------------------------------------------------

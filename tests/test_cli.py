@@ -211,8 +211,19 @@ def test_search_cubic_audit_histogram(run_cli_once):
 ], ids=["400-digit-window", "huge-amax"])
 def test_search_cubic_over_budget_exits_2(extra):
     # unbounded enumerations stop before building a candidate
+    _assert_over_budget("cubic", *extra)
+
+
+@pytest.mark.parametrize("amax", ["20000", "100000000"])
+def test_search_quadratic_over_budget_exits_2(amax):
+    # every a lists the divisors of a^2 by trial division; the count of
+    # that work stops the run before any candidate is built
+    _assert_over_budget("quadratic", "--amax", amax)
+
+
+def _assert_over_budget(*argv):
     proc = subprocess.run(
-        [sys.executable, "-m", "fgap", "search", "cubic", *extra],
+        [sys.executable, "-m", "fgap", "search", *argv],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -7,7 +7,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fgap import gapsearch
 from fgap.algnum import AlgebraicNumber, IntPoly, Surd, isolate_real_roots
 from fgap.errors import InvalidInputError
 from fgap.obstruct import FOUR_THIRDS
@@ -25,6 +28,8 @@ from fgap.gapsearch import (
     search_quadratic,
     surd_text,
 )
+from fgap.gapsearch import (_coeff_envelope, _deriv_prefix, _interval_eval,
+                            _next_coeff_range)
 
 GOLDEN_GAP = Surd(Fraction(5, 2), Fraction(-1, 2), 5)  # (5 - sqrt 5)/2
 
@@ -364,6 +369,159 @@ def test_gap_fmax_formula():
         d = Fraction(num, den)
         got = Fraction(search_gap(Surd(d)).config["f_max"])
         assert got == d * d / (2 - d * d)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient walk against its Fraction reference
+
+def _frac_eval(asc, x):
+    x = Fraction(x)
+    acc = Fraction(asc[-1])
+    for c in reversed(asc[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _surd_eval(asc, s):
+    acc = Surd(asc[-1])
+    for c in reversed(asc[:-1]):
+        acc = acc * s + c
+    return acc
+
+
+def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
+    """The coefficient range computed on Fractions and Surds, as the walk
+    did before it moved to integer evaluation: every value is exact and
+    rounded by Fraction/Surd ceil and floor."""
+    j = len(prefix) - 1
+    gamma, delta = cuts
+    w_asc = _deriv_prefix(prefix + [0], k)
+    bcoef = 1
+    for v in range(1, k - j):
+        bcoef *= v
+    m = j + 1
+    e_min = (box_lo * math.comb(k - 1, m - 1) * delta ** (m - 1)
+             + math.comb(k - 1, m) * delta ** m)
+    e_max = (gamma * math.comb(k - 1, m - 1) * f_hi ** (m - 1)
+             + math.comb(k - 1, m) * f_hi ** m)
+    if m % 2:
+        lo, hi = (-e_max).__ceil__(), (-e_min).__floor__()
+    else:
+        lo, hi = e_min.__ceil__(), e_max.__floor__()
+
+    def add(sigma, value, strict=False):
+        nonlocal lo, hi
+        bound = -value / bcoef
+        if isinstance(bound, Surd):
+            b = bound.ceil() if sigma > 0 else bound.floor()
+        else:
+            b = bound.__ceil__() if sigma > 0 else bound.__floor__()
+            if strict and bound == b:
+                b += sigma
+        if sigma > 0:
+            lo = max(lo, b)
+        else:
+            hi = min(hi, b)
+
+    sig_lo = -1 if (j + 1) % 2 else 1
+    add(sig_lo, _frac_eval(w_asc, box_lo))
+    add(1, _frac_eval(w_asc, f_hi))
+    if final and lo <= hi:
+        sig_cut = 1 if (k - 1) % 2 == 0 else -1
+        add(sig_cut, _frac_eval(w_asc, gamma), strict=True)
+        add(sig_cut, _frac_eval(w_asc, delta), strict=True)
+    if j == 1 and lo <= hi:
+        q1 = _deriv_prefix(prefix, k)
+        add(-1, _frac_eval(w_asc, Fraction(-q1[0], q1[1])))
+    elif j == 2 and lo <= hi:
+        q2 = _deriv_prefix(prefix, k)
+        disc = q2[1] * q2[1] - 4 * q2[2] * q2[0]
+        if disc > 0:
+            r1 = Surd(Fraction(-q2[1], 2 * q2[2]),
+                      Fraction(-1, 2 * q2[2]), disc)
+            r2 = Fraction(-q2[1], q2[2]) - r1
+            add(1, _surd_eval(w_asc, r1))
+            add(-1, _surd_eval(w_asc, r2))
+    elif j >= 3 and lo <= hi:
+        prof = isolate_real_roots(_deriv_prefix(prefix, k))
+        roots = prof.roots
+        if prof.totally_real and all(m == 1 for _, m in roots):
+            for t, (iv, _) in enumerate(roots, start=1):
+                sigma = 1 if (j + 1 - t) % 2 == 0 else -1
+                enc = _interval_eval(w_asc, iv)
+                add(sigma, enc.hi if sigma > 0 else enc.lo)
+    return lo, hi
+
+
+def _coeff_range(prefix, k, box_lo, f_hi, cuts, final):
+    """The integer walk's range for the same arguments as the reference."""
+    env = _coeff_envelope(k, box_lo, f_hi, cuts)[len(prefix) - 1]
+    return _next_coeff_range(prefix, _deriv_prefix(prefix, k), k, env,
+                             box_lo, f_hi, cuts, final)
+
+
+# interior nodes of each walk: one _next_coeff_range call apiece
+WALK_NODES = [(QUAD_DEFAULT_HI, 7043), (Surd(Fraction(277, 200)), 7043),
+              (Surd(Fraction(138, 100)), 3956)]
+
+
+@pytest.mark.parametrize("d_max, nodes", WALK_NODES,
+                         ids=["4sqrt(3)/5", "277/200", "1.38"])
+def test_walk_ranges_match_fraction_reference(d_max, nodes, monkeypatch):
+    calls = []
+
+    def checked(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
+        got = _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts,
+                                final)
+        assert deriv == _deriv_prefix(prefix, k)
+        assert got == reference_coeff_range(prefix, k, box_lo, f_hi, cuts,
+                                            final), prefix
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(gapsearch, "_next_coeff_range", checked)
+    search_gap(d_max)
+    assert len(calls) == nodes
+
+
+@st.composite
+def coeff_cases(draw):
+    """Arguments of one coefficient-range call, off any real walk: any
+    nonzero leading coefficient, any depth, unordered box and cut points."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    k = draw(st.integers(2, 5))
+    j = draw(st.integers(0, k - 1))
+    prefix = [draw(st.sampled_from([1, 2, -1, -2, -3]))]
+    prefix += draw(st.lists(st.integers(-60, 60), min_size=j, max_size=j))
+    return (prefix, k, draw(small), draw(st.integers(-10, 30)),
+            (draw(small), draw(small)), draw(st.booleans()))
+
+
+F = Fraction
+
+
+# the examples pin inputs where a case random draws rarely reach decides
+# the range (each fails a mutant of its rounding):
+@settings(max_examples=500, deadline=None)
+@given(case=coeff_cases())
+# depth 1, a negative linear-derivative denominator sets hi
+@example(case=([-1, 59], 3, F(6, 7), 8, (F(1, 4), F(-3)), False))
+# depth 2, a negative quadratic-derivative lead: the critical point is
+# rewritten with a positive denominator
+@example(case=([-1, 12, 7], 3, F(10), -5, (F(30), F(0)), False))
+# depth 2, a square discriminant (rational critical points) sets lo, then hi
+@example(case=([1, 1, 0], 5, F(0), 3, (F(-5, 3), F(-1, 12)), False))
+@example(case=([1, -8, 18], 4, F(-13, 7), 5, (F(-7, 12), F(-7, 12)), True))
+# an exact tie at the strict cut gamma moves hi, then lo, by one
+@example(case=([1], 4, F(5, 3), 28, (F(3), F(19, 12)), True))
+@example(case=([1, -19, -37], 5, F(12, 7), 26, (F(3), F(10, 7)), True))
+# depth 3 and 4, the interval enclosure at isolated critical points sets lo,
+# then hi
+@example(case=([2, -25, -15, 38, 23], 5, F(17, 6), 16, (F(35, 12), F(8, 7)),
+               False))
+@example(case=([1, 0, -55, -21], 4, F(3), 13, (F(5, 2), F(5, 2)), False))
+def test_coeff_range_matches_reference_off_walk(case):
+    assert _coeff_range(*case) == reference_coeff_range(*case)
 
 
 # ---------------------------------------------------------------------------
