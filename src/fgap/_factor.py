@@ -10,7 +10,9 @@ a generator seeded by the input.
 
 Coefficient lists are ascending.  Inputs here are primitive, squarefree,
 with positive leading coefficient; the public wrapper in algnum handles
-content, sign, multiplicities and the degree cap.
+content, sign, multiplicities and the degree cap.  Integer arithmetic on
+coefficient lists is kernels'; the GF(q) and mod-m helpers here reduce
+its results.
 """
 
 import random
@@ -38,17 +40,11 @@ def _gf_monic(c, q):
 
 
 def _gf_mul(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _gf_norm(out, q)
+    return _gf_norm(kernels.poly_mul(a, b), q)
 
 
 def _gf_divmod(a, b, q):
+    """(quotient, remainder) mod q; q need not be prime when b is monic."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
@@ -82,8 +78,8 @@ def _gf_gcdex(a, b, q):
     while r1:
         quo, rem = _gf_divmod(r0, r1, q)
         r0, r1 = r1, rem
-        s0, s1 = s1, _gf_norm(_gf_sub(s0, _gf_mul(quo, s1, q), q), q)
-        t0, t1 = t1, _gf_norm(_gf_sub(t0, _gf_mul(quo, t1, q), q), q)
+        s0, s1 = s1, _gf_sub(s0, _gf_mul(quo, s1, q), q)
+        t0, t1 = t1, _gf_sub(t0, _gf_mul(quo, t1, q), q)
     if not r0:
         raise ZeroDivisionError("gcdex of zero polynomials")
     inv = pow(r0[-1], -1, q)
@@ -92,13 +88,7 @@ def _gf_gcdex(a, b, q):
 
 
 def _gf_sub(a, b, q):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _gf_norm(out, q)
+    return _gf_norm(kernels.poly_sub(a, b), q)
 
 
 def _gf_powmod(base, e, mod, q):
@@ -166,33 +156,6 @@ def _gf_split_equal_degree(f, d, q, rng):
 # ---------------------------------------------------------------------------
 # integer-side helpers modulo m
 
-def _znorm(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _zadd(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
-def _zsub(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return out
-
-
 def _zmod(c, m):
     return [x % m for x in c]
 
@@ -205,23 +168,7 @@ def _balanced(c, m):
         if r > half:
             r -= m
         out.append(r)
-    return _znorm(out)
-
-
-def _zdivmod_monic(a, b, m):
-    """Divide by monic b with all arithmetic modulo m."""
-    a = [x % m for x in a]
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _znorm(a)
-    quo = [0] * (len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        f = a[db + k] % m
-        quo[k] = f
-        if f:
-            for i in range(db + 1):
-                a[i + k] = (a[i + k] - f * b[i]) % m
-    return _znorm(quo), _znorm(a[:db])
+    return kernels.normalize(out)
 
 
 def _trunc_assert(c, keep, m):
@@ -240,25 +187,28 @@ def _hensel_step(m, f, g, h, s, t):
     mod m*m; G and H stay exactly monic.
     """
     m2 = m * m
-    e = _zmod(_zsub(f, kernels.poly_mul(g, h)), m2)
-    quo, rem = _zdivmod_monic(kernels.poly_mul(s, e), h, m2)
-    u = _zmod(_zadd(kernels.poly_mul(t, e), kernels.poly_mul(quo, g)), m2)
+    e = _zmod(kernels.poly_sub(f, kernels.poly_mul(g, h)), m2)
+    quo, rem = _gf_divmod(kernels.poly_mul(s, e), h, m2)
+    u = _zmod(kernels.poly_add(kernels.poly_mul(t, e),
+                               kernels.poly_mul(quo, g)), m2)
     u = _trunc_assert(u, len(g) - 1, m2)
-    G = _zmod(_zadd(g, u), m2)
+    G = _zmod(kernels.poly_add(g, u), m2)
     G = G + [0] * (len(g) - len(G))
     G[len(g) - 1] = 1
-    H = _zmod(_zadd(h, rem), m2)
+    H = _zmod(kernels.poly_add(h, rem), m2)
     H = H + [0] * (len(h) - len(H))
     H[len(h) - 1] = 1
-    b = _zmod(_zsub(_zadd(kernels.poly_mul(s, G), kernels.poly_mul(t, H)),
-                    [1]), m2)
-    cq, cr = _zdivmod_monic(kernels.poly_mul(s, b), H, m2)
-    S = _zmod(_zsub(s, cr), m2)
-    T = _zmod(_zsub(_zsub(t, kernels.poly_mul(t, b)),
-                    kernels.poly_mul(cq, G)), m2)
+    b = _zmod(kernels.poly_sub(kernels.poly_add(kernels.poly_mul(s, G),
+                                                kernels.poly_mul(t, H)),
+                               [1]), m2)
+    cq, cr = _gf_divmod(kernels.poly_mul(s, b), H, m2)
+    S = _zmod(kernels.poly_sub(s, cr), m2)
+    T = _zmod(kernels.poly_sub(kernels.poly_sub(t, kernels.poly_mul(t, b)),
+                               kernels.poly_mul(cq, G)), m2)
     S = _trunc_assert(S, len(H) - 1, m2)
     T = _trunc_assert(T, len(G) - 1, m2)
-    return _znorm(G), _znorm(H), _znorm(S), _znorm(T)
+    return (kernels.normalize(G), kernels.normalize(H), kernels.normalize(S),
+            kernels.normalize(T))
 
 
 def _hensel_lift_tree(q, f, factors, ell):
@@ -294,7 +244,7 @@ def _hensel_lift_tree(q, f, factors, ell):
 def _choose_prime(f):
     """Smallest odd prime keeping monic f squarefree in reduction."""
     q = 3
-    fd = [i * f[i] for i in range(1, len(f))]
+    fd = kernels.derivative(f)
     while True:
         if is_probable_prime(q):
             fq = _gf_norm(f, q)
@@ -346,7 +296,7 @@ def _factor_monic_squarefree(f):
                                        modulus), modulus)
             if not prod or prod[0] == 0 or current[0] % prod[0] != 0:
                 continue
-            quo = _try_div(current, prod)
+            quo = kernels.div_exact(current, prod)
             if quo is not None:
                 hit = (combo, prod, quo)
                 break
@@ -362,34 +312,13 @@ def _factor_monic_squarefree(f):
     return found
 
 
-def _try_div(a, b):
-    """Exact integer polynomial quotient a/b, or None."""
-    if not b or len(b) > len(a):
-        return None
-    rem = list(a)
-    db = len(b) - 1
-    quo = [0] * (len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        top = rem[db + k]
-        if top % b[-1] != 0:
-            return None
-        fct = top // b[-1]
-        quo[k] = fct
-        if fct:
-            for i in range(db + 1):
-                rem[i + k] -= fct * b[i]
-    if any(rem[:db]):
-        return None
-    return quo
-
-
 def factor_squarefree_primitive(c):
     """Irreducible primitive factors (positive lead) of squarefree input c.
 
     c must be primitive, squarefree, positive lead, degree >= 1.  Returns a
     list of ascending coefficient lists in no particular order.
     """
-    c = _znorm(c)
+    c = kernels.normalize(c)
     out = []
     if c[0] == 0:
         out.append([0, 1])

@@ -5,6 +5,12 @@ All decisions (signs, comparisons, root locations) are exact; floats appear
 only in reporting helpers.  Root isolation is squarefree decomposition
 followed by Sturm bisection.
 
+The coefficient-list primitives (normalize, derivative, add, subtract,
+multiply, exact division, pseudo-remainder) live in kernels.  Built on them
+here: the primitive part, poly_gcd_int, poly_div_exact (kernels.div_exact
+with an InvalidInputError when inexact), poly_squarefree_part, the Yun
+decomposition and inverse_square_sum.
+
 Quadratic irrationals are Surds, stored as integers (a + b*sqrt(n))/d with
 n squarefree.  square_free_part runs only when a radicand enters from
 outside (the constructor, sqrt_fraction); arithmetic within one field, the
@@ -30,30 +36,9 @@ WIDTH_CAP = Fraction(1, 10 ** 40)
 # ---------------------------------------------------------------------------
 # coefficient-list helpers (ascending order, plain ints)
 
-def _norm(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _deriv(c):
-    return [i * c[i] for i in range(1, len(c))]
-
-
-def _sub(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _norm(out)
-
-
 def _primitive_pos(c):
     """Primitive part with positive leading coefficient."""
-    c = _norm(c)
+    c = kernels.normalize(c)
     if not c:
         return c
     g = kernels.int_content(c)
@@ -64,8 +49,8 @@ def _primitive_pos(c):
 
 def poly_gcd_int(a, b):
     """Primitive gcd over the integers, positive leading coefficient."""
-    a = _norm(a)
-    b = _norm(b)
+    a = kernels.normalize(a)
+    b = kernels.normalize(b)
     if not a:
         return _primitive_pos(b)
     if not b:
@@ -83,29 +68,26 @@ def poly_gcd_int(a, b):
 
 def poly_div_exact(a, b):
     """Quotient a // b when the division is exact over the integers."""
-    a = _norm(a)
-    b = _norm(b)
+    b = kernels.normalize(b)
     if not b:
         raise InvalidInputError("division by the zero polynomial")
-    if not a:
-        return []
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
+    q = kernels.div_exact(kernels.normalize(a), b)
+    if q is None:
         raise InvalidInputError("inexact polynomial division")
-    rem = list(a)
-    q = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        top = rem[db + k]
-        if top % b[db] != 0:
-            raise InvalidInputError("inexact polynomial division")
-        f = top // b[db]
-        q[k] = f
-        if f:
-            for i in range(db + 1):
-                rem[i + k] -= f * b[i]
-    if any(rem):
-        raise InvalidInputError("inexact polynomial division")
-    return _norm(q)
+    return q
+
+
+def poly_squarefree_part(c):
+    """Squarefree part of c: primitive, positive lead, and vanishing exactly
+    once at each distinct root of c."""
+    w = _primitive_pos(c)
+    if len(w) <= 2:
+        return w
+    g = poly_gcd_int(w, kernels.derivative(w))
+    if len(g) == 1:
+        return w
+    # w and g are primitive with positive leads, so the quotient is too
+    return kernels.div_exact(w, g)
 
 
 def squarefree_decomposition(c):
@@ -117,7 +99,7 @@ def squarefree_decomposition(c):
     w = _primitive_pos(c)
     if len(w) <= 1:
         return []
-    d = _deriv(w)
+    d = kernels.derivative(w)
     g = poly_gcd_int(w, d)
     if len(g) == 1:
         return [(w, 1)]
@@ -125,7 +107,7 @@ def squarefree_decomposition(c):
     dpart = poly_div_exact(d, g)
     out = []
     i = 1
-    e = _sub(dpart, _deriv(cpart))
+    e = kernels.poly_sub(dpart, kernels.derivative(cpart))
     while True:
         a = poly_gcd_int(cpart, e)
         if len(a) > 1:
@@ -133,9 +115,22 @@ def squarefree_decomposition(c):
         cpart = poly_div_exact(cpart, a)
         if len(cpart) == 1:
             break
-        e = _sub(poly_div_exact(e, a), _deriv(cpart))
+        e = kernels.poly_sub(poly_div_exact(e, a), kernels.derivative(cpart))
         i += 1
     return out
+
+
+def inverse_square_sum(c):
+    """Exact sum of 1/d**2 over the roots d of c, counted with multiplicity.
+
+    c needs a nonzero constant term.  The reversed polynomial has the roots
+    1/d, and Newton's identity for their power sum gives
+    (c1**2 - 2 c0 c2) / c0**2.
+    """
+    c0 = c[0]
+    c1 = c[1] if len(c) > 1 else 0
+    c2 = c[2] if len(c) > 2 else 0
+    return Fraction(c1 * c1 - 2 * c0 * c2, c0 * c0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +166,12 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def primitive(self):
-        return IntPoly(_primitive_pos(self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, IntPoly):
             return IntPoly(kernels.poly_mul(list(self.coeffs), list(other.coeffs)))
         return IntPoly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        return IntPoly(_sub(self.coeffs, [-c for c in other.coeffs]))
-
-    def __sub__(self, other):
-        return IntPoly(_sub(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
 
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
@@ -620,7 +603,7 @@ def isolate_real_roots(p):
     if isinstance(p, IntPoly):
         coeffs = list(p.coeffs)
     else:
-        coeffs = _norm(p)
+        coeffs = kernels.normalize(p)
     if not coeffs:
         raise InvalidInputError("cannot isolate roots of the zero polynomial")
     degree = len(coeffs) - 1
@@ -669,10 +652,16 @@ def isolate_real_roots(p):
 # AlgebraicNumber
 
 class AlgebraicNumber:
-    """A designated real root: monic irreducible minpoly + isolating interval.
+    """A designated real root: monic squarefree minpoly + isolating interval.
 
-    The interval only ever shrinks, so the designation is stable.  For a
-    degree-1 minpoly the interval is the exact point.
+    The minpoly must be squarefree, so every root is simple and a sign
+    bisection can follow it; it need not be irreducible.  A reducible one
+    (exploratory searches isolate a candidate's squarefree part) may have a
+    rational root, which refine and cmp_fraction meet exactly.  The
+    interval (lo, hi] holds exactly one root, and the constructor rejects
+    one that does not.  It only ever shrinks, so the designation is stable.
+    For a degree-1 minpoly the interval is the exact point.  Comparing two
+    numbers of different minpolys needs distinct values.
     """
 
     __slots__ = ("minpoly", "_isol", "_chain")
@@ -705,9 +694,9 @@ class AlgebraicNumber:
         if self.degree == 1:
             return self._isol
         iv = self._isol
-        # sign bisection: simple root of an irreducible polynomial, so the
-        # endpoint signs differ and no rational point is a root.  The
-        # endpoints are lo/den and hi/den over one denominator; an odd
+        # sign bisection on a simple root: the sign is s_lo on (lo, root).
+        # A midpoint that is a zero is the isolated root and becomes hi.
+        # The endpoints are lo/den and hi/den over one denominator; an odd
         # lo + hi doubles all three first, so each midpoint (lo + hi)/2 is an
         # integer and the same rational a Fraction bisection would take.
         c = self.minpoly.coeffs
@@ -716,8 +705,8 @@ class AlgebraicNumber:
         hi = iv.hi.numerator * (den // iv.hi.denominator)
         s_lo = _sign(kernels.eval_qnum(c, lo, den))
         if s_lo == 0 or kernels.eval_qnum(c, hi, den) == 0:
-            # endpoint happens to be a root of a *different* conjugate: fall
-            # back to Sturm shrinking, which needs no sign assumptions
+            # an endpoint is a root (hi may be this one): fall back to
+            # Sturm shrinking, which needs no sign assumptions
             while iv.width > width:
                 iv = _shrink(self._chain, iv)
             self._isol = iv
@@ -727,11 +716,7 @@ class AlgebraicNumber:
             if (lo + hi) % 2:
                 lo, hi, den = 2 * lo, 2 * hi, 2 * den
             mid = (lo + hi) // 2
-            s_mid = _sign(kernels.eval_qnum(c, mid, den))
-            if s_mid == 0:
-                raise InvalidInputError("rational root in an irreducible "
-                                        "polynomial of degree >= 2")
-            if s_mid == s_lo:
+            if _sign(kernels.eval_qnum(c, mid, den)) == s_lo:
                 lo = mid
             else:
                 hi = mid
@@ -748,6 +733,9 @@ class AlgebraicNumber:
             v = self._isol.lo
             return (v > r) - (v < r)
         iv = self._isol
+        if iv.lo < r <= iv.hi and kernels.eval_qnum(
+                self.minpoly.coeffs, r.numerator, r.denominator) == 0:
+            return 0  # r is the one root in (lo, hi]
         while iv.lo <= r <= iv.hi:
             iv = _shrink(self._chain, iv)
             self._isol = iv
@@ -851,7 +839,7 @@ def factor_over_integers(p):
     if isinstance(p, IntPoly):
         coeffs = list(p.coeffs)
     else:
-        coeffs = _norm(p)
+        coeffs = kernels.normalize(p)
     if not coeffs:
         raise InvalidInputError("cannot factor the zero polynomial")
     if len(coeffs) - 1 > 24:
@@ -893,9 +881,7 @@ def is_d_number(p):
     if p.degree == 3:
         # x^3 - a x^2 + b x - c: need c | a^3 and c^2 | b^3
         return c[2] ** 3 % c[0] == 0 and c[1] ** 3 % (c[0] * c[0]) == 0
-    sqf = poly_div_exact(list(c), poly_gcd_int(list(c), _deriv(list(c))))
-    sqf = _primitive_pos(sqf)
-    return ratio_integrality_oracle(IntPoly(sqf))
+    return ratio_integrality_oracle(IntPoly(poly_squarefree_part(c)))
 
 
 def ratio_integrality_oracle(p):
@@ -913,7 +899,7 @@ def ratio_integrality_oracle(p):
     if p.degree < 1 or p.coeffs[0] == 0:
         raise InvalidInputError("ratio test requires degree >= 1 and a "
                                 "nonzero constant term")
-    if len(poly_gcd_int(list(p.coeffs), _deriv(list(p.coeffs)))) > 1:
+    if len(poly_squarefree_part(p.coeffs)) < len(p.coeffs):
         raise InvalidInputError("ratio test requires a squarefree polynomial")
     n = p.degree
     if n == 1:
@@ -926,7 +912,7 @@ def ratio_integrality_oracle(p):
         scaled = [base[i] * t ** i for i in range(len(base))]
         ys.append(kernels.resultant(base, scaled))
     s_coeffs = _interpolate_int(xs, ys)
-    s_coeffs = _norm(s_coeffs)
+    s_coeffs = kernels.normalize(s_coeffs)
     cont = kernels.int_content(s_coeffs)
     return abs(s_coeffs[-1]) == cont
 
@@ -1064,29 +1050,3 @@ def largest_integer_divisor(p):
                 break
         m *= q ** e
     return m
-
-
-# ---------------------------------------------------------------------------
-# conjugate statistics
-
-def conjugate_stats(p):
-    """(smallest root, largest root, exact mean) of a totally real monic p."""
-    p = p if isinstance(p, IntPoly) else IntPoly(p)
-    if not p.is_monic:
-        raise InvalidInputError("conjugate statistics require a monic "
-                                "polynomial")
-    prof = isolate_real_roots(p)
-    if not prof.totally_real:
-        raise InvalidInputError("polynomial is not totally real")
-    mean = Fraction(-p.coeffs[p.degree - 1], p.degree)
-    lo_an = None
-    hi_an = None
-    for factor, _ in factor_over_integers(p):
-        fprof = isolate_real_roots(factor)
-        first = AlgebraicNumber(factor, fprof.roots[0][0])
-        last = AlgebraicNumber(factor, fprof.roots[-1][0])
-        if lo_an is None or first.cmp(lo_an) < 0:
-            lo_an = first
-        if hi_an is None or last.cmp(hi_an) > 0:
-            hi_an = last
-    return lo_an, hi_an, mean

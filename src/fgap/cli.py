@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .algnum import (AlgebraicNumber, IntPoly, Surd, factor_over_integers,
-                     is_d_number, isolate_real_roots, poly_gcd_int,
+                     is_d_number, isolate_real_roots, poly_squarefree_part,
                      ratio_integrality_oracle)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .fusionring import (builtin_ring, emit_ring_file, formal_codegrees,
@@ -343,8 +343,7 @@ def _cmd_dnumber(args):
     certificates = {}
     # for small squarefree inputs, cross-check the coefficient criterion
     # against the resultant oracle and say so
-    deriv = [i * poly.coeffs[i] for i in range(1, len(poly.coeffs))]
-    squarefree = len(poly_gcd_int(list(poly.coeffs), deriv)) == 1
+    squarefree = len(poly_squarefree_part(poly.coeffs)) == len(poly.coeffs)
     if poly.degree <= 3 and squarefree:
         oracle = ratio_integrality_oracle(poly)
         lines.append("oracle agreement: %s"

@@ -18,7 +18,7 @@ against `spectrum.matrix` (Z) and `spectrum.fp_root`,
 from fractions import Fraction
 
 from .algnum import (AlgebraicNumber, charpoly_int, factor_over_integers,
-                     isolate_real_roots)
+                     inverse_square_sum, isolate_real_roots)
 from .errors import AmbiguityError, InvalidInputError, UnsupportedRingError
 
 
@@ -247,9 +247,7 @@ class CodegreeSpectrum:
 
     def inverse_square_sum(self):
         """Sum of 1/f_i**2 over all codegrees, exact rational."""
-        r = self.rank
-        num = self.e(r - 1) ** 2 - 2 * self.e(r) * self.e(r - 2)
-        return Fraction(num, self.e(r) ** 2)
+        return inverse_square_sum(self.charpoly.coeffs)
 
     def inverse_sum(self):
         """Sum of 1/f_i over all codegrees, exact rational."""

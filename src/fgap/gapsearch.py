@@ -38,10 +38,10 @@ from math import comb, factorial, isqrt
 
 from . import kernels
 from .algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd, WIDTH_CAP,
-                     _floor_root, factor_over_integers, is_d_number,
-                     isolate_real_roots, poly_div_exact, poly_gcd_int)
+                     _floor_root, factor_over_integers, inverse_square_sum,
+                     is_d_number, isolate_real_roots, poly_squarefree_part)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
-from .obstruct import FOUR_THIRDS, threshold
+from .obstruct import FOUR_THIRDS, orbit_inequality, threshold
 
 SQRT2 = Surd(0, 1, 2)
 
@@ -181,21 +181,8 @@ def _as_surd(x):
 
 
 # ---------------------------------------------------------------------------
-# the pair inequality (smallest vs largest conjugate), two encodings
-
-def mainineq_exact_quadratic(a, b):
-    """Exact rational-form pair inequality for x^2 - ax + b.
-
-    Clearing denominators in  1/d1^2 + 1/d2^2 <= 1/2 + 1/(2 d2)  gives
-    b*d1 >= 2a^2 - 4b - b^2, decided exactly on the smaller root.
-    """
-    disc = a * a - 4 * b
-    if disc <= 0:
-        raise InvalidInputError("needs two distinct real roots")
-    d1 = Surd(Fraction(a, 2), Fraction(-1, 2), disc)
-    rhs = Fraction(2 * a * a - 4 * b - b * b, b)
-    return d1.cmp_fraction(rhs) >= 0
-
+# the pair inequality (smallest vs largest conjugate) by refinement; the
+# quadratic search decides it exactly as the orbit inequality
 
 def mainineq_enclosure_pair(d1, d3, cap=WIDTH_CAP, label=""):
     """Certified 1/d1^2 + 1/d3^2 - 1/(2 d3) - 1/2 <= 0 via refinement.
@@ -225,69 +212,6 @@ def mainineq_enclosure_pair(d1, d3, cap=WIDTH_CAP, label=""):
                 "pair inequality sign not certified at width cap%s"
                 % (" for " + label if label else ""))
         width /= 16
-
-
-def orbit_inequality_exact(poly, f_root):
-    """Exact sum-of-inverse-squares test against the largest root.
-
-    sum 1/d_i^2 <= (1 + 1/f)/2 where the sum runs over the roots of poly
-    and f is the largest of them.  Rational left side from coefficients;
-    the comparison folds into one exact order test.
-    """
-    k = poly.degree
-    c = poly.coeffs
-
-    def e(j):
-        if j < 0 or j > k:
-            return 0
-        return (-1 if j % 2 else 1) * c[k - j]
-
-    lhs = Fraction(e(k - 1) ** 2 - 2 * e(k) * e(k - 2), e(k) ** 2)
-    t = 2 * lhs - 1
-    if t <= 0:
-        return True
-    return f_root.cmp_fraction(1 / t) <= 0
-
-
-def K_of(d, digits=40):
-    """Outward-rounded enclosure of K(d) = 1/(1/4 - sqrt(9/16 - 1/d^2)).
-
-    Accepts a Surd, Fraction-like, or RatInterval; requires certified
-    4/3 < d < sqrt(2).
-    """
-    if isinstance(d, RatInterval):
-        lo, hi = d.lo, d.hi
-        if not (lo > FOUR_THIRDS and hi * hi < 2):
-            raise InvalidInputError("K(d) needs 4/3 < d < sqrt(2)")
-    else:
-        s = _as_surd(d)
-        if not (s.cmp_fraction(FOUR_THIRDS) > 0 and s.cmp(SQRT2) < 0):
-            raise InvalidInputError("K(d) needs 4/3 < d < sqrt(2)")
-        iv = s.approx(Fraction(1, 10 ** digits))
-        lo, hi = iv.lo, iv.hi
-
-    def k_at(v, round_up):
-        t = Fraction(9, 16) - 1 / (v * v)
-        if t < 0:
-            raise InvalidInputError("K(d) domain violated")
-        s_lo, s_hi = _sqrt_bounds(t, digits)
-        den = Fraction(1, 4) - (s_hi if round_up else s_lo)
-        if den <= 0:
-            raise InvalidInputError("K(d) domain violated (d too close to "
-                                    "sqrt(2) at this precision)")
-        return 1 / den
-
-    return RatInterval(k_at(lo, False), k_at(hi, True))
-
-
-def _sqrt_bounds(f, digits):
-    """[lo, hi] rationals with lo <= sqrt(f) <= hi, width 10**-digits."""
-    f = Fraction(f)
-    if f < 0:
-        raise InvalidInputError("negative radicand")
-    scale = 10 ** digits
-    r = isqrt(f.numerator * scale * scale // f.denominator)
-    return Fraction(r, scale), Fraction(r + 2, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +289,19 @@ def _quad_candidate(cfg, a, b):
     if ok:
         ok = drop_or("totally-positive",
                      lambda: disc > 0 and a > 0 and b > 0)
+    # with disc < 0 there is no real root: root-window and mainineq fail
     d1 = d2 = None
-    if ok:
+    if ok and disc >= 0:
         d1 = Surd(Fraction(a, 2), Fraction(-1, 2), disc)
         d2 = Surd(Fraction(a, 2), Fraction(1, 2), disc)
-        ok = drop_or("root-window",
-                     lambda: d1.cmp(cfg.d_lo) >= 0 and d1.cmp(cfg.d_hi) < 0)
     if ok:
-        drop_or("mainineq", lambda: mainineq_exact_quadratic(a, b))
+        ok = drop_or("root-window",
+                     lambda: d1 is not None and d1.cmp(cfg.d_lo) >= 0
+                     and d1.cmp(cfg.d_hi) < 0)
+    if ok:
+        # the orbit inequality at the larger root d2 is the pair inequality
+        drop_or("mainineq", lambda: d1 is not None and orbit_inequality(
+            inverse_square_sum(poly.coeffs), d2)[0])
     if d1 is not None:
         roots = (float(d1), float(d2))
     return Candidate(poly, trace, roots)
@@ -450,18 +379,21 @@ def _cubic_candidate(cfg, a, b, c):
                      lambda: disc > 0 and a > 0 and b > 0 and c > 0)
     prof = None
     if ok:
-        prof = isolate_real_roots(poly)
-        d1 = AlgebraicNumber(poly, prof.roots[0][0])
+        # a candidate that reaches here with a filter dropped may have a
+        # repeated root; AlgebraicNumber needs a squarefree polynomial
+        sqf = IntPoly(poly_squarefree_part(poly.coeffs))
+        prof = isolate_real_roots(sqf)
+        d1 = AlgebraicNumber(sqf, prof.roots[0][0])
         ok = drop_or("root-window",
                      lambda: d1.cmp_surd(cfg.d_lo) >= 0
                      and d1.cmp_surd(cfg.d_hi) < 0)
     if ok:
-        d3 = AlgebraicNumber(poly, prof.roots[-1][0])
+        d3 = AlgebraicNumber(sqf, prof.roots[-1][0])
         label = poly.to_str()
         drop_or("mainineq",
                 lambda: mainineq_enclosure_pair(d1, d3, label=label))
     if prof is not None:
-        roots = tuple(AlgebraicNumber(poly, iv).approx_float()
+        roots = tuple(AlgebraicNumber(sqf, iv).approx_float()
                       for iv, _ in prof.roots)
     return Candidate(poly, trace, roots)
 
@@ -558,8 +490,7 @@ def _totally_real_in_box(asc, lo_n, lo_d, q_hi):
         if c0 + q_hi * c1 + q_hi * q_hi * c2 < 0:
             return False
         return -lo_d * c1 > 2 * lo_n * c2 and -c1 <= 2 * c2 * q_hi
-    g = poly_gcd_int(list(asc), [i * asc[i] for i in range(1, len(asc))])
-    sqf = poly_div_exact(list(asc), g) if len(g) > 1 else list(asc)
+    sqf = poly_squarefree_part(asc)
     chain = kernels.sturm_chain(sqf)
     total = (kernels.varcount_inf(chain, False)
              - kernels.varcount_inf(chain, True))
@@ -755,7 +686,7 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     if ok:
         prof = isolate_real_roots(poly)
         fmax = AlgebraicNumber(poly, prof.roots[-1][0])
-        good = orbit_inequality_exact(poly, fmax)
+        good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
         trace.append(("orbit-inequality", "pass" if good else "fail"))
         ok = good
     if prof is not None:

@@ -5,6 +5,12 @@ entry is nonzero (the zero polynomial is the empty list).  Everything is
 exact integer arithmetic; these are the hot loops behind root isolation,
 resultants and the search pruning, so they stay free of Fraction objects.
 
+This module is the one home of the coefficient-list primitives: normalize,
+derivative, poly_add, poly_sub, poly_mul, div_exact and pseudo_rem.  Code
+built on them lives elsewhere: primitive parts, gcds and squarefree parts
+in algnum, arithmetic over GF(q) (these primitives reduced mod q) in
+_factor.
+
 Callers reach these functions as module attributes (`kernels.name(...)`),
 so a profiler can wrap them in one place.
 """
@@ -32,6 +38,27 @@ def int_content(c):
     return g
 
 
+def derivative(c):
+    """Derivative of a coefficient list."""
+    return [i * c[i] for i in range(1, len(c))]
+
+
+def poly_add(a, b):
+    """Sum of two coefficient lists."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        out[i] += x
+    return normalize(out)
+
+
+def poly_sub(a, b):
+    """Difference a - b of two coefficient lists."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        out[i] -= x
+    return normalize(out)
+
+
 def poly_mul(a, b):
     """Product of two coefficient lists."""
     if not a or not b:
@@ -43,6 +70,33 @@ def poly_mul(a, b):
                 if y:
                     out[i + j] += x * y
     return normalize(out)
+
+
+def div_exact(a, b):
+    """Quotient a / b when b divides a over the integers, else None.
+
+    Both lists are normalized and b is nonzero.
+    """
+    if not a:
+        return []
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return None
+    lb = b[db]
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for k in range(len(a) - db - 1, -1, -1):
+        top = rem[db + k]
+        if top % lb:
+            return None
+        f = top // lb
+        quo[k] = f
+        if f:
+            for i in range(db + 1):
+                rem[i + k] -= f * b[i]
+    if any(rem[:db]):
+        return None
+    return quo
 
 
 def pseudo_rem(a, b):
@@ -133,8 +187,7 @@ def sturm_chain(c):
     p0 = normalize(c)
     if len(p0) <= 1:
         return [p0] if p0 else []
-    d0 = [i * p0[i] for i in range(1, len(p0))]
-    chain = [_primitive(p0), _primitive(d0)]
+    chain = [_primitive(p0), _primitive(derivative(p0))]
     while True:
         a, b = chain[-2], chain[-1]
         if len(b) <= 1 or len(a) < len(b):

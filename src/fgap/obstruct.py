@@ -77,6 +77,20 @@ class ObstructionReport:
         self.obstructed = (not self.surviving) or (not global_ok)
 
 
+def orbit_inequality(lhs, f):
+    """Decide lhs <= (1 + 1/f)/2 exactly, for lhs = sum 1/d_i^2 and f > 0.
+
+    f is an AlgebraicNumber or a Surd.  Returns (holds, bound): bound is
+    None when 2*lhs - 1 <= 0, where the inequality holds at every f > 0,
+    and otherwise 1/(2*lhs - 1), the exact order test being f <= bound.
+    """
+    t = 2 * lhs - 1
+    if t <= 0:
+        return True, None
+    bound = 1 / t
+    return f.cmp_fraction(bound) <= 0, bound
+
+
 def pseudo_unitary_inequality(spectrum, f):
     """Decide sum_i 1/f_i^2 <= (1 + 1/f)/2 exactly.
 
@@ -85,14 +99,12 @@ def pseudo_unitary_inequality(spectrum, f):
     the algebraic number f.  Returns (status, detail).
     """
     lhs = spectrum.inverse_square_sum()
-    t = 2 * lhs - 1  # need t <= 1/f
-    if t <= 0:
-        return "pass", "lhs %s, 2*lhs - 1 = %s <= 0" % (lhs, t)
-    # t > 0: inequality holds iff f <= 1/t
-    c = f.cmp_fraction(1 / t)
-    status = "pass" if c <= 0 else "fail"
+    holds, bound = orbit_inequality(lhs, f)
+    if bound is None:
+        return "pass", "lhs %s, 2*lhs - 1 = %s <= 0" % (lhs, 2 * lhs - 1)
+    status = "pass" if holds else "fail"
     fv = f.approx_float() if hasattr(f, "approx_float") else float(f)
-    return status, "lhs %s, needs f <= %s (f ~ %.6f)" % (lhs, 1 / t, fv)
+    return status, "lhs %s, needs f <= %s (f ~ %.6f)" % (lhs, bound, fv)
 
 
 def spherical_obstruction_report(spectrum):

@@ -11,13 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
-                         _shrink, conjugate_stats, factor_over_integers,
+                         _shrink, factor_over_integers,
                          is_d_number, isolate_real_roots,
-                         largest_integer_divisor, power_char_poly,
-                         ratio_integrality_oracle, squarefree_decomposition)
+                         largest_integer_divisor, poly_squarefree_part,
+                         power_char_poly, ratio_integrality_oracle,
+                         squarefree_decomposition)
 from fgap.errors import DegreeCapError, InvalidInputError
-from fgap.kernels import (sturm_chain, varcount_at, varcount_at_surd,
-                          varcount_inf)
+from fgap.kernels import (normalize, poly_mul, sturm_chain, varcount_at,
+                          varcount_at_surd, varcount_inf)
 
 X = sympy.Symbol("x")
 
@@ -190,6 +191,19 @@ def test_refine_endpoint_root_falls_back_to_sturm_halving():
     _assert_refine_matches_reference(poly, RatInterval(Fraction(1, 2), 1))
 
 
+def test_refine_takes_a_zero_midpoint_as_the_root():
+    # (x - 2)(x^2 - 2) is squarefree but reducible: (3/2, 5/2] isolates the
+    # rational root 2, which is the first bisection midpoint
+    two = AlgebraicNumber(P(1, -2, -2, 4),
+                          RatInterval(Fraction(3, 2), Fraction(5, 2)))
+    iv = two.refine(Fraction(1, 100))
+    assert iv.lo < 2 <= iv.hi and iv.width <= Fraction(1, 100)
+    assert two.cmp_fraction(2) == 0
+    assert two.cmp_fraction(Fraction(199, 100)) == 1
+    assert two.cmp_fraction(Fraction(201, 100)) == -1
+    assert two.approx_float() == 2.0
+
+
 # ---------------------------------------------------------------------------
 # factorization
 
@@ -270,6 +284,27 @@ def test_squarefree_decomposition_known():
         rebuilt[mult] = IntPoly(fac)
     assert rebuilt[1] == P(1, -1)
     assert rebuilt[2] == P(1, -2)
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=1,
+                                   max_size=3), st.integers(1, 3)),
+                min_size=1, max_size=4), st.integers(-4, 4))
+@settings(max_examples=120, deadline=None)
+def test_poly_squarefree_part_matches_sympy(factors, scale):
+    # products of small factors raised to small powers, so the squarefree
+    # part is often a proper divisor
+    c = [scale]
+    for fac, power in factors:
+        for _ in range(power):
+            c = poly_mul(c, fac)
+    c = normalize(c)
+    assume(c)
+    want = sympy.Poly(sum(v * X ** i for i, v in enumerate(c)), X)
+    want = want.sqf_part().primitive()[1]
+    if want.LC() < 0:
+        want = -want
+    assert poly_squarefree_part(c) == [int(v) for v in
+                                       reversed(want.all_coeffs())]
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +767,31 @@ def test_lid_is_one_for_unit_constant_term(a2, a1, neg):
 
 
 # ---------------------------------------------------------------------------
-# conjugate_stats
+# conjugate_stats: an oracle for the smallest and largest root, built from
+# factorization, isolation and exact comparison
+
+def conjugate_stats(p):
+    """(smallest root, largest root, exact mean) of a totally real monic p."""
+    p = p if isinstance(p, IntPoly) else IntPoly(p)
+    if not p.is_monic:
+        raise InvalidInputError("conjugate statistics require a monic "
+                                "polynomial")
+    prof = isolate_real_roots(p)
+    if not prof.totally_real:
+        raise InvalidInputError("polynomial is not totally real")
+    mean = Fraction(-p.coeffs[p.degree - 1], p.degree)
+    lo_an = None
+    hi_an = None
+    for factor, _ in factor_over_integers(p):
+        fprof = isolate_real_roots(factor)
+        first = AlgebraicNumber(factor, fprof.roots[0][0])
+        last = AlgebraicNumber(factor, fprof.roots[-1][0])
+        if lo_an is None or first.cmp(lo_an) < 0:
+            lo_an = first
+        if hi_an is None or last.cmp(hi_an) > 0:
+            hi_an = last
+    return lo_an, hi_an, mean
+
 
 def test_conjugate_stats_pinned():
     lo, hi, mean = conjugate_stats(P(1, -5, 5))

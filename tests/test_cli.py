@@ -2,6 +2,7 @@
 needs to count calls inside the program."""
 
 import io
+import itertools
 import json
 import re
 import subprocess
@@ -189,6 +190,24 @@ def test_search_exploratory_marker_in_text():
     rc, out, _ = run_cli("search", "quadratic", "--drop-filter", "window")
     assert rc == 0
     assert "exploratory" in out
+
+
+def test_every_drop_filter_combination_exits_0(capsys):
+    # each nonempty set of droppable filters, 63 quadratic and 127 cubic,
+    # runs to an exploratory result: exit 0, no error line, no exception
+    runs = 0
+    for mode, degree in (("quadratic", 2), ("cubic", 3)):
+        names = fgap.cli._FILTERS[degree]
+        for size in range(1, len(names) + 1):
+            for combo in itertools.combinations(names, size):
+                argv = ["search", mode, "--amax", "8"]
+                for name in combo:
+                    argv += ["--drop-filter", name]
+                assert fgap.cli.main(argv) == 0, combo
+                out, err = capsys.readouterr()
+                assert err == "" and "exploratory" in out, combo
+                runs += 1
+    assert runs == 190
 
 
 def test_search_cubic_audit_histogram(run_cli_once):

@@ -10,19 +10,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fgap import gapsearch
-from fgap.algnum import AlgebraicNumber, IntPoly, Surd, isolate_real_roots
+from fgap import gapsearch, kernels
+from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
+                         factor_over_integers, inverse_square_sum,
+                         isolate_real_roots, poly_div_exact, poly_gcd_int)
 from fgap.errors import InvalidInputError
-from fgap.obstruct import FOUR_THIRDS
+from fgap.obstruct import FOUR_THIRDS, orbit_inequality
 from fgap.gapsearch import (
     EXPLORATORY_MARK,
     QUAD_DEFAULT_HI,
     QUAD_DEFAULT_LO,
-    K_of,
+    SQRT2,
     SearchConfig,
     mainineq_enclosure_pair,
-    mainineq_exact_quadratic,
-    orbit_inequality_exact,
     search_cubic,
     search_gap,
     search_quadratic,
@@ -50,7 +50,49 @@ def cubic_default_audit():
 
 
 # ---------------------------------------------------------------------------
-# K(d) = (1/4 - sqrt(9/16 - 1/d^2))^(-1)
+# K(d) = (1/4 - sqrt(9/16 - 1/d^2))^(-1), the bound on the larger root of a
+# quadratic survivor: the k = 2 oracle for a root region of the gap walk
+
+def K_of(d, digits=40):
+    """Outward-rounded enclosure of K(d) = 1/(1/4 - sqrt(9/16 - 1/d^2)).
+
+    Accepts a Surd, Fraction-like, or RatInterval; requires certified
+    4/3 < d < sqrt(2).
+    """
+    if isinstance(d, RatInterval):
+        lo, hi = d.lo, d.hi
+        if not (lo > FOUR_THIRDS and hi * hi < 2):
+            raise InvalidInputError("K(d) needs 4/3 < d < sqrt(2)")
+    else:
+        s = gapsearch._as_surd(d)
+        if not (s.cmp_fraction(FOUR_THIRDS) > 0 and s.cmp(SQRT2) < 0):
+            raise InvalidInputError("K(d) needs 4/3 < d < sqrt(2)")
+        iv = s.approx(Fraction(1, 10 ** digits))
+        lo, hi = iv.lo, iv.hi
+
+    def k_at(v, round_up):
+        t = Fraction(9, 16) - 1 / (v * v)
+        if t < 0:
+            raise InvalidInputError("K(d) domain violated")
+        s_lo, s_hi = _sqrt_bounds(t, digits)
+        den = Fraction(1, 4) - (s_hi if round_up else s_lo)
+        if den <= 0:
+            raise InvalidInputError("K(d) domain violated (d too close to "
+                                    "sqrt(2) at this precision)")
+        return 1 / den
+
+    return RatInterval(k_at(lo, False), k_at(hi, True))
+
+
+def _sqrt_bounds(f, digits):
+    """[lo, hi] rationals with lo <= sqrt(f) <= hi, width 10**-digits."""
+    f = Fraction(f)
+    if f < 0:
+        raise InvalidInputError("negative radicand")
+    scale = 10 ** digits
+    r = math.isqrt(f.numerator * scale * scale // f.denominator)
+    return Fraction(r, scale), Fraction(r + 2, scale)
+
 
 def test_K_pinned_endpoint():
     # K(4 sqrt 3 / 5) = 12 + 4 sqrt 6, just under 22
@@ -89,6 +131,20 @@ def test_K_domain_errors():
 # ---------------------------------------------------------------------------
 # the pair inequality, decided two independent ways
 
+def mainineq_exact_quadratic(a, b):
+    """Closed-form pair inequality for x^2 - ax + b.
+
+    Clearing denominators in  1/d1^2 + 1/d2^2 <= 1/2 + 1/(2 d2)  gives
+    b*d1 >= 2a^2 - 4b - b^2, decided exactly on the smaller root.
+    """
+    disc = a * a - 4 * b
+    if disc <= 0:
+        raise InvalidInputError("needs two distinct real roots")
+    d1 = Surd(Fraction(a, 2), Fraction(-1, 2), disc)
+    rhs = Fraction(2 * a * a - 4 * b - b * b, b)
+    return d1.cmp_fraction(rhs) >= 0
+
+
 def test_mainineq_encodings_agree_on_grid():
     checked = 0
     for a in range(1, 24):
@@ -109,6 +165,30 @@ def test_mainineq_encodings_agree_on_grid():
     assert checked >= 50
 
 
+def test_quadratic_mainineq_filter_matches_closed_form():
+    # the search decides the pair inequality as the orbit inequality at the
+    # larger root; with every earlier filter dropped it must agree with the
+    # closed form, fail without real roots and decide a double root
+    cfg = SearchConfig(2, drop=("integer-prefilter", "irreducible",
+                                "totally-positive", "root-window"))
+    checked = 0
+    for a in range(3, 24):
+        for b in range(1, a * a + 1):
+            status = dict(gapsearch._quad_candidate(cfg, a, b).trace)
+            disc = a * a - 4 * b
+            if disc < 0:
+                assert status["mainineq"] == "fail", (a, b)
+            elif disc == 0:
+                d = Fraction(a, 2)
+                holds = 2 / (d * d) <= Fraction(1, 2) + 1 / (2 * d)
+                assert status["mainineq"] == ("pass" if holds else "fail")
+            else:
+                want = mainineq_exact_quadratic(a, b)
+                assert status["mainineq"] == ("pass" if want else "fail")
+                checked += 1
+    assert checked >= 1000
+
+
 def test_mainineq_rejects_repeated_roots():
     with pytest.raises(InvalidInputError):
         mainineq_exact_quadratic(4, 4)
@@ -123,7 +203,7 @@ def test_orbit_inequality_matches_quadratic_form():
         p = IntPoly([b, -a, 1])
         prof = isolate_real_roots(p)
         top = AlgebraicNumber(p, prof.roots[-1][0])
-        assert orbit_inequality_exact(p, top) == \
+        assert orbit_inequality(inverse_square_sum(p.coeffs), top)[0] == \
             mainineq_exact_quadratic(a, b)
 
 
@@ -522,6 +602,85 @@ F = Fraction
 @example(case=([1, 0, -55, -21], 4, F(3), 13, (F(5, 2), F(5, 2)), False))
 def test_coeff_range_matches_reference_off_walk(case):
     assert _coeff_range(*case) == reference_coeff_range(*case)
+
+
+# ---------------------------------------------------------------------------
+# the box test and the leaf's irreducibility test against references
+
+def totally_real_in_box_reference(asc, lo_n, lo_d, q_hi):
+    """The degree >= 3 box test with its own squarefree part: gcd with the
+    derivative, then exact division (the form before poly_squarefree_part)."""
+    deriv = [i * asc[i] for i in range(1, len(asc))]
+    g = poly_gcd_int(list(asc), deriv)
+    sqf = poly_div_exact(list(asc), g) if len(g) > 1 else list(asc)
+    chain = kernels.sturm_chain(sqf)
+    total = (kernels.varcount_inf(chain, False)
+             - kernels.varcount_inf(chain, True))
+    if total < len(sqf) - 1:
+        return False
+    inbox = (kernels.varcount_at(chain, lo_n, lo_d)
+             - kernels.varcount_at(chain, q_hi, 1))
+    return inbox == total
+
+
+@st.composite
+def box_cases(draw):
+    deg = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        # a product of linear factors: totally real, repeated roots likely
+        asc = [draw(st.sampled_from([-2, -1, 1, 3]))]
+        for _ in range(deg):
+            root = draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 7, 9, 12]))
+            den = draw(st.integers(1, 3))
+            asc = kernels.poly_mul(asc, [-root, den])
+    else:
+        asc = draw(st.lists(st.integers(-40, 40), min_size=deg + 1,
+                            max_size=deg + 1).filter(lambda c: c[-1]))
+    lo_d = draw(st.integers(1, 6))
+    lo_n = draw(st.integers(-2 * lo_d, 4 * lo_d))
+    q_hi = draw(st.integers(lo_n // lo_d, 15))
+    return asc, lo_n, lo_d, q_hi
+
+
+@given(box_cases())
+@settings(max_examples=300, deadline=None)
+@example(case=([-30, 31, -10, 1], 4, 3, 10))        # (x-2)(x-3)(x-5): in
+@example(case=([-12, 16, -7, 1], 4, 3, 10))         # (x-2)^2 (x-3): in
+@example(case=([-12, 16, -7, 1], 4, 3, 2))          # root 3 above the box
+@example(case=([8, -12, 6, -1], 2, 1, 9))           # -(x-2)^3, root on lo
+@example(case=([1, 0, 1, 0, 1], 1, 1, 5))           # no real root
+def test_box_test_degree_3_plus_matches_reference(case):
+    assert gapsearch._totally_real_in_box(*case) == \
+        totally_real_in_box_reference(*case)
+
+
+@st.composite
+def monic_polys(draw):
+    deg = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # reducible more often than not: a product of two monic factors
+        split = draw(st.integers(1, max(1, deg - 1)))
+        parts = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+                 + [1] for n in (split, deg - split) if n]
+        asc = [1]
+        for part in parts:
+            asc = kernels.poly_mul(asc, part)
+    else:
+        asc = draw(st.lists(st.integers(-20, 20), min_size=deg,
+                            max_size=deg)) + [1]
+    return IntPoly(asc)
+
+
+@given(monic_polys())
+@settings(max_examples=300, deadline=None)
+@example(poly=IntPoly([0, 0, 0, 1]))        # x^3
+@example(poly=IntPoly([-2, 0, 0, 1]))       # x^3 - 2
+@example(poly=IntPoly([4, 0, -5, 0, 1]))    # (x^2 - 1)(x^2 - 4)
+@example(poly=IntPoly([1, 0, 0, 0, 1]))     # x^4 + 1
+def test_irreducible_fast_matches_factorization(poly):
+    factors = factor_over_integers(poly)
+    want = len(factors) == 1 and factors[0][1] == 1
+    assert gapsearch._irreducible_fast(poly) == want, poly
 
 
 # ---------------------------------------------------------------------------

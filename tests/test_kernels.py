@@ -208,3 +208,42 @@ def test_sturm_total_count_property(c):
     total = (kernels.varcount_inf(chain, False)
              - kernels.varcount_inf(chain, True))
     assert total == len(set(sympy.real_roots(to_sympy(c))))
+
+
+def from_sympy(expr):
+    """Ascending rational coefficients of a sympy expression in X."""
+    desc = sympy.Poly(expr, X).all_coeffs()
+    return kernels.normalize([Fraction(int(v.p), int(v.q))
+                              for v in reversed(desc)])
+
+
+@given(coeff_lists)
+@settings(max_examples=80, deadline=None)
+def test_derivative_matches_sympy(c):
+    c = kernels.normalize(c)
+    assert kernels.derivative(c) == from_sympy(sympy.diff(to_sympy(c), X))
+
+
+@given(coeff_lists, coeff_lists)
+@settings(max_examples=80, deadline=None)
+def test_poly_add_and_sub_match_sympy(a, b):
+    pa, pb = to_sympy(a), to_sympy(b)
+    assert kernels.poly_add(a, b) == from_sympy(pa + pb)
+    assert kernels.poly_sub(a, b) == from_sympy(pa - pb)
+    assert kernels.poly_sub(a, a) == []
+
+
+@given(coeff_lists, coeff_lists, st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_div_exact_matches_sympy_div(a, b, multiple):
+    b = kernels.normalize(b)
+    if not b:
+        return
+    a = kernels.normalize(kernels.poly_mul(a, b) if multiple else a)
+    quo, rem = sympy.div(to_sympy(a), to_sympy(b), X, domain="QQ")
+    want = from_sympy(quo)
+    exact = rem == 0 and all(v.denominator == 1 for v in want)
+    got = kernels.div_exact(a, b)
+    assert got == (want if exact else None), (a, b)
+    if multiple:
+        assert got is not None

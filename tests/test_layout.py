@@ -1,0 +1,73 @@
+"""Layout rules for the package source, read with the standard library's ast.
+
+Nothing unreachable: every public module-level function or class in
+src/fgap is referenced somewhere in src/fgap outside its own definition
+(an API only the tests reach belongs in the tests, as an oracle).  And no
+module imports a name it never uses, so a fold that moves code leaves no
+import behind.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fgap"
+
+
+def _parse_package():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"),
+                                 str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _loaded_names(node):
+    """Identifiers a subtree reads: bare names and attribute names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def _dunder_all(tree):
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in stmt.targets):
+            return set(ast.literal_eval(stmt.value))
+    return set()
+
+
+def test_every_public_definition_is_referenced_in_the_package():
+    trees = _parse_package()
+    # names read by each top-level statement, keyed by (module, index)
+    reads = {(mod, i): _loaded_names(stmt)
+             for mod, tree in trees.items()
+             for i, stmt in enumerate(tree.body)}
+    unreferenced = []
+    for mod, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name.startswith("_"):
+                continue
+            if not any(stmt.name in names for key, names in reads.items()
+                       if key != (mod, i)):
+                unreferenced.append("%s:%s" % (mod, stmt.name))
+    assert unreferenced == []
+
+
+def test_no_module_has_an_unused_import():
+    unused = []
+    for mod, tree in _parse_package().items():
+        used = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name)} | _dunder_all(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append("%s:%s" % (mod, bound))
+    assert unused == []
