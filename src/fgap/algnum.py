@@ -27,7 +27,7 @@ from math import gcd, isqrt, lcm
 
 from . import kernels
 from ._intfactor import factorize, square_free_part
-from .errors import AmbiguityError, DegreeCapError, InvalidInputError
+from .errors import DegreeCapError, InvalidInputError
 
 # enclosure refinement gives up (raises AmbiguityError) below this width
 WIDTH_CAP = Fraction(1, 10 ** 40)
@@ -781,17 +781,24 @@ class AlgebraicNumber:
             mine = self._root_index()
             theirs = other._root_index()
             return (mine > theirs) - (mine < theirs)
+        if other.degree == 1:
+            return self.cmp_fraction(other._isol.lo)
+        if self.degree == 1:
+            return -other.cmp_fraction(self._isol.lo)
         a, b = self._isol, other._isol
+        # a root of gcd(p, q) in the overlap of (lo, hi] is the one root of
+        # p in a and the one root of q in b, so the two values are equal;
+        # otherwise they differ and shrinking separates the intervals
+        lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+        if lo < hi:
+            g = poly_gcd_int(self.minpoly.coeffs, other.minpoly.coeffs)
+            if len(g) > 1 and _count_in(kernels.sturm_chain(g), lo, hi):
+                return 0
         while not (a.hi < b.lo or b.hi < a.lo):
-            if self.degree > 1:
-                a = _shrink(self._chain, a)
-                self._isol = a
-            if other.degree > 1:
-                b = _shrink(other._chain, b)
-                other._isol = b
-            if self.degree == 1 and other.degree == 1:
-                va, vb = a.lo, b.lo
-                return (va > vb) - (va < vb)
+            a = _shrink(self._chain, a)
+            self._isol = a
+            b = _shrink(other._chain, b)
+            other._isol = b
         return -1 if a.hi < b.lo else 1
 
     def _root_index(self):
@@ -799,7 +806,12 @@ class AlgebraicNumber:
         return _count_in(self._chain, -bound, self._isol.hi)
 
     def floor(self):
-        """Certified floor; AmbiguityError if not decidable at the cap."""
+        """Exact floor.
+
+        The interval is shrunk until it meets at most one integer; that
+        candidate is then decided by cmp_fraction, which also meets an
+        integer root exactly.
+        """
         if self.degree == 1:
             v = self._isol.lo
             return v.numerator // v.denominator
@@ -809,10 +821,8 @@ class AlgebraicNumber:
             fhi = iv.hi.numerator // iv.hi.denominator
             if flo == fhi:
                 return flo
-            if iv.width < WIDTH_CAP:
-                raise AmbiguityError(
-                    "floor not certifiable at width %s: candidates %d and %d"
-                    % (WIDTH_CAP, flo, fhi))
+            if fhi == flo + 1:
+                return fhi if self.cmp_fraction(fhi) >= 0 else flo
             iv = _shrink(self._chain, iv)
             self._isol = iv
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 invalid input, 2 uncertified precision,
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -25,7 +26,8 @@ from .fusionring import (builtin_ring, emit_ring_file, formal_codegrees,
                          rep_g_codegrees)
 from .gapsearch import (QUAD_DEFAULT_HI, SearchConfig, search_cubic,
                         search_gap, search_quadratic)
-from .obstruct import ffib_fpdim_bound, spherical_obstruction_report
+from .obstruct import (ffib_fpdim_bound, orbit_inequality,
+                       spherical_obstruction_report)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -395,9 +397,9 @@ def _cmd_repg(args):
     rep = rep_g_codegrees(sizes)
     inv_sum = sum(1 / v for v in rep.values)
     inv_sq_sum = sum(1 / v ** 2 for v in rep.values)
-    # pseudo-unitary test at f = |G| (the largest codegree): exact rationals
+    # pseudo-unitary test at f = |G|, the largest codegree
     rhs = Fraction(1, 2) + Fraction(1, 2 * rep.group_order)
-    pseudo_ok = inv_sq_sum <= rhs
+    pseudo_ok = orbit_inequality(inv_sq_sum, Surd(rep.group_order))[0]
     config = {"class_sizes": sizes}
     lines = _header(["repg"], config)
     lines.append("group order: %d" % rep.group_order)
@@ -448,7 +450,13 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on the first call and then reused.
+
+    parse_args starts each call from a fresh Namespace, so defaults and
+    `append` lists do not carry over from one call to the next.
+    """
     parser = _Parser(prog="fgap",
                      description="Exact codegree computations for based "
                                  "rings, obstruction batteries, and "

@@ -60,7 +60,16 @@ class FusionRing:
         return [list(row) for row in self.N[i]]
 
     def validate(self):
-        """All axiom violations, each with witnessing indices; [] if valid."""
+        """All axiom violations, each with witnessing indices; [] if valid.
+
+        Associativity compares, for each (i, j, k), the rows
+        sum_m N[i][j][m] N[m][k] and sum_m N[j][k][m] N[i][m], built from
+        the nonzero supports of the rows N[a][b] (negative entries
+        included), and walks l only where they differ, so the messages
+        keep the (i, j, k, l) order.  The cost is O(r^3 s^2 + r^4) for
+        rows with at most s nonzero entries: O(r^4) on a group ring, where
+        a dense check is O(r^5).
+        """
         r = self.rank
         n = self.N
         dual = self.dual
@@ -103,16 +112,28 @@ class FusionRing:
                             "N[%d][%d][%d] = %d"
                             % (dual[i], k, j, n[dual[i]][k][j],
                                i, j, k, n[i][j][k]))
+        # (b_i b_j) b_k = b_i (b_j b_k), coefficient of b_l on each side
+        supp = [[[(m, c) for m, c in enumerate(row) if c] for row in mat]
+                for mat in n]
         for i in range(r):
             for j in range(r):
+                sij = supp[i][j]
                 for k in range(r):
-                    for l in range(r):
-                        lhs = sum(n[i][j][m] * n[m][k][l] for m in range(r))
-                        rhs = sum(n[j][k][m] * n[i][m][l] for m in range(r))
-                        if lhs != rhs:
-                            out.append(
-                                "associativity: (i,j,k,l)=(%d,%d,%d,%d) "
-                                "lhs %d != rhs %d" % (i, j, k, l, lhs, rhs))
+                    lhs = [0] * r
+                    for m, c in sij:
+                        for l, x in supp[m][k]:
+                            lhs[l] += c * x
+                    rhs = [0] * r
+                    for m, c in supp[j][k]:
+                        for l, x in supp[i][m]:
+                            rhs[l] += c * x
+                    if lhs != rhs:
+                        for l in range(r):
+                            if lhs[l] != rhs[l]:
+                                out.append(
+                                    "associativity: (i,j,k,l)=(%d,%d,%d,%d) "
+                                    "lhs %d != rhs %d"
+                                    % (i, j, k, l, lhs[l], rhs[l]))
         return out
 
     @property
@@ -165,17 +186,22 @@ def builtin_ring(name, n):
 
 
 def codegree_matrix(ring):
-    """Z = sum_i N_i N_i^T, exact integer symmetric matrix."""
+    """Z = sum_i N_i N_i^T, exact integer symmetric matrix.
+
+    Column m of N_i contributes the outer product of its nonzero entries
+    (j, N[i][j][m]) with themselves, so the cost is O(r^3 + r^2 s^2) for
+    columns with at most s nonzero entries: O(r^3) on a group ring, where
+    the dense sum is O(r^4).
+    """
     r = ring.rank
     z = [[0] * r for _ in range(r)]
-    for i in range(r):
-        ni = ring.N[i]
-        for j in range(r):
-            for k in range(r):
-                acc = 0
-                for m in range(r):
-                    acc += ni[j][m] * ni[k][m]
-                z[j][k] += acc
+    for ni in ring.N:
+        for col in zip(*ni):
+            nz = [(j, a) for j, a in enumerate(col) if a]
+            for j, a in nz:
+                zj = z[j]
+                for k, b in nz:
+                    zj[k] += a * b
     return z
 
 

@@ -215,6 +215,6 @@ def ffib_fpdim_bound(d):
     if not prof.totally_real or not prof.totally_positive:
         raise InvalidInputError("bound requires a totally positive input")
     f = AlgebraicNumber(d.minpoly, prof.roots[-1][0])
-    m = f.floor()  # certified; AmbiguityError if undecidable at the cap
+    m = f.floor()
     pcp = power_char_poly(d, m)
     return largest_integer_divisor(pcp), m, pcp

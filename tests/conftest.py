@@ -54,6 +54,10 @@ def group_ring(mult_table, inverse):
 
 @pytest.fixture
 def s3_ring():
+    return symmetric3_ring()
+
+
+def symmetric3_ring():
     """Group ring of the symmetric group on 3 letters (noncommutative)."""
     # elements: e, r, r2, s, sr, sr2 with r^3 = s^2 = e, s r s = r^2
     perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1),

@@ -2,6 +2,8 @@
 roots, d-numbers, power polynomials, divisor bounds."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -587,6 +589,57 @@ def test_algnum_floor():
     assert lo.floor() == 1
     assert hi.floor() == 3
     assert AlgebraicNumber(P(1, -2), None).floor() == 2
+
+
+# (x - 2)(x^2 - 2) on (3/2, 5/2]: a reducible squarefree minpoly whose
+# designated root is the rational 2
+SHARED = P(1, -2, -2, 4)
+
+
+def test_algnum_floor_at_an_integer_root():
+    assert AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2),
+                                               Fraction(5, 2))).floor() == 2
+    assert AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2), 2)).floor() == 2
+    # sqrt 2 with the candidate 1 inside (1/2, 3/2]
+    assert AlgebraicNumber(SHARED, RatInterval(Fraction(1, 2),
+                                               Fraction(3, 2))).floor() == 1
+    # (x - 3)(x^3 - 3) on (2, 13]: shrinking leaves the one candidate 3
+    assert AlgebraicNumber(P(1, -3, 0, -3, 9),
+                           RatInterval(2, 13)).floor() == 3
+
+
+SHARED_ROOT_CMP = """
+from fractions import Fraction as F
+from fgap.algnum import AlgebraicNumber, IntPoly, RatInterval
+
+def num(desc, lo, hi):
+    return AlgebraicNumber(IntPoly(list(reversed(desc))), RatInterval(lo, hi))
+
+two = num((1, -2, -2, 4), F(3, 2), F(5, 2))      # 2, (x - 2)(x^2 - 2)
+two_b = num((1, 1, -6), F(3, 2), F(5, 2))        # 2, (x - 2)(x + 3)
+sqrt2 = num((1, -2, -2, 4), 1, F(3, 2))          # sqrt 2, (x - 2)(x^2 - 2)
+sqrt2_b = num((1, 0, -2), 1, 2)                  # sqrt 2, x^2 - 2
+cases = [
+    (two, two_b, 0), (two_b, two, 0),
+    (sqrt2, sqrt2_b, 0), (sqrt2_b, sqrt2, 0),
+    (two_b, sqrt2_b, 1), (sqrt2_b, two_b, -1),
+    (two, AlgebraicNumber(IntPoly([-2, 1]), None), 0),
+    (AlgebraicNumber(IntPoly([-2, 1]), None), two_b, 0),
+    (num((1, 0, -3), 1, 2), two_b, -1),          # sqrt 3 < 2
+    (AlgebraicNumber(IntPoly([-1, 1]), None), sqrt2, -1),
+    (sqrt2_b, AlgebraicNumber(IntPoly([-1, 1]), None), 1),
+]
+print([a.cmp(b) == want for a, b, want in cases])
+"""
+
+
+def test_algnum_cmp_at_a_shared_root():
+    # two different minpolys designating one value used to shrink forever,
+    # so the comparisons run in a subprocess under a timeout
+    proc = subprocess.run([sys.executable, "-c", SHARED_ROOT_CMP],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[%s]\n" % ", ".join(["True"] * 11)
 
 
 def bisect_cmp_surd(poly, iv, s):

@@ -1,17 +1,23 @@
 """End-to-end command-line checks, through a real subprocess unless a test
 needs to count calls inside the program."""
 
+import contextlib
+import hashlib
 import io
 import itertools
 import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fgap.cli
 from conftest import run_cli
+from test_golden import GOLDEN
 from fgap.fusionring import FusionRing, builtin_ring, emit_ring_file
 
 FIB = ("rank 2\n"
@@ -126,6 +132,82 @@ def test_analyze_computes_one_spectrum(monkeypatch, capsys):
     assert "rank: 4\ncommutative: yes\n" in out
     assert "verdict: no obstruction" in out
     assert calls == {"formal_codegrees": 1, "is_commutative": 1}
+
+
+# rank 3: Z_3 with N[1][1][2] = N[2][2][1] = 2, four associativity failures
+BROKEN_Z3 = (
+    "rank 3\n"
+    "dual 0 2 1\n"
+    "N 0 0 : 1 0 0\n"
+    "N 0 1 : 0 1 0\n"
+    "N 0 2 : 0 0 1\n"
+    "N 1 0 : 0 1 0\n"
+    "N 1 1 : 0 0 2\n"
+    "N 1 2 : 1 0 0\n"
+    "N 2 0 : 0 0 1\n"
+    "N 2 1 : 1 0 0\n"
+    "N 2 2 : 0 2 0\n")
+
+# rank 4: Z_3 + 1 with X^2 = 1 + g + g^2 - X and two stray entries; 32
+# violations, of which analyze prints the first 20
+BROKEN_NEARGROUP = (
+    "rank 4\n"
+    "dual 0 2 1 3\n"
+    "N 0 0 : 1 0 0 0\n"
+    "N 0 1 : 0 1 0 0\n"
+    "N 0 2 : 0 0 1 0\n"
+    "N 0 3 : 0 0 0 1\n"
+    "N 1 0 : 0 1 0 0\n"
+    "N 1 1 : 0 0 1 0\n"
+    "N 1 2 : 1 0 0 1\n"
+    "N 1 3 : 0 0 0 1\n"
+    "N 2 0 : 0 0 1 0\n"
+    "N 2 1 : 1 0 0 0\n"
+    "N 2 2 : 0 1 0 2\n"
+    "N 2 3 : 0 0 0 1\n"
+    "N 3 0 : 0 0 0 1\n"
+    "N 3 1 : 0 0 0 1\n"
+    "N 3 2 : 0 0 0 1\n"
+    "N 3 3 : 1 1 1 -1\n")
+
+# stderr of `fgap analyze -` on each ring, captured before validate read
+# sparse supports
+BROKEN_STDERR = {
+    "Z3": ("error: ring axioms violated:\n"
+           "  associativity: (i,j,k,l)=(1,1,2,1) lhs 4 != rhs 1\n"
+           "  associativity: (i,j,k,l)=(1,2,2,2) lhs 1 != rhs 4\n"
+           "  associativity: (i,j,k,l)=(2,1,1,1) lhs 1 != rhs 4\n"
+           "  associativity: (i,j,k,l)=(2,2,1,2) lhs 4 != rhs 1\n"),
+    "neargroup": ("error: ring axioms violated:\n"
+                  "  negative multiplicity: N[3][3][3] = -1\n"
+                  "  transpose law: N[2][3][2] = 0 but N[1][2][3] = 1\n"
+                  "  transpose law: N[2][2][3] = 2 but N[1][3][2] = 0\n"
+                  "  transpose law: N[1][3][2] = 0 but N[2][2][3] = 2\n"
+                  "  transpose law: N[1][2][3] = 1 but N[2][3][2] = 0\n"
+                  "  associativity: (i,j,k,l)=(1,1,1,3) lhs 0 != rhs 1\n"
+                  "  associativity: (i,j,k,l)=(1,1,2,3) lhs 2 != rhs 1\n"
+                  "  associativity: (i,j,k,l)=(1,2,1,3) lhs 1 != rhs 0\n"
+                  "  associativity: (i,j,k,l)=(1,2,2,3) lhs 1 != rhs 2\n"
+                  "  associativity: (i,j,k,l)=(1,2,3,0) lhs 1 != rhs 0\n"
+                  "  associativity: (i,j,k,l)=(1,2,3,1) lhs 1 != rhs 0\n"
+                  "  associativity: (i,j,k,l)=(1,2,3,2) lhs 1 != rhs 0\n"
+                  "  associativity: (i,j,k,l)=(1,2,3,3) lhs 0 != rhs 1\n"
+                  "  associativity: (i,j,k,l)=(1,3,3,3) lhs -1 != rhs 0\n"
+                  "  associativity: (i,j,k,l)=(2,1,1,3) lhs 0 != rhs 2\n"
+                  "  associativity: (i,j,k,l)=(2,1,2,3) lhs 0 != rhs 1\n"
+                  "  associativity: (i,j,k,l)=(2,2,1,3) lhs 2 != rhs 0\n"
+                  "  associativity: (i,j,k,l)=(2,2,2,3) lhs 3 != rhs 2\n"
+                  "  associativity: (i,j,k,l)=(2,2,3,0) lhs 2 != rhs 0\n"
+                  "  associativity: (i,j,k,l)=(2,2,3,1) lhs 2 != rhs 0\n"),
+}
+
+
+@pytest.mark.parametrize("name,ring", [("Z3", BROKEN_Z3),
+                                       ("neargroup", BROKEN_NEARGROUP)])
+def test_analyze_broken_ring_stderr_pinned(name, ring):
+    rc, out, err = run_cli("analyze", "-", stdin_text=ring)
+    assert (rc, out) == (1, "")
+    assert err == BROKEN_STDERR[name]
 
 
 def test_analyze_uncertifiable_tolerance_is_ambiguous(fib_file):
@@ -296,6 +378,32 @@ def test_repg_dihedral():
     assert "pseudo-unitary at f = 10: pass (17/50 vs 11/20)" in out
 
 
+REPG_LINE = re.compile(r"pseudo-unitary at f = (\d+): (pass|fail) "
+                       r"\((\S+) vs (\S+)\)\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), max_size=6))
+@example([])   # the trivial group: lhs == rhs == 1
+@example([1])  # Z_2: lhs 1/2, 2*lhs - 1 == 0
+@example([1, 1, 1, 1, 1, 1])  # Z_7: lhs 1/7 far below 1/2
+def test_repg_pseudo_unitary_matches_rational_test(rest):
+    """The orbit-inequality decision at f = |G| equals the direct rational
+    comparison inv_sq_sum <= 1/2 + 1/(2|G|), and the printed text keeps
+    both sides."""
+    sizes = [1] + rest
+    order = sum(sizes)
+    lhs = sum(Fraction(s, order) ** 2 for s in sizes)
+    rhs = Fraction(1, 2) + Fraction(1, 2 * order)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = fgap.cli.main(["repg", "--classes", ",".join(map(str, sizes))])
+    assert rc == 0
+    m = REPG_LINE.search(buf.getvalue())
+    assert m.groups() == (str(order), "pass" if lhs <= rhs else "fail",
+                          fgap.cli._frac_text(lhs), fgap.cli._frac_text(rhs))
+
+
 def test_repg_requires_identity_class():
     rc, _, err = run_cli("repg", "--classes", "2,2,5")
     assert rc == 1
@@ -338,6 +446,30 @@ def test_help_exits_zero():
     rc, out, _ = run_cli("-h")
     assert rc == 0
     assert "analyze" in out and "search" in out
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    """Calls in one process share one parser, and no `append` list or
+    default carries over from one call to the next."""
+    fgap.cli._build_parser.cache_clear()
+
+    def stdout_of(*argv):
+        rc = fgap.cli.main(list(argv))
+        out = capsys.readouterr().out
+        return rc, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+    quad = ("search", "quadratic", "--drop-filter", "mainineq",
+            "--window", "1.35,1.39")
+    assert stdout_of(*quad) == GOLDEN[" ".join(quad)]
+    assert stdout_of("search", "quadratic") == GOLDEN["search quadratic"]
+    assert fgap.cli.main(["search", "quadratic", "--amax"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        emit_ring_file(builtin_ring("kn", 2))))
+    assert stdout_of("analyze", "-") == GOLDEN["analyze -"]
+    info = fgap.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import group_ring
+from conftest import group_ring, symmetric3_ring
 from fgap.errors import InvalidInputError, UnsupportedRingError
 from fgap.fusionring import (
     FusionRing,
@@ -79,6 +81,100 @@ def test_validate_associativity():
     assert all("associativity" in m for m in msgs)
 
 
+def validate_reference(ring):
+    """Reference: FusionRing.validate as it ran before its associativity
+    check read sparse supports, with both O(r) sums of every (i, j, k, l)
+    recomputed densely, O(r^5)."""
+    r = ring.rank
+    n = ring.N
+    dual = ring.dual
+    out = []
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                if n[i][j][k] < 0:
+                    out.append("negative multiplicity: N[%d][%d][%d] = %d"
+                               % (i, j, k, n[i][j][k]))
+    for j in range(r):
+        for k in range(r):
+            want = 1 if j == k else 0
+            if n[0][j][k] != want:
+                out.append("unit: N[0][%d][%d] = %d, expected %d"
+                           % (j, k, n[0][j][k], want))
+    for i in range(r):
+        for k in range(r):
+            want = 1 if i == k else 0
+            if n[i][0][k] != want:
+                out.append("unit: N[%d][0][%d] = %d, expected %d"
+                           % (i, k, n[i][0][k], want))
+    if dual[0] != 0:
+        out.append("duality: dual(0) = %d, expected 0" % dual[0])
+    for i in range(r):
+        if dual[dual[i]] != i:
+            out.append("duality: dual(dual(%d)) = %d, expected %d"
+                       % (i, dual[dual[i]], i))
+        for j in range(r):
+            want = 1 if j == dual[i] else 0
+            if n[i][j][0] != want:
+                out.append("duality: N[%d][%d][0] = %d, expected %d"
+                           % (i, j, n[i][j][0], want))
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                if n[dual[i]][k][j] != n[i][j][k]:
+                    out.append(
+                        "transpose law: N[%d][%d][%d] = %d but "
+                        "N[%d][%d][%d] = %d"
+                        % (dual[i], k, j, n[dual[i]][k][j],
+                           i, j, k, n[i][j][k]))
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                for l in range(r):
+                    lhs = sum(n[i][j][m] * n[m][k][l] for m in range(r))
+                    rhs = sum(n[j][k][m] * n[i][m][l] for m in range(r))
+                    if lhs != rhs:
+                        out.append(
+                            "associativity: (i,j,k,l)=(%d,%d,%d,%d) "
+                            "lhs %d != rhs %d" % (i, j, k, l, lhs, rhs))
+    return out
+
+
+def codegree_matrix_reference(ring):
+    """Reference: Z = sum_i N_i N_i^T by the dense O(r^4) loop."""
+    r = ring.rank
+    z = [[0] * r for _ in range(r)]
+    for i in range(r):
+        ni = ring.N[i]
+        for j in range(r):
+            for k in range(r):
+                z[j][k] += sum(ni[j][m] * ni[k][m] for m in range(r))
+    return z
+
+
+def near_group_ring(n, k):
+    """Z_n + k: g X = X g = X, X^2 = sum of the group elements plus k X."""
+    r = n + 1
+    t = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for a in range(n):
+        for b in range(n):
+            t[a][b][(a + b) % n] = 1
+        t[a][n][n] = t[n][a][n] = 1
+        t[n][n][a] = 1
+    t[n][n][n] = k
+    return FusionRing(r, [(-a) % n for a in range(n)] + [n], t)
+
+
+def tensor_product_ring(x, y):
+    """Product ring with basis pairs (a, b) at index a * rank(y) + b."""
+    ry = y.rank
+    r = x.rank * ry
+    t = [[[x.N[i // ry][j // ry][k // ry] * y.N[i % ry][j % ry][k % ry]
+           for k in range(r)] for j in range(r)] for i in range(r)]
+    dual = [x.dual[i // ry] * ry + y.dual[i % ry] for i in range(r)]
+    return FusionRing(r, dual, t)
+
+
 def test_is_commutative(fibonacci, s3_ring):
     assert fibonacci.is_commutative
     assert not s3_ring.is_commutative
@@ -118,6 +214,36 @@ def test_is_commutative_matches_matrix_commutators(s3_ring):
         assert ring.validate() == []
         assert ring.is_commutative == commutes_by_matrices(ring), ring
     assert [r.is_commutative for r in rings[-2:]] == [False, False]
+
+
+ORACLE_RINGS = (
+    [builtin_ring("kn", n) for n in range(4)]
+    + [builtin_ring("cyclic", n) for n in range(1, 7)]
+    + [near_group_ring(n, k) for n in (1, 2, 3, 4) for k in (0, 1, 3)]
+    + [tensor_product_ring(builtin_ring("kn", 1), builtin_ring("kn", 2)),
+       tensor_product_ring(builtin_ring("kn", 1), builtin_ring("cyclic", 3)),
+       tensor_product_ring(near_group_ring(2, 1), builtin_ring("cyclic", 2)),
+       symmetric3_ring(), _dihedral4_ring()])
+
+
+def test_oracle_rings_are_valid():
+    for ring in ORACLE_RINGS:
+        assert ring.validate() == validate_reference(ring) == [], ring
+        assert codegree_matrix(ring) == codegree_matrix_reference(ring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_RINGS), st.data())
+def test_validate_and_codegree_matrix_match_dense_reference(ring, data):
+    r = ring.rank
+    t = [[list(row) for row in mat] for mat in ring.N]
+    index = st.integers(0, r - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j, k = data.draw(st.tuples(index, index, index))
+        t[i][j][k] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+    broken = FusionRing(r, ring.dual, t)
+    assert broken.validate() == validate_reference(broken)
+    assert codegree_matrix(broken) == codegree_matrix_reference(broken)
 
 
 # ---------------------------------------------------------------------------
