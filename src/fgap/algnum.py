@@ -2,14 +2,20 @@
 
 Coefficient sequences are ascending: index i holds the coefficient of x**i.
 All decisions (signs, comparisons, root locations) are exact; floats appear
-only in reporting helpers.  Root isolation is squarefree decomposition
-followed by Sturm bisection.
+only in reporting helpers.
+
+Root isolation takes a squarefree polynomial (every caller holds an
+irreducible polynomial or a squarefree part) and bisects with its Sturm
+chain.  Each polynomial gets one kernels.sturm_chain: isolate_real_roots
+returns the chain it used (or takes one the caller built), and every
+AlgebraicNumber on that polynomial takes the same chain.  The Yun
+decomposition serves factor_over_integers only.
 
 The coefficient-list primitives (normalize, derivative, add, subtract,
 multiply, exact division, pseudo-remainder) live in kernels.  Built on them
 here: the primitive part, poly_gcd_int, poly_div_exact (kernels.div_exact
-with an InvalidInputError when inexact), poly_squarefree_part, the Yun
-decomposition and inverse_square_sum.
+with an InvalidInputError when inexact), poly_squarefree_part,
+squarefree_decomposition and inverse_square_sum.
 
 Quadratic irrationals are Surds, stored as integers (a + b*sqrt(n))/d with
 n squarefree.  square_free_part runs only when a radicand enters from
@@ -266,10 +272,6 @@ class RatInterval:
         if f >= 0:
             return RatInterval(self.lo * f, self.hi * f)
         return RatInterval(self.hi * f, self.lo * f)
-
-    def shift(self, f):
-        f = Fraction(f)
-        return RatInterval(self.lo + f, self.hi + f)
 
     def inv(self):
         """1/interval; requires the interval to exclude 0."""
@@ -537,14 +539,19 @@ def _cauchy_bound(c):
     return 1 + top // lead + 1
 
 
-def _isolate_squarefree(c):
-    """Disjoint isolating intervals for the real roots of squarefree c.
+def isolate_real_roots(c, chain=None):
+    """Isolating intervals for the real roots of a squarefree polynomial.
 
-    Each returned RatInterval [lo, hi] contains exactly one root, with the
-    half-open convention that the root lies in (lo, hi]; intervals from one
-    call are pairwise disjoint in that sense.
+    c is an ascending coefficient sequence (IntPoly.coeffs or a list) of any
+    content and leading sign, and must be squarefree: an irreducible
+    polynomial or a squarefree part.  chain is kernels.sturm_chain(c) when
+    the caller already holds it; otherwise it is built here.  Returns
+    (intervals, chain): one RatInterval per real root, in ascending order,
+    each holding exactly its root in (lo, hi], pairwise disjoint in that
+    half-open sense.
     """
-    chain = kernels.sturm_chain(c)
+    if chain is None:
+        chain = kernels.sturm_chain(c)
     bound = _cauchy_bound(c)
     v_lo = kernels.varcount_at(chain, -bound, 1)
     v_hi = kernels.varcount_at(chain, bound, 1)
@@ -583,76 +590,12 @@ def _shrink(chain, iv):
     return RatInterval(mid, iv.hi)
 
 
-class RootProfile:
-    """Real-root inventory of a polynomial."""
-
-    __slots__ = ("roots", "n_real", "totally_real", "totally_positive")
-
-    def __init__(self, roots, n_real, degree):
-        self.roots = tuple(roots)
-        self.n_real = n_real
-        self.totally_real = (n_real == degree)
-        self.totally_positive = False  # set by isolate_real_roots
-
-
-def isolate_real_roots(p):
-    """Isolate all distinct real roots of p with multiplicities.
-
-    Returns a RootProfile; the intervals are pairwise disjoint and sorted.
-    """
-    if isinstance(p, IntPoly):
-        coeffs = list(p.coeffs)
-    else:
-        coeffs = kernels.normalize(p)
-    if not coeffs:
-        raise InvalidInputError("cannot isolate roots of the zero polynomial")
-    degree = len(coeffs) - 1
-    if degree == 0:
-        prof = RootProfile([], 0, 0)
-        prof.totally_positive = True
-        return prof
-    work = _primitive_pos(coeffs)
-    items = []  # (interval, multiplicity, chain)
-    for factor, mult in squarefree_decomposition(work):
-        ivs, chain = _isolate_squarefree(factor)
-        for iv in ivs:
-            items.append([iv, mult, chain])
-    # separate intervals coming from different squarefree components
-    changed = True
-    while changed:
-        changed = False
-        items.sort(key=lambda it: (it[0].lo, it[0].hi))
-        for i in range(len(items) - 1):
-            a, b = items[i], items[i + 1]
-            # shrink until disjoint in either order; the outer pass re-sorts,
-            # so enclosures whose true roots are swapped still settle
-            while not (a[0].hi <= b[0].lo or b[0].hi <= a[0].lo):
-                a[0] = _shrink(a[2], a[0])
-                b[0] = _shrink(b[2], b[0])
-                changed = True
-    items.sort(key=lambda it: (it[0].lo, it[0].hi))
-    n_real = sum(m for _, m, _ in items)
-    prof = RootProfile([(iv, m) for iv, m, _ in items], n_real, degree)
-    if prof.totally_real:
-        if coeffs[0] == 0:
-            prof.totally_positive = False
-        elif items:
-            first = items[0]
-            while first[0].lo < 0:
-                if first[0].hi < 0:
-                    break
-                first[0] = _shrink(first[2], first[0])
-            prof.totally_positive = first[0].lo >= 0
-        else:
-            prof.totally_positive = True
-    return prof
-
-
 # ---------------------------------------------------------------------------
 # AlgebraicNumber
 
 class AlgebraicNumber:
-    """A designated real root: monic squarefree minpoly + isolating interval.
+    """A designated real root: monic squarefree minpoly, isolating interval
+    and the minpoly's Sturm chain.
 
     The minpoly must be squarefree, so every root is simple and a sign
     bisection can follow it; it need not be irreducible.  A reducible one
@@ -660,25 +603,27 @@ class AlgebraicNumber:
     rational root, which refine and cmp_fraction meet exactly.  The
     interval (lo, hi] holds exactly one root, and the constructor rejects
     one that does not.  It only ever shrinks, so the designation is stable.
-    For a degree-1 minpoly the interval is the exact point.  Comparing two
-    numbers of different minpolys needs distinct values.
+    For a degree-1 minpoly the interval is the exact point.
+
+    chain is kernels.sturm_chain(minpoly.coeffs), the chain
+    isolate_real_roots returned for the minpoly (or took from the caller),
+    so every number on one polynomial shares one chain.
     """
 
-    __slots__ = ("minpoly", "_isol", "_chain")
+    __slots__ = ("minpoly", "_isol", "chain")
 
-    def __init__(self, minpoly, isol):
+    def __init__(self, minpoly, isol, chain):
         if not isinstance(minpoly, IntPoly):
             minpoly = IntPoly(minpoly)
         if not minpoly.is_monic:
             raise InvalidInputError("minimal polynomial must be monic")
         self.minpoly = minpoly
+        self.chain = chain
         if minpoly.degree == 1:
             r = Fraction(-minpoly.coeffs[0])
             self._isol = RatInterval(r, r)
-            self._chain = None
             return
-        self._chain = kernels.sturm_chain(list(minpoly.coeffs))
-        if _count_in(self._chain, isol.lo, isol.hi) != 1:
+        if _count_in(self.chain, isol.lo, isol.hi) != 1:
             raise InvalidInputError("interval does not isolate one root")
         self._isol = RatInterval(isol.lo, isol.hi)
 
@@ -708,7 +653,7 @@ class AlgebraicNumber:
             # an endpoint is a root (hi may be this one): fall back to
             # Sturm shrinking, which needs no sign assumptions
             while iv.width > width:
-                iv = _shrink(self._chain, iv)
+                iv = _shrink(self.chain, iv)
             self._isol = iv
             return iv
         w_num, w_den = width.numerator, width.denominator
@@ -737,7 +682,7 @@ class AlgebraicNumber:
                 self.minpoly.coeffs, r.numerator, r.denominator) == 0:
             return 0  # r is the one root in (lo, hi]
         while iv.lo <= r <= iv.hi:
-            iv = _shrink(self._chain, iv)
+            iv = _shrink(self.chain, iv)
             self._isol = iv
         return 1 if iv.lo > r else -1
 
@@ -762,8 +707,9 @@ class AlgebraicNumber:
         a, b, n, d = s.a, s.b, s.n, s.d
         if kernels.eval_surd(self.minpoly.coeffs, a, b, n, d) == (0, 0):
             return 0
-        below = (kernels.varcount_at(self._chain, lo.numerator, lo.denominator)
-                 - kernels.varcount_at_surd(self._chain, a, b, n, d))
+        chain = self.chain
+        below = (kernels.varcount_at(chain, lo.numerator, lo.denominator)
+                 - kernels.varcount_at_surd(chain, a, b, n, d))
         return -1 if below else 1
 
     def cmp(self, other):
@@ -795,15 +741,15 @@ class AlgebraicNumber:
             if len(g) > 1 and _count_in(kernels.sturm_chain(g), lo, hi):
                 return 0
         while not (a.hi < b.lo or b.hi < a.lo):
-            a = _shrink(self._chain, a)
+            a = _shrink(self.chain, a)
             self._isol = a
-            b = _shrink(other._chain, b)
+            b = _shrink(other.chain, b)
             other._isol = b
         return -1 if a.hi < b.lo else 1
 
     def _root_index(self):
         bound = _cauchy_bound(list(self.minpoly.coeffs))
-        return _count_in(self._chain, -bound, self._isol.hi)
+        return _count_in(self.chain, -bound, self._isol.hi)
 
     def floor(self):
         """Exact floor.
@@ -823,7 +769,7 @@ class AlgebraicNumber:
                 return flo
             if fhi == flo + 1:
                 return fhi if self.cmp_fraction(fhi) >= 0 else flo
-            iv = _shrink(self._chain, iv)
+            iv = _shrink(self.chain, iv)
             self._isol = iv
 
     def __repr__(self):

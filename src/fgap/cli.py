@@ -17,6 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
+from . import kernels
 from .algnum import (AlgebraicNumber, IntPoly, Surd, factor_over_integers,
                      is_d_number, isolate_real_roots, poly_squarefree_part,
                      ratio_integrality_oracle)
@@ -24,8 +25,8 @@ from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .fusionring import (builtin_ring, emit_ring_file, formal_codegrees,
                          fp_dimension_vector, parse_ring_file,
                          rep_g_codegrees)
-from .gapsearch import (QUAD_DEFAULT_HI, SearchConfig, search_cubic,
-                        search_gap, search_quadratic)
+from .gapsearch import (DROPPABLE_FILTERS, QUAD_DEFAULT_HI, SearchConfig,
+                        search_cubic, search_gap, search_quadratic)
 from .obstruct import (ffib_fpdim_bound, orbit_inequality,
                        spherical_obstruction_report)
 
@@ -33,13 +34,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_AMBIGUOUS = 2
 EXIT_OBSTRUCTED = 3
-
-_FILTERS = {
-    2: ("window", "integer-prefilter", "irreducible", "totally-positive",
-        "root-window", "mainineq"),
-    3: ("window", "divisibility-a3", "divisibility-b3", "irreducible",
-        "totally-positive", "root-window", "mainineq"),
-}
 
 
 def _g(x):
@@ -264,12 +258,12 @@ def _cmd_search(args):
         result = search_gap(d_max, audit=args.audit)
     else:
         degree = 2 if mode == "quadratic" else 3
-        allowed = set(_FILTERS[degree])
-        unknown = sorted(set(drops) - allowed)
+        known = DROPPABLE_FILTERS[degree]
+        unknown = sorted(set(drops) - set(known))
         if unknown:
             raise InvalidInputError(
                 "unknown filter(s) for the %s search: %s; known: %s"
-                % (mode, ", ".join(unknown), ", ".join(_FILTERS[degree])))
+                % (mode, ", ".join(unknown), ", ".join(known)))
         if args.dmax is not None:
             raise InvalidInputError("--dmax applies to the gap search; use "
                                     "--window LO,HI here")
@@ -367,11 +361,14 @@ def _cmd_ffib_bound(args):
     factors = factor_over_integers(poly)
     if len(factors) != 1 or factors[0][1] != 1:
         raise InvalidInputError("the bound needs an irreducible polynomial")
-    prof = isolate_real_roots(poly)
-    if not (prof.totally_real and prof.totally_positive):
+    chain = kernels.sturm_chain(poly.coeffs)
+    # totally positive: all deg poly roots lie in (0, oo)
+    if (kernels.varcount_at(chain, 0, 1)
+            - kernels.varcount_inf(chain, True)) != poly.degree:
         raise InvalidInputError("the bound needs a totally positive "
                                 "polynomial")
-    d = AlgebraicNumber(poly, prof.roots[-1][0])
+    ivs, _ = isolate_real_roots(poly.coeffs, chain)
+    d = AlgebraicNumber(poly, ivs[-1], chain)
     bound, m, pcp = ffib_fpdim_bound(d)
     config = {"poly": poly.to_str()}
     lines = _header(["ffib-bound"], config)

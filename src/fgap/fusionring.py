@@ -316,8 +316,8 @@ def formal_codegrees(ring):
     cp = charpoly_int(z)
     orbits = []
     for poly, mult in factor_over_integers(cp):
-        prof = isolate_real_roots(poly)
-        roots = [AlgebraicNumber(poly, iv) for iv, _ in prof.roots]
+        ivs, chain = isolate_real_roots(poly.coeffs)
+        roots = [AlgebraicNumber(poly, iv, chain) for iv in ivs]
         orbits.append(CodegreeOrbit(poly, mult, roots))
     return CodegreeSpectrum(ring.rank, z, cp, orbits)
 

@@ -61,6 +61,15 @@ CUBIC_A_MAX = 45
 # within budget).  A wider window or --amax stops with BudgetError.
 SEARCH_BUDGET = 2 * 10 ** 6
 
+# Filters an appendix search can drop (--drop-filter), by degree, in the
+# order a candidate meets them; "window" widens the enumeration itself.
+DROPPABLE_FILTERS = {
+    2: ("window", "integer-prefilter", "irreducible", "totally-positive",
+        "root-window", "mainineq"),
+    3: ("window", "divisibility-a3", "divisibility-b3", "irreducible",
+        "totally-positive", "root-window", "mainineq"),
+}
+
 EXPLORATORY_MARK = ("exploratory run - necessary-condition certificate "
                     "does not apply")
 
@@ -184,7 +193,7 @@ def _as_surd(x):
 # the pair inequality (smallest vs largest conjugate) by refinement; the
 # quadratic search decides it exactly as the orbit inequality
 
-def mainineq_enclosure_pair(d1, d3, cap=WIDTH_CAP, label=""):
+def mainineq_enclosure_pair(d1, d3, label=""):
     """Certified 1/d1^2 + 1/d3^2 - 1/(2 d3) - 1/2 <= 0 via refinement.
 
     d1 and d3 are AlgebraicNumbers with positive enclosures.  Raises an
@@ -207,7 +216,7 @@ def mainineq_enclosure_pair(d1, d3, cap=WIDTH_CAP, label=""):
             return True
         if expr.lo > 0:
             return False
-        if width < cap:
+        if width < WIDTH_CAP:
             raise AmbiguityError(
                 "pair inequality sign not certified at width cap%s"
                 % (" for " + label if label else ""))
@@ -216,6 +225,18 @@ def mainineq_enclosure_pair(d1, d3, cap=WIDTH_CAP, label=""):
 
 # ---------------------------------------------------------------------------
 # quadratic search
+
+def _run_filter(cfg, trace, name, decide):
+    """One step of an appendix candidate's filter trace: "skip" when cfg
+    drops the filter, else decide() recorded as "pass" or "fail".  Returns
+    False only for a failure."""
+    if name in cfg.drop:
+        trace.append((name, "skip"))
+        return True
+    ok = decide()
+    trace.append((name, "pass" if ok else "fail"))
+    return ok
+
 
 def _divisors(n):
     out = []
@@ -272,36 +293,29 @@ def _quad_candidate(cfg, a, b):
     poly = IntPoly([b, -a, 1])
     trace = []
     roots = None
-
-    def drop_or(name, decide):
-        if name in cfg.drop:
-            trace.append((name, "skip"))
-            return True
-        ok = decide()
-        trace.append((name, "pass" if ok else "fail"))
-        return ok
-
-    ok = drop_or("integer-prefilter", lambda: 16 - 12 * a + 9 * b >= 1)
+    ok = _run_filter(cfg, trace, "integer-prefilter",
+                     lambda: 16 - 12 * a + 9 * b >= 1)
+    if ok:
+        ok = _run_filter(cfg, trace, "irreducible",
+                         lambda: _irreducible_fast(poly))
     disc = a * a - 4 * b
     if ok:
-        red = disc >= 0 and isqrt(max(disc, 0)) ** 2 == disc
-        ok = drop_or("irreducible", lambda: not red)
-    if ok:
-        ok = drop_or("totally-positive",
-                     lambda: disc > 0 and a > 0 and b > 0)
+        ok = _run_filter(cfg, trace, "totally-positive",
+                         lambda: disc > 0 and a > 0 and b > 0)
     # with disc < 0 there is no real root: root-window and mainineq fail
     d1 = d2 = None
     if ok and disc >= 0:
         d1 = Surd(Fraction(a, 2), Fraction(-1, 2), disc)
         d2 = Surd(Fraction(a, 2), Fraction(1, 2), disc)
     if ok:
-        ok = drop_or("root-window",
-                     lambda: d1 is not None and d1.cmp(cfg.d_lo) >= 0
-                     and d1.cmp(cfg.d_hi) < 0)
+        ok = _run_filter(cfg, trace, "root-window",
+                         lambda: d1 is not None and d1.cmp(cfg.d_lo) >= 0
+                         and d1.cmp(cfg.d_hi) < 0)
     if ok:
         # the orbit inequality at the larger root d2 is the pair inequality
-        drop_or("mainineq", lambda: d1 is not None and orbit_inequality(
-            inverse_square_sum(poly.coeffs), d2)[0])
+        _run_filter(cfg, trace, "mainineq",
+                    lambda: d1 is not None and orbit_inequality(
+                        inverse_square_sum(poly.coeffs), d2)[0])
     if d1 is not None:
         roots = (float(d1), float(d2))
     return Candidate(poly, trace, roots)
@@ -356,45 +370,36 @@ def _cubic_candidate(cfg, a, b, c):
     poly = IntPoly([-c, b, -a, 1])
     trace = []
     roots = None
-
-    def drop_or(name, decide):
-        if name in cfg.drop:
-            trace.append((name, "skip"))
-            return True
-        ok = decide()
-        trace.append((name, "pass" if ok else "fail"))
-        return ok
-
-    ok = drop_or("divisibility-a3", lambda: a ** 3 % c == 0)
+    ok = _run_filter(cfg, trace, "divisibility-a3", lambda: a ** 3 % c == 0)
     if ok:
-        ok = drop_or("divisibility-b3", lambda: b ** 3 % (c * c) == 0)
+        ok = _run_filter(cfg, trace, "divisibility-b3",
+                         lambda: b ** 3 % (c * c) == 0)
     if ok:
-        ok = drop_or("irreducible",
-                     lambda: all(t ** 3 - a * t * t + b * t - c != 0
-                                 for t in _divisors(c)))
+        ok = _run_filter(cfg, trace, "irreducible",
+                         lambda: _irreducible_fast(poly))
     if ok:
         disc = (18 * a * b * c - 4 * a ** 3 * c + a * a * b * b
                 - 4 * b ** 3 - 27 * c * c)
-        ok = drop_or("totally-positive",
-                     lambda: disc > 0 and a > 0 and b > 0 and c > 0)
-    prof = None
+        ok = _run_filter(cfg, trace, "totally-positive",
+                         lambda: disc > 0 and a > 0 and b > 0 and c > 0)
+    ivs = None
     if ok:
         # a candidate that reaches here with a filter dropped may have a
         # repeated root; AlgebraicNumber needs a squarefree polynomial
         sqf = IntPoly(poly_squarefree_part(poly.coeffs))
-        prof = isolate_real_roots(sqf)
-        d1 = AlgebraicNumber(sqf, prof.roots[0][0])
-        ok = drop_or("root-window",
-                     lambda: d1.cmp_surd(cfg.d_lo) >= 0
-                     and d1.cmp_surd(cfg.d_hi) < 0)
+        ivs, chain = isolate_real_roots(sqf.coeffs)
+        d1 = AlgebraicNumber(sqf, ivs[0], chain)
+        ok = _run_filter(cfg, trace, "root-window",
+                         lambda: d1.cmp_surd(cfg.d_lo) >= 0
+                         and d1.cmp_surd(cfg.d_hi) < 0)
     if ok:
-        d3 = AlgebraicNumber(sqf, prof.roots[-1][0])
+        d3 = AlgebraicNumber(sqf, ivs[-1], chain)
         label = poly.to_str()
-        drop_or("mainineq",
-                lambda: mainineq_enclosure_pair(d1, d3, label=label))
-    if prof is not None:
-        roots = tuple(AlgebraicNumber(sqf, iv).approx_float()
-                      for iv, _ in prof.roots)
+        _run_filter(cfg, trace, "mainineq",
+                    lambda: mainineq_enclosure_pair(d1, d3, label=label))
+    if ivs is not None:
+        roots = tuple(AlgebraicNumber(sqf, iv, chain).approx_float()
+                      for iv in ivs)
     return Candidate(poly, trace, roots)
 
 
@@ -465,9 +470,17 @@ def _deriv_prefix(prefix, k):
     return asc
 
 
-def _totally_real_in_box(asc, lo_n, lo_d, q_hi):
+def _totally_real_in_box(asc, lo_n, lo_d, q_hi, chain):
     """Sound prune: False only if the polynomial certainly cannot divide a
-    totally real polynomial with all roots in (lo_n/lo_d, q_hi]."""
+    totally real polynomial with all roots in (lo_n/lo_d, q_hi].
+
+    Degrees 1 and 2 are decided in closed form (chain is None).  From
+    degree 3 on, the test counts distinct roots with chain,
+    kernels.sturm_chain(asc), which the walk shares with _next_coeff_range.  A chain whose last element is
+    not constant ends in gcd(asc, asc'); divided by it, the elements form a
+    Sturm sequence of the squarefree part, so the counts hold for repeated
+    roots too.
+    """
     deg = len(asc) - 1
     if deg < 1:
         return True
@@ -490,11 +503,12 @@ def _totally_real_in_box(asc, lo_n, lo_d, q_hi):
         if c0 + q_hi * c1 + q_hi * q_hi * c2 < 0:
             return False
         return -lo_d * c1 > 2 * lo_n * c2 and -c1 <= 2 * c2 * q_hi
-    sqf = poly_squarefree_part(asc)
-    chain = kernels.sturm_chain(sqf)
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [kernels.div_exact(e, g) for e in chain]
     total = (kernels.varcount_inf(chain, False)
              - kernels.varcount_inf(chain, True))
-    if total < len(sqf) - 1:
+    if total < len(chain[0]) - 1:
         return False
     inbox = (kernels.varcount_at(chain, lo_n, lo_d)
              - kernels.varcount_at(chain, q_hi, 1))
@@ -532,7 +546,8 @@ def _coeff_envelope(k, box_lo, f_hi, cuts):
     return out
 
 
-def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
+def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
+                      chain):
     """Integer range [lo, hi] for the next descending coefficient.
 
     deriv is _deriv_prefix(prefix, k) and env the depth's (lo, hi) from
@@ -541,6 +556,11 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
     sign condition sigma * (w(x) + bcoef*s) >= 0 at the box endpoints, at
     the (exactly computable) critical points for low depth, and, strict, at
     the root-free band cut points for the final coefficient.
+
+    From depth 3 on, chain is kernels.sturm_chain(deriv), which the walk
+    built for the box test (None below).  The critical points are isolated on it, and
+    skipped when its last element is not constant (deriv has a repeated
+    root).
 
     Evaluation is integer-only.  At a rational x = p/q (q > 0) the bound on
     s is -N/M with N = q^deg w(p/q) (kernels.eval_qnum) and M = q^deg bcoef;
@@ -595,10 +615,12 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
             x, y = kernels.eval_surd(w, a, -b, disc, d)
             hi = min(hi, (-x + _floor_root(-y, disc)) // mod)
     elif j >= 3 and lo <= hi:
-        prof = isolate_real_roots(deriv)
-        roots = prof.roots
-        if prof.totally_real and all(m == 1 for _, m in roots):
-            for t, (iv, _) in enumerate(roots, start=1):
+        # all j critical points, simple and real, or none are used
+        ivs = ()
+        if len(chain[-1]) == 1:
+            ivs = isolate_real_roots(deriv, chain)[0]
+        if len(ivs) == j:
+            for t, iv in enumerate(ivs, start=1):
                 enc = _interval_eval(w, iv)
                 if (j + 1 - t) % 2 == 0:
                     v = enc.hi
@@ -637,8 +659,9 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     realness and window membership (bracket holds rationals r_lo <= d_max
     <= r_hi; a root in (4/3, r_lo] passes the window and no root in
     (4/3, r_hi] fails it, so the exact algebraic comparison only runs for
-    a smallest root between them), isolation only for the few candidates
-    that reach the orbit inequality.
+    a smallest root between them).  Isolation runs at most once, on the
+    chain of the realness count: for that smallest root, or for the few
+    candidates that reach the orbit inequality.
     """
     trace = []
     roots = None
@@ -649,7 +672,7 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     trace.append(("irreducible", "pass" if irr else "fail"))
     ok = irr
 
-    chain = v_minus = None
+    ivs = None  # isolating intervals, computed at most once, on chain
     if ok:
         chain = kernels.sturm_chain(asc)
         v_minus = kernels.varcount_inf(chain, False)
@@ -670,8 +693,8 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
                                                         r_hi.denominator):
             inwin = False  # smallest root above d_max
         else:
-            prof = isolate_real_roots(poly)
-            d1 = AlgebraicNumber(poly, prof.roots[0][0])
+            ivs, _ = isolate_real_roots(asc, chain)
+            d1 = AlgebraicNumber(poly, ivs[0], chain)
             inwin = d1.cmp_surd(d_max) <= 0
         trace.append(("root-window", "pass" if inwin else "fail"))
         ok = inwin
@@ -682,16 +705,14 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
         pref = (-1 if k % 2 else 1) * kernels.eval_qnum(asc, 4, 3)
         trace.append(("integer-prefilter", "pass" if pref >= 1 else "fail"))
         ok = pref >= 1
-    prof = None
     if ok:
-        prof = isolate_real_roots(poly)
-        fmax = AlgebraicNumber(poly, prof.roots[-1][0])
+        if ivs is None:
+            ivs, _ = isolate_real_roots(asc, chain)
+        fmax = AlgebraicNumber(poly, ivs[-1], chain)
         good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
         trace.append(("orbit-inequality", "pass" if good else "fail"))
-        ok = good
-    if prof is not None:
-        roots = tuple(AlgebraicNumber(poly, iv).approx_float()
-                      for iv, _ in prof.roots)
+        roots = tuple(AlgebraicNumber(poly, iv, chain).approx_float()
+                      for iv in ivs)
     cand = Candidate(poly, trace, roots)
     if cand.survivor or keep_all:
         return cand
@@ -723,10 +744,13 @@ def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
                 out.append(cand)
             return
         asc = _deriv_prefix(prefix, k)
-        if j >= 1 and not _totally_real_in_box(asc, lo_n, lo_d, f_hi):
+        # from depth 3 on, the box test and the critical points of the
+        # range share one Sturm chain
+        chain = kernels.sturm_chain(asc) if j >= 3 else None
+        if j >= 1 and not _totally_real_in_box(asc, lo_n, lo_d, f_hi, chain):
             return
         lo, hi = _next_coeff_range(prefix, asc, k, envelope[j], box_lo,
-                                   f_hi, cuts, j + 1 == k)
+                                   f_hi, cuts, j + 1 == k, chain)
         for s in range(lo, hi + 1):
             descend(prefix + [s])
 

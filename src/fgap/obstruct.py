@@ -9,6 +9,7 @@ obstructed", never a categorification claim.
 
 from fractions import Fraction
 
+from . import kernels
 from .algnum import (AlgebraicNumber, Surd, is_d_number,
                      largest_integer_divisor, power_char_poly,
                      isolate_real_roots)
@@ -211,10 +212,13 @@ def ffib_fpdim_bound(d):
     """
     if not isinstance(d, AlgebraicNumber):
         raise InvalidInputError("expected an AlgebraicNumber")
-    prof = isolate_real_roots(d.minpoly)
-    if not prof.totally_real or not prof.totally_positive:
+    p, chain = d.minpoly, d.chain
+    # totally positive: all deg p roots lie in (0, oo)
+    if (kernels.varcount_at(chain, 0, 1)
+            - kernels.varcount_inf(chain, True)) != p.degree:
         raise InvalidInputError("bound requires a totally positive input")
-    f = AlgebraicNumber(d.minpoly, prof.roots[-1][0])
+    ivs, _ = isolate_real_roots(p.coeffs, chain)
+    f = AlgebraicNumber(p, ivs[-1], chain)
     m = f.floor()
     pcp = power_char_poly(d, m)
     return largest_integer_divisor(pcp), m, pcp

@@ -4,12 +4,13 @@ roots, d-numbers, power polynomials, divisor bounds."""
 import random
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
@@ -21,6 +22,7 @@ from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
 from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.kernels import (normalize, poly_mul, sturm_chain, varcount_at,
                           varcount_at_surd, varcount_inf)
+from fgap import kernels
 
 X = sympy.Symbol("x")
 
@@ -61,27 +63,84 @@ def test_intpoly_evaluate_exact():
 # ---------------------------------------------------------------------------
 # root isolation
 
+RootProfile = namedtuple("RootProfile",
+                         "roots n_real totally_real totally_positive")
+
+
+def isolate_reference(p):
+    """Real roots of any nonzero p with multiplicities: a RootProfile whose
+    roots are ascending (interval, multiplicity) pairs.
+
+    The general isolator src/ ran before its callers all held squarefree
+    polynomials: Yun decomposition, isolation of each squarefree factor,
+    shrinking until the intervals of different factors are disjoint, and a
+    shrink of the smallest interval off 0 to decide total positivity.
+    """
+    coeffs = kernels.normalize(p.coeffs if isinstance(p, IntPoly) else p)
+    degree = len(coeffs) - 1
+    if degree == 0:
+        return RootProfile((), 0, True, True)
+    items = []  # [interval, multiplicity, chain]
+    for factor, mult in squarefree_decomposition(coeffs):
+        ivs, chain = isolate_real_roots(factor)
+        items.extend([iv, mult, chain] for iv in ivs)
+    changed = True
+    while changed:
+        changed = False
+        items.sort(key=lambda it: (it[0].lo, it[0].hi))
+        for a, b in zip(items, items[1:]):
+            while not (a[0].hi <= b[0].lo or b[0].hi <= a[0].lo):
+                a[0] = _shrink(a[2], a[0])
+                b[0] = _shrink(b[2], b[0])
+                changed = True
+    items.sort(key=lambda it: (it[0].lo, it[0].hi))
+    roots = tuple((iv, m) for iv, m, _ in items)
+    n_real = sum(m for _, m in roots)
+    positive = False
+    if n_real == degree:
+        if coeffs[0] != 0 and items:
+            iv, chain = items[0][0], items[0][2]
+            while iv.lo < 0 <= iv.hi:
+                iv = _shrink(chain, iv)
+            positive = iv.lo >= 0
+        else:
+            positive = coeffs[0] != 0
+    return RootProfile(roots, n_real, n_real == degree, positive)
+
+
+def positive_roots(chain):
+    """Roots in (0, oo) by one Sturm count."""
+    return varcount_at(chain, 0, 1) - varcount_inf(chain, True)
+
+
 def test_isolate_pinned_quadratic():
-    prof = isolate_real_roots(P(1, -5, 5))
-    assert prof.n_real == 2 and prof.totally_real and prof.totally_positive
-    (iv1, m1), (iv2, m2) = prof.roots
-    assert m1 == m2 == 1
+    p = P(1, -5, 5)
+    (iv1, iv2), chain = isolate_real_roots(p.coeffs)
+    assert chain == sturm_chain(p.coeffs) and positive_roots(chain) == 2
     assert iv1.hi <= iv2.lo
     assert float(iv1.lo) - 1e-15 <= 1.3819660112501051 <= float(iv1.hi) + 1e-15
     assert float(iv2.lo) - 1e-15 <= 3.6180339887498949 <= float(iv2.hi) + 1e-15
+    prof = isolate_reference(p)
+    assert prof.n_real == 2 and prof.totally_real and prof.totally_positive
+    assert [(iv.lo, iv.hi, m) for iv, m in prof.roots] == [
+        (iv1.lo, iv1.hi, 1), (iv2.lo, iv2.hi, 1)]
 
 
 def test_isolate_no_real_roots():
-    prof = isolate_real_roots(P(1, 0, 1))
+    assert isolate_real_roots(P(1, 0, 1).coeffs)[0] == []
+    prof = isolate_reference(P(1, 0, 1))
     assert prof.n_real == 0 and not prof.totally_real
 
 
 def test_isolate_multiplicity():
-    prof = isolate_real_roots(P(1, -4, 4))
-    assert len(prof.roots) == 1
-    iv, mult = prof.roots[0]
-    assert mult == 2
-    assert iv.lo <= 2 <= iv.hi
+    # (x - 2)^2: the squarefree part x - 2 carries the one distinct root
+    p = P(1, -4, 4)
+    sqf = poly_squarefree_part(p.coeffs)
+    assert sqf == [-2, 1]
+    (iv,), chain = isolate_real_roots(sqf)
+    assert iv.lo < 2 <= iv.hi and positive_roots(chain) == 1
+    prof = isolate_reference(p)
+    assert [m for _, m in prof.roots] == [2]
     assert prof.totally_real and prof.totally_positive
 
 
@@ -92,16 +151,45 @@ def test_isolate_counts_match_sympy():
         p = IntPoly(c) if any(c) and c[-1] else None
         if p is None or p.degree < 1:
             continue
-        prof = isolate_real_roots(p)
+        sqf = poly_squarefree_part(p.coeffs)
+        ivs, _ = isolate_real_roots(sqf)
         ivals = sympy.Poly(to_sympy_poly(p), X).intervals()
-        assert len(prof.roots) == len(ivals)
+        assert len(ivs) == len(ivals)
+        # the squarefree part keeps every real root of p, each once
+        assert all(m == 1 for _, m in sympy.Poly(
+            to_sympy_poly(IntPoly(sqf)), X).intervals())
+        prof = isolate_reference(p)
         assert prof.n_real == sum(m for _, m in ivals)
         assert [m for _, m in prof.roots] == [m for _, m in ivals]
         # both lists enclose the same roots in the same order, so the
         # corresponding intervals must overlap
-        for (iv, _), ((a, b), _) in zip(prof.roots, ivals):
+        for iv, ((a, b), _) in zip(ivs, ivals):
             assert max(iv.lo, Fraction(int(a.p), int(a.q))) <= min(
                 iv.hi, Fraction(int(b.p), int(b.q)))
+
+
+@st.composite
+def squarefree_inputs(draw):
+    """A squarefree polynomial times any nonzero integer: a content above 1
+    and a negative leading coefficient both occur."""
+    low = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=6))
+    lead = draw(st.integers(-4, 4).filter(bool))
+    c = low + [lead]
+    assume(len(poly_squarefree_part(c)) == len(c))
+    return [v * draw(st.sampled_from([1, -1, 2, -3, 6])) for v in c]
+
+
+@given(squarefree_inputs())
+@settings(max_examples=200, deadline=None)
+@example(c=[-6, 0, 2])        # 2(x^2 - 3): content 2
+@example(c=[-10, 10, -2])     # -2(x^2 - 5x + 5): negative lead
+def test_isolate_matches_reference_on_squarefree_input(c):
+    ivs, chain = isolate_real_roots(c)
+    assert chain == sturm_chain(c)
+    prof = isolate_reference(c)
+    assert all(m == 1 for _, m in prof.roots)
+    assert [(iv.lo, iv.hi) for iv in ivs] == [
+        (iv.lo, iv.hi) for iv, _ in prof.roots]
 
 
 def to_sympy_poly(p):
@@ -112,31 +200,31 @@ def to_sympy_poly(p):
 # refinement
 
 def test_refine_width_and_containment():
-    prof = isolate_real_roots(P(1, -5, 5))
-    a = AlgebraicNumber(P(1, -5, 5), prof.roots[0][0])
+    ivs, chain = isolate_real_roots(P(1, -5, 5).coeffs)
+    a = AlgebraicNumber(P(1, -5, 5), ivs[0], chain)
     iv = a.refine(Fraction(1, 10 ** 6))
     assert iv.width <= Fraction(1, 10 ** 6)
     assert Fraction("1.381965") <= iv.lo and iv.hi <= Fraction("1.381967")
 
 
 def test_refine_rational_point():
-    a = AlgebraicNumber(P(1, -2), None)
+    a = AlgebraicNumber(P(1, -2), None, sturm_chain([-2, 1]))
     iv = a.refine(Fraction(1, 10 ** 30))
     assert iv.lo == iv.hi == 2
 
 
 def test_refine_sqrt2():
-    prof = isolate_real_roots(P(1, 0, -2))
-    a = AlgebraicNumber(P(1, 0, -2), prof.roots[1][0])
+    ivs, chain = isolate_real_roots(P(1, 0, -2).coeffs)
+    a = AlgebraicNumber(P(1, 0, -2), ivs[1], chain)
     iv = a.refine(Fraction(1, 1000))
     assert iv.width <= Fraction(1, 1000)
     assert iv.lo < Fraction(1414214, 1000000) < iv.hi + Fraction(1, 1000)
 
 
 def test_refine_deterministic():
-    prof = isolate_real_roots(P(1, -5, 5))
-    a1 = AlgebraicNumber(P(1, -5, 5), prof.roots[0][0])
-    a2 = AlgebraicNumber(P(1, -5, 5), prof.roots[0][0])
+    ivs, chain = isolate_real_roots(P(1, -5, 5).coeffs)
+    a1 = AlgebraicNumber(P(1, -5, 5), ivs[0], chain)
+    a2 = AlgebraicNumber(P(1, -5, 5), ivs[0], chain)
     w = Fraction(1, 10 ** 9)
     r1 = a1.refine(w)
     r2 = a2.refine(w)
@@ -169,7 +257,7 @@ REFINE_WIDTHS = [Fraction(1, 10 ** 3), Fraction(3, 2 ** 31),
 
 
 def _assert_refine_matches_reference(poly, iv):
-    a = AlgebraicNumber(poly, iv)
+    a = AlgebraicNumber(poly, iv, sturm_chain(poly.coeffs))
     for width in REFINE_WIDTHS:
         got = a.refine(width)
         iv = refine_reference(a, iv, width)
@@ -181,7 +269,7 @@ def _assert_refine_matches_reference(poly, iv):
 def test_refine_matches_fraction_bisection(low):
     poly = IntPoly(low + [1])
     assume(factor_over_integers(poly) == [(poly, 1)])
-    for iv, _ in isolate_real_roots(poly).roots:
+    for iv in isolate_real_roots(poly.coeffs)[0]:
         _assert_refine_matches_reference(poly, iv)
 
 
@@ -197,7 +285,8 @@ def test_refine_takes_a_zero_midpoint_as_the_root():
     # (x - 2)(x^2 - 2) is squarefree but reducible: (3/2, 5/2] isolates the
     # rational root 2, which is the first bisection midpoint
     two = AlgebraicNumber(P(1, -2, -2, 4),
-                          RatInterval(Fraction(3, 2), Fraction(5, 2)))
+                          RatInterval(Fraction(3, 2), Fraction(5, 2)),
+                          sturm_chain(P(1, -2, -2, 4).coeffs))
     iv = two.refine(Fraction(1, 100))
     assert iv.lo < 2 <= iv.hi and iv.width <= Fraction(1, 100)
     assert two.cmp_fraction(2) == 0
@@ -494,7 +583,7 @@ class RefSurd:
         scale = 10 ** k
         r = isqrt(self.n * scale * scale)
         root = RatInterval(Fraction(r, scale), Fraction(r + 1, scale))
-        return root.scale(self.q).shift(self.p)
+        return shift(root.scale(self.q), self.p)
 
     def floor(self):
         m = int(float(self.approx(Fraction(1, 10 ** 18)).mid))
@@ -509,6 +598,11 @@ class RefSurd:
 
     def surd(self):
         return Surd(self.p, self.q, self.n)
+
+
+def shift(iv, f):
+    """The interval iv + f."""
+    return RatInterval(iv.lo + f, iv.hi + f)
 
 
 SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 41, 102)
@@ -561,9 +655,8 @@ def test_surd_floor_matches_sympy(x):
 
 def fib_roots():
     p = P(1, -5, 5)
-    prof = isolate_real_roots(p)
-    return (AlgebraicNumber(p, prof.roots[0][0]),
-            AlgebraicNumber(p, prof.roots[1][0]))
+    (iv1, iv2), chain = isolate_real_roots(p.coeffs)
+    return AlgebraicNumber(p, iv1, chain), AlgebraicNumber(p, iv2, chain)
 
 
 def test_algnum_cmp_families():
@@ -579,16 +672,18 @@ def test_algnum_cmp_families():
 
 def test_algnum_rejects_non_monic_and_bad_interval():
     with pytest.raises(InvalidInputError):
-        AlgebraicNumber(P(2, -5, 5), RatInterval(1, 2))
+        AlgebraicNumber(P(2, -5, 5), RatInterval(1, 2),
+                        sturm_chain(P(2, -5, 5).coeffs))
     with pytest.raises(InvalidInputError):
-        AlgebraicNumber(P(1, -5, 5), RatInterval(5, 9))
+        AlgebraicNumber(P(1, -5, 5), RatInterval(5, 9),
+                        sturm_chain(P(1, -5, 5).coeffs))
 
 
 def test_algnum_floor():
     lo, hi = fib_roots()
     assert lo.floor() == 1
     assert hi.floor() == 3
-    assert AlgebraicNumber(P(1, -2), None).floor() == 2
+    assert AlgebraicNumber(P(1, -2), None, sturm_chain([-2, 1])).floor() == 2
 
 
 # (x - 2)(x^2 - 2) on (3/2, 5/2]: a reducible squarefree minpoly whose
@@ -597,23 +692,30 @@ SHARED = P(1, -2, -2, 4)
 
 
 def test_algnum_floor_at_an_integer_root():
+    chain = sturm_chain(SHARED.coeffs)
     assert AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2),
-                                               Fraction(5, 2))).floor() == 2
-    assert AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2), 2)).floor() == 2
+                                               Fraction(5, 2)),
+                           chain).floor() == 2
+    assert AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2), 2),
+                           chain).floor() == 2
     # sqrt 2 with the candidate 1 inside (1/2, 3/2]
     assert AlgebraicNumber(SHARED, RatInterval(Fraction(1, 2),
-                                               Fraction(3, 2))).floor() == 1
+                                               Fraction(3, 2)),
+                           chain).floor() == 1
     # (x - 3)(x^3 - 3) on (2, 13]: shrinking leaves the one candidate 3
-    assert AlgebraicNumber(P(1, -3, 0, -3, 9),
-                           RatInterval(2, 13)).floor() == 3
+    p = P(1, -3, 0, -3, 9)
+    assert AlgebraicNumber(p, RatInterval(2, 13),
+                           sturm_chain(p.coeffs)).floor() == 3
 
 
 SHARED_ROOT_CMP = """
 from fractions import Fraction as F
 from fgap.algnum import AlgebraicNumber, IntPoly, RatInterval
+from fgap.kernels import sturm_chain
 
 def num(desc, lo, hi):
-    return AlgebraicNumber(IntPoly(list(reversed(desc))), RatInterval(lo, hi))
+    p = IntPoly(list(reversed(desc)))
+    return AlgebraicNumber(p, RatInterval(lo, hi), sturm_chain(p.coeffs))
 
 two = num((1, -2, -2, 4), F(3, 2), F(5, 2))      # 2, (x - 2)(x^2 - 2)
 two_b = num((1, 1, -6), F(3, 2), F(5, 2))        # 2, (x - 2)(x + 3)
@@ -623,11 +725,11 @@ cases = [
     (two, two_b, 0), (two_b, two, 0),
     (sqrt2, sqrt2_b, 0), (sqrt2_b, sqrt2, 0),
     (two_b, sqrt2_b, 1), (sqrt2_b, two_b, -1),
-    (two, AlgebraicNumber(IntPoly([-2, 1]), None), 0),
-    (AlgebraicNumber(IntPoly([-2, 1]), None), two_b, 0),
+    (two, AlgebraicNumber(IntPoly([-2, 1]), None, sturm_chain([-2, 1])), 0),
+    (AlgebraicNumber(IntPoly([-2, 1]), None, sturm_chain([-2, 1])), two_b, 0),
     (num((1, 0, -3), 1, 2), two_b, -1),          # sqrt 3 < 2
-    (AlgebraicNumber(IntPoly([-1, 1]), None), sqrt2, -1),
-    (sqrt2_b, AlgebraicNumber(IntPoly([-1, 1]), None), 1),
+    (AlgebraicNumber(IntPoly([-1, 1]), None, sturm_chain([-1, 1])), sqrt2, -1),
+    (sqrt2_b, AlgebraicNumber(IntPoly([-1, 1]), None, sturm_chain([-1, 1])), 1),
 ]
 print([a.cmp(b) == want for a, b, want in cases])
 """
@@ -686,7 +788,7 @@ def surd_points(poly, rng):
             n, m = sympy_squarefree(disc)
             for sgn in (1, -1):
                 pts.append(RefSurd(Fraction(-c1, 2), Fraction(sgn * m, 2), n))
-    for iv, _ in isolate_real_roots(poly).roots:
+    for iv in isolate_real_roots(poly.coeffs)[0]:
         for n in (2, 3, 5):
             for k in (1, 6, 30):
                 step = Fraction(1, 10 ** k)
@@ -720,10 +822,11 @@ def test_cmp_surd_and_surd_sturm_count_match_bisection(low, seed):
         return  # the reference needs a squarefree polynomial
     rng = random.Random(seed)
     chain = sturm_chain(list(poly.coeffs))
-    roots = [iv for iv, _ in isolate_real_roots(poly).roots]
+    roots, _ = isolate_real_roots(poly.coeffs)
     for s in surd_points(poly, rng):
         want = [bisect_cmp_surd(poly, iv, s) for iv in roots]
-        got = [AlgebraicNumber(poly, iv).cmp_surd(s.surd()) for iv in roots]
+        got = [AlgebraicNumber(poly, iv, chain).cmp_surd(s.surd())
+               for iv in roots]
         assert got == want
         surd = s.surd()
         below = varcount_inf(chain, False) - varcount_at_surd(
@@ -770,7 +873,7 @@ def test_power_char_poly_pinned():
     lo, _ = fib_roots()
     assert power_char_poly(lo, 3) == P(1, -50, 125)
     assert power_char_poly(lo, 1) == P(1, -5, 5)
-    two = AlgebraicNumber(P(1, -2), None)
+    two = AlgebraicNumber(P(1, -2), None, sturm_chain([-2, 1]))
     assert power_char_poly(two, 3) == P(1, -8)
 
 
@@ -786,10 +889,10 @@ def test_power_char_poly_contains_powered_root(a1, a0, m):
     p = IntPoly([a0, a1, 1])
     if factor_over_integers(p) != [(p, 1)]:
         return
-    prof = isolate_real_roots(p)
-    if len(prof.roots) != 2:
+    ivs, chain = isolate_real_roots(p.coeffs)
+    if len(ivs) != 2:
         return
-    root = AlgebraicNumber(p, prof.roots[0][0])
+    root = AlgebraicNumber(p, ivs[0], chain)
     pcp = power_char_poly(root, m)
     iv = root.refine(Fraction(1, 10 ** 12))
     lo = min(iv.lo ** m, iv.hi ** m)
@@ -829,16 +932,15 @@ def conjugate_stats(p):
     if not p.is_monic:
         raise InvalidInputError("conjugate statistics require a monic "
                                 "polynomial")
-    prof = isolate_real_roots(p)
-    if not prof.totally_real:
+    if not isolate_reference(p).totally_real:
         raise InvalidInputError("polynomial is not totally real")
     mean = Fraction(-p.coeffs[p.degree - 1], p.degree)
     lo_an = None
     hi_an = None
     for factor, _ in factor_over_integers(p):
-        fprof = isolate_real_roots(factor)
-        first = AlgebraicNumber(factor, fprof.roots[0][0])
-        last = AlgebraicNumber(factor, fprof.roots[-1][0])
+        fivs, chain = isolate_real_roots(factor.coeffs)
+        first = AlgebraicNumber(factor, fivs[0], chain)
+        last = AlgebraicNumber(factor, fivs[-1], chain)
         if lo_an is None or first.cmp(lo_an) < 0:
             lo_an = first
         if hi_an is None or last.cmp(hi_an) > 0:

@@ -279,7 +279,7 @@ def test_every_drop_filter_combination_exits_0(capsys):
     # runs to an exploratory result: exit 0, no error line, no exception
     runs = 0
     for mode, degree in (("quadratic", 2), ("cubic", 3)):
-        names = fgap.cli._FILTERS[degree]
+        names = fgap.gapsearch.DROPPABLE_FILTERS[degree]
         for size in range(1, len(names) + 1):
             for combo in itertools.combinations(names, size):
                 argv = ["search", mode, "--amax", "8"]

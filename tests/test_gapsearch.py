@@ -1,6 +1,7 @@
 """Exhaustive small-degree searches and their supporting inequalities."""
 
 import hashlib
+import inspect
 import math
 import random
 from collections import Counter
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fgap import gapsearch, kernels
+from fgap import algnum, gapsearch, kernels
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          factor_over_integers, inverse_square_sum,
-                         isolate_real_roots, poly_div_exact, poly_gcd_int)
+                         isolate_real_roots, poly_div_exact, poly_gcd_int,
+                         poly_squarefree_part)
 from fgap.errors import InvalidInputError
 from fgap.obstruct import FOUR_THIRDS, orbit_inequality
 from fgap.gapsearch import (
@@ -155,9 +157,9 @@ def test_mainineq_encodings_agree_on_grid():
             if disc <= 0 or math.isqrt(disc) ** 2 == disc:
                 continue
             p = IntPoly([b, -a, 1])
-            prof = isolate_real_roots(p)
-            d1 = AlgebraicNumber(p, prof.roots[0][0])
-            d2 = AlgebraicNumber(p, prof.roots[1][0])
+            (iv1, iv2), chain = isolate_real_roots(p.coeffs)
+            d1 = AlgebraicNumber(p, iv1, chain)
+            d2 = AlgebraicNumber(p, iv2, chain)
             exact = mainineq_exact_quadratic(a, b)
             enclosed = mainineq_enclosure_pair(d1, d2)
             assert exact == enclosed, (a, b)
@@ -201,8 +203,8 @@ def test_orbit_inequality_matches_quadratic_form():
             p = IntPoly([b, -a, 1])
             continue
         p = IntPoly([b, -a, 1])
-        prof = isolate_real_roots(p)
-        top = AlgebraicNumber(p, prof.roots[-1][0])
+        ivs, chain = isolate_real_roots(p.coeffs)
+        top = AlgebraicNumber(p, ivs[-1], chain)
         assert orbit_inequality(inverse_square_sum(p.coeffs), top)[0] == \
             mainineq_exact_quadratic(a, b)
 
@@ -379,8 +381,8 @@ def test_gap_bracket_verdicts_match_isolation(audit, d_max, request):
         got = dict(cand.trace).get("root-window")
         if got is None:
             continue
-        d1 = AlgebraicNumber(cand.poly,
-                             isolate_real_roots(cand.poly).roots[0][0])
+        ivs, chain = isolate_real_roots(cand.poly.coeffs)
+        d1 = AlgebraicNumber(cand.poly, ivs[0], chain)
         inwin = d1.cmp_fraction(FOUR_THIRDS) > 0 and d1.cmp_surd(d_max) <= 0
         assert got == ("pass" if inwin else "fail"), cand
         seen[got] += 1
@@ -523,10 +525,13 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
             add(1, _surd_eval(w_asc, r1))
             add(-1, _surd_eval(w_asc, r2))
     elif j >= 3 and lo <= hi:
-        prof = isolate_real_roots(_deriv_prefix(prefix, k))
-        roots = prof.roots
-        if prof.totally_real and all(m == 1 for _, m in roots):
-            for t, (iv, _) in enumerate(roots, start=1):
+        q3 = _deriv_prefix(prefix, k)
+        # the critical points count only when all j are real and simple
+        roots = []
+        if len(poly_squarefree_part(q3)) == len(q3):
+            roots = isolate_real_roots(q3)[0]
+        if len(roots) == j:
+            for t, iv in enumerate(roots, start=1):
                 sigma = 1 if (j + 1 - t) % 2 == 0 else -1
                 enc = _interval_eval(w_asc, iv)
                 add(sigma, enc.hi if sigma > 0 else enc.lo)
@@ -536,8 +541,10 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
 def _coeff_range(prefix, k, box_lo, f_hi, cuts, final):
     """The integer walk's range for the same arguments as the reference."""
     env = _coeff_envelope(k, box_lo, f_hi, cuts)[len(prefix) - 1]
-    return _next_coeff_range(prefix, _deriv_prefix(prefix, k), k, env,
-                             box_lo, f_hi, cuts, final)
+    deriv = _deriv_prefix(prefix, k)
+    chain = kernels.sturm_chain(deriv) if len(prefix) > 3 else None
+    return _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts,
+                             final, chain)
 
 
 # interior nodes of each walk: one _next_coeff_range call apiece
@@ -550,9 +557,9 @@ WALK_NODES = [(QUAD_DEFAULT_HI, 7043), (Surd(Fraction(277, 200)), 7043),
 def test_walk_ranges_match_fraction_reference(d_max, nodes, monkeypatch):
     calls = []
 
-    def checked(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
+    def checked(prefix, deriv, k, env, box_lo, f_hi, cuts, final, chain):
         got = _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts,
-                                final)
+                                final, chain)
         assert deriv == _deriv_prefix(prefix, k)
         assert got == reference_coeff_range(prefix, k, box_lo, f_hi, cuts,
                                             final), prefix
@@ -562,6 +569,53 @@ def test_walk_ranges_match_fraction_reference(d_max, nodes, monkeypatch):
     monkeypatch.setattr(gapsearch, "_next_coeff_range", checked)
     search_gap(d_max)
     assert len(calls) == nodes
+
+
+def test_depth_3_node_builds_one_chain_and_no_gcd(monkeypatch):
+    # the degree-4 walk, steered down x^4 - 20x^3 + 132x^2 - 320x + s, whose
+    # third, second and first derivatives have the roots 5; 5 -+ sqrt 3;
+    # and 2, 5, 8, all inside the box (4/3, 29]: only its depth-3 node asks
+    # for a Sturm chain or a polynomial gcd, in the box test and the range
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "sturm_chain",
+                        counted("chain", kernels.sturm_chain))
+    monkeypatch.setattr(algnum, "poly_gcd_int",
+                        counted("gcd", algnum.poly_gcd_int))
+    path = [-20, 132, -320]
+    real_range = gapsearch._next_coeff_range
+    ranges = []
+
+    def steered(prefix, *rest):
+        j = len(prefix) - 1
+        if j < 3:
+            return path[j], path[j]
+        ranges.append(real_range(prefix, *rest))
+        return 1, 0  # no leaf
+
+    monkeypatch.setattr(gapsearch, "_next_coeff_range", steered)
+    d_max = Surd(Fraction(277, 200))
+    bracket = (d_max.p, d_max.p)
+    gapsearch._gap_degree(4, d_max, FOUR_THIRDS, 29,
+                          gapsearch._gap_cut_points(d_max), bracket, False)
+    assert len(ranges) == 1
+    assert counts == {"chain": 1}
+
+
+def test_gap_leaf_keeps_four_positional_parameters():
+    # the benchmark's tracer wraps _gap_leaf in an adapter with exactly the
+    # parameters (poly, d_max, bracket, keep_all); a call with any other
+    # number of arguments fails once the tracer is installed
+    params = inspect.signature(gapsearch._gap_leaf).parameters.values()
+    assert [(p.kind, p.default) for p in params] == [
+        (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+    ] * 4
 
 
 @st.composite
@@ -650,7 +704,8 @@ def box_cases(draw):
 @example(case=([8, -12, 6, -1], 2, 1, 9))           # -(x-2)^3, root on lo
 @example(case=([1, 0, 1, 0, 1], 1, 1, 5))           # no real root
 def test_box_test_degree_3_plus_matches_reference(case):
-    assert gapsearch._totally_real_in_box(*case) == \
+    chain = kernels.sturm_chain(case[0])
+    assert gapsearch._totally_real_in_box(*case, chain) == \
         totally_real_in_box_reference(*case)
 
 

@@ -19,8 +19,8 @@ from fgap.obstruct import (
 def alg(*desc):
     """Largest real root of the monic polynomial with descending coeffs."""
     p = IntPoly(list(reversed(desc)))
-    prof = isolate_real_roots(p)
-    return AlgebraicNumber(p, prof.roots[-1][0])
+    ivs, chain = isolate_real_roots(p.coeffs)
+    return AlgebraicNumber(p, ivs[-1], chain)
 
 
 # ---------------------------------------------------------------------------
