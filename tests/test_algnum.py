@@ -176,7 +176,8 @@ def squarefree_inputs(draw):
     lead = draw(st.integers(-4, 4).filter(bool))
     c = low + [lead]
     assume(len(poly_squarefree_part(c)) == len(c))
-    return [v * draw(st.sampled_from([1, -1, 2, -3, 6])) for v in c]
+    scale = draw(st.sampled_from([1, -1, 2, -3, 6]))
+    return [v * scale for v in c]
 
 
 @given(squarefree_inputs())
