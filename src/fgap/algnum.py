@@ -8,14 +8,14 @@ Root isolation takes a squarefree polynomial (every caller holds an
 irreducible polynomial or a squarefree part) and bisects with its Sturm
 chain.  Each polynomial gets one kernels.sturm_chain: isolate_real_roots
 returns the chain it used (or takes one the caller built), and every
-AlgebraicNumber on that polynomial takes the same chain.  The Yun
-decomposition serves factor_over_integers only.
+AlgebraicNumber on that polynomial takes the same chain.
+factor_over_integers factors the squarefree part once and reads each
+factor's multiplicity by repeated exact division.
 
 The coefficient-list primitives (normalize, derivative, add, subtract,
 multiply, exact division, pseudo-remainder) live in kernels.  Built on them
-here: the primitive part, poly_gcd_int, poly_div_exact (kernels.div_exact
-with an InvalidInputError when inexact), poly_squarefree_part,
-squarefree_decomposition and inverse_square_sum.
+here: the primitive part, poly_gcd_int, poly_squarefree_part and
+inverse_square_sum.
 
 Quadratic irrationals are Surds, stored as integers (a + b*sqrt(n))/d with
 n squarefree.  square_free_part runs only when a radicand enters from
@@ -23,9 +23,10 @@ outside (the constructor, sqrt_fraction); arithmetic within one field, the
 sign (one comparison of x^2 with y^2 n), floor and ceil (one isqrt of
 b^2 n) stay on plain integers, and a polynomial is evaluated at a surd by
 one Horner pass in Z[sqrt(n)] (kernels.eval_surd).  A real algebraic
-number is compared with a surd s by a Sturm variation count at the point s
-itself (kernels.varcount_at_surd) plus an exact root test, so no decision
-ever rests on a rounded value and no interval is bisected for it.
+number is compared with a rational or a surd x by a Sturm variation count
+at the point x itself plus an exact root test, so no decision ever rests on
+a rounded value and no interval is bisected for it; its interval shrinks
+only by refine, one integer sign bisection.
 """
 
 from fractions import Fraction
@@ -72,17 +73,6 @@ def poly_gcd_int(a, b):
     return _primitive_pos(a)
 
 
-def poly_div_exact(a, b):
-    """Quotient a // b when the division is exact over the integers."""
-    b = kernels.normalize(b)
-    if not b:
-        raise InvalidInputError("division by the zero polynomial")
-    q = kernels.div_exact(kernels.normalize(a), b)
-    if q is None:
-        raise InvalidInputError("inexact polynomial division")
-    return q
-
-
 def poly_squarefree_part(c):
     """Squarefree part of c: primitive, positive lead, and vanishing exactly
     once at each distinct root of c."""
@@ -94,36 +84,6 @@ def poly_squarefree_part(c):
         return w
     # w and g are primitive with positive leads, so the quotient is too
     return kernels.div_exact(w, g)
-
-
-def squarefree_decomposition(c):
-    """Yun decomposition of a primitive polynomial with positive lead.
-
-    Returns [(factor, multiplicity)] with primitive squarefree factors of
-    positive lead whose weighted product reproduces the input.
-    """
-    w = _primitive_pos(c)
-    if len(w) <= 1:
-        return []
-    d = kernels.derivative(w)
-    g = poly_gcd_int(w, d)
-    if len(g) == 1:
-        return [(w, 1)]
-    cpart = poly_div_exact(w, g)
-    dpart = poly_div_exact(d, g)
-    out = []
-    i = 1
-    e = kernels.poly_sub(dpart, kernels.derivative(cpart))
-    while True:
-        a = poly_gcd_int(cpart, e)
-        if len(a) > 1:
-            out.append((a, i))
-        cpart = poly_div_exact(cpart, a)
-        if len(cpart) == 1:
-            break
-        e = kernels.poly_sub(poly_div_exact(e, a), kernels.derivative(cpart))
-        i += 1
-    return out
 
 
 def inverse_square_sum(c):
@@ -434,12 +394,6 @@ class Surd:
         return self * _surd(o.d * o.a, -o.d * o.b, o.n,
                             o.a * o.a - o.b * o.b * o.n)
 
-    def conjugate(self):
-        return _surd(self.a, -self.b, self.n, self.d)
-
-    def sign(self):
-        return kernels.surd_sign(self.a, self.b, self.n)
-
     def cmp_fraction(self, r):
         r = Fraction(r)
         rn, rd = r.numerator, r.denominator
@@ -582,14 +536,6 @@ def _count_in(chain, lo, hi):
             - kernels.varcount_at(chain, hi.numerator, hi.denominator))
 
 
-def _shrink(chain, iv):
-    """Halve an isolating interval, keeping the unique root in (lo, hi]."""
-    mid = iv.mid
-    if _count_in(chain, iv.lo, mid) == 1:
-        return RatInterval(iv.lo, mid)
-    return RatInterval(mid, iv.hi)
-
-
 # ---------------------------------------------------------------------------
 # AlgebraicNumber
 
@@ -600,10 +546,12 @@ class AlgebraicNumber:
     The minpoly must be squarefree, so every root is simple and a sign
     bisection can follow it; it need not be irreducible.  A reducible one
     (exploratory searches isolate a candidate's squarefree part) may have a
-    rational root, which refine and cmp_fraction meet exactly.  The
-    interval (lo, hi] holds exactly one root, and the constructor rejects
-    one that does not.  It only ever shrinks, so the designation is stable.
-    For a degree-1 minpoly the interval is the exact point.
+    rational root, which refine and cmp meet exactly.  The interval (lo, hi]
+    holds exactly one root, and the constructor rejects one that does not.
+    It only ever shrinks, and only by refine, so the designation is stable;
+    cmp against a rational or a surd is one Sturm count at that point and
+    leaves it as it is.  For a degree-1 minpoly the interval is the exact
+    point.
 
     chain is kernels.sturm_chain(minpoly.coeffs), the chain
     isolate_real_roots returned for the minpoly (or took from the caller),
@@ -632,15 +580,20 @@ class AlgebraicNumber:
         return self.minpoly.degree
 
     def refine(self, width):
-        """Shrink the cached interval to width <= width and return it."""
+        """Shrink the cached interval to width <= width and return it.
+
+        Sign bisection on the one simple root in (lo, hi]: the sign on
+        (lo, root) is -sign p(hi), and a midpoint where p vanishes is the
+        root and becomes hi.  When p(hi) == 0 the root is hi itself and the
+        interval becomes (max(lo, hi - width), hi].  A root of p at lo lies
+        outside (lo, hi] and needs no special case.
+        """
         width = Fraction(width)
         if width <= 0:
             raise InvalidInputError("width must be positive")
-        if self.degree == 1:
-            return self._isol
         iv = self._isol
-        # sign bisection on a simple root: the sign is s_lo on (lo, root).
-        # A midpoint that is a zero is the isolated root and becomes hi.
+        if iv.width <= width:  # also the exact point of a degree-1 minpoly
+            return iv
         # The endpoints are lo/den and hi/den over one denominator; an odd
         # lo + hi doubles all three first, so each midpoint (lo + hi)/2 is an
         # integer and the same rational a Fraction bisection would take.
@@ -648,14 +601,10 @@ class AlgebraicNumber:
         den = lcm(iv.lo.denominator, iv.hi.denominator)
         lo = iv.lo.numerator * (den // iv.lo.denominator)
         hi = iv.hi.numerator * (den // iv.hi.denominator)
-        s_lo = _sign(kernels.eval_qnum(c, lo, den))
-        if s_lo == 0 or kernels.eval_qnum(c, hi, den) == 0:
-            # an endpoint is a root (hi may be this one): fall back to
-            # Sturm shrinking, which needs no sign assumptions
-            while iv.width > width:
-                iv = _shrink(self.chain, iv)
-            self._isol = iv
-            return iv
+        s_lo = -_sign(kernels.eval_qnum(c, hi, den))
+        if s_lo == 0:
+            self._isol = RatInterval(max(iv.lo, iv.hi - width), iv.hi)
+            return self._isol
         w_num, w_den = width.numerator, width.denominator
         while (hi - lo) * w_den > w_num * den:
             if (lo + hi) % 2:
@@ -671,54 +620,38 @@ class AlgebraicNumber:
     def approx_float(self):
         return float(self.refine(Fraction(1, 10 ** 18)).mid)
 
-    def cmp_fraction(self, r):
-        """Exact sign of (self - r)."""
-        r = Fraction(r)
-        if self.degree == 1:
-            v = self._isol.lo
-            return (v > r) - (v < r)
-        iv = self._isol
-        if iv.lo < r <= iv.hi and kernels.eval_qnum(
-                self.minpoly.coeffs, r.numerator, r.denominator) == 0:
-            return 0  # r is the one root in (lo, hi]
-        while iv.lo <= r <= iv.hi:
-            iv = _shrink(self.chain, iv)
-            self._isol = iv
-        return 1 if iv.lo > r else -1
-
-    def cmp_surd(self, s):
-        """Exact sign of (self - s) for a Surd s.
-
-        The root lies in the isolating interval (lo, hi].  An irrational s
-        outside it is decided by its position; inside, s equals the root iff
-        the minimal polynomial vanishes at s (the interval holds no other
-        root), and otherwise the Sturm count over (lo, s] places the root on
-        one side.  No interval is shrunk.
-        """
-        if s.is_rational:
-            return self.cmp_fraction(s.p)
-        lo, hi = self._isol.lo, self._isol.hi
-        if self.degree == 1:
-            return -s.cmp_fraction(lo)
-        if s.cmp_fraction(lo) <= 0:
-            return 1
-        if s.cmp_fraction(hi) >= 0:
-            return -1
-        a, b, n, d = s.a, s.b, s.n, s.d
-        if kernels.eval_surd(self.minpoly.coeffs, a, b, n, d) == (0, 0):
-            return 0
-        chain = self.chain
-        below = (kernels.varcount_at(chain, lo.numerator, lo.denominator)
-                 - kernels.varcount_at_surd(chain, a, b, n, d))
-        return -1 if below else 1
-
     def cmp(self, other):
-        """Exact trichotomy against Fraction/int, Surd or AlgebraicNumber."""
+        """Exact sign of (self - other) for a Fraction/int, a Surd or an
+        AlgebraicNumber.
+
+        The root lies in (lo, hi].  A rational or surd x at or below lo is
+        below it, and one above hi is above it.  Inside, x equals the root
+        iff the minpoly vanishes at x (the interval holds no other root), and
+        otherwise one Sturm count over (lo, x] places the root on one side.
+        The interval is not shrunk.
+        """
         if isinstance(other, AlgebraicNumber):
             return self._cmp_algebraic(other)
-        if isinstance(other, Surd):
-            return self.cmp_surd(other)
-        return self.cmp_fraction(Fraction(other))
+        x = other if isinstance(other, Surd) else Surd(other)
+        lo, hi = self._isol.lo, self._isol.hi
+        if self.degree == 1:
+            return -x.cmp(lo)
+        if x.cmp(lo) <= 0:
+            return 1
+        if x.cmp(hi) > 0:
+            return -1
+        c, chain = self.minpoly.coeffs, self.chain
+        a, b, n, d = x.a, x.b, x.n, x.d
+        if b == 0:
+            if kernels.eval_qnum(c, a, d) == 0:
+                return 0
+            at_x = kernels.varcount_at(chain, a, d)
+        else:
+            if kernels.eval_surd(c, a, b, n, d) == (0, 0):
+                return 0
+            at_x = kernels.varcount_at_surd(chain, a, b, n, d)
+        below = kernels.varcount_at(chain, lo.numerator, lo.denominator) - at_x
+        return -1 if below else 1
 
     def _cmp_algebraic(self, other):
         if self.minpoly == other.minpoly:
@@ -728,24 +661,25 @@ class AlgebraicNumber:
             theirs = other._root_index()
             return (mine > theirs) - (mine < theirs)
         if other.degree == 1:
-            return self.cmp_fraction(other._isol.lo)
+            return self.cmp(other._isol.lo)
         if self.degree == 1:
-            return -other.cmp_fraction(self._isol.lo)
+            return -other.cmp(self._isol.lo)
         a, b = self._isol, other._isol
         # a root of gcd(p, q) in the overlap of (lo, hi] is the one root of
         # p in a and the one root of q in b, so the two values are equal;
-        # otherwise they differ and shrinking separates the intervals
+        # otherwise they differ and refining both at halving widths
+        # separates the intervals
         lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
         if lo < hi:
             g = poly_gcd_int(self.minpoly.coeffs, other.minpoly.coeffs)
             if len(g) > 1 and _count_in(kernels.sturm_chain(g), lo, hi):
                 return 0
-        while not (a.hi < b.lo or b.hi < a.lo):
-            a = _shrink(self.chain, a)
-            self._isol = a
-            b = _shrink(other.chain, b)
-            other._isol = b
-        return -1 if a.hi < b.lo else 1
+        width = max(a.width, b.width)
+        while not (a.hi <= b.lo or b.hi <= a.lo):
+            width /= 2
+            a = self.refine(width)
+            b = other.refine(width)
+        return -1 if a.hi <= b.lo else 1
 
     def _root_index(self):
         bound = _cauchy_bound(list(self.minpoly.coeffs))
@@ -754,23 +688,13 @@ class AlgebraicNumber:
     def floor(self):
         """Exact floor.
 
-        The interval is shrunk until it meets at most one integer; that
-        candidate is then decided by cmp_fraction, which also meets an
-        integer root exactly.
+        refine(1) leaves an interval that meets at most one integer; when it
+        does, one cmp against it decides (and meets an integer root exactly).
         """
-        if self.degree == 1:
-            v = self._isol.lo
-            return v.numerator // v.denominator
-        iv = self._isol
-        while True:
-            flo = iv.lo.numerator // iv.lo.denominator
-            fhi = iv.hi.numerator // iv.hi.denominator
-            if flo == fhi:
-                return flo
-            if fhi == flo + 1:
-                return fhi if self.cmp_fraction(fhi) >= 0 else flo
-            iv = _shrink(self.chain, iv)
-            self._isol = iv
+        iv = self.refine(1)
+        flo = iv.lo.numerator // iv.lo.denominator
+        fhi = iv.hi.numerator // iv.hi.denominator
+        return fhi if flo == fhi or self.cmp(fhi) >= 0 else flo
 
     def __repr__(self):
         return "AlgebraicNumber(%s, ~%.6f)" % (self.minpoly.to_str(),
@@ -803,13 +727,17 @@ def factor_over_integers(p):
                              % (len(coeffs) - 1))
     if len(coeffs) == 1:
         return []
-    out = {}
-    for sqf, mult in squarefree_decomposition(_primitive_pos(coeffs)):
-        for irr in factor_squarefree_primitive(sqf):
-            key = tuple(irr)
-            out[key] = out.get(key, 0) + mult
-    items = sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return [(IntPoly(list(k)), m) for k, m in items]
+    w = _primitive_pos(coeffs)
+    out = []
+    for irr in factor_squarefree_primitive(poly_squarefree_part(w)):
+        mult = 0
+        q = kernels.div_exact(w, irr)
+        while q is not None:
+            w, mult = q, mult + 1
+            q = kernels.div_exact(w, irr)
+        out.append((irr, mult))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return [(IntPoly(irr), mult) for irr, mult in out]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import kernels
-from .algnum import (AlgebraicNumber, IntPoly, Surd, factor_over_integers,
-                     is_d_number, isolate_real_roots, poly_squarefree_part,
+from .algnum import (IntPoly, Surd, is_d_number, poly_squarefree_part,
                      ratio_integrality_oracle)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .fusionring import (builtin_ring, emit_ring_file, formal_codegrees,
@@ -356,20 +354,7 @@ def _cmd_dnumber(args):
 
 def _cmd_ffib_bound(args):
     poly = _poly_from_arg(args.poly)
-    if not poly.is_monic:
-        raise InvalidInputError("the bound needs a monic polynomial")
-    factors = factor_over_integers(poly)
-    if len(factors) != 1 or factors[0][1] != 1:
-        raise InvalidInputError("the bound needs an irreducible polynomial")
-    chain = kernels.sturm_chain(poly.coeffs)
-    # totally positive: all deg poly roots lie in (0, oo)
-    if (kernels.varcount_at(chain, 0, 1)
-            - kernels.varcount_inf(chain, True)) != poly.degree:
-        raise InvalidInputError("the bound needs a totally positive "
-                                "polynomial")
-    ivs, _ = isolate_real_roots(poly.coeffs, chain)
-    d = AlgebraicNumber(poly, ivs[-1], chain)
-    bound, m, pcp = ffib_fpdim_bound(d)
+    bound, m, pcp, d = ffib_fpdim_bound(poly)
     config = {"poly": poly.to_str()}
     lines = _header(["ffib-bound"], config)
     lines.append("largest conjugate ~ %s" % _g(d.approx_float()))

@@ -55,10 +55,6 @@ class FusionRing:
         self.dual = dual
         self.N = tuple(frozen)
 
-    def matrix(self, i):
-        """Fusion matrix N_i with rows indexed by j, columns by k."""
-        return [list(row) for row in self.N[i]]
-
     def validate(self):
         """All axiom violations, each with witnessing indices; [] if valid.
 
@@ -255,7 +251,7 @@ class CodegreeSpectrum:
         for orb in self.orbits:
             prof_real = (orb.size == orb.poly.degree)
             ok_real = ok_real and prof_real
-            if orb.size and orb.min_root.cmp_fraction(Fraction(1)) < 0:
+            if orb.size and orb.min_root.cmp(1) < 0:
                 ok_ge1 = False
             if orb.size and (fp is None or orb.max_root.cmp(fp) > 0):
                 fp = orb.max_root
@@ -274,10 +270,6 @@ class CodegreeSpectrum:
     def inverse_square_sum(self):
         """Sum of 1/f_i**2 over all codegrees, exact rational."""
         return inverse_square_sum(self.charpoly.coeffs)
-
-    def inverse_sum(self):
-        """Sum of 1/f_i over all codegrees, exact rational."""
-        return Fraction(self.e(self.rank - 1), self.e(self.rank))
 
     def sum_identity(self):
         """Exact test of e_{r-1} == e_r (sum of codegree inverses == 1)."""

@@ -390,8 +390,8 @@ def _cubic_candidate(cfg, a, b, c):
         ivs, chain = isolate_real_roots(sqf.coeffs)
         d1 = AlgebraicNumber(sqf, ivs[0], chain)
         ok = _run_filter(cfg, trace, "root-window",
-                         lambda: d1.cmp_surd(cfg.d_lo) >= 0
-                         and d1.cmp_surd(cfg.d_hi) < 0)
+                         lambda: d1.cmp(cfg.d_lo) >= 0
+                         and d1.cmp(cfg.d_hi) < 0)
     if ok:
         d3 = AlgebraicNumber(sqf, ivs[-1], chain)
         label = poly.to_str()
@@ -695,7 +695,7 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
         else:
             ivs, _ = isolate_real_roots(asc, chain)
             d1 = AlgebraicNumber(poly, ivs[0], chain)
-            inwin = d1.cmp_surd(d_max) <= 0
+            inwin = d1.cmp(d_max) <= 0
         trace.append(("root-window", "pass" if inwin else "fail"))
         ok = inwin
     if ok:

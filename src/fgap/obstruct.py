@@ -10,9 +10,9 @@ obstructed", never a categorification claim.
 from fractions import Fraction
 
 from . import kernels
-from .algnum import (AlgebraicNumber, Surd, is_d_number,
-                     largest_integer_divisor, power_char_poly,
-                     isolate_real_roots)
+from .algnum import (AlgebraicNumber, IntPoly, Surd, factor_over_integers,
+                     is_d_number, isolate_real_roots, largest_integer_divisor,
+                     power_char_poly)
 from .errors import InvalidInputError
 
 FOUR_THIRDS = Fraction(4, 3)
@@ -21,14 +21,11 @@ FOUR_THIRDS = Fraction(4, 3)
 def threshold(kind, param=None):
     """Exact bound constants as Surd objects.
 
-    kind = "gdim_i": 4/3 (global dimension of any nontrivial category).
     kind = "gdim_k": sqrt((16k-16)/(8k-7)) for dimensions with k > 1
     Galois conjugates.
     kind = "codeg_r": sqrt(2r/(r+1)), lower bound for every codegree of a
     rank-r ring.
     """
-    if kind == "gdim_i":
-        return Surd(FOUR_THIRDS)
     if kind == "gdim_k":
         k = int(param)
         if k < 2:
@@ -89,7 +86,7 @@ def orbit_inequality(lhs, f):
     if t <= 0:
         return True, None
     bound = 1 / t
-    return f.cmp_fraction(bound) <= 0, bound
+    return f.cmp(bound) <= 0, bound
 
 
 def pseudo_unitary_inequality(spectrum, f):
@@ -104,8 +101,8 @@ def pseudo_unitary_inequality(spectrum, f):
     if bound is None:
         return "pass", "lhs %s, 2*lhs - 1 = %s <= 0" % (lhs, 2 * lhs - 1)
     status = "pass" if holds else "fail"
-    fv = f.approx_float() if hasattr(f, "approx_float") else float(f)
-    return status, "lhs %s, needs f <= %s (f ~ %.6f)" % (lhs, bound, fv)
+    return status, "lhs %s, needs f <= %s (f ~ %.6f)" % (lhs, bound,
+                                                          f.approx_float())
 
 
 def spherical_obstruction_report(spectrum):
@@ -132,14 +129,14 @@ def spherical_obstruction_report(spectrum):
                 "min-above-4/3", "pass",
                 "trivial ring: dimension 1 is the unit category"))
         else:
-            c = orb.min_root.cmp_fraction(FOUR_THIRDS)
+            c = orb.min_root.cmp(FOUR_THIRDS)
             checks.append(CheckResult(
                 "min-above-4/3", "pass" if c >= 0 else "fail",
                 "min root ~ %.9f vs 4/3" % orb.min_root.approx_float()))
 
         if k > 1:
             bound = threshold("gdim_k", k)
-            c = orb.min_root.cmp_surd(bound)
+            c = orb.min_root.cmp(bound)
             checks.append(CheckResult(
                 "conjugate-count-bound", "pass" if c >= 0 else "fail",
                 "k = %d, bound sqrt(%s), min root ~ %.9f"
@@ -183,7 +180,7 @@ def spherical_obstruction_report(spectrum):
             "codegrees-at-least-1", "pass" if ge1 else "fail",
             "min codegree ~ %.9f" % spectrum.min_root().approx_float()))
         bound = threshold("codeg_r", r)
-        c = spectrum.min_root().cmp_surd(bound)
+        c = spectrum.min_root().cmp(bound)
         global_checks.append(CheckResult(
             "min-codegree-bound", "pass" if c >= 0 else "fail",
             "bound sqrt(%s), min ~ %.9f"
@@ -203,22 +200,31 @@ def spherical_obstruction_report(spectrum):
     return ObstructionReport(orbit_results, global_checks)
 
 
-def ffib_fpdim_bound(d):
+def ffib_fpdim_bound(p):
     """Integer M bounding FPdim for any category of global dimension d.
 
-    f is the largest conjugate of d; M is the largest integer divisor (in
-    the M^i | c_i sense) of the characteristic polynomial of d^floor(f).
-    Returns (M, floor(f), that characteristic polynomial).
+    p is the minimal polynomial of d: a monic irreducible IntPoly with every
+    root in (0, oo); any other input raises InvalidInputError.  f is the
+    largest root of p, and M is the largest integer divisor (in the M^i | c_i
+    sense) of the characteristic polynomial of d^floor(f).  Total positivity
+    is one Sturm count on the chain the isolation then uses.  Returns
+    (M, floor(f), that characteristic polynomial, f).
     """
-    if not isinstance(d, AlgebraicNumber):
-        raise InvalidInputError("expected an AlgebraicNumber")
-    p, chain = d.minpoly, d.chain
+    if not isinstance(p, IntPoly):
+        raise InvalidInputError("expected an IntPoly")
+    if not p.is_monic:
+        raise InvalidInputError("the bound needs a monic polynomial")
+    factors = factor_over_integers(p)
+    if len(factors) != 1 or factors[0][1] != 1:
+        raise InvalidInputError("the bound needs an irreducible polynomial")
+    chain = kernels.sturm_chain(p.coeffs)
     # totally positive: all deg p roots lie in (0, oo)
     if (kernels.varcount_at(chain, 0, 1)
             - kernels.varcount_inf(chain, True)) != p.degree:
-        raise InvalidInputError("bound requires a totally positive input")
+        raise InvalidInputError("the bound needs a totally positive "
+                                "polynomial")
     ivs, _ = isolate_real_roots(p.coeffs, chain)
     f = AlgebraicNumber(p, ivs[-1], chain)
     m = f.floor()
-    pcp = power_char_poly(d, m)
-    return largest_integer_divisor(pcp), m, pcp
+    pcp = power_char_poly(f, m)
+    return largest_integer_divisor(pcp), m, pcp, f

@@ -14,11 +14,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
-                         _shrink, factor_over_integers,
+                         _primitive_pos, factor_over_integers,
                          is_d_number, isolate_real_roots,
-                         largest_integer_divisor, poly_squarefree_part,
-                         power_char_poly, ratio_integrality_oracle,
-                         squarefree_decomposition)
+                         largest_integer_divisor, poly_gcd_int,
+                         poly_squarefree_part, power_char_poly,
+                         ratio_integrality_oracle)
 from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.kernels import (normalize, poly_mul, sturm_chain, varcount_at,
                           varcount_at_surd, varcount_inf)
@@ -30,6 +30,63 @@ X = sympy.Symbol("x")
 def P(*desc):
     """IntPoly from descending coefficients."""
     return IntPoly(list(reversed(desc)))
+
+
+def _shrink(chain, iv):
+    """Halve an isolating interval by one Sturm count, keeping the unique
+    root in (lo, hi]: the bisection src ran before refine became the one
+    way to shrink an interval."""
+    mid = iv.mid
+    if (varcount_at(chain, iv.lo.numerator, iv.lo.denominator)
+            - varcount_at(chain, mid.numerator, mid.denominator)) == 1:
+        return RatInterval(iv.lo, mid)
+    return RatInterval(mid, iv.hi)
+
+
+def poly_div_exact(a, b):
+    """Quotient a / b of coefficient lists; the division must be exact."""
+    q = kernels.div_exact(kernels.normalize(a), kernels.normalize(b))
+    assert q is not None, (a, b)
+    return q
+
+
+def squarefree_decomposition(c):
+    """Yun decomposition of a nonzero polynomial: [(factor, multiplicity)]
+    with primitive squarefree factors of positive lead whose weighted
+    product reproduces the primitive part of c.  The path factor_over_integers
+    ran before it factored the squarefree part once."""
+    w = _primitive_pos(c)
+    if len(w) <= 1:
+        return []
+    d = kernels.derivative(w)
+    g = poly_gcd_int(w, d)
+    if len(g) == 1:
+        return [(w, 1)]
+    cpart = poly_div_exact(w, g)
+    dpart = poly_div_exact(d, g)
+    out = []
+    i = 1
+    e = kernels.poly_sub(dpart, kernels.derivative(cpart))
+    while True:
+        a = poly_gcd_int(cpart, e)
+        if len(a) > 1:
+            out.append((a, i))
+        cpart = poly_div_exact(cpart, a)
+        if len(cpart) == 1:
+            break
+        e = kernels.poly_sub(poly_div_exact(e, a), kernels.derivative(cpart))
+        i += 1
+    return out
+
+
+def conjugate(s):
+    """The Galois conjugate (a - b sqrt n)/d of the Surd (a + b sqrt n)/d."""
+    return Surd(s.p, -s.q, s.n)
+
+
+def sign(s):
+    """Exact sign of a Surd."""
+    return kernels.surd_sign(s.a, s.b, s.n)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +291,12 @@ def test_refine_deterministic():
 
 def refine_reference(a, iv, width):
     """Refinement by bisection on Fraction endpoints, as refine ran before
-    it kept its endpoints as integers over one denominator."""
+    it kept its endpoints as integers over one denominator.  Neither
+    endpoint may be a root."""
     p = a.minpoly
     lo, hi = iv.lo, iv.hi
     s_lo = (p(lo) > 0) - (p(lo) < 0)
-    if s_lo == 0 or p(hi) == 0:
-        chain = sturm_chain(list(p.coeffs))
-        while iv.width > width:
-            iv = _shrink(chain, iv)
-        return iv
+    assert s_lo and p(hi)
     while hi - lo > width:
         mid = (lo + hi) / 2
         v = p(mid)
@@ -274,12 +328,25 @@ def test_refine_matches_fraction_bisection(low):
         _assert_refine_matches_reference(poly, iv)
 
 
-def test_refine_endpoint_root_falls_back_to_sturm_halving():
-    # (x - 1)(x^2 - 2): the interval (1, 2] holds only sqrt 2, and its lower
-    # end is the root 1, so no endpoint sign brackets the root
+def test_refine_root_at_an_endpoint():
+    # (x - 1)(x^2 - 2): (1, 2] holds only sqrt 2 and its lower end is the
+    # root 1; (1/2, 1] holds the root 1 at its upper end
     poly = P(1, -1, -2, 2)
-    _assert_refine_matches_reference(poly, RatInterval(1, 2))
-    _assert_refine_matches_reference(poly, RatInterval(Fraction(1, 2), 1))
+    chain = sturm_chain(poly.coeffs)
+    for iv in (RatInterval(1, 2), RatInterval(Fraction(1, 2), 1)):
+        a = AlgebraicNumber(poly, iv, chain)
+        for width in REFINE_WIDTHS:
+            got = a.refine(width)
+            # the same root: a subinterval of iv that still holds one root
+            assert got.width <= width
+            assert iv.lo <= got.lo and got.hi <= iv.hi
+            assert (varcount_at(chain, got.lo.numerator, got.lo.denominator)
+                    - varcount_at(chain, got.hi.numerator,
+                                  got.hi.denominator)) == 1
+            if iv.hi == 1:
+                # a root at hi stays hi, and lo moves to hi - width
+                assert (got.lo, got.hi) == (max(iv.lo, 1 - width), 1)
+        assert a.cmp(1) == (0 if iv.hi == 1 else 1)
 
 
 def test_refine_takes_a_zero_midpoint_as_the_root():
@@ -290,9 +357,9 @@ def test_refine_takes_a_zero_midpoint_as_the_root():
                           sturm_chain(P(1, -2, -2, 4).coeffs))
     iv = two.refine(Fraction(1, 100))
     assert iv.lo < 2 <= iv.hi and iv.width <= Fraction(1, 100)
-    assert two.cmp_fraction(2) == 0
-    assert two.cmp_fraction(Fraction(199, 100)) == 1
-    assert two.cmp_fraction(Fraction(201, 100)) == -1
+    assert two.cmp(2) == 0
+    assert two.cmp(Fraction(199, 100)) == 1
+    assert two.cmp(Fraction(201, 100)) == -1
     assert two.approx_float() == 2.0
 
 
@@ -424,8 +491,8 @@ def test_surd_arithmetic_identities():
     t = Surd(-1, Fraction(1, 2), 5)
     assert ((s + t) - t).cmp(s) == 0
     prod = s * t
-    conj = s.conjugate() * t.conjugate()
-    assert prod.conjugate().cmp(conj) == 0
+    conj = conjugate(s) * conjugate(t)
+    assert conjugate(prod).cmp(conj) == 0
     assert ((s / t) * t).cmp(s) == 0
     assert (s * Fraction(2, 3) - s / Fraction(3, 2)).cmp(Surd(0)) == 0
 
@@ -507,7 +574,7 @@ def test_surd_sign_at_units(a, b, n):
     # a^2 - b^2 n = +-1: the closest an integer surd gets to zero
     want = 1 if a + b * float(n) ** 0.5 > 0 else -1
     s = Surd(a, b, n)
-    assert s.sign() == want and (-s).sign() == -want
+    assert sign(s) == want and sign(-s) == -want
     assert s.floor() == (0 if want > 0 else -1)
 
 
@@ -620,7 +687,7 @@ def same_value(s, ref):
 def test_surd_matches_fraction_reference(x, y, r):
     s, t = x.surd(), y.surd()
     assert same_value(s, x)
-    assert s.sign() == x.sign()
+    assert sign(s) == x.sign()
     assert s.floor() == x.floor()
     assert s.ceil() == x.ceil()
     assert s.cmp_fraction(r) == x.cmp_fraction(r)
@@ -634,7 +701,7 @@ def test_surd_matches_fraction_reference(x, y, r):
     assert same_value(s + t, x + y)
     assert same_value(s - t, x - y)
     assert same_value(s * t, x * y)
-    assert same_value(-s, -x) and same_value(s.conjugate(), x.conjugate())
+    assert same_value(-s, -x) and same_value(conjugate(s), x.conjugate())
     if y.sign():
         quot = x * y.conjugate()
         norm = (y * y.conjugate()).p
@@ -662,13 +729,13 @@ def fib_roots():
 
 def test_algnum_cmp_families():
     lo, hi = fib_roots()
-    assert lo.cmp_fraction(Fraction(4, 3)) > 0
-    assert lo.cmp_fraction(Fraction(7, 5)) < 0
-    assert lo.cmp_surd(Surd(0, Fraction(4, 5), 3)) < 0
-    assert hi.cmp_surd(Surd(0, 1, 2)) > 0
+    assert lo.cmp(Fraction(4, 3)) > 0
+    assert lo.cmp(Fraction(7, 5)) < 0
+    assert lo.cmp(Surd(0, Fraction(4, 5), 3)) < 0
+    assert hi.cmp(Surd(0, 1, 2)) > 0
     assert lo.cmp(hi) < 0 and hi.cmp(lo) > 0 and lo.cmp(lo) == 0
     # exact equality against its own surd form (5 - sqrt 5)/2
-    assert lo.cmp_surd(Surd(Fraction(5, 2), Fraction(-1, 2), 5)) == 0
+    assert lo.cmp(Surd(Fraction(5, 2), Fraction(-1, 2), 5)) == 0
 
 
 def test_algnum_rejects_non_monic_and_bad_interval():
@@ -750,17 +817,9 @@ def bisect_cmp_surd(poly, iv, s):
     the interval bisection cmp_surd ran before its surd-point Sturm count:
     the reference.  poly is squarefree and iv = (lo, hi] isolates one root."""
     chain = sturm_chain(list(poly.coeffs))
-    lo, hi = iv.lo, iv.hi
-
-    def shrink():
-        mid = (lo + hi) / 2
-        if (varcount_at(chain, lo.numerator, lo.denominator)
-                - varcount_at(chain, mid.numerator, mid.denominator)) == 1:
-            return lo, mid
-        return mid, hi
 
     def inside(x):
-        return x.cmp_fraction(lo) >= 0 and x.cmp_fraction(hi) <= 0
+        return x.cmp_fraction(iv.lo) >= 0 and x.cmp_fraction(iv.hi) <= 0
 
     acc = RefSurd(0)
     for c in reversed(poly.coeffs):
@@ -768,13 +827,13 @@ def bisect_cmp_surd(poly, iv, s):
     if acc.sign() == 0:
         other = s.conjugate()
         while inside(s) and inside(other):
-            lo, hi = shrink()
+            iv = _shrink(chain, iv)
         if inside(s):
             return 0
-        return 1 if s.cmp_fraction(lo) < 0 else -1
+        return 1 if s.cmp_fraction(iv.lo) < 0 else -1
     while inside(s):
-        lo, hi = shrink()
-    return 1 if s.cmp_fraction(lo) < 0 else -1
+        iv = _shrink(chain, iv)
+    return 1 if s.cmp_fraction(iv.lo) < 0 else -1
 
 
 def surd_points(poly, rng):
@@ -803,6 +862,33 @@ def surd_points(poly, rng):
     return pts
 
 
+def bisect_cmp_fraction(poly, iv, r):
+    """Sign of (the root of poly in iv) - r for a rational r, by shrinking
+    iv with _shrink until r lies outside it, as src compared with a rational
+    before its one Sturm count at the point: the reference."""
+    chain = sturm_chain(list(poly.coeffs))
+    if iv.lo < r <= iv.hi and poly(r) == 0:
+        return 0
+    while iv.lo <= r <= iv.hi:
+        iv = _shrink(chain, iv)
+    return 1 if iv.lo > r else -1
+
+
+def rational_points(poly, rng):
+    """Rationals around the real roots of poly: every interval end and
+    midpoint, the integer roots (a monic poly has no other rational ones),
+    points just beside each, and a few random ones."""
+    pts = [Fraction(t) for t in range(-14, 15) if poly(t) == 0]
+    for iv in isolate_real_roots(poly.coeffs)[0]:
+        pts.extend([iv.lo, iv.hi, iv.mid])
+        for k in (1, 6, 30):
+            step = Fraction(1, 10 ** k)
+            pts.extend([iv.mid + step, iv.mid - step, iv.hi - step])
+    for _ in range(4):
+        pts.append(Fraction(rng.randint(-60, 60), rng.randint(1, 9)))
+    return pts
+
+
 def sympy_squarefree(n):
     """(squarefree s, m) with n = m^2 s."""
     s, m = 1, 1
@@ -817,6 +903,7 @@ poly_coeffs = st.lists(st.integers(-12, 12), min_size=2, max_size=4)
 
 @given(poly_coeffs, st.integers(0, 10 ** 6))
 @settings(max_examples=120, deadline=None)
+@example(low=[0, -1], seed=0)  # x^2 - x: the root 0 is the end of (-3, 0]
 def test_cmp_surd_and_surd_sturm_count_match_bisection(low, seed):
     poly = IntPoly(low + [1])
     if [m for _, m in squarefree_decomposition(list(poly.coeffs))] != [1]:
@@ -824,15 +911,24 @@ def test_cmp_surd_and_surd_sturm_count_match_bisection(low, seed):
     rng = random.Random(seed)
     chain = sturm_chain(list(poly.coeffs))
     roots, _ = isolate_real_roots(poly.coeffs)
+    nums = [AlgebraicNumber(poly, iv, chain) for iv in roots]
     for s in surd_points(poly, rng):
         want = [bisect_cmp_surd(poly, iv, s) for iv in roots]
-        got = [AlgebraicNumber(poly, iv, chain).cmp_surd(s.surd())
-               for iv in roots]
+        got = [a.cmp(s.surd()) for a in nums]
         assert got == want
         surd = s.surd()
         below = varcount_inf(chain, False) - varcount_at_surd(
             chain, surd.a, surd.b, surd.n, surd.d)
         assert below == sum(1 for c in want if c <= 0)
+    for r in rational_points(poly, rng):
+        want = [bisect_cmp_fraction(poly, iv, r) for iv in roots]
+        assert [a.cmp(r) for a in nums] == want, r
+        below = varcount_inf(chain, False) - varcount_at(
+            chain, r.numerator, r.denominator)
+        assert below == sum(1 for c in want if c <= 0)
+    # a comparison never shrinks the interval
+    assert [(a._isol.lo, a._isol.hi) for a in nums] == [
+        (iv.lo, iv.hi) for iv in roots]
 
 
 # ---------------------------------------------------------------------------

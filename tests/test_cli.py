@@ -15,7 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fgap.algnum
 import fgap.cli
+import fgap.kernels
 from conftest import run_cli
 from test_golden import GOLDEN
 from fgap.fusionring import FusionRing, builtin_ring, emit_ring_file
@@ -104,26 +106,35 @@ def test_analyze_noncommutative_exits_1(s3_ring):
     assert out == ""
 
 
+def _counted(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    calls[name] = 0
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def _count_everywhere(monkeypatch, calls, name, original):
+    """Count the calls of original under `name` in every fgap module that
+    holds it."""
+    wrapper = _counted(calls, name, original)
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "fgap" and \
+                vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, wrapper)
+
+
 def test_analyze_computes_one_spectrum(monkeypatch, capsys):
     """One codegree spectrum and one commutativity check per request."""
-    calls = {"formal_codegrees": 0, "is_commutative": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    # rebind the name in every fgap module that holds it
-    original = fgap.fusionring.formal_codegrees
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fgap" and \
-                vars(module).get("formal_codegrees") is original:
-            monkeypatch.setattr(module, "formal_codegrees",
-                                counted("formal_codegrees", original))
+    calls = {}
+    _count_everywhere(monkeypatch, calls, "formal_codegrees",
+                      fgap.fusionring.formal_codegrees)
     prop = vars(FusionRing)["is_commutative"]
     monkeypatch.setattr(FusionRing, "is_commutative",
-                        property(counted("is_commutative", prop.fget)))
+                        property(_counted(calls, "is_commutative",
+                                          prop.fget)))
     ring = emit_ring_file(builtin_ring("cyclic", 4))
     monkeypatch.setattr(sys, "stdin", io.StringIO(ring))
 
@@ -365,6 +376,20 @@ def test_ffib_bound_rejections():
     assert rc == 1 and "irreducible" in err
     rc, _, err = run_cli("ffib-bound", "--poly", "1,1")
     assert rc == 1 and "totally positive" in err
+
+
+def test_ffib_bound_isolates_once_on_one_chain(monkeypatch, capsys):
+    """The total-positivity count and the isolation share one Sturm chain,
+    and the largest root is isolated once."""
+    calls = {}
+    _count_everywhere(monkeypatch, calls, "isolate_real_roots",
+                      fgap.algnum.isolate_real_roots)
+    _count_everywhere(monkeypatch, calls, "sturm_chain",
+                      fgap.kernels.sturm_chain)
+
+    assert fgap.cli.main(["ffib-bound", "--poly", "1,-14,49,-49"]) == 0
+    assert "bound: 117649\n" in capsys.readouterr().out
+    assert calls == {"isolate_real_roots": 1, "sturm_chain": 1}
 
 
 def test_repg_dihedral():

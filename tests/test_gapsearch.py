@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fgap import algnum, gapsearch, kernels
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          factor_over_integers, inverse_square_sum,
-                         isolate_real_roots, poly_div_exact, poly_gcd_int,
+                         isolate_real_roots, poly_gcd_int,
                          poly_squarefree_part)
 from fgap.errors import InvalidInputError
 from fgap.obstruct import FOUR_THIRDS, orbit_inequality
@@ -383,7 +383,7 @@ def test_gap_bracket_verdicts_match_isolation(audit, d_max, request):
             continue
         ivs, chain = isolate_real_roots(cand.poly.coeffs)
         d1 = AlgebraicNumber(cand.poly, ivs[0], chain)
-        inwin = d1.cmp_fraction(FOUR_THIRDS) > 0 and d1.cmp_surd(d_max) <= 0
+        inwin = d1.cmp(FOUR_THIRDS) > 0 and d1.cmp(d_max) <= 0
         assert got == ("pass" if inwin else "fail"), cand
         seen[got] += 1
     assert seen["pass"] > 0 and seen["fail"] > 1000
@@ -666,7 +666,7 @@ def totally_real_in_box_reference(asc, lo_n, lo_d, q_hi):
     derivative, then exact division (the form before poly_squarefree_part)."""
     deriv = [i * asc[i] for i in range(1, len(asc))]
     g = poly_gcd_int(list(asc), deriv)
-    sqf = poly_div_exact(list(asc), g) if len(g) > 1 else list(asc)
+    sqf = kernels.div_exact(list(asc), g) if len(g) > 1 else list(asc)
     chain = kernels.sturm_chain(sqf)
     total = (kernels.varcount_inf(chain, False)
              - kernels.varcount_inf(chain, True))

@@ -1,13 +1,15 @@
 """Layout rules for the package source, read with the standard library's ast.
 
 Nothing unreachable: every public module-level function or class in
-src/fgap is referenced somewhere in src/fgap outside its own definition
+src/fgap is referenced somewhere in src/fgap outside its own definition,
+and so is every public non-dunder method or property of a public class
 (an API only the tests reach belongs in the tests, as an oracle).  And no
 module imports a name it never uses, so a fold that moves code leaves no
 import behind.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fgap"
@@ -20,13 +22,14 @@ def _parse_package():
 
 
 def _loaded_names(node):
-    """Identifiers a subtree reads: bare names and attribute names."""
-    out = set()
+    """Identifiers a subtree reads, bare names and attribute names, with
+    the number of times each occurs."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
     return out
 
 
@@ -55,6 +58,26 @@ def test_every_public_definition_is_referenced_in_the_package():
             if not any(stmt.name in names for key, names in reads.items()
                        if key != (mod, i)):
                 unreferenced.append("%s:%s" % (mod, stmt.name))
+    assert unreferenced == []
+
+
+def test_every_public_method_is_referenced_in_the_package():
+    trees = _parse_package()
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(_loaded_names(tree))
+    unreferenced = []
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for fn in cls.body:
+                # properties and static methods are FunctionDefs too
+                if not isinstance(fn, ast.FunctionDef) or \
+                        fn.name.startswith("_"):
+                    continue
+                if everywhere[fn.name] == _loaded_names(fn)[fn.name]:
+                    unreferenced.append("%s:%s.%s" % (mod, cls.name, fn.name))
     assert unreferenced == []
 
 

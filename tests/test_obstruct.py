@@ -16,18 +16,31 @@ from fgap.obstruct import (
 )
 
 
+def P(*desc):
+    """IntPoly from descending coefficients."""
+    return IntPoly(list(reversed(desc)))
+
+
 def alg(*desc):
     """Largest real root of the monic polynomial with descending coeffs."""
-    p = IntPoly(list(reversed(desc)))
+    p = P(*desc)
     ivs, chain = isolate_real_roots(p.coeffs)
     return AlgebraicNumber(p, ivs[-1], chain)
+
+
+def as_root(s):
+    """An algebraic-integer Surd as the AlgebraicNumber on its minimal
+    polynomial that equals it."""
+    p = s.min_poly()
+    ivs, chain = isolate_real_roots(p.coeffs)
+    return next(a for a in (AlgebraicNumber(p, iv, chain) for iv in ivs)
+                if a.cmp(s) == 0)
 
 
 # ---------------------------------------------------------------------------
 # thresholds
 
 def test_threshold_pinned_values():
-    assert threshold("gdim_i") == Fraction(4, 3)
     assert threshold("gdim_k", 2) == Fraction(4, 3)
     t3 = threshold("gdim_k", 3)
     assert t3 * t3 == Fraction(32, 17)
@@ -76,7 +89,7 @@ def test_pseudo_unitary_fibonacci():
     spec = formal_codegrees(builtin_ring("kn", 1))
     assert spec.inverse_square_sum() == Fraction(3, 5)
     status, detail = pseudo_unitary_inequality(
-        spec, Surd(Fraction(5, 2), Fraction(1, 2), 5))
+        spec, as_root(Surd(Fraction(5, 2), Fraction(1, 2), 5)))
     assert status == "pass"
     assert "lhs 3/5" in detail
 
@@ -86,14 +99,15 @@ def test_pseudo_unitary_k2_split():
     # holds at 4 - 2 sqrt 2
     spec = formal_codegrees(builtin_ring("kn", 2))
     assert spec.inverse_square_sum() == Fraction(3, 4)
-    assert pseudo_unitary_inequality(spec, Surd(4, 2, 2))[0] == "fail"
-    assert pseudo_unitary_inequality(spec, Surd(4, -2, 2))[0] == "pass"
+    assert pseudo_unitary_inequality(spec, as_root(Surd(4, 2, 2)))[0] == "fail"
+    assert pseudo_unitary_inequality(spec,
+                                     as_root(Surd(4, -2, 2)))[0] == "pass"
 
 
 def test_pseudo_unitary_small_lhs_passes_any_f():
     # cyclic(3): sum 1/f^2 = 1/3 <= 1/2, so the inequality is free
     spec = formal_codegrees(builtin_ring("cyclic", 3))
-    status, detail = pseudo_unitary_inequality(spec, Surd(10 ** 9))
+    status, detail = pseudo_unitary_inequality(spec, as_root(Surd(10 ** 9)))
     assert status == "pass"
     assert "<= 0" in detail
 
@@ -163,10 +177,10 @@ def test_report_global_check_names(k2):
 # dimension bound for minimal-dimension candidates
 
 def test_ffib_bound_pinned():
-    assert ffib_fpdim_bound(alg(1, -5, 5))[0] == 5
-    assert ffib_fpdim_bound(alg(1, -2))[0] == 4
-    assert ffib_fpdim_bound(alg(1, -3))[0] == 27
-    assert ffib_fpdim_bound(alg(1, -14, 49, -49))[0] == 117649
+    assert ffib_fpdim_bound(P(1, -5, 5))[0] == 5
+    assert ffib_fpdim_bound(P(1, -2))[0] == 4
+    assert ffib_fpdim_bound(P(1, -3))[0] == 27
+    assert ffib_fpdim_bound(P(1, -14, 49, -49))[0] == 117649
 
 
 def test_ffib_bound_divides_norm_power():
@@ -174,7 +188,8 @@ def test_ffib_bound_divides_norm_power():
                  (1, -3, 1), (1, -7, 13, -5)]:
         a = alg(*desc)
         m = a.floor()
-        bound = ffib_fpdim_bound(a)[0]
+        bound, power, _, f = ffib_fpdim_bound(P(*desc))
+        assert power == m and f.cmp(a) == 0
         assert bound >= 1
         assert (abs(desc[-1]) ** m) % bound == 0
 
@@ -182,3 +197,7 @@ def test_ffib_bound_divides_norm_power():
 def test_ffib_bound_rejects_non_algebraic_input():
     with pytest.raises(InvalidInputError):
         ffib_fpdim_bound(Surd(Fraction(5, 2), Fraction(-1, 2), 5))
+    # the minimal polynomial, not its root, and only a monic irreducible one
+    for bad in (alg(1, -5, 5), P(2, -5, 5), P(1, -4, 4)):
+        with pytest.raises(InvalidInputError):
+            ffib_fpdim_bound(bad)
