@@ -642,14 +642,11 @@ class AlgebraicNumber:
             return -1
         c, chain = self.minpoly.coeffs, self.chain
         a, b, n, d = x.a, x.b, x.n, x.d
-        if b == 0:
-            if kernels.eval_qnum(c, a, d) == 0:
-                return 0
-            at_x = kernels.varcount_at(chain, a, d)
-        else:
-            if kernels.eval_surd(c, a, b, n, d) == (0, 0):
-                return 0
-            at_x = kernels.varcount_at_surd(chain, a, b, n, d)
+        # a rational x has b == n == 0, where both surd kernels reduce to
+        # the rational ones
+        if kernels.eval_surd(c, a, b, n, d) == (0, 0):
+            return 0
+        at_x = kernels.varcount_at_surd(chain, a, b, n, d)
         below = kernels.varcount_at(chain, lo.numerator, lo.denominator) - at_x
         return -1 if below else 1
 

@@ -3,7 +3,8 @@
 Nothing unreachable: every public module-level function or class in
 src/fgap is referenced somewhere in src/fgap outside its own definition,
 and so is every public non-dunder method or property of a public class
-(an API only the tests reach belongs in the tests, as an oracle).  And no
+(an API only the tests reach belongs in the tests, as an oracle; the
+method rule matches spellings, so it is weaker, see its test).  And no
 module imports a name it never uses, so a fold that moves code leaves no
 import behind.
 """
@@ -62,6 +63,11 @@ def test_every_public_definition_is_referenced_in_the_package():
 
 
 def test_every_public_method_is_referenced_in_the_package():
+    """A method counts as read when any name or attribute in src outside
+    its own body has its spelling.  The rule cannot tell which class an
+    attribute read belongs to, so a method whose name is shared with
+    another identifier (`sign`, `matrix`, `cmp`, ...) is not checked: it
+    catches only methods whose name occurs nowhere else."""
     trees = _parse_package()
     everywhere = Counter()
     for tree in trees.values():
