@@ -351,12 +351,7 @@ def fp_dimension_vector(ring, spectrum, tol=Fraction(1, 10 ** 12)):
     v = [x / scale for x in v]
 
     fp = spectrum.fp_root
-    z = spectrum.matrix
-    vq = [Fraction(x) for x in v]
-    zv = [sum(z[j][k] * vq[k] for k in range(r)) for j in range(r)]
-    vv = sum(x * x for x in vq)
-    rho = sum(zv[j] * vq[j] for j in range(r)) / vv
-    res = sum((zv[j] - rho * vq[j]) ** 2 for j in range(r)) / vv
+    rho, res = _rayleigh(spectrum.matrix, v)
     certified = res <= tol * tol * rho * rho
     if not certified:
         raise AmbiguityError(
@@ -374,6 +369,25 @@ def fp_dimension_vector(ring, spectrum, tol=Fraction(1, 10 ** 12)):
         "certified": True,
     }
     return v, certificate
+
+
+def _rayleigh(z, v):
+    """Exact Rayleigh quotient rho and residual ||(z - rho) v||^2 / ||v||^2
+    of the integer matrix z at the float vector v, as Fractions.
+
+    Floats are dyadic, so v = V/D with integers V and D a power of two; with
+    p = V.zV and q = V.V, rho = p/q and the residual is
+    sum_j (q (zV)_j - p V_j)^2 / q^3, in integers until the two divisions.
+    """
+    ratios = [x.as_integer_ratio() for x in v]
+    den = max(d for _, d in ratios)
+    big = [n * (den // d) for n, d in ratios]
+    r = len(big)
+    zv = [sum(zj[k] * big[k] for k in range(r) if zj[k]) for zj in z]
+    p = sum(a * b for a, b in zip(zv, big))
+    q = sum(a * a for a in big)
+    res = sum((q * a - p * b) ** 2 for a, b in zip(zv, big))
+    return Fraction(p, q), Fraction(res, q ** 3)
 
 
 class RepGCodegrees:

@@ -15,10 +15,12 @@ never tie with algebraic-integer candidates, which is asserted by the
 exact comparisons rather than assumed.
 
 search_gap brackets d_max once between rationals r_lo <= d_max <= r_hi
-(equal when d_max is rational).  A leaf counts its roots in (4/3, r_lo]
-and (4/3, r_hi] with Sturm chains: a root in the first passes the window,
-none in the second fails it, and only a smallest root between the two
-needs isolation and the exact comparison with d_max.
+(equal when d_max is rational).  A leaf of degree <= 3 decides realness by
+the sign of its discriminant, and each root bound by one sign test on a
+Taylor shift (Descartes' rule, exact on real-rooted polynomials): a root
+in (4/3, r_lo] passes the window, none in (4/3, r_hi] fails it, and only a
+smallest root between the two needs a Sturm chain, isolation and the exact
+comparison with d_max.
 
 The coefficient walk computes each bound on integers: a polynomial value
 at a rational point or a quadratic critical point comes from one
@@ -378,8 +380,7 @@ def _cubic_candidate(cfg, a, b, c):
         ok = _run_filter(cfg, trace, "irreducible",
                          lambda: _irreducible_fast(poly))
     if ok:
-        disc = (18 * a * b * c - 4 * a ** 3 * c + a * a * b * b
-                - 4 * b ** 3 - 27 * c * c)
+        disc = _cubic_discriminant(poly.coeffs)
         ok = _run_filter(cfg, trace, "totally-positive",
                          lambda: disc > 0 and a > 0 and b > 0 and c > 0)
     ivs = None
@@ -633,7 +634,9 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
 
 def _irreducible_fast(poly):
     """Irreducibility over the rationals for monic integer polynomials;
-    closed form through degree 3, factorization beyond."""
+    closed form through degree 3, factorization beyond.  A monic cubic is
+    reducible iff it has an integer root, which divides its constant term:
+    each divisor pair t, |c0|/t is tried with both signs by Horner."""
     asc = poly.coeffs
     k = poly.degree
     if k == 1:
@@ -642,26 +645,61 @@ def _irreducible_fast(poly):
         disc = asc[1] * asc[1] - 4 * asc[0]
         return disc < 0 or isqrt(disc) ** 2 != disc
     if k == 3:
-        if asc[0] == 0:
+        c0, c1, c2, _ = asc
+        m = abs(c0)
+        if m == 0:
             return False
-        for t in _divisors(abs(asc[0])):
-            if poly(t) == 0 or poly(-t) == 0:
-                return False
+        for t in range(1, isqrt(m) + 1):
+            if m % t == 0:
+                for r in (t, -t, m // t, -(m // t)):
+                    if ((r + c2) * r + c1) * r + c0 == 0:
+                        return False
         return True
     factors = factor_over_integers(poly)
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0] == poly
 
 
+def _cubic_discriminant(c):
+    """Discriminant of the cubic with ascending coefficients c.
+
+    Positive iff the three roots are real and distinct, negative iff one is
+    real and two are complex conjugates, zero iff a root repeats.  For
+    x^3 - ax^2 + bx - c it is 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2.
+    """
+    a0, a1, a2, a3 = c
+    return (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0 + a2 * a2 * a1 * a1
+            - 4 * a3 * a1 ** 3 - 27 * a3 * a3 * a0 * a0)
+
+
+def _real_rooted_low_degree(c):
+    """Are all roots of the squarefree c, of degree 1 to 3, real?
+
+    Squarefree means a nonzero discriminant, so its sign decides: positive
+    iff every root is real.
+    """
+    k = len(c) - 1
+    if k == 1:
+        return True
+    if k == 2:
+        return c[1] * c[1] - 4 * c[2] * c[0] > 0
+    return _cubic_discriminant(c) > 0
+
+
 def _gap_leaf(poly, d_max, bracket, keep_all):
     """Run the survivor battery on one candidate.
 
-    Decisions are exact but routed through cheap paths: Sturm counts for
-    realness and window membership (bracket holds rationals r_lo <= d_max
-    <= r_hi; a root in (4/3, r_lo] passes the window and no root in
-    (4/3, r_hi] fails it, so the exact algebraic comparison only runs for
-    a smallest root between them).  Isolation runs at most once, on the
-    chain of the realness count: for that smallest root, or for the few
-    candidates that reach the orbit inequality.
+    Decisions are exact but routed through cheap paths.  An irreducible
+    candidate is squarefree, so through degree 3 the sign of its
+    discriminant says whether every root is real; from degree 4 on a Sturm
+    count does.  On a real-rooted polynomial each root bound is one sign
+    test on a Taylor shift (kernels.real_roots_above): every root >= 1 is
+    the weak test at 1, a root <= 4/3 a failed strict test at 4/3.  bracket
+    holds rationals r_lo <= d_max <= r_hi: a root <= r_lo (a failed strict
+    test) passes the window and every root > r_hi (a strict test) fails it,
+    so the exact algebraic comparison only runs for a smallest root between
+    them.  Isolation runs at most once: for that smallest root, or for the
+    few candidates that reach the orbit inequality.  Its Sturm chain is the
+    one the realness count built, or is built then.
     """
     trace = []
     roots = None
@@ -672,28 +710,30 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     trace.append(("irreducible", "pass" if irr else "fail"))
     ok = irr
 
-    ivs = None  # isolating intervals, computed at most once, on chain
+    chain = None  # Sturm chain: from degree 4 on, or once isolation runs
+    ivs = None  # isolating intervals, computed at most once
     if ok:
-        chain = kernels.sturm_chain(asc)
-        v_minus = kernels.varcount_inf(chain, False)
-        total = v_minus - kernels.varcount_inf(chain, True)
-        n_le_1 = v_minus - kernels.varcount_at(chain, 1, 1)
-        good = total == k and (n_le_1 - (1 if poly(1) == 0 else 0)) == 0
+        if k <= 3:
+            real = _real_rooted_low_degree(asc)
+        else:
+            chain = kernels.sturm_chain(asc)
+            real = (kernels.varcount_inf(chain, False)
+                    - kernels.varcount_inf(chain, True)) == k
+        good = real and kernels.real_roots_above(asc, 1, 1, False)
         trace.append(("roots-real-ge-1", "pass" if good else "fail"))
         ok = good
     if ok:
         r_lo, r_hi = bracket
-        v43 = kernels.varcount_at(chain, 4, 3)
-        if v_minus - v43 != 0:
+        if not kernels.real_roots_above(asc, 4, 3, True):
             inwin = False  # a root at or below 4/3
-        elif v43 - kernels.varcount_at(chain, r_lo.numerator,
-                                       r_lo.denominator) >= 1:
+        elif not kernels.real_roots_above(asc, r_lo.numerator,
+                                          r_lo.denominator, True):
             inwin = True
-        elif r_lo == r_hi or v43 == kernels.varcount_at(chain, r_hi.numerator,
-                                                        r_hi.denominator):
+        elif r_lo == r_hi or kernels.real_roots_above(
+                asc, r_hi.numerator, r_hi.denominator, True):
             inwin = False  # smallest root above d_max
         else:
-            ivs, _ = isolate_real_roots(asc, chain)
+            ivs, chain = isolate_real_roots(asc, chain)
             d1 = AlgebraicNumber(poly, ivs[0], chain)
             inwin = d1.cmp(d_max) <= 0
         trace.append(("root-window", "pass" if inwin else "fail"))
@@ -707,7 +747,7 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
         ok = pref >= 1
     if ok:
         if ivs is None:
-            ivs, _ = isolate_real_roots(asc, chain)
+            ivs, chain = isolate_real_roots(asc, chain)
         fmax = AlgebraicNumber(poly, ivs[-1], chain)
         good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
         trace.append(("orbit-inequality", "pass" if good else "fail"))
@@ -766,7 +806,10 @@ def search_gap(d_max, audit=False):
     below d_max; within each degree, coefficients are searched depth-first
     with interval pruning.  Survivors pass: irreducible, all roots real
     and >= 1, smallest root in (4/3, d_max], d-number, the integer
-    prefilter prod(3 d_i - 4) >= 1, and the orbit inequality.
+    prefilter prod(3 d_i - 4) >= 1, and the orbit inequality.  A leaf
+    builds a Sturm chain only from degree 4 on, or to isolate its roots:
+    for a smallest root between the rationals that bracket d_max, or for
+    the orbit inequality (see _gap_leaf).
     """
     d_max = _as_surd(d_max)
     if d_max.cmp_fraction(FOUR_THIRDS) <= 0:
@@ -786,7 +829,7 @@ def search_gap(d_max, audit=False):
     f_hi = f_max.ceil()
     cuts = _gap_cut_points(d_max)
     # rationals r_lo <= d_max <= r_hi (both equal to a rational d_max), so a
-    # leaf settles its root window with Sturm counts at fixed points
+    # leaf settles its root window with sign tests at fixed points
     iv = d_max.approx(Fraction(1, 10 ** 20))
     bracket = (iv.lo, iv.hi)
 

@@ -6,7 +6,8 @@ exact integer arithmetic; these are the hot loops behind root isolation,
 resultants and the search pruning, so they stay free of Fraction objects.
 
 This module is the one home of the coefficient-list primitives: normalize,
-derivative, poly_add, poly_sub, poly_mul, div_exact and pseudo_rem.  Code
+derivative, poly_add, poly_sub, poly_mul, div_exact, pseudo_rem and
+taylor_shift.  Code
 built on them lives elsewhere: primitive parts, gcds and squarefree parts
 in algnum, arithmetic over GF(q) (these primitives reduced mod q) in
 _factor.
@@ -119,6 +120,55 @@ def pseudo_rem(a, b):
                 r[i + k] -= c * b[i]
     del r[db:]
     return normalize(r)
+
+
+def taylor_shift(c, n, d):
+    """Ascending coefficients of d**k * c((x + n)/d) for k = deg c, d > 0.
+
+    Its roots are the d*r - n over the roots r of c, so the roots of c above
+    n/d become the positive roots of the shift.  The scaling is one pass,
+    the shift by n the k(k+1)/2 multiply-adds of repeated synthetic division.
+    """
+    k = len(c) - 1
+    a = list(c)
+    dd = 1
+    for i in range(k - 1, -1, -1):
+        dd *= d
+        a[i] *= dd
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            a[j] += n * a[j + 1]
+    return a
+
+
+def real_roots_above(c, n, d, strict):
+    """Does every root of the real-rooted c exceed n/d (strict) or reach it?
+
+    c must have only real roots (counted with multiplicity) and d > 0.  Let
+    s = taylor_shift(c, n, d), of degree k and leading coefficient l; its
+    roots are y = d*r - n.  Strict: every y > 0 iff s_i * l * (-1)**(k-i)
+    > 0 for every i.  If every y > 0, s = l * prod(x - y) and s_i is
+    l * (-1)**(k-i) times an elementary symmetric function of positive
+    numbers, which is positive.  Conversely, if the signs strictly
+    alternate, every coefficient of s(-x) has the sign of (-1)**k * l, so
+    s(-x) has no root x >= 0 and s no root y <= 0; as s is real-rooted,
+    every root is positive.  (This is Descartes' rule of signs, which is
+    exact on real-rooted polynomials.)  Weak: every y >= 0 iff no s_i has
+    the sign opposite to l * (-1)**(k-i); zeros are allowed.  If every
+    y >= 0, s = l * x**m * prod(x - y') with every y' > 0, whose
+    coefficients are the strict case's, shifted up by m places, with m
+    zeros below.  Conversely, s(-x) then has every nonzero coefficient of
+    one sign and a nonzero leading one, so s(-x) has no root x > 0 and s
+    no root y < 0.
+    """
+    s = taylor_shift(c, n, d)
+    want = 1 if s[-1] > 0 else -1
+    for i in range(len(s) - 2, -1, -1):
+        want = -want
+        v = s[i] * want
+        if v < 0 or (strict and v == 0):
+            return False
+    return True
 
 
 def eval_qnum(c, p, q):

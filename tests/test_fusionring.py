@@ -20,6 +20,7 @@ from fgap.fusionring import (
     fp_dimension_vector,
     parse_ring_file,
     rep_g_codegrees,
+    _rayleigh,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -370,6 +371,35 @@ def test_fp_dimensions_cyclic():
     dims, cert = fp_dimension_vector(ring, spec)
     assert all(abs(d - 1) < 1e-9 for d in dims)
     assert float(spec.fp_root.approx_float()) == pytest.approx(5.0, abs=1e-9)
+
+
+def rayleigh_reference(z, v):
+    """Rayleigh quotient and residual over the Fraction images of v (the
+    form before the integer numerators)."""
+    r = len(v)
+    vq = [Fraction(x) for x in v]
+    zv = [sum(z[j][k] * vq[k] for k in range(r)) for j in range(r)]
+    vv = sum(x * x for x in vq)
+    rho = sum(zv[j] * vq[j] for j in range(r)) / vv
+    res = sum((zv[j] - rho * vq[j]) ** 2 for j in range(r)) / vv
+    return rho, res
+
+
+COMMUTATIVE_ORACLE_RINGS = [r for r in ORACLE_RINGS if r.is_commutative]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(COMMUTATIVE_ORACLE_RINGS), st.data())
+def test_rayleigh_matches_fraction_reference(ring, data):
+    spec = formal_codegrees(ring)
+    dims, cert = fp_dimension_vector(ring, spec)
+    want = rayleigh_reference(spec.matrix, dims)
+    assert (cert["rayleigh"], cert["residual_sq"]) == want
+    # off the Perron vector: any finite floats, signs and zeros included
+    v = data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                           min_size=ring.rank, max_size=ring.rank)
+                  .filter(any))
+    assert _rayleigh(spec.matrix, v) == rayleigh_reference(spec.matrix, v)
 
 
 # ---------------------------------------------------------------------------

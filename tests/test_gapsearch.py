@@ -8,21 +8,24 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap import algnum, gapsearch, kernels
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          factor_over_integers, inverse_square_sum,
-                         isolate_real_roots, poly_gcd_int,
+                         is_d_number, isolate_real_roots, poly_gcd_int,
                          poly_squarefree_part)
 from fgap.errors import InvalidInputError
 from fgap.obstruct import FOUR_THIRDS, orbit_inequality
 from fgap.gapsearch import (
+    CUBIC_DEFAULT_LO,
     EXPLORATORY_MARK,
     QUAD_DEFAULT_HI,
     QUAD_DEFAULT_LO,
     SQRT2,
+    Candidate,
     SearchConfig,
     mainineq_enclosure_pair,
     search_cubic,
@@ -616,6 +619,217 @@ def test_gap_leaf_keeps_four_positional_parameters():
     assert [(p.kind, p.default) for p in params] == [
         (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
     ] * 4
+
+
+# ---------------------------------------------------------------------------
+# the leaf battery against its Sturm-chain reference
+
+def irreducible_reference(poly):
+    """The degree <= 3 irreducibility test over a sorted divisor list and
+    IntPoly evaluation (the form before the inline Horner pairs)."""
+    asc = poly.coeffs
+    k = poly.degree
+    if k == 1:
+        return True
+    if k == 2:
+        disc = asc[1] * asc[1] - 4 * asc[0]
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    if k == 3:
+        if asc[0] == 0:
+            return False
+        return all(poly(t) != 0 and poly(-t) != 0
+                   for t in gapsearch._divisors(abs(asc[0])))
+    factors = factor_over_integers(poly)
+    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0] == poly
+
+
+def gap_leaf_reference(poly, d_max, bracket, keep_all):
+    """The leaf battery on Sturm counts alone: one chain per irreducible
+    leaf, read at -inf, +inf, 1, 4/3, r_lo and r_hi (the form before the
+    closed-form realness and the Taylor-shift sign tests)."""
+    trace = []
+    roots = None
+    k = poly.degree
+    asc = list(poly.coeffs)
+    ok = irreducible_reference(poly)
+    trace.append(("irreducible", "pass" if ok else "fail"))
+    ivs = None
+    if ok:
+        chain = kernels.sturm_chain(asc)
+        v_minus = kernels.varcount_inf(chain, False)
+        total = v_minus - kernels.varcount_inf(chain, True)
+        n_le_1 = v_minus - kernels.varcount_at(chain, 1, 1)
+        ok = total == k and (n_le_1 - (1 if poly(1) == 0 else 0)) == 0
+        trace.append(("roots-real-ge-1", "pass" if ok else "fail"))
+    if ok:
+        r_lo, r_hi = bracket
+        v43 = kernels.varcount_at(chain, 4, 3)
+        if v_minus - v43 != 0:
+            ok = False
+        elif v43 - kernels.varcount_at(chain, r_lo.numerator,
+                                       r_lo.denominator) >= 1:
+            ok = True
+        elif r_lo == r_hi or v43 == kernels.varcount_at(chain, r_hi.numerator,
+                                                        r_hi.denominator):
+            ok = False
+        else:
+            ivs, _ = isolate_real_roots(asc, chain)
+            ok = AlgebraicNumber(poly, ivs[0], chain).cmp(d_max) <= 0
+        trace.append(("root-window", "pass" if ok else "fail"))
+    if ok:
+        ok = is_d_number(poly)
+        trace.append(("d-number", "pass" if ok else "fail"))
+    if ok:
+        ok = (-1 if k % 2 else 1) * kernels.eval_qnum(asc, 4, 3) >= 1
+        trace.append(("integer-prefilter", "pass" if ok else "fail"))
+    if ok:
+        if ivs is None:
+            ivs, _ = isolate_real_roots(asc, chain)
+        fmax = AlgebraicNumber(poly, ivs[-1], chain)
+        good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
+        trace.append(("orbit-inequality", "pass" if good else "fail"))
+        roots = tuple(AlgebraicNumber(poly, iv, chain).approx_float()
+                      for iv in ivs)
+    cand = Candidate(poly, trace, roots)
+    return cand if cand.survivor or keep_all else None
+
+
+@pytest.mark.parametrize("d_max, leaves", [
+    (Surd(Fraction(277, 200)), 4810),
+    (QUAD_DEFAULT_HI, 4810),
+    (Surd(Fraction(138, 100)), 1463),
+], ids=["277/200", "4sqrt(3)/5", "1.38"])
+def test_walk_leaves_match_chain_reference(d_max, leaves, monkeypatch):
+    real_leaf = gapsearch._gap_leaf
+    calls = []
+
+    def checked(poly, d_max, bracket, keep_all):
+        got = real_leaf(poly, d_max, bracket, True)
+        want = gap_leaf_reference(poly, d_max, bracket, True)
+        assert (got.trace, got.roots) == (want.trace, want.roots), poly
+        calls.append(poly)
+        return got if got.survivor or keep_all else None
+
+    monkeypatch.setattr(gapsearch, "_gap_leaf", checked)
+    search_gap(d_max)
+    assert len(calls) == leaves
+
+
+def test_rational_gap_search_builds_a_chain_only_to_isolate(monkeypatch):
+    # at 277/200 the bracket is the point d_max, so no root window needs
+    # isolation: only the leaves that reach the orbit inequality isolate
+    # their roots, each on one chain (one chain per irreducible leaf, 4,672,
+    # before the sign tests)
+    counts = Counter()
+    real_chain = kernels.sturm_chain
+    real_isolate = gapsearch.isolate_real_roots
+    real_leaf = gapsearch._gap_leaf
+    reached = []
+
+    def chain(*args):
+        counts["chain"] += 1
+        return real_chain(*args)
+
+    def isolate(*args):
+        counts["isolate"] += 1
+        return real_isolate(*args)
+
+    def leaf(poly, d_max, bracket, keep_all):
+        cand = real_leaf(poly, d_max, bracket, True)
+        if "orbit-inequality" in dict(cand.trace):
+            reached.append(cand)
+        return cand if cand.survivor or keep_all else None
+
+    monkeypatch.setattr(kernels, "sturm_chain", chain)
+    monkeypatch.setattr(gapsearch, "isolate_real_roots", isolate)
+    monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)
+    search_gap(Surd(Fraction(277, 200)))
+    assert counts["chain"] == counts["isolate"] == len(reached) == 2
+
+
+# irrational windows for the leaf; a coarse bracket around one sends leaves
+# whose smallest root lies near it through isolation
+LEAF_SURDS = (QUAD_DEFAULT_HI, QUAD_DEFAULT_LO, CUBIC_DEFAULT_LO, GOLDEN_GAP)
+
+
+@st.composite
+def leaf_cases(draw):
+    """A monic polynomial of degree 1-4 and a window: a rational point
+    bracket, or a surd d_max inside a rational bracket r_lo < r_hi."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        asc = draw(st.lists(st.integers(-40, 40), min_size=k, max_size=k))
+        asc = asc + [1]
+    else:
+        # near a product of linear factors: often real-rooted, irreducible
+        asc = [1]
+        for _ in range(k):
+            root = draw(st.integers(1, 12))
+            asc = kernels.poly_mul(asc, [-root, 1])
+        asc[0] += draw(st.integers(-4, 4))
+        asc[1 % k] += draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        d = Fraction(draw(st.integers(1334, 1414)), 1000)
+        return IntPoly(asc), Surd(d), (d, d)
+    d_max = draw(st.sampled_from(LEAF_SURDS))
+    iv = d_max.approx(Fraction(1, draw(st.sampled_from([10, 100, 10 ** 4,
+                                                         10 ** 20]))))
+    return IntPoly(asc), d_max, (iv.lo, iv.hi)
+
+
+def _leaf(asc, d_max, width):
+    iv = d_max.approx(width)
+    return IntPoly(asc), d_max, (iv.lo, iv.hi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=leaf_cases())
+# x - 1: its root sits on the weak bound 1
+@example(case=_leaf([-1, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
+# the survivor, isolated in a coarse bracket, and at d_max equal to its root
+@example(case=_leaf([5, -5, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
+@example(case=_leaf([5, -5, 1], GOLDEN_GAP, Fraction(1, 10)))
+# cubics whose smallest root is isolated: inside the window, then above it
+@example(case=_leaf([-33, 40, -13, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
+@example(case=_leaf([-26, 32, -11, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
+# quartics on the Sturm fallback, isolated: inside the window, then above it
+@example(case=_leaf([186, -252, 108, -18, 1], QUAD_DEFAULT_HI,
+                    Fraction(1, 10)))
+@example(case=_leaf([154, -214, 96, -17, 1], QUAD_DEFAULT_HI,
+                    Fraction(1, 10)))
+def test_gap_leaf_matches_chain_reference(case):
+    got = gapsearch._gap_leaf(*case, True)
+    want = gap_leaf_reference(*case, True)
+    assert (got.trace, got.roots) == (want.trace, want.roots)
+
+
+@st.composite
+def squarefree_low_degree(draw):
+    k = draw(st.integers(1, 3))
+    asc = draw(st.lists(st.integers(-30, 30), min_size=k + 1,
+                        max_size=k + 1).filter(lambda c: c[-1]))
+    assume(len(poly_squarefree_part(asc)) == k + 1)
+    return asc
+
+
+@settings(max_examples=400, deadline=None)
+@given(asc=squarefree_low_degree())
+@example(asc=[-2, 0, 1])             # x^2 - 2: two real roots
+@example(asc=[1, 0, 1])              # x^2 + 1: none
+@example(asc=[-5, 0, 0, -3])         # -3x^3 - 5: one real root
+@example(asc=[5, -5, 0, 1])          # three real roots
+@example(asc=[4, 4, -1, -1])         # -(x - 2)(x + 2)(x + 1), lead < 0
+def test_closed_form_realness_matches_sturm_count(asc):
+    k = len(asc) - 1
+    chain = kernels.sturm_chain(asc)
+    total = kernels.varcount_inf(chain, False) - kernels.varcount_inf(chain,
+                                                                      True)
+    assert gapsearch._real_rooted_low_degree(asc) == (total == k)
+    if k == 3:
+        x = sympy.Symbol("x")
+        want = sympy.discriminant(sum(c * x ** i for i, c in enumerate(asc)),
+                                  x)
+        assert gapsearch._cubic_discriminant(asc) == want
 
 
 @st.composite

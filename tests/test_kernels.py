@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap import kernels
@@ -247,3 +247,88 @@ def test_div_exact_matches_sympy_div(a, b, multiple):
     assert got == (want if exact else None), (a, b)
     if multiple:
         assert got is not None
+
+
+# ---------------------------------------------------------------------------
+# Taylor shift and the sign-alternation root bound
+
+@given(coeff_lists, st.integers(-20, 20), st.integers(1, 12))
+@settings(max_examples=120, deadline=None)
+def test_taylor_shift_matches_sympy(c, n, d):
+    c = kernels.normalize(c)
+    if not c:
+        return
+    k = len(c) - 1
+    shifted = d ** k * sympy.sympify(to_sympy(c)).subs(X, (X + n) / d)
+    assert kernels.taylor_shift(c, n, d) == from_sympy(sympy.expand(shifted))
+
+
+@st.composite
+def rooted_products(draw):
+    """lead * prod (s x - r) over integer roots r and one scale s: the
+    monic integer-root product scaled to the roots r/s, any leading sign."""
+    s = draw(st.integers(1, 3))
+    roots = draw(st.lists(st.integers(-3, 12), min_size=1, max_size=5))
+    asc = [draw(st.sampled_from([1, -1, 2, -3]))]
+    for r in roots:
+        asc = kernels.poly_mul(asc, [-r, s])
+    d = draw(st.integers(1, 4))
+    return asc, [Fraction(r, s) for r in roots], draw(
+        st.integers(-4 * d, 13 * d)), d
+
+
+def _rooted(roots, s, n, d, lead=1):
+    asc = [lead]
+    for r in roots:
+        asc = kernels.poly_mul(asc, [-r, s])
+    return asc, [Fraction(r, s) for r in roots], n, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=rooted_products())
+@example(case=_rooted([1, 3], 1, 1, 1))             # a root at 1
+@example(case=_rooted([1, 1, 2], 1, 1, 1, -2))      # a double root at 1
+@example(case=_rooted([4, 5, 9], 3, 4, 3))          # a root at 4/3
+@example(case=_rooted([4, 4, 7], 3, 4, 3, -1))      # a double one
+@example(case=_rooted([5, 9], 2, 10, 4))            # at n/d = 10/4
+@example(case=_rooted([7, 7, 8, 12], 1, 14, 2))     # at n/d = 14/2
+@example(case=_rooted([6, 9], 1, 11, 2))            # between the roots
+def test_real_roots_above_on_integer_root_products(case):
+    asc, roots, n, d = case
+    point = Fraction(n, d)
+    assert kernels.real_roots_above(asc, n, d, True) == \
+        all(r > point for r in roots)
+    assert kernels.real_roots_above(asc, n, d, False) == \
+        all(r >= point for r in roots)
+
+
+@st.composite
+def real_cubics(draw):
+    """An irreducible monic cubic with three real roots: three integer roots
+    and the constant term moved by a small step."""
+    roots = draw(st.lists(st.integers(-4, 14), min_size=3, max_size=3,
+                          unique=True))
+    asc = [1]
+    for r in roots:
+        asc = kernels.poly_mul(asc, [-r, 1])
+    asc[0] += draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    poly = sympy.Poly(to_sympy(asc), X)
+    assume(poly.is_irreducible and sympy.discriminant(poly) > 0)
+    d = draw(st.integers(1, 6))
+    return asc, draw(st.integers(-5 * d, 15 * d)), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=real_cubics())
+@example(case=([-1, -3, 0, 1], 2, 1))               # roots near -1.5, -0.3, 1.9
+@example(case=([-13, 19, -8, 1], 6, 5))             # roots near 1.2, 2.6, 4.2
+@example(case=([-19, 24, -9, 1], 4, 3))             # roots near 1.5, 2.7, 4.9
+def test_real_roots_above_on_irreducible_cubics(case):
+    asc, n, d = case
+    roots = sympy.real_roots(sympy.Poly(to_sympy(asc), X))
+    assert len(roots) == 3
+    point = sympy.Rational(n, d)
+    assert kernels.real_roots_above(asc, n, d, True) == \
+        all(bool(r > point) for r in roots)
+    assert kernels.real_roots_above(asc, n, d, False) == \
+        all(bool(r >= point) for r in roots)
