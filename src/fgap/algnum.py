@@ -5,10 +5,9 @@ All decisions (signs, comparisons, root locations) are exact; floats appear
 only in reporting helpers.
 
 Root isolation takes a squarefree polynomial (every caller holds an
-irreducible polynomial or a squarefree part) and bisects with its Sturm
-chain.  Each polynomial gets one kernels.sturm_chain: isolate_real_roots
-returns the chain it used (or takes one the caller built), and every
-AlgebraicNumber on that polynomial takes the same chain.
+irreducible polynomial or a squarefree part) and bisects (lo, hi] by
+Descartes' rule on the Taylor shift (kernels.descartes_bound); the same
+bisection from any (lo, hi] is the exact root count there.
 factor_over_integers factors the squarefree part once and reads each
 factor's multiplicity by repeated exact division.
 
@@ -23,10 +22,11 @@ outside (the constructor, sqrt_fraction); arithmetic within one field, the
 sign (one comparison of x^2 with y^2 n), floor and ceil (one isqrt of
 b^2 n) stay on plain integers, and a polynomial is evaluated at a surd by
 one Horner pass in Z[sqrt(n)] (kernels.eval_surd).  A real algebraic
-number is compared with a rational or a surd x by a Sturm variation count
-at the point x itself plus an exact root test, so no decision ever rests on
-a rounded value and no interval is bisected for it; its interval shrinks
-only by refine, one integer sign bisection.
+number is the pair (minpoly, interval): it is compared with a rational or
+a surd x by the sign of the minpoly at x against its sign at the interval's
+upper end, so no decision ever rests on a rounded value and no interval is
+bisected for it; its interval shrinks only by refine, one integer sign
+bisection.
 """
 
 from fractions import Fraction
@@ -394,16 +394,13 @@ class Surd:
         return self * _surd(o.d * o.a, -o.d * o.b, o.n,
                             o.a * o.a - o.b * o.b * o.n)
 
-    def cmp_fraction(self, r):
-        r = Fraction(r)
-        rn, rd = r.numerator, r.denominator
-        return kernels.surd_sign(self.a * rd - rn * self.d, self.b * rd,
-                                 self.n)
-
     def cmp(self, other):
-        """Exact trichotomy against a rational or any Surd."""
+        """Exact trichotomy against an int, a Fraction or any Surd."""
         if not isinstance(other, Surd):
-            return self.cmp_fraction(other)
+            r = Fraction(other)
+            rn, rd = r.numerator, r.denominator
+            return kernels.surd_sign(self.a * rd - rn * self.d, self.b * rd,
+                                     self.n)
         # d1 d2 (self - other) = x + y sqrt(n1) - z sqrt(n2)
         x = self.a * other.d - other.a * self.d
         y = self.b * other.d
@@ -422,7 +419,7 @@ class Surd:
 
     def __eq__(self, other):
         if isinstance(other, (Surd, int, Fraction)):
-            return self.cmp(self._coerce(other)) == 0
+            return self.cmp(other) == 0
         return NotImplemented
 
     def __hash__(self):
@@ -484,7 +481,7 @@ class Surd:
 
 
 # ---------------------------------------------------------------------------
-# Sturm-based isolation
+# Descartes isolation
 
 def _cauchy_bound(c):
     """Integer B with every real root of c inside (-B, B]."""
@@ -493,55 +490,68 @@ def _cauchy_bound(c):
     return 1 + top // lead + 1
 
 
-def isolate_real_roots(c, chain=None):
+def _over_one_den(lo, hi):
+    """Integers (a, b, den) with lo = a/den and hi = b/den.
+
+    A bisection on them doubles all three when a + b is odd, so each
+    midpoint (a + b)/2 is an integer and the rational a Fraction bisection
+    would take.
+    """
+    den = lcm(lo.denominator, hi.denominator)
+    return (lo.numerator * (den // lo.denominator),
+            hi.numerator * (den // hi.denominator), den)
+
+
+def _isolate_in(c, lo, hi):
+    """Ascending isolating intervals of the roots of the squarefree c in
+    (lo, hi]; their number is the exact root count there.
+
+    A node (a/d, b/d] counts descartes_bound (exact when 0 or 1) plus a root
+    at b/d: it is dropped at 0 and kept at 1; any other is halved at its
+    midpoint, which goes to the left half.  A squarefree c ends every path.
+    """
+    if lo >= hi:
+        return []
+    stack = [_over_one_den(lo, hi)]
+    out = []
+    while stack:
+        a, b, d = stack.pop()
+        n = kernels.descartes_bound(c, a, b, d)
+        if n < 2:
+            n += kernels.eval_qnum(c, b, d) == 0
+            if n == 0:
+                continue
+            if n == 1:
+                out.append(RatInterval(Fraction(a, d), Fraction(b, d)))
+                continue
+        if (a + b) % 2:
+            a, b, d = 2 * a, 2 * b, 2 * d
+        m = (a + b) // 2
+        # the left half pops first, so the output is ascending
+        stack.append((m, b, d))
+        stack.append((a, m, d))
+    return out
+
+
+def isolate_real_roots(c):
     """Isolating intervals for the real roots of a squarefree polynomial.
 
     c is an ascending coefficient sequence (IntPoly.coeffs or a list) of any
     content and leading sign, and must be squarefree: an irreducible
-    polynomial or a squarefree part.  chain is kernels.sturm_chain(c) when
-    the caller already holds it; otherwise it is built here.  Returns
-    (intervals, chain): one RatInterval per real root, in ascending order,
-    each holding exactly its root in (lo, hi], pairwise disjoint in that
-    half-open sense.
+    polynomial or a squarefree part.  Returns one RatInterval per real root,
+    in ascending order, each holding exactly its root in (lo, hi]: nodes of
+    the dyadic bisection of (-B, B] for a Cauchy bound B.
     """
-    if chain is None:
-        chain = kernels.sturm_chain(c)
     bound = _cauchy_bound(c)
-    v_lo = kernels.varcount_at(chain, -bound, 1)
-    v_hi = kernels.varcount_at(chain, bound, 1)
-    out = []
-    stack = [(Fraction(-bound), Fraction(bound), v_lo, v_hi)]
-    while stack:
-        lo, hi, vl, vh = stack.pop()
-        k = vl - vh
-        if k == 0:
-            continue
-        if k == 1:
-            out.append(RatInterval(lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        vm = kernels.varcount_at(chain, mid.numerator, mid.denominator)
-        # keep the right half first so the output pops in ascending order
-        stack.append((mid, hi, vm, vh))
-        stack.append((lo, mid, vl, vm))
-    out.sort(key=lambda iv: (iv.lo, iv.hi))
-    return out, chain
-
-
-def _count_in(chain, lo, hi):
-    """Roots in the half-open interval (lo, hi] by Sturm variation counts."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    return (kernels.varcount_at(chain, lo.numerator, lo.denominator)
-            - kernels.varcount_at(chain, hi.numerator, hi.denominator))
+    return _isolate_in(c, Fraction(-bound), Fraction(bound))
 
 
 # ---------------------------------------------------------------------------
 # AlgebraicNumber
 
 class AlgebraicNumber:
-    """A designated real root: monic squarefree minpoly, isolating interval
-    and the minpoly's Sturm chain.
+    """A designated real root: a monic squarefree minpoly and an isolating
+    interval.
 
     The minpoly must be squarefree, so every root is simple and a sign
     bisection can follow it; it need not be irreducible.  A reducible one
@@ -549,29 +559,24 @@ class AlgebraicNumber:
     rational root, which refine and cmp meet exactly.  The interval (lo, hi]
     holds exactly one root, and the constructor rejects one that does not.
     It only ever shrinks, and only by refine, so the designation is stable;
-    cmp against a rational or a surd is one Sturm count at that point and
-    leaves it as it is.  For a degree-1 minpoly the interval is the exact
-    point.
-
-    chain is kernels.sturm_chain(minpoly.coeffs), the chain
-    isolate_real_roots returned for the minpoly (or took from the caller),
-    so every number on one polynomial shares one chain.
+    cmp against a rational or a surd is one sign evaluation at that point
+    and leaves it as it is.  For a degree-1 minpoly the interval is the
+    exact point.
     """
 
-    __slots__ = ("minpoly", "_isol", "chain")
+    __slots__ = ("minpoly", "_isol")
 
-    def __init__(self, minpoly, isol, chain):
+    def __init__(self, minpoly, isol):
         if not isinstance(minpoly, IntPoly):
             minpoly = IntPoly(minpoly)
         if not minpoly.is_monic:
             raise InvalidInputError("minimal polynomial must be monic")
         self.minpoly = minpoly
-        self.chain = chain
         if minpoly.degree == 1:
             r = Fraction(-minpoly.coeffs[0])
             self._isol = RatInterval(r, r)
             return
-        if _count_in(self.chain, isol.lo, isol.hi) != 1:
+        if len(_isolate_in(minpoly.coeffs, isol.lo, isol.hi)) != 1:
             raise InvalidInputError("interval does not isolate one root")
         self._isol = RatInterval(isol.lo, isol.hi)
 
@@ -584,9 +589,11 @@ class AlgebraicNumber:
 
         Sign bisection on the one simple root in (lo, hi]: the sign on
         (lo, root) is -sign p(hi), and a midpoint where p vanishes is the
-        root and becomes hi.  When p(hi) == 0 the root is hi itself and the
-        interval becomes (max(lo, hi - width), hi].  A root of p at lo lies
-        outside (lo, hi] and needs no special case.
+        root and becomes hi.  When p(hi) == 0 the root is hi itself, so every
+        midpoint lies below it and becomes lo.  A root of p at lo lies
+        outside (lo, hi] and needs no special case.  Every interval is a
+        node of the midpoint bisection of the one it started from, so
+        refining any node on the root's path gives the same interval.
         """
         width = Fraction(width)
         if width <= 0:
@@ -594,23 +601,15 @@ class AlgebraicNumber:
         iv = self._isol
         if iv.width <= width:  # also the exact point of a degree-1 minpoly
             return iv
-        # The endpoints are lo/den and hi/den over one denominator; an odd
-        # lo + hi doubles all three first, so each midpoint (lo + hi)/2 is an
-        # integer and the same rational a Fraction bisection would take.
         c = self.minpoly.coeffs
-        den = lcm(iv.lo.denominator, iv.hi.denominator)
-        lo = iv.lo.numerator * (den // iv.lo.denominator)
-        hi = iv.hi.numerator * (den // iv.hi.denominator)
+        lo, hi, den = _over_one_den(iv.lo, iv.hi)
         s_lo = -_sign(kernels.eval_qnum(c, hi, den))
-        if s_lo == 0:
-            self._isol = RatInterval(max(iv.lo, iv.hi - width), iv.hi)
-            return self._isol
         w_num, w_den = width.numerator, width.denominator
         while (hi - lo) * w_den > w_num * den:
             if (lo + hi) % 2:
                 lo, hi, den = 2 * lo, 2 * hi, 2 * den
             mid = (lo + hi) // 2
-            if _sign(kernels.eval_qnum(c, mid, den)) == s_lo:
+            if s_lo == 0 or _sign(kernels.eval_qnum(c, mid, den)) == s_lo:
                 lo = mid
             else:
                 hi = mid
@@ -626,9 +625,10 @@ class AlgebraicNumber:
 
         The root lies in (lo, hi].  A rational or surd x at or below lo is
         below it, and one above hi is above it.  Inside, x equals the root
-        iff the minpoly vanishes at x (the interval holds no other root), and
-        otherwise one Sturm count over (lo, x] places the root on one side.
-        The interval is not shrunk.
+        iff the minpoly p vanishes at x (the interval holds no other root).
+        Otherwise the root is below x iff p has one sign on [x, hi]: the
+        interval holds no other root, so iff sign p(x) == sign p(hi), and a
+        root at hi (p(hi) == 0) is above x.  The interval is not shrunk.
         """
         if isinstance(other, AlgebraicNumber):
             return self._cmp_algebraic(other)
@@ -640,23 +640,17 @@ class AlgebraicNumber:
             return 1
         if x.cmp(hi) > 0:
             return -1
-        c, chain = self.minpoly.coeffs, self.chain
-        a, b, n, d = x.a, x.b, x.n, x.d
-        # a rational x has b == n == 0, where both surd kernels reduce to
-        # the rational ones
-        if kernels.eval_surd(c, a, b, n, d) == (0, 0):
+        c = self.minpoly.coeffs
+        # a rational x has b == n == 0, where the surd kernels reduce to the
+        # rational ones
+        at_x = kernels.surd_sign(*kernels.eval_surd(c, x.a, x.b, x.n, x.d),
+                                 x.n)
+        if at_x == 0:
             return 0
-        at_x = kernels.varcount_at_surd(chain, a, b, n, d)
-        below = kernels.varcount_at(chain, lo.numerator, lo.denominator) - at_x
-        return -1 if below else 1
+        at_hi = _sign(kernels.eval_qnum(c, hi.numerator, hi.denominator))
+        return -1 if at_x == at_hi else 1
 
     def _cmp_algebraic(self, other):
-        if self.minpoly == other.minpoly:
-            if self.degree == 1:
-                return 0
-            mine = self._root_index()
-            theirs = other._root_index()
-            return (mine > theirs) - (mine < theirs)
         if other.degree == 1:
             return self.cmp(other._isol.lo)
         if self.degree == 1:
@@ -669,7 +663,7 @@ class AlgebraicNumber:
         lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
         if lo < hi:
             g = poly_gcd_int(self.minpoly.coeffs, other.minpoly.coeffs)
-            if len(g) > 1 and _count_in(kernels.sturm_chain(g), lo, hi):
+            if len(g) > 1 and _isolate_in(g, lo, hi):
                 return 0
         width = max(a.width, b.width)
         while not (a.hi <= b.lo or b.hi <= a.lo):
@@ -677,10 +671,6 @@ class AlgebraicNumber:
             a = self.refine(width)
             b = other.refine(width)
         return -1 if a.hi <= b.lo else 1
-
-    def _root_index(self):
-        bound = _cauchy_bound(list(self.minpoly.coeffs))
-        return _count_in(self.chain, -bound, self._isol.hi)
 
     def floor(self):
         """Exact floor.

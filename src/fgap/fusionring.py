@@ -308,8 +308,8 @@ def formal_codegrees(ring):
     cp = charpoly_int(z)
     orbits = []
     for poly, mult in factor_over_integers(cp):
-        ivs, chain = isolate_real_roots(poly.coeffs)
-        roots = [AlgebraicNumber(poly, iv, chain) for iv in ivs]
+        roots = [AlgebraicNumber(poly, iv)
+                 for iv in isolate_real_roots(poly.coeffs)]
         orbits.append(CodegreeOrbit(poly, mult, roots))
     return CodegreeSpectrum(ring.rank, z, cp, orbits)
 

@@ -19,8 +19,9 @@ search_gap brackets d_max once between rationals r_lo <= d_max <= r_hi
 the sign of its discriminant, and each root bound by one sign test on a
 Taylor shift (Descartes' rule, exact on real-rooted polynomials): a root
 in (4/3, r_lo] passes the window, none in (4/3, r_hi] fails it, and only a
-smallest root between the two needs a Sturm chain, isolation and the exact
-comparison with d_max.
+smallest root between the two needs isolation and the exact comparison with
+d_max.  Sturm chains remain only where the walk and the degree >= 4 leaf
+count roots.
 
 The coefficient walk computes each bound on integers: a polynomial value
 at a rational point or a quadratic critical point comes from one
@@ -271,10 +272,10 @@ def search_quadratic(cfg=None):
             # increasing in d1 up to a/2, so the endpoint values bound it;
             # past the peak fall back to the unconditional b < a^2/4
             half_a = Fraction(a, 2)
-            if cfg.d_lo.cmp_fraction(half_a) >= 0:
+            if cfg.d_lo.cmp(half_a) >= 0:
                 continue
             blo = (cfg.d_lo * Fraction(a) - cfg.d_lo * cfg.d_lo).ceil()
-            if cfg.d_hi.cmp_fraction(half_a) <= 0:
+            if cfg.d_hi.cmp(half_a) <= 0:
                 bhi = (cfg.d_hi * Fraction(a) - cfg.d_hi * cfg.d_hi).ceil() - 1
             else:
                 bhi = (a * a - 1) // 4
@@ -345,11 +346,13 @@ def search_cubic(cfg=None):
     for a in range(1, cfg.a_max + 1):
         lo_base = lo3 - lo2 * a
         hi_base = hi3 - hi2 * a
+        if drop_window:
+            # finiteness comes from the divisibility constraint
+            divs = _divisors(a ** 3)
         for b in range(1, a * a // 3 + 1):
             if drop_window:
-                # finiteness comes from the divisibility constraint
                 c_min = r_lo * (r_lo * (r_lo - a) + b)
-                c_iter = [c for c in _divisors(a ** 3) if c >= c_min]
+                c_iter = [c for c in divs if c >= c_min]
                 size += 1 + len(c_iter)
             else:
                 c_lo = max(1, (lo_base + lo1 * b).ceil())
@@ -388,19 +391,18 @@ def _cubic_candidate(cfg, a, b, c):
         # a candidate that reaches here with a filter dropped may have a
         # repeated root; AlgebraicNumber needs a squarefree polynomial
         sqf = IntPoly(poly_squarefree_part(poly.coeffs))
-        ivs, chain = isolate_real_roots(sqf.coeffs)
-        d1 = AlgebraicNumber(sqf, ivs[0], chain)
+        ivs = isolate_real_roots(sqf.coeffs)
+        d1 = AlgebraicNumber(sqf, ivs[0])
         ok = _run_filter(cfg, trace, "root-window",
                          lambda: d1.cmp(cfg.d_lo) >= 0
                          and d1.cmp(cfg.d_hi) < 0)
     if ok:
-        d3 = AlgebraicNumber(sqf, ivs[-1], chain)
+        d3 = AlgebraicNumber(sqf, ivs[-1])
         label = poly.to_str()
         _run_filter(cfg, trace, "mainineq",
                     lambda: mainineq_enclosure_pair(d1, d3, label=label))
     if ivs is not None:
-        roots = tuple(AlgebraicNumber(sqf, iv, chain).approx_float()
-                      for iv in ivs)
+        roots = tuple(AlgebraicNumber(sqf, iv).approx_float() for iv in ivs)
     return Candidate(poly, trace, roots)
 
 
@@ -451,10 +453,10 @@ def _gap_cut_points(d_max):
         delta = Fraction(int((dm + 31 * (bb - dm) / 32) * scale), scale)
         if gamma >= delta:
             continue
-        if d_max.cmp_fraction(gamma) >= 0:
+        if d_max.cmp(gamma) >= 0:
             continue
         # need delta < 1/sqrt(h)  <=>  h < 1/delta^2
-        if h.cmp_fraction(1 / (delta * delta)) < 0:
+        if h.cmp(1 / (delta * delta)) < 0:
             return gamma, delta
     raise AmbiguityError("could not certify a root-free band above d_max")
 
@@ -477,10 +479,10 @@ def _totally_real_in_box(asc, lo_n, lo_d, q_hi, chain):
 
     Degrees 1 and 2 are decided in closed form (chain is None).  From
     degree 3 on, the test counts distinct roots with chain,
-    kernels.sturm_chain(asc), which the walk shares with _next_coeff_range.  A chain whose last element is
-    not constant ends in gcd(asc, asc'); divided by it, the elements form a
-    Sturm sequence of the squarefree part, so the counts hold for repeated
-    roots too.
+    kernels.sturm_chain(asc), which the walk shares with _next_coeff_range.
+    A chain whose last element is not constant ends in gcd(asc, asc');
+    divided by it, the elements form a Sturm sequence of the squarefree
+    part, so the counts hold for repeated roots too.
     """
     deg = len(asc) - 1
     if deg < 1:
@@ -559,9 +561,9 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
     the root-free band cut points for the final coefficient.
 
     From depth 3 on, chain is kernels.sturm_chain(deriv), which the walk
-    built for the box test (None below).  The critical points are isolated on it, and
-    skipped when its last element is not constant (deriv has a repeated
-    root).
+    built for the box test (None below).  The critical points are skipped
+    when its last element is not constant (deriv has a repeated root), and
+    isolated otherwise.
 
     Evaluation is integer-only.  At a rational x = p/q (q > 0) the bound on
     s is -N/M with N = q^deg w(p/q) (kernels.eval_qnum) and M = q^deg bcoef;
@@ -619,7 +621,7 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
         # all j critical points, simple and real, or none are used
         ivs = ()
         if len(chain[-1]) == 1:
-            ivs = isolate_real_roots(deriv, chain)[0]
+            ivs = isolate_real_roots(deriv)
         if len(ivs) == j:
             for t, iv in enumerate(ivs, start=1):
                 enc = _interval_eval(w, iv)
@@ -698,8 +700,7 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     test) passes the window and every root > r_hi (a strict test) fails it,
     so the exact algebraic comparison only runs for a smallest root between
     them.  Isolation runs at most once: for that smallest root, or for the
-    few candidates that reach the orbit inequality.  Its Sturm chain is the
-    one the realness count built, or is built then.
+    few candidates that reach the orbit inequality.
     """
     trace = []
     roots = None
@@ -710,7 +711,6 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     trace.append(("irreducible", "pass" if irr else "fail"))
     ok = irr
 
-    chain = None  # Sturm chain: from degree 4 on, or once isolation runs
     ivs = None  # isolating intervals, computed at most once
     if ok:
         if k <= 3:
@@ -733,8 +733,8 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
                 asc, r_hi.numerator, r_hi.denominator, True):
             inwin = False  # smallest root above d_max
         else:
-            ivs, chain = isolate_real_roots(asc, chain)
-            d1 = AlgebraicNumber(poly, ivs[0], chain)
+            ivs = isolate_real_roots(asc)
+            d1 = AlgebraicNumber(poly, ivs[0])
             inwin = d1.cmp(d_max) <= 0
         trace.append(("root-window", "pass" if inwin else "fail"))
         ok = inwin
@@ -747,11 +747,11 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
         ok = pref >= 1
     if ok:
         if ivs is None:
-            ivs, chain = isolate_real_roots(asc, chain)
-        fmax = AlgebraicNumber(poly, ivs[-1], chain)
+            ivs = isolate_real_roots(asc)
+        fmax = AlgebraicNumber(poly, ivs[-1])
         good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
         trace.append(("orbit-inequality", "pass" if good else "fail"))
-        roots = tuple(AlgebraicNumber(poly, iv, chain).approx_float()
+        roots = tuple(AlgebraicNumber(poly, iv).approx_float()
                       for iv in ivs)
     cand = Candidate(poly, trace, roots)
     if cand.survivor or keep_all:
@@ -807,12 +807,12 @@ def search_gap(d_max, audit=False):
     with interval pruning.  Survivors pass: irreducible, all roots real
     and >= 1, smallest root in (4/3, d_max], d-number, the integer
     prefilter prod(3 d_i - 4) >= 1, and the orbit inequality.  A leaf
-    builds a Sturm chain only from degree 4 on, or to isolate its roots:
+    builds a Sturm chain only from degree 4 on, and isolates its roots only
     for a smallest root between the rationals that bracket d_max, or for
     the orbit inequality (see _gap_leaf).
     """
     d_max = _as_surd(d_max)
-    if d_max.cmp_fraction(FOUR_THIRDS) <= 0:
+    if d_max.cmp(FOUR_THIRDS) <= 0:
         raise InvalidInputError("d_max must exceed 4/3")
     if d_max.cmp(SQRT2) >= 0:
         raise InvalidInputError("d_max must stay below sqrt(2)")

@@ -7,10 +7,10 @@ resultants and the search pruning, so they stay free of Fraction objects.
 
 This module is the one home of the coefficient-list primitives: normalize,
 derivative, poly_add, poly_sub, poly_mul, div_exact, pseudo_rem and
-taylor_shift.  Code
-built on them lives elsewhere: primitive parts, gcds and squarefree parts
-in algnum, arithmetic over GF(q) (these primitives reduced mod q) in
-_factor.
+taylor_shift, and of the root counts built on them: descartes_bound (for
+isolation), real_roots_above, and the Sturm chains the gap walk reads.
+Primitive parts, gcds, squarefree parts and isolation live in algnum,
+arithmetic over GF(q) (these primitives reduced mod q) in _factor.
 
 Callers reach these functions as module attributes (`kernels.name(...)`),
 so a profiler can wrap them in one place.
@@ -171,6 +171,19 @@ def real_roots_above(c, n, d, strict):
     return True
 
 
+def descartes_bound(c, a, b, d):
+    """Sign variations of c's Moebius image on (a/d, b/d), a < b, d > 0.
+
+    s(y) = d**k c((a + (b - a) y)/d) takes the roots of c in (a/d, b/d) to
+    y in (0, 1), and the reversed s shifted by 1, (1 + x)**k s(1/(1 + x)),
+    takes them to x > 0.  By Descartes' rule its sign variations bound their
+    number, with the same parity, so 0 and 1 are exact; a root at a/d or
+    b/d zeroes an end coefficient and is not counted.
+    """
+    s = [v * (b - a) ** i for i, v in enumerate(taylor_shift(c, a, d))]
+    return sign_variations(taylor_shift(s[::-1], 1, 1))
+
+
 def eval_qnum(c, p, q):
     """Homogeneous evaluation: sum c[i] * p**i * q**(d-i) for d = deg c.
 
@@ -270,12 +283,6 @@ def _primitive(c):
 def varcount_at(chain, p, q):
     """Sign variations of a Sturm chain at the rational p/q (q > 0)."""
     return sign_variations([eval_qnum(c, p, q) for c in chain])
-
-
-def varcount_at_surd(chain, a, b, n, d):
-    """Sign variations of a Sturm chain at the surd (a + b*sqrt(n))/d."""
-    return sign_variations([surd_sign(*eval_surd(c, a, b, n, d), n)
-                            for c in chain])
 
 
 def varcount_inf(chain, positive):

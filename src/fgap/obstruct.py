@@ -9,7 +9,6 @@ obstructed", never a categorification claim.
 
 from fractions import Fraction
 
-from . import kernels
 from .algnum import (AlgebraicNumber, IntPoly, Surd, factor_over_integers,
                      is_d_number, isolate_real_roots, largest_integer_divisor,
                      power_char_poly)
@@ -207,8 +206,8 @@ def ffib_fpdim_bound(p):
     root in (0, oo); any other input raises InvalidInputError.  f is the
     largest root of p, and M is the largest integer divisor (in the M^i | c_i
     sense) of the characteristic polynomial of d^floor(f).  Total positivity
-    is one Sturm count on the chain the isolation then uses.  Returns
-    (M, floor(f), that characteristic polynomial, f).
+    is read from one isolation: deg p real roots, the smallest above 0.
+    Returns (M, floor(f), that characteristic polynomial, f).
     """
     if not isinstance(p, IntPoly):
         raise InvalidInputError("expected an IntPoly")
@@ -217,14 +216,12 @@ def ffib_fpdim_bound(p):
     factors = factor_over_integers(p)
     if len(factors) != 1 or factors[0][1] != 1:
         raise InvalidInputError("the bound needs an irreducible polynomial")
-    chain = kernels.sturm_chain(p.coeffs)
-    # totally positive: all deg p roots lie in (0, oo)
-    if (kernels.varcount_at(chain, 0, 1)
-            - kernels.varcount_inf(chain, True)) != p.degree:
+    ivs = isolate_real_roots(p.coeffs)
+    # totally positive: all deg p roots are real and lie in (0, oo)
+    if len(ivs) != p.degree or AlgebraicNumber(p, ivs[0]).cmp(0) <= 0:
         raise InvalidInputError("the bound needs a totally positive "
                                 "polynomial")
-    ivs, _ = isolate_real_roots(p.coeffs, chain)
-    f = AlgebraicNumber(p, ivs[-1], chain)
+    f = AlgebraicNumber(p, ivs[-1])
     m = f.floor()
     pcp = power_char_poly(f, m)
     return largest_integer_divisor(pcp), m, pcp, f

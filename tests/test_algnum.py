@@ -14,14 +14,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
-                         _primitive_pos, factor_over_integers,
+                         _cauchy_bound, _primitive_pos, factor_over_integers,
                          is_d_number, isolate_real_roots,
                          largest_integer_divisor, poly_gcd_int,
                          poly_squarefree_part, power_char_poly,
                          ratio_integrality_oracle)
 from fgap.errors import DegreeCapError, InvalidInputError
-from fgap.kernels import (normalize, poly_mul, sturm_chain, varcount_at,
-                          varcount_at_surd, varcount_inf)
+from fgap.kernels import (eval_surd, normalize, poly_mul, sign_variations,
+                          sturm_chain, surd_sign, varcount_at, varcount_inf)
 from fgap import kernels
 
 X = sympy.Symbol("x")
@@ -30,6 +30,39 @@ X = sympy.Symbol("x")
 def P(*desc):
     """IntPoly from descending coefficients."""
     return IntPoly(list(reversed(desc)))
+
+
+def varcount_at_surd(chain, a, b, n, d):
+    """Sign variations of a Sturm chain at the surd (a + b*sqrt(n))/d: the
+    count AlgebraicNumber.cmp read before its one sign evaluation."""
+    return sign_variations([surd_sign(*eval_surd(c, a, b, n, d), n)
+                            for c in chain])
+
+
+def isolate_sturm(c, chain=None):
+    """The Sturm isolator src ran before Descartes bisection: the oracle.
+
+    Bisects (-B, B] at midpoints (a root at a midpoint goes left), counts
+    the roots of the squarefree c in each half by Sturm variations, keeps a
+    node with exactly one and drops one with none.  Returns (ascending
+    intervals, chain).
+    """
+    if chain is None:
+        chain = sturm_chain(c)
+    bound = _cauchy_bound(c)
+    out = []
+    stack = [(Fraction(-bound), Fraction(bound))]
+    while stack:
+        lo, hi = stack.pop()
+        k = (varcount_at(chain, lo.numerator, lo.denominator)
+             - varcount_at(chain, hi.numerator, hi.denominator))
+        if k == 1:
+            out.append(RatInterval(lo, hi))
+        elif k > 1:
+            mid = (lo + hi) / 2
+            stack.append((mid, hi))
+            stack.append((lo, mid))
+    return out, chain
 
 
 def _shrink(chain, iv):
@@ -139,7 +172,7 @@ def isolate_reference(p):
         return RootProfile((), 0, True, True)
     items = []  # [interval, multiplicity, chain]
     for factor, mult in squarefree_decomposition(coeffs):
-        ivs, chain = isolate_real_roots(factor)
+        ivs, chain = isolate_sturm(factor)
         items.extend([iv, mult, chain] for iv in ivs)
     changed = True
     while changed:
@@ -172,8 +205,8 @@ def positive_roots(chain):
 
 def test_isolate_pinned_quadratic():
     p = P(1, -5, 5)
-    (iv1, iv2), chain = isolate_real_roots(p.coeffs)
-    assert chain == sturm_chain(p.coeffs) and positive_roots(chain) == 2
+    iv1, iv2 = isolate_real_roots(p.coeffs)
+    assert positive_roots(sturm_chain(p.coeffs)) == 2
     assert iv1.hi <= iv2.lo
     assert float(iv1.lo) - 1e-15 <= 1.3819660112501051 <= float(iv1.hi) + 1e-15
     assert float(iv2.lo) - 1e-15 <= 3.6180339887498949 <= float(iv2.hi) + 1e-15
@@ -184,7 +217,7 @@ def test_isolate_pinned_quadratic():
 
 
 def test_isolate_no_real_roots():
-    assert isolate_real_roots(P(1, 0, 1).coeffs)[0] == []
+    assert isolate_real_roots(P(1, 0, 1).coeffs) == []
     prof = isolate_reference(P(1, 0, 1))
     assert prof.n_real == 0 and not prof.totally_real
 
@@ -194,8 +227,8 @@ def test_isolate_multiplicity():
     p = P(1, -4, 4)
     sqf = poly_squarefree_part(p.coeffs)
     assert sqf == [-2, 1]
-    (iv,), chain = isolate_real_roots(sqf)
-    assert iv.lo < 2 <= iv.hi and positive_roots(chain) == 1
+    (iv,) = isolate_real_roots(sqf)
+    assert iv.lo < 2 <= iv.hi and positive_roots(sturm_chain(sqf)) == 1
     prof = isolate_reference(p)
     assert [m for _, m in prof.roots] == [2]
     assert prof.totally_real and prof.totally_positive
@@ -209,7 +242,7 @@ def test_isolate_counts_match_sympy():
         if p is None or p.degree < 1:
             continue
         sqf = poly_squarefree_part(p.coeffs)
-        ivs, _ = isolate_real_roots(sqf)
+        ivs = isolate_real_roots(sqf)
         ivals = sympy.Poly(to_sympy_poly(p), X).intervals()
         assert len(ivs) == len(ivals)
         # the squarefree part keeps every real root of p, each once
@@ -237,17 +270,45 @@ def squarefree_inputs(draw):
     return [v * scale for v in c]
 
 
+def is_dyadic_descendant(new, old):
+    """Is new a node of the midpoint bisection of old (old itself too)?"""
+    ratio = (old.hi - old.lo) / (new.hi - new.lo)
+    step = (new.lo - old.lo) / (new.hi - new.lo)
+    return (ratio.denominator == 1 and ratio.numerator & (ratio.numerator - 1)
+            == 0 and step.denominator == 1 and 0 <= step < ratio)
+
+
 @given(squarefree_inputs())
 @settings(max_examples=200, deadline=None)
 @example(c=[-6, 0, 2])        # 2(x^2 - 3): content 2
 @example(c=[-10, 10, -2])     # -2(x^2 - 5x + 5): negative lead
+@example(c=[0, -1, 0, 1])     # x^3 - x: the root 0 is the first midpoint
+# x^3 + x: Sturm keeps (-3, 3], Descartes halves to (-3, 0] with the root 0
+# at hi, and refine must reach the same floats from both
+@example(c=[0, 1, 0, 1])
+# (x + 1)(x - 2)(x - 3): the root 2 ends (0, 2] and starts (2, 4]
+@example(c=[6, 1, -4, 1])
+# x^3 - 2(2^10 x - 1)^2 (Mignotte): two roots near 2^-10, under 2^-24 apart
+@example(c=[-2, 2 ** 12, -2 ** 21, 1])
+@example(c=[-3, 5])           # degree 1
 def test_isolate_matches_reference_on_squarefree_input(c):
-    ivs, chain = isolate_real_roots(c)
-    assert chain == sturm_chain(c)
+    # Descartes bisection walks the Sturm isolator's dyadic tree: the same
+    # roots in the same order, each interval the Sturm one or a node below
+    # it on its root's path, so refine reaches the same floats
+    ivs = isolate_real_roots(c)
+    old, _ = isolate_sturm(c)
+    assert len(ivs) == len(old)
+    assert all(a.hi <= b.lo for a, b in zip(ivs, ivs[1:]))
+    assert all(is_dyadic_descendant(new, ref) for new, ref in zip(ivs, old))
     prof = isolate_reference(c)
     assert all(m == 1 for _, m in prof.roots)
-    assert [(iv.lo, iv.hi) for iv in ivs] == [
+    assert [(iv.lo, iv.hi) for iv in old] == [
         (iv.lo, iv.hi) for iv, _ in prof.roots]
+    monic = _primitive_pos(c)
+    if monic[-1] == 1:
+        poly = IntPoly(monic)
+        assert [AlgebraicNumber(poly, iv).approx_float() for iv in ivs] == [
+            AlgebraicNumber(poly, iv).approx_float() for iv in old]
 
 
 def to_sympy_poly(p):
@@ -258,31 +319,31 @@ def to_sympy_poly(p):
 # refinement
 
 def test_refine_width_and_containment():
-    ivs, chain = isolate_real_roots(P(1, -5, 5).coeffs)
-    a = AlgebraicNumber(P(1, -5, 5), ivs[0], chain)
+    ivs = isolate_real_roots(P(1, -5, 5).coeffs)
+    a = AlgebraicNumber(P(1, -5, 5), ivs[0])
     iv = a.refine(Fraction(1, 10 ** 6))
     assert iv.width <= Fraction(1, 10 ** 6)
     assert Fraction("1.381965") <= iv.lo and iv.hi <= Fraction("1.381967")
 
 
 def test_refine_rational_point():
-    a = AlgebraicNumber(P(1, -2), None, sturm_chain([-2, 1]))
+    a = AlgebraicNumber(P(1, -2), None)
     iv = a.refine(Fraction(1, 10 ** 30))
     assert iv.lo == iv.hi == 2
 
 
 def test_refine_sqrt2():
-    ivs, chain = isolate_real_roots(P(1, 0, -2).coeffs)
-    a = AlgebraicNumber(P(1, 0, -2), ivs[1], chain)
+    ivs = isolate_real_roots(P(1, 0, -2).coeffs)
+    a = AlgebraicNumber(P(1, 0, -2), ivs[1])
     iv = a.refine(Fraction(1, 1000))
     assert iv.width <= Fraction(1, 1000)
     assert iv.lo < Fraction(1414214, 1000000) < iv.hi + Fraction(1, 1000)
 
 
 def test_refine_deterministic():
-    ivs, chain = isolate_real_roots(P(1, -5, 5).coeffs)
-    a1 = AlgebraicNumber(P(1, -5, 5), ivs[0], chain)
-    a2 = AlgebraicNumber(P(1, -5, 5), ivs[0], chain)
+    ivs = isolate_real_roots(P(1, -5, 5).coeffs)
+    a1 = AlgebraicNumber(P(1, -5, 5), ivs[0])
+    a2 = AlgebraicNumber(P(1, -5, 5), ivs[0])
     w = Fraction(1, 10 ** 9)
     r1 = a1.refine(w)
     r2 = a2.refine(w)
@@ -312,7 +373,7 @@ REFINE_WIDTHS = [Fraction(1, 10 ** 3), Fraction(3, 2 ** 31),
 
 
 def _assert_refine_matches_reference(poly, iv):
-    a = AlgebraicNumber(poly, iv, sturm_chain(poly.coeffs))
+    a = AlgebraicNumber(poly, iv)
     for width in REFINE_WIDTHS:
         got = a.refine(width)
         iv = refine_reference(a, iv, width)
@@ -324,7 +385,7 @@ def _assert_refine_matches_reference(poly, iv):
 def test_refine_matches_fraction_bisection(low):
     poly = IntPoly(low + [1])
     assume(factor_over_integers(poly) == [(poly, 1)])
-    for iv in isolate_real_roots(poly.coeffs)[0]:
+    for iv in isolate_real_roots(poly.coeffs):
         _assert_refine_matches_reference(poly, iv)
 
 
@@ -334,7 +395,7 @@ def test_refine_root_at_an_endpoint():
     poly = P(1, -1, -2, 2)
     chain = sturm_chain(poly.coeffs)
     for iv in (RatInterval(1, 2), RatInterval(Fraction(1, 2), 1)):
-        a = AlgebraicNumber(poly, iv, chain)
+        a = AlgebraicNumber(poly, iv)
         for width in REFINE_WIDTHS:
             got = a.refine(width)
             # the same root: a subinterval of iv that still holds one root
@@ -344,8 +405,9 @@ def test_refine_root_at_an_endpoint():
                     - varcount_at(chain, got.hi.numerator,
                                   got.hi.denominator)) == 1
             if iv.hi == 1:
-                # a root at hi stays hi, and lo moves to hi - width
-                assert (got.lo, got.hi) == (max(iv.lo, 1 - width), 1)
+                # a root at hi stays hi, and lo takes the midpoints up to it
+                assert got.hi == 1 and is_dyadic_descendant(got, iv)
+                assert width < 2 * got.width
         assert a.cmp(1) == (0 if iv.hi == 1 else 1)
 
 
@@ -353,8 +415,7 @@ def test_refine_takes_a_zero_midpoint_as_the_root():
     # (x - 2)(x^2 - 2) is squarefree but reducible: (3/2, 5/2] isolates the
     # rational root 2, which is the first bisection midpoint
     two = AlgebraicNumber(P(1, -2, -2, 4),
-                          RatInterval(Fraction(3, 2), Fraction(5, 2)),
-                          sturm_chain(P(1, -2, -2, 4).coeffs))
+                          RatInterval(Fraction(3, 2), Fraction(5, 2)))
     iv = two.refine(Fraction(1, 100))
     assert iv.lo < 2 <= iv.hi and iv.width <= Fraction(1, 100)
     assert two.cmp(2) == 0
@@ -472,8 +533,8 @@ def test_poly_squarefree_part_matches_sympy(factors, scale):
 def test_surd_construction_and_float():
     s = Surd(0, Fraction(4, 5), 3)  # 4*sqrt(3)/5
     assert abs(float(s) - 1.3856406460551018) < 1e-15
-    assert s.cmp_fraction(Fraction(7, 5)) < 0
-    assert s.cmp_fraction(Fraction(138, 100)) > 0
+    assert s.cmp(Fraction(7, 5)) < 0
+    assert s.cmp(Fraction(138, 100)) > 0
 
 
 def test_surd_cross_field_cmp():
@@ -512,7 +573,7 @@ def test_surd_approx_encloses():
     iv = s.approx(Fraction(1, 10 ** 12))
     assert iv.hi - iv.lo <= Fraction(1, 10 ** 12)
     assert iv.lo <= Fraction(float(s)) + Fraction(1, 10 ** 9)
-    assert s.cmp_fraction(iv.lo) >= 0 and s.cmp_fraction(iv.hi) <= 0
+    assert s.cmp(iv.lo) >= 0 and s.cmp(iv.hi) <= 0
 
 
 def test_surd_algebraic_integer_and_minpoly():
@@ -527,8 +588,8 @@ def test_surd_algebraic_integer_and_minpoly():
 
 def test_surd_sqrt_fraction():
     s = Surd.sqrt_fraction(Fraction(32, 17))
-    assert (s * s).cmp_fraction(Fraction(32, 17)) == 0
-    assert Surd.sqrt_fraction(Fraction(49, 4)).cmp_fraction(
+    assert (s * s).cmp(Fraction(32, 17)) == 0
+    assert Surd.sqrt_fraction(Fraction(49, 4)).cmp(
         Fraction(7, 2)) == 0
 
 
@@ -690,7 +751,7 @@ def test_surd_matches_fraction_reference(x, y, r):
     assert sign(s) == x.sign()
     assert s.floor() == x.floor()
     assert s.ceil() == x.ceil()
-    assert s.cmp_fraction(r) == x.cmp_fraction(r)
+    assert s.cmp(r) == x.cmp_fraction(r)
     assert s.cmp(t) == x.cmp(y) == -t.cmp(s)
     for eps in (Fraction(1, 3), Fraction(1, 10 ** 6), Fraction(7, 10 ** 20)):
         got, want = s.approx(eps), x.approx(eps)
@@ -723,8 +784,8 @@ def test_surd_floor_matches_sympy(x):
 
 def fib_roots():
     p = P(1, -5, 5)
-    (iv1, iv2), chain = isolate_real_roots(p.coeffs)
-    return AlgebraicNumber(p, iv1, chain), AlgebraicNumber(p, iv2, chain)
+    iv1, iv2 = isolate_real_roots(p.coeffs)
+    return AlgebraicNumber(p, iv1), AlgebraicNumber(p, iv2)
 
 
 def test_algnum_cmp_families():
@@ -740,18 +801,18 @@ def test_algnum_cmp_families():
 
 def test_algnum_rejects_non_monic_and_bad_interval():
     with pytest.raises(InvalidInputError):
-        AlgebraicNumber(P(2, -5, 5), RatInterval(1, 2),
-                        sturm_chain(P(2, -5, 5).coeffs))
+        AlgebraicNumber(P(2, -5, 5), RatInterval(1, 2))
     with pytest.raises(InvalidInputError):
-        AlgebraicNumber(P(1, -5, 5), RatInterval(5, 9),
-                        sturm_chain(P(1, -5, 5).coeffs))
+        AlgebraicNumber(P(1, -5, 5), RatInterval(5, 9))
+    with pytest.raises(InvalidInputError):
+        AlgebraicNumber(SHARED, RatInterval(2, 2))  # (2, 2] is empty
 
 
 def test_algnum_floor():
     lo, hi = fib_roots()
     assert lo.floor() == 1
     assert hi.floor() == 3
-    assert AlgebraicNumber(P(1, -2), None, sturm_chain([-2, 1])).floor() == 2
+    assert AlgebraicNumber(P(1, -2), None).floor() == 2
 
 
 # (x - 2)(x^2 - 2) on (3/2, 5/2]: a reducible squarefree minpoly whose
@@ -760,30 +821,25 @@ SHARED = P(1, -2, -2, 4)
 
 
 def test_algnum_floor_at_an_integer_root():
-    chain = sturm_chain(SHARED.coeffs)
     assert AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2),
-                                               Fraction(5, 2)),
-                           chain).floor() == 2
-    assert AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2), 2),
-                           chain).floor() == 2
+                                               Fraction(5, 2))).floor() == 2
+    assert AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2),
+                                               2)).floor() == 2
     # sqrt 2 with the candidate 1 inside (1/2, 3/2]
     assert AlgebraicNumber(SHARED, RatInterval(Fraction(1, 2),
-                                               Fraction(3, 2)),
-                           chain).floor() == 1
+                                               Fraction(3, 2))).floor() == 1
     # (x - 3)(x^3 - 3) on (2, 13]: shrinking leaves the one candidate 3
     p = P(1, -3, 0, -3, 9)
-    assert AlgebraicNumber(p, RatInterval(2, 13),
-                           sturm_chain(p.coeffs)).floor() == 3
+    assert AlgebraicNumber(p, RatInterval(2, 13)).floor() == 3
 
 
 SHARED_ROOT_CMP = """
 from fractions import Fraction as F
 from fgap.algnum import AlgebraicNumber, IntPoly, RatInterval
-from fgap.kernels import sturm_chain
 
 def num(desc, lo, hi):
     p = IntPoly(list(reversed(desc)))
-    return AlgebraicNumber(p, RatInterval(lo, hi), sturm_chain(p.coeffs))
+    return AlgebraicNumber(p, RatInterval(lo, hi))
 
 two = num((1, -2, -2, 4), F(3, 2), F(5, 2))      # 2, (x - 2)(x^2 - 2)
 two_b = num((1, 1, -6), F(3, 2), F(5, 2))        # 2, (x - 2)(x + 3)
@@ -793,11 +849,11 @@ cases = [
     (two, two_b, 0), (two_b, two, 0),
     (sqrt2, sqrt2_b, 0), (sqrt2_b, sqrt2, 0),
     (two_b, sqrt2_b, 1), (sqrt2_b, two_b, -1),
-    (two, AlgebraicNumber(IntPoly([-2, 1]), None, sturm_chain([-2, 1])), 0),
-    (AlgebraicNumber(IntPoly([-2, 1]), None, sturm_chain([-2, 1])), two_b, 0),
+    (two, AlgebraicNumber(IntPoly([-2, 1]), None), 0),
+    (AlgebraicNumber(IntPoly([-2, 1]), None), two_b, 0),
     (num((1, 0, -3), 1, 2), two_b, -1),          # sqrt 3 < 2
-    (AlgebraicNumber(IntPoly([-1, 1]), None, sturm_chain([-1, 1])), sqrt2, -1),
-    (sqrt2_b, AlgebraicNumber(IntPoly([-1, 1]), None, sturm_chain([-1, 1])), 1),
+    (AlgebraicNumber(IntPoly([-1, 1]), None), sqrt2, -1),
+    (sqrt2_b, AlgebraicNumber(IntPoly([-1, 1]), None), 1),
 ]
 print([a.cmp(b) == want for a, b, want in cases])
 """
@@ -810,6 +866,69 @@ def test_algnum_cmp_at_a_shared_root():
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[%s]\n" % ", ".join(["True"] * 11)
+
+
+def test_cmp_at_the_interval_ends():
+    # sqrt 2 on (1, 2] for (x - 1)(x^2 - 2): lo is the root 1, outside the
+    # half-open interval; hi is not a root
+    sqrt2 = AlgebraicNumber(P(1, -1, -2, 2), RatInterval(1, 2))
+    assert sqrt2.cmp(1) == 1 and sqrt2.cmp(2) == -1
+    assert sqrt2.cmp(Fraction(5, 4)) == 1 and sqrt2.cmp(Fraction(3, 2)) == -1
+    assert sqrt2.cmp(Surd(0, 1, 2)) == 0
+    # 2 on (3/2, 2] for (x - 2)(x^2 - 2): hi is the designated root
+    two = AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2), 2))
+    assert two.cmp(2) == 0 and two.cmp(Fraction(7, 4)) == 1
+    assert two.cmp(Surd(0, Fraction(3, 2), 3)) == -1     # 2.598 > 2
+    assert two.cmp(Surd(0, Fraction(6, 5), 2)) == 1      # 1.697 < 2
+    assert two.cmp(Fraction(3, 2)) == 1 and two.cmp(Fraction(201, 100)) == -1
+    # sqrt 2 on (1, 3/2] for x^2 - 2: x at hi, where p(hi) != 0
+    root = AlgebraicNumber(P(1, 0, -2), RatInterval(1, Fraction(3, 2)))
+    assert root.cmp(Fraction(3, 2)) == -1
+    for a, iv in ((sqrt2, RatInterval(1, 2)),
+                  (two, RatInterval(Fraction(3, 2), 2)),
+                  (root, RatInterval(1, Fraction(3, 2)))):
+        for r in (iv.lo, iv.hi, iv.mid, iv.hi - Fraction(1, 10 ** 9)):
+            assert a.cmp(r) == bisect_cmp_fraction(a.minpoly, iv, r), r
+
+
+OVERLAP_END_CMP = """
+from fractions import Fraction as F
+from fgap.algnum import AlgebraicNumber, IntPoly, RatInterval
+
+def num(desc, lo, hi):
+    p = IntPoly(list(reversed(desc)))
+    return AlgebraicNumber(p, RatInterval(lo, hi))
+
+two = num((1, -2, -2, 4), F(3, 2), 2)        # 2, (x - 2)(x^2 - 2)
+two_b = num((1, 1, -6), 1, 2)                # 2, (x - 2)(x + 3)
+sqrt7 = num((1, -2, -7, 14), 2, 3)           # sqrt 7, (x - 2)(x^2 - 7)
+two_c = num((1, 3, -10), 1, F(5, 2))         # 2, (x - 2)(x + 5)
+two_d = num((1, -2, -2, 4), F(3, 2), F(5, 2))
+fib_lo = num((1, -5, 5), 1, 2)
+fib_lo_b = num((1, -5, 5), 1, F(3, 2))
+fib_hi = num((1, -5, 5), 3, 4)
+cases = [
+    # the gcd's root 2 at the overlap's upper end is the value of both
+    (two, two_b, 0), (two_b, two, 0),
+    # the gcd's root 2 at the overlap's lower end (2, ...] is in neither
+    # overlap part: sqrt 7 on (2, 3] is not 2
+    (sqrt7, two_c, 1), (two_c, sqrt7, -1),
+    (sqrt7, two_d, 1), (two_d, sqrt7, -1),
+    # one minpoly: one root from overlapping intervals, then two roots
+    (fib_lo, fib_lo_b, 0), (fib_lo_b, fib_lo, 0),
+    (fib_lo_b, fib_hi, -1), (fib_hi, fib_lo_b, 1),
+]
+print([a.cmp(b) == want for a, b, want in cases])
+"""
+
+
+def test_cmp_algebraic_with_a_shared_root_at_an_overlap_end():
+    # a gcd test that missed the shared root would refine forever, so the
+    # comparisons run in a subprocess under a timeout
+    proc = subprocess.run([sys.executable, "-c", OVERLAP_END_CMP],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[%s]\n" % ", ".join(["True"] * 10)
 
 
 def bisect_cmp_surd(poly, iv, s):
@@ -848,7 +967,7 @@ def surd_points(poly, rng):
             n, m = sympy_squarefree(disc)
             for sgn in (1, -1):
                 pts.append(RefSurd(Fraction(-c1, 2), Fraction(sgn * m, 2), n))
-    for iv in isolate_real_roots(poly.coeffs)[0]:
+    for iv in isolate_real_roots(poly.coeffs):
         for n in (2, 3, 5):
             for k in (1, 6, 30):
                 step = Fraction(1, 10 ** k)
@@ -879,7 +998,7 @@ def rational_points(poly, rng):
     midpoint, the integer roots (a monic poly has no other rational ones),
     points just beside each, and a few random ones."""
     pts = [Fraction(t) for t in range(-14, 15) if poly(t) == 0]
-    for iv in isolate_real_roots(poly.coeffs)[0]:
+    for iv in isolate_real_roots(poly.coeffs):
         pts.extend([iv.lo, iv.hi, iv.mid])
         for k in (1, 6, 30):
             step = Fraction(1, 10 ** k)
@@ -910,8 +1029,8 @@ def test_cmp_surd_and_surd_sturm_count_match_bisection(low, seed):
         return  # the reference needs a squarefree polynomial
     rng = random.Random(seed)
     chain = sturm_chain(list(poly.coeffs))
-    roots, _ = isolate_real_roots(poly.coeffs)
-    nums = [AlgebraicNumber(poly, iv, chain) for iv in roots]
+    roots = isolate_real_roots(poly.coeffs)
+    nums = [AlgebraicNumber(poly, iv) for iv in roots]
     for s in surd_points(poly, rng):
         want = [bisect_cmp_surd(poly, iv, s) for iv in roots]
         got = [a.cmp(s.surd()) for a in nums]
@@ -970,7 +1089,7 @@ def test_power_char_poly_pinned():
     lo, _ = fib_roots()
     assert power_char_poly(lo, 3) == P(1, -50, 125)
     assert power_char_poly(lo, 1) == P(1, -5, 5)
-    two = AlgebraicNumber(P(1, -2), None, sturm_chain([-2, 1]))
+    two = AlgebraicNumber(P(1, -2), None)
     assert power_char_poly(two, 3) == P(1, -8)
 
 
@@ -986,10 +1105,10 @@ def test_power_char_poly_contains_powered_root(a1, a0, m):
     p = IntPoly([a0, a1, 1])
     if factor_over_integers(p) != [(p, 1)]:
         return
-    ivs, chain = isolate_real_roots(p.coeffs)
+    ivs = isolate_real_roots(p.coeffs)
     if len(ivs) != 2:
         return
-    root = AlgebraicNumber(p, ivs[0], chain)
+    root = AlgebraicNumber(p, ivs[0])
     pcp = power_char_poly(root, m)
     iv = root.refine(Fraction(1, 10 ** 12))
     lo = min(iv.lo ** m, iv.hi ** m)
@@ -1035,9 +1154,9 @@ def conjugate_stats(p):
     lo_an = None
     hi_an = None
     for factor, _ in factor_over_integers(p):
-        fivs, chain = isolate_real_roots(factor.coeffs)
-        first = AlgebraicNumber(factor, fivs[0], chain)
-        last = AlgebraicNumber(factor, fivs[-1], chain)
+        fivs = isolate_real_roots(factor.coeffs)
+        first = AlgebraicNumber(factor, fivs[0])
+        last = AlgebraicNumber(factor, fivs[-1])
         if lo_an is None or first.cmp(lo_an) < 0:
             lo_an = first
         if hi_an is None or last.cmp(hi_an) > 0:

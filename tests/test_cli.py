@@ -376,11 +376,25 @@ def test_ffib_bound_rejections():
     assert rc == 1 and "irreducible" in err
     rc, _, err = run_cli("ffib-bound", "--poly", "1,1")
     assert rc == 1 and "totally positive" in err
+    # the root 0 of x is not positive
+    rc, _, err = run_cli("ffib-bound", "--poly", "1,0")
+    assert rc == 1 and "totally positive" in err
 
 
-def test_ffib_bound_isolates_once_on_one_chain(monkeypatch, capsys):
-    """The total-positivity count and the isolation share one Sturm chain,
-    and the largest root is isolated once."""
+def test_ffib_bound_degree_one_root_in_a_wide_interval():
+    # x - 2 is isolated on (-4, 4], whose lower end is negative; the root
+    # itself, 2, decides total positivity
+    assert fgap.algnum.isolate_real_roots([-2, 1])[0].lo < 0
+    rc, out, _ = run_cli("ffib-bound", "--poly", "1,-2")
+    assert rc == 0
+    assert "power: 2" in out
+    assert "power charpoly: x - 4" in out
+    assert "bound: 4" in out
+
+
+def test_ffib_bound_isolates_once_without_a_chain(monkeypatch, capsys):
+    """Total positivity is read from the one isolation of the polynomial,
+    and no Sturm chain is built."""
     calls = {}
     _count_everywhere(monkeypatch, calls, "isolate_real_roots",
                       fgap.algnum.isolate_real_roots)
@@ -389,7 +403,45 @@ def test_ffib_bound_isolates_once_on_one_chain(monkeypatch, capsys):
 
     assert fgap.cli.main(["ffib-bound", "--poly", "1,-14,49,-49"]) == 0
     assert "bound: 117649\n" in capsys.readouterr().out
-    assert calls == {"isolate_real_roots": 1, "sturm_chain": 1}
+    assert calls == {"isolate_real_roots": 1, "sturm_chain": 0}
+
+
+# The functions the benchmark's tracer wraps in the search layer, each in an
+# adapter that takes positional arguments only.
+TRACED_SEARCH_FUNCTIONS = ("_quad_candidate", "_cubic_candidate",
+                           "_gap_leaf", "_totally_real_in_box",
+                           "_next_coeff_range")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "quadratic"],
+    ["search", "cubic"],
+    ["search", "gap", "--dmax", "1.34"],
+    ["search", "gap", "--dmax", "277/200"],
+], ids=lambda argv: " ".join(argv))
+def test_traced_search_keeps_the_tracer_contract(argv, monkeypatch, capsys):
+    """A traced benchmark run holds only if every wrapped call is
+    positional, two passes make the same calls (no state outlives a
+    search), and the candidate calls are the survivors plus the rejected
+    candidates that --audit lists."""
+    import fgap.gapsearch as gapsearch
+    originals = {name: getattr(gapsearch, name)
+                 for name in TRACED_SEARCH_FUNCTIONS}
+    runs = []
+    for _ in range(2):
+        calls = {}
+        for name, fn in originals.items():
+            monkeypatch.setattr(gapsearch, name, _counted(calls, name, fn))
+        assert fgap.cli.main(argv + ["--audit"]) == 0
+        runs.append((calls, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    calls, out = runs[0]
+    survivors, rejected = (
+        int(re.search(r"^%s: (\d+)$" % key, out, re.M).group(1))
+        for key in ("survivors", "rejected"))
+    leaves = sum(calls[name] for name in ("_quad_candidate",
+                                          "_cubic_candidate", "_gap_leaf"))
+    assert leaves == survivors + rejected
 
 
 def test_repg_dihedral():

@@ -35,6 +35,7 @@ from fgap.gapsearch import (
 )
 from fgap.gapsearch import (_coeff_envelope, _deriv_prefix, _interval_eval,
                             _next_coeff_range)
+from test_algnum import isolate_sturm
 
 GOLDEN_GAP = Surd(Fraction(5, 2), Fraction(-1, 2), 5)  # (5 - sqrt 5)/2
 
@@ -70,7 +71,7 @@ def K_of(d, digits=40):
             raise InvalidInputError("K(d) needs 4/3 < d < sqrt(2)")
     else:
         s = gapsearch._as_surd(d)
-        if not (s.cmp_fraction(FOUR_THIRDS) > 0 and s.cmp(SQRT2) < 0):
+        if not (s.cmp(FOUR_THIRDS) > 0 and s.cmp(SQRT2) < 0):
             raise InvalidInputError("K(d) needs 4/3 < d < sqrt(2)")
         iv = s.approx(Fraction(1, 10 ** digits))
         lo, hi = iv.lo, iv.hi
@@ -103,8 +104,8 @@ def test_K_pinned_endpoint():
     # K(4 sqrt 3 / 5) = 12 + 4 sqrt 6, just under 22
     iv = K_of(QUAD_DEFAULT_HI)
     exact = Surd(12, 4, 6)
-    assert exact.cmp_fraction(iv.lo) >= 0
-    assert exact.cmp_fraction(iv.hi) <= 0
+    assert exact.cmp(iv.lo) >= 0
+    assert exact.cmp(iv.hi) <= 0
     assert iv.hi < 22
     assert abs(float(iv.lo) - 21.79795897113271) < 1e-9
 
@@ -113,8 +114,8 @@ def test_K_pinned_golden():
     # K((5 - sqrt 5)/2) = 10 + 4 sqrt 5
     iv = K_of(GOLDEN_GAP)
     exact = Surd(10, 4, 5)
-    assert exact.cmp_fraction(iv.lo) >= 0
-    assert exact.cmp_fraction(iv.hi) <= 0
+    assert exact.cmp(iv.lo) >= 0
+    assert exact.cmp(iv.hi) <= 0
     assert abs(float(iv.lo) - 18.94427190999916) < 1e-9
 
 
@@ -147,7 +148,7 @@ def mainineq_exact_quadratic(a, b):
         raise InvalidInputError("needs two distinct real roots")
     d1 = Surd(Fraction(a, 2), Fraction(-1, 2), disc)
     rhs = Fraction(2 * a * a - 4 * b - b * b, b)
-    return d1.cmp_fraction(rhs) >= 0
+    return d1.cmp(rhs) >= 0
 
 
 def test_mainineq_encodings_agree_on_grid():
@@ -160,9 +161,9 @@ def test_mainineq_encodings_agree_on_grid():
             if disc <= 0 or math.isqrt(disc) ** 2 == disc:
                 continue
             p = IntPoly([b, -a, 1])
-            (iv1, iv2), chain = isolate_real_roots(p.coeffs)
-            d1 = AlgebraicNumber(p, iv1, chain)
-            d2 = AlgebraicNumber(p, iv2, chain)
+            iv1, iv2 = isolate_real_roots(p.coeffs)
+            d1 = AlgebraicNumber(p, iv1)
+            d2 = AlgebraicNumber(p, iv2)
             exact = mainineq_exact_quadratic(a, b)
             enclosed = mainineq_enclosure_pair(d1, d2)
             assert exact == enclosed, (a, b)
@@ -206,8 +207,7 @@ def test_orbit_inequality_matches_quadratic_form():
             p = IntPoly([b, -a, 1])
             continue
         p = IntPoly([b, -a, 1])
-        ivs, chain = isolate_real_roots(p.coeffs)
-        top = AlgebraicNumber(p, ivs[-1], chain)
+        top = AlgebraicNumber(p, isolate_real_roots(p.coeffs)[-1])
         assert orbit_inequality(inverse_square_sum(p.coeffs), top)[0] == \
             mainineq_exact_quadratic(a, b)
 
@@ -384,8 +384,8 @@ def test_gap_bracket_verdicts_match_isolation(audit, d_max, request):
         got = dict(cand.trace).get("root-window")
         if got is None:
             continue
-        ivs, chain = isolate_real_roots(cand.poly.coeffs)
-        d1 = AlgebraicNumber(cand.poly, ivs[0], chain)
+        d1 = AlgebraicNumber(cand.poly,
+                             isolate_real_roots(cand.poly.coeffs)[0])
         inwin = d1.cmp(FOUR_THIRDS) > 0 and d1.cmp(d_max) <= 0
         assert got == ("pass" if inwin else "fail"), cand
         seen[got] += 1
@@ -532,7 +532,7 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
         # the critical points count only when all j are real and simple
         roots = []
         if len(poly_squarefree_part(q3)) == len(q3):
-            roots = isolate_real_roots(q3)[0]
+            roots = isolate_real_roots(q3)
         if len(roots) == j:
             for t, iv in enumerate(roots, start=1):
                 sigma = 1 if (j + 1 - t) % 2 == 0 else -1
@@ -645,8 +645,9 @@ def irreducible_reference(poly):
 
 def gap_leaf_reference(poly, d_max, bracket, keep_all):
     """The leaf battery on Sturm counts alone: one chain per irreducible
-    leaf, read at -inf, +inf, 1, 4/3, r_lo and r_hi (the form before the
-    closed-form realness and the Taylor-shift sign tests)."""
+    leaf, read at -inf, +inf, 1, 4/3, r_lo and r_hi, and isolation on that
+    chain (the form before the closed-form realness, the Taylor-shift sign
+    tests and Descartes isolation)."""
     trace = []
     roots = None
     k = poly.degree
@@ -673,8 +674,8 @@ def gap_leaf_reference(poly, d_max, bracket, keep_all):
                                                         r_hi.denominator):
             ok = False
         else:
-            ivs, _ = isolate_real_roots(asc, chain)
-            ok = AlgebraicNumber(poly, ivs[0], chain).cmp(d_max) <= 0
+            ivs, _ = isolate_sturm(asc, chain)
+            ok = AlgebraicNumber(poly, ivs[0]).cmp(d_max) <= 0
         trace.append(("root-window", "pass" if ok else "fail"))
     if ok:
         ok = is_d_number(poly)
@@ -684,12 +685,11 @@ def gap_leaf_reference(poly, d_max, bracket, keep_all):
         trace.append(("integer-prefilter", "pass" if ok else "fail"))
     if ok:
         if ivs is None:
-            ivs, _ = isolate_real_roots(asc, chain)
-        fmax = AlgebraicNumber(poly, ivs[-1], chain)
+            ivs, _ = isolate_sturm(asc, chain)
+        fmax = AlgebraicNumber(poly, ivs[-1])
         good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
         trace.append(("orbit-inequality", "pass" if good else "fail"))
-        roots = tuple(AlgebraicNumber(poly, iv, chain).approx_float()
-                      for iv in ivs)
+        roots = tuple(AlgebraicNumber(poly, iv).approx_float() for iv in ivs)
     cand = Candidate(poly, trace, roots)
     return cand if cand.survivor or keep_all else None
 
@@ -715,11 +715,12 @@ def test_walk_leaves_match_chain_reference(d_max, leaves, monkeypatch):
     assert len(calls) == leaves
 
 
-def test_rational_gap_search_builds_a_chain_only_to_isolate(monkeypatch):
+def test_rational_gap_search_builds_no_chain(monkeypatch):
     # at 277/200 the bracket is the point d_max, so no root window needs
     # isolation: only the leaves that reach the orbit inequality isolate
-    # their roots, each on one chain (one chain per irreducible leaf, 4,672,
-    # before the sign tests)
+    # their roots, by Descartes bisection, and no leaf builds a Sturm chain
+    # (one chain per irreducible leaf, 4,672, before the sign tests; then 2,
+    # one per isolation)
     counts = Counter()
     real_chain = kernels.sturm_chain
     real_isolate = gapsearch.isolate_real_roots
@@ -744,7 +745,8 @@ def test_rational_gap_search_builds_a_chain_only_to_isolate(monkeypatch):
     monkeypatch.setattr(gapsearch, "isolate_real_roots", isolate)
     monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)
     search_gap(Surd(Fraction(277, 200)))
-    assert counts["chain"] == counts["isolate"] == len(reached) == 2
+    assert counts["chain"] == 0
+    assert counts["isolate"] == len(reached) == 2
 
 
 # irrational windows for the leaf; a coarse bracket around one sends leaves

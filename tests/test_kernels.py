@@ -332,3 +332,24 @@ def test_real_roots_above_on_irreducible_cubics(case):
         all(bool(r > point) for r in roots)
     assert kernels.real_roots_above(asc, n, d, False) == \
         all(bool(r >= point) for r in roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=6)
+       .filter(lambda c: c[-1]),
+       st.integers(-40, 40), st.integers(1, 40), st.integers(1, 8))
+@example(c=[0, -1, 0, 1], a=-1, w=2, d=1)     # x^3 - x on (-1, 1): root 0
+@example(c=[0, -1, 0, 1], a=0, w=1, d=1)      # roots at both ends of (0, 1)
+@example(c=[1, 0, 1], a=-4, w=8, d=1)         # no real root, variations 2
+@example(c=[6, -5, 1], a=3, w=6, d=2)         # roots 2, 3 inside (3/2, 9/2)
+def test_descartes_bound_against_sympy_count(c, a, w, d):
+    # the sign variations bound the roots in the open interval (a/d, b/d),
+    # counted with multiplicity, share their parity, and equal them at 0 or 1
+    b = a + w
+    lo, hi = sympy.Rational(a, d), sympy.Rational(b, d)
+    roots = sympy.real_roots(sympy.Poly(list(reversed(c)), X))
+    inside = sum(1 for r in roots if lo < r < hi)
+    v = kernels.descartes_bound(c, a, b, d)
+    assert v >= inside and (v - inside) % 2 == 0
+    if v <= 1:
+        assert v == inside

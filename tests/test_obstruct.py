@@ -24,16 +24,15 @@ def P(*desc):
 def alg(*desc):
     """Largest real root of the monic polynomial with descending coeffs."""
     p = P(*desc)
-    ivs, chain = isolate_real_roots(p.coeffs)
-    return AlgebraicNumber(p, ivs[-1], chain)
+    return AlgebraicNumber(p, isolate_real_roots(p.coeffs)[-1])
 
 
 def as_root(s):
     """An algebraic-integer Surd as the AlgebraicNumber on its minimal
     polynomial that equals it."""
     p = s.min_poly()
-    ivs, chain = isolate_real_roots(p.coeffs)
-    return next(a for a in (AlgebraicNumber(p, iv, chain) for iv in ivs)
+    return next(a for a in (AlgebraicNumber(p, iv)
+                            for iv in isolate_real_roots(p.coeffs))
                 if a.cmp(s) == 0)
 
 
