@@ -274,8 +274,8 @@ def is_dyadic_descendant(new, old):
     """Is new a node of the midpoint bisection of old (old itself too)?"""
     ratio = (old.hi - old.lo) / (new.hi - new.lo)
     step = (new.lo - old.lo) / (new.hi - new.lo)
-    return (ratio.denominator == 1 and ratio.numerator & (ratio.numerator - 1)
-            == 0 and step.denominator == 1 and 0 <= step < ratio)
+    power_of_two = ratio.denominator == 1 and ratio.numerator.bit_count() == 1
+    return power_of_two and step.denominator == 1 and 0 <= step < ratio
 
 
 @given(squarefree_inputs())

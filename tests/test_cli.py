@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fgap.algnum
 import fgap.cli
+import fgap.gapsearch
 import fgap.kernels
 from conftest import run_cli
 from test_golden import GOLDEN
@@ -424,14 +425,14 @@ def test_traced_search_keeps_the_tracer_contract(argv, monkeypatch, capsys):
     positional, two passes make the same calls (no state outlives a
     search), and the candidate calls are the survivors plus the rejected
     candidates that --audit lists."""
-    import fgap.gapsearch as gapsearch
-    originals = {name: getattr(gapsearch, name)
+    originals = {name: getattr(fgap.gapsearch, name)
                  for name in TRACED_SEARCH_FUNCTIONS}
     runs = []
     for _ in range(2):
         calls = {}
         for name, fn in originals.items():
-            monkeypatch.setattr(gapsearch, name, _counted(calls, name, fn))
+            monkeypatch.setattr(fgap.gapsearch, name,
+                                _counted(calls, name, fn))
         assert fgap.cli.main(argv + ["--audit"]) == 0
         runs.append((calls, capsys.readouterr().out))
     assert runs[0] == runs[1]
