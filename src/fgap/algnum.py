@@ -216,29 +216,6 @@ class RatInterval:
     def mid(self):
         return (self.lo + self.hi) / 2
 
-    def __add__(self, other):
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other):
-        return RatInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other):
-        cands = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        return RatInterval(min(cands), max(cands))
-
-    def scale(self, f):
-        f = Fraction(f)
-        if f >= 0:
-            return RatInterval(self.lo * f, self.hi * f)
-        return RatInterval(self.hi * f, self.lo * f)
-
-    def inv(self):
-        """1/interval; requires the interval to exclude 0."""
-        if self.lo > 0 or self.hi < 0:
-            return RatInterval(1 / self.hi, 1 / self.lo)
-        raise InvalidInputError("interval straddles zero, cannot invert")
-
     def __repr__(self):
         return "RatInterval(%s, %s)" % (self.lo, self.hi)
 
@@ -455,24 +432,6 @@ class Surd:
     def __float__(self):
         iv = self.approx(Fraction(1, 10 ** 18))
         return float(iv.mid)
-
-    def is_algebraic_integer(self):
-        if self.is_rational:
-            return self.d == 1
-        d = self.d
-        return (2 * self.a) % d == 0 and \
-            (self.a * self.a - self.b * self.b * self.n) % (d * d) == 0
-
-    def min_poly(self):
-        """Monic minimal polynomial; requires an algebraic integer."""
-        if not self.is_algebraic_integer():
-            raise InvalidInputError("surd is not an algebraic integer")
-        if self.is_rational:
-            return IntPoly([-self.a, 1])
-        d = self.d
-        tr = 2 * self.a // d
-        nm = (self.a * self.a - self.b * self.b * self.n) // (d * d)
-        return IntPoly([nm, -tr, 1])
 
     def __repr__(self):
         if self.is_rational:

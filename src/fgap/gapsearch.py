@@ -6,8 +6,9 @@ search_gap runs the general bounded-degree enumeration below a cutoff
 d_max.  Every filter decision is exact: quadratic data lives in closed
 form as surds, cubic/d_max comparisons use exact order tests against
 algebraic numbers, and the one genuinely irrational inequality (the
-pair inequality between the smallest and largest root) is certified by
-outward-rounded interval refinement with a hard precision cap.
+pair inequality between the smallest and largest root) is decided from its
+exact values at the corners of refined isolating intervals, with a hard
+precision cap.
 
 Window conventions: the appendix searches use a half-open root window
 [d_lo, d_hi); search_gap uses (4/3, d_max].  Irrational endpoints can
@@ -20,8 +21,9 @@ the sign of its discriminant, and each root bound by one sign test on a
 Taylor shift (Descartes' rule, exact on real-rooted polynomials): a root
 in (4/3, r_lo] passes the window, none in (4/3, r_hi] fails it, and only a
 smallest root between the two needs isolation and the exact comparison with
-d_max.  Sturm chains remain only where the walk and the degree >= 4 leaf
-count roots.
+d_max.  A leaf of degree >= 4 counts its real roots by one Sturm count
+(kernels.real_root_count).  From depth 3 on, the walk counts roots by the
+Descartes bisection of the node's squarefree part (algnum._isolate_in).
 
 The coefficient walk computes each bound on integers: a polynomial value
 at a rational point or a quadratic critical point comes from one
@@ -40,8 +42,8 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 
 from . import kernels
-from .algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd, WIDTH_CAP,
-                     _floor_root, factor_over_integers, inverse_square_sum,
+from .algnum import (AlgebraicNumber, IntPoly, Surd, WIDTH_CAP, _floor_root,
+                     _isolate_in, factor_over_integers, inverse_square_sum,
                      is_d_number, isolate_real_roots, poly_squarefree_part)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .obstruct import FOUR_THIRDS, orbit_inequality, threshold
@@ -196,28 +198,43 @@ def _as_surd(x):
 # the pair inequality (smallest vs largest conjugate) by refinement; the
 # quadratic search decides it exactly as the orbit inequality
 
+def _pair_bounds(iv1, iv3):
+    """Exact bounds (lower, upper) on g = 1/d1^2 + h(d3) - 1/2, with
+    h(x) = 1/x^2 - 1/(2x), over d1 in iv1 and d3 in iv3 (positive ends).
+
+    g falls in d1, and h'(x) = (x - 4)/(2x^3), so h falls below 4 and rises
+    above it: the largest g is at d1 = iv1.lo and the larger of h at the ends
+    of iv3, the smallest at d1 = iv1.hi and d3 = 4 clamped into iv3.
+    """
+    def h(x):
+        return 1 / (x * x) - 1 / (2 * x)
+
+    half = Fraction(1, 2)
+    upper = 1 / (iv1.lo * iv1.lo) + max(h(iv3.lo), h(iv3.hi)) - half
+    lower = (1 / (iv1.hi * iv1.hi)
+             + h(min(max(Fraction(4), iv3.lo), iv3.hi)) - half)
+    return lower, upper
+
+
 def mainineq_enclosure_pair(d1, d3, label=""):
     """Certified 1/d1^2 + 1/d3^2 - 1/(2 d3) - 1/2 <= 0 via refinement.
 
-    d1 and d3 are AlgebraicNumbers with positive enclosures.  Raises an
-    ambiguity error naming the candidate if the sign cannot be certified
-    before the width cap.
+    d1 and d3 are AlgebraicNumbers with positive values.  Refines both until
+    the exact bounds of _pair_bounds on their intervals share a sign; raises
+    an ambiguity error naming the candidate if that does not happen before
+    the width cap.
     """
     width = Fraction(1, 2 ** 8)
-    half = RatInterval(Fraction(1, 2), Fraction(1, 2))
     while True:
         iv1 = d1.refine(width)
         iv3 = d3.refine(width)
         if iv1.lo <= 0 or iv3.lo <= 0:
             width /= 16
             continue
-        inv1 = iv1.inv()
-        inv3 = iv3.inv()
-        expr = (inv1 * inv1) + (inv3 * inv3) - inv3.scale(Fraction(1, 2)) \
-            - half
-        if expr.hi <= 0:
+        lower, upper = _pair_bounds(iv1, iv3)
+        if upper <= 0:
             return True
-        if expr.lo > 0:
+        if lower > 0:
             return False
         if width < WIDTH_CAP:
             raise AmbiguityError(
@@ -473,16 +490,14 @@ def _deriv_prefix(prefix, k):
     return asc
 
 
-def _totally_real_in_box(asc, lo_n, lo_d, q_hi, chain):
+def _totally_real_in_box(asc, lo_n, lo_d, q_hi, sqf):
     """Sound prune: False only if the polynomial certainly cannot divide a
     totally real polynomial with all roots in (lo_n/lo_d, q_hi].
 
-    Degrees 1 and 2 are decided in closed form (chain is None).  From
-    degree 3 on, the test counts distinct roots with chain,
-    kernels.sturm_chain(asc), which the walk shares with _next_coeff_range.
-    A chain whose last element is not constant ends in gcd(asc, asc');
-    divided by it, the elements form a Sturm sequence of the squarefree
-    part, so the counts hold for repeated roots too.
+    Degrees 1 and 2 are decided in closed form (sqf is None).  From degree 3
+    on, sqf is poly_squarefree_part(asc), which the walk shares with
+    _next_coeff_range: the test holds iff the Descartes bisection of sqf on
+    (lo_n/lo_d, q_hi] finds all of its deg(sqf) distinct roots there.
     """
     deg = len(asc) - 1
     if deg < 1:
@@ -506,23 +521,20 @@ def _totally_real_in_box(asc, lo_n, lo_d, q_hi, chain):
         if c0 + q_hi * c1 + q_hi * q_hi * c2 < 0:
             return False
         return -lo_d * c1 > 2 * lo_n * c2 and -c1 <= 2 * c2 * q_hi
-    g = chain[-1]
-    if len(g) > 1:
-        chain = [kernels.div_exact(e, g) for e in chain]
-    total = (kernels.varcount_inf(chain, False)
-             - kernels.varcount_inf(chain, True))
-    if total < len(chain[0]) - 1:
-        return False
-    inbox = (kernels.varcount_at(chain, lo_n, lo_d)
-             - kernels.varcount_at(chain, q_hi, 1))
-    return inbox == total
+    return len(_isolate_in(sqf, Fraction(lo_n, lo_d),
+                           Fraction(q_hi))) == len(sqf) - 1
 
 
 def _interval_eval(asc, iv):
-    acc = RatInterval(asc[-1], asc[-1])
+    """Enclosure (lo, hi) of asc over iv by Horner's rule on endpoint pairs:
+    each step takes the least and the largest of the four endpoint products,
+    then adds the coefficient."""
+    x_lo, x_hi = iv.lo, iv.hi
+    lo = hi = asc[-1]
     for c in reversed(asc[:-1]):
-        acc = acc * iv + RatInterval(c, c)
-    return acc
+        prods = (lo * x_lo, lo * x_hi, hi * x_lo, hi * x_hi)
+        lo, hi = min(prods) + c, max(prods) + c
+    return lo, hi
 
 
 def _coeff_envelope(k, box_lo, f_hi, cuts):
@@ -550,7 +562,7 @@ def _coeff_envelope(k, box_lo, f_hi, cuts):
 
 
 def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
-                      chain):
+                      sqf):
     """Integer range [lo, hi] for the next descending coefficient.
 
     deriv is _deriv_prefix(prefix, k) and env the depth's (lo, hi) from
@@ -560,10 +572,10 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
     the (exactly computable) critical points for low depth, and, strict, at
     the root-free band cut points for the final coefficient.
 
-    From depth 3 on, chain is kernels.sturm_chain(deriv), which the walk
+    From depth 3 on, sqf is poly_squarefree_part(deriv), which the walk
     built for the box test (None below).  The critical points are skipped
-    when its last element is not constant (deriv has a repeated root), and
-    isolated otherwise.
+    when it is shorter than deriv (deriv has a repeated root), and isolated
+    otherwise.
 
     Evaluation is integer-only.  At a rational x = p/q (q > 0) the bound on
     s is -N/M with N = q^deg w(p/q) (kernels.eval_qnum) and M = q^deg bcoef;
@@ -620,16 +632,16 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
     elif j >= 3 and lo <= hi:
         # all j critical points, simple and real, or none are used
         ivs = ()
-        if len(chain[-1]) == 1:
+        if len(sqf) == len(deriv):
             ivs = isolate_real_roots(deriv)
         if len(ivs) == j:
             for t, iv in enumerate(ivs, start=1):
-                enc = _interval_eval(w, iv)
+                enc_lo, enc_hi = _interval_eval(w, iv)
                 if (j + 1 - t) % 2 == 0:
-                    v = enc.hi
+                    v = enc_hi
                     lo = max(lo, -(v.numerator // (v.denominator * bcoef)))
                 else:
-                    v = enc.lo
+                    v = enc_lo
                     hi = min(hi, (-v.numerator) // (v.denominator * bcoef))
     return lo, hi
 
@@ -692,14 +704,14 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
 
     Decisions are exact but routed through cheap paths.  An irreducible
     candidate is squarefree, so through degree 3 the sign of its
-    discriminant says whether every root is real; from degree 4 on a Sturm
-    count does.  On a real-rooted polynomial each root bound is one sign
-    test on a Taylor shift (kernels.real_roots_above): every root >= 1 is
-    the weak test at 1, a root <= 4/3 a failed strict test at 4/3.  bracket
-    holds rationals r_lo <= d_max <= r_hi: a root <= r_lo (a failed strict
-    test) passes the window and every root > r_hi (a strict test) fails it,
-    so the exact algebraic comparison only runs for a smallest root between
-    them.  Isolation runs at most once: for that smallest root, or for the
+    discriminant says whether every root is real; from degree 4 on one Sturm
+    count does (kernels.real_root_count).  On a real-rooted polynomial each
+    root bound is one sign test on a Taylor shift (kernels.real_roots_above):
+    every root >= 1 is the weak test at 1, a root <= 4/3 a failed strict
+    test at 4/3.  bracket holds rationals r_lo <= d_max <= r_hi: a root
+    <= r_lo (a failed strict test) passes the window and every root > r_hi
+    (a strict test) fails it, so the exact algebraic comparison only runs
+    for a smallest root between them.  Isolation runs at most once: for that smallest root, or for the
     few candidates that reach the orbit inequality.
     """
     trace = []
@@ -716,9 +728,7 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
         if k <= 3:
             real = _real_rooted_low_degree(asc)
         else:
-            chain = kernels.sturm_chain(asc)
-            real = (kernels.varcount_inf(chain, False)
-                    - kernels.varcount_inf(chain, True)) == k
+            real = kernels.real_root_count(asc) == k
         good = real and kernels.real_roots_above(asc, 1, 1, False)
         trace.append(("roots-real-ge-1", "pass" if good else "fail"))
         ok = good
@@ -762,16 +772,6 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
 def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
     """All candidates of one degree via depth-first coefficient search."""
     out = []
-
-    if k == 1:
-        lo = 2  # > 4/3
-        hi = d_max.floor()
-        for c in range(lo, hi + 1):
-            cand = _gap_leaf(IntPoly([-c, 1]), d_max, bracket, audit)
-            if cand is not None:
-                out.append(cand)
-        return out
-
     lo_n, lo_d = box_lo.numerator, box_lo.denominator
     envelope = _coeff_envelope(k, box_lo, f_hi, cuts)
 
@@ -785,12 +785,12 @@ def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
             return
         asc = _deriv_prefix(prefix, k)
         # from depth 3 on, the box test and the critical points of the
-        # range share one Sturm chain
-        chain = kernels.sturm_chain(asc) if j >= 3 else None
-        if j >= 1 and not _totally_real_in_box(asc, lo_n, lo_d, f_hi, chain):
+        # range share one squarefree part
+        sqf = poly_squarefree_part(asc) if j >= 3 else None
+        if j >= 1 and not _totally_real_in_box(asc, lo_n, lo_d, f_hi, sqf):
             return
         lo, hi = _next_coeff_range(prefix, asc, k, envelope[j], box_lo,
-                                   f_hi, cuts, j + 1 == k, chain)
+                                   f_hi, cuts, j + 1 == k, sqf)
         for s in range(lo, hi + 1):
             descend(prefix + [s])
 
@@ -802,14 +802,15 @@ def search_gap(d_max, audit=False):
     """Certified enumeration of minimal polynomials of candidate spherical
     dimensions in (4/3, d_max].
 
-    Degrees run from 1 to the largest k whose conjugate-count bound stays
-    below d_max; within each degree, coefficients are searched depth-first
-    with interval pruning.  Survivors pass: irreducible, all roots real
-    and >= 1, smallest root in (4/3, d_max], d-number, the integer
-    prefilter prod(3 d_i - 4) >= 1, and the orbit inequality.  A leaf
-    builds a Sturm chain only from degree 4 on, and isolates its roots only
-    for a smallest root between the rationals that bracket d_max, or for
-    the orbit inequality (see _gap_leaf).
+    Degrees run from 2 (no integer lies in (4/3, sqrt 2)) to the largest k
+    whose conjugate-count bound stays below d_max; within each degree,
+    coefficients are searched depth-first with interval pruning.  Survivors
+    pass: irreducible, all roots real and >= 1, smallest root in
+    (4/3, d_max], d-number, the integer prefilter prod(3 d_i - 4) >= 1, and
+    the orbit inequality.  A leaf counts real roots by a Sturm count only
+    from degree 4 on, and isolates its roots only for a smallest root
+    between the rationals that bracket d_max, or for the orbit inequality
+    (see _gap_leaf).
     """
     d_max = _as_surd(d_max)
     if d_max.cmp(FOUR_THIRDS) <= 0:
@@ -833,42 +834,30 @@ def search_gap(d_max, audit=False):
     iv = d_max.approx(Fraction(1, 10 ** 20))
     bracket = (iv.lo, iv.hi)
 
-    skipped = []
     degrees = []
-    for k in range(1, k_max + 1):
-        if k >= 2 and threshold("gdim_k", k).cmp(d_max) == 0:
-            # smallest root would have to equal d_max exactly
-            if d_max.is_algebraic_integer() and \
-                    d_max.min_poly().degree == k:
-                degrees.append((k, d_max.min_poly()))
-            else:
-                skipped.append(k)
+    for k in range(2, k_max + 1):
+        # threshold("gdim_k", k)^2 = (16k - 16)/(8k - 7) lies strictly
+        # between 1 and 2, so it is never an integer and d_max equal to the
+        # bound is no algebraic integer: such a degree has no candidate
+        if threshold("gdim_k", k).cmp(d_max) == 0:
+            warnings.append("degree %d skipped: its bound equals d_max, "
+                            "which is not an algebraic integer of that "
+                            "degree" % k)
         else:
-            degrees.append((k, None))
-    for k in skipped:
-        warnings.append("degree %d skipped: its bound equals d_max, which "
-                        "is not an algebraic integer of that degree" % k)
+            degrees.append(k)
 
     # per-degree root floor: every root of a degree-k candidate exceeds
     # the degree-k conjugate-count bound, of which box_lo is a certified
     # rational lower bound (at least 4/3)
     def box_floor(k):
-        if k < 2:
-            return FOUR_THIRDS
         t = threshold("gdim_k", k)
         if t.is_rational:
             return t.p
         return max(FOUR_THIRDS, t.approx(Fraction(1, 10 ** 6)).lo)
 
-    def run_degree(item):
-        k, forced = item
-        if forced is not None:
-            cand = _gap_leaf(forced, d_max, bracket, audit)
-            return [cand] if cand is not None else []
-        return _gap_degree(k, d_max, box_floor(k), f_hi, cuts, bracket,
-                           audit)
-
-    survivors, rejected = _split([run_degree(d) for d in degrees], audit)
+    survivors, rejected = _split(
+        [_gap_degree(k, d_max, box_floor(k), f_hi, cuts, bracket, audit)
+         for k in degrees], audit)
     config = {
         "d_max": surd_text(d_max),
         "k_max": k_max,

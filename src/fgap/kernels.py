@@ -8,7 +8,8 @@ resultants and the search pruning, so they stay free of Fraction objects.
 This module is the one home of the coefficient-list primitives: normalize,
 derivative, poly_add, poly_sub, poly_mul, div_exact, pseudo_rem and
 taylor_shift, and of the root counts built on them: descartes_bound (for
-isolation), real_roots_above, and the Sturm chains the gap walk reads.
+isolation), real_roots_above, and real_root_count, the Sturm count the gap
+search's degree >= 4 leaf reads.
 Primitive parts, gcds, squarefree parts and isolation live in algnum,
 arithmetic over GF(q) (these primitives reduced mod q) in _factor.
 
@@ -241,6 +242,16 @@ def sign_variations(vals):
     return count
 
 
+def real_root_count(c):
+    """Number of distinct real roots of c: the sign changes of its Sturm
+    chain at -infinity (where an element of odd degree has the sign
+    opposite to its lead) less those at +infinity."""
+    chain = sturm_chain(c)
+    at_minus = [e[-1] if len(e) % 2 else -e[-1] for e in chain]
+    return (sign_variations(at_minus)
+            - sign_variations([e[-1] for e in chain]))
+
+
 def sturm_chain(c):
     """Sturm chain of c as primitive integer polynomials.
 
@@ -278,23 +289,6 @@ def _primitive(c):
     if g > 1:
         return [x // g for x in c]
     return list(c)
-
-
-def varcount_at(chain, p, q):
-    """Sign variations of a Sturm chain at the rational p/q (q > 0)."""
-    return sign_variations([eval_qnum(c, p, q) for c in chain])
-
-
-def varcount_inf(chain, positive):
-    """Sign variations of a chain at +infinity (positive, truthy) or -infinity."""
-    vals = []
-    for c in chain:
-        lead = c[-1]
-        if positive:
-            vals.append(lead)
-        else:
-            vals.append(lead if (len(c) - 1) % 2 == 0 else -lead)
-    return sign_variations(vals)
 
 
 def resultant(a, b):

@@ -21,8 +21,9 @@ from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          ratio_integrality_oracle)
 from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.kernels import (eval_surd, normalize, poly_mul, sign_variations,
-                          sturm_chain, surd_sign, varcount_at, varcount_inf)
+                          sturm_chain, surd_sign)
 from fgap import kernels
+from oracles import iv_scale, varcount_at, varcount_inf
 
 X = sympy.Symbol("x")
 
@@ -576,16 +577,6 @@ def test_surd_approx_encloses():
     assert s.cmp(iv.lo) >= 0 and s.cmp(iv.hi) <= 0
 
 
-def test_surd_algebraic_integer_and_minpoly():
-    phi = Surd(Fraction(5, 2), Fraction(1, 2), 5)  # (5 + sqrt 5)/2
-    assert phi.is_algebraic_integer()
-    assert phi.min_poly() == P(1, -5, 5)
-    assert Surd(0, 1, 2).min_poly() == P(1, 0, -2)
-    assert Surd(Fraction(1, 2), Fraction(1, 2), 3).is_algebraic_integer() \
-        is False
-    assert Surd(7).min_poly() == P(1, -7)
-
-
 def test_surd_sqrt_fraction():
     s = Surd.sqrt_fraction(Fraction(32, 17))
     assert (s * s).cmp(Fraction(32, 17)) == 0
@@ -712,7 +703,7 @@ class RefSurd:
         scale = 10 ** k
         r = isqrt(self.n * scale * scale)
         root = RatInterval(Fraction(r, scale), Fraction(r + 1, scale))
-        return shift(root.scale(self.q), self.p)
+        return shift(iv_scale(root, self.q), self.p)
 
     def floor(self):
         m = int(float(self.approx(Fraction(1, 10 ** 18)).mid))

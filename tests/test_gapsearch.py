@@ -12,7 +12,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fgap import algnum, gapsearch, kernels
+from fgap import gapsearch, kernels
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          factor_over_integers, inverse_square_sum,
                          is_d_number, isolate_real_roots, poly_gcd_int,
@@ -33,8 +33,9 @@ from fgap.gapsearch import (
     search_quadratic,
     surd_text,
 )
-from fgap.gapsearch import (_coeff_envelope, _deriv_prefix, _interval_eval,
-                            _next_coeff_range)
+from fgap.gapsearch import (_coeff_envelope, _deriv_prefix, _next_coeff_range,
+                            _pair_bounds)
+from oracles import iv_horner, pair_enclosure, varcount_at, varcount_inf
 from test_algnum import isolate_sturm
 
 GOLDEN_GAP = Surd(Fraction(5, 2), Fraction(-1, 2), 5)  # (5 - sqrt 5)/2
@@ -193,6 +194,50 @@ def test_quadratic_mainineq_filter_matches_closed_form():
                 assert status["mainineq"] == ("pass" if want else "fail")
                 checked += 1
     assert checked >= 1000
+
+
+@st.composite
+def pair_boxes(draw):
+    """Positive isolating intervals for d1 and d3, some of them around 4."""
+    ends = st.fractions(min_value=Fraction(1, 10), max_value=30,
+                        max_denominator=64)
+    widths = st.fractions(min_value=0, max_value=3, max_denominator=64)
+    l1, l3 = draw(ends), draw(ends)
+    return (RatInterval(l1, l1 + draw(widths)),
+            RatInterval(l3, l3 + draw(widths)))
+
+
+def pair_g(d1, d3):
+    return 1 / (d1 * d1) + 1 / (d3 * d3) - 1 / (2 * d3) - Fraction(1, 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(boxes=pair_boxes(),
+       ts=st.lists(st.fractions(min_value=0, max_value=1,
+                                max_denominator=50), min_size=2, max_size=2))
+# d3's interval holds 4, where 1/d3^2 - 1/(2 d3) is least
+@example(boxes=(RatInterval(Fraction(13, 10), Fraction(7, 5)),
+                RatInterval(3, 5)), ts=[Fraction(1, 2), Fraction(1, 3)])
+# d3's interval ends at 4, from either side
+@example(boxes=(RatInterval(1, 2), RatInterval(Fraction(7, 2), 4)), ts=[0, 1])
+@example(boxes=(RatInterval(1, 2), RatInterval(4, Fraction(9, 2))), ts=[0, 1])
+# point intervals
+@example(boxes=(RatInterval(Fraction(4, 3), Fraction(4, 3)),
+                RatInterval(4, 4)), ts=[0, 0])
+def test_pair_bounds_are_exact_inside_the_interval_enclosure(boxes, ts):
+    # the corner bounds lie inside the interval-arithmetic enclosure the
+    # pair inequality was decided by, hold g at sample points of the box and
+    # are attained at a corner or at d3 = 4
+    iv1, iv3 = boxes
+    lower, upper = _pair_bounds(iv1, iv3)
+    enc = pair_enclosure(iv1, iv3)
+    assert enc.lo <= lower <= upper <= enc.hi
+    xs1 = [iv1.lo, iv1.hi, iv1.lo + ts[0] * iv1.width]
+    xs3 = [iv3.lo, iv3.hi, iv3.lo + ts[1] * iv3.width]
+    if iv3.lo <= 4 <= iv3.hi:
+        xs3.append(Fraction(4))
+    values = [pair_g(x1, x3) for x1 in xs1 for x3 in xs3]
+    assert min(values) == lower and max(values) == upper
 
 
 def test_mainineq_rejects_repeated_roots():
@@ -536,7 +581,7 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
         if len(roots) == j:
             for t, iv in enumerate(roots, start=1):
                 sigma = 1 if (j + 1 - t) % 2 == 0 else -1
-                enc = _interval_eval(w_asc, iv)
+                enc = iv_horner(w_asc, iv)
                 add(sigma, enc.hi if sigma > 0 else enc.lo)
     return lo, hi
 
@@ -545,9 +590,9 @@ def _coeff_range(prefix, k, box_lo, f_hi, cuts, final):
     """The integer walk's range for the same arguments as the reference."""
     env = _coeff_envelope(k, box_lo, f_hi, cuts)[len(prefix) - 1]
     deriv = _deriv_prefix(prefix, k)
-    chain = kernels.sturm_chain(deriv) if len(prefix) > 3 else None
+    sqf = poly_squarefree_part(deriv) if len(prefix) > 3 else None
     return _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts,
-                             final, chain)
+                             final, sqf)
 
 
 # interior nodes of each walk: one _next_coeff_range call apiece
@@ -560,10 +605,12 @@ WALK_NODES = [(QUAD_DEFAULT_HI, 7043), (Surd(Fraction(277, 200)), 7043),
 def test_walk_ranges_match_fraction_reference(d_max, nodes, monkeypatch):
     calls = []
 
-    def checked(prefix, deriv, k, env, box_lo, f_hi, cuts, final, chain):
+    def checked(prefix, deriv, k, env, box_lo, f_hi, cuts, final, sqf):
         got = _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts,
-                                final, chain)
+                                final, sqf)
         assert deriv == _deriv_prefix(prefix, k)
+        assert sqf == (poly_squarefree_part(deriv) if len(prefix) > 3
+                       else None)
         assert got == reference_coeff_range(prefix, k, box_lo, f_hi, cuts,
                                             final), prefix
         calls.append(got)
@@ -574,11 +621,12 @@ def test_walk_ranges_match_fraction_reference(d_max, nodes, monkeypatch):
     assert len(calls) == nodes
 
 
-def test_depth_3_node_builds_one_chain_and_no_gcd(monkeypatch):
+def test_depth_3_node_builds_one_squarefree_part_and_no_chain(monkeypatch):
     # the degree-4 walk, steered down x^4 - 20x^3 + 132x^2 - 320x + s, whose
     # third, second and first derivatives have the roots 5; 5 -+ sqrt 3;
-    # and 2, 5, 8, all inside the box (4/3, 29]: only its depth-3 node asks
-    # for a Sturm chain or a polynomial gcd, in the box test and the range
+    # and 2, 5, 8, all inside the box (4/3, 29]: only its depth-3 node
+    # builds a squarefree part, which the box test and the range share, and
+    # no node builds a Sturm chain
     counts = Counter()
 
     def counted(name, fn):
@@ -589,8 +637,8 @@ def test_depth_3_node_builds_one_chain_and_no_gcd(monkeypatch):
 
     monkeypatch.setattr(kernels, "sturm_chain",
                         counted("chain", kernels.sturm_chain))
-    monkeypatch.setattr(algnum, "poly_gcd_int",
-                        counted("gcd", algnum.poly_gcd_int))
+    monkeypatch.setattr(gapsearch, "poly_squarefree_part",
+                        counted("sqf", gapsearch.poly_squarefree_part))
     path = [-20, 132, -320]
     real_range = gapsearch._next_coeff_range
     ranges = []
@@ -608,7 +656,69 @@ def test_depth_3_node_builds_one_chain_and_no_gcd(monkeypatch):
     gapsearch._gap_degree(4, d_max, FOUR_THIRDS, 29,
                           gapsearch._gap_cut_points(d_max), bracket, False)
     assert len(ranges) == 1
-    assert counts == {"chain": 1}
+    assert counts == {"sqf": 1}
+
+
+class _SliceDone(Exception):
+    pass
+
+
+def test_degree_4_walk_slice_matches_references(monkeypatch):
+    # search_gap(1.39) up to its 10th degree-4 depth-3 node: every degree-4
+    # box test, coefficient range and quartic leaf against its Sturm or
+    # Fraction reference
+    real_degree = gapsearch._gap_degree
+    real_box = gapsearch._totally_real_in_box
+    real_range = gapsearch._next_coeff_range
+    real_leaf = gapsearch._gap_leaf
+    degree = []
+    counts = Counter()
+
+    def walk(k, *rest):
+        degree.append(k)
+        return real_degree(k, *rest)
+
+    def box(asc, lo_n, lo_d, q_hi, sqf):
+        got = real_box(asc, lo_n, lo_d, q_hi, sqf)
+        if degree[-1] == 4:
+            assert got == totally_real_in_box_reference(asc, lo_n, lo_d,
+                                                        q_hi), asc
+            counts["box", got] += 1
+        return got
+
+    def coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final, sqf):
+        if k == 4 and len(prefix) == 4:
+            if counts["depth 3"] == 10:
+                raise _SliceDone
+            counts["depth 3"] += 1
+        got = real_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
+                         sqf)
+        if k == 4:
+            assert got == reference_coeff_range(prefix, k, box_lo, f_hi,
+                                                cuts, final), prefix
+            counts["range"] += 1
+        return got
+
+    def leaf(poly, d_max, bracket, keep_all):
+        got = real_leaf(poly, d_max, bracket, True)
+        if poly.degree == 4:
+            want = gap_leaf_reference(poly, d_max, bracket, True)
+            assert (got.trace, got.roots) == (want.trace, want.roots), poly
+            counts["leaf", got.first_fail()] += 1
+        return got if got.survivor or keep_all else None
+
+    monkeypatch.setattr(gapsearch, "_gap_degree", walk)
+    monkeypatch.setattr(gapsearch, "_totally_real_in_box", box)
+    monkeypatch.setattr(gapsearch, "_next_coeff_range", coeff_range)
+    monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)
+    with pytest.raises(_SliceDone):
+        search_gap(Surd(Fraction(139, 100)))
+    assert degree == [2, 3, 4]
+    # no box test prunes this slice (the drawn box cases do) and 2,055
+    # quartic leaves fail their first two filters
+    assert counts == {"depth 3": 10, "range": 23, ("box", True): 23,
+                      ("leaf", "irreducible"): 2,
+                      ("leaf", "roots-real-ge-1"): 2053}
 
 
 def test_gap_leaf_keeps_four_positional_parameters():
@@ -657,21 +767,21 @@ def gap_leaf_reference(poly, d_max, bracket, keep_all):
     ivs = None
     if ok:
         chain = kernels.sturm_chain(asc)
-        v_minus = kernels.varcount_inf(chain, False)
-        total = v_minus - kernels.varcount_inf(chain, True)
-        n_le_1 = v_minus - kernels.varcount_at(chain, 1, 1)
+        v_minus = varcount_inf(chain, False)
+        total = v_minus - varcount_inf(chain, True)
+        n_le_1 = v_minus - varcount_at(chain, 1, 1)
         ok = total == k and (n_le_1 - (1 if poly(1) == 0 else 0)) == 0
         trace.append(("roots-real-ge-1", "pass" if ok else "fail"))
     if ok:
         r_lo, r_hi = bracket
-        v43 = kernels.varcount_at(chain, 4, 3)
+        v43 = varcount_at(chain, 4, 3)
         if v_minus - v43 != 0:
             ok = False
-        elif v43 - kernels.varcount_at(chain, r_lo.numerator,
-                                       r_lo.denominator) >= 1:
+        elif v43 - varcount_at(chain, r_lo.numerator,
+                               r_lo.denominator) >= 1:
             ok = True
-        elif r_lo == r_hi or v43 == kernels.varcount_at(chain, r_hi.numerator,
-                                                        r_hi.denominator):
+        elif r_lo == r_hi or v43 == varcount_at(chain, r_hi.numerator,
+                                                r_hi.denominator):
             ok = False
         else:
             ivs, _ = isolate_sturm(asc, chain)
@@ -824,8 +934,7 @@ def squarefree_low_degree(draw):
 def test_closed_form_realness_matches_sturm_count(asc):
     k = len(asc) - 1
     chain = kernels.sturm_chain(asc)
-    total = kernels.varcount_inf(chain, False) - kernels.varcount_inf(chain,
-                                                                      True)
+    total = varcount_inf(chain, False) - varcount_inf(chain, True)
     assert gapsearch._real_rooted_low_degree(asc) == (total == k)
     if k == 3:
         x = sympy.Symbol("x")
@@ -878,18 +987,17 @@ def test_coeff_range_matches_reference_off_walk(case):
 # the box test and the leaf's irreducibility test against references
 
 def totally_real_in_box_reference(asc, lo_n, lo_d, q_hi):
-    """The degree >= 3 box test with its own squarefree part: gcd with the
-    derivative, then exact division (the form before poly_squarefree_part)."""
+    """The box test by Sturm counts on its own squarefree part: gcd with the
+    derivative, then exact division (the form before Descartes bisection
+    and poly_squarefree_part)."""
     deriv = [i * asc[i] for i in range(1, len(asc))]
     g = poly_gcd_int(list(asc), deriv)
     sqf = kernels.div_exact(list(asc), g) if len(g) > 1 else list(asc)
     chain = kernels.sturm_chain(sqf)
-    total = (kernels.varcount_inf(chain, False)
-             - kernels.varcount_inf(chain, True))
+    total = varcount_inf(chain, False) - varcount_inf(chain, True)
     if total < len(sqf) - 1:
         return False
-    inbox = (kernels.varcount_at(chain, lo_n, lo_d)
-             - kernels.varcount_at(chain, q_hi, 1))
+    inbox = varcount_at(chain, lo_n, lo_d) - varcount_at(chain, q_hi, 1)
     return inbox == total
 
 
@@ -920,8 +1028,8 @@ def box_cases(draw):
 @example(case=([8, -12, 6, -1], 2, 1, 9))           # -(x-2)^3, root on lo
 @example(case=([1, 0, 1, 0, 1], 1, 1, 5))           # no real root
 def test_box_test_degree_3_plus_matches_reference(case):
-    chain = kernels.sturm_chain(case[0])
-    assert gapsearch._totally_real_in_box(*case, chain) == \
+    sqf = poly_squarefree_part(case[0])
+    assert gapsearch._totally_real_in_box(*case, sqf) == \
         totally_real_in_box_reference(*case)
 
 

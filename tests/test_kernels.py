@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap import kernels
+from oracles import varcount_at, varcount_inf
 
 X = sympy.Symbol("x")
 
@@ -119,14 +120,13 @@ def test_sturm_counts_match_sympy_real_roots():
         sym_roots = sympy.real_roots(expr)
         distinct = sorted(set(sym_roots))
         chain = kernels.sturm_chain(c)
-        total = (kernels.varcount_inf(chain, False)
-                 - kernels.varcount_inf(chain, True))
+        total = varcount_inf(chain, False) - varcount_inf(chain, True)
         assert total == len(distinct)
+        assert kernels.real_root_count(c) == total
         # half-open interval counts (a, b] at a couple of rational cuts
         for a, b in ((-20, 0), (0, 20), (-3, 2)):
             want = sum(1 for r in distinct if a < r <= b)
-            got = (kernels.varcount_at(chain, a, 1)
-                   - kernels.varcount_at(chain, b, 1))
+            got = varcount_at(chain, a, 1) - varcount_at(chain, b, 1)
             assert got == want, (c, a, b)
 
 
@@ -205,9 +205,9 @@ def test_sturm_total_count_property(c):
     if len(c) < 2:
         return
     chain = kernels.sturm_chain(c)
-    total = (kernels.varcount_inf(chain, False)
-             - kernels.varcount_inf(chain, True))
+    total = varcount_inf(chain, False) - varcount_inf(chain, True)
     assert total == len(set(sympy.real_roots(to_sympy(c))))
+    assert kernels.real_root_count(c) == total
 
 
 def from_sympy(expr):

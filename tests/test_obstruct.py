@@ -30,7 +30,8 @@ def alg(*desc):
 def as_root(s):
     """An algebraic-integer Surd as the AlgebraicNumber on its minimal
     polynomial that equals it."""
-    p = s.min_poly()
+    p = (IntPoly([-s.p, 1]) if s.is_rational else
+         IntPoly([s.p * s.p - s.q * s.q * s.n, -2 * s.p, 1]))
     return next(a for a in (AlgebraicNumber(p, iv)
                             for iv in isolate_real_roots(p.coeffs))
                 if a.cmp(s) == 0)
