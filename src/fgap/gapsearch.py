@@ -31,17 +31,24 @@ homogeneous evaluation (kernels.eval_qnum, kernels.eval_surd), and the one
 rounding point of each bound is a floor division, after one isqrt for a
 surd.  The prefix-free envelope of each depth is built once per degree.
 
+The appendix searches bound their coefficients on integers too: a search
+writes each window end s = (x + y sqrt n)/d and its powers once, as integer
+pairs over the denominator d^k (_window_form), and rounds every b or c
+bound with one isqrt and one floor division, as Surd.ceil does; no Surd is
+built per coefficient pair.  Divisors of a^2 and a^3 come from the
+factorization of a.
+
 Both appendix searches count their enumeration before building any
 candidate and stop with BudgetError above SEARCH_BUDGET, so no window or
 --amax makes them run without bound: search_cubic counts (a, b) pairs and
-candidates, search_quadratic the values of a and the trial divisions that
-list the divisors of a^2.
+candidates, search_quadratic the values of a and the divisors of a^2.
 """
 
 from fractions import Fraction
 from math import comb, factorial, isqrt
+from operator import itemgetter
 
-from . import kernels
+from . import _intfactor, kernels
 from .algnum import (AlgebraicNumber, IntPoly, Surd, WIDTH_CAP, _floor_root,
                      _isolate_in, factor_over_integers, inverse_square_sum,
                      is_d_number, isolate_real_roots, poly_squarefree_part)
@@ -61,9 +68,9 @@ CUBIC_A_MAX = 45
 # Most enumeration steps one appendix search may take, counted before any
 # candidate is built: for the cubic search (a, b) pairs plus candidates (the
 # default window needs 28,848 = 10,455 + 18,393, --window 1.4,3 about 1.6
-# million), for the quadratic search each a plus the a trial divisions that
-# list the divisors of a^2 (the default needs 294, --amax 1998 is the last
-# within budget).  A wider window or --amax stops with BudgetError.
+# million), for the quadratic search each a plus the tau(a^2) divisors of
+# a^2 (the default needs 170, --amax 20000 844,160, and --amax 41951 is the
+# last within budget).  A wider window or --amax stops with BudgetError.
 SEARCH_BUDGET = 2 * 10 ** 6
 
 # Filters an appendix search can drop (--drop-filter), by degree, in the
@@ -108,7 +115,7 @@ class Candidate:
     def __init__(self, poly, trace, roots=None):
         self.poly = poly
         self.trace = tuple(trace)
-        self.survivor = all(st != "fail" for _, st in trace)
+        self.survivor = "fail" not in map(itemgetter(1), self.trace)
         self.roots = tuple(roots) if roots is not None else None
 
     def first_fail(self):
@@ -258,31 +265,62 @@ def _run_filter(cfg, trace, name, decide):
     return ok
 
 
-def _divisors(n):
+def _power_divisors(a, e):
+    """Sorted divisors of a^e (a >= 1), built from the factorization of a."""
+    divs = [1]
+    for p, k in _intfactor.factorize(a).items():
+        powers = [p ** i for i in range(k * e + 1)]
+        divs = [d * q for q in powers for d in divs]
+    divs.sort()
+    return divs
+
+
+def _window_form(s, k):
+    """The powers s, s^2, ..., s^k of a window end s = (x + y sqrt n)/d over
+    the one denominator L = d^k: (pairs, n, L), where pairs[i - 1] is the
+    integer pair (x_i, y_i) with s^i = (x_i + y_i sqrt n)/L."""
+    x, y, n, d = s.a, s.b, s.n, s.d
+    pairs = []
+    px, py = 1, 0
+    for i in range(k - 1, -1, -1):
+        px, py = px * x + py * y * n, px * y + py * x
+        pairs.append((px * d ** i, py * d ** i))
+    return pairs, n, d ** k
+
+
+# Both window bounds below round (X + Y sqrt n)/L up as Surd.ceil does:
+# ceil = -floor((-X - Y sqrt n)/L) = -((_floor_root(-Y, n) - X) // L).
+
+def _quad_ceil(form, a):
+    """ceil(a s - s^2) at the window end s, form = _window_form(s, 2)."""
+    ((x1, y1), (x2, y2)), n, den = form
+    return -((_floor_root(y2 - a * y1, n) + x2 - a * x1) // den)
+
+
+def _cubic_ceils(form, a, b_max):
+    """ceil(s^3 - a s^2 + b s) for b = 1 .. b_max at the window end s,
+    form = _window_form(s, 3); each step of b adds s to the value."""
+    ((x1, y1), (x2, y2), (x3, y3)), n, den = form
+    x, y = x3 - a * x2, y3 - a * y2
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    out.sort()
+    for _ in range(b_max):
+        x += x1
+        y += y1
+        out.append(-((_floor_root(-y, n) - x) // den))
     return out
 
 
-def search_quadratic(cfg=None):
-    """Enumerate x^2 - ax + b over the appendix grid and filter exactly."""
-    if cfg is None:
-        cfg = SearchConfig(2)
-    if cfg.degree != 2:
-        raise InvalidInputError("config degree must be 2")
-
-    # the b window of every a, counted before any candidate is built
+def _quad_plan(cfg):
+    """[(a, in-window divisors b of a^2)] for a = 3 .. a_max, counted before
+    any candidate is built."""
+    drop_window = "window" in cfg.drop
+    if not drop_window:
+        lo_form = _window_form(cfg.d_lo, 2)
+        hi_form = _window_form(cfg.d_hi, 2)
     plan = []
     size = 0
     for a in range(3, cfg.a_max + 1):
-        if "window" in cfg.drop:
+        if drop_window:
             blo, bhi = 1, a * a
         else:
             # integer b window from the root window: b = d1*(a - d1) is
@@ -291,21 +329,30 @@ def search_quadratic(cfg=None):
             half_a = Fraction(a, 2)
             if cfg.d_lo.cmp(half_a) >= 0:
                 continue
-            blo = (cfg.d_lo * Fraction(a) - cfg.d_lo * cfg.d_lo).ceil()
+            blo = _quad_ceil(lo_form, a)
             if cfg.d_hi.cmp(half_a) <= 0:
-                bhi = (cfg.d_hi * Fraction(a) - cfg.d_hi * cfg.d_hi).ceil() - 1
+                bhi = _quad_ceil(hi_form, a) - 1
             else:
                 bhi = (a * a - 1) // 4
-        # _divisors(a * a) tries every d <= a
-        size += 1 + a
+        divs = _power_divisors(a, 2)
+        size += 1 + len(divs)
         if size > SEARCH_BUDGET:
             raise BudgetError(
                 "the quadratic search would take more than %d enumeration "
-                "steps (values of a and divisor trials); lower --amax"
+                "steps (values of a and divisors of a^2); lower --amax"
                 % SEARCH_BUDGET)
-        plan.append((a, blo, bhi))
-    cands = (_quad_candidate(cfg, a, b) for a, blo, bhi in plan
-             for b in _divisors(a * a) if blo <= b <= bhi)
+        plan.append((a, [b for b in divs if blo <= b <= bhi]))
+    return plan
+
+
+def search_quadratic(cfg=None):
+    """Enumerate x^2 - ax + b over the appendix grid and filter exactly."""
+    if cfg is None:
+        cfg = SearchConfig(2)
+    if cfg.degree != 2:
+        raise InvalidInputError("config degree must be 2")
+    plan = _quad_plan(cfg)
+    cands = (_quad_candidate(cfg, a, b) for a, bs in plan for b in bs)
     return _assemble("quadratic", cfg, [cands])
 
 
@@ -344,44 +391,54 @@ def _quad_candidate(cfg, a, b):
 # ---------------------------------------------------------------------------
 # cubic search
 
-def search_cubic(cfg=None):
-    """Enumerate x^3 - ax^2 + bx - c with the appendix constraints."""
-    if cfg is None:
-        cfg = SearchConfig(3)
-    if cfg.degree != 3:
-        raise InvalidInputError("config degree must be 3")
+def _cubic_plan(cfg):
+    """[(a, b, c values)] for every coefficient pair, counted before any
+    candidate is built.  With the window, c runs over the integers in
+    [s^3 - a s^2 + b s at d_lo, the same at d_hi), from 1 up."""
     drop_window = "window" in cfg.drop
-    lo1, lo2, lo3 = cfg.d_lo, cfg.d_lo ** 2, cfg.d_lo ** 3
-    hi1, hi2, hi3 = cfg.d_hi, cfg.d_hi ** 2, cfg.d_hi ** 3
-    # rational lower bound on d_lo: P(r) <= 0 stays necessary at any
-    # r below every root, which keeps the dropped-window enumeration sane
-    r_lo = cfg.d_lo.approx(Fraction(1, 10 ** 20)).lo
-
-    # the c values of every (a, b), counted before any candidate is built
+    if drop_window:
+        # rational lower bound on d_lo: P(r) <= 0 stays necessary at any
+        # r below every root, which keeps the dropped-window enumeration sane
+        r_lo = cfg.d_lo.approx(Fraction(1, 10 ** 20)).lo
+    else:
+        lo_form = _window_form(cfg.d_lo, 3)
+        hi_form = _window_form(cfg.d_hi, 3)
     plan = []
     size = 0
     for a in range(1, cfg.a_max + 1):
-        lo_base = lo3 - lo2 * a
-        hi_base = hi3 - hi2 * a
+        b_max = a * a // 3
         if drop_window:
             # finiteness comes from the divisibility constraint
-            divs = _divisors(a ** 3)
-        for b in range(1, a * a // 3 + 1):
+            divs = _power_divisors(a, 3)
+        else:
+            lows = _cubic_ceils(lo_form, a, b_max)
+            tops = _cubic_ceils(hi_form, a, b_max)
+        for b in range(1, b_max + 1):
             if drop_window:
                 c_min = r_lo * (r_lo * (r_lo - a) + b)
                 c_iter = [c for c in divs if c >= c_min]
                 size += 1 + len(c_iter)
             else:
-                c_lo = max(1, (lo_base + lo1 * b).ceil())
-                c_hi = (hi_base + hi1 * b).ceil() - 1
-                c_iter = range(c_lo, c_hi + 1)
-                size += 1 + max(0, c_hi - c_lo + 1)
+                c_lo = max(1, lows[b - 1])
+                c_top = tops[b - 1]
+                c_iter = range(c_lo, c_top)
+                size += 1 + max(0, c_top - c_lo)
             if size > SEARCH_BUDGET:
                 raise BudgetError(
                     "the cubic search would enumerate more than %d "
                     "coefficient pairs and candidates; narrow --window or "
                     "lower --amax" % SEARCH_BUDGET)
             plan.append((a, b, c_iter))
+    return plan
+
+
+def search_cubic(cfg=None):
+    """Enumerate x^3 - ax^2 + bx - c with the appendix constraints."""
+    if cfg is None:
+        cfg = SearchConfig(3)
+    if cfg.degree != 3:
+        raise InvalidInputError("config degree must be 3")
+    plan = _cubic_plan(cfg)
     # streamed: only the candidates the result keeps stay in memory
     cands = (_cubic_candidate(cfg, a, b, c)
              for a, b, c_iter in plan for c in c_iter)

@@ -8,9 +8,14 @@ kernels.real_root_count alone.
 Interval arithmetic on RatInterval: the enclosure the pair inequality was
 decided by before its exact corner bounds, and the Horner enclosure of a
 polynomial over an interval.
+
+The appendix searches' plans on Surd arithmetic, with divisors by trial
+division: the package computes the same window bounds on integer pairs and
+lists divisors from a factorization.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from fgap.algnum import RatInterval
 from fgap.kernels import eval_qnum, sign_variations
@@ -76,3 +81,56 @@ def pair_enclosure(iv1, iv3):
     half = RatInterval(Fraction(1, 2), Fraction(1, 2))
     return iv_sub(iv_sub(iv_add(iv_mul(inv1, inv1), iv_mul(inv3, inv3)),
                          iv_scale(inv3, Fraction(1, 2))), half)
+
+
+def divisors(n):
+    """Sorted divisors of n >= 1 by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def quad_plan_reference(cfg):
+    """[(a, in-window divisors b of a^2)] for the quadratic search, each b
+    window end s*a - s^2 built as a Surd and rounded by Surd.ceil (no budget
+    count)."""
+    plan = []
+    for a in range(3, cfg.a_max + 1):
+        if "window" in cfg.drop:
+            blo, bhi = 1, a * a
+        else:
+            half_a = Fraction(a, 2)
+            if cfg.d_lo.cmp(half_a) >= 0:
+                continue
+            blo = (cfg.d_lo * Fraction(a) - cfg.d_lo * cfg.d_lo).ceil()
+            if cfg.d_hi.cmp(half_a) <= 0:
+                bhi = (cfg.d_hi * Fraction(a) - cfg.d_hi * cfg.d_hi).ceil() - 1
+            else:
+                bhi = (a * a - 1) // 4
+        plan.append((a, [b for b in divisors(a * a) if blo <= b <= bhi]))
+    return plan
+
+
+def cubic_plan_reference(cfg):
+    """[(a, b, c values)] for the cubic search, each c window end
+    s^3 - a s^2 + b s built as a Surd and rounded by Surd.ceil (no budget
+    count)."""
+    drop_window = "window" in cfg.drop
+    lo1, lo2, lo3 = cfg.d_lo, cfg.d_lo ** 2, cfg.d_lo ** 3
+    hi1, hi2, hi3 = cfg.d_hi, cfg.d_hi ** 2, cfg.d_hi ** 3
+    r_lo = cfg.d_lo.approx(Fraction(1, 10 ** 20)).lo
+    plan = []
+    for a in range(1, cfg.a_max + 1):
+        lo_base = lo3 - lo2 * a
+        hi_base = hi3 - hi2 * a
+        if drop_window:
+            divs = divisors(a ** 3)
+        for b in range(1, a * a // 3 + 1):
+            if drop_window:
+                c_min = r_lo * (r_lo * (r_lo - a) + b)
+                c_iter = [c for c in divs if c >= c_min]
+            else:
+                c_lo = max(1, (lo_base + lo1 * b).ceil())
+                c_hi = (hi_base + hi1 * b).ceil() - 1
+                c_iter = range(c_lo, c_hi + 1)
+            plan.append((a, b, c_iter))
+    return plan

@@ -327,10 +327,10 @@ def test_search_cubic_over_budget_exits_2(extra):
     _assert_over_budget("cubic", *extra)
 
 
-@pytest.mark.parametrize("amax", ["20000", "100000000"])
+@pytest.mark.parametrize("amax", ["100000", "100000000"])
 def test_search_quadratic_over_budget_exits_2(amax):
-    # every a lists the divisors of a^2 by trial division; the count of
-    # that work stops the run before any candidate is built
+    # every a lists the divisors of a^2; their count passes the budget past
+    # --amax 41951 and stops the run before any candidate is built
     _assert_over_budget("quadratic", "--amax", amax)
 
 
@@ -416,7 +416,10 @@ TRACED_SEARCH_FUNCTIONS = ("_quad_candidate", "_cubic_candidate",
 
 @pytest.mark.parametrize("argv", [
     ["search", "quadratic"],
+    ["search", "quadratic", "--amax", "200"],
     ["search", "cubic"],
+    ["search", "cubic", "--window", "1.2,1.3"],
+    ["search", "cubic", "--drop-filter", "window", "--amax", "12"],
     ["search", "gap", "--dmax", "1.34"],
     ["search", "gap", "--dmax", "277/200"],
 ], ids=lambda argv: " ".join(argv))

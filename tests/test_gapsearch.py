@@ -35,7 +35,9 @@ from fgap.gapsearch import (
 )
 from fgap.gapsearch import (_coeff_envelope, _deriv_prefix, _next_coeff_range,
                             _pair_bounds)
-from oracles import iv_horner, pair_enclosure, varcount_at, varcount_inf
+from oracles import (cubic_plan_reference, divisors, iv_horner,
+                     pair_enclosure, quad_plan_reference, varcount_at,
+                     varcount_inf)
 from test_algnum import isolate_sturm
 
 GOLDEN_GAP = Surd(Fraction(5, 2), Fraction(-1, 2), 5)  # (5 - sqrt 5)/2
@@ -389,6 +391,79 @@ def test_cubic_exploratory_window_finds_seven_family():
     assert r.exploratory
     for c in r.survivors:
         assert dict(c.trace)["mainineq"] == "skip"
+
+
+# ---------------------------------------------------------------------------
+# the appendix plans on integers against their Surd references
+
+@st.composite
+def window_cases(draw):
+    """A window end, rational or p + q sqrt n with either sign of q, and
+    1 <= a <= 200, 1 <= b <= max(1, a^2/3)."""
+    p = Fraction(draw(st.integers(-300, 300)), draw(st.integers(1, 60)))
+    n = draw(st.sampled_from([0, 2, 3, 5, 34, 41, 1155]))
+    q = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 60)))
+    end = Surd(p, q if draw(st.booleans()) else -q, n)
+    a = draw(st.integers(1, 200))
+    return end, a, draw(st.integers(1, max(1, a * a // 3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=window_cases())
+@example(case=(CUBIC_DEFAULT_LO, 45, 675))
+@example(case=(QUAD_DEFAULT_HI, 45, 675))
+@example(case=(QUAD_DEFAULT_LO, 3, 3))
+@example(case=(Surd(Fraction(13, 10)), 2, 1))
+def test_window_ceilings_match_surd_ceil(case):
+    end, a, b = case
+    assert gapsearch._quad_ceil(gapsearch._window_form(end, 2), a) == \
+        (end * Fraction(a) - end * end).ceil()
+    row = gapsearch._cubic_ceils(gapsearch._window_form(end, 3), a, b)
+    assert len(row) == b
+    for t in {1, (b + 1) // 2, b}:
+        assert row[t - 1] == (end ** 3 - end ** 2 * a + end * t).ceil()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"d_lo": "1.2", "d_hi": "1.3"},
+    {"d_lo": "1", "d_hi": "1.41", "drop": ("mainineq",)},
+    {"a_max": 90},
+    {"drop": ("window",), "a_max": 12},
+], ids=["default", "1.2,1.3", "1,1.41-mainineq", "amax-90",
+        "no-window-amax-12"])
+def test_cubic_plan_matches_surd_reference(kwargs):
+    cfg = SearchConfig(3, **kwargs)
+    got = [(a, b, list(c)) for a, b, c in gapsearch._cubic_plan(cfg)]
+    want = [(a, b, list(c)) for a, b, c in cubic_plan_reference(cfg)]
+    assert got == want
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"a_max": 300},
+    {"d_lo": "1.2", "d_hi": "1.4", "a_max": 300},
+    {"d_lo": "1", "d_hi": "1.41", "drop": ("mainineq",), "a_max": 120},
+    {"drop": ("window",), "a_max": 60},
+], ids=["default", "amax-300", "1.2,1.4", "1,1.41-mainineq",
+        "no-window-amax-60"])
+def test_quadratic_plan_matches_surd_reference(kwargs):
+    cfg = SearchConfig(2, **kwargs)
+    assert gapsearch._quad_plan(cfg) == quad_plan_reference(cfg)
+
+
+def test_power_divisors_match_trial_division():
+    for a in range(1, 2001):
+        assert gapsearch._power_divisors(a, 1) == divisors(a)
+        assert gapsearch._power_divisors(a, 2) == divisors(a * a)
+    for a in range(1, 201):
+        assert gapsearch._power_divisors(a, 3) == divisors(a ** 3)
+
+
+def test_quadratic_budget_counts_divisors_of_a_squared():
+    # 1 + tau(a^2) steps per a: 844,160 at --amax 20000, within the budget
+    plan = gapsearch._quad_plan(SearchConfig(2, a_max=20000))
+    assert [a for a, _ in plan] == list(range(3, 20001))
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +823,7 @@ def irreducible_reference(poly):
         if asc[0] == 0:
             return False
         return all(poly(t) != 0 and poly(-t) != 0
-                   for t in gapsearch._divisors(abs(asc[0])))
+                   for t in divisors(abs(asc[0])))
     factors = factor_over_integers(poly)
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0] == poly
 
