@@ -39,6 +39,11 @@ from .errors import DegreeCapError, InvalidInputError
 # enclosure refinement gives up (raises AmbiguityError) below this width
 WIDTH_CAP = Fraction(1, 10 ** 40)
 
+# highest degree factor_over_integers and is_d_number take (DegreeCapError
+# above it): the d-number test interpolates a resultant at n^2 + 1 points,
+# which already takes seconds at degree 24
+DEGREE_CAP = 24
+
 
 # ---------------------------------------------------------------------------
 # coefficient-list helpers (ascending order, plain ints)
@@ -347,17 +352,6 @@ class Surd:
                      self.a * o.b + self.b * o.a, n, self.d * o.d)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = Surd(1)
-        base = self
-        k = int(k)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -668,9 +662,9 @@ def factor_over_integers(p):
         coeffs = kernels.normalize(p)
     if not coeffs:
         raise InvalidInputError("cannot factor the zero polynomial")
-    if len(coeffs) - 1 > 24:
-        raise DegreeCapError("degree %d exceeds the factorization cap of 24"
-                             % (len(coeffs) - 1))
+    if len(coeffs) - 1 > DEGREE_CAP:
+        raise DegreeCapError("degree %d exceeds the factorization cap of %d"
+                             % (len(coeffs) - 1, DEGREE_CAP))
     if len(coeffs) == 1:
         return []
     w = _primitive_pos(coeffs)
@@ -693,8 +687,9 @@ def factor_over_integers(p):
 def is_d_number(p):
     """Does every root of p divide all roots (as algebraic integers)?
 
-    Degrees 1..3 use coefficient divisibility; higher degrees fall back to
-    the resultant-based ratio test on the squarefree part.
+    Degrees 1..3 use coefficient divisibility; higher degrees, up to
+    DEGREE_CAP, fall back to the resultant-based ratio test on the
+    squarefree part.
     """
     p = p if isinstance(p, IntPoly) else IntPoly(p)
     if not p.is_monic:
@@ -703,6 +698,9 @@ def is_d_number(p):
         raise InvalidInputError("d-number test requires degree >= 1 and a "
                                 "nonzero constant term")
     c = p.coeffs
+    if p.degree > DEGREE_CAP:
+        raise DegreeCapError("degree %d exceeds the d-number test's cap of %d"
+                             % (p.degree, DEGREE_CAP))
     if p.degree == 1:
         return True
     if p.degree == 2:

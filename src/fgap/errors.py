@@ -2,7 +2,7 @@
 
 Exit-code mapping used by the CLI: InvalidInputError and its subclasses are
 input/validation failures (exit 1); AmbiguityError (a certified-precision
-failure) and BudgetError (a run over its enumeration budget) exit 2.
+failure) and BudgetError (a run over its budget) exit 2.
 """
 
 
@@ -23,4 +23,5 @@ class AmbiguityError(ArithmeticError):
 
 
 class BudgetError(ArithmeticError):
-    """A bounded search would exceed its enumeration budget."""
+    """A run would exceed its budget: a bounded search's enumeration steps,
+    or the size of an exact result."""

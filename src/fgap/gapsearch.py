@@ -16,14 +16,14 @@ never tie with algebraic-integer candidates, which is asserted by the
 exact comparisons rather than assumed.
 
 search_gap brackets d_max once between rationals r_lo <= d_max <= r_hi
-(equal when d_max is rational).  A leaf of degree <= 3 decides realness by
-the sign of its discriminant, and each root bound by one sign test on a
+(equal when d_max is rational).  A leaf decides realness by one
+kernels.real_rooted call (the discriminant's sign through degree 3,
+Hermite's criterion beyond), and each root bound by one sign test on a
 Taylor shift (Descartes' rule, exact on real-rooted polynomials): a root
 in (4/3, r_lo] passes the window, none in (4/3, r_hi] fails it, and only a
 smallest root between the two needs isolation and the exact comparison with
-d_max.  A leaf of degree >= 4 counts its real roots by one Sturm count
-(kernels.real_root_count).  From depth 3 on, the walk counts roots by the
-Descartes bisection of the node's squarefree part (algnum._isolate_in).
+d_max.  From depth 3 on, the walk counts roots by the Descartes bisection
+of the node's squarefree part (algnum._isolate_in).
 
 The coefficient walk computes each bound on integers: a polynomial value
 at a rational point or a quadratic critical point comes from one
@@ -45,7 +45,7 @@ candidates, search_quadratic the values of a and the divisors of a^2.
 """
 
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 from operator import itemgetter
 
 from . import _intfactor, kernels
@@ -265,10 +265,10 @@ def _run_filter(cfg, trace, name, decide):
     return ok
 
 
-def _power_divisors(a, e):
-    """Sorted divisors of a^e (a >= 1), built from the factorization of a."""
+def _power_divisors(fac, e):
+    """Sorted divisors of a^e, from the factorization {p: k} of a >= 1."""
     divs = [1]
-    for p, k in _intfactor.factorize(a).items():
+    for p, k in fac.items():
         powers = [p ** i for i in range(k * e + 1)]
         divs = [d * q for q in powers for d in divs]
     divs.sort()
@@ -311,37 +311,44 @@ def _cubic_ceils(form, a, b_max):
 
 
 def _quad_plan(cfg):
-    """[(a, in-window divisors b of a^2)] for a = 3 .. a_max, counted before
-    any candidate is built."""
+    """[(a, in-window divisors b of a^2)] for a = 3 .. a_max, counted in
+    full before any window bound or divisor list is computed."""
     drop_window = "window" in cfg.drop
-    if not drop_window:
-        lo_form = _window_form(cfg.d_lo, 2)
-        hi_form = _window_form(cfg.d_hi, 2)
-    plan = []
+    counted = []
     size = 0
     for a in range(3, cfg.a_max + 1):
-        if drop_window:
-            blo, bhi = 1, a * a
-        else:
-            # integer b window from the root window: b = d1*(a - d1) is
-            # increasing in d1 up to a/2, so the endpoint values bound it;
-            # past the peak fall back to the unconditional b < a^2/4
-            half_a = Fraction(a, 2)
-            if cfg.d_lo.cmp(half_a) >= 0:
-                continue
-            blo = _quad_ceil(lo_form, a)
-            if cfg.d_hi.cmp(half_a) <= 0:
-                bhi = _quad_ceil(hi_form, a) - 1
-            else:
-                bhi = (a * a - 1) // 4
-        divs = _power_divisors(a, 2)
-        size += 1 + len(divs)
+        # b = d1*(a - d1) is increasing in d1 up to a/2, so no b fits a
+        # window whose lower end is past the peak
+        if not drop_window and cfg.d_lo.cmp(Fraction(a, 2)) >= 0:
+            continue
+        # a^2 has tau(a^2) = prod(2k + 1) divisors, read off the
+        # factorization of a, so an over-budget run lists none of them
+        fac = _intfactor.factorize(a)
+        size += 1 + prod(2 * k + 1 for k in fac.values())
         if size > SEARCH_BUDGET:
             raise BudgetError(
                 "the quadratic search would take more than %d enumeration "
                 "steps (values of a and divisors of a^2); lower --amax"
                 % SEARCH_BUDGET)
-        plan.append((a, [b for b in divs if blo <= b <= bhi]))
+        counted.append((a, fac))
+    if not drop_window:
+        lo_form = _window_form(cfg.d_lo, 2)
+        hi_form = _window_form(cfg.d_hi, 2)
+    plan = []
+    for a, fac in counted:
+        if drop_window:
+            blo, bhi = 1, a * a
+        else:
+            # integer b window from the root window: the endpoint values
+            # bound it; past the peak fall back to the unconditional
+            # b < a^2/4
+            blo = _quad_ceil(lo_form, a)
+            if cfg.d_hi.cmp(Fraction(a, 2)) <= 0:
+                bhi = _quad_ceil(hi_form, a) - 1
+            else:
+                bhi = (a * a - 1) // 4
+        plan.append((a, [b for b in _power_divisors(fac, 2)
+                         if blo <= b <= bhi]))
     return plan
 
 
@@ -409,7 +416,7 @@ def _cubic_plan(cfg):
         b_max = a * a // 3
         if drop_window:
             # finiteness comes from the divisibility constraint
-            divs = _power_divisors(a, 3)
+            divs = _power_divisors(_intfactor.factorize(a), 3)
         else:
             lows = _cubic_ceils(lo_form, a, b_max)
             tops = _cubic_ceils(hi_form, a, b_max)
@@ -457,9 +464,9 @@ def _cubic_candidate(cfg, a, b, c):
         ok = _run_filter(cfg, trace, "irreducible",
                          lambda: _irreducible_fast(poly))
     if ok:
-        disc = _cubic_discriminant(poly.coeffs)
         ok = _run_filter(cfg, trace, "totally-positive",
-                         lambda: disc > 0 and a > 0 and b > 0 and c > 0)
+                         lambda: kernels.real_rooted(poly.coeffs)
+                         and a > 0 and b > 0 and c > 0)
     ivs = None
     if ok:
         # a candidate that reaches here with a filter dropped may have a
@@ -730,46 +737,20 @@ def _irreducible_fast(poly):
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0] == poly
 
 
-def _cubic_discriminant(c):
-    """Discriminant of the cubic with ascending coefficients c.
-
-    Positive iff the three roots are real and distinct, negative iff one is
-    real and two are complex conjugates, zero iff a root repeats.  For
-    x^3 - ax^2 + bx - c it is 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2.
-    """
-    a0, a1, a2, a3 = c
-    return (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0 + a2 * a2 * a1 * a1
-            - 4 * a3 * a1 ** 3 - 27 * a3 * a3 * a0 * a0)
-
-
-def _real_rooted_low_degree(c):
-    """Are all roots of the squarefree c, of degree 1 to 3, real?
-
-    Squarefree means a nonzero discriminant, so its sign decides: positive
-    iff every root is real.
-    """
-    k = len(c) - 1
-    if k == 1:
-        return True
-    if k == 2:
-        return c[1] * c[1] - 4 * c[2] * c[0] > 0
-    return _cubic_discriminant(c) > 0
-
-
 def _gap_leaf(poly, d_max, bracket, keep_all):
     """Run the survivor battery on one candidate.
 
     Decisions are exact but routed through cheap paths.  An irreducible
-    candidate is squarefree, so through degree 3 the sign of its
-    discriminant says whether every root is real; from degree 4 on one Sturm
-    count does (kernels.real_root_count).  On a real-rooted polynomial each
+    candidate is squarefree, so one kernels.real_rooted call (distinct real
+    roots) says whether every root is real.  On a real-rooted polynomial each
     root bound is one sign test on a Taylor shift (kernels.real_roots_above):
     every root >= 1 is the weak test at 1, a root <= 4/3 a failed strict
     test at 4/3.  bracket holds rationals r_lo <= d_max <= r_hi: a root
     <= r_lo (a failed strict test) passes the window and every root > r_hi
     (a strict test) fails it, so the exact algebraic comparison only runs
-    for a smallest root between them.  Isolation runs at most once: for that smallest root, or for the
-    few candidates that reach the orbit inequality.
+    for a smallest root between them.  Isolation runs at most once: for
+    that smallest root, or for the few candidates that reach the orbit
+    inequality.
     """
     trace = []
     roots = None
@@ -782,11 +763,8 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
 
     ivs = None  # isolating intervals, computed at most once
     if ok:
-        if k <= 3:
-            real = _real_rooted_low_degree(asc)
-        else:
-            real = kernels.real_root_count(asc) == k
-        good = real and kernels.real_roots_above(asc, 1, 1, False)
+        good = (kernels.real_rooted(asc)
+                and kernels.real_roots_above(asc, 1, 1, False))
         trace.append(("roots-real-ge-1", "pass" if good else "fail"))
         ok = good
     if ok:
@@ -864,10 +842,9 @@ def search_gap(d_max, audit=False):
     coefficients are searched depth-first with interval pruning.  Survivors
     pass: irreducible, all roots real and >= 1, smallest root in
     (4/3, d_max], d-number, the integer prefilter prod(3 d_i - 4) >= 1, and
-    the orbit inequality.  A leaf counts real roots by a Sturm count only
-    from degree 4 on, and isolates its roots only for a smallest root
-    between the rationals that bracket d_max, or for the orbit inequality
-    (see _gap_leaf).
+    the orbit inequality.  A leaf decides realness without isolating, and
+    isolates its roots only for a smallest root between the rationals that
+    bracket d_max, or for the orbit inequality (see _gap_leaf).
     """
     d_max = _as_surd(d_max)
     if d_max.cmp(FOUR_THIRDS) <= 0:

@@ -7,9 +7,9 @@ resultants and the search pruning, so they stay free of Fraction objects.
 
 This module is the one home of the coefficient-list primitives: normalize,
 derivative, poly_add, poly_sub, poly_mul, div_exact, pseudo_rem and
-taylor_shift, and of the root counts built on them: descartes_bound (for
-isolation), real_roots_above, and real_root_count, the Sturm count the gap
-search's degree >= 4 leaf reads.
+taylor_shift, and of the root tests built on them: descartes_bound (for
+isolation), real_roots_above, and real_rooted, the gap search's one
+realness decision (Hermite's criterion from degree 4 on).
 Primitive parts, gcds, squarefree parts and isolation live in algnum,
 arithmetic over GF(q) (these primitives reduced mod q) in _factor.
 
@@ -242,53 +242,58 @@ def sign_variations(vals):
     return count
 
 
-def real_root_count(c):
-    """Number of distinct real roots of c: the sign changes of its Sturm
-    chain at -infinity (where an element of odd degree has the sign
-    opposite to its lead) less those at +infinity."""
-    chain = sturm_chain(c)
-    at_minus = [e[-1] if len(e) % 2 else -e[-1] for e in chain]
-    return (sign_variations(at_minus)
-            - sign_variations([e[-1] for e in chain]))
+def real_rooted(c):
+    """Does c, of degree k, have k distinct real roots?
 
+    Through degree 3 the discriminant decides: positive iff the roots are
+    real and distinct.  For the cubic with ascending coefficients a0..a3 it
+    is 18 a3 a2 a1 a0 - 4 a2^3 a0 + a2^2 a1^2 - 4 a3 a1^3 - 27 a3^2 a0^2.
 
-def sturm_chain(c):
-    """Sturm chain of c as primitive integer polynomials.
-
-    Uses pseudo-remainders with the sign corrected so each element is a
-    positive multiple of the exact Sturm sequence entry.
+    From degree 4 on, Hermite's criterion: the roots are real and distinct
+    iff the Hankel matrix H[i][j] = s_(i+j) (0 <= i, j < k) of their power
+    sums s_m is positive definite (Basu, Pollack and Roy, Algorithms in Real
+    Algebraic Geometry, 4.3: its signature counts the distinct real roots,
+    its rank the distinct roots).  With l the leading coefficient, Newton's
+    identities make t_m = l**m s_m integers, and the Hankel matrix of the t_m
+    is diag(l**i) H diag(l**i), whose leading principal minors have the signs
+    of H's.  Fraction-free (Bareiss) elimination leaves those minors as its
+    pivots; the first pivot <= 0 decides False.
     """
-    p0 = normalize(c)
-    if len(p0) <= 1:
-        return [p0] if p0 else []
-    chain = [_primitive(p0), _primitive(derivative(p0))]
-    while True:
-        a, b = chain[-2], chain[-1]
-        if len(b) <= 1 or len(a) < len(b):
-            break
-        r = pseudo_rem(a, b)
-        if not r:
-            break
-        # pseudo_rem scales by lb**(delta+1); undo its sign so the chain
-        # keeps the Sturm sign pattern
-        lb = b[-1]
-        delta = len(a) - len(b)
-        if lb < 0 and (delta + 1) % 2 == 1:
-            sgn = -1
-        else:
-            sgn = 1
-        nxt = _primitive([-x * sgn for x in r])
-        chain.append(nxt)
-        if len(nxt) <= 1:
-            break
-    return chain
-
-
-def _primitive(c):
-    g = int_content(c)
-    if g > 1:
-        return [x // g for x in c]
-    return list(c)
+    k = len(c) - 1
+    if k <= 1:
+        return True
+    if k == 2:
+        return c[1] * c[1] - 4 * c[2] * c[0] > 0
+    if k == 3:
+        a0, a1, a2, a3 = c
+        return (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0 + a2 * a2 * a1 * a1
+                - 4 * a3 * a1 ** 3 - 27 * a3 * a3 * a0 * a0) > 0
+    # Newton's identities times l**m: t_0 = k and t_m = -(m c[k-m] l**(m-1)
+    # + sum_(i=1..min(m-1,k)) c[k-i] l**(i-1) t_(m-i)), the first term only
+    # while m <= k
+    t = [k]
+    lpow = [1]
+    for _ in range(k - 1):
+        lpow.append(lpow[-1] * c[k])
+    for m in range(1, 2 * k - 1):
+        acc = m * c[k - m] * lpow[m - 1] if m <= k else 0
+        for i in range(1, min(m - 1, k) + 1):
+            acc += c[k - i] * lpow[i - 1] * t[m - i]
+        t.append(-acc)
+    a = [t[i:i + k] for i in range(k)]
+    prev = 1
+    for p in range(k):
+        piv = a[p][p]
+        if piv <= 0:
+            return False
+        row_p = a[p]
+        for i in range(p + 1, k):
+            row = a[i]
+            f = row[p]
+            for j in range(p + 1, k):
+                row[j] = (row[j] * piv - f * row_p[j]) // prev
+        prev = piv
+    return True
 
 
 def resultant(a, b):

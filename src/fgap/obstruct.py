@@ -12,9 +12,14 @@ from fractions import Fraction
 from .algnum import (AlgebraicNumber, IntPoly, Surd, factor_over_integers,
                      is_d_number, isolate_real_roots, largest_integer_divisor,
                      power_char_poly)
-from .errors import InvalidInputError
+from .errors import BudgetError, InvalidInputError
 
 FOUR_THIRDS = Fraction(4, 3)
+
+# Most bits a coefficient of ffib_fpdim_bound's power characteristic
+# polynomial may have: 2**14000 < 10**4215, so every printed coefficient
+# stays below Python's 4,300-digit int-to-str limit.
+POWER_BITS_CAP = 14000
 
 
 def threshold(kind, param=None):
@@ -223,5 +228,15 @@ def ffib_fpdim_bound(p):
                                 "polynomial")
     f = AlgebraicNumber(p, ivs[-1])
     m = f.floor()
+    # coefficient i of the power charpoly is the i-th elementary symmetric
+    # function of the m-th powers of p's roots, so at most C(k, i) M(p)**m,
+    # and the Mahler measure M(p) is at most the 2-norm of p (Landau's
+    # inequality): at most k + m * ceil(log2 |p|_2) bits
+    norm_sq = sum(x * x for x in p.coeffs)
+    bits = p.degree + m * ((norm_sq - 1).bit_length() + 1) // 2
+    if bits > POWER_BITS_CAP:
+        raise BudgetError(
+            "the characteristic polynomial of d^%d may have coefficients of "
+            "%d bits, over the cap of %d" % (m, bits, POWER_BITS_CAP))
     pcp = power_char_poly(f, m)
     return largest_integer_divisor(pcp), m, pcp, f

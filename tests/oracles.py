@@ -1,9 +1,9 @@
 """Reference implementations the tests check the package against.
 
-Sturm counts: sign variations of a Sturm chain (kernels.sturm_chain) at a
-rational point or at an infinity; the package counts roots by Descartes
-bisection and, for the gap search's degree >= 4 leaf, by
-kernels.real_root_count alone.
+Sturm counts: a Sturm chain of primitive integer polynomials
+(sturm_chain) and its sign variations at a rational point or at an
+infinity; the package counts roots by Descartes bisection and decides
+realness by Hermite's criterion (kernels.real_rooted), and builds no chain.
 
 Interval arithmetic on RatInterval: the enclosure the pair inequality was
 decided by before its exact corner bounds, and the Horner enclosure of a
@@ -18,7 +18,57 @@ from fractions import Fraction
 from math import isqrt
 
 from fgap.algnum import RatInterval
-from fgap.kernels import eval_qnum, sign_variations
+from fgap.kernels import (derivative, eval_qnum, int_content, normalize,
+                          pseudo_rem, sign_variations)
+
+
+def sturm_chain(c):
+    """Sturm chain of c as primitive integer polynomials.
+
+    Uses pseudo-remainders with the sign corrected so each element is a
+    positive multiple of the exact Sturm sequence entry.
+    """
+    p0 = normalize(c)
+    if len(p0) <= 1:
+        return [p0] if p0 else []
+    chain = [_primitive(p0), _primitive(derivative(p0))]
+    while True:
+        a, b = chain[-2], chain[-1]
+        if len(b) <= 1 or len(a) < len(b):
+            break
+        r = pseudo_rem(a, b)
+        if not r:
+            break
+        # pseudo_rem scales by lb**(delta+1); undo its sign so the chain
+        # keeps the Sturm sign pattern
+        lb = b[-1]
+        delta = len(a) - len(b)
+        if lb < 0 and (delta + 1) % 2 == 1:
+            sgn = -1
+        else:
+            sgn = 1
+        nxt = _primitive([-x * sgn for x in r])
+        chain.append(nxt)
+        if len(nxt) <= 1:
+            break
+    return chain
+
+
+def _primitive(c):
+    g = int_content(c)
+    if g > 1:
+        return [x // g for x in c]
+    return list(c)
+
+
+def real_root_count(c):
+    """Number of distinct real roots of c: the sign changes of its Sturm
+    chain at -infinity (where an element of odd degree has the sign
+    opposite to its lead) less those at +infinity."""
+    chain = sturm_chain(c)
+    at_minus = [e[-1] if len(e) % 2 else -e[-1] for e in chain]
+    return (sign_variations(at_minus)
+            - sign_variations([e[-1] for e in chain]))
 
 
 def varcount_at(chain, p, q):
@@ -115,8 +165,9 @@ def cubic_plan_reference(cfg):
     s^3 - a s^2 + b s built as a Surd and rounded by Surd.ceil (no budget
     count)."""
     drop_window = "window" in cfg.drop
-    lo1, lo2, lo3 = cfg.d_lo, cfg.d_lo ** 2, cfg.d_lo ** 3
-    hi1, hi2, hi3 = cfg.d_hi, cfg.d_hi ** 2, cfg.d_hi ** 3
+    lo1, lo2 = cfg.d_lo, cfg.d_lo * cfg.d_lo
+    hi1, hi2 = cfg.d_hi, cfg.d_hi * cfg.d_hi
+    lo3, hi3 = lo2 * lo1, hi2 * hi1
     r_lo = cfg.d_lo.approx(Fraction(1, 10 ** 20)).lo
     plan = []
     for a in range(1, cfg.a_max + 1):

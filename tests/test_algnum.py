@@ -21,9 +21,9 @@ from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          ratio_integrality_oracle)
 from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.kernels import (eval_surd, normalize, poly_mul, sign_variations,
-                          sturm_chain, surd_sign)
+                          surd_sign)
 from fgap import kernels
-from oracles import iv_scale, varcount_at, varcount_inf
+from oracles import iv_scale, sturm_chain, varcount_at, varcount_inf
 
 X = sympy.Symbol("x")
 

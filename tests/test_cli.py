@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import fgap.algnum
 import fgap.cli
 import fgap.gapsearch
-import fgap.kernels
 from conftest import run_cli
 from test_golden import GOLDEN
 from fgap.fusionring import FusionRing, builtin_ring, emit_ring_file
@@ -329,20 +328,28 @@ def test_search_cubic_over_budget_exits_2(extra):
 
 @pytest.mark.parametrize("amax", ["100000", "100000000"])
 def test_search_quadratic_over_budget_exits_2(amax):
-    # every a lists the divisors of a^2; their count passes the budget past
-    # --amax 41951 and stops the run before any candidate is built
+    # every a counts the divisors of a^2 from its factorization; the count
+    # passes the budget past --amax 41951 and stops the run before any
+    # candidate is built
     _assert_over_budget("quadratic", "--amax", amax)
 
 
 def _assert_over_budget(*argv):
+    err = _assert_one_line_exit(2, "search", *argv)
+    assert err.startswith("not certified: ")
+
+
+def _assert_one_line_exit(code, *argv):
+    """Run the CLI under a timeout; it must exit with code, print nothing
+    and write one stderr line, which is returned."""
     proc = subprocess.run(
-        [sys.executable, "-m", "fgap", "search", *argv],
+        [sys.executable, "-m", "fgap", *argv],
         capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
+    assert proc.returncode == code
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("not certified: ")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    return proc.stderr
 
 
 def test_dnumber_yes_with_oracle():
@@ -394,17 +401,37 @@ def test_ffib_bound_degree_one_root_in_a_wide_interval():
 
 
 def test_ffib_bound_isolates_once_without_a_chain(monkeypatch, capsys):
-    """Total positivity is read from the one isolation of the polynomial,
-    and no Sturm chain is built."""
+    """Total positivity is read from the one isolation of the polynomial."""
     calls = {}
     _count_everywhere(monkeypatch, calls, "isolate_real_roots",
                       fgap.algnum.isolate_real_roots)
-    _count_everywhere(monkeypatch, calls, "sturm_chain",
-                      fgap.kernels.sturm_chain)
 
     assert fgap.cli.main(["ffib-bound", "--poly", "1,-14,49,-49"]) == 0
     assert "bound: 117649\n" in capsys.readouterr().out
-    assert calls == {"isolate_real_roots": 1, "sturm_chain": 0}
+    assert calls == {"isolate_real_roots": 1}
+
+
+@pytest.mark.parametrize("poly", ["1,-10000,1", "1,-100000,1",
+                                  "1,-100000000000,1"])
+def test_ffib_bound_with_a_huge_power_exits_2(poly):
+    # d^m with m = floor(d), about 10^4 to 10^11: the power charpoly's
+    # coefficients would outgrow Python's 4,300-digit int-to-str limit (or
+    # take unbounded time to build); their bit bound stops the run first
+    err = _assert_one_line_exit(2, "ffib-bound", "--poly", poly)
+    assert err.startswith("not certified: ")
+
+
+def test_ffib_bound_keeps_a_10000_bit_power():
+    # m = 999 and coefficients of about 10,000 bits stay under the cap
+    rc, out, _ = run_cli("ffib-bound", "--poly", "1,-1000,1")
+    assert rc == 0 and "power: 999\n" in out
+
+
+def test_dnumber_over_the_degree_cap_exits_1():
+    # the resultant interpolation grows past degree 24 (degree 40 ran for
+    # over a minute); the degree cap stops it
+    err = _assert_one_line_exit(1, "dnumber", "--poly", "1" + ",1" * 40)
+    assert err == "error: degree 40 exceeds the d-number test's cap of 24\n"
 
 
 # The functions the benchmark's tracer wraps in the search layer, each in an

@@ -13,11 +13,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap import gapsearch, kernels
+from fgap._intfactor import factorize
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          factor_over_integers, inverse_square_sum,
                          is_d_number, isolate_real_roots, poly_gcd_int,
                          poly_squarefree_part)
-from fgap.errors import InvalidInputError
+from fgap.errors import BudgetError, InvalidInputError
 from fgap.obstruct import FOUR_THIRDS, orbit_inequality
 from fgap.gapsearch import (
     CUBIC_DEFAULT_LO,
@@ -36,8 +37,8 @@ from fgap.gapsearch import (
 from fgap.gapsearch import (_coeff_envelope, _deriv_prefix, _next_coeff_range,
                             _pair_bounds)
 from oracles import (cubic_plan_reference, divisors, iv_horner,
-                     pair_enclosure, quad_plan_reference, varcount_at,
-                     varcount_inf)
+                     pair_enclosure, quad_plan_reference, sturm_chain,
+                     varcount_at, varcount_inf)
 from test_algnum import isolate_sturm
 
 GOLDEN_GAP = Surd(Fraction(5, 2), Fraction(-1, 2), 5)  # (5 - sqrt 5)/2
@@ -421,7 +422,7 @@ def test_window_ceilings_match_surd_ceil(case):
     row = gapsearch._cubic_ceils(gapsearch._window_form(end, 3), a, b)
     assert len(row) == b
     for t in {1, (b + 1) // 2, b}:
-        assert row[t - 1] == (end ** 3 - end ** 2 * a + end * t).ceil()
+        assert row[t - 1] == ((end - a) * end * end + end * t).ceil()
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -454,16 +455,32 @@ def test_quadratic_plan_matches_surd_reference(kwargs):
 
 def test_power_divisors_match_trial_division():
     for a in range(1, 2001):
-        assert gapsearch._power_divisors(a, 1) == divisors(a)
-        assert gapsearch._power_divisors(a, 2) == divisors(a * a)
-    for a in range(1, 201):
-        assert gapsearch._power_divisors(a, 3) == divisors(a ** 3)
+        fac = factorize(a)
+        assert gapsearch._power_divisors(fac, 1) == divisors(a)
+        assert gapsearch._power_divisors(fac, 2) == divisors(a * a)
+        if a <= 200:
+            assert gapsearch._power_divisors(fac, 3) == divisors(a ** 3)
 
 
 def test_quadratic_budget_counts_divisors_of_a_squared():
     # 1 + tau(a^2) steps per a: 844,160 at --amax 20000, within the budget
     plan = gapsearch._quad_plan(SearchConfig(2, a_max=20000))
     assert [a for a, _ in plan] == list(range(3, 20001))
+
+
+def test_quadratic_budget_stops_before_listing_the_divisors(monkeypatch):
+    # the count 1 + tau(a^2) comes from the factorization of a, so a run
+    # that crosses the budget (at a = 41,952) lists no divisors at all
+    listed = []
+
+    def power_divisors(*args):
+        listed.append(args)
+        return []
+
+    monkeypatch.setattr(gapsearch, "_power_divisors", power_divisors)
+    with pytest.raises(BudgetError, match="more than 2000000 enumeration"):
+        gapsearch._quad_plan(SearchConfig(2, a_max=100000))
+    assert listed == []
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +717,7 @@ def test_depth_3_node_builds_one_squarefree_part_and_no_chain(monkeypatch):
     # the degree-4 walk, steered down x^4 - 20x^3 + 132x^2 - 320x + s, whose
     # third, second and first derivatives have the roots 5; 5 -+ sqrt 3;
     # and 2, 5, 8, all inside the box (4/3, 29]: only its depth-3 node
-    # builds a squarefree part, which the box test and the range share, and
-    # no node builds a Sturm chain
+    # builds a squarefree part, which the box test and the range share
     counts = Counter()
 
     def counted(name, fn):
@@ -710,8 +726,6 @@ def test_depth_3_node_builds_one_squarefree_part_and_no_chain(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(kernels, "sturm_chain",
-                        counted("chain", kernels.sturm_chain))
     monkeypatch.setattr(gapsearch, "poly_squarefree_part",
                         counted("sqf", gapsearch.poly_squarefree_part))
     path = [-20, 132, -320]
@@ -841,7 +855,7 @@ def gap_leaf_reference(poly, d_max, bracket, keep_all):
     trace.append(("irreducible", "pass" if ok else "fail"))
     ivs = None
     if ok:
-        chain = kernels.sturm_chain(asc)
+        chain = sturm_chain(asc)
         v_minus = varcount_inf(chain, False)
         total = v_minus - varcount_inf(chain, True)
         n_le_1 = v_minus - varcount_at(chain, 1, 1)
@@ -903,18 +917,11 @@ def test_walk_leaves_match_chain_reference(d_max, leaves, monkeypatch):
 def test_rational_gap_search_builds_no_chain(monkeypatch):
     # at 277/200 the bracket is the point d_max, so no root window needs
     # isolation: only the leaves that reach the orbit inequality isolate
-    # their roots, by Descartes bisection, and no leaf builds a Sturm chain
-    # (one chain per irreducible leaf, 4,672, before the sign tests; then 2,
-    # one per isolation)
+    # their roots, by Descartes bisection
     counts = Counter()
-    real_chain = kernels.sturm_chain
     real_isolate = gapsearch.isolate_real_roots
     real_leaf = gapsearch._gap_leaf
     reached = []
-
-    def chain(*args):
-        counts["chain"] += 1
-        return real_chain(*args)
 
     def isolate(*args):
         counts["isolate"] += 1
@@ -926,11 +933,9 @@ def test_rational_gap_search_builds_no_chain(monkeypatch):
             reached.append(cand)
         return cand if cand.survivor or keep_all else None
 
-    monkeypatch.setattr(kernels, "sturm_chain", chain)
     monkeypatch.setattr(gapsearch, "isolate_real_roots", isolate)
     monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)
     search_gap(Surd(Fraction(277, 200)))
-    assert counts["chain"] == 0
     assert counts["isolate"] == len(reached) == 2
 
 
@@ -979,7 +984,7 @@ def _leaf(asc, d_max, width):
 # cubics whose smallest root is isolated: inside the window, then above it
 @example(case=_leaf([-33, 40, -13, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
 @example(case=_leaf([-26, 32, -11, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
-# quartics on the Sturm fallback, isolated: inside the window, then above it
+# quartics past the closed forms, isolated: inside the window, then above it
 @example(case=_leaf([186, -252, 108, -18, 1], QUAD_DEFAULT_HI,
                     Fraction(1, 10)))
 @example(case=_leaf([154, -214, 96, -17, 1], QUAD_DEFAULT_HI,
@@ -1008,14 +1013,13 @@ def squarefree_low_degree(draw):
 @example(asc=[4, 4, -1, -1])         # -(x - 2)(x + 2)(x + 1), lead < 0
 def test_closed_form_realness_matches_sturm_count(asc):
     k = len(asc) - 1
-    chain = kernels.sturm_chain(asc)
+    chain = sturm_chain(asc)
     total = varcount_inf(chain, False) - varcount_inf(chain, True)
-    assert gapsearch._real_rooted_low_degree(asc) == (total == k)
-    if k == 3:
-        x = sympy.Symbol("x")
-        want = sympy.discriminant(sum(c * x ** i for i, c in enumerate(asc)),
-                                  x)
-        assert gapsearch._cubic_discriminant(asc) == want
+    assert kernels.real_rooted(asc) == (total == k)
+    # squarefree: a nonzero discriminant, whose sign decides
+    x = sympy.Symbol("x")
+    disc = sympy.discriminant(sum(c * x ** i for i, c in enumerate(asc)), x)
+    assert kernels.real_rooted(asc) == (k == 1 or disc > 0)
 
 
 @st.composite
@@ -1068,7 +1072,7 @@ def totally_real_in_box_reference(asc, lo_n, lo_d, q_hi):
     deriv = [i * asc[i] for i in range(1, len(asc))]
     g = poly_gcd_int(list(asc), deriv)
     sqf = kernels.div_exact(list(asc), g) if len(g) > 1 else list(asc)
-    chain = kernels.sturm_chain(sqf)
+    chain = sturm_chain(sqf)
     total = varcount_inf(chain, False) - varcount_inf(chain, True)
     if total < len(sqf) - 1:
         return False

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap import kernels
-from oracles import varcount_at, varcount_inf
+from oracles import real_root_count, sturm_chain, varcount_at, varcount_inf
 
 X = sympy.Symbol("x")
 
@@ -119,10 +119,10 @@ def test_sturm_counts_match_sympy_real_roots():
         expr = to_sympy(c)
         sym_roots = sympy.real_roots(expr)
         distinct = sorted(set(sym_roots))
-        chain = kernels.sturm_chain(c)
+        chain = sturm_chain(c)
         total = varcount_inf(chain, False) - varcount_inf(chain, True)
         assert total == len(distinct)
-        assert kernels.real_root_count(c) == total
+        assert real_root_count(c) == total
         # half-open interval counts (a, b] at a couple of rational cuts
         for a, b in ((-20, 0), (0, 20), (-3, 2)):
             want = sum(1 for r in distinct if a < r <= b)
@@ -204,10 +204,46 @@ def test_sturm_total_count_property(c):
     c = kernels.normalize(c)
     if len(c) < 2:
         return
-    chain = kernels.sturm_chain(c)
+    chain = sturm_chain(c)
     total = varcount_inf(chain, False) - varcount_inf(chain, True)
     assert total == len(set(sympy.real_roots(to_sympy(c))))
-    assert kernels.real_root_count(c) == total
+    assert real_root_count(c) == total
+
+
+@st.composite
+def realness_cases(draw):
+    """A polynomial of degree 1-8 with any nonzero leading coefficient:
+    random coefficients, or a product of factors x - r (small integers r,
+    often repeated) and x^2 + r x + s."""
+    k = draw(st.integers(1, 8))
+    lead = draw(st.integers(-5, 5).filter(bool))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-40, 40), min_size=k,
+                             max_size=k)) + [lead]
+    c = [lead]
+    while len(c) <= k:
+        r = draw(st.integers(-4, 4))
+        if len(c) < k and draw(st.integers(0, 3)) == 0:
+            c = kernels.poly_mul(c, [draw(st.integers(-3, 6)), r, 1])
+        else:
+            c = kernels.poly_mul(c, [-r, 1])
+    return c
+
+
+@settings(max_examples=400, deadline=None)
+@given(realness_cases())
+@example([-1, 0, 0, 0, 1])              # x^4 - 1: the 2x2 pivot is 0
+@example([1, 0, 2, 0, 1])               # (x^2 + 1)^2
+@example([60, -92, 51, -12, 1])         # (x - 2)^2 (x - 3)(x - 5)
+@example([-120, 274, -225, 85, -15, 1])  # (x - 1)(x - 2)...(x - 5)
+@example([1, -10, 0, 10, 0, -2])        # 1 - 4 T5(x/2): real-rooted, lead -2
+@example([5, -5, 1])                    # x^2 - 5x + 5
+@example([4, 4, -1, -1])                # -(x - 2)(x + 2)(x + 1)
+def test_real_rooted_matches_sturm_count_and_sympy(c):
+    k = len(c) - 1
+    distinct = len(set(sympy.real_roots(to_sympy(c))))
+    assert real_root_count(c) == distinct
+    assert kernels.real_rooted(c) == (distinct == k)
 
 
 def from_sympy(expr):
