@@ -30,6 +30,12 @@ at a rational point or a quadratic critical point comes from one
 homogeneous evaluation (kernels.eval_qnum, kernels.eval_surd), and the one
 rounding point of each bound is a floor division, after one isqrt for a
 surd.  The prefix-free envelope of each depth is built once per degree.
+Each non-final node also looks one depth ahead: a child's bound at a fixed
+point (box_lo, f_hi, and the cut points for a final child) is affine in the
+child's coefficient s, so each pair of a lower-type and an upper-type point
+is one linear inequality in s that every child with a nonempty range meets
+(a real-empty range is integer-empty).  The walk never visits an s that
+breaks one, and reaches the same leaves in the same order.
 
 The appendix searches bound their coefficients on integers too: a search
 writes each window end s = (x + y sqrt n)/d and its powers once, as integer
@@ -49,9 +55,10 @@ from math import comb, factorial, isqrt, prod
 from operator import itemgetter
 
 from . import _intfactor, kernels
-from .algnum import (AlgebraicNumber, IntPoly, Surd, WIDTH_CAP, _floor_root,
-                     _isolate_in, factor_over_integers, inverse_square_sum,
-                     is_d_number, isolate_real_roots, poly_squarefree_part)
+from .algnum import (DEGREE_CAP, AlgebraicNumber, IntPoly, Surd, WIDTH_CAP,
+                     _floor_root, _isolate_in, factor_over_integers,
+                     inverse_square_sum, is_d_number, isolate_real_roots,
+                     poly_squarefree_part)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .obstruct import FOUR_THIRDS, orbit_inequality, threshold
 
@@ -648,6 +655,22 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
     (kernels.eval_surd) and M = d^deg bcoef.  Each bound is rounded once,
     outward (ceil for lo, floor for hi) by one floor division, after one
     isqrt for a surd, so no valid candidate is lost.
+
+    Look-ahead, at j + 1 < k: the child prefix + [s] bounds its coefficient
+    with w' = w0 + bcoef*s*x in place of w, where w0 = _deriv_prefix(prefix
+    + [0, 0], k) (s sits at x^1 with the factor (k-j-1)!/1! = bcoef).  Its
+    bound at a fixed point x is -w'(x)/c with c = (k-j-2)! > 0: lower-type at
+    f_hi, at box_lo for even j and at the cut points for odd j when the
+    child is final, upper-type at the others.  The child's range lies in
+    [ceil(max lower), floor(min upper)] (a strict cut bound only narrows
+    it), so a nonempty one needs -w'(x_L) <= -w'(x_U) for every lower-type
+    x_L and upper-type x_U, that is bcoef*s*(x_L - x_U) >= w0(x_U) -
+    w0(x_L), affine in s.  A real-empty range is integer-empty, so the s
+    this drops have no leaf below them.  With x = p/q and N = q^d w0(p/q)
+    (d = j + 2, kernels.eval_qnum), the inequality times q_L^d q_U^d > 0 is
+    a*s >= b with a = bcoef (p_L q_U - p_U q_L)(q_L q_U)^(d-1) and b = N_U
+    q_L^d - N_L q_U^d: s >= ceil(b/a) for a > 0 and s <= floor(b/a) for
+    a < 0.  a = 0 only where x_L = x_U, and then b = 0 too: no bound.
     """
     j = len(prefix) - 1
     w = _deriv_prefix(prefix + [0], k)
@@ -707,6 +730,30 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
                 else:
                     v = enc_lo
                     hi = min(hi, (-v.numerator) // (v.denominator * bcoef))
+
+    # look-ahead: keep only the s whose child is nonempty at its fixed
+    # points, typed as above; without an upper-type point (even j, child not
+    # final) there is no pair
+    if j + 1 < k and (j % 2 or j + 2 == k) and lo <= hi:
+        box = (box_lo.numerator, box_lo.denominator)
+        cut_pts = ([(cut.numerator, cut.denominator) for cut in cuts]
+                   if j + 2 == k else [])
+        if j % 2:
+            lows, ups = [(f_hi, 1)] + cut_pts, [box]
+        else:
+            lows, ups = [box, (f_hi, 1)], cut_pts
+        w0 = _deriv_prefix(prefix + [0, 0], k)
+        d = deg + 1
+        ups = [(p, q, kernels.eval_qnum(w0, p, q)) for p, q in ups]
+        for p_l, q_l in lows:
+            n_l = kernels.eval_qnum(w0, p_l, q_l)
+            for p_u, q_u, n_u in ups:
+                a = bcoef * (p_l * q_u - p_u * q_l) * (q_l * q_u) ** deg
+                b = n_u * q_l ** d - n_l * q_u ** d
+                if a > 0:
+                    lo = max(lo, -((-b) // a))
+                elif a < 0:
+                    hi = min(hi, (-b) // (-a))
     return lo, hi
 
 
@@ -743,14 +790,16 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     Decisions are exact but routed through cheap paths.  An irreducible
     candidate is squarefree, so one kernels.real_rooted call (distinct real
     roots) says whether every root is real.  On a real-rooted polynomial each
-    root bound is one sign test on a Taylor shift (kernels.real_roots_above):
-    every root >= 1 is the weak test at 1, a root <= 4/3 a failed strict
-    test at 4/3.  bracket holds rationals r_lo <= d_max <= r_hi: a root
-    <= r_lo (a failed strict test) passes the window and every root > r_hi
-    (a strict test) fails it, so the exact algebraic comparison only runs
-    for a smallest root between them.  Isolation runs at most once: for
-    that smallest root, or for the few candidates that reach the orbit
-    inequality.
+    root bound is one sign test on a Taylor shift (kernels.real_roots_above).
+    The strict test at 4/3 runs first: if every root exceeds 4/3, every root
+    is at least 1, so the weak test at 1 runs only when the 4/3 test fails,
+    and root-window reuses its result (a root <= 4/3 fails the window); the
+    trace is the one the two tests in filter order give.  bracket holds
+    rationals r_lo <= d_max <= r_hi: a root <= r_lo (a failed strict test)
+    passes the window and every root > r_hi (a strict test) fails it, so
+    the exact algebraic comparison only runs for a smallest root between
+    them.  Isolation runs at most once: for that smallest root, or for the
+    few candidates that reach the orbit inequality.
     """
     trace = []
     roots = None
@@ -763,13 +812,14 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
 
     ivs = None  # isolating intervals, computed at most once
     if ok:
-        good = (kernels.real_rooted(asc)
-                and kernels.real_roots_above(asc, 1, 1, False))
+        real = kernels.real_rooted(asc)
+        above = real and kernels.real_roots_above(asc, 4, 3, True)
+        good = above or (real and kernels.real_roots_above(asc, 1, 1, False))
         trace.append(("roots-real-ge-1", "pass" if good else "fail"))
         ok = good
     if ok:
         r_lo, r_hi = bracket
-        if not kernels.real_roots_above(asc, 4, 3, True):
+        if not above:
             inwin = False  # a root at or below 4/3
         elif not kernels.real_roots_above(asc, r_lo.numerator,
                                           r_lo.denominator, True):
@@ -852,9 +902,16 @@ def search_gap(d_max, audit=False):
     if d_max.cmp(SQRT2) >= 0:
         raise InvalidInputError("d_max must stay below sqrt(2)")
 
+    # k_max grows without bound as d_max nears sqrt 2 (about 10^11 at
+    # 1.414213562373), and a leaf of degree above DEGREE_CAP cannot be
+    # factored, so the count stops there
     k_max = 2
     while threshold("gdim_k", k_max + 1).cmp(d_max) <= 0:
         k_max += 1
+        if k_max > DEGREE_CAP:
+            raise BudgetError(
+                "d_max admits candidates of degree above %d, the "
+                "factorization cap; lower --dmax" % DEGREE_CAP)
     warnings = []
     if k_max >= 4:
         warnings.append("cost warning: conjugate-count cap k_max = %d; "

@@ -19,6 +19,7 @@ import fgap.algnum
 import fgap.cli
 import fgap.gapsearch
 from conftest import run_cli
+from test_acceptance import _children_cpu_s
 from test_golden import GOLDEN
 from fgap.fusionring import FusionRing, builtin_ring, emit_ring_file
 
@@ -332,6 +333,19 @@ def test_search_quadratic_over_budget_exits_2(amax):
     # passes the budget past --amax 41951 and stops the run before any
     # candidate is built
     _assert_over_budget("quadratic", "--amax", amax)
+
+
+@pytest.mark.parametrize("dmax", ["1.4106", "1.4142", "1.41421356",
+                                  "1.414213562373"])
+def test_search_gap_past_the_degree_cap_exits_2(dmax):
+    # k_max grows toward 10^11 as d_max nears sqrt 2 (1.4106 already needs
+    # 25); counting the thresholds stops past the factorization's degree
+    # cap of 24, before any walk, in CPU seconds of the child
+    t0 = _children_cpu_s()
+    err = _assert_one_line_exit(2, "search", "gap", "--dmax", dmax)
+    assert _children_cpu_s() - t0 < 1.0
+    assert err == ("not certified: d_max admits candidates of degree above "
+                   "24, the factorization cap; lower --dmax\n")
 
 
 def _assert_over_budget(*argv):

@@ -611,10 +611,13 @@ def _surd_eval(asc, s):
     return acc
 
 
-def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
+def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
+                          look_ahead=True):
     """The coefficient range computed on Fractions and Surds, as the walk
     did before it moved to integer evaluation: every value is exact and
-    rounded by Fraction/Surd ceil and floor."""
+    rounded by Fraction/Surd ceil and floor.  Without the look-ahead it is
+    the range before the walk dropped children that are empty at their
+    fixed points, the oracle for that drop."""
     j = len(prefix) - 1
     gamma, delta = cuts
     w_asc = _deriv_prefix(prefix + [0], k)
@@ -675,6 +678,23 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final):
                 sigma = 1 if (j + 1 - t) % 2 == 0 else -1
                 enc = iv_horner(w_asc, iv)
                 add(sigma, enc.hi if sigma > 0 else enc.lo)
+    if look_ahead and j + 1 < k and lo <= hi:
+        # the child's bound at a fixed point x is -(w0(x) + bcoef*s*x)/its
+        # own bcoef, lower- or upper-type as the child types x; a child
+        # with a nonempty range has no lower bound above an upper one
+        w0 = _deriv_prefix(prefix + [0, 0], k)
+        lows, ups = [f_hi], []
+        (ups if j % 2 else lows).append(box_lo)
+        if j + 2 == k:
+            (lows if j % 2 else ups).extend(cuts)
+        for x_l in lows:
+            for x_u in ups:
+                a = bcoef * (Fraction(x_l) - x_u)
+                b = _frac_eval(w0, x_u) - _frac_eval(w0, x_l)
+                if a > 0:
+                    lo = max(lo, (b / a).__ceil__())
+                elif a < 0:
+                    hi = min(hi, (b / a).__floor__())
     return lo, hi
 
 
@@ -688,8 +708,8 @@ def _coeff_range(prefix, k, box_lo, f_hi, cuts, final):
 
 
 # interior nodes of each walk: one _next_coeff_range call apiece
-WALK_NODES = [(QUAD_DEFAULT_HI, 7043), (Surd(Fraction(277, 200)), 7043),
-              (Surd(Fraction(138, 100)), 3956)]
+WALK_NODES = [(QUAD_DEFAULT_HI, 4056), (Surd(Fraction(277, 200)), 4056),
+              (Surd(Fraction(138, 100)), 2277)]
 
 
 @pytest.mark.parametrize("d_max, nodes", WALK_NODES,
@@ -978,6 +998,9 @@ def _leaf(asc, d_max, width):
 @given(case=leaf_cases())
 # x - 1: its root sits on the weak bound 1
 @example(case=_leaf([-1, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
+# x^2 - 9x + 10: its smallest root, about 1.298, fails the strict test at
+# 4/3 and passes the weak test at 1
+@example(case=_leaf([10, -9, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
 # the survivor, isolated in a coarse bracket, and at d_max equal to its root
 @example(case=_leaf([5, -5, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
 @example(case=_leaf([5, -5, 1], GOLDEN_GAP, Fraction(1, 10)))
@@ -1060,6 +1083,100 @@ F = Fraction
 @example(case=([1, 0, -55, -21], 4, F(3), 13, (F(5, 2), F(5, 2)), False))
 def test_coeff_range_matches_reference_off_walk(case):
     assert _coeff_range(*case) == reference_coeff_range(*case)
+
+
+def _dropped(old, new, limit=2048):
+    """The integers of the range old outside new, an interval inside it;
+    past limit on one side, the limit nearest new and the far end of old."""
+    (o_lo, o_hi), (n_lo, n_hi) = old, new
+    if n_lo > n_hi:
+        n_lo, n_hi = o_hi + 1, o_hi
+    below = range(o_lo, n_lo)
+    above = range(n_hi + 1, o_hi + 1)
+    if len(below) > limit:
+        below = [o_lo, *below[-limit:]]
+    if len(above) > limit:
+        above = [*above[:limit], o_hi]
+    return [*below, *above]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=coeff_cases())
+# box_lo = 0 with negative cut points, at an even depth whose child is not
+# final: no pair, so the range stays the parent's
+@example(case=([1, 1, 0], 5, F(0), 3, (F(-5, 3), F(-1, 12)), False))
+# a cut point equal to box_lo = 0: that pair has a = b = 0 and bounds nothing
+@example(case=([1], 2, F(0), 4, (F(0), F(1, 2)), False))
+# negative cut points and box_lo: the cut pairs set lo, then hi
+@example(case=([1], 2, F(-27, 2), 1, (F(-22, 5), F(-35, 4)), False))
+# odd depth, the cut pairs against box_lo set hi
+@example(case=([1, -12], 3, F(32, 3), 30, (F(-9, 2), F(-13, 2)), True))
+def test_look_ahead_drops_only_children_the_oracle_empties(case):
+    # the range with the look-ahead lies inside the range without it, and
+    # every s it drops gives a child whose range, without the look-ahead, is
+    # empty
+    prefix, k, box_lo, f_hi, cuts, _ = case
+    j = len(prefix) - 1
+    assume(j + 1 < k)
+    new = _coeff_range(*case)
+    old = reference_coeff_range(*case, look_ahead=False)
+    if new[0] <= new[1]:
+        assert old[0] <= new[0] and new[1] <= old[1]
+    for s in _dropped(old, new):
+        lo, hi = reference_coeff_range(prefix + [s], k, box_lo, f_hi, cuts,
+                                       j + 2 == k, look_ahead=False)
+        assert lo > hi, s
+
+
+def test_walks_reach_the_same_leaves_without_the_look_ahead(monkeypatch):
+    # each walk, and the degree-4 slice of
+    # test_degree_4_walk_slice_matches_references, once with the look-ahead
+    # and once with the Fraction range without it: the same leaves in the
+    # same order (the leaf battery does not run)
+    def oracle(prefix, deriv, k, env, box_lo, f_hi, cuts, final, sqf):
+        return reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
+                                     look_ahead=False)
+
+    def leaves(coeff_range, d_max, quartic_limit=None):
+        out = []
+
+        def leaf(poly, d_max, bracket, keep_all):
+            nonlocal quartic_limit
+            if poly.degree == 4 and quartic_limit is not None:
+                if quartic_limit == 0:
+                    raise _SliceDone
+                quartic_limit -= 1
+            out.append(poly.coeffs)
+
+        monkeypatch.setattr(gapsearch, "_next_coeff_range", coeff_range)
+        monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)
+        try:
+            search_gap(d_max)
+        except _SliceDone:
+            pass
+        return out
+
+    for d_max in (Surd(Fraction(277, 200)), QUAD_DEFAULT_HI,
+                  Surd(Fraction(138, 100)), Surd(Fraction(136, 100))):
+        want = leaves(oracle, d_max)
+        assert leaves(_next_coeff_range, d_max) == want, d_max
+        assert want
+    # the slice ends at the oracle walk's 10th degree-4 depth-3 node, which
+    # holds the first 2,055 quartic leaves
+    counts = Counter()
+
+    def slice_oracle(prefix, *rest):
+        if rest[1] == 4 and len(prefix) == 4:
+            if counts["depth 3"] == 10:
+                raise _SliceDone
+            counts["depth 3"] += 1
+        return oracle(prefix, *rest)
+
+    want = leaves(slice_oracle, Surd(Fraction(139, 100)))
+    quartics = sum(len(c) == 5 for c in want)
+    assert quartics == 2055
+    assert leaves(_next_coeff_range, Surd(Fraction(139, 100)),
+                  quartic_limit=quartics) == want
 
 
 # ---------------------------------------------------------------------------
