@@ -22,8 +22,7 @@ Hermite's criterion beyond), and each root bound by one sign test on a
 Taylor shift (Descartes' rule, exact on real-rooted polynomials): a root
 in (4/3, r_lo] passes the window, none in (4/3, r_hi] fails it, and only a
 smallest root between the two needs isolation and the exact comparison with
-d_max.  From depth 3 on, the walk counts roots by the Descartes bisection
-of the node's squarefree part (algnum._isolate_in).
+d_max.
 
 The coefficient walk computes each bound on integers: a polynomial value
 at a rational point or a quadratic critical point comes from one
@@ -35,7 +34,9 @@ point (box_lo, f_hi, and the cut points for a final child) is affine in the
 child's coefficient s, so each pair of a lower-type and an upper-type point
 is one linear inequality in s that every child with a nonempty range meets
 (a real-empty range is integer-empty).  The walk never visits an s that
-breaks one, and reaches the same leaves in the same order.
+breaks one, and reaches the same leaves in the same order.  From depth 3
+on, the leaf's realness test also prunes the walk: by Rolle's theorem a
+node whose polynomial lacks distinct real roots has no survivor below it.
 
 The appendix searches bound their coefficients on integers too: a search
 writes each window end s = (x + y sqrt n)/d and its powers once, as integer
@@ -56,9 +57,8 @@ from operator import itemgetter
 
 from . import _intfactor, kernels
 from .algnum import (DEGREE_CAP, AlgebraicNumber, IntPoly, Surd, WIDTH_CAP,
-                     _floor_root, _isolate_in, factor_over_integers,
-                     inverse_square_sum, is_d_number, isolate_real_roots,
-                     poly_squarefree_part)
+                     _floor_root, factor_over_integers, inverse_square_sum,
+                     is_d_number, isolate_real_roots, poly_squarefree_part)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .obstruct import FOUR_THIRDS, orbit_inequality, threshold
 
@@ -561,41 +561,6 @@ def _deriv_prefix(prefix, k):
     return asc
 
 
-def _totally_real_in_box(asc, lo_n, lo_d, q_hi, sqf):
-    """Sound prune: False only if the polynomial certainly cannot divide a
-    totally real polynomial with all roots in (lo_n/lo_d, q_hi].
-
-    Degrees 1 and 2 are decided in closed form (sqf is None).  From degree 3
-    on, sqf is poly_squarefree_part(asc), which the walk shares with
-    _next_coeff_range: the test holds iff the Descartes bisection of sqf on
-    (lo_n/lo_d, q_hi] finds all of its deg(sqf) distinct roots there.
-    """
-    deg = len(asc) - 1
-    if deg < 1:
-        return True
-    if deg == 1:
-        # single root -asc[0]/asc[1] must land in the box
-        num, den = -asc[0], asc[1]
-        if den < 0:
-            num, den = -num, -den
-        return lo_d * num > lo_n * den and num <= q_hi * den
-    if deg == 2:
-        c0, c1, c2 = asc
-        if c2 < 0:
-            c0, c1, c2 = -c0, -c1, -c2
-        if c1 * c1 - 4 * c2 * c0 < 0:
-            return False
-        # both roots in the box: nonnegative values at the endpoints and
-        # the vertex strictly inside (boundary ties stay unpruned)
-        if lo_d * lo_d * c0 + lo_d * lo_n * c1 + lo_n * lo_n * c2 < 0:
-            return False
-        if c0 + q_hi * c1 + q_hi * q_hi * c2 < 0:
-            return False
-        return -lo_d * c1 > 2 * lo_n * c2 and -c1 <= 2 * c2 * q_hi
-    return len(_isolate_in(sqf, Fraction(lo_n, lo_d),
-                           Fraction(q_hi))) == len(sqf) - 1
-
-
 def _interval_eval(asc, iv):
     """Enclosure (lo, hi) of asc over iv by Horner's rule on endpoint pairs:
     each step takes the least and the largest of the four endpoint products,
@@ -632,8 +597,7 @@ def _coeff_envelope(k, box_lo, f_hi, cuts):
     return out
 
 
-def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
-                      sqf):
+def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
     """Integer range [lo, hi] for the next descending coefficient.
 
     deriv is _deriv_prefix(prefix, k) and env the depth's (lo, hi) from
@@ -643,10 +607,26 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
     the (exactly computable) critical points for low depth, and, strict, at
     the root-free band cut points for the final coefficient.
 
-    From depth 3 on, sqf is poly_squarefree_part(deriv), which the walk
-    built for the box test (None below).  The critical points are skipped
-    when it is shorter than deriv (deriv has a repeated root), and isolated
-    otherwise.
+    A survivor has k simple real roots, so by Rolle's theorem every
+    deriv = P^(k-j) has j.  From depth 3 on, a node where
+    kernels.real_rooted(deriv) fails gets an empty range, and otherwise all
+    j critical points come from isolate_real_roots(deriv).
+
+    No separate test that a node's roots lie in the box (box_lo, f_hi] is
+    needed.  Through depth 2 the critical-point bounds are exact: the child
+    w + bcoef*s has weakly alternating signs at box_lo, at the critical
+    points and at f_hi, so when the node's own roots are simple and in the
+    box, the intermediate value theorem puts all j + 1 roots of every child
+    in [box_lo, f_hi].  Below a depth-2 node with a double root, a depth-3
+    child is not real-rooted, and the Rolle prune empties it.  No node
+    vanishes at box_lo for k <= 19: its integer coefficients have the
+    leading coefficient k!/j!, which divides k!, and _box_floor(k)'s
+    denominator does not divide k!.  So through depth 3 a box test would
+    drop only nodes the Rolle prune empties.  At k = 20 and 22 the
+    denominator divides k!, and from depth 4 on (k >= 5) the enclosure
+    bounds are loose: there the walk may visit nodes with a root at box_lo
+    or outside the box, which costs time but not soundness, since the leaf
+    battery decides every candidate.
 
     Evaluation is integer-only.  At a rational x = p/q (q > 0) the bound on
     s is -N/M with N = q^deg w(p/q) (kernels.eval_qnum) and M = q^deg bcoef;
@@ -717,19 +697,17 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
             x, y = kernels.eval_surd(w, a, -b, disc, d)
             hi = min(hi, (-x + _floor_root(-y, disc)) // mod)
     elif j >= 3 and lo <= hi:
-        # all j critical points, simple and real, or none are used
-        ivs = ()
-        if len(sqf) == len(deriv):
-            ivs = isolate_real_roots(deriv)
-        if len(ivs) == j:
-            for t, iv in enumerate(ivs, start=1):
-                enc_lo, enc_hi = _interval_eval(w, iv)
-                if (j + 1 - t) % 2 == 0:
-                    v = enc_hi
-                    lo = max(lo, -(v.numerator // (v.denominator * bcoef)))
-                else:
-                    v = enc_lo
-                    hi = min(hi, (-v.numerator) // (v.denominator * bcoef))
+        # Rolle: without j distinct real critical points no leaf survives
+        if not kernels.real_rooted(deriv):
+            return 1, 0
+        for t, iv in enumerate(isolate_real_roots(deriv), start=1):
+            enc_lo, enc_hi = _interval_eval(w, iv)
+            if (j + 1 - t) % 2 == 0:
+                v = enc_hi
+                lo = max(lo, -(v.numerator // (v.denominator * bcoef)))
+            else:
+                v = enc_lo
+                hi = min(hi, (-v.numerator) // (v.denominator * bcoef))
 
     # look-ahead: keep only the s whose child is nonempty at its fixed
     # points, typed as above; without an upper-type point (even j, child not
@@ -854,10 +832,19 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     return None
 
 
+def _box_floor(k):
+    """Per-degree root floor: every root of a degree-k candidate exceeds
+    the degree-k conjugate-count bound, of which this is a certified
+    rational lower bound (at least 4/3)."""
+    t = threshold("gdim_k", k)
+    if t.is_rational:
+        return t.p
+    return max(FOUR_THIRDS, t.approx(Fraction(1, 10 ** 6)).lo)
+
+
 def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
     """All candidates of one degree via depth-first coefficient search."""
     out = []
-    lo_n, lo_d = box_lo.numerator, box_lo.denominator
     envelope = _coeff_envelope(k, box_lo, f_hi, cuts)
 
     def descend(prefix):
@@ -868,14 +855,9 @@ def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
             if cand is not None:
                 out.append(cand)
             return
-        asc = _deriv_prefix(prefix, k)
-        # from depth 3 on, the box test and the critical points of the
-        # range share one squarefree part
-        sqf = poly_squarefree_part(asc) if j >= 3 else None
-        if j >= 1 and not _totally_real_in_box(asc, lo_n, lo_d, f_hi, sqf):
-            return
-        lo, hi = _next_coeff_range(prefix, asc, k, envelope[j], box_lo,
-                                   f_hi, cuts, j + 1 == k, sqf)
+        lo, hi = _next_coeff_range(prefix, _deriv_prefix(prefix, k), k,
+                                   envelope[j], box_lo, f_hi, cuts,
+                                   j + 1 == k)
         for s in range(lo, hi + 1):
             descend(prefix + [s])
 
@@ -937,17 +919,8 @@ def search_gap(d_max, audit=False):
         else:
             degrees.append(k)
 
-    # per-degree root floor: every root of a degree-k candidate exceeds
-    # the degree-k conjugate-count bound, of which box_lo is a certified
-    # rational lower bound (at least 4/3)
-    def box_floor(k):
-        t = threshold("gdim_k", k)
-        if t.is_rational:
-            return t.p
-        return max(FOUR_THIRDS, t.approx(Fraction(1, 10 ** 6)).lo)
-
     survivors, rejected = _split(
-        [_gap_degree(k, d_max, box_floor(k), f_hi, cuts, bracket, audit)
+        [_gap_degree(k, d_max, _box_floor(k), f_hi, cuts, bracket, audit)
          for k in degrees], audit)
     config = {
         "d_max": surd_text(d_max),

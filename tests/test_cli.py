@@ -451,8 +451,7 @@ def test_dnumber_over_the_degree_cap_exits_1():
 # The functions the benchmark's tracer wraps in the search layer, each in an
 # adapter that takes positional arguments only.
 TRACED_SEARCH_FUNCTIONS = ("_quad_candidate", "_cubic_candidate",
-                           "_gap_leaf", "_totally_real_in_box",
-                           "_next_coeff_range")
+                           "_gap_leaf", "_next_coeff_range")
 
 
 @pytest.mark.parametrize("argv", [

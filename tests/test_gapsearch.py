@@ -12,7 +12,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fgap import gapsearch, kernels
+from fgap import algnum, gapsearch, kernels
 from fgap._intfactor import factorize
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          factor_over_integers, inverse_square_sum,
@@ -37,8 +37,8 @@ from fgap.gapsearch import (
 from fgap.gapsearch import (_coeff_envelope, _deriv_prefix, _next_coeff_range,
                             _pair_bounds)
 from oracles import (cubic_plan_reference, divisors, iv_horner,
-                     pair_enclosure, quad_plan_reference, sturm_chain,
-                     varcount_at, varcount_inf)
+                     pair_enclosure, quad_plan_reference, real_root_count,
+                     sturm_chain, varcount_at, varcount_inf)
 from test_algnum import isolate_sturm
 
 GOLDEN_GAP = Surd(Fraction(5, 2), Fraction(-1, 2), 5)  # (5 - sqrt 5)/2
@@ -612,12 +612,15 @@ def _surd_eval(asc, s):
 
 
 def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
-                          look_ahead=True):
+                          look_ahead=True, rolle=True):
     """The coefficient range computed on Fractions and Surds, as the walk
     did before it moved to integer evaluation: every value is exact and
     rounded by Fraction/Surd ceil and floor.  Without the look-ahead it is
     the range before the walk dropped children that are empty at their
-    fixed points, the oracle for that drop."""
+    fixed points, the oracle for that drop.  From depth 3 on, a node whose
+    derivative lacks j distinct real roots (by a Sturm count) gets an empty
+    range; without the Rolle prune it only skips its critical points, as the
+    walk did beside its box test."""
     j = len(prefix) - 1
     gamma, delta = cuts
     w_asc = _deriv_prefix(prefix + [0], k)
@@ -670,14 +673,13 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
     elif j >= 3 and lo <= hi:
         q3 = _deriv_prefix(prefix, k)
         # the critical points count only when all j are real and simple
-        roots = []
-        if len(poly_squarefree_part(q3)) == len(q3):
-            roots = isolate_real_roots(q3)
-        if len(roots) == j:
-            for t, iv in enumerate(roots, start=1):
+        if real_root_count(q3) == j:
+            for t, iv in enumerate(isolate_real_roots(q3), start=1):
                 sigma = 1 if (j + 1 - t) % 2 == 0 else -1
                 enc = iv_horner(w_asc, iv)
                 add(sigma, enc.hi if sigma > 0 else enc.lo)
+        elif rolle:
+            return 1, 0
     if look_ahead and j + 1 < k and lo <= hi:
         # the child's bound at a fixed point x is -(w0(x) + bcoef*s*x)/its
         # own bcoef, lower- or upper-type as the child types x; a child
@@ -701,10 +703,8 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
 def _coeff_range(prefix, k, box_lo, f_hi, cuts, final):
     """The integer walk's range for the same arguments as the reference."""
     env = _coeff_envelope(k, box_lo, f_hi, cuts)[len(prefix) - 1]
-    deriv = _deriv_prefix(prefix, k)
-    sqf = poly_squarefree_part(deriv) if len(prefix) > 3 else None
-    return _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts,
-                             final, sqf)
+    return _next_coeff_range(prefix, _deriv_prefix(prefix, k), k, env,
+                             box_lo, f_hi, cuts, final)
 
 
 # interior nodes of each walk: one _next_coeff_range call apiece
@@ -717,12 +717,10 @@ WALK_NODES = [(QUAD_DEFAULT_HI, 4056), (Surd(Fraction(277, 200)), 4056),
 def test_walk_ranges_match_fraction_reference(d_max, nodes, monkeypatch):
     calls = []
 
-    def checked(prefix, deriv, k, env, box_lo, f_hi, cuts, final, sqf):
+    def checked(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
         got = _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts,
-                                final, sqf)
+                                final)
         assert deriv == _deriv_prefix(prefix, k)
-        assert sqf == (poly_squarefree_part(deriv) if len(prefix) > 3
-                       else None)
         assert got == reference_coeff_range(prefix, k, box_lo, f_hi, cuts,
                                             final), prefix
         calls.append(got)
@@ -733,11 +731,16 @@ def test_walk_ranges_match_fraction_reference(d_max, nodes, monkeypatch):
     assert len(calls) == nodes
 
 
-def test_depth_3_node_builds_one_squarefree_part_and_no_chain(monkeypatch):
+def test_depth_3_node_makes_one_realness_test_and_no_squarefree_part(
+        monkeypatch):
     # the degree-4 walk, steered down x^4 - 20x^3 + 132x^2 - 320x + s, whose
-    # third, second and first derivatives have the roots 5; 5 -+ sqrt 3;
-    # and 2, 5, 8, all inside the box (4/3, 29]: only its depth-3 node
-    # builds a squarefree part, which the box test and the range share
+    # first derivative 4(x - 2)(x - 5)(x - 8) has simple roots, and down
+    # x^4 - 16x^3 + 90x^2 - 216x + s, whose first derivative
+    # 4(x - 3)^2 (x - 6) has a double root, both inside the box (4/3, 29]:
+    # each depth-3 node makes one realness test and builds no squarefree
+    # part, and the second gets an empty range (Rolle: no quartic below it
+    # has four simple real roots), where its fixed points alone leave
+    # s = 163..165
     counts = Counter()
 
     def counted(name, fn):
@@ -746,26 +749,32 @@ def test_depth_3_node_builds_one_squarefree_part_and_no_chain(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(gapsearch, "poly_squarefree_part",
-                        counted("sqf", gapsearch.poly_squarefree_part))
-    path = [-20, 132, -320]
+    for owner in (gapsearch, algnum):
+        monkeypatch.setattr(owner, "poly_squarefree_part",
+                            counted("sqf", owner.poly_squarefree_part))
+    monkeypatch.setattr(kernels, "real_rooted",
+                        counted("real_rooted", kernels.real_rooted))
     real_range = gapsearch._next_coeff_range
-    ranges = []
-
-    def steered(prefix, *rest):
-        j = len(prefix) - 1
-        if j < 3:
-            return path[j], path[j]
-        ranges.append(real_range(prefix, *rest))
-        return 1, 0  # no leaf
-
-    monkeypatch.setattr(gapsearch, "_next_coeff_range", steered)
     d_max = Surd(Fraction(277, 200))
-    bracket = (d_max.p, d_max.p)
-    gapsearch._gap_degree(4, d_max, FOUR_THIRDS, 29,
-                          gapsearch._gap_cut_points(d_max), bracket, False)
-    assert len(ranges) == 1
-    assert counts == {"sqf": 1}
+    cuts = gapsearch._gap_cut_points(d_max)
+    for path, nonempty in (([-20, 132, -320], True),
+                           ([-16, 90, -216], False)):
+        ranges = []
+
+        def steered(prefix, *rest):
+            j = len(prefix) - 1
+            if j < 3:
+                return path[j], path[j]
+            ranges.append(real_range(prefix, *rest))
+            return 1, 0  # no leaf
+
+        monkeypatch.setattr(gapsearch, "_next_coeff_range", steered)
+        counts.clear()
+        gapsearch._gap_degree(4, d_max, FOUR_THIRDS, 29, cuts,
+                              (d_max.p, d_max.p), False)
+        assert len(ranges) == 1
+        assert (ranges[0][0] <= ranges[0][1]) == nonempty, path
+        assert counts == {"real_rooted": 1}
 
 
 class _SliceDone(Exception):
@@ -774,10 +783,9 @@ class _SliceDone(Exception):
 
 def test_degree_4_walk_slice_matches_references(monkeypatch):
     # search_gap(1.39) up to its 10th degree-4 depth-3 node: every degree-4
-    # box test, coefficient range and quartic leaf against its Sturm or
-    # Fraction reference
+    # coefficient range and quartic leaf against its Sturm or Fraction
+    # reference
     real_degree = gapsearch._gap_degree
-    real_box = gapsearch._totally_real_in_box
     real_range = gapsearch._next_coeff_range
     real_leaf = gapsearch._gap_leaf
     degree = []
@@ -787,21 +795,12 @@ def test_degree_4_walk_slice_matches_references(monkeypatch):
         degree.append(k)
         return real_degree(k, *rest)
 
-    def box(asc, lo_n, lo_d, q_hi, sqf):
-        got = real_box(asc, lo_n, lo_d, q_hi, sqf)
-        if degree[-1] == 4:
-            assert got == totally_real_in_box_reference(asc, lo_n, lo_d,
-                                                        q_hi), asc
-            counts["box", got] += 1
-        return got
-
-    def coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final, sqf):
+    def coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
         if k == 4 and len(prefix) == 4:
             if counts["depth 3"] == 10:
                 raise _SliceDone
             counts["depth 3"] += 1
-        got = real_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final,
-                         sqf)
+        got = real_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final)
         if k == 4:
             assert got == reference_coeff_range(prefix, k, box_lo, f_hi,
                                                 cuts, final), prefix
@@ -817,17 +816,15 @@ def test_degree_4_walk_slice_matches_references(monkeypatch):
         return got if got.survivor or keep_all else None
 
     monkeypatch.setattr(gapsearch, "_gap_degree", walk)
-    monkeypatch.setattr(gapsearch, "_totally_real_in_box", box)
     monkeypatch.setattr(gapsearch, "_next_coeff_range", coeff_range)
     monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)
     with pytest.raises(_SliceDone):
         search_gap(Surd(Fraction(139, 100)))
     assert degree == [2, 3, 4]
-    # no box test prunes this slice (the drawn box cases do) and 2,055
-    # quartic leaves fail their first two filters
-    assert counts == {"depth 3": 10, "range": 23, ("box", True): 23,
+    # every quartic leaf of the slice fails one of its first two filters
+    assert counts == {"depth 3": 10, "range": 23,
                       ("leaf", "irreducible"): 2,
-                      ("leaf", "roots-real-ge-1"): 2053}
+                      ("leaf", "roots-real-ge-1"): 1764}
 
 
 def test_gap_leaf_keeps_four_positional_parameters():
@@ -1130,22 +1127,23 @@ def test_look_ahead_drops_only_children_the_oracle_empties(case):
 
 def test_walks_reach_the_same_leaves_without_the_look_ahead(monkeypatch):
     # each walk, and the degree-4 slice of
-    # test_degree_4_walk_slice_matches_references, once with the look-ahead
-    # and once with the Fraction range without it: the same leaves in the
-    # same order (the leaf battery does not run)
-    def oracle(prefix, deriv, k, env, box_lo, f_hi, cuts, final, sqf):
+    # test_degree_4_walk_slice_matches_references, once as it runs and once
+    # as it ran before the look-ahead and the Rolle prune: the Fraction range
+    # without either, behind the Sturm box test at every depth >= 1 (the
+    # leaf battery does not run).  Each walk reaches the same leaves in the
+    # same order; the slice reaches an ordered subsequence of the oracle's
+    # leaves, and every leaf it drops lacks four distinct real roots
+    def oracle(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
+        if len(prefix) > 1 and not totally_real_in_box_reference(
+                deriv, box_lo.numerator, box_lo.denominator, f_hi):
+            return 1, 0
         return reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
-                                     look_ahead=False)
+                                     look_ahead=False, rolle=False)
 
-    def leaves(coeff_range, d_max, quartic_limit=None):
+    def leaves(coeff_range, d_max):
         out = []
 
         def leaf(poly, d_max, bracket, keep_all):
-            nonlocal quartic_limit
-            if poly.degree == 4 and quartic_limit is not None:
-                if quartic_limit == 0:
-                    raise _SliceDone
-                quartic_limit -= 1
             out.append(poly.coeffs)
 
         monkeypatch.setattr(gapsearch, "_next_coeff_range", coeff_range)
@@ -1161,31 +1159,52 @@ def test_walks_reach_the_same_leaves_without_the_look_ahead(monkeypatch):
         want = leaves(oracle, d_max)
         assert leaves(_next_coeff_range, d_max) == want, d_max
         assert want
-    # the slice ends at the oracle walk's 10th degree-4 depth-3 node, which
-    # holds the first 2,055 quartic leaves
+    # the slice ends where the oracle walk meets its 11th degree-4 depth-3
+    # node, after the first 2,055 quartic leaves; the walk, in the same
+    # lexicographic order, stops at the first depth-3 node not before it
     counts = Counter()
+    stop = []
 
     def slice_oracle(prefix, *rest):
         if rest[1] == 4 and len(prefix) == 4:
             if counts["depth 3"] == 10:
+                stop.append(prefix)
                 raise _SliceDone
             counts["depth 3"] += 1
         return oracle(prefix, *rest)
 
+    def slice_walk(prefix, *rest):
+        if rest[1] == 4 and len(prefix) == 4 and prefix >= stop[0]:
+            raise _SliceDone
+        return _next_coeff_range(prefix, *rest)
+
     want = leaves(slice_oracle, Surd(Fraction(139, 100)))
-    quartics = sum(len(c) == 5 for c in want)
-    assert quartics == 2055
-    assert leaves(_next_coeff_range, Surd(Fraction(139, 100)),
-                  quartic_limit=quartics) == want
+    assert sum(len(c) == 5 for c in want) == 2055
+    got = leaves(slice_walk, Surd(Fraction(139, 100)))
+    rest = iter(want)
+    dropped = []
+    for c in got:
+        for w in rest:
+            if w == c:
+                break
+            dropped.append(w)
+        else:
+            pytest.fail("leaf %s is not in the oracle walk's order" % (c,))
+    dropped += rest
+    assert len(dropped) == 289
+    for c in dropped:
+        assert len(c) == 5 and real_root_count(c) < 4, c
 
 
 # ---------------------------------------------------------------------------
-# the box test and the leaf's irreducibility test against references
+# the box test the walk dropped, and the leaf's irreducibility test, against
+# references
 
 def totally_real_in_box_reference(asc, lo_n, lo_d, q_hi):
-    """The box test by Sturm counts on its own squarefree part: gcd with the
-    derivative, then exact division (the form before Descartes bisection
-    and poly_squarefree_part)."""
+    """The walk's former box test by Sturm counts on its own squarefree
+    part: does every distinct root of asc lie, real, in (lo_n/lo_d, q_hi]?
+    The squarefree part is the gcd with the derivative, then exact
+    division."""
     deriv = [i * asc[i] for i in range(1, len(asc))]
     g = poly_gcd_int(list(asc), deriv)
     sqf = kernels.div_exact(list(asc), g) if len(g) > 1 else list(asc)
@@ -1198,35 +1217,76 @@ def totally_real_in_box_reference(asc, lo_n, lo_d, q_hi):
 
 
 @st.composite
-def box_cases(draw):
-    deg = draw(st.integers(3, 6))
-    if draw(st.booleans()):
-        # a product of linear factors: totally real, repeated roots likely
-        asc = [draw(st.sampled_from([-2, -1, 1, 3]))]
-        for _ in range(deg):
-            root = draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 7, 9, 12]))
-            den = draw(st.integers(1, 3))
-            asc = kernels.poly_mul(asc, [-root, den])
-    else:
-        asc = draw(st.lists(st.integers(-40, 40), min_size=deg + 1,
-                            max_size=deg + 1).filter(lambda c: c[-1]))
-    lo_d = draw(st.integers(1, 6))
-    lo_n = draw(st.integers(-2 * lo_d, 4 * lo_d))
-    q_hi = draw(st.integers(lo_n // lo_d, 15))
-    return asc, lo_n, lo_d, q_hi
+def walk_nodes(draw):
+    """A node at depth 0..2 of a degree-k walk, reached from [1] by drawing
+    each coefficient from the walk's own range, with its box (box_lo, f_hi]
+    and cut points box_lo < gamma < delta < f_hi."""
+    k = draw(st.integers(2, 6))
+    box_lo = draw(st.fractions(min_value=-2, max_value=3,
+                               max_denominator=12))
+    f_hi = draw(st.integers(box_lo.__floor__() + 1, 12))
+    gamma, delta = sorted(draw(st.lists(
+        st.fractions(min_value=box_lo, max_value=f_hi, max_denominator=12)
+        .filter(lambda x: box_lo < x < f_hi),
+        min_size=2, max_size=2, unique=True)))
+    cuts = (gamma, delta)
+    prefix = [1]
+    for j in range(draw(st.integers(0, min(2, k - 1)))):
+        lo, hi = _coeff_range(prefix, k, box_lo, f_hi, cuts, j + 1 == k)
+        assume(lo <= hi)
+        prefix.append(draw(st.integers(lo, hi)))
+    return prefix, k, box_lo, f_hi, cuts
 
 
-@given(box_cases())
 @settings(max_examples=300, deadline=None)
-@example(case=([-30, 31, -10, 1], 4, 3, 10))        # (x-2)(x-3)(x-5): in
-@example(case=([-12, 16, -7, 1], 4, 3, 10))         # (x-2)^2 (x-3): in
-@example(case=([-12, 16, -7, 1], 4, 3, 2))          # root 3 above the box
-@example(case=([8, -12, 6, -1], 2, 1, 9))           # -(x-2)^3, root on lo
-@example(case=([1, 0, 1, 0, 1], 1, 1, 5))           # no real root
-def test_box_test_degree_3_plus_matches_reference(case):
-    sqf = poly_squarefree_part(case[0])
-    assert gapsearch._totally_real_in_box(*case, sqf) == \
-        totally_real_in_box_reference(*case)
+@given(node=walk_nodes())
+# depth 2 of degree 4, with the simple roots 5 -+ sqrt 3 inside the box
+@example(node=([1, -20, 132], 4, FOUR_THIRDS, 29,
+               (Fraction(7, 5), Fraction(2))))
+def test_ranges_through_depth_2_keep_every_child_in_the_box(node):
+    # the implication that let the walk drop its box test: with exact
+    # critical-point bounds, every s in a node's range gives a child with
+    # every root, real, in (box_lo, f_hi], unless the child vanishes at
+    # box_lo; a depth-2 node with a double root is the exception the
+    # Rolle prune covers one depth down
+    prefix, k, box_lo, f_hi, cuts = node
+    j = len(prefix) - 1
+    assume(j < 2 or real_root_count(_deriv_prefix(prefix, k)) == 2)
+    lo, hi = _coeff_range(prefix, k, box_lo, f_hi, cuts, j + 1 == k)
+    ss = range(lo, hi + 1)
+    if len(ss) > 200:
+        ss = [*ss[:100], *ss[-100:]]
+    n, d = box_lo.numerator, box_lo.denominator
+    for s in ss:
+        child = _deriv_prefix(prefix + [s], k)
+        assert (totally_real_in_box_reference(child, n, d, f_hi)
+                or kernels.eval_qnum(child, n, d) == 0), (prefix, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead=st.sampled_from([-3, -1, 1, 2]),
+       roots=st.lists(st.fractions(min_value=-6, max_value=6,
+                                   max_denominator=4),
+                      min_size=1, max_size=7, unique=True))
+def test_derivatives_of_a_real_rooted_polynomial_are_real_rooted(lead, roots):
+    # Rolle's theorem, the soundness of the walk's prune from depth 3 on
+    asc = [lead]
+    for r in roots:
+        asc = kernels.poly_mul(asc, [-r.numerator, r.denominator])
+    while len(asc) > 1:
+        assert kernels.real_rooted(asc), asc
+        asc = kernels.derivative(asc)
+
+
+def test_box_floor_is_no_node_root_through_degree_19():
+    # a depth-j node of degree k has integer coefficients and the leading
+    # coefficient k!/j!, so a rational root's denominator divides k!; no
+    # denominator of _box_floor(k) does through k = 19, so no node vanishes
+    # at box_lo.  At k = 20 and 22 one does, which the walk's soundness does
+    # not need
+    ties = [k for k in range(2, 25)
+            if math.factorial(k) % gapsearch._box_floor(k).denominator == 0]
+    assert ties == [20, 22]
 
 
 @st.composite
