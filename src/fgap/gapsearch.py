@@ -43,7 +43,9 @@ writes each window end s = (x + y sqrt n)/d and its powers once, as integer
 pairs over the denominator d^k (_window_form), and rounds every b or c
 bound with one isqrt and one floor division, as Surd.ceil does; no Surd is
 built per coefficient pair.  Divisors of a^2 and a^3 come from the
-factorization of a.
+factorization of a.  Without --audit, a cubic that fails divisibility-a3
+(18,243 of the default window's 18,393) costs one modulo and returns a
+shared rejected candidate; no polynomial or trace is built for it.
 
 Both appendix searches count their enumeration before building any
 candidate and stop with BudgetError above SEARCH_BUDGET, so no window or
@@ -115,7 +117,13 @@ def surd_text(s):
 
 
 class Candidate:
-    """One enumerated polynomial with its ordered filter trace."""
+    """One enumerated polynomial with its ordered filter trace.
+
+    A search without --audit keeps only survivors, so _cubic_candidate
+    returns one shared candidate, _A3_REJECTED, for every cubic that fails
+    divisibility-a3 (unless that filter is dropped): its poly is None and
+    its trace that one failure.
+    """
 
     __slots__ = ("poly", "trace", "survivor", "roots")
 
@@ -132,9 +140,12 @@ class Candidate:
         return None
 
     def __repr__(self):
-        return "Candidate(%s, %s)" % (self.poly.to_str(),
-                                      "pass" if self.survivor else
-                                      "fail@" + str(self.first_fail()))
+        return "Candidate(%s, %s)" % (
+            "None" if self.poly is None else self.poly.to_str(),
+            "pass" if self.survivor else "fail@" + str(self.first_fail()))
+
+
+_A3_REJECTED = Candidate(None, (("divisibility-a3", "fail"),))
 
 
 class SearchConfig:
@@ -447,7 +458,13 @@ def _cubic_plan(cfg):
 
 
 def search_cubic(cfg=None):
-    """Enumerate x^3 - ax^2 + bx - c with the appendix constraints."""
+    """Enumerate x^3 - ax^2 + bx - c with the appendix constraints.
+
+    _cubic_candidate runs once per enumerated (a, b, c).  Unless cfg audits
+    or drops divisibility-a3, a candidate with a^3 % c != 0 is the shared
+    _A3_REJECTED (poly None), which only counts as a rejection; every other
+    candidate carries its polynomial and full trace.
+    """
     if cfg is None:
         cfg = SearchConfig(3)
     if cfg.degree != 3:
@@ -460,6 +477,9 @@ def search_cubic(cfg=None):
 
 
 def _cubic_candidate(cfg, a, b, c):
+    # nothing outside the audit reads a rejected candidate's polynomial
+    if a ** 3 % c and not cfg.audit and "divisibility-a3" not in cfg.drop:
+        return _A3_REJECTED
     poly = IntPoly([-c, b, -a, 1])
     trace = []
     roots = None
@@ -777,7 +797,8 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     passes the window and every root > r_hi (a strict test) fails it, so
     the exact algebraic comparison only runs for a smallest root between
     them.  Isolation runs at most once: for that smallest root, or for the
-    few candidates that reach the orbit inequality.
+    few candidates that reach the orbit inequality.  Without keep_all a
+    rejected leaf returns None before any Candidate is built.
     """
     trace = []
     roots = None
@@ -824,11 +845,11 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
         fmax = AlgebraicNumber(poly, ivs[-1])
         good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
         trace.append(("orbit-inequality", "pass" if good else "fail"))
+        ok = good
         roots = tuple(AlgebraicNumber(poly, iv).approx_float()
                       for iv in ivs)
-    cand = Candidate(poly, trace, roots)
-    if cand.survivor or keep_all:
-        return cand
+    if ok or keep_all:
+        return Candidate(poly, trace, roots)
     return None
 
 

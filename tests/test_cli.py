@@ -3,9 +3,11 @@ needs to count calls inside the program."""
 
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -486,6 +488,43 @@ def test_traced_search_keeps_the_tracer_contract(argv, monkeypatch, capsys):
     leaves = sum(calls[name] for name in ("_quad_candidate",
                                           "_cubic_candidate", "_gap_leaf"))
     assert leaves == survivors + rejected
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "cubic"],
+    ["search", "cubic", "--drop-filter", "window", "--amax", "12"],
+    ["search", "gap", "--dmax", "277/200"],
+], ids=lambda argv: " ".join(argv))
+def test_benchmark_tracer_reads_the_audit_histogram(argv, monkeypatch,
+                                                    capsys):
+    """The benchmark's own tracer, around a run without --audit, counts
+    from the candidate calls' return values the first-fail histogram and
+    the survivors that --audit prints, and leaves no wrapper installed."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer")
+    counts = layers.Counts()
+    tr = layers.make_tracer(counts)
+    try:
+        tr.install()
+        rc = fgap.cli.main(argv)
+    finally:
+        tr.uninstall()
+    assert tracer.leftover_wrappers() == []
+    traced = capsys.readouterr().out
+    assert rc == 0
+    assert fgap.cli.main(argv) == 0
+    assert capsys.readouterr().out == traced
+    assert fgap.cli.main(argv + ["--audit"]) == 0
+    out = capsys.readouterr().out
+    hist = json.loads(re.search(r"^first-fail histogram: (.*)$", out,
+                                re.M).group(1))
+    survivors = int(re.search(r"^survivors: (\d+)$", out, re.M).group(1))
+    assert {k: v for k, v in counts.first_fail.items() if v} == hist
+    assert counts.survivors == survivors
 
 
 def test_repg_dihedral():

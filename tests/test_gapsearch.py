@@ -394,6 +394,69 @@ def test_cubic_exploratory_window_finds_seven_family():
         assert dict(c.trace)["mainineq"] == "skip"
 
 
+@st.composite
+def cubic_candidate_cases(draw):
+    """(a, b, c, drop): 1 <= a <= 45, b up to a^2/3, c a divisor of a^3 or
+    any integer up to a^3, and any set of the cubic search's filters."""
+    a = draw(st.integers(1, 45))
+    b = draw(st.integers(1, max(1, a * a // 3)))
+    c = draw(st.one_of(st.sampled_from(divisors(a ** 3)),
+                       st.integers(1, a ** 3)))
+    drop = draw(st.frozensets(st.sampled_from(
+        gapsearch.DROPPABLE_FILTERS[3])))
+    return a, b, c, drop
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cubic_candidate_cases())
+@example(case=(7, 15, 10, frozenset()))                # a^3 % c != 0
+@example(case=(7, 15, 10, frozenset({"divisibility-a3"})))
+@example(case=(36, 360, 432, frozenset()))             # totally-positive
+@example(case=(14, 53, 49, frozenset({"divisibility-b3"})))  # survivor
+@example(case=(13, 40, 33, frozenset({"divisibility-a3", "divisibility-b3"})))
+@example(case=(19, 65, 56, frozenset({"divisibility-a3", "divisibility-b3"})))
+@example(case=(14, 49, 49, frozenset({"window", "root-window", "mainineq"})))
+def test_cubic_candidate_without_audit_matches_audit(case):
+    """A run without --audit decides every candidate as an audit does; only
+    an a^3 % c failure that no dropped filter skips is the shared
+    rejected candidate, and a survivor keeps its polynomial, trace and
+    roots."""
+    a, b, c, drop = case
+    got = gapsearch._cubic_candidate(SearchConfig(3, drop=drop), a, b, c)
+    want = gapsearch._cubic_candidate(SearchConfig(3, drop=drop, audit=True),
+                                      a, b, c)
+    assert (got.survivor, got.first_fail()) == (want.survivor,
+                                                want.first_fail())
+    shared = bool(a ** 3 % c) and "divisibility-a3" not in drop
+    assert (got is gapsearch._A3_REJECTED) == shared
+    if shared:
+        assert repr(got) == "Candidate(None, fail@divisibility-a3)"
+    else:
+        assert (got.poly.coeffs, got.trace, got.roots) == \
+            (want.poly.coeffs, want.trace, want.roots)
+
+
+def test_cubic_search_without_audit_builds_no_polynomial_for_an_a3_failure(
+        monkeypatch):
+    # the default window has 18,393 candidates; 150 pass divisibility-a3
+    built = []
+
+    class CountedIntPoly(IntPoly):
+        __slots__ = ()
+
+        def __init__(self, coeffs):
+            built.append(coeffs)
+            super().__init__(coeffs)
+
+    monkeypatch.setattr(gapsearch, "IntPoly", CountedIntPoly)
+    r = search_cubic()
+    assert (r.survivors, r.rejected) == ((), ())
+    assert len(built) <= 150
+    del built[:]
+    assert len(search_cubic(SearchConfig(3, audit=True)).rejected) == 18393
+    assert len(built) == 18393
+
+
 # ---------------------------------------------------------------------------
 # the appendix plans on integers against their Surd references
 
