@@ -9,7 +9,11 @@ irreducible polynomial or a squarefree part) and bisects (lo, hi] by
 Descartes' rule on the Taylor shift (kernels.descartes_bound); the same
 bisection from any (lo, hi] is the exact root count there.
 factor_over_integers factors the squarefree part once and reads each
-factor's multiplicity by repeated exact division.
+factor's multiplicity by repeated exact division; is_irreducible, the one
+irreducibility decision, uses closed forms through degree 3 and factors
+beyond.  is_d_number reads the d-number property off the coefficients
+(a_n^i | a_i^n) at every degree; the resultant-based
+ratio_integrality_oracle only cross-checks it.
 
 The coefficient-list primitives (normalize, derivative, add, subtract,
 multiply, exact division, pseudo-remainder) live in kernels.  Built on them
@@ -40,8 +44,9 @@ from .errors import DegreeCapError, InvalidInputError
 WIDTH_CAP = Fraction(1, 10 ** 40)
 
 # highest degree factor_over_integers and is_d_number take (DegreeCapError
-# above it): the d-number test interpolates a resultant at n^2 + 1 points,
-# which already takes seconds at degree 24
+# above it): Zassenhaus recombination tries subsets of the modular factors,
+# exponentially many in their number, which can reach the degree; the
+# d-number test shares the cap so every polynomial input meets one limit
 DEGREE_CAP = 24
 
 
@@ -126,24 +131,6 @@ class IntPoly:
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def _require_nonzero(self):
-        if not self.coeffs:
-            raise InvalidInputError("zero polynomial is not allowed here")
-
-    def __call__(self, x):
-        self._require_nonzero()
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other):
-        if isinstance(other, IntPoly):
-            return IntPoly(kernels.poly_mul(list(self.coeffs), list(other.coeffs)))
-        return IntPoly([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
@@ -177,7 +164,8 @@ class IntPoly:
 
     def to_csv(self):
         """CLI form: comma-separated coefficients, highest degree first."""
-        self._require_nonzero()
+        if not self.coeffs:
+            raise InvalidInputError("zero polynomial is not allowed here")
         return ",".join(str(c) for c in reversed(self.coeffs))
 
     @staticmethod
@@ -339,9 +327,6 @@ class Surd:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -680,16 +665,63 @@ def factor_over_integers(p):
     return [(IntPoly(irr), mult) for irr, mult in out]
 
 
+def is_irreducible(poly):
+    """Is poly, a monic IntPoly, irreducible over the rationals?
+
+    The one irreducibility decision of the searches and ffib_fpdim_bound.
+    Closed forms through degree 3: degree 1 is irreducible; a monic
+    quadratic is reducible iff its discriminant is a square; a monic cubic
+    iff it has an integer root, which divides c0, so each divisor pair t,
+    |c0|/t is tried with both signs by Horner.  That trial division takes
+    sqrt|c0| steps, more than a factorization once |c0| passes 10^6, so a
+    cubic with a larger constant term, and every other degree, is factored
+    (DegreeCapError above DEGREE_CAP).
+    """
+    asc = poly.coeffs
+    k = poly.degree
+    if k == 1:
+        return True
+    if k == 2:
+        disc = asc[1] * asc[1] - 4 * asc[0]
+        return disc < 0 or isqrt(disc) ** 2 != disc
+    if k == 3 and abs(asc[0]) <= 10 ** 6:
+        c0, c1, c2, _ = asc
+        m = abs(c0)
+        if m == 0:
+            return False
+        for t in range(1, isqrt(m) + 1):
+            if m % t == 0:
+                for r in (t, -t, m // t, -(m // t)):
+                    if ((r + c2) * r + c1) * r + c0 == 0:
+                        return False
+        return True
+    # a monic poly is primitive, so one simple factor is poly itself
+    factors = factor_over_integers(poly)
+    return len(factors) == 1 and factors[0][1] == 1
+
+
 # ---------------------------------------------------------------------------
 # d-numbers
 
 
 def is_d_number(p):
-    """Does every root of p divide all roots (as algebraic integers)?
+    """Does every root of p divide every other root (as algebraic integers)?
 
-    Degrees 1..3 use coefficient divisibility; higher degrees, up to
-    DEGREE_CAP, fall back to the resultant-based ratio test on the
-    squarefree part.
+    p = x^n + a_1 x^(n-1) + ... + a_n is monic with a_n != 0 and degree at
+    most DEGREE_CAP; it may be reducible or have repeated roots.  The answer
+    is yes iff a_n^i divides a_i^n for every i = 1..n-1 (V. Ostrik, Pivotal
+    fusion categories of rank 3, Mosc. Math. J. 15 (2015)):
+
+    (<=) Take r with r^n = a_n.  Each (a_i / r^i)^n = a_i^n / a_n^i is an
+    integer, so p(r y) / r^n is monic in y with algebraic-integer
+    coefficients and its roots alpha_j / r are algebraic integers.  Their
+    product is +-a_n / r^n = +-1, so each is a unit, and every ratio
+    alpha_j / alpha_k = (alpha_j / r) / (alpha_k / r) is integral.
+
+    (=>) Roots that divide each other all generate one ideal I of the
+    splitting field's integers.  a_i is a sum of products of i roots, so
+    a_i is in I^i, and (a_n) = I^n.  Then a_i^n is in I^(i n) = (a_n^i), so
+    a_i^n / a_n^i is a rational algebraic integer, an integer.
     """
     p = p if isinstance(p, IntPoly) else IntPoly(p)
     if not p.is_monic:
@@ -697,26 +729,20 @@ def is_d_number(p):
     if p.degree < 1 or p.coeffs[0] == 0:
         raise InvalidInputError("d-number test requires degree >= 1 and a "
                                 "nonzero constant term")
-    c = p.coeffs
-    if p.degree > DEGREE_CAP:
+    c, n = p.coeffs, p.degree
+    if n > DEGREE_CAP:
         raise DegreeCapError("degree %d exceeds the d-number test's cap of %d"
-                             % (p.degree, DEGREE_CAP))
-    if p.degree == 1:
-        return True
-    if p.degree == 2:
-        # x^2 - a x + b: need b | a^2
-        return c[1] ** 2 % c[0] == 0
-    if p.degree == 3:
-        # x^3 - a x^2 + b x - c: need c | a^3 and c^2 | b^3
-        return c[2] ** 3 % c[0] == 0 and c[1] ** 3 % (c[0] * c[0]) == 0
-    return ratio_integrality_oracle(IntPoly(poly_squarefree_part(c)))
+                             % (n, DEGREE_CAP))
+    return all(c[n - i] ** n % c[0] ** i == 0 for i in range(1, n))
 
 
 def ratio_integrality_oracle(p):
     """Ground-truth ratio test: are all root ratios algebraic integers?
 
-    Builds S(x) = Res_y(p(y), p(x*y)), whose roots are exactly the pairwise
-    root ratios, by evaluation at integer points and exact interpolation.
+    An independent check of is_d_number, which dnumber prints for small
+    squarefree input.  Builds S(x) = Res_y(p(y), p(x*y)), whose roots are
+    exactly the pairwise root ratios, by evaluation at n^2 + 1 integer
+    points and exact interpolation.
     All ratios are algebraic integers iff every irreducible factor of the
     primitive part of S is monic, which happens iff its leading coefficient
     is +-1 (leading coefficients of primitive factors multiply).

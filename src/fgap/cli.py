@@ -324,12 +324,8 @@ def _cmd_search(args):
 # ---------------------------------------------------------------------------
 # dnumber / ffib-bound / repg / builtin
 
-def _poly_from_arg(text):
-    return IntPoly.from_csv(text)
-
-
 def _cmd_dnumber(args):
-    poly = _poly_from_arg(args.poly)
+    poly = IntPoly.from_csv(args.poly)
     verdict = is_d_number(poly)
     config = {"poly": poly.to_str()}
     lines = _header(["dnumber"], config)
@@ -353,7 +349,7 @@ def _cmd_dnumber(args):
 
 
 def _cmd_ffib_bound(args):
-    poly = _poly_from_arg(args.poly)
+    poly = IntPoly.from_csv(args.poly)
     bound, m, pcp, d = ffib_fpdim_bound(poly)
     config = {"poly": poly.to_str()}
     lines = _header(["ffib-bound"], config)

@@ -54,13 +54,13 @@ candidates, search_quadratic the values of a and the divisors of a^2.
 """
 
 from fractions import Fraction
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, prod
 from operator import itemgetter
 
 from . import _intfactor, kernels
 from .algnum import (DEGREE_CAP, AlgebraicNumber, IntPoly, Surd, WIDTH_CAP,
-                     _floor_root, factor_over_integers, inverse_square_sum,
-                     is_d_number, isolate_real_roots, poly_squarefree_part)
+                     _floor_root, inverse_square_sum, is_d_number,
+                     is_irreducible, isolate_real_roots, poly_squarefree_part)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .obstruct import FOUR_THIRDS, orbit_inequality, threshold
 
@@ -389,7 +389,7 @@ def _quad_candidate(cfg, a, b):
                      lambda: 16 - 12 * a + 9 * b >= 1)
     if ok:
         ok = _run_filter(cfg, trace, "irreducible",
-                         lambda: _irreducible_fast(poly))
+                         lambda: is_irreducible(poly))
     disc = a * a - 4 * b
     if ok:
         ok = _run_filter(cfg, trace, "totally-positive",
@@ -489,7 +489,7 @@ def _cubic_candidate(cfg, a, b, c):
                          lambda: b ** 3 % (c * c) == 0)
     if ok:
         ok = _run_filter(cfg, trace, "irreducible",
-                         lambda: _irreducible_fast(poly))
+                         lambda: is_irreducible(poly))
     if ok:
         ok = _run_filter(cfg, trace, "totally-positive",
                          lambda: kernels.real_rooted(poly.coeffs)
@@ -755,33 +755,6 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
     return lo, hi
 
 
-def _irreducible_fast(poly):
-    """Irreducibility over the rationals for monic integer polynomials;
-    closed form through degree 3, factorization beyond.  A monic cubic is
-    reducible iff it has an integer root, which divides its constant term:
-    each divisor pair t, |c0|/t is tried with both signs by Horner."""
-    asc = poly.coeffs
-    k = poly.degree
-    if k == 1:
-        return True
-    if k == 2:
-        disc = asc[1] * asc[1] - 4 * asc[0]
-        return disc < 0 or isqrt(disc) ** 2 != disc
-    if k == 3:
-        c0, c1, c2, _ = asc
-        m = abs(c0)
-        if m == 0:
-            return False
-        for t in range(1, isqrt(m) + 1):
-            if m % t == 0:
-                for r in (t, -t, m // t, -(m // t)):
-                    if ((r + c2) * r + c1) * r + c0 == 0:
-                        return False
-        return True
-    factors = factor_over_integers(poly)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0] == poly
-
-
 def _gap_leaf(poly, d_max, bracket, keep_all):
     """Run the survivor battery on one candidate.
 
@@ -805,7 +778,7 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     k = poly.degree
     asc = list(poly.coeffs)
 
-    irr = _irreducible_fast(poly)
+    irr = is_irreducible(poly)
     trace.append(("irreducible", "pass" if irr else "fail"))
     ok = irr
 

@@ -9,9 +9,9 @@ obstructed", never a categorification claim.
 
 from fractions import Fraction
 
-from .algnum import (AlgebraicNumber, IntPoly, Surd, factor_over_integers,
-                     is_d_number, isolate_real_roots, largest_integer_divisor,
-                     power_char_poly)
+from .algnum import (AlgebraicNumber, IntPoly, Surd, is_d_number,
+                     is_irreducible, isolate_real_roots,
+                     largest_integer_divisor, power_char_poly)
 from .errors import BudgetError, InvalidInputError
 
 FOUR_THIRDS = Fraction(4, 3)
@@ -210,16 +210,17 @@ def ffib_fpdim_bound(p):
     p is the minimal polynomial of d: a monic irreducible IntPoly with every
     root in (0, oo); any other input raises InvalidInputError.  f is the
     largest root of p, and M is the largest integer divisor (in the M^i | c_i
-    sense) of the characteristic polynomial of d^floor(f).  Total positivity
-    is read from one isolation: deg p real roots, the smallest above 0.
+    sense) of the characteristic polynomial of d^floor(f).  Irreducibility
+    is algnum.is_irreducible, the searches' own test (DegreeCapError above
+    DEGREE_CAP).  Total positivity is read from one isolation: deg p real
+    roots, the smallest above 0.
     Returns (M, floor(f), that characteristic polynomial, f).
     """
     if not isinstance(p, IntPoly):
         raise InvalidInputError("expected an IntPoly")
     if not p.is_monic:
         raise InvalidInputError("the bound needs a monic polynomial")
-    factors = factor_over_integers(p)
-    if len(factors) != 1 or factors[0][1] != 1:
+    if not is_irreducible(p):
         raise InvalidInputError("the bound needs an irreducible polynomial")
     ivs = isolate_real_roots(p.coeffs)
     # totally positive: all deg p roots are real and lie in (0, oo)

@@ -12,14 +12,17 @@ polynomial over an interval.
 The appendix searches' plans on Surd arithmetic, with divisors by trial
 division: the package computes the same window bounds on integer pairs and
 lists divisors from a factorization.
+
+IntPoly values and products: the package evaluates on integers
+(kernels.eval_qnum) and multiplies coefficient lists (kernels.poly_mul).
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from fgap.algnum import RatInterval
+from fgap.algnum import IntPoly, RatInterval
 from fgap.kernels import (derivative, eval_qnum, int_content, normalize,
-                          pseudo_rem, sign_variations)
+                          poly_mul, pseudo_rem, sign_variations)
 
 
 def sturm_chain(c):
@@ -185,3 +188,19 @@ def cubic_plan_reference(cfg):
                 c_iter = range(c_lo, c_hi + 1)
             plan.append((a, b, c_iter))
     return plan
+
+
+def poly_value(poly, x):
+    """The IntPoly poly at an int or Fraction x, by Horner."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_product(*polys):
+    """The product of IntPolys."""
+    acc = [1]
+    for p in polys:
+        acc = poly_mul(acc, list(p.coeffs))
+    return IntPoly(acc)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          _cauchy_bound, _primitive_pos, factor_over_integers,
-                         is_d_number, isolate_real_roots,
+                         is_d_number, is_irreducible, isolate_real_roots,
                          largest_integer_divisor, poly_gcd_int,
                          poly_squarefree_part, power_char_poly,
                          ratio_integrality_oracle)
@@ -23,7 +23,8 @@ from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.kernels import (eval_surd, normalize, poly_mul, sign_variations,
                           surd_sign)
 from fgap import kernels
-from oracles import iv_scale, sturm_chain, varcount_at, varcount_inf
+from oracles import (iv_scale, poly_product, poly_value, sturm_chain,
+                     varcount_at, varcount_inf)
 
 X = sympy.Symbol("x")
 
@@ -147,8 +148,9 @@ def test_intpoly_csv_rejects_garbage():
 
 def test_intpoly_evaluate_exact():
     p = P(1, -5, 5)
-    assert p(Fraction(4, 3)) == Fraction(16 - 60 + 45, 9)
-    assert p(0) == 5
+    assert poly_value(p, Fraction(4, 3)) == Fraction(16 - 60 + 45, 9)
+    assert poly_value(p, 0) == 5
+    assert kernels.eval_qnum(p.coeffs, 4, 3) == 16 - 60 + 45
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +359,11 @@ def refine_reference(a, iv, width):
     endpoint may be a root."""
     p = a.minpoly
     lo, hi = iv.lo, iv.hi
-    s_lo = (p(lo) > 0) - (p(lo) < 0)
-    assert s_lo and p(hi)
+    s_lo = (poly_value(p, lo) > 0) - (poly_value(p, lo) < 0)
+    assert s_lo and poly_value(p, hi)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        v = p(mid)
+        v = poly_value(p, mid)
         if ((v > 0) - (v < 0)) == s_lo:
             lo = mid
         else:
@@ -430,9 +432,9 @@ def test_refine_takes_a_zero_midpoint_as_the_root():
 
 def test_factor_pinned_examples():
     assert factor_over_integers(P(1, -5, 5)) == [(P(1, -5, 5), 1)]
-    cube = P(1, -3) * P(1, -3) * P(1, -3)
+    cube = poly_product(P(1, -3), P(1, -3), P(1, -3))
     assert factor_over_integers(cube) == [(P(1, -3), 3)]
-    mixed = P(1, 0, 0) * P(1, -5, 5)
+    mixed = poly_product(P(1, 0, 0), P(1, -5, 5))
     assert factor_over_integers(mixed) == [(P(1, 0), 2), (P(1, -5, 5), 1)]
 
 
@@ -445,7 +447,7 @@ def test_factor_swinnerton_dyer_case():
 
 def test_factor_cyclotomic_product():
     # x^4 + x^3 + x^2 + x + 1 times x^2 + x + 1
-    p = P(1, 1, 1, 1, 1) * P(1, 1, 1)
+    p = poly_product(P(1, 1, 1, 1, 1), P(1, 1, 1))
     assert factor_over_integers(p) == [(P(1, 1, 1), 1), (P(1, 1, 1, 1, 1), 1)]
 
 
@@ -480,7 +482,7 @@ def test_factor_roundtrip_reproduces_input():
         prod = IntPoly([1])
         for fac, mult in factor_over_integers(p):
             for _ in range(mult):
-                prod = prod * fac
+                prod = poly_product(prod, fac)
         # equality up to rational content times sign
         k = len(p.coeffs) - 1
         assert prod.degree == p.degree
@@ -498,7 +500,7 @@ def test_factor_degree_cap():
 
 
 def test_squarefree_decomposition_known():
-    p = P(1, -4, 4) * P(1, -1)
+    p = poly_product(P(1, -4, 4), P(1, -1))
     parts = squarefree_decomposition(list(p.coeffs))
     rebuilt = {}
     for fac, mult in parts:
@@ -526,6 +528,40 @@ def test_poly_squarefree_part_matches_sympy(factors, scale):
         want = -want
     assert poly_squarefree_part(c) == [int(v) for v in
                                        reversed(want.all_coeffs())]
+
+
+@st.composite
+def monic_polys(draw):
+    deg = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # reducible more often than not: a product of two monic factors
+        split = draw(st.integers(1, max(1, deg - 1)))
+        parts = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+                 + [1] for n in (split, deg - split) if n]
+        asc = [1]
+        for part in parts:
+            asc = kernels.poly_mul(asc, part)
+    else:
+        asc = draw(st.lists(st.integers(-20, 20), min_size=deg,
+                            max_size=deg)) + [1]
+    return IntPoly(asc)
+
+
+@given(monic_polys())
+@settings(max_examples=300, deadline=None)
+@example(poly=IntPoly([0, 0, 0, 1]))        # x^3
+@example(poly=IntPoly([-2, 0, 0, 1]))       # x^3 - 2
+@example(poly=IntPoly([4, 0, -5, 0, 1]))    # (x^2 - 1)(x^2 - 4)
+@example(poly=IntPoly([1, 0, 0, 0, 1]))     # x^4 + 1
+# cubics at and past |c0| = 10^6, where trial division hands over to
+# factoring: (x - 100)(x^2 + 10^4), (x - 1009)(x^2 + x + 1000), x^3 - 2000003
+@example(poly=poly_product(P(1, -100), P(1, 0, 10 ** 4)))
+@example(poly=poly_product(P(1, -1009), P(1, 1, 1000)))
+@example(poly=P(1, 0, 0, -2000003))
+def test_is_irreducible_matches_factorization(poly):
+    factors = factor_over_integers(poly)
+    want = len(factors) == 1 and factors[0][1] == 1
+    assert is_irreducible(poly) == want, poly
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +1013,7 @@ def bisect_cmp_fraction(poly, iv, r):
     iv with _shrink until r lies outside it, as src compared with a rational
     before its one Sturm count at the point: the reference."""
     chain = sturm_chain(list(poly.coeffs))
-    if iv.lo < r <= iv.hi and poly(r) == 0:
+    if iv.lo < r <= iv.hi and poly_value(poly, r) == 0:
         return 0
     while iv.lo <= r <= iv.hi:
         iv = _shrink(chain, iv)
@@ -988,7 +1024,7 @@ def rational_points(poly, rng):
     """Rationals around the real roots of poly: every interval end and
     midpoint, the integer roots (a monic poly has no other rational ones),
     points just beside each, and a few random ones."""
-    pts = [Fraction(t) for t in range(-14, 15) if poly(t) == 0]
+    pts = [Fraction(t) for t in range(-14, 15) if poly_value(poly, t) == 0]
     for iv in isolate_real_roots(poly.coeffs):
         pts.extend([iv.lo, iv.hi, iv.mid])
         for k in (1, 6, 30):
@@ -1061,16 +1097,51 @@ def test_d_number_preconditions():
         is_d_number(P(1, -5, 0))
 
 
-def test_d_number_degree4_uses_oracle():
+def test_d_number_examples():
     # x^4 - 4x^2 + 2: conjugate ratios are +-1, +-(1+sqrt 2), +-(sqrt 2 - 1),
     # all units, so the root ideal is stable under conjugation
     assert is_d_number(P(1, 0, -4, 0, 2)) is True
-    # x^4 + x + 2: the ratio polynomial Res_y(p(y), p(xy)) has primitive
-    # leading coefficient 8, so some conjugate ratio is not integral
+    # x^4 + x + 2: a_4 = 2 does not divide a_3^4 = 1, so some conjugate ratio
+    # is not integral
     assert is_d_number(P(1, 0, 0, 1, 2)) is False
     # repeated quadratic factor: d-number status depends only on the roots
-    p = P(1, -5, 5) * P(1, -5, 5)
+    p = poly_product(P(1, -5, 5), P(1, -5, 5))
     assert is_d_number(p) is True
+    # (x - 2)(x^2 - 2): sqrt 2 / 2 is not integral
+    assert is_d_number(poly_product(P(1, -2), P(1, 0, -2))) is False
+    # x^24 - 2 at the degree cap: every ratio is a root of unity
+    assert is_d_number(P(1, *[0] * 23, -2)) is True
+
+
+@st.composite
+def monic_products(draw):
+    """Monic polynomials of degree 1..6 with nonzero constant term: products
+    of small monic factors of degree 1..3, each once or twice."""
+    asc = [1]
+    while True:
+        room = 7 - len(asc)
+        deg = draw(st.integers(1, min(3, room)))
+        factor = ([draw(st.integers(-4, 4).filter(bool))]
+                  + draw(st.lists(st.integers(-4, 4), min_size=deg - 1,
+                                  max_size=deg - 1)) + [1])
+        for _ in range(draw(st.integers(1, 2))):
+            if len(asc) + deg <= 7:
+                asc = poly_mul(asc, factor)
+        if len(asc) == 7 or draw(st.booleans()):
+            return IntPoly(asc)
+
+
+@given(monic_products())
+@settings(max_examples=200, deadline=None)
+@example(p=P(1, 0, -4, 0, 2))
+@example(p=P(1, 0, 0, 1, 2))
+@example(p=poly_product(P(1, -5, 5), P(1, -5, 5)))
+@example(p=poly_product(P(1, -2), P(1, 0, -2)))
+def test_d_number_matches_resultant_oracle(p):
+    # the coefficient criterion holds for any monic p with p(0) != 0; the
+    # oracle reads the root ratios of the squarefree part
+    want = ratio_integrality_oracle(IntPoly(poly_squarefree_part(p.coeffs)))
+    assert is_d_number(p) is want, p
 
 
 # ---------------------------------------------------------------------------
@@ -1105,7 +1176,7 @@ def test_power_char_poly_contains_powered_root(a1, a0, m):
     lo = min(iv.lo ** m, iv.hi ** m)
     hi = max(iv.lo ** m, iv.hi ** m)
     # certified: pcp vanishes somewhere on the powered enclosure
-    assert pcp(lo) == 0 or pcp(hi) == 0 or \
+    assert poly_value(pcp, lo) == 0 or poly_value(pcp, hi) == 0 or \
         _count_roots_between(pcp, lo, hi) >= 1
 
 
@@ -1161,7 +1232,7 @@ def test_conjugate_stats_pinned():
     assert abs(hi.approx_float() - 3.618033988749895) < 1e-9
     assert mean == Fraction(5, 2)
 
-    cube = P(1, -3) * P(1, -3) * P(1, -3)
+    cube = poly_product(P(1, -3), P(1, -3), P(1, -3))
     lo, hi, mean = conjugate_stats(cube)
     assert lo.approx_float() == 3 and hi.approx_float() == 3
     assert mean == 3

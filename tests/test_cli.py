@@ -427,12 +427,15 @@ def test_ffib_bound_isolates_once_without_a_chain(monkeypatch, capsys):
     assert calls == {"isolate_real_roots": 1}
 
 
-@pytest.mark.parametrize("poly", ["1,-10000,1", "1,-100000,1",
-                                  "1,-100000000000,1"])
+@pytest.mark.parametrize("poly", [
+    "1,-10000,1", "1,-100000,1", "1,-100000000000,1",
+    "1,-60000000000,1100000000000000000000,-5999999999999999999999999999999",
+])
 def test_ffib_bound_with_a_huge_power_exits_2(poly):
     # d^m with m = floor(d), about 10^4 to 10^11: the power charpoly's
     # coefficients would outgrow Python's 4,300-digit int-to-str limit (or
-    # take unbounded time to build); their bit bound stops the run first
+    # take unbounded time to build); their bit bound stops the run first.
+    # The cubic's 31-digit constant term is factored, not trial-divided
     err = _assert_one_line_exit(2, "ffib-bound", "--poly", poly)
     assert err.startswith("not certified: ")
 
@@ -444,10 +447,41 @@ def test_ffib_bound_keeps_a_10000_bit_power():
 
 
 def test_dnumber_over_the_degree_cap_exits_1():
-    # the resultant interpolation grows past degree 24 (degree 40 ran for
-    # over a minute); the degree cap stops it
+    # the d-number test shares the factorization's degree cap of 24
     err = _assert_one_line_exit(1, "dnumber", "--poly", "1" + ",1" * 40)
     assert err == "error: degree 40 exceeds the d-number test's cap of 24\n"
+
+
+def test_dnumber_at_the_degree_cap_takes_under_a_cpu_second():
+    # at the cap the criterion is 23 coefficient divisibilities, so the run
+    # costs about one interpreter start
+    t0 = _children_cpu_s()
+    rc, out, _ = run_cli("dnumber", "--poly", "1" + ",0" * 23 + ",-2")
+    assert _children_cpu_s() - t0 < 1.0
+    assert rc == 0 and "d-number: yes\n" in out
+
+
+def test_d_numbers_never_reach_the_resultant(monkeypatch, capsys):
+    """The coefficient criterion decides every d-number in the searches and
+    the obstruction battery; only dnumber's oracle line computes a
+    resultant."""
+    def refuse(a, b):
+        raise AssertionError("kernels.resultant called")
+    monkeypatch.setattr(fgap.kernels, "resultant", refuse)
+    for n in range(1, 9):
+        # x^n - 2 is a d-number; x^n + x + 2 (n >= 2) is not: 2 does not
+        # divide 1
+        assert fgap.algnum.is_d_number([-2] + [0] * (n - 1) + [1]) is True
+        if n >= 2:
+            assert fgap.algnum.is_d_number([2, 1] + [0] * (n - 2) + [1]) \
+                is False
+    result = fgap.gapsearch.search_gap(fgap.gapsearch.QUAD_DEFAULT_HI)
+    assert [c.poly.to_str() for c in result.survivors] == ["x^2 - 5x + 5"]
+    for n in range(2, 6):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            emit_ring_file(builtin_ring("kn", n))))
+        assert fgap.cli.main(["analyze", "-"]) == 0
+    assert "codegrees-are-d-numbers" in capsys.readouterr().out
 
 
 # The functions the benchmark's tracer wraps in the search layer, each in an

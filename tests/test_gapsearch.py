@@ -37,8 +37,8 @@ from fgap.gapsearch import (
 from fgap.gapsearch import (_coeff_envelope, _deriv_prefix, _next_coeff_range,
                             _pair_bounds)
 from oracles import (cubic_plan_reference, divisors, iv_horner,
-                     pair_enclosure, quad_plan_reference, real_root_count,
-                     sturm_chain, varcount_at, varcount_inf)
+                     pair_enclosure, poly_value, quad_plan_reference,
+                     real_root_count, sturm_chain, varcount_at, varcount_inf)
 from test_algnum import isolate_sturm
 
 GOLDEN_GAP = Surd(Fraction(5, 2), Fraction(-1, 2), 5)  # (5 - sqrt 5)/2
@@ -730,7 +730,7 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
         if disc > 0:
             r1 = Surd(Fraction(-q2[1], 2 * q2[2]),
                       Fraction(-1, 2 * q2[2]), disc)
-            r2 = Fraction(-q2[1], q2[2]) - r1
+            r2 = -r1 + Fraction(-q2[1], q2[2])
             add(1, _surd_eval(w_asc, r1))
             add(-1, _surd_eval(w_asc, r2))
     elif j >= 3 and lo <= hi:
@@ -916,7 +916,7 @@ def irreducible_reference(poly):
     if k == 3:
         if asc[0] == 0:
             return False
-        return all(poly(t) != 0 and poly(-t) != 0
+        return all(poly_value(poly, t) != 0 and poly_value(poly, -t) != 0
                    for t in divisors(abs(asc[0])))
     factors = factor_over_integers(poly)
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0] == poly
@@ -939,7 +939,7 @@ def gap_leaf_reference(poly, d_max, bracket, keep_all):
         v_minus = varcount_inf(chain, False)
         total = v_minus - varcount_inf(chain, True)
         n_le_1 = v_minus - varcount_at(chain, 1, 1)
-        ok = total == k and (n_le_1 - (1 if poly(1) == 0 else 0)) == 0
+        ok = total == k and n_le_1 == (poly_value(poly, 1) == 0)
         trace.append(("roots-real-ge-1", "pass" if ok else "fail"))
     if ok:
         r_lo, r_hi = bracket
@@ -1350,35 +1350,6 @@ def test_box_floor_is_no_node_root_through_degree_19():
     ties = [k for k in range(2, 25)
             if math.factorial(k) % gapsearch._box_floor(k).denominator == 0]
     assert ties == [20, 22]
-
-
-@st.composite
-def monic_polys(draw):
-    deg = draw(st.integers(1, 5))
-    if draw(st.booleans()):
-        # reducible more often than not: a product of two monic factors
-        split = draw(st.integers(1, max(1, deg - 1)))
-        parts = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
-                 + [1] for n in (split, deg - split) if n]
-        asc = [1]
-        for part in parts:
-            asc = kernels.poly_mul(asc, part)
-    else:
-        asc = draw(st.lists(st.integers(-20, 20), min_size=deg,
-                            max_size=deg)) + [1]
-    return IntPoly(asc)
-
-
-@given(monic_polys())
-@settings(max_examples=300, deadline=None)
-@example(poly=IntPoly([0, 0, 0, 1]))        # x^3
-@example(poly=IntPoly([-2, 0, 0, 1]))       # x^3 - 2
-@example(poly=IntPoly([4, 0, -5, 0, 1]))    # (x^2 - 1)(x^2 - 4)
-@example(poly=IntPoly([1, 0, 0, 0, 1]))     # x^4 + 1
-def test_irreducible_fast_matches_factorization(poly):
-    factors = factor_over_integers(poly)
-    want = len(factors) == 1 and factors[0][1] == 1
-    assert gapsearch._irreducible_fast(poly) == want, poly
 
 
 # ---------------------------------------------------------------------------
