@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .algnum import (AlgebraicNumber, charpoly_int, factor_over_integers,
                      inverse_square_sum, isolate_real_roots)
-from .errors import AmbiguityError, InvalidInputError, UnsupportedRingError
+from .errors import (AmbiguityError, BudgetError, InvalidInputError,
+                     UnsupportedRingError)
 
 
 class FusionRing:
@@ -159,8 +160,17 @@ class FusionRing:
         return "FusionRing(rank=%d)" % self.rank
 
 
+# Largest n for builtin_ring("cyclic", n): its tensor has n^3 entries, and
+# the ring file at n = 100 is about 2 MB.
+CYCLIC_MAX_N = 100
+
+
 def builtin_ring(name, n):
-    """Built-in families: kn(n) for n >= 0, cyclic(n) for n >= 1."""
+    """Built-in families: kn(n) for n >= 0, cyclic(n) for 1 <= n <= 100.
+
+    cyclic(n) above CYCLIC_MAX_N raises BudgetError before its n^3 tensor
+    is built.
+    """
     n = int(n)
     if name == "kn":
         if n < 0:
@@ -173,6 +183,9 @@ def builtin_ring(name, n):
     if name == "cyclic":
         if n < 1:
             raise InvalidInputError("cyclic requires n >= 1")
+        if n > CYCLIC_MAX_N:
+            raise BudgetError("cyclic(%d) would build %d tensor entries; "
+                              "n is capped at %d" % (n, n ** 3, CYCLIC_MAX_N))
         tensor = [[[1 if k == (i + j) % n else 0 for k in range(n)]
                    for j in range(n)] for i in range(n)]
         dual = tuple((-i) % n for i in range(n))

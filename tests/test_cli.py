@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 import fgap.algnum
 import fgap.cli
 import fgap.gapsearch
-from conftest import run_cli
+from conftest import group_ring, run_cli
 from test_acceptance import _children_cpu_s
 from test_golden import GOLDEN
+from fgap.errors import BudgetError
 from fgap.fusionring import FusionRing, builtin_ring, emit_ring_file
 
 FIB = ("rank 2\n"
@@ -531,6 +532,7 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
     ["search", "cubic"],
     ["search", "cubic", "--drop-filter", "window", "--amax", "12"],
     ["search", "gap", "--dmax", "277/200"],
+    ["search", "gap", "--dmax", "4sqrt(3)/5"],
 ], ids=lambda argv: " ".join(argv))
 def test_benchmark_tracer_reads_the_audit_histogram(argv, monkeypatch,
                                                     capsys):
@@ -631,6 +633,26 @@ def test_builtin_json():
 def test_builtin_bad_kind():
     rc, _, err = run_cli("builtin", "nope", "--n", "1")
     assert rc == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def test_builtin_cyclic_matches_the_group_ring(n):
+    # the bytes of every cyclic ring up to the cap
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    inverse = [(-i) % n for i in range(n)]
+    assert (emit_ring_file(builtin_ring("cyclic", n))
+            == emit_ring_file(group_ring(table, inverse)))
+
+
+def test_builtin_cyclic_over_the_cap_stops_before_building():
+    with pytest.raises(BudgetError, match="capped at 100"):
+        builtin_ring("cyclic", 101)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fgap", "builtin", "cyclic", "--n", "100000"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("not certified: cyclic(100000) would "
+                                  "build 1000000000000000 tensor entries")
 
 
 # ---------------------------------------------------------------------------

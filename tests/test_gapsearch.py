@@ -1040,13 +1040,19 @@ def leaf_cases(draw):
             asc = kernels.poly_mul(asc, [-root, 1])
         asc[0] += draw(st.integers(-4, 4))
         asc[1 % k] += draw(st.integers(-4, 4))
+    return (IntPoly(asc),) + _draw_window(draw)
+
+
+def _draw_window(draw):
+    """(d_max, bracket): a rational point bracket, or a surd d_max inside a
+    rational bracket r_lo < r_hi."""
     if draw(st.booleans()):
         d = Fraction(draw(st.integers(1334, 1414)), 1000)
-        return IntPoly(asc), Surd(d), (d, d)
+        return Surd(d), (d, d)
     d_max = draw(st.sampled_from(LEAF_SURDS))
     iv = d_max.approx(Fraction(1, draw(st.sampled_from([10, 100, 10 ** 4,
                                                          10 ** 20]))))
-    return IntPoly(asc), d_max, (iv.lo, iv.hi)
+    return d_max, (iv.lo, iv.hi)
 
 
 def _leaf(asc, d_max, width):
@@ -1076,6 +1082,102 @@ def test_gap_leaf_matches_chain_reference(case):
     got = gapsearch._gap_leaf(*case, True)
     want = gap_leaf_reference(*case, True)
     assert (got.trace, got.roots) == (want.trace, want.roots)
+
+
+# ---------------------------------------------------------------------------
+# the d-number shortcut of a leaf without keep_all
+
+def _d_number_asc(draw, k):
+    """Ascending coefficients of a monic degree-k d-number: constant term c,
+    and each a_i a multiple of the least t with c^i | t^k."""
+    c = draw(st.integers(1, 60))
+    fac = factorize(c)
+    asc = [c * draw(st.sampled_from([1, -1]))] + [0] * (k - 1) + [1]
+    for i in range(1, k):
+        t = math.prod(p ** -(-i * e // k) for p, e in fac.items())
+        asc[k - i] = t * draw(st.integers(-8, 8))
+    return asc
+
+
+@st.composite
+def shortcut_leaf_cases(draw):
+    """A monic polynomial of degree 2-5 and a window.  The polynomial is
+    random, near a product of linear factors, with a repeated root, with
+    constant term 0, or a d-number."""
+    k = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["random", "near-product", "repeated",
+                                 "zero-constant", "d-number"]))
+    if kind == "random":
+        asc = draw(st.lists(st.integers(-40, 40), min_size=k,
+                            max_size=k)) + [1]
+    elif kind == "d-number":
+        asc = _d_number_asc(draw, k)
+    else:
+        roots = draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+        if kind == "repeated":
+            roots[1] = roots[0]
+        elif kind == "zero-constant":
+            roots[0] = 0
+        asc = [1]
+        for root in roots:
+            asc = kernels.poly_mul(asc, [-root, 1])
+        if kind == "near-product":
+            asc[0] += draw(st.integers(-4, 4))
+            asc[1] += draw(st.integers(-4, 4))
+    return (IntPoly(asc),) + _draw_window(draw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=shortcut_leaf_cases())
+# the survivor, and the two other d-number leaves of the walk at 4sqrt(3)/5
+@example(case=_leaf([5, -5, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
+@example(case=_leaf([25, -20, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
+@example(case=_leaf([-343, 294, -35, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
+# constant term 0: x (x - 2)(x - 3), and a repeated root: (x - 2)^2 (x - 3)
+@example(case=_leaf([0, 6, -5, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
+@example(case=_leaf([-12, 16, -7, 1], QUAD_DEFAULT_HI, Fraction(1, 10)))
+def test_gap_leaf_shortcut_keeps_exactly_the_survivors(case):
+    # without keep_all a leaf is None iff the full battery rejects it, and
+    # a survivor is the full battery's candidate; the full battery agrees
+    # with its Sturm-chain reference
+    full = gapsearch._gap_leaf(*case, True)
+    want = gap_leaf_reference(*case, True)
+    assert (full.trace, full.roots) == (want.trace, want.roots)
+    got = gapsearch._gap_leaf(*case, False)
+    if full.survivor:
+        assert (got.poly, got.trace, got.roots) == (
+            full.poly, full.trace, full.roots)
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("d_max, leaves, survivors", [
+    (QUAD_DEFAULT_HI, 4810, ["x^2 - 5x + 5"]),
+    (Surd(Fraction(277, 200)), 4810, ["x^2 - 5x + 5"]),
+    (Surd(Fraction(138, 100)), 1463, []),
+    (Surd(Fraction(136, 100)), 3, []),
+], ids=["4sqrt(3)/5", "277/200", "1.38", "1.36"])
+def test_walk_leaf_shortcut_rejects_exactly_the_audit_rejections(
+        d_max, leaves, survivors, monkeypatch):
+    # every leaf the walk reaches without --audit: None exactly when its
+    # audit candidate is rejected, and otherwise that candidate
+    real_leaf = gapsearch._gap_leaf
+    calls = []
+
+    def leaf(poly, d_max, bracket, keep_all):
+        got = real_leaf(poly, d_max, bracket, keep_all)
+        audit = real_leaf(poly, d_max, bracket, True)
+        if audit.survivor:
+            assert (got.trace, got.roots) == (audit.trace, audit.roots), poly
+        else:
+            assert got is None, poly
+        calls.append(keep_all)
+        return got
+
+    monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)
+    result = search_gap(d_max)
+    assert calls == [False] * leaves
+    assert [c.poly.to_str() for c in result.survivors] == survivors
 
 
 @st.composite
