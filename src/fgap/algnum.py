@@ -12,13 +12,16 @@ factor_over_integers factors the squarefree part once and reads each
 factor's multiplicity by repeated exact division; is_irreducible, the one
 irreducibility decision, uses closed forms through degree 3 and factors
 beyond.  is_d_number reads the d-number property off the coefficients
-(a_n^i | a_i^n) at every degree; the resultant-based
-ratio_integrality_oracle only cross-checks it.
+(a_n^i | a_i^n) at every degree; ratio_integrality_oracle, built on the
+power sums of all root ratios, only cross-checks it.
 
 The coefficient-list primitives (normalize, derivative, add, subtract,
 multiply, exact division, pseudo-remainder) live in kernels.  Built on them
 here: the primitive part, poly_gcd_int, poly_squarefree_part and
-inverse_square_sum.
+inverse_square_sum.  Symmetric functions of roots take one path, the power
+sums of kernels.power_sums and their inverse kernels.from_power_sums:
+inverse_square_sum, ratio_integrality_oracle, charpoly_int (traces of
+powers of the matrix) and power_char_poly (every m-th power sum).
 
 Quadratic irrationals are Surds, stored as integers (a + b*sqrt(n))/d with
 n squarefree.  square_free_part runs only when a radicand enters from
@@ -100,13 +103,10 @@ def inverse_square_sum(c):
     """Exact sum of 1/d**2 over the roots d of c, counted with multiplicity.
 
     c needs a nonzero constant term.  The reversed polynomial has the roots
-    1/d, and Newton's identity for their power sum gives
-    (c1**2 - 2 c0 c2) / c0**2.
+    1/d and the leading coefficient c0, so its power_sums entry t_2 is
+    c0**2 times the sum (c1**2 - 2 c0 c2).
     """
-    c0 = c[0]
-    c1 = c[1] if len(c) > 1 else 0
-    c2 = c[2] if len(c) > 2 else 0
-    return Fraction(c1 * c1 - 2 * c0 * c2, c0 * c0)
+    return Fraction(kernels.power_sums(c[::-1], 2)[2], c[0] * c[0])
 
 
 # ---------------------------------------------------------------------------
@@ -740,12 +740,23 @@ def ratio_integrality_oracle(p):
     """Ground-truth ratio test: are all root ratios algebraic integers?
 
     An independent check of is_d_number, which dnumber prints for small
-    squarefree input.  Builds S(x) = Res_y(p(y), p(x*y)), whose roots are
-    exactly the pairwise root ratios, by evaluation at n^2 + 1 integer
-    points and exact interpolation.
-    All ratios are algebraic integers iff every irreducible factor of the
-    primitive part of S is monic, which happens iff its leading coefficient
-    is +-1 (leading coefficients of primitive factors multiply).
+    squarefree input.  With alpha_1..alpha_n the roots of the monic p and
+    c0 = p(0) != 0, each c0 / alpha_j is +-(the product of the other roots),
+    so the n**2 numbers u_ij = alpha_i * c0 / alpha_j are algebraic
+    integers.  Their power sums are P_m * T_m, with P = power_sums(p) and T
+    = power_sums of the reversed p, whose roots are the 1 / alpha_j and
+    whose leading coefficient is c0, so T_m is the sum of (c0 / alpha_j)**m.
+    The multiset of the u_ij is stable under Galois conjugation, so the
+    monic polynomial U with these roots has integer coefficients e_m(u)
+    (up to sign), and from_power_sums finds them exactly.
+
+    The ratios alpha_i / alpha_j are the u_ij / c0, the roots of the monic
+    polynomial with coefficients e_m(u) / c0**m.  If every c0**m divides
+    e_m(u), that polynomial is in Z[x] and every ratio is an algebraic
+    integer.  Conversely, if every ratio is an algebraic integer, so is each
+    e_m(u) / c0**m, the m-th elementary symmetric function of the ratios;
+    it is rational, hence an integer.  So the answer is yes iff c0**m
+    divides e_m(u) for every m.
     """
     p = p if isinstance(p, IntPoly) else IntPoly(p)
     if not p.is_monic:
@@ -755,73 +766,34 @@ def ratio_integrality_oracle(p):
                                 "nonzero constant term")
     if len(poly_squarefree_part(p.coeffs)) < len(p.coeffs):
         raise InvalidInputError("ratio test requires a squarefree polynomial")
-    n = p.degree
-    if n == 1:
-        return True
-    deg_s = n * n
-    xs = list(range(1, deg_s + 2))
-    base = list(p.coeffs)
-    ys = []
-    for t in xs:
-        scaled = [base[i] * t ** i for i in range(len(base))]
-        ys.append(kernels.resultant(base, scaled))
-    s_coeffs = _interpolate_int(xs, ys)
-    s_coeffs = kernels.normalize(s_coeffs)
-    cont = kernels.int_content(s_coeffs)
-    return abs(s_coeffs[-1]) == cont
-
-
-def _interpolate_int(xs, ys):
-    """Exact interpolation through integer points; asserts integer output."""
-    n = len(xs)
-    coef = [Fraction(y) for y in ys]  # Newton divided differences
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * n
-    acc = [Fraction(1)]  # running product (x - x0)...(x - xk)
-    for k in range(n):
-        for i, a in enumerate(acc):
-            poly[i] += coef[k] * a
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for i, a in enumerate(acc):
-            nxt[i] -= a * xs[k]
-            nxt[i + 1] += a
-        acc = nxt
-    out = []
-    for f in poly:
-        if f.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer")
-        out.append(f.numerator)
-    return out
+    c = p.coeffs
+    count = p.degree ** 2
+    sums = [a * b for a, b in zip(kernels.power_sums(c, count),
+                                  kernels.power_sums(c[::-1], count))]
+    desc = kernels.from_power_sums(sums)[::-1]  # desc[m] = (-1)**m e_m(u)
+    return all(desc[m] % c[0] ** m == 0 for m in range(1, count + 1))
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers: exact characteristic polynomials and companion powers
+# characteristic polynomials: of a matrix, of the powers of a root
 
 def charpoly_int(mat):
     """Characteristic polynomial of an integer matrix, ascending IntPoly.
 
-    Faddeev-LeVerrier recurrence; every division is exact over the integers.
+    The traces of mat, mat**2, ..., mat**n are the power sums of its
+    eigenvalues, and from_power_sums turns them into the coefficients
+    (Newton's identities; every division is exact over the integers).
     """
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise InvalidInputError("characteristic polynomial needs a square "
                                 "nonempty matrix")
-    desc = [1]
-    m = [list(row) for row in mat]
-    ck = -sum(m[i][i] for i in range(n))
-    desc.append(ck)
-    for k in range(2, n + 1):
-        for i in range(n):
-            m[i][i] += ck
+    traces = [n, sum(mat[i][i] for i in range(n))]
+    m = mat
+    for _ in range(n - 1):
         m = _matmul(mat, m)
-        tr = sum(m[i][i] for i in range(n))
-        if tr % k != 0:
-            raise ArithmeticError("inexact trace division")
-        ck = -tr // k
-        desc.append(ck)
-    return IntPoly(list(reversed(desc)))
+        traces.append(sum(m[i][i] for i in range(n)))
+    return IntPoly(kernels.from_power_sums(traces))
 
 
 def _matmul(a, b):
@@ -839,33 +811,19 @@ def _matmul(a, b):
     return out
 
 
-def _companion(poly):
-    n = poly.degree
-    c = poly.coeffs
-    m = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        m[i][i - 1] = 1
-    for i in range(n):
-        m[i][n - 1] = -c[i]
-    return m
-
-
 def power_char_poly(a, m):
-    """Monic polynomial whose roots are the m-th powers of a's conjugates."""
+    """Monic polynomial whose roots are the m-th powers of a's conjugates.
+
+    The power sums of the r**m over the n roots r of the minpoly are its own
+    power sums s_m, s_2m, ..., s_nm, so one power_sums run and
+    from_power_sums give the coefficients.
+    """
     m = int(m)
     if m < 1:
         raise InvalidInputError("power must be a positive integer")
-    comp = _companion(a.minpoly)
-    acc = None
-    base = comp
-    k = m
-    while k:
-        if k & 1:
-            acc = base if acc is None else _matmul(acc, base)
-        k >>= 1
-        if k:
-            base = _matmul(base, base)
-    return charpoly_int(acc)
+    n = a.minpoly.degree
+    return IntPoly(kernels.from_power_sums(
+        kernels.power_sums(a.minpoly.coeffs, n * m)[::m]))
 
 
 def largest_integer_divisor(p):

@@ -332,7 +332,7 @@ def _cmd_dnumber(args):
     lines.append("d-number: %s" % ("yes" if verdict else "no"))
     certificates = {}
     # for small squarefree inputs, cross-check the coefficient criterion
-    # against the resultant oracle and say so
+    # against the power-sum oracle and say so
     squarefree = len(poly_squarefree_part(poly.coeffs)) == len(poly.coeffs)
     if poly.degree <= 3 and squarefree:
         oracle = ratio_integrality_oracle(poly)

@@ -3,13 +3,17 @@
 Coefficient lists are ascending: c[i] is the coefficient of x**i, the last
 entry is nonzero (the zero polynomial is the empty list).  Everything is
 exact integer arithmetic; these are the hot loops behind root isolation,
-resultants and the search pruning, so they stay free of Fraction objects.
+symmetric functions of roots and the search pruning, so they stay free of
+Fraction objects.
 
 This module is the one home of the coefficient-list primitives: normalize,
 derivative, poly_add, poly_sub, poly_mul, div_exact, pseudo_rem and
 taylor_shift, and of the root tests built on them: descartes_bound (for
 isolation), real_roots_above, and real_rooted, the gap search's one
-realness decision (Hermite's criterion from degree 4 on).
+realness decision (Hermite's criterion from degree 4 on).  power_sums
+and from_power_sums are the one Newton-identity path between coefficients
+and power sums of roots: characteristic polynomials, powers of algebraic
+numbers, the d-number oracle and inverse square sums all go through them.
 Primitive parts, gcds, squarefree parts and isolation live in algnum,
 arithmetic over GF(q) (these primitives reduced mod q) in _factor.
 
@@ -106,7 +110,7 @@ def pseudo_rem(a, b):
 
     Requires deg a >= deg b and b nonzero.  The full power of lb is applied
     even when a reduction step is trivial, so the multiplier is exactly
-    lb**(da-db+1) (the resultant algorithm depends on that).
+    lb**(da-db+1), as the identity above states.
     """
     da = len(a) - 1
     db = len(b) - 1
@@ -253,11 +257,11 @@ def real_rooted(c):
     iff the Hankel matrix H[i][j] = s_(i+j) (0 <= i, j < k) of their power
     sums s_m is positive definite (Basu, Pollack and Roy, Algorithms in Real
     Algebraic Geometry, 4.3: its signature counts the distinct real roots,
-    its rank the distinct roots).  With l the leading coefficient, Newton's
-    identities make t_m = l**m s_m integers, and the Hankel matrix of the t_m
-    is diag(l**i) H diag(l**i), whose leading principal minors have the signs
-    of H's.  Fraction-free (Bareiss) elimination leaves those minors as its
-    pivots; the first pivot <= 0 decides False.
+    its rank the distinct roots).  With l the leading coefficient,
+    power_sums gives the integers t_m = l**m s_m, and the Hankel matrix of
+    the t_m is diag(l**i) H diag(l**i), whose leading principal minors have
+    the signs of H's.  Fraction-free (Bareiss) elimination leaves those
+    minors as its pivots; the first pivot <= 0 decides False.
     """
     k = len(c) - 1
     if k <= 1:
@@ -268,18 +272,7 @@ def real_rooted(c):
         a0, a1, a2, a3 = c
         return (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0 + a2 * a2 * a1 * a1
                 - 4 * a3 * a1 ** 3 - 27 * a3 * a3 * a0 * a0) > 0
-    # Newton's identities times l**m: t_0 = k and t_m = -(m c[k-m] l**(m-1)
-    # + sum_(i=1..min(m-1,k)) c[k-i] l**(i-1) t_(m-i)), the first term only
-    # while m <= k
-    t = [k]
-    lpow = [1]
-    for _ in range(k - 1):
-        lpow.append(lpow[-1] * c[k])
-    for m in range(1, 2 * k - 1):
-        acc = m * c[k - m] * lpow[m - 1] if m <= k else 0
-        for i in range(1, min(m - 1, k) + 1):
-            acc += c[k - i] * lpow[i - 1] * t[m - i]
-        t.append(-acc)
+    t = power_sums(c, 2 * k - 2)
     a = [t[i:i + k] for i in range(k)]
     prev = 1
     for p in range(k):
@@ -296,50 +289,41 @@ def real_rooted(c):
     return True
 
 
-def resultant(a, b):
-    """Resultant of two integer polynomials via the subresultant PRS.
+def power_sums(c, count):
+    """[t_0, ..., t_count] with t_m = l**m * s_m, s_m the m-th power sum of
+    the roots of c (with multiplicity) and l its leading coefficient.
 
-    Returns 0 when either input is zero or when they share a factor.
+    Newton's identities times l**m: t_0 = k = deg c and t_m = -(m c[k-m]
+    l**(m-1) + sum_(i=1..min(m-1,k)) c[k-i] l**(i-1) t_(m-i)), the first
+    term only while m <= k.  Every t_m is an integer, because l * root is
+    an algebraic integer.
     """
-    a = normalize(a)
-    b = normalize(b)
-    if not a or not b:
-        return 0
-    da = len(a) - 1
-    db = len(b) - 1
-    if da == 0 and db == 0:
-        return 1
-    if da == 0:
-        return a[0] ** db
-    if db == 0:
-        return b[0] ** da
-    s = 1
-    if da < db:
-        a, b = b, a
-        if (da & 1) and (db & 1):
-            s = -s
-    ca = int_content(a)
-    cb = int_content(b)
-    a = [x // ca for x in a]
-    b = [x // cb for x in b]
-    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
-    g = 1
-    h = 1
-    while True:
-        da = len(a) - 1
-        db = len(b) - 1
-        delta = da - db
-        if (da & 1) and (db & 1):
-            s = -s
-        r = pseudo_rem(a, b)
-        if not r:
-            return 0
-        a = b
-        divisor = g * h ** delta
-        b = [x // divisor for x in r]
-        g = a[-1]
-        if delta > 0:
-            h = g ** delta // h ** (delta - 1)
-        if len(b) == 1:
-            da = len(a) - 1
-            return s * t * (b[0] ** da // h ** (da - 1))
+    k = len(c) - 1
+    t = [k]
+    lpow = [1]
+    for _ in range(min(k, count) - 1):
+        lpow.append(lpow[-1] * c[k])
+    for m in range(1, count + 1):
+        acc = m * c[k - m] * lpow[m - 1] if m <= k else 0
+        for i in range(1, min(m - 1, k) + 1):
+            acc += c[k - i] * lpow[i - 1] * t[m - i]
+        t.append(-acc)
+    return t
+
+
+def from_power_sums(t):
+    """Ascending coefficients of the monic polynomial of degree n = len(t)
+    - 1 whose roots have the power sums t[1..n] (t[0] is unused).
+
+    Newton's identities m e_m = sum_(i=1..m) (-1)**(i-1) e_(m-i) t_i, with
+    the coefficient of x**(n-m) being (-1)**m e_m.  Raises ArithmeticError
+    when a division by m is inexact, so no such integer polynomial exists.
+    """
+    n = len(t) - 1
+    a = [1]  # a[m] = (-1)**m e_m, the coefficient of x**(n-m)
+    for m in range(1, n + 1):
+        acc = sum(a[m - i] * t[i] for i in range(1, m + 1))
+        if acc % m:
+            raise ArithmeticError("inexact division in Newton's identities")
+        a.append(-acc // m)
+    return a[::-1]

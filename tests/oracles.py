@@ -15,6 +15,12 @@ lists divisors from a factorization.
 
 IntPoly values and products: the package evaluates on integers
 (kernels.eval_qnum) and multiplies coefficient lists (kernels.poly_mul).
+
+Symmetric functions of roots by other routes than the package's power sums
+(kernels.power_sums and kernels.from_power_sums): the subresultant PRS
+resultant, the ratio test on the interpolated resultant
+Res_y(p(y), p(x y)), Faddeev-LeVerrier characteristic polynomials and
+powers of the companion matrix.
 """
 
 from fractions import Fraction
@@ -204,3 +210,150 @@ def poly_product(*polys):
     for p in polys:
         acc = poly_mul(acc, list(p.coeffs))
     return IntPoly(acc)
+
+
+def resultant(a, b):
+    """Resultant of two integer polynomials via the subresultant PRS.
+
+    Returns 0 when either input is zero or when they share a factor.
+    """
+    a = normalize(a)
+    b = normalize(b)
+    if not a or not b:
+        return 0
+    da = len(a) - 1
+    db = len(b) - 1
+    if da == 0 and db == 0:
+        return 1
+    if da == 0:
+        return a[0] ** db
+    if db == 0:
+        return b[0] ** da
+    s = 1
+    if da < db:
+        a, b = b, a
+        if (da & 1) and (db & 1):
+            s = -s
+    ca = int_content(a)
+    cb = int_content(b)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    g = 1
+    h = 1
+    while True:
+        da = len(a) - 1
+        db = len(b) - 1
+        delta = da - db
+        if (da & 1) and (db & 1):
+            s = -s
+        # pseudo_rem applies the full lb**(da-db+1), which the PRS needs
+        r = pseudo_rem(a, b)
+        if not r:
+            return 0
+        a = b
+        divisor = g * h ** delta
+        b = [x // divisor for x in r]
+        g = a[-1]
+        if delta > 0:
+            h = g ** delta // h ** (delta - 1)
+        if len(b) == 1:
+            da = len(a) - 1
+            return s * t * (b[0] ** da // h ** (da - 1))
+
+
+def ratio_integrality_reference(p):
+    """Are all root ratios of the monic squarefree IntPoly p (p(0) != 0)
+    algebraic integers?
+
+    Builds S(x) = Res_y(p(y), p(x*y)), whose roots are exactly the pairwise
+    root ratios, by evaluation at n^2 + 1 integer points and exact
+    interpolation.  All ratios are algebraic integers iff every irreducible
+    factor of the primitive part of S is monic, which happens iff its
+    leading coefficient is +-1 (leading coefficients of primitive factors
+    multiply).
+    """
+    n = p.degree
+    if n == 1:
+        return True
+    xs = list(range(1, n * n + 2))
+    base = list(p.coeffs)
+    ys = [resultant(base, [base[i] * t ** i for i in range(len(base))])
+          for t in xs]
+    s_coeffs = normalize(_interpolate_int(xs, ys))
+    return abs(s_coeffs[-1]) == int_content(s_coeffs)
+
+
+def _interpolate_int(xs, ys):
+    """Exact interpolation through integer points; asserts integer output."""
+    n = len(xs)
+    coef = [Fraction(y) for y in ys]  # Newton divided differences
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = [Fraction(0)] * n
+    acc = [Fraction(1)]  # running product (x - x0)...(x - xk)
+    for k in range(n):
+        for i, a in enumerate(acc):
+            poly[i] += coef[k] * a
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for i, a in enumerate(acc):
+            nxt[i] -= a * xs[k]
+            nxt[i + 1] += a
+        acc = nxt
+    out = []
+    for f in poly:
+        if f.denominator != 1:
+            raise ArithmeticError("interpolation produced a non-integer")
+        out.append(f.numerator)
+    return out
+
+
+def _matmul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def charpoly_reference(mat):
+    """Characteristic polynomial of a square integer matrix, ascending
+    IntPoly, by the Faddeev-LeVerrier recurrence M_1 = A, c_1 = -tr A,
+    M_k = A (M_(k-1) + c_(k-1) I), c_k = -tr(M_k) / k."""
+    n = len(mat)
+    desc = [1]
+    m = [list(row) for row in mat]
+    ck = -sum(m[i][i] for i in range(n))
+    desc.append(ck)
+    for k in range(2, n + 1):
+        for i in range(n):
+            m[i][i] += ck
+        m = _matmul(mat, m)
+        tr = sum(m[i][i] for i in range(n))
+        if tr % k != 0:
+            raise ArithmeticError("inexact trace division")
+        ck = -tr // k
+        desc.append(ck)
+    return IntPoly(list(reversed(desc)))
+
+
+def power_char_poly_reference(a, m):
+    """Monic polynomial whose roots are the m-th powers of the roots of the
+    algebraic number a's minpoly: the Faddeev-LeVerrier characteristic
+    polynomial of the m-th power of its companion matrix, by repeated
+    squaring."""
+    c = a.minpoly.coeffs
+    n = len(c) - 1
+    comp = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        comp[i][i - 1] = 1
+    for i in range(n):
+        comp[i][n - 1] = -c[i]
+    acc = None
+    base = comp
+    while m:
+        if m & 1:
+            acc = base if acc is None else _matmul(acc, base)
+        m >>= 1
+        if m:
+            base = _matmul(base, base)
+    return charpoly_reference(acc)

@@ -14,17 +14,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
-                         _cauchy_bound, _primitive_pos, factor_over_integers,
-                         is_d_number, is_irreducible, isolate_real_roots,
-                         largest_integer_divisor, poly_gcd_int,
-                         poly_squarefree_part, power_char_poly,
-                         ratio_integrality_oracle)
+                         _cauchy_bound, _primitive_pos, charpoly_int,
+                         factor_over_integers, is_d_number, is_irreducible,
+                         isolate_real_roots, largest_integer_divisor,
+                         poly_gcd_int, poly_squarefree_part,
+                         power_char_poly, ratio_integrality_oracle)
 from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.kernels import (eval_surd, normalize, poly_mul, sign_variations,
                           surd_sign)
 from fgap import kernels
-from oracles import (iv_scale, poly_product, poly_value, sturm_chain,
-                     varcount_at, varcount_inf)
+from oracles import (charpoly_reference, iv_scale, poly_product,
+                     poly_value, power_char_poly_reference,
+                     ratio_integrality_reference, sturm_chain, varcount_at,
+                     varcount_inf)
 
 X = sympy.Symbol("x")
 
@@ -1137,15 +1139,75 @@ def monic_products(draw):
 @example(p=P(1, 0, 0, 1, 2))
 @example(p=poly_product(P(1, -5, 5), P(1, -5, 5)))
 @example(p=poly_product(P(1, -2), P(1, 0, -2)))
-def test_d_number_matches_resultant_oracle(p):
+def test_d_number_matches_ratio_oracle(p):
     # the coefficient criterion holds for any monic p with p(0) != 0; the
     # oracle reads the root ratios of the squarefree part
     want = ratio_integrality_oracle(IntPoly(poly_squarefree_part(p.coeffs)))
     assert is_d_number(p) is want, p
 
 
+@given(monic_products().filter(lambda p: p.degree <= 4))
+@settings(max_examples=150, deadline=None)
+@example(p=P(1, -5, 5))
+@example(p=P(1, -7, 14, -7))
+@example(p=poly_product(P(1, -2), P(1, 0, -2)))
+@example(p=poly_product(P(1, -5, 5), P(1, -5, 5)))
+@example(p=poly_product(P(1, 3), P(1, 3), P(1, -2)))
+def test_ratio_oracle_matches_resultant_reference(p):
+    # the power-sum oracle against the resultant-interpolation reference,
+    # both on the squarefree part (of degree 1-4)
+    q = IntPoly(poly_squarefree_part(p.coeffs))
+    assert ratio_integrality_oracle(q) is ratio_integrality_reference(q), p
+
+
 # ---------------------------------------------------------------------------
-# power_char_poly / largest_integer_divisor
+# charpoly_int / power_char_poly / largest_integer_divisor
+
+@st.composite
+def int_matrices(draw):
+    """Square integer matrices of size 1-8, symmetric half the time."""
+    n = draw(st.integers(1, 8))
+    rows = [draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+            for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)]
+                for i in range(n)]
+    return rows
+
+
+@given(int_matrices())
+@settings(max_examples=150, deadline=None)
+@example(mat=[[0]])
+@example(mat=[[1, 1], [1, 0]])
+@example(mat=[[0, 1, 0], [1, 1, 1], [0, 1, 1]])
+def test_charpoly_int_matches_faddeev_leverrier_and_sympy(mat):
+    got = charpoly_int(mat)
+    assert got == charpoly_reference(mat)
+    desc = sympy.Matrix(mat).charpoly(X).all_coeffs()
+    assert got == IntPoly([int(v) for v in reversed(desc)])
+
+
+def test_charpoly_int_rejects_a_non_square_matrix():
+    for mat in ([], [[1, 2]], [[1, 2], [3]]):
+        with pytest.raises(InvalidInputError):
+            charpoly_int(mat)
+
+
+WithMinpoly = namedtuple("WithMinpoly", "minpoly")
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+           st.integers(-9, 9), min_size=n, max_size=n)),
+       st.integers(1, 60))
+@settings(max_examples=120, deadline=None)
+@example(low=[5, -5], m=60)
+@example(low=[-7, 14, -7], m=17)
+def test_power_char_poly_matches_companion_powers(low, m):
+    # both read only a.minpoly, which need not be irreducible for the power
+    # sums to agree
+    a = WithMinpoly(IntPoly(low + [1]))
+    assert power_char_poly(a, m) == power_char_poly_reference(a, m)
+
 
 def test_power_char_poly_pinned():
     lo, _ = fib_roots()

@@ -447,6 +447,51 @@ def test_ffib_bound_keeps_a_10000_bit_power():
     assert rc == 0 and "power: 999\n" in out
 
 
+@st.composite
+def poly_args(draw):
+    """--poly values of degree 0-6: integers up to 10**40 in size, often
+    monic, with empty tokens, leading zeros (a zero first coefficient or a
+    zero-padded token) and non-integers mixed in."""
+    def token():
+        return draw(st.one_of(
+            st.integers(-12, 12).map(str),
+            st.integers(-10 ** 40, 10 ** 40).map(str),
+            st.integers(0, 40).map(lambda e: "-1" + "0" * e),
+            st.integers(0, 99).map(lambda v: "0%d" % v),
+            st.sampled_from(["", " ", "1.5", "1/2", "x", "+", "-", "1e3",
+                             "0x10", "--1", "sqrt2", "nan"])))
+    toks = [token() for _ in range(draw(st.integers(1, 7)))]
+    first = draw(st.sampled_from(["1", "1", "0", None]))
+    if first is not None:
+        toks[0] = first
+    return ",".join(toks)
+
+
+@given(poly_args())
+@settings(max_examples=250, deadline=None)
+@example(arg="1,-5,5")
+@example(arg="1,-1000,1")
+@example(arg="")
+@example(arg="0,1")
+@example(arg="1," + "9" * 40 + ",-" + "9" * 40)
+def test_poly_commands_end_in_one_line_or_a_report(arg):
+    """dnumber and ffib-bound, in process: a report on stdout (exit 0), or
+    exit 1 or 2 with one `error:` or `not certified:` line on stderr, and no
+    exception escaping main."""
+    for command in ("dnumber", "ffib-bound"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = fgap.cli.main([command, "--poly=" + arg])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert out and err == "", (command, arg)
+            continue
+        assert code in (1, 2) and out == "", (command, arg, code)
+        assert err.count("\n") == 1 and err.endswith("\n"), (command, arg)
+        assert err.startswith("error: " if code == 1 else "not certified: "), \
+            (command, arg, err)
+
+
 def test_dnumber_over_the_degree_cap_exits_1():
     # the d-number test shares the factorization's degree cap of 24
     err = _assert_one_line_exit(1, "dnumber", "--poly", "1" + ",1" * 40)
@@ -464,11 +509,12 @@ def test_dnumber_at_the_degree_cap_takes_under_a_cpu_second():
 
 def test_d_numbers_never_reach_the_resultant(monkeypatch, capsys):
     """The coefficient criterion decides every d-number in the searches and
-    the obstruction battery; only dnumber's oracle line computes a
-    resultant."""
-    def refuse(a, b):
-        raise AssertionError("kernels.resultant called")
-    monkeypatch.setattr(fgap.kernels, "resultant", refuse)
+    the obstruction battery; only dnumber's oracle line runs the ratio
+    oracle."""
+    def refuse(p):
+        raise AssertionError("ratio_integrality_oracle called")
+    monkeypatch.setattr(fgap.algnum, "ratio_integrality_oracle", refuse)
+    monkeypatch.setattr(fgap.cli, "ratio_integrality_oracle", refuse)
     for n in range(1, 9):
         # x^n - 2 is a d-number; x^n + x + 2 (n >= 2) is not: 2 does not
         # divide 1

@@ -4,12 +4,14 @@ matrices, sympy)."""
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap import kernels
-from oracles import real_root_count, sturm_chain, varcount_at, varcount_inf
+from oracles import (real_root_count, resultant, sturm_chain, varcount_at,
+                     varcount_inf)
 
 X = sympy.Symbol("x")
 
@@ -135,7 +137,7 @@ def test_resultant_against_sylvester_oracle():
     for _ in range(250):
         a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
         b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
-        assert kernels.resultant(a, b) == sylvester_resultant(a, b), (a, b)
+        assert resultant(a, b) == sylvester_resultant(a, b), (a, b)
 
 
 def test_resultant_against_sympy():
@@ -151,7 +153,7 @@ def test_resultant_against_sympy():
         if len(a) < 2 or len(b) < 2:
             continue
         want = sympy.resultant(to_sympy(a), to_sympy(b), X)
-        assert abs(kernels.resultant(a, b)) == abs(want)
+        assert abs(resultant(a, b)) == abs(want)
 
 
 def test_pseudo_rem_defining_identity():
@@ -182,7 +184,7 @@ def test_resultant_swap_sign_property(a, b):
         return
     da, db = len(a) - 1, len(b) - 1
     sign = -1 if (da % 2 == 1 and db % 2 == 1) else 1
-    assert kernels.resultant(a, b) == sign * kernels.resultant(b, a)
+    assert resultant(a, b) == sign * resultant(b, a)
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)
@@ -194,8 +196,7 @@ def test_resultant_multiplicative_property(a, b, c):
     if not a or not b or not c:
         return
     bc = kernels.poly_mul(b, c)
-    assert kernels.resultant(a, bc) == (kernels.resultant(a, b)
-                                      * kernels.resultant(a, c))
+    assert resultant(a, bc) == resultant(a, b) * resultant(a, c)
 
 
 @given(coeff_lists)
@@ -244,6 +245,52 @@ def test_real_rooted_matches_sturm_count_and_sympy(c):
     distinct = len(set(sympy.real_roots(to_sympy(c))))
     assert real_root_count(c) == distinct
     assert kernels.real_rooted(c) == (distinct == k)
+
+
+@st.composite
+def monic_lists(draw):
+    """Monic ascending coefficient lists of degree 1-8."""
+    k = draw(st.integers(1, 8))
+    return draw(st.lists(st.integers(-30, 30), min_size=k, max_size=k)) + [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_lists())
+@example([0, 0, 0, 1])            # x^3: every power sum is 0
+@example([5, -5, 1])              # x^2 - 5x + 5
+@example([-7, 14, -7, 1])         # x^3 - 7x^2 + 14x - 7
+def test_from_power_sums_inverts_power_sums(c):
+    k = len(c) - 1
+    t = kernels.power_sums(c, k)
+    assert t[0] == k
+    assert kernels.from_power_sums(t) == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=2, max_size=7),
+       st.integers(0, 12))
+def test_power_sums_are_traces_of_companion_powers(c, count):
+    # l times the companion matrix of c / l is an integer matrix whose
+    # eigenvalues are l * root, so t_m = l**m s_m is the trace of its m-th
+    # power
+    c = kernels.normalize(c)
+    if len(c) < 2:
+        return
+    k = len(c) - 1
+    lead = c[-1]
+    comp = sympy.zeros(k, k)
+    for i in range(1, k):
+        comp[i, i - 1] = lead
+    for i in range(k):
+        comp[i, k - 1] = -c[i]
+    want = [k] + [(comp ** m).trace() for m in range(1, count + 1)]
+    assert kernels.power_sums(c, count) == want
+
+
+def test_from_power_sums_rejects_an_inexact_division():
+    # 2 e_2 = e_1 t_1 - t_2 = 1: no integer polynomial has these sums
+    with pytest.raises(ArithmeticError):
+        kernels.from_power_sums([2, 1, 0])
 
 
 def from_sympy(expr):
