@@ -36,8 +36,10 @@ bisected for it; its interval shrinks only by refine, one integer sign
 bisection.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import kernels
 from ._intfactor import factorize, square_free_part
@@ -51,6 +53,9 @@ WIDTH_CAP = Fraction(1, 10 ** 40)
 # exponentially many in their number, which can reach the degree; the
 # d-number test shares the cap so every polynomial input meets one limit
 DEGREE_CAP = 24
+
+# every CLI integer token: ASCII digits, no separators or other scripts
+INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +175,15 @@ class IntPoly:
 
     @staticmethod
     def from_csv(text):
-        """Parse the CLI form; rejects empty input and leading zeros."""
+        """Parse the CLI form of INT_TOKEN integers; rejects empty input
+        and leading zeros."""
         toks = [t.strip() for t in text.split(",")]
-        if not toks or any(t == "" for t in toks):
+        if any(t == "" for t in toks):
             raise InvalidInputError("bad polynomial %r: empty coefficient" % text)
-        try:
-            vals = [int(t) for t in toks]
-        except ValueError:
+        if not all(map(INT_TOKEN.fullmatch, toks)):
             raise InvalidInputError("bad polynomial %r: coefficients must be "
-                                    "integers" % text) from None
+                                    "integers" % text)
+        vals = list(map(int, toks))
         if vals[0] == 0:
             raise InvalidInputError("bad polynomial %r: leading zero "
                                     "coefficient" % text)
@@ -783,32 +788,26 @@ def charpoly_int(mat):
     The traces of mat, mat**2, ..., mat**n are the power sums of its
     eigenvalues, and from_power_sums turns them into the coefficients
     (Newton's identities; every division is exact over the integers).
+    Only mat**2, ..., mat**h (h = ceil(n/2)) are built, h - 1 O(n^3)
+    products; tr(mat**(h+i)) for i = 1..n-h is the O(n^2) sum of the
+    entrywise products of mat**h and the transpose of mat**i.
     """
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise InvalidInputError("characteristic polynomial needs a square "
                                 "nonempty matrix")
-    traces = [n, sum(mat[i][i] for i in range(n))]
-    m = mat
-    for _ in range(n - 1):
-        m = _matmul(mat, m)
-        traces.append(sum(m[i][i] for i in range(n)))
+    h = (n + 1) // 2
+    cols = list(zip(*mat))
+    powers = [mat]  # powers[i - 1] = mat**i
+    for _ in range(h - 1):
+        powers.append([[sum(map(mul, row, col)) for col in cols]
+                       for row in powers[-1]])
+    traces = [n] + [sum(p[i][i] for i in range(n)) for p in powers]
+    top = powers[-1]
+    for p in powers[:n - h]:
+        traces.append(sum(sum(map(mul, row, col))
+                          for row, col in zip(top, zip(*p))))
     return IntPoly(kernels.from_power_sums(traces))
-
-
-def _matmul(a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(n):
-                    oi[j] += x * bk[j]
-    return out
 
 
 def power_char_poly(a, m):

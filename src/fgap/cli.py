@@ -17,8 +17,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .algnum import (IntPoly, Surd, is_d_number, poly_squarefree_part,
-                     ratio_integrality_oracle)
+from .algnum import (INT_TOKEN, IntPoly, Surd, is_d_number,
+                     poly_squarefree_part, ratio_integrality_oracle)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .fusionring import (builtin_ring, emit_ring_file, formal_codegrees,
                          fp_dimension_vector, parse_ring_file,
@@ -51,11 +51,10 @@ def _frac_text(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-_INT_RE = re.compile(r"[+-]?\d+")
-_DEC_RE = re.compile(r"[+-]?\d+\.\d+")
-_RAT_RE = re.compile(r"([+-]?\d+)/(\d+)")
+_DEC_RE = re.compile(r"[+-]?\d+\.\d+", re.ASCII)
+_RAT_RE = re.compile(r"([+-]?\d+)/(\d+)", re.ASCII)
 _SURD_RE = re.compile(
-    r"([+-]?\d*)\*?(?:sqrt\((\d+)\)|sqrt(\d+)|√(\d+))(?:/(\d+))?")
+    r"([+-]?\d*)\*?(?:sqrt\((\d+)\)|sqrt(\d+)|√(\d+))(?:/(\d+))?", re.ASCII)
 
 
 def parse_exact(text):
@@ -67,7 +66,7 @@ def parse_exact(text):
     s = text.strip().replace(" ", "")
     if not s:
         raise InvalidInputError("empty numeric token")
-    if _INT_RE.fullmatch(s):
+    if INT_TOKEN.fullmatch(s):
         return Surd(Fraction(int(s)))
     if _DEC_RE.fullmatch(s):
         return Surd(Fraction(s))
@@ -105,12 +104,9 @@ def _parse_fraction(text):
 
 def _parse_int_csv(text, what):
     toks = [t.strip() for t in text.split(",")]
-    if not toks or any(t == "" for t in toks):
+    if not all(map(INT_TOKEN.fullmatch, toks)):
         raise InvalidInputError("bad %s list %r" % (what, text))
-    try:
-        return [int(t) for t in toks]
-    except ValueError:
-        raise InvalidInputError("bad %s list %r" % (what, text))
+    return list(map(int, toks))
 
 
 def _header(words, config):

@@ -21,6 +21,10 @@ Symmetric functions of roots by other routes than the package's power sums
 resultant, the ratio test on the interpolated resultant
 Res_y(p(y), p(x y)), Faddeev-LeVerrier characteristic polynomials and
 powers of the companion matrix.
+
+The Perron vector's power iteration with its sums written over indices,
+as fp_dimension_vector ran it before its dot products went through
+map(mul, ...): the package must return the same floats bit for bit.
 """
 
 from fractions import Fraction
@@ -357,3 +361,21 @@ def power_char_poly_reference(a, m):
         if m:
             base = _matmul(base, base)
     return charpoly_reference(acc)
+
+
+def fp_power_iteration_reference(ring, iterations=20000):
+    """Float Perron vector of B = sum_i N_i by power iteration, normalized
+    to v[0] = 1, each entry of B v a generator sum over ascending k."""
+    r = ring.rank
+    b = [[sum(ring.N[i][j][k] for i in range(r)) for k in range(r)]
+         for j in range(r)]
+    v = [1.0] * r
+    last = 0.0
+    for _ in range(iterations):
+        w = [sum(b[j][k] * v[k] for k in range(r)) for j in range(r)]
+        norm = max(abs(x) for x in w)
+        v = [x / norm for x in w]
+        if abs(norm - last) <= 1e-16 * norm:
+            break
+        last = norm
+    return [x / v[0] for x in v]

@@ -135,6 +135,7 @@ def test_intpoly_text_forms():
     assert p.to_csv() == "1,-5,5"
     assert IntPoly.from_csv("1,-5,5") == p
     assert IntPoly.from_csv(" 1 , -5 , 5 ") == p
+    assert IntPoly.from_csv("+1,-5,+5") == p
 
 
 def test_intpoly_csv_rejects_garbage():
@@ -146,6 +147,10 @@ def test_intpoly_csv_rejects_garbage():
         IntPoly.from_csv("x,1")
     with pytest.raises(InvalidInputError):
         IntPoly.from_csv("")
+    # only ASCII digits: no separators, no other scripts' digits
+    for text in ("1,1_000", "\u0661,-5,5", "1,\u00b2", "1,- 5"):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            IntPoly.from_csv(text)
 
 
 def test_intpoly_evaluate_exact():
@@ -1165,8 +1170,9 @@ def test_ratio_oracle_matches_resultant_reference(p):
 
 @st.composite
 def int_matrices(draw):
-    """Square integer matrices of size 1-8, symmetric half the time."""
-    n = draw(st.integers(1, 8))
+    """Square integer matrices of size 1-16, symmetric half the time: odd
+    and even sizes, so charpoly_int's split at h = ceil(n/2) sees both."""
+    n = draw(st.integers(1, 16))
     rows = [draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
             for _ in range(n)]
     if draw(st.booleans()):
@@ -1180,6 +1186,15 @@ def int_matrices(draw):
 @example(mat=[[0]])
 @example(mat=[[1, 1], [1, 0]])
 @example(mat=[[0, 1, 0], [1, 1, 1], [0, 1, 1]])
+@example(mat=[[2, -3], [5, 0]])
+@example(mat=[[0] * 2] * 2)
+@example(mat=[[0] * 9] * 9)
+@example(mat=[[0] * 16] * 16)
+@example(mat=[[7 if i == j else 0 for j in range(8)] for i in range(8)])
+@example(mat=[[16 if i == j else 0 for j in range(16)] for i in range(16)])
+@example(mat=[[-3 if i == j else 0 for j in range(15)] for i in range(15)])
+@example(mat=[[(i * 7 + j * 3) % 5 - 2 for j in range(16)]
+              for i in range(16)])
 def test_charpoly_int_matches_faddeev_leverrier_and_sympy(mat):
     got = charpoly_int(mat)
     assert got == charpoly_reference(mat)

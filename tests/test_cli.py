@@ -459,7 +459,8 @@ def poly_args(draw):
             st.integers(0, 40).map(lambda e: "-1" + "0" * e),
             st.integers(0, 99).map(lambda v: "0%d" % v),
             st.sampled_from(["", " ", "1.5", "1/2", "x", "+", "-", "1e3",
-                             "0x10", "--1", "sqrt2", "nan"])))
+                             "0x10", "--1", "sqrt2", "nan", "1_000",
+                             "\u0663", "-\u0665"])))
     toks = [token() for _ in range(draw(st.integers(1, 7)))]
     first = draw(st.sampled_from(["1", "1", "0", None]))
     if first is not None:
@@ -490,6 +491,43 @@ def test_poly_commands_end_in_one_line_or_a_report(arg):
         assert err.count("\n") == 1 and err.endswith("\n"), (command, arg)
         assert err.startswith("error: " if code == 1 else "not certified: "), \
             (command, arg, err)
+
+
+# tokens that Python's int() or a Unicode \d reads but the ASCII integer
+# grammar [+-]?[0-9]+ does not: a digit separator and Arabic-Indic digits
+NON_ASCII_INTEGER_INPUTS = [
+    (["dnumber", "--poly", "1,1_000"],
+     "error: bad polynomial '1,1_000': coefficients must be integers\n"),
+    (["dnumber", "--poly", "\u0661,-5,5"],
+     "error: bad polynomial '\u0661,-5,5': coefficients must be integers\n"),
+    (["ffib-bound", "--poly", "1,-5,\u0665"],
+     "error: bad polynomial '1,-5,\u0665': coefficients must be "
+     "integers\n"),
+    (["search", "gap", "--dmax", "\u0661.\u0663\u0664"],
+     "error: cannot parse '\u0661.\u0663\u0664' as an exact number; use "
+     "INT, a decimal, P/Q, or k*sqrt(n)/m\n"),
+    (["search", "gap", "--dmax", "\u0666\u0667/50"],
+     "error: cannot parse '\u0666\u0667/50' as an exact number; use INT, a "
+     "decimal, P/Q, or k*sqrt(n)/m\n"),
+    (["search", "gap", "--dmax", "4sqrt(\u0663)/5"],
+     "error: cannot parse '4sqrt(\u0663)/5' as an exact number; use INT, a "
+     "decimal, P/Q, or k*sqrt(n)/m\n"),
+    (["search", "quadratic", "--window", "1.35,\u0662"],
+     "error: cannot parse '\u0662' as an exact number; use INT, a decimal, "
+     "P/Q, or k*sqrt(n)/m\n"),
+    (["repg", "--classes", "1,2_0"],
+     "error: bad class size list '1,2_0'\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,err", NON_ASCII_INTEGER_INPUTS,
+    ids=[" ".join(argv) for argv, _ in NON_ASCII_INTEGER_INPUTS])
+def test_numeric_tokens_are_ascii_integers(argv, err):
+    out, got = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(got):
+        code = fgap.cli.main(argv)
+    assert (code, out.getvalue(), got.getvalue()) == (1, "", err)
 
 
 def test_dnumber_over_the_degree_cap_exits_1():
@@ -572,6 +610,31 @@ def test_traced_search_keeps_the_tracer_contract(argv, monkeypatch, capsys):
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+# sha256 of the exit code and stdout of `analyze -` and `analyze - --json`
+# on every ring of perfbench's deck, captured before charpoly_int halved its
+# products and validate compared whole slices
+EVERY_RING_SHA256 = (
+    "8b24e8e74a0913de22998f81389a067861db0c4bfb9fc30a1f920c18c75d96c1")
+
+
+def test_analyze_bytes_pinned_on_every_benchmark_ring(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    rings = importlib.import_module("rings")
+    digest = hashlib.sha256()
+    count = 0
+    for ring in rings.every_ring():
+        text = ring.text()
+        for argv in (["analyze", "-"], ["analyze", "-", "--json"]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = fgap.cli.main(argv)
+            digest.update(b"%d\n" % rc)
+            digest.update(buf.getvalue().encode())
+            count += 1
+    assert count == 420
+    assert digest.hexdigest() == EVERY_RING_SHA256
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,15 +1,18 @@
 """Based rings: construction, codegrees, dimension vectors, ring files."""
 
+import importlib
 import math
+import pathlib
 from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import group_ring, symmetric3_ring
+from oracles import fp_power_iteration_reference
 from fgap.errors import InvalidInputError, UnsupportedRingError
 from fgap.fusionring import (
     FusionRing,
@@ -24,6 +27,8 @@ from fgap.fusionring import (
 )
 
 PHI = (1 + math.sqrt(5)) / 2
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +238,30 @@ def test_oracle_rings_are_valid():
         assert codegree_matrix(ring) == codegree_matrix_reference(ring)
 
 
+# 1-3 edits (i, j, k, d): add d to N[i % r][j % r][k % r]
+ENTRY_EDITS = st.lists(
+    st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15),
+              st.sampled_from((-2, -1, 1, 2))),
+    min_size=1, max_size=3)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(ORACLE_RINGS), st.data())
-def test_validate_and_codegree_matrix_match_dense_reference(ring, data):
+@given(st.sampled_from(ORACLE_RINGS), ENTRY_EDITS)
+# group rings of rank 8, where validate compares whole rows of single
+# products: a 1 raised to 2 (Z_8, then the noncommutative D_4), the same
+# raise on both entries of a transpose pair (only associativity fails), a
+# -1 entry, and a transpose pair broken on one side and on both
+@example(builtin_ring("cyclic", 8), [(1, 1, 2, 1)])
+@example(_dihedral4_ring(), [(1, 1, 2, 1)])
+@example(builtin_ring("cyclic", 8), [(1, 1, 2, 1), (7, 2, 1, 1)])
+@example(builtin_ring("cyclic", 8), [(3, 4, 6, -1)])
+@example(builtin_ring("cyclic", 8), [(2, 3, 5, -1)])
+@example(builtin_ring("cyclic", 8), [(2, 3, 5, -1), (6, 5, 3, 1)])
+def test_validate_and_codegree_matrix_match_dense_reference(ring, edits):
     r = ring.rank
     t = [[list(row) for row in mat] for mat in ring.N]
-    index = st.integers(0, r - 1)
-    for _ in range(data.draw(st.integers(1, 3))):
-        i, j, k = data.draw(st.tuples(index, index, index))
-        t[i][j][k] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+    for i, j, k, d in edits:
+        t[i % r][j % r][k % r] += d
     broken = FusionRing(r, ring.dual, t)
     assert broken.validate() == validate_reference(broken)
     assert codegree_matrix(broken) == codegree_matrix_reference(broken)
@@ -386,6 +406,18 @@ def rayleigh_reference(z, v):
 
 
 COMMUTATIVE_ORACLE_RINGS = [r for r in ORACLE_RINGS if r.is_commutative]
+
+
+def test_fp_dimensions_are_the_reference_iteration_bit_for_bit(monkeypatch):
+    """Equal floats, not close ones, on the oracle rings and on every ring
+    of the benchmark's deck."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    deck = importlib.import_module("rings").every_ring()
+    assert len(deck) == 210
+    for ring in COMMUTATIVE_ORACLE_RINGS + [
+            FusionRing(x.rank, x.dual, x.N) for x in deck]:
+        dims, _ = fp_dimension_vector(ring, formal_codegrees(ring))
+        assert dims == fp_power_iteration_reference(ring), ring
 
 
 @settings(max_examples=150, deadline=None)
