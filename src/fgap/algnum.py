@@ -728,17 +728,22 @@ def is_d_number(p):
     a_i is in I^i, and (a_n) = I^n.  Then a_i^n is in I^(i n) = (a_n^i), so
     a_i^n / a_n^i is a rational algebraic integer, an integer.
     """
-    p = p if isinstance(p, IntPoly) else IntPoly(p)
-    if not p.is_monic:
+    c = (p if isinstance(p, IntPoly) else IntPoly(p)).coeffs
+    n = len(c) - 1
+    if n < 0 or c[n] != 1:
         raise InvalidInputError("d-number test requires a monic polynomial")
-    if p.degree < 1 or p.coeffs[0] == 0:
+    if n < 1 or c[0] == 0:
         raise InvalidInputError("d-number test requires degree >= 1 and a "
                                 "nonzero constant term")
-    c, n = p.coeffs, p.degree
     if n > DEGREE_CAP:
         raise DegreeCapError("degree %d exceeds the d-number test's cap of %d"
                              % (n, DEGREE_CAP))
-    return all(c[n - i] ** n % c[0] ** i == 0 for i in range(1, n))
+    power = 1
+    for i in range(1, n):
+        power *= c[0]
+        if c[n - i] ** n % power:
+            return False
+    return True
 
 
 def ratio_integrality_oracle(p):

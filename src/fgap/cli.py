@@ -66,16 +66,9 @@ def parse_exact(text):
     s = text.strip().replace(" ", "")
     if not s:
         raise InvalidInputError("empty numeric token")
-    if INT_TOKEN.fullmatch(s):
-        return Surd(Fraction(int(s)))
-    if _DEC_RE.fullmatch(s):
-        return Surd(Fraction(s))
-    m = _RAT_RE.fullmatch(s)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2))
-        if den == 0:
-            raise InvalidInputError("zero denominator in %r" % text)
-        return Surd(Fraction(num, den))
+    q = _rational(s, text)
+    if q is not None:
+        return Surd(q)
     m = _SURD_RE.fullmatch(s)
     if m:
         ktxt = m.group(1)
@@ -95,11 +88,34 @@ def parse_exact(text):
         "or k*sqrt(n)/m" % text)
 
 
+def _rational(s, text):
+    """The Fraction of an INT, DECIMAL or P/Q token s (ASCII digits), or
+    None for any other token; text is the argument s was read from."""
+    if INT_TOKEN.fullmatch(s):
+        return Fraction(int(s))
+    if _DEC_RE.fullmatch(s):
+        return Fraction(s)
+    m = _RAT_RE.fullmatch(s)
+    if m:
+        num, den = int(m.group(1)), int(m.group(2))
+        if den == 0:
+            raise InvalidInputError("zero denominator in %r" % text)
+        return Fraction(num, den)
+    return None
+
+
 def _parse_fraction(text):
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+    q = _rational(text.strip(), text)
+    if q is None:
         raise InvalidInputError("cannot parse %r as a rational" % text)
+    return q
+
+
+def _int_arg(text):
+    """argparse type of --n and --amax: one INT_TOKEN integer."""
+    if not INT_TOKEN.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
 
 
 def _parse_int_csv(text, what):
@@ -132,8 +148,8 @@ def _check_json(chk):
 
 
 def _cmd_analyze(args):
-    ring = parse_ring_file(_read_source(args.ring))
     tol = _parse_fraction(args.tol) if args.tol else Fraction(1, 10 ** 12)
+    ring = parse_ring_file(_read_source(args.ring))
     spectrum = formal_codegrees(ring)
     report = spherical_obstruction_report(spectrum)
     dims, cert = fp_dimension_vector(ring, spectrum, tol=tol)
@@ -456,7 +472,7 @@ def _build_parser():
                    help="disable a named filter (exploratory run)")
     p.add_argument("--window", metavar="LO,HI",
                    help="dimension window, exact tokens (quadratic/cubic)")
-    p.add_argument("--amax", type=int, metavar="N",
+    p.add_argument("--amax", type=_int_arg, metavar="N",
                    help="trace bound a <= N (quadratic/cubic)")
     p.add_argument("--dmax", metavar="TOKEN",
                    help="upper dimension bound, exact token (gap)")
@@ -484,7 +500,7 @@ def _build_parser():
 
     p = sub.add_parser("builtin", help="emit a built-in ring file")
     p.add_argument("kind", choices=("kn", "cyclic"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_builtin)
 

@@ -26,19 +26,25 @@ d_max.  Without --audit a leaf first takes the coefficient test of
 is_d_number, and only a d-number runs the battery (3 of the 4,810 leaves at
 4sqrt(3)/5); see _gap_leaf.
 
-The coefficient walk computes each bound on integers: a polynomial value
-at a rational point or a quadratic critical point comes from one
-homogeneous evaluation (kernels.eval_qnum, kernels.eval_surd), and the one
+The coefficient walk computes each bound on integers, and the one
 rounding point of each bound is a floor division, after one isqrt for a
-surd.  The prefix-free envelope of each depth is built once per degree.
-Each non-final node also looks one depth ahead: a child's bound at a fixed
-point (box_lo, f_hi, and the cut points for a final child) is affine in the
-child's coefficient s, so each pair of a lower-type and an upper-type point
-is one linear inequality in s that every child with a nonempty range meets
-(a real-empty range is integer-empty).  The walk never visits an s that
-breaks one, and reaches the same leaves in the same order.  From depth 3
-on, the leaf's realness test also prunes the walk: by Rolle's theorem a
-node whose polynomial lacks distinct real roots has no survivor below it.
+surd.  Each degree builds a plan once per depth (_DepthPlan): the
+coefficient envelope, the falling-factorial multipliers that turn a prefix
+into its node polynomial, and one integer weight vector per fixed point
+(box_lo, f_hi, gamma, delta), so a node's homogeneous value at a fixed
+point is one dot product of its prefix with the weights.  A critical point
+moves with the prefix and takes one homogeneous evaluation
+(kernels.eval_qnum, kernels.eval_surd).  Each non-final node also looks
+one depth ahead: a child's bound at a fixed point (box_lo, f_hi, and the
+cut points for a final child) is affine in the child's coefficient s, so
+each pair of a lower-type and an upper-type point is one linear inequality
+a*s >= b that every child with a nonempty range meets (a real-empty range
+is integer-empty); a is fixed per depth and b is one more dot product with
+the pair's weights.  The walk never visits an s that breaks one, and
+reaches the same leaves in the same order.  From depth 3 on, the leaf's
+realness test also prunes the walk: by Rolle's theorem a node whose
+polynomial lacks distinct real roots has no survivor below it.  A final
+node hands each s of its range straight to the leaf battery.
 
 The appendix searches bound their coefficients on integers too: a search
 writes each window end s = (x + y sqrt n)/d and its powers once, as integer
@@ -57,7 +63,7 @@ candidates, search_quadratic the values of a and the divisors of a^2.
 
 from fractions import Fraction
 from math import comb, factorial, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import _intfactor, kernels
 from .algnum import (DEGREE_CAP, AlgebraicNumber, IntPoly, Surd, WIDTH_CAP,
@@ -571,18 +577,6 @@ def _gap_cut_points(d_max):
     raise AmbiguityError("could not certify a root-free band above d_max")
 
 
-def _deriv_prefix(prefix, k):
-    """Ascending coefficients of P^(k-j) for the descending prefix."""
-    j = len(prefix) - 1
-    asc = [0] * (j + 1)
-    for i, si in enumerate(prefix):
-        c = si
-        for v in range(j - i + 1, k - i + 1):
-            c *= v
-        asc[j - i] = c
-    return asc
-
-
 def _interval_eval(asc, iv):
     """Enclosure (lo, hi) of asc over iv by Horner's rule on endpoint pairs:
     each step takes the least and the largest of the four endpoint products,
@@ -595,39 +589,105 @@ def _interval_eval(asc, iv):
     return lo, hi
 
 
-def _coeff_envelope(k, box_lo, f_hi, cuts):
-    """Integer envelope (lo, hi) of the next descending coefficient, one per
-    depth j = 0..k-1.
+def _point_weights(x, mults, d):
+    """Weights of q^d f(p/q) at x = p/q for the f whose coefficient of
+    x^(d-i) is prefix[i]*mults[i]: the value is the dot product of the
+    prefix with mults[i] p^(d-i) q^i."""
+    p, q = x.numerator, x.denominator
+    return [c * p ** (d - i) * q ** i for i, c in enumerate(mults)]
 
-    The coefficient at depth j is (-1)^m e_m with m = j + 1, where e_m is
-    the elementary symmetric function of one root in (box_lo, gamma) and
-    k-1 roots in (delta, f_hi]; the envelope bounds e_m by its values at
-    the ends of those ranges.  It depends on no prefix, so a degree builds
-    it once.
+
+class _DepthPlan:
+    """What the walk needs at one depth j of a degree-k search, fixed once
+    per degree: everything in it is independent of the prefix.
+
+    A prefix p_0..p_j (descending, p_0 the leading coefficient) has the node
+    polynomial deriv = P^(k-j) with p_i (k-i)!/(j-i)! at x^(j-i), and
+    w = P^(k-j-1) of the prefix extended by 0 has p_i (k-i)!/(j+1-i)! at
+    x^(j+1-i); deriv_mul and w_mul hold these falling factorials.  With
+    deg = j + 1 and bcoef = (k-j-1)!:
+
+    env: the integer envelope (lo, hi) of the next coefficient.  The
+        coefficient is (-1)^m e_m with m = j + 1, where e_m is the
+        elementary symmetric function of one root in (box_lo, gamma) and k-1
+        roots in (delta, f_hi]; the envelope bounds e_m by its values at the
+        ends of those ranges.
+    box, top, cuts: (weights, mod) at box_lo, at f_hi and at each cut point
+        x = p/q: the prefix's dot product with weights is N = q^deg w(p/q),
+        and mod = q^deg bcoef.
+    pairs: (weights, a), one per look-ahead pair of a lower-type and an
+        upper-type point whose a is nonzero: the prefix's dot product with
+        weights is that pair's b (see _next_coeff_range).
     """
-    gamma, delta = cuts
-    out = []
-    for m in range(1, k + 1):
+
+    __slots__ = ("env", "deriv_mul", "w_mul", "box", "top", "cuts", "pairs")
+
+    def __init__(self, k, j, box_lo, f_hi, cuts):
+        gamma, delta = cuts
+        m = deg = j + 1
         e_min = (box_lo * comb(k - 1, m - 1) * delta ** (m - 1)
                  + comb(k - 1, m) * delta ** m)
         e_max = (gamma * comb(k - 1, m - 1) * f_hi ** (m - 1)
                  + comb(k - 1, m) * f_hi ** m)
         if m % 2:
-            out.append(((-e_max).__ceil__(), (-e_min).__floor__()))
+            self.env = ((-e_max).__ceil__(), (-e_min).__floor__())
         else:
-            out.append((e_min.__ceil__(), e_max.__floor__()))
-    return out
+            self.env = (e_min.__ceil__(), e_max.__floor__())
+
+        bcoef = factorial(k - deg)
+        self.deriv_mul = [factorial(k - i) // factorial(j - i)
+                          for i in range(deg)]
+        self.w_mul = [factorial(k - i) // factorial(deg - i)
+                      for i in range(deg)]
+        self.box, self.top, *self.cuts = [
+            (_point_weights(x, self.w_mul, deg), x.denominator ** deg * bcoef)
+            for x in (box_lo, f_hi, *cuts)]
+
+        # look-ahead, at j + 1 < k: lower-type points at f_hi, at box_lo
+        # for even j and at the cut points for odd j when the child is
+        # final, upper-type at the others; without an upper-type point
+        # (even j, child not final) there is no pair
+        self.pairs = []
+        if deg == k:
+            return
+        child_cuts = list(cuts) if deg + 1 == k else []
+        if j % 2:
+            lows, ups = [f_hi] + child_cuts, [box_lo]
+        else:
+            lows, ups = [box_lo, f_hi], child_cuts
+        d = deg + 1
+        w0_mul = [factorial(k - i) // factorial(d - i) for i in range(deg)]
+        for x_l in lows:
+            p_l, q_l = x_l.numerator, x_l.denominator
+            n_l = _point_weights(x_l, w0_mul, d)
+            for x_u in ups:
+                p_u, q_u = x_u.numerator, x_u.denominator
+                a = bcoef * (p_l * q_u - p_u * q_l) * (q_l * q_u) ** deg
+                if a:
+                    n_u = _point_weights(x_u, w0_mul, d)
+                    self.pairs.append(([u * q_l ** d - v * q_u ** d
+                                        for u, v in zip(n_u, n_l)], a))
+
+
+def _coeff_envelope(k, box_lo, f_hi, cuts):
+    """The walk's per-depth plans (_DepthPlan) for j = 0..k-1; a degree
+    builds them once."""
+    return [_DepthPlan(k, j, box_lo, f_hi, cuts) for j in range(k)]
 
 
 def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
     """Integer range [lo, hi] for the next descending coefficient.
 
-    deriv is _deriv_prefix(prefix, k) and env the depth's (lo, hi) from
-    _coeff_envelope.  P^(k-j-1) of the prefix extended by the coefficient s
-    is w + bcoef*s, with w of degree deg = j + 1; each further bound is a
-    sign condition sigma * (w(x) + bcoef*s) >= 0 at the box endpoints, at
-    the (exactly computable) critical points for low depth, and, strict, at
-    the root-free band cut points for the final coefficient.
+    deriv holds the ascending coefficients of the node polynomial
+    P^(k-j), and env is the depth's _DepthPlan, which holds every value the
+    range needs at box_lo, f_hi and the cut points; the range reads those
+    three only through env, and they stay parameters so that a wrapped
+    call sees the node's whole box.  P^(k-j-1) of the prefix extended by
+    the coefficient s is w + bcoef*s, with w of degree deg = j + 1; each
+    further bound is a sign condition sigma * (w(x) + bcoef*s) >= 0 at the
+    box endpoints, at the (exactly computable) critical points for low
+    depth, and, strict, at the root-free band cut points for the final
+    coefficient.
 
     A survivor has k simple real roots, so by Rolle's theorem every
     deriv = P^(k-j) has j.  From depth 3 on, a node where
@@ -650,110 +710,105 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
     or outside the box, which costs time but not soundness, since the leaf
     battery decides every candidate.
 
-    Evaluation is integer-only.  At a rational x = p/q (q > 0) the bound on
-    s is -N/M with N = q^deg w(p/q) (kernels.eval_qnum) and M = q^deg bcoef;
-    at a quadratic critical point x = (a + b sqrt(disc))/d (d > 0) it is
+    Evaluation is integer-only.  At a fixed rational x = p/q (q > 0) the
+    bound on s is -N/M with N = q^deg w(p/q), one dot product of the prefix
+    with the plan's weights at x, and M = q^deg bcoef, the plan's mod.  At
+    a critical point the list w is built from the plan's multipliers: at a
+    rational x, N is kernels.eval_qnum(w, p, q); at a quadratic critical
+    point x = (a + b sqrt(disc))/d (d > 0) the bound is
     -(X + Y sqrt(disc))/M with X + Y sqrt(disc) = d^deg w(x)
     (kernels.eval_surd) and M = d^deg bcoef.  Each bound is rounded once,
     outward (ceil for lo, floor for hi) by one floor division, after one
     isqrt for a surd, so no valid candidate is lost.
 
     Look-ahead, at j + 1 < k: the child prefix + [s] bounds its coefficient
-    with w' = w0 + bcoef*s*x in place of w, where w0 = _deriv_prefix(prefix
-    + [0, 0], k) (s sits at x^1 with the factor (k-j-1)!/1! = bcoef).  Its
-    bound at a fixed point x is -w'(x)/c with c = (k-j-2)! > 0: lower-type at
-    f_hi, at box_lo for even j and at the cut points for odd j when the
-    child is final, upper-type at the others.  The child's range lies in
-    [ceil(max lower), floor(min upper)] (a strict cut bound only narrows
-    it), so a nonempty one needs -w'(x_L) <= -w'(x_U) for every lower-type
-    x_L and upper-type x_U, that is bcoef*s*(x_L - x_U) >= w0(x_U) -
-    w0(x_L), affine in s.  A real-empty range is integer-empty, so the s
-    this drops have no leaf below them.  With x = p/q and N = q^d w0(p/q)
-    (d = j + 2, kernels.eval_qnum), the inequality times q_L^d q_U^d > 0 is
-    a*s >= b with a = bcoef (p_L q_U - p_U q_L)(q_L q_U)^(d-1) and b = N_U
-    q_L^d - N_L q_U^d: s >= ceil(b/a) for a > 0 and s <= floor(b/a) for
-    a < 0.  a = 0 only where x_L = x_U, and then b = 0 too: no bound.
+    with w' = w0 + bcoef*s*x in place of w, where w0 is P^(k-j-2) of
+    prefix + [0, 0] (s sits at x^1 with the factor (k-j-1)!/1! = bcoef).
+    Its bound at a fixed point x is -w'(x)/c with c = (k-j-2)! > 0:
+    lower-type at f_hi, at box_lo for even j and at the cut points for odd
+    j when the child is final, upper-type at the others.  The child's range
+    lies in [ceil(max lower), floor(min upper)] (a strict cut bound only
+    narrows it), so a nonempty one needs -w'(x_L) <= -w'(x_U) for every
+    lower-type x_L and upper-type x_U, that is bcoef*s*(x_L - x_U) >=
+    w0(x_U) - w0(x_L), affine in s.  A real-empty range is integer-empty,
+    so the s this drops have no leaf below them.  With x = p/q and
+    N = q^d w0(p/q) (d = j + 2), the inequality times q_L^d q_U^d > 0 is
+    a*s >= b with a = bcoef (p_L q_U - p_U q_L)(q_L q_U)^(d-1) and
+    b = N_U q_L^d - N_L q_U^d, which is linear in the prefix: the plan
+    keeps a and b's weights per pair.  s >= ceil(b/a) for a > 0 and
+    s <= floor(b/a) for a < 0.  a = 0 only where x_L = x_U, and then b = 0
+    too: no bound, and the plan keeps no such pair.
     """
     j = len(prefix) - 1
-    w = _deriv_prefix(prefix + [0], k)
-    deg = j + 1
-    bcoef = factorial(k - j - 1)
-    lo, hi = env
+    lo, hi = env.env
 
     # lower box end: sigma = -1 for odd j + 1
-    n, q = box_lo.numerator, box_lo.denominator
-    num = kernels.eval_qnum(w, n, q)
+    weights, mod = env.box
+    num = sum(map(mul, prefix, weights))
     if (j + 1) % 2:
-        hi = min(hi, (-num) // (q ** deg * bcoef))
+        hi = min(hi, (-num) // mod)
     else:
-        lo = max(lo, -(num // (q ** deg * bcoef)))
-    lo = max(lo, -(kernels.eval_qnum(w, f_hi, 1) // bcoef))
+        lo = max(lo, -(num // mod))
+    weights, mod = env.top
+    lo = max(lo, -(sum(map(mul, prefix, weights)) // mod))
     if final and lo <= hi:
         # strict at the cut points: an exact tie moves the bound by one
-        for cut in cuts:
-            n, q = cut.numerator, cut.denominator
-            num = kernels.eval_qnum(w, n, q)
-            mod = q ** deg * bcoef
+        for weights, mod in env.cuts:
+            num = sum(map(mul, prefix, weights))
             if (k - 1) % 2:
                 hi = min(hi, (-num) // mod - (num % mod == 0))
             else:
                 lo = max(lo, -(num // mod) + (num % mod == 0))
 
     # interior alternation at the critical points (roots of P^(k-j))
-    if j == 1 and lo <= hi:
-        # the root -deriv[0]/deriv[1] needs no sign flip: deg is 2, so N
-        # and M keep their signs when numerator and denominator change sign
-        q = deriv[1]
-        num = kernels.eval_qnum(w, -deriv[0], q)
-        hi = min(hi, (-num) // (q * q * bcoef))
-    elif j == 2 and lo <= hi:
-        c0, c1, c2 = deriv
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc > 0:
-            # r1 = (-c1 - sqrt disc)/(2 c2) bounds from below, its conjugate
-            # r2 from above; a negative c2 flips the signs into d > 0
-            a, b, d = (-c1, -1, 2 * c2) if c2 > 0 else (c1, 1, -2 * c2)
-            mod = d ** deg * bcoef
-            x, y = kernels.eval_surd(w, a, b, disc, d)
-            lo = max(lo, -((x + _floor_root(y, disc)) // mod))
-            x, y = kernels.eval_surd(w, a, -b, disc, d)
-            hi = min(hi, (-x + _floor_root(-y, disc)) // mod)
-    elif j >= 3 and lo <= hi:
-        # Rolle: without j distinct real critical points no leaf survives
-        if not kernels.real_rooted(deriv):
-            return 1, 0
-        for t, iv in enumerate(isolate_real_roots(deriv), start=1):
-            enc_lo, enc_hi = _interval_eval(w, iv)
-            if (j + 1 - t) % 2 == 0:
-                v = enc_hi
-                lo = max(lo, -(v.numerator // (v.denominator * bcoef)))
-            else:
-                v = enc_lo
-                hi = min(hi, (-v.numerator) // (v.denominator * bcoef))
+    if j and lo <= hi:
+        bcoef = factorial(k - j - 1)
+        w = list(map(mul, prefix, env.w_mul))
+        w.append(0)
+        w.reverse()
+        if j == 1:
+            # the root -deriv[0]/deriv[1] needs no sign flip: deg is 2, so
+            # N and M keep their signs when numerator and denominator
+            # change sign
+            q = deriv[1]
+            num = kernels.eval_qnum(w, -deriv[0], q)
+            hi = min(hi, (-num) // (q * q * bcoef))
+        elif j == 2:
+            c0, c1, c2 = deriv
+            disc = c1 * c1 - 4 * c2 * c0
+            if disc > 0:
+                # r1 = (-c1 - sqrt disc)/(2 c2) bounds from below, its
+                # conjugate r2 from above; a negative c2 flips the signs
+                # into d > 0
+                a, b, d = (-c1, -1, 2 * c2) if c2 > 0 else (c1, 1, -2 * c2)
+                mod = d ** 3 * bcoef
+                x, y = kernels.eval_surd(w, a, b, disc, d)
+                lo = max(lo, -((x + _floor_root(y, disc)) // mod))
+                x, y = kernels.eval_surd(w, a, -b, disc, d)
+                hi = min(hi, (-x + _floor_root(-y, disc)) // mod)
+        else:
+            # Rolle: without j distinct real critical points no leaf
+            # survives
+            if not kernels.real_rooted(deriv):
+                return 1, 0
+            for t, iv in enumerate(isolate_real_roots(deriv), start=1):
+                enc_lo, enc_hi = _interval_eval(w, iv)
+                if (j + 1 - t) % 2 == 0:
+                    v = enc_hi
+                    lo = max(lo, -(v.numerator // (v.denominator * bcoef)))
+                else:
+                    v = enc_lo
+                    hi = min(hi, (-v.numerator) // (v.denominator * bcoef))
 
     # look-ahead: keep only the s whose child is nonempty at its fixed
-    # points, typed as above; without an upper-type point (even j, child not
-    # final) there is no pair
-    if j + 1 < k and (j % 2 or j + 2 == k) and lo <= hi:
-        box = (box_lo.numerator, box_lo.denominator)
-        cut_pts = ([(cut.numerator, cut.denominator) for cut in cuts]
-                   if j + 2 == k else [])
-        if j % 2:
-            lows, ups = [(f_hi, 1)] + cut_pts, [box]
-        else:
-            lows, ups = [box, (f_hi, 1)], cut_pts
-        w0 = _deriv_prefix(prefix + [0, 0], k)
-        d = deg + 1
-        ups = [(p, q, kernels.eval_qnum(w0, p, q)) for p, q in ups]
-        for p_l, q_l in lows:
-            n_l = kernels.eval_qnum(w0, p_l, q_l)
-            for p_u, q_u, n_u in ups:
-                a = bcoef * (p_l * q_u - p_u * q_l) * (q_l * q_u) ** deg
-                b = n_u * q_l ** d - n_l * q_u ** d
-                if a > 0:
-                    lo = max(lo, -((-b) // a))
-                elif a < 0:
-                    hi = min(hi, (-b) // (-a))
+    # points
+    if lo <= hi:
+        for weights, a in env.pairs:
+            b = sum(map(mul, prefix, weights))
+            if a > 0:
+                lo = max(lo, -((-b) // a))
+            else:
+                hi = min(hi, (-b) // (-a))
     return lo, hi
 
 
@@ -854,23 +909,29 @@ def _box_floor(k):
 
 
 def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
-    """All candidates of one degree via depth-first coefficient search."""
+    """All candidates of one degree via depth-first coefficient search.
+
+    A final node (depth k - 1) hands each coefficient of its range straight
+    to _gap_leaf; only the nodes above it recurse."""
     out = []
-    envelope = _coeff_envelope(k, box_lo, f_hi, cuts)
+    plan = _coeff_envelope(k, box_lo, f_hi, cuts)
 
     def descend(prefix):
         j = len(prefix) - 1
-        if j == k:
-            cand = _gap_leaf(IntPoly(list(reversed(prefix))), d_max,
-                             bracket, audit)
+        env = plan[j]
+        deriv = list(map(mul, prefix, env.deriv_mul))
+        deriv.reverse()
+        lo, hi = _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi,
+                                   cuts, j + 1 == k)
+        if j + 1 < k:
+            for s in range(lo, hi + 1):
+                descend(prefix + [s])
+            return
+        asc = prefix[::-1]
+        for s in range(lo, hi + 1):
+            cand = _gap_leaf(IntPoly([s] + asc), d_max, bracket, audit)
             if cand is not None:
                 out.append(cand)
-            return
-        lo, hi = _next_coeff_range(prefix, _deriv_prefix(prefix, k), k,
-                                   envelope[j], box_lo, f_hi, cuts,
-                                   j + 1 == k)
-        for s in range(lo, hi + 1):
-            descend(prefix + [s])
 
     descend([1])
     return out

@@ -22,6 +22,13 @@ resultant, the ratio test on the interpolated resultant
 Res_y(p(y), p(x y)), Faddeev-LeVerrier characteristic polynomials and
 powers of the companion matrix.
 
+The coefficient walk's derivative prefixes by nested loops over the
+falling factorials: the package reads the same multipliers from its
+per-depth plan (gapsearch._DepthPlan).
+
+The d-number criterion as one all(...) over fresh powers a_n^i: the
+package builds the powers as it goes and stops at the first failure.
+
 The Perron vector's power iteration with its sums written over indices,
 as fp_dimension_vector ran it before its dot products went through
 map(mul, ...): the package must return the same floats bit for bit.
@@ -30,7 +37,8 @@ map(mul, ...): the package must return the same floats bit for bit.
 from fractions import Fraction
 from math import isqrt
 
-from fgap.algnum import IntPoly, RatInterval
+from fgap.algnum import DEGREE_CAP, IntPoly, RatInterval
+from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.kernels import (derivative, eval_qnum, int_content, normalize,
                           poly_mul, pseudo_rem, sign_variations)
 
@@ -361,6 +369,35 @@ def power_char_poly_reference(a, m):
         if m:
             base = _matmul(base, base)
     return charpoly_reference(acc)
+
+
+def is_d_number_reference(p):
+    """algnum.is_d_number with the coefficient criterion as one all(...)
+    over fresh powers, and the same checks and messages in the same
+    order."""
+    p = p if isinstance(p, IntPoly) else IntPoly(p)
+    if not p.is_monic:
+        raise InvalidInputError("d-number test requires a monic polynomial")
+    if p.degree < 1 or p.coeffs[0] == 0:
+        raise InvalidInputError("d-number test requires degree >= 1 and a "
+                                "nonzero constant term")
+    c, n = p.coeffs, p.degree
+    if n > DEGREE_CAP:
+        raise DegreeCapError("degree %d exceeds the d-number test's cap of %d"
+                             % (n, DEGREE_CAP))
+    return all(c[n - i] ** n % c[0] ** i == 0 for i in range(1, n))
+
+
+def _deriv_prefix(prefix, k):
+    """Ascending coefficients of P^(k-j) for the descending prefix."""
+    j = len(prefix) - 1
+    asc = [0] * (j + 1)
+    for i, si in enumerate(prefix):
+        c = si
+        for v in range(j - i + 1, k - i + 1):
+            c *= v
+        asc[j - i] = c
+    return asc
 
 
 def fp_power_iteration_reference(ring, iterations=20000):

@@ -25,8 +25,8 @@ from fgap.kernels import (eval_surd, normalize, poly_mul, sign_variations,
 from fgap import kernels
 from oracles import (charpoly_reference, iv_scale, poly_product,
                      poly_value, power_char_poly_reference,
-                     ratio_integrality_reference, sturm_chain, varcount_at,
-                     varcount_inf)
+                     is_d_number_reference, ratio_integrality_reference,
+                     sturm_chain, varcount_at, varcount_inf)
 
 X = sympy.Symbol("x")
 
@@ -1118,6 +1118,61 @@ def test_d_number_examples():
     assert is_d_number(poly_product(P(1, -2), P(1, 0, -2))) is False
     # x^24 - 2 at the degree cap: every ratio is a root of unity
     assert is_d_number(P(1, *[0] * 23, -2)) is True
+
+
+@st.composite
+def monic_up_to_the_cap(draw):
+    """Monic polynomials of degree 1..DEGREE_CAP with small coefficients and
+    a nonzero constant term, mostly zero in between so some are
+    d-numbers."""
+    n = draw(st.integers(1, 24))
+    middle = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -4, 8]),
+                           min_size=n - 1, max_size=n - 1))
+    return IntPoly([draw(st.sampled_from([-8, -2, -1, 1, 2, 4]))]
+                   + middle + [1])
+
+
+@given(monic_up_to_the_cap())
+@settings(max_examples=300, deadline=None)
+@example(p=P(1, -7))                          # degree 1: nothing to divide
+@example(p=P(1, 7))
+@example(p=P(1, -1))
+@example(p=P(1, -5, -5))                      # negative constant term
+@example(p=P(1, -6, 12, -8))                  # (x - 2)^3, a_n = -8
+@example(p=P(1, 1, 0, 8, -8))                 # fails at i = 1 only
+@example(p=P(1, 2, 0, 2, -8))                 # fails at the last i only
+@example(p=P(1, 3, 1))                        # unit constant terms
+@example(p=P(1, 3, -1))
+@example(p=P(1, *[0] * 23, -2))               # the degree cap, a d-number
+@example(p=P(1, *[0] * 22, 1, -2))            # the cap, fails at i = 23
+@example(p=P(1, *[0] * 23, 1))
+def test_d_number_matches_the_all_form(p):
+    assert is_d_number(p) is is_d_number_reference(p), p
+
+
+@pytest.mark.parametrize("coeffs, exc, msg", [
+    ([5, -5, 2], InvalidInputError,
+     "d-number test requires a monic polynomial"),
+    ([], InvalidInputError, "d-number test requires a monic polynomial"),
+    ([0, 0], InvalidInputError, "d-number test requires a monic polynomial"),
+    ([1], InvalidInputError,
+     "d-number test requires degree >= 1 and a nonzero constant term"),
+    ([0, -5, 1], InvalidInputError,
+     "d-number test requires degree >= 1 and a nonzero constant term"),
+    ([-2] + [0] * 24 + [1], DegreeCapError,
+     "degree 25 exceeds the d-number test's cap of 24"),
+    # the checks run in order: monic, then the constant term, then the cap
+    ([2] + [0] * 24 + [3], InvalidInputError,
+     "d-number test requires a monic polynomial"),
+    ([0] * 25 + [1], InvalidInputError,
+     "d-number test requires degree >= 1 and a nonzero constant term"),
+], ids=["non-monic", "empty", "zero", "degree-0", "zero-constant",
+        "degree-25", "non-monic-degree-25", "zero-constant-degree-25"])
+def test_d_number_errors_match_the_all_form(coeffs, exc, msg):
+    for test in (is_d_number, is_d_number_reference):
+        with pytest.raises(InvalidInputError) as info:
+            test(coeffs)
+        assert (type(info.value), str(info.value)) == (exc, msg)
 
 
 @st.composite

@@ -517,6 +517,21 @@ NON_ASCII_INTEGER_INPUTS = [
      "P/Q, or k*sqrt(n)/m\n"),
     (["repg", "--classes", "1,2_0"],
      "error: bad class size list '1,2_0'\n"),
+    (["builtin", "kn", "--n", "1_0"],
+     "error: argument --n: invalid int value: '1_0'\n"),
+    (["builtin", "kn", "--n", "\u0663"],
+     "error: argument --n: invalid int value: '\u0663'\n"),
+    (["search", "quadratic", "--amax", "2_0"],
+     "error: argument --amax: invalid int value: '2_0'\n"),
+    (["search", "cubic", "--amax", "\u0664\u0665"],
+     "error: argument --amax: invalid int value: '\u0664\u0665'\n"),
+    # --tol is parsed before the ring is read
+    (["analyze", "-", "--tol", "1/1_000_000"],
+     "error: cannot parse '1/1_000_000' as a rational\n"),
+    (["analyze", "-", "--tol", "1/\u0661\u0660"],
+     "error: cannot parse '1/\u0661\u0660' as a rational\n"),
+    (["analyze", "-", "--tol", "1e-6"],
+     "error: cannot parse '1e-6' as a rational\n"),
 ]
 
 

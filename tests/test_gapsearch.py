@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 import sympy
@@ -34,9 +35,8 @@ from fgap.gapsearch import (
     search_quadratic,
     surd_text,
 )
-from fgap.gapsearch import (_coeff_envelope, _deriv_prefix, _next_coeff_range,
-                            _pair_bounds)
-from oracles import (cubic_plan_reference, divisors, iv_horner,
+from fgap.gapsearch import _coeff_envelope, _next_coeff_range, _pair_bounds
+from oracles import (_deriv_prefix, cubic_plan_reference, divisors, iv_horner,
                      pair_enclosure, poly_value, quad_plan_reference,
                      real_root_count, sturm_chain, varcount_at, varcount_inf)
 from test_algnum import isolate_sturm
@@ -744,23 +744,40 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
         elif rolle:
             return 1, 0
     if look_ahead and j + 1 < k and lo <= hi:
-        # the child's bound at a fixed point x is -(w0(x) + bcoef*s*x)/its
-        # own bcoef, lower- or upper-type as the child types x; a child
-        # with a nonempty range has no lower bound above an upper one
-        w0 = _deriv_prefix(prefix + [0, 0], k)
-        lows, ups = [f_hi], []
-        (ups if j % 2 else lows).append(box_lo)
-        if j + 2 == k:
-            (lows if j % 2 else ups).extend(cuts)
-        for x_l in lows:
-            for x_u in ups:
-                a = bcoef * (Fraction(x_l) - x_u)
-                b = _frac_eval(w0, x_u) - _frac_eval(w0, x_l)
-                if a > 0:
-                    lo = max(lo, (b / a).__ceil__())
-                elif a < 0:
-                    hi = min(hi, (b / a).__floor__())
+        for kind, bound in reference_look_ahead(prefix, k, box_lo, f_hi,
+                                                cuts):
+            if kind == "lo":
+                lo = max(lo, bound)
+            else:
+                hi = min(hi, bound)
     return lo, hi
+
+
+def reference_look_ahead(prefix, k, box_lo, f_hi, cuts):
+    """The look-ahead bounds of a node at depth j < k - 1 on Fractions, one
+    per pair of a lower-type and an upper-type point that bounds s: ("lo",
+    ceil) or ("hi", floor).
+
+    The child's bound at a fixed point x is -(w0(x) + bcoef*s*x)/its own
+    bcoef, lower- or upper-type as the child types x; a child with a
+    nonempty range has no lower bound above an upper one."""
+    j = len(prefix) - 1
+    bcoef = math.factorial(k - j - 1)
+    w0 = _deriv_prefix(prefix + [0, 0], k)
+    lows, ups = [f_hi], []
+    (ups if j % 2 else lows).append(box_lo)
+    if j + 2 == k:
+        (lows if j % 2 else ups).extend(cuts)
+    out = []
+    for x_l in lows:
+        for x_u in ups:
+            a = bcoef * (Fraction(x_l) - x_u)
+            b = _frac_eval(w0, x_u) - _frac_eval(w0, x_l)
+            if a > 0:
+                out.append(("lo", (b / a).__ceil__()))
+            elif a < 0:
+                out.append(("hi", (b / a).__floor__()))
+    return out
 
 
 def _coeff_range(prefix, k, box_lo, f_hi, cuts, final):
@@ -768,6 +785,67 @@ def _coeff_range(prefix, k, box_lo, f_hi, cuts, final):
     env = _coeff_envelope(k, box_lo, f_hi, cuts)[len(prefix) - 1]
     return _next_coeff_range(prefix, _deriv_prefix(prefix, k), k, env,
                              box_lo, f_hi, cuts, final)
+
+
+@st.composite
+def plan_cases(draw):
+    """A degree k = 2..6 with its fixed points and one random integer prefix
+    per depth j = 0..k-1: box_lo mostly with a denominator above 1, at most
+    0 as often as not, and cut points anywhere."""
+    k = draw(st.integers(2, 6))
+    box_lo = draw(st.one_of(
+        st.builds(Fraction, st.integers(-40, 40), st.integers(2, 12)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=12)))
+    cut = st.fractions(min_value=-3, max_value=30, max_denominator=12)
+    cuts = (draw(cut), draw(cut))
+    prefixes = [[draw(st.sampled_from([1, 2, -1, -3]))]
+                + draw(st.lists(st.integers(-60, 60), min_size=j,
+                                max_size=j))
+                for j in range(k)]
+    return k, box_lo, draw(st.integers(-10, 30)), cuts, prefixes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=plan_cases())
+# the degree-4 box (4/3, 29] with cut points 7/5 and 2, along
+# x^4 - 20x^3 + 132x^2 - 320x
+@example(case=(4, FOUR_THIRDS, 29, (Fraction(7, 5), Fraction(2)),
+               [[1], [1, -20], [1, -20, 132], [1, -20, 132, -320]]))
+# box_lo < 0 with a denominator above 1 at degree 6, every depth
+@example(case=(6, Fraction(-7, 3), 5, (Fraction(-1, 2), Fraction(9, 4)),
+               [[2], [-1, 5], [1, 0, -3], [3, 1, -4, 2], [1, -9, 30, -44, 24],
+                [-2, 7, 0, 1, -5, 8]]))
+# a cut point equal to box_lo = 0: that pair has a = 0 and the plan keeps
+# no weights for it
+@example(case=(3, Fraction(0), 4, (Fraction(0), Fraction(1, 2)),
+               [[1], [1, -3], [1, -3, 2]]))
+def test_depth_plan_matches_derivative_prefixes(case):
+    # each plan numerator is the homogeneous value of w = P^(k-j-1) of
+    # prefix + [0] at its point, and the look-ahead pairs give the
+    # Fraction reference's bounds, at every depth of degrees 2..6
+    k, box_lo, f_hi, cuts, prefixes = case
+    plan = _coeff_envelope(k, box_lo, f_hi, cuts)
+    assert len(plan) == k
+    for j, (env, prefix) in enumerate(zip(plan, prefixes)):
+        deg = j + 1
+        assert (list(map(mul, prefix, env.deriv_mul))[::-1]
+                == _deriv_prefix(prefix, k))
+        w = _deriv_prefix(prefix + [0], k)
+        assert [0, *list(map(mul, prefix, env.w_mul))[::-1]] == w
+        points = zip([box_lo, f_hi, *cuts], [env.box, env.top, *env.cuts])
+        for x, (weights, mod) in points:
+            p, q = Fraction(x).numerator, Fraction(x).denominator
+            assert (sum(map(mul, prefix, weights))
+                    == kernels.eval_qnum(w, p, q)), (j, x)
+            assert mod == q ** deg * math.factorial(k - deg)
+        got = []
+        for weights, a in env.pairs:
+            b = sum(map(mul, prefix, weights))
+            got.append(("lo", -((-b) // a)) if a > 0
+                       else ("hi", (-b) // (-a)))
+        want = (reference_look_ahead(prefix, k, box_lo, f_hi, cuts)
+                if deg < k else [])
+        assert sorted(got) == sorted(want), j
 
 
 # interior nodes of each walk: one _next_coeff_range call apiece
