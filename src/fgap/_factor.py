@@ -321,11 +321,9 @@ def factor_squarefree_primitive(c):
     c = kernels.normalize(c)
     out = []
     if c[0] == 0:
+        # squarefree: x divides c once, so c[1] != 0
         out.append([0, 1])
-        k = 1
-        while c[k] == 0:  # cannot happen for squarefree input, stay safe
-            k += 1
-        c = c[k:]
+        c = c[1:]
         if len(c) == 1:
             return out
     lead = c[-1]

@@ -1,10 +1,11 @@
 """Command line front end: parsing, rendering, exit codes.
 
-The text and JSON renderers read from one payload and share the %.12g
-float format, so the two views agree numerically.  Text output opens with
-a reproducibility header (the subcommand plus its mathematical
-configuration); timing never appears in the output, so reruns are
-byte-identical.
+Each subcommand builds its text lines and its JSON payload side by side,
+both with the shared %.12g float format (_g, _jf), so a number both views
+show agrees; the text may show more (ffib-bound's largest conjugate).
+Text output opens with a reproducibility header (the subcommand plus its
+mathematical configuration); timing never appears in the output, so
+reruns are byte-identical.
 
 Exit codes: 0 success, 1 invalid input, 2 uncertified precision,
 3 obstruction found under --expect-pass.
@@ -163,8 +164,8 @@ def _cmd_analyze(args):
     # constant
     lines.append("commutative: yes")
     lines.append("codegree charpoly: %s" % spectrum.charpoly.to_str())
-    lines.append("codegrees ~ [%s]"
-                 % ", ".join(_g(v) for v in spectrum.approx()))
+    codegrees = spectrum.approx()
+    lines.append("codegrees ~ [%s]" % ", ".join(_g(v) for v in codegrees))
 
     orbits_json = []
     for orb_res in report.orbit_results:
@@ -207,7 +208,7 @@ def _cmd_analyze(args):
             "commutative": True,
             "charpoly": spectrum.charpoly.to_str(),
             "charpoly_coeffs": spectrum.charpoly.to_csv(),
-            "codegrees": [_jf(v) for v in spectrum.approx()],
+            "codegrees": [_jf(v) for v in codegrees],
             "orbits": orbits_json,
             "global_checks": [_check_json(c) for c in report.global_checks],
             "surviving_orbits": list(report.surviving),

@@ -268,26 +268,24 @@ class CodegreeSpectrum:
     characteristic polynomial and its Galois orbits."""
 
     __slots__ = ("rank", "matrix", "charpoly", "orbits", "fp_root",
-                 "all_real", "all_ge_one")
+                 "_min_root", "all_real")
 
     def __init__(self, rank, matrix, charpoly, orbits):
         self.rank = rank
         self.matrix = matrix
         self.charpoly = charpoly
         self.orbits = tuple(orbits)
-        fp = None
-        ok_real = True
-        ok_ge1 = True
+        self.all_real = all(orb.size == orb.poly.degree
+                            for orb in self.orbits)
+        fp = low = None
         for orb in self.orbits:
-            prof_real = (orb.size == orb.poly.degree)
-            ok_real = ok_real and prof_real
-            if orb.size and orb.min_root.cmp(1) < 0:
-                ok_ge1 = False
-            if orb.size and (fp is None or orb.max_root.cmp(fp) > 0):
-                fp = orb.max_root
+            if orb.size:
+                if fp is None or orb.max_root.cmp(fp) > 0:
+                    fp = orb.max_root
+                if low is None or orb.min_root.cmp(low) < 0:
+                    low = orb.min_root
         self.fp_root = fp
-        self.all_real = ok_real
-        self.all_ge_one = ok_real and ok_ge1
+        self._min_root = low
 
     def e(self, k):
         """Elementary symmetric function e_k of the codegrees, exact."""
@@ -313,12 +311,10 @@ class CodegreeSpectrum:
                 vals.extend([root.approx_float()] * orb.multiplicity)
         return sorted(vals)
 
+    @property
     def min_root(self):
-        best = None
-        for orb in self.orbits:
-            if best is None or orb.min_root.cmp(best) < 0:
-                best = orb.min_root
-        return best
+        """The smallest real codegree, None when no codegree is real."""
+        return self._min_root
 
     def __repr__(self):
         return "CodegreeSpectrum(charpoly=%s)" % self.charpoly.to_str()

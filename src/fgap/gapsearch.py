@@ -31,9 +31,12 @@ rounding point of each bound is a floor division, after one isqrt for a
 surd.  Each degree builds a plan once per depth (_DepthPlan): the
 coefficient envelope, the falling-factorial multipliers that turn a prefix
 into its node polynomial, and one integer weight vector per fixed point
-(box_lo, f_hi, gamma, delta), so a node's homogeneous value at a fixed
-point is one dot product of its prefix with the weights.  A critical point
-moves with the prefix and takes one homogeneous evaluation
+(box_lo, f_hi, and at the final depth the cut points gamma, delta), so a
+node's homogeneous value at a fixed point is one dot product of its prefix
+with the weights.  A node is its prefix and its depth's plan: the walk
+makes one _next_coeff_range(prefix, plan) call per interior node, and the
+plan keeps the degree, depth, box and cut points it was built from.  A
+critical point moves with the prefix and takes one homogeneous evaluation
 (kernels.eval_qnum, kernels.eval_surd).  Each non-final node also looks
 one depth ahead: a child's bound at a fixed point (box_lo, f_hi, and the
 cut points for a final child) is affine in the child's coefficient s, so
@@ -598,8 +601,8 @@ def _point_weights(x, mults, d):
 
 
 class _DepthPlan:
-    """What the walk needs at one depth j of a degree-k search, fixed once
-    per degree: everything in it is independent of the prefix.
+    """What the walk needs at depth j of a degree-k search besides a node's
+    prefix, built once per degree from the box and cut points it keeps.
 
     A prefix p_0..p_j (descending, p_0 the leading coefficient) has the node
     polynomial deriv = P^(k-j) with p_i (k-i)!/(j-i)! at x^(j-i), and
@@ -607,22 +610,27 @@ class _DepthPlan:
     x^(j+1-i); deriv_mul and w_mul hold these falling factorials.  With
     deg = j + 1 and bcoef = (k-j-1)!:
 
-    env: the integer envelope (lo, hi) of the next coefficient.  The
+    envelope: the integer envelope (lo, hi) of the next coefficient.  The
         coefficient is (-1)^m e_m with m = j + 1, where e_m is the
         elementary symmetric function of one root in (box_lo, gamma) and k-1
         roots in (delta, f_hi]; the envelope bounds e_m by its values at the
         ends of those ranges.
-    box, top, cuts: (weights, mod) at box_lo, at f_hi and at each cut point
-        x = p/q: the prefix's dot product with weights is N = q^deg w(p/q),
-        and mod = q^deg bcoef.
+    box, top, cut_weights: (weights, mod) at box_lo, at f_hi and, at the
+        final depth j = k - 1 only, at each cut point x = p/q: the prefix's
+        dot product with weights is N = q^deg w(p/q), and mod = q^deg bcoef.
+        The strict cut bounds move hi when cut_hi (odd k - 1), else lo.
     pairs: (weights, a), one per look-ahead pair of a lower-type and an
         upper-type point whose a is nonzero: the prefix's dot product with
         weights is that pair's b (see _next_coeff_range).
     """
 
-    __slots__ = ("env", "deriv_mul", "w_mul", "box", "top", "cuts", "pairs")
+    __slots__ = ("k", "j", "box_lo", "f_hi", "cuts", "bcoef", "cut_hi",
+                 "envelope", "deriv_mul", "w_mul", "box", "top", "cut_weights",
+                 "pairs")
 
     def __init__(self, k, j, box_lo, f_hi, cuts):
+        self.k, self.j = k, j
+        self.box_lo, self.f_hi, self.cuts = box_lo, f_hi, cuts
         gamma, delta = cuts
         m = deg = j + 1
         e_min = (box_lo * comb(k - 1, m - 1) * delta ** (m - 1)
@@ -630,18 +638,19 @@ class _DepthPlan:
         e_max = (gamma * comb(k - 1, m - 1) * f_hi ** (m - 1)
                  + comb(k - 1, m) * f_hi ** m)
         if m % 2:
-            self.env = ((-e_max).__ceil__(), (-e_min).__floor__())
+            self.envelope = ((-e_max).__ceil__(), (-e_min).__floor__())
         else:
-            self.env = (e_min.__ceil__(), e_max.__floor__())
+            self.envelope = (e_min.__ceil__(), e_max.__floor__())
 
-        bcoef = factorial(k - deg)
+        self.bcoef = bcoef = factorial(k - deg)
+        self.cut_hi = (k - 1) % 2 == 1
         self.deriv_mul = [factorial(k - i) // factorial(j - i)
                           for i in range(deg)]
         self.w_mul = [factorial(k - i) // factorial(deg - i)
                       for i in range(deg)]
-        self.box, self.top, *self.cuts = [
+        self.box, self.top, *self.cut_weights = [
             (_point_weights(x, self.w_mul, deg), x.denominator ** deg * bcoef)
-            for x in (box_lo, f_hi, *cuts)]
+            for x in (box_lo, f_hi, *(cuts if deg == k else ()))]
 
         # look-ahead, at j + 1 < k: lower-type points at f_hi, at box_lo
         # for even j and at the cut points for odd j when the child is
@@ -669,25 +678,18 @@ class _DepthPlan:
                                         for u, v in zip(n_u, n_l)], a))
 
 
-def _coeff_envelope(k, box_lo, f_hi, cuts):
-    """The walk's per-depth plans (_DepthPlan) for j = 0..k-1; a degree
-    builds them once."""
-    return [_DepthPlan(k, j, box_lo, f_hi, cuts) for j in range(k)]
-
-
-def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
+def _next_coeff_range(prefix, plan):
     """Integer range [lo, hi] for the next descending coefficient.
 
-    deriv holds the ascending coefficients of the node polynomial
-    P^(k-j), and env is the depth's _DepthPlan, which holds every value the
-    range needs at box_lo, f_hi and the cut points; the range reads those
-    three only through env, and they stay parameters so that a wrapped
-    call sees the node's whole box.  P^(k-j-1) of the prefix extended by
-    the coefficient s is w + bcoef*s, with w of degree deg = j + 1; each
-    further bound is a sign condition sigma * (w(x) + bcoef*s) >= 0 at the
-    box endpoints, at the (exactly computable) critical points for low
-    depth, and, strict, at the root-free band cut points for the final
-    coefficient.
+    plan is the _DepthPlan of the depth j = len(prefix) - 1: it keeps the
+    degree k, the box (box_lo, f_hi] and the cut points, and holds every
+    value the range needs at them.  deriv = P^(k-j) (ascending) is built
+    from the plan's multipliers, only for critical points (j >= 1) while the
+    range is nonempty.  P^(k-j-1) of the prefix extended by the coefficient
+    s is w + bcoef*s, with w of degree deg = j + 1; each further bound is a
+    sign condition sigma * (w(x) + bcoef*s) >= 0 at the box endpoints, at
+    the (exactly computable) critical points for low depth, and, strict, at
+    the root-free band cut points for the final coefficient.
 
     A survivor has k simple real roots, so by Rolle's theorem every
     deriv = P^(k-j) has j.  From depth 3 on, a node where
@@ -702,7 +704,7 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
     in [box_lo, f_hi].  Below a depth-2 node with a double root, a depth-3
     child is not real-rooted, and the Rolle prune empties it.  No node
     vanishes at box_lo for k <= 19: its integer coefficients have the
-    leading coefficient k!/j!, which divides k!, and _box_floor(k)'s
+    leading coefficient k!/j!, which divides k!, and the box floor's
     denominator does not divide k!.  So through depth 3 a box test would
     drop only nodes the Rolle prune empties.  At k = 20 and 22 the
     denominator divides k!, and from depth 4 on (k >= 5) the enclosure
@@ -739,31 +741,34 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
     s <= floor(b/a) for a < 0.  a = 0 only where x_L = x_U, and then b = 0
     too: no bound, and the plan keeps no such pair.
     """
-    j = len(prefix) - 1
-    lo, hi = env.env
+    j = plan.j
+    lo, hi = plan.envelope
 
     # lower box end: sigma = -1 for odd j + 1
-    weights, mod = env.box
+    weights, mod = plan.box
     num = sum(map(mul, prefix, weights))
     if (j + 1) % 2:
         hi = min(hi, (-num) // mod)
     else:
         lo = max(lo, -(num // mod))
-    weights, mod = env.top
+    weights, mod = plan.top
     lo = max(lo, -(sum(map(mul, prefix, weights)) // mod))
-    if final and lo <= hi:
-        # strict at the cut points: an exact tie moves the bound by one
-        for weights, mod in env.cuts:
+    if plan.cut_weights and lo <= hi:
+        # final depth, strict at the cut points: an exact tie moves the
+        # bound by one
+        for weights, mod in plan.cut_weights:
             num = sum(map(mul, prefix, weights))
-            if (k - 1) % 2:
+            if plan.cut_hi:
                 hi = min(hi, (-num) // mod - (num % mod == 0))
             else:
                 lo = max(lo, -(num // mod) + (num % mod == 0))
 
     # interior alternation at the critical points (roots of P^(k-j))
     if j and lo <= hi:
-        bcoef = factorial(k - j - 1)
-        w = list(map(mul, prefix, env.w_mul))
+        bcoef = plan.bcoef
+        deriv = list(map(mul, prefix, plan.deriv_mul))
+        deriv.reverse()
+        w = list(map(mul, prefix, plan.w_mul))
         w.append(0)
         w.reverse()
         if j == 1:
@@ -803,7 +808,7 @@ def _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
     # look-ahead: keep only the s whose child is nonempty at its fixed
     # points
     if lo <= hi:
-        for weights, a in env.pairs:
+        for weights, a in plan.pairs:
             b = sum(map(mul, prefix, weights))
             if a > 0:
                 lo = max(lo, -((-b) // a))
@@ -898,11 +903,10 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     return None
 
 
-def _box_floor(k):
+def _box_floor(t):
     """Per-degree root floor: every root of a degree-k candidate exceeds
-    the degree-k conjugate-count bound, of which this is a certified
-    rational lower bound (at least 4/3)."""
-    t = threshold("gdim_k", k)
+    the degree-k conjugate-count bound t = threshold("gdim_k", k), of which
+    this is a certified rational lower bound (at least 4/3)."""
     if t.is_rational:
         return t.p
     return max(FOUR_THIRDS, t.approx(Fraction(1, 10 ** 6)).lo)
@@ -914,16 +918,11 @@ def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
     A final node (depth k - 1) hands each coefficient of its range straight
     to _gap_leaf; only the nodes above it recurse."""
     out = []
-    plan = _coeff_envelope(k, box_lo, f_hi, cuts)
+    plans = [_DepthPlan(k, j, box_lo, f_hi, cuts) for j in range(k)]
 
     def descend(prefix):
-        j = len(prefix) - 1
-        env = plan[j]
-        deriv = list(map(mul, prefix, env.deriv_mul))
-        deriv.reverse()
-        lo, hi = _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi,
-                                   cuts, j + 1 == k)
-        if j + 1 < k:
+        lo, hi = _next_coeff_range(prefix, plans[len(prefix) - 1])
+        if len(prefix) < k:
             for s in range(lo, hi + 1):
                 descend(prefix + [s])
             return
@@ -958,17 +957,32 @@ def search_gap(d_max, audit=False):
 
     # k_max grows without bound as d_max nears sqrt 2 (about 10^11 at
     # 1.414213562373), and a leaf of degree above DEGREE_CAP cannot be
-    # factored, so the count stops there
-    k_max = 2
-    while threshold("gdim_k", k_max + 1).cmp(d_max) <= 0:
-        k_max += 1
-        if k_max > DEGREE_CAP:
+    # factored, so the count stops there.  threshold("gdim_k", k)^2 =
+    # (16k - 16)/(8k - 7) lies strictly between 1 and 2, so it is never an
+    # integer and d_max equal to the bound is no algebraic integer: such a
+    # degree has no candidate.  Degree 2's bound, 4/3, is below d_max.
+    warnings = []
+    degrees = []   # (k, box floor)
+    k = 2
+    while True:
+        t = threshold("gdim_k", k)
+        c = t.cmp(d_max)
+        if c > 0:
+            break
+        if k > DEGREE_CAP:
             raise BudgetError(
                 "d_max admits candidates of degree above %d, the "
                 "factorization cap; lower --dmax" % DEGREE_CAP)
-    warnings = []
+        if c:
+            degrees.append((k, _box_floor(t)))
+        else:
+            warnings.append("degree %d skipped: its bound equals d_max, "
+                            "which is not an algebraic integer of that "
+                            "degree" % k)
+        k += 1
+    k_max = k - 1
     if k_max >= 4:
-        warnings.append("cost warning: conjugate-count cap k_max = %d; "
+        warnings.insert(0, "cost warning: conjugate-count cap k_max = %d; "
                         "higher-degree enumeration may be slow" % k_max)
 
     f_max = (d_max * d_max) / (Surd(2) - d_max * d_max)
@@ -979,21 +993,9 @@ def search_gap(d_max, audit=False):
     iv = d_max.approx(Fraction(1, 10 ** 20))
     bracket = (iv.lo, iv.hi)
 
-    degrees = []
-    for k in range(2, k_max + 1):
-        # threshold("gdim_k", k)^2 = (16k - 16)/(8k - 7) lies strictly
-        # between 1 and 2, so it is never an integer and d_max equal to the
-        # bound is no algebraic integer: such a degree has no candidate
-        if threshold("gdim_k", k).cmp(d_max) == 0:
-            warnings.append("degree %d skipped: its bound equals d_max, "
-                            "which is not an algebraic integer of that "
-                            "degree" % k)
-        else:
-            degrees.append(k)
-
     survivors, rejected = _split(
-        [_gap_degree(k, d_max, _box_floor(k), f_hi, cuts, bracket, audit)
-         for k in degrees], audit)
+        [_gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit)
+         for k, box_lo in degrees], audit)
     config = {
         "d_max": surd_text(d_max),
         "k_max": k_max,

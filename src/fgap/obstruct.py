@@ -93,14 +93,14 @@ def orbit_inequality(lhs, f):
     return f.cmp(bound) <= 0, bound
 
 
-def pseudo_unitary_inequality(spectrum, f):
-    """Decide sum_i 1/f_i^2 <= (1 + 1/f)/2 exactly.
+def pseudo_unitary_inequality(lhs, f):
+    """Decide lhs = sum_i 1/f_i^2 <= (1 + 1/f)/2 exactly.
 
-    The left side comes from the characteristic polynomial coefficients;
-    the right side comparison is folded into an exact order test against
-    the algebraic number f.  Returns (status, detail).
+    lhs is the spectrum's inverse_square_sum(), exact from the
+    characteristic polynomial coefficients; the right side comparison is
+    folded into an exact order test against the algebraic number f.
+    Returns (status, detail).
     """
-    lhs = spectrum.inverse_square_sum()
     holds, bound = orbit_inequality(lhs, f)
     if bound is None:
         return "pass", "lhs %s, 2*lhs - 1 = %s <= 0" % (lhs, 2 * lhs - 1)
@@ -122,6 +122,7 @@ def spherical_obstruction_report(spectrum):
     """
     r = spectrum.rank
     trivial_ring = (r == 1)
+    lhs = spectrum.inverse_square_sum()
 
     orbit_results = []
     for idx, orb in enumerate(spectrum.orbits):
@@ -157,14 +158,13 @@ def spherical_obstruction_report(spectrum):
 
         worst = None
         for root in orb.roots:
-            status, detail = pseudo_unitary_inequality(spectrum, root)
+            status, detail = pseudo_unitary_inequality(lhs, root)
             if status == "fail" and worst is None:
                 worst = (root, detail)
         if worst is None:
             checks.append(CheckResult(
                 "pseudo-unitary-sum", "pass",
-                "lhs %s holds at every orbit root"
-                % spectrum.inverse_square_sum()))
+                "lhs %s holds at every orbit root" % lhs))
         else:
             checks.append(CheckResult(
                 "pseudo-unitary-sum", "fail",
@@ -179,16 +179,16 @@ def spherical_obstruction_report(spectrum):
         "all eigenvalues real" if spectrum.all_real
         else "complex eigenvalues present"))
     if spectrum.all_real:
-        ge1 = spectrum.all_ge_one
+        low = spectrum.min_root
+        low_f = low.approx_float()
         global_checks.append(CheckResult(
-            "codegrees-at-least-1", "pass" if ge1 else "fail",
-            "min codegree ~ %.9f" % spectrum.min_root().approx_float()))
-        bound = threshold("codeg_r", r)
-        c = spectrum.min_root().cmp(bound)
+            "codegrees-at-least-1", "pass" if low.cmp(1) >= 0 else "fail",
+            "min codegree ~ %.9f" % low_f))
+        c = low.cmp(threshold("codeg_r", r))
         global_checks.append(CheckResult(
             "min-codegree-bound", "pass" if c >= 0 else "fail",
             "bound sqrt(%s), min ~ %.9f"
-            % (Fraction(2 * r, r + 1), spectrum.min_root().approx_float())))
+            % (Fraction(2 * r, r + 1), low_f)))
     else:
         global_checks.append(CheckResult("codegrees-at-least-1", "skip",
                                          "spectrum not totally real"))

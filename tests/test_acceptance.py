@@ -106,7 +106,8 @@ def test_c05_analyze_kn_family_obstructed(capsys):
         # n = 2: certified failure at f = 4 + 2 sqrt 2, lhs exactly 3/4
         spec = formal_codegrees(builtin_ring("kn", 2))
         assert spec.fp_root.cmp(Surd(4, 2, 2)) == 0
-        status, detail = pseudo_unitary_inequality(spec, spec.fp_root)
+        status, detail = pseudo_unitary_inequality(spec.inverse_square_sum(),
+                                                   spec.fp_root)
         assert status == "fail"
         assert spec.inverse_square_sum() == Fraction(3, 4)
         f = 4 + 2 * math.sqrt(2)

@@ -20,7 +20,7 @@ from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
                          is_d_number, isolate_real_roots, poly_gcd_int,
                          poly_squarefree_part)
 from fgap.errors import BudgetError, InvalidInputError
-from fgap.obstruct import FOUR_THIRDS, orbit_inequality
+from fgap.obstruct import FOUR_THIRDS, orbit_inequality, threshold
 from fgap.gapsearch import (
     CUBIC_DEFAULT_LO,
     EXPLORATORY_MARK,
@@ -35,7 +35,7 @@ from fgap.gapsearch import (
     search_quadratic,
     surd_text,
 )
-from fgap.gapsearch import _coeff_envelope, _next_coeff_range, _pair_bounds
+from fgap.gapsearch import _DepthPlan, _next_coeff_range, _pair_bounds
 from oracles import (_deriv_prefix, cubic_plan_reference, divisors, iv_horner,
                      pair_enclosure, poly_value, quad_plan_reference,
                      real_root_count, sturm_chain, varcount_at, varcount_inf)
@@ -781,10 +781,19 @@ def reference_look_ahead(prefix, k, box_lo, f_hi, cuts):
 
 
 def _coeff_range(prefix, k, box_lo, f_hi, cuts, final):
-    """The integer walk's range for the same arguments as the reference."""
-    env = _coeff_envelope(k, box_lo, f_hi, cuts)[len(prefix) - 1]
-    return _next_coeff_range(prefix, _deriv_prefix(prefix, k), k, env,
-                             box_lo, f_hi, cuts, final)
+    """The integer walk's range for the same arguments as the reference.  A
+    plan has cut bounds at the final depth only, so final must be
+    len(prefix) == k."""
+    assert final == (len(prefix) == k)
+    plan = _DepthPlan(k, len(prefix) - 1, box_lo, f_hi, cuts)
+    return _next_coeff_range(prefix, plan)
+
+
+def reference_at(prefix, plan, **kwargs):
+    """reference_coeff_range at a walk node, with the box, the cut points
+    and the final depth read from its plan."""
+    return reference_coeff_range(prefix, plan.k, plan.box_lo, plan.f_hi,
+                                 plan.cuts, len(prefix) == plan.k, **kwargs)
 
 
 @st.composite
@@ -822,24 +831,29 @@ def plan_cases(draw):
 def test_depth_plan_matches_derivative_prefixes(case):
     # each plan numerator is the homogeneous value of w = P^(k-j-1) of
     # prefix + [0] at its point, and the look-ahead pairs give the
-    # Fraction reference's bounds, at every depth of degrees 2..6
+    # Fraction reference's bounds, at every depth of degrees 2..6; only the
+    # final depth has cut-point weights
     k, box_lo, f_hi, cuts, prefixes = case
-    plan = _coeff_envelope(k, box_lo, f_hi, cuts)
-    assert len(plan) == k
-    for j, (env, prefix) in enumerate(zip(plan, prefixes)):
+    for j, prefix in enumerate(prefixes):
+        plan = _DepthPlan(k, j, box_lo, f_hi, cuts)
         deg = j + 1
-        assert (list(map(mul, prefix, env.deriv_mul))[::-1]
+        assert (plan.k, plan.j, plan.box_lo, plan.f_hi, plan.cuts) == (
+            k, j, box_lo, f_hi, cuts)
+        assert plan.bcoef == math.factorial(k - deg)
+        assert len(plan.cut_weights) == (2 if deg == k else 0)
+        assert (list(map(mul, prefix, plan.deriv_mul))[::-1]
                 == _deriv_prefix(prefix, k))
         w = _deriv_prefix(prefix + [0], k)
-        assert [0, *list(map(mul, prefix, env.w_mul))[::-1]] == w
-        points = zip([box_lo, f_hi, *cuts], [env.box, env.top, *env.cuts])
+        assert [0, *list(map(mul, prefix, plan.w_mul))[::-1]] == w
+        points = zip([box_lo, f_hi, *cuts],
+                     [plan.box, plan.top, *plan.cut_weights])
         for x, (weights, mod) in points:
             p, q = Fraction(x).numerator, Fraction(x).denominator
             assert (sum(map(mul, prefix, weights))
                     == kernels.eval_qnum(w, p, q)), (j, x)
             assert mod == q ** deg * math.factorial(k - deg)
         got = []
-        for weights, a in env.pairs:
+        for weights, a in plan.pairs:
             b = sum(map(mul, prefix, weights))
             got.append(("lo", -((-b) // a)) if a > 0
                        else ("hi", (-b) // (-a)))
@@ -858,12 +872,10 @@ WALK_NODES = [(QUAD_DEFAULT_HI, 4056), (Surd(Fraction(277, 200)), 4056),
 def test_walk_ranges_match_fraction_reference(d_max, nodes, monkeypatch):
     calls = []
 
-    def checked(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
-        got = _next_coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts,
-                                final)
-        assert deriv == _deriv_prefix(prefix, k)
-        assert got == reference_coeff_range(prefix, k, box_lo, f_hi, cuts,
-                                            final), prefix
+    def checked(prefix, plan):
+        got = _next_coeff_range(prefix, plan)
+        assert plan.j == len(prefix) - 1
+        assert got == reference_at(prefix, plan), prefix
         calls.append(got)
         return got
 
@@ -936,15 +948,14 @@ def test_degree_4_walk_slice_matches_references(monkeypatch):
         degree.append(k)
         return real_degree(k, *rest)
 
-    def coeff_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
-        if k == 4 and len(prefix) == 4:
+    def coeff_range(prefix, plan):
+        if plan.k == 4 and len(prefix) == 4:
             if counts["depth 3"] == 10:
                 raise _SliceDone
             counts["depth 3"] += 1
-        got = real_range(prefix, deriv, k, env, box_lo, f_hi, cuts, final)
-        if k == 4:
-            assert got == reference_coeff_range(prefix, k, box_lo, f_hi,
-                                                cuts, final), prefix
+        got = real_range(prefix, plan)
+        if plan.k == 4:
+            assert got == reference_at(prefix, plan), prefix
             counts["range"] += 1
         return got
 
@@ -1288,14 +1299,15 @@ def test_closed_form_realness_matches_sturm_count(asc):
 @st.composite
 def coeff_cases(draw):
     """Arguments of one coefficient-range call, off any real walk: any
-    nonzero leading coefficient, any depth, unordered box and cut points."""
+    nonzero leading coefficient, any depth, unordered box and cut points;
+    final is the final depth, j = k - 1, as on a walk."""
     small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
     k = draw(st.integers(2, 5))
     j = draw(st.integers(0, k - 1))
     prefix = [draw(st.sampled_from([1, 2, -1, -2, -3]))]
     prefix += draw(st.lists(st.integers(-60, 60), min_size=j, max_size=j))
     return (prefix, k, draw(small), draw(st.integers(-10, 30)),
-            (draw(small), draw(small)), draw(st.booleans()))
+            (draw(small), draw(small)), j + 1 == k)
 
 
 F = Fraction
@@ -1309,18 +1321,18 @@ F = Fraction
 @example(case=([-1, 59], 3, F(6, 7), 8, (F(1, 4), F(-3)), False))
 # depth 2, a negative quadratic-derivative lead: the critical point is
 # rewritten with a positive denominator
-@example(case=([-1, 12, 7], 3, F(10), -5, (F(30), F(0)), False))
+@example(case=([-1, -78, 134], 4, F(-41), -60, (F(54), F(248, 11)), False))
 # depth 2, a square discriminant (rational critical points) sets lo, then hi
 @example(case=([1, 1, 0], 5, F(0), 3, (F(-5, 3), F(-1, 12)), False))
-@example(case=([1, -8, 18], 4, F(-13, 7), 5, (F(-7, 12), F(-7, 12)), True))
-# an exact tie at the strict cut gamma moves hi, then lo, by one
-@example(case=([1], 4, F(5, 3), 28, (F(3), F(19, 12)), True))
-@example(case=([1, -19, -37], 5, F(12, 7), 26, (F(3), F(10, 7)), True))
-# depth 3 and 4, the interval enclosure at isolated critical points sets lo,
+@example(case=([1, -8, 18], 4, F(-13, 7), 5, (F(-7, 12), F(-7, 12)), False))
+# at the final depth, an exact tie at a strict cut point moves hi (at gamma),
+# then lo (at delta), by one
+@example(case=([1, -19], 2, F(1, 2), 16, (F(5), F(28, 5)), True))
+@example(case=([2, 18, -15], 3, F(-2), 15, (F(15, 4), F(-4)), True))
+# depth 4 and 3, the interval enclosure at isolated critical points sets lo,
 # then hi
-@example(case=([2, -25, -15, 38, 23], 5, F(17, 6), 16, (F(35, 12), F(8, 7)),
-               False))
-@example(case=([1, 0, -55, -21], 4, F(3), 13, (F(5, 2), F(5, 2)), False))
+@example(case=([1, 9, -14, -28, 7], 5, F(-10, 7), 17, (F(4), F(13)), True))
+@example(case=([-1, 8, 39, 24], 4, F(0), 4, (F(127, 8), F(203, 5)), True))
 def test_coeff_range_matches_reference_off_walk(case):
     assert _coeff_range(*case) == reference_coeff_range(*case)
 
@@ -1350,7 +1362,7 @@ def _dropped(old, new, limit=2048):
 # negative cut points and box_lo: the cut pairs set lo, then hi
 @example(case=([1], 2, F(-27, 2), 1, (F(-22, 5), F(-35, 4)), False))
 # odd depth, the cut pairs against box_lo set hi
-@example(case=([1, -12], 3, F(32, 3), 30, (F(-9, 2), F(-13, 2)), True))
+@example(case=([1, -12], 3, F(32, 3), 30, (F(-9, 2), F(-13, 2)), False))
 def test_look_ahead_drops_only_children_the_oracle_empties(case):
     # the range with the look-ahead lies inside the range without it, and
     # every s it drops gives a child whose range, without the look-ahead, is
@@ -1376,12 +1388,13 @@ def test_walks_reach_the_same_leaves_without_the_look_ahead(monkeypatch):
     # leaf battery does not run).  Each walk reaches the same leaves in the
     # same order; the slice reaches an ordered subsequence of the oracle's
     # leaves, and every leaf it drops lacks four distinct real roots
-    def oracle(prefix, deriv, k, env, box_lo, f_hi, cuts, final):
+    def oracle(prefix, plan):
+        box_lo = plan.box_lo
         if len(prefix) > 1 and not totally_real_in_box_reference(
-                deriv, box_lo.numerator, box_lo.denominator, f_hi):
+                _deriv_prefix(prefix, plan.k), box_lo.numerator,
+                box_lo.denominator, plan.f_hi):
             return 1, 0
-        return reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
-                                     look_ahead=False, rolle=False)
+        return reference_at(prefix, plan, look_ahead=False, rolle=False)
 
     def leaves(coeff_range, d_max):
         out = []
@@ -1408,18 +1421,18 @@ def test_walks_reach_the_same_leaves_without_the_look_ahead(monkeypatch):
     counts = Counter()
     stop = []
 
-    def slice_oracle(prefix, *rest):
-        if rest[1] == 4 and len(prefix) == 4:
+    def slice_oracle(prefix, plan):
+        if plan.k == 4 and len(prefix) == 4:
             if counts["depth 3"] == 10:
                 stop.append(prefix)
                 raise _SliceDone
             counts["depth 3"] += 1
-        return oracle(prefix, *rest)
+        return oracle(prefix, plan)
 
-    def slice_walk(prefix, *rest):
-        if rest[1] == 4 and len(prefix) == 4 and prefix >= stop[0]:
+    def slice_walk(prefix, plan):
+        if plan.k == 4 and len(prefix) == 4 and prefix >= stop[0]:
             raise _SliceDone
-        return _next_coeff_range(prefix, *rest)
+        return _next_coeff_range(prefix, plan)
 
     want = leaves(slice_oracle, Surd(Fraction(139, 100)))
     assert sum(len(c) == 5 for c in want) == 2055
@@ -1524,11 +1537,12 @@ def test_derivatives_of_a_real_rooted_polynomial_are_real_rooted(lead, roots):
 def test_box_floor_is_no_node_root_through_degree_19():
     # a depth-j node of degree k has integer coefficients and the leading
     # coefficient k!/j!, so a rational root's denominator divides k!; no
-    # denominator of _box_floor(k) does through k = 19, so no node vanishes
-    # at box_lo.  At k = 20 and 22 one does, which the walk's soundness does
-    # not need
+    # denominator of degree k's box floor does through k = 19, so no node
+    # vanishes at box_lo.  At k = 20 and 22 one does, which the walk's
+    # soundness does not need
     ties = [k for k in range(2, 25)
-            if math.factorial(k) % gapsearch._box_floor(k).denominator == 0]
+            if math.factorial(k) % gapsearch._box_floor(
+                threshold("gdim_k", k)).denominator == 0]
     assert ties == [20, 22]
 
 

@@ -4,9 +4,9 @@ Nothing unreachable: every public module-level function or class in
 src/fgap is referenced somewhere in src/fgap outside its own definition,
 and so is every public non-dunder method or property of a public class
 (an API only the tests reach belongs in the tests, as an oracle; the
-method rule matches spellings, so it is weaker, see its test).  And no
+method rule matches spellings, so it is weaker, see its test).  No
 module imports a name it never uses, so a fold that moves code leaves no
-import behind.
+import behind.  And no function takes a parameter its body never reads.
 """
 
 import ast
@@ -100,3 +100,27 @@ def test_no_module_has_an_unused_import():
                 if bound not in used:
                     unused.append("%s:%s" % (mod, bound))
     assert unused == []
+
+
+def test_no_function_has_an_unread_parameter():
+    """Every parameter of every function, method and lambda in src/fgap is
+    read in its body, a nested function's read included; self and cls are
+    exempt."""
+    unread = []
+    for mod, tree in _parse_package().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            unread += ["%s:%s(%s)" % (mod, getattr(fn, "name", "lambda"), p)
+                       for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert unread == []
