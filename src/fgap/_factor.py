@@ -6,7 +6,8 @@ plus equal-degree splitting), lift the factorization with quadratic Hensel
 steps past a coefficient bound, then recombine lifted factors into true
 integer factors by trial division.  Everything is deterministic: prime
 choice is the smallest usable one and the equal-degree splitter draws from
-a generator seeded by the input.
+a generator seeded by that prime.  No output depends on the draws, since
+factor_over_integers sorts the factors.
 
 Coefficient lists are ascending.  Inputs here are primitive, squarefree,
 with positive leading coefficient; the public wrapper in algnum handles
@@ -274,7 +275,7 @@ def _factor_monic_squarefree(f):
     if n == 1:
         return [list(f)]
     q = _choose_prime(f)
-    rng = random.Random("poly-split:%d:%s" % (q, tuple(f)))
+    rng = random.Random(q)
     modular = _gf_factor_squarefree(_gf_norm(f, q), q, rng)
     if len(modular) == 1:
         return [list(f)]

@@ -1,8 +1,12 @@
 """Exact arithmetic on integer polynomials and real algebraic numbers.
 
-Coefficient sequences are ascending: index i holds the coefficient of x**i.
-All decisions (signs, comparisons, root locations) are exact; floats appear
-only in reporting helpers.
+A polynomial is its ascending coefficient sequence: index i holds the
+coefficient of x**i.  Every exact function here takes one, as kernels
+does; factor_over_integers, charpoly_int and power_char_poly return
+tuples, and an AlgebraicNumber's minpoly is one.  IntPoly only parses and
+prints: the CLI reads --poly with from_csv, and a report wraps the
+polynomials it prints.  All decisions (signs, comparisons, root
+locations) are exact; floats appear only in reporting helpers.
 
 Root isolation takes a squarefree polynomial (every caller holds an
 irreducible polynomial or a squarefree part) and bisects (lo, hi] by
@@ -43,7 +47,7 @@ from operator import mul
 
 from . import kernels
 from ._intfactor import factorize, square_free_part
-from .errors import DegreeCapError, InvalidInputError
+from .errors import BudgetError, DegreeCapError, InvalidInputError
 
 # enclosure refinement gives up (raises AmbiguityError) below this width
 WIDTH_CAP = Fraction(1, 10 ** 40)
@@ -56,6 +60,31 @@ DEGREE_CAP = 24
 
 # every CLI integer token: ASCII digits, no separators or other scripts
 INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+# most digits of a CLI integer (read_int): a number the CLI prints is at
+# most a square or a product of two of them (repg's inverse square sum,
+# search gap's f_max), which stays below Python's 4,300-digit int-to-str
+# limit
+INT_DIGITS_CAP = 2000
+
+# most bits a coefficient of a characteristic polynomial may have
+# (charpoly_int; power_char_poly under ffib_fpdim_bound): 2**14000 <
+# 10**4215, so every printed coefficient stays below the same limit
+POWER_BITS_CAP = 14000
+
+# largest radicand a Surd factors (InvalidInputError above it):
+# square_free_part runs Pollard rho, whose steps grow with the square root
+# of the smallest prime factor; a 20-digit semiprime takes about 0.2 s
+RADICAND_CAP = 10 ** 20
+
+
+def read_int(text):
+    """The integer an INT_TOKEN string spells, or None for any other string
+    and for one of more than INT_DIGITS_CAP digits."""
+    if INT_TOKEN.fullmatch(text) and \
+            len(text.lstrip("+-")) <= INT_DIGITS_CAP:
+        return int(text)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -118,29 +147,17 @@ def inverse_square_sum(c):
 # IntPoly
 
 class IntPoly:
-    """Integer polynomial; coeffs[i] is the coefficient of x**i."""
+    """The printed form of an ascending coefficient sequence: coeffs[i] is
+    the coefficient of x**i, trailing zeros stripped."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(kernels.normalize(coeffs))
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return "IntPoly(%s)" % self.to_str()
@@ -175,19 +192,19 @@ class IntPoly:
 
     @staticmethod
     def from_csv(text):
-        """Parse the CLI form of INT_TOKEN integers; rejects empty input
-        and leading zeros."""
+        """Parse the CLI form, integers read by read_int; rejects empty
+        input and leading zeros."""
         toks = [t.strip() for t in text.split(",")]
         if any(t == "" for t in toks):
             raise InvalidInputError("bad polynomial %r: empty coefficient" % text)
-        if not all(map(INT_TOKEN.fullmatch, toks)):
+        vals = [read_int(t) for t in toks]
+        if None in vals:
             raise InvalidInputError("bad polynomial %r: coefficients must be "
                                     "integers" % text)
-        vals = list(map(int, toks))
         if vals[0] == 0:
             raise InvalidInputError("bad polynomial %r: leading zero "
                                     "coefficient" % text)
-        return IntPoly(list(reversed(vals)))
+        return IntPoly(vals[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +289,8 @@ class Surd:
         if q == 0 or n == 0:
             q, n = Fraction(0), 0
         else:
+            if n > RADICAND_CAP:
+                raise InvalidInputError("radicand over the cap of 10^20")
             s, m = square_free_part(n)
             q *= m
             n = s
@@ -479,9 +498,9 @@ def _isolate_in(c, lo, hi):
 def isolate_real_roots(c):
     """Isolating intervals for the real roots of a squarefree polynomial.
 
-    c is an ascending coefficient sequence (IntPoly.coeffs or a list) of any
-    content and leading sign, and must be squarefree: an irreducible
-    polynomial or a squarefree part.  Returns one RatInterval per real root,
+    c is an ascending coefficient sequence of any content and leading
+    sign, and must be squarefree: an irreducible polynomial or a
+    squarefree part.  Returns one RatInterval per real root,
     in ascending order, each holding exactly its root in (lo, hi]: nodes of
     the dyadic bisection of (-B, B] for a Cauchy bound B.
     """
@@ -493,8 +512,8 @@ def isolate_real_roots(c):
 # AlgebraicNumber
 
 class AlgebraicNumber:
-    """A designated real root: a monic squarefree minpoly and an isolating
-    interval.
+    """A designated real root: a monic squarefree minpoly, an ascending
+    coefficient tuple, and an isolating interval.
 
     The minpoly must be squarefree, so every root is simple and a sign
     bisection can follow it; it need not be irreducible.  A reducible one
@@ -510,22 +529,21 @@ class AlgebraicNumber:
     __slots__ = ("minpoly", "_isol")
 
     def __init__(self, minpoly, isol):
-        if not isinstance(minpoly, IntPoly):
-            minpoly = IntPoly(minpoly)
-        if not minpoly.is_monic:
+        minpoly = tuple(minpoly)
+        if not minpoly or minpoly[-1] != 1:
             raise InvalidInputError("minimal polynomial must be monic")
         self.minpoly = minpoly
-        if minpoly.degree == 1:
-            r = Fraction(-minpoly.coeffs[0])
+        if len(minpoly) == 2:
+            r = Fraction(-minpoly[0])
             self._isol = RatInterval(r, r)
             return
-        if len(_isolate_in(minpoly.coeffs, isol.lo, isol.hi)) != 1:
+        if len(_isolate_in(minpoly, isol.lo, isol.hi)) != 1:
             raise InvalidInputError("interval does not isolate one root")
         self._isol = RatInterval(isol.lo, isol.hi)
 
     @property
     def degree(self):
-        return self.minpoly.degree
+        return len(self.minpoly) - 1
 
     def refine(self, width):
         """Shrink the cached interval to width <= width and return it.
@@ -544,7 +562,7 @@ class AlgebraicNumber:
         iv = self._isol
         if iv.width <= width:  # also the exact point of a degree-1 minpoly
             return iv
-        c = self.minpoly.coeffs
+        c = self.minpoly
         lo, hi, den = _over_one_den(iv.lo, iv.hi)
         s_lo = -_sign(kernels.eval_qnum(c, hi, den))
         w_num, w_den = width.numerator, width.denominator
@@ -583,7 +601,7 @@ class AlgebraicNumber:
             return 1
         if x.cmp(hi) > 0:
             return -1
-        c = self.minpoly.coeffs
+        c = self.minpoly
         # a rational x has b == n == 0, where the surd kernels reduce to the
         # rational ones
         at_x = kernels.surd_sign(*kernels.eval_surd(c, x.a, x.b, x.n, x.d),
@@ -605,7 +623,7 @@ class AlgebraicNumber:
         # separates the intervals
         lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
         if lo < hi:
-            g = poly_gcd_int(self.minpoly.coeffs, other.minpoly.coeffs)
+            g = poly_gcd_int(self.minpoly, other.minpoly)
             if len(g) > 1 and _isolate_in(g, lo, hi):
                 return 0
         width = max(a.width, b.width)
@@ -627,8 +645,8 @@ class AlgebraicNumber:
         return fhi if flo == fhi or self.cmp(fhi) >= 0 else flo
 
     def __repr__(self):
-        return "AlgebraicNumber(%s, ~%.6f)" % (self.minpoly.to_str(),
-                                               self.approx_float())
+        return "AlgebraicNumber(%s, ~%.6f)" % (
+            IntPoly(self.minpoly).to_str(), self.approx_float())
 
 
 def _sign(x):
@@ -639,17 +657,15 @@ def _sign(x):
 # factorization entry point (heavy lifting lives in _factor)
 
 def factor_over_integers(p):
-    """Irreducible primitive factors with multiplicities, deterministic order.
+    """Irreducible primitive factors of p as (tuple, multiplicity) pairs,
+    in a deterministic order.
 
     The product of factor**multiplicity reproduces p up to the sign and the
     integer content.  Factors have positive leading coefficients and are
     sorted by degree, then by coefficient sequence.
     """
     from ._factor import factor_squarefree_primitive
-    if isinstance(p, IntPoly):
-        coeffs = list(p.coeffs)
-    else:
-        coeffs = kernels.normalize(p)
+    coeffs = kernels.normalize(p)
     if not coeffs:
         raise InvalidInputError("cannot factor the zero polynomial")
     if len(coeffs) - 1 > DEGREE_CAP:
@@ -667,11 +683,11 @@ def factor_over_integers(p):
             q = kernels.div_exact(w, irr)
         out.append((irr, mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return [(IntPoly(irr), mult) for irr, mult in out]
+    return [(tuple(irr), mult) for irr, mult in out]
 
 
-def is_irreducible(poly):
-    """Is poly, a monic IntPoly, irreducible over the rationals?
+def is_irreducible(asc):
+    """Is the monic polynomial asc irreducible over the rationals?
 
     The one irreducibility decision of the searches and ffib_fpdim_bound.
     Closed forms through degree 3: degree 1 is irreducible; a monic
@@ -682,8 +698,7 @@ def is_irreducible(poly):
     cubic with a larger constant term, and every other degree, is factored
     (DegreeCapError above DEGREE_CAP).
     """
-    asc = poly.coeffs
-    k = poly.degree
+    k = len(asc) - 1
     if k == 1:
         return True
     if k == 2:
@@ -700,8 +715,8 @@ def is_irreducible(poly):
                     if ((r + c2) * r + c1) * r + c0 == 0:
                         return False
         return True
-    # a monic poly is primitive, so one simple factor is poly itself
-    factors = factor_over_integers(poly)
+    # a monic poly is primitive, so one simple factor is asc itself
+    factors = factor_over_integers(asc)
     return len(factors) == 1 and factors[0][1] == 1
 
 
@@ -709,13 +724,14 @@ def is_irreducible(poly):
 # d-numbers
 
 
-def is_d_number(p):
+def is_d_number(c):
     """Does every root of p divide every other root (as algebraic integers)?
 
-    p = x^n + a_1 x^(n-1) + ... + a_n is monic with a_n != 0 and degree at
-    most DEGREE_CAP; it may be reducible or have repeated roots.  The answer
-    is yes iff a_n^i divides a_i^n for every i = 1..n-1 (V. Ostrik, Pivotal
-    fusion categories of rank 3, Mosc. Math. J. 15 (2015)):
+    c is the ascending coefficient sequence of p = x^n + a_1 x^(n-1) + ...
+    + a_n, monic with a_n != 0 and degree at most DEGREE_CAP; p may be
+    reducible or have repeated roots.  The answer is yes iff a_n^i divides
+    a_i^n for every i = 1..n-1 (V. Ostrik, Pivotal fusion categories of
+    rank 3, Mosc. Math. J. 15 (2015)):
 
     (<=) Take r with r^n = a_n.  Each (a_i / r^i)^n = a_i^n / a_n^i is an
     integer, so p(r y) / r^n is monic in y with algebraic-integer
@@ -728,7 +744,6 @@ def is_d_number(p):
     a_i is in I^i, and (a_n) = I^n.  Then a_i^n is in I^(i n) = (a_n^i), so
     a_i^n / a_n^i is a rational algebraic integer, an integer.
     """
-    c = (p if isinstance(p, IntPoly) else IntPoly(p)).coeffs
     n = len(c) - 1
     if n < 0 or c[n] != 1:
         raise InvalidInputError("d-number test requires a monic polynomial")
@@ -746,15 +761,15 @@ def is_d_number(p):
     return True
 
 
-def ratio_integrality_oracle(p):
+def ratio_integrality_oracle(c):
     """Ground-truth ratio test: are all root ratios algebraic integers?
 
     An independent check of is_d_number, which dnumber prints for small
-    squarefree input.  With alpha_1..alpha_n the roots of the monic p and
-    c0 = p(0) != 0, each c0 / alpha_j is +-(the product of the other roots),
+    squarefree input.  With alpha_1..alpha_n the roots of the monic c and
+    c0 = c(0) != 0, each c0 / alpha_j is +-(the product of the other roots),
     so the n**2 numbers u_ij = alpha_i * c0 / alpha_j are algebraic
-    integers.  Their power sums are P_m * T_m, with P = power_sums(p) and T
-    = power_sums of the reversed p, whose roots are the 1 / alpha_j and
+    integers.  Their power sums are P_m * T_m, with P = power_sums(c) and T
+    = power_sums of the reversed c, whose roots are the 1 / alpha_j and
     whose leading coefficient is c0, so T_m is the sum of (c0 / alpha_j)**m.
     The multiset of the u_ij is stable under Galois conjugation, so the
     monic polynomial U with these roots has integer coefficients e_m(u)
@@ -768,16 +783,14 @@ def ratio_integrality_oracle(p):
     it is rational, hence an integer.  So the answer is yes iff c0**m
     divides e_m(u) for every m.
     """
-    p = p if isinstance(p, IntPoly) else IntPoly(p)
-    if not p.is_monic:
+    if not c or c[-1] != 1:
         raise InvalidInputError("ratio test requires a monic polynomial")
-    if p.degree < 1 or p.coeffs[0] == 0:
+    if len(c) < 2 or c[0] == 0:
         raise InvalidInputError("ratio test requires degree >= 1 and a "
                                 "nonzero constant term")
-    if len(poly_squarefree_part(p.coeffs)) < len(p.coeffs):
+    if len(poly_squarefree_part(c)) < len(c):
         raise InvalidInputError("ratio test requires a squarefree polynomial")
-    c = p.coeffs
-    count = p.degree ** 2
+    count = (len(c) - 1) ** 2
     sums = [a * b for a, b in zip(kernels.power_sums(c, count),
                                   kernels.power_sums(c[::-1], count))]
     desc = kernels.from_power_sums(sums)[::-1]  # desc[m] = (-1)**m e_m(u)
@@ -788,7 +801,7 @@ def ratio_integrality_oracle(p):
 # characteristic polynomials: of a matrix, of the powers of a root
 
 def charpoly_int(mat):
-    """Characteristic polynomial of an integer matrix, ascending IntPoly.
+    """Characteristic polynomial of an integer matrix, an ascending tuple.
 
     The traces of mat, mat**2, ..., mat**n are the power sums of its
     eigenvalues, and from_power_sums turns them into the coefficients
@@ -796,11 +809,21 @@ def charpoly_int(mat):
     Only mat**2, ..., mat**h (h = ceil(n/2)) are built, h - 1 O(n^3)
     products; tr(mat**(h+i)) for i = 1..n-h is the O(n^2) sum of the
     entrywise products of mat**h and the transpose of mat**i.
+
+    Every eigenvalue is at most the largest absolute row sum b, so
+    coefficient i is at most C(n, i) b**i < 2**(n (bits(b) + 1)).  A
+    report squares the coefficients (inverse_square_sum), so BudgetError
+    stops a matrix where twice that bound passes POWER_BITS_CAP.
     """
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise InvalidInputError("characteristic polynomial needs a square "
                                 "nonempty matrix")
+    bits = n * (max(sum(map(abs, row)) for row in mat).bit_length() + 1)
+    if 2 * bits > POWER_BITS_CAP:
+        raise BudgetError("the characteristic polynomial may have "
+                          "coefficients of %d bits, whose squares pass the "
+                          "cap of %d bits" % (bits, POWER_BITS_CAP))
     h = (n + 1) // 2
     cols = list(zip(*mat))
     powers = [mat]  # powers[i - 1] = mat**i
@@ -812,7 +835,7 @@ def charpoly_int(mat):
     for p in powers[:n - h]:
         traces.append(sum(sum(map(mul, row, col))
                           for row, col in zip(top, zip(*p))))
-    return IntPoly(kernels.from_power_sums(traces))
+    return tuple(kernels.from_power_sums(traces))
 
 
 def power_char_poly(a, m):
@@ -825,25 +848,24 @@ def power_char_poly(a, m):
     m = int(m)
     if m < 1:
         raise InvalidInputError("power must be a positive integer")
-    n = a.minpoly.degree
-    return IntPoly(kernels.from_power_sums(
-        kernels.power_sums(a.minpoly.coeffs, n * m)[::m]))
+    c = a.minpoly
+    return tuple(kernels.from_power_sums(
+        kernels.power_sums(c, (len(c) - 1) * m)[::m]))
 
 
-def largest_integer_divisor(p):
+def largest_integer_divisor(c):
     """Largest M with M**i dividing the i-th (descending) coefficient.
 
     Equivalently the largest integer M such that root/M stays an algebraic
     integer.  Requires a monic polynomial with some nonzero non-leading
     coefficient.
     """
-    p = p if isinstance(p, IntPoly) else IntPoly(p)
-    if not p.is_monic:
+    if not c or c[-1] != 1:
         raise InvalidInputError("divisor bound requires a monic polynomial")
-    n = p.degree
+    n = len(c) - 1
     pairs = []  # (i, |c_i|) for descending-index coefficients c_i != 0
     for i in range(1, n + 1):
-        ci = p.coeffs[n - i]
+        ci = c[n - i]
         if ci:
             pairs.append((i, abs(ci)))
     if not pairs:

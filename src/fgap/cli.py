@@ -18,8 +18,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .algnum import (INT_TOKEN, IntPoly, Surd, is_d_number,
-                     poly_squarefree_part, ratio_integrality_oracle)
+from .algnum import (IntPoly, Surd, is_d_number, poly_squarefree_part,
+                     ratio_integrality_oracle, read_int)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .fusionring import (builtin_ring, emit_ring_file, formal_codegrees,
                          fp_dimension_vector, parse_ring_file,
@@ -52,7 +52,7 @@ def _frac_text(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-_DEC_RE = re.compile(r"[+-]?\d+\.\d+", re.ASCII)
+_DEC_RE = re.compile(r"([+-]?\d+)\.(\d+)", re.ASCII)
 _RAT_RE = re.compile(r"([+-]?\d+)/(\d+)", re.ASCII)
 _SURD_RE = re.compile(
     r"([+-]?\d*)\*?(?:sqrt\((\d+)\)|sqrt(\d+)|√(\d+))(?:/(\d+))?", re.ASCII)
@@ -62,7 +62,9 @@ def parse_exact(text):
     """Exact numeric token: INT, DECIMAL, P/Q, or [k]sqrt(n)[/m].
 
     Decimals are read as exact rationals; sqrt may be spelled sqrt(n),
-    sqrtn, or the radical sign.  Returns a Surd.
+    sqrtn, or the radical sign.  Every integer in the token is read by
+    read_int, so one past its digit cap makes the token unparsable.
+    Returns a Surd.
     """
     s = text.strip().replace(" ", "")
     if not s:
@@ -73,32 +75,36 @@ def parse_exact(text):
     m = _SURD_RE.fullmatch(s)
     if m:
         ktxt = m.group(1)
-        if ktxt in ("", "+"):
-            k = 1
-        elif ktxt == "-":
-            k = -1
-        else:
-            k = int(ktxt)
-        n = int(m.group(2) or m.group(3) or m.group(4))
-        den = int(m.group(5)) if m.group(5) else 1
-        if den == 0:
-            raise InvalidInputError("zero denominator in %r" % text)
-        return Fraction(k, den) * Surd.sqrt_fraction(Fraction(n))
+        # a bare sign stands for 1
+        k = read_int(ktxt if ktxt.strip("+-") else ktxt + "1")
+        n = read_int(m.group(2) or m.group(3) or m.group(4))
+        den = read_int(m.group(5) or "1")
+        if None not in (k, n, den):
+            if den == 0:
+                raise InvalidInputError("zero denominator in %r" % text)
+            return Fraction(k, den) * Surd.sqrt_fraction(Fraction(n))
     raise InvalidInputError(
         "cannot parse %r as an exact number; use INT, a decimal, P/Q, "
         "or k*sqrt(n)/m" % text)
 
 
 def _rational(s, text):
-    """The Fraction of an INT, DECIMAL or P/Q token s (ASCII digits), or
-    None for any other token; text is the argument s was read from."""
-    if INT_TOKEN.fullmatch(s):
-        return Fraction(int(s))
-    if _DEC_RE.fullmatch(s):
-        return Fraction(s)
+    """The Fraction of an INT, DECIMAL or P/Q token s (ASCII digits, each
+    integer read by read_int), or None for any other token; text is the
+    argument s was read from."""
+    num = read_int(s)
+    if num is not None:
+        return Fraction(num)
+    m = _DEC_RE.fullmatch(s)
+    if m:
+        # the digits of "-0.5" read as -05 over 10
+        num = read_int(m.group(1) + m.group(2))
+        return None if num is None else Fraction(num, 10 ** len(m.group(2)))
     m = _RAT_RE.fullmatch(s)
     if m:
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = read_int(m.group(1)), read_int(m.group(2))
+        if num is None or den is None:
+            return None
         if den == 0:
             raise InvalidInputError("zero denominator in %r" % text)
         return Fraction(num, den)
@@ -113,17 +119,18 @@ def _parse_fraction(text):
 
 
 def _int_arg(text):
-    """argparse type of --n and --amax: one INT_TOKEN integer."""
-    if not INT_TOKEN.fullmatch(text.strip()):
+    """argparse type of --n and --amax: one integer, read by read_int."""
+    value = read_int(text.strip())
+    if value is None:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    return int(text)
+    return value
 
 
 def _parse_int_csv(text, what):
-    toks = [t.strip() for t in text.split(",")]
-    if not all(map(INT_TOKEN.fullmatch, toks)):
+    vals = [read_int(t.strip()) for t in text.split(",")]
+    if None in vals:
         raise InvalidInputError("bad %s list %r" % (what, text))
-    return list(map(int, toks))
+    return vals
 
 
 def _header(words, config):
@@ -339,7 +346,7 @@ def _cmd_search(args):
 
 def _cmd_dnumber(args):
     poly = IntPoly.from_csv(args.poly)
-    verdict = is_d_number(poly)
+    verdict = is_d_number(poly.coeffs)
     config = {"poly": poly.to_str()}
     lines = _header(["dnumber"], config)
     lines.append("d-number: %s" % ("yes" if verdict else "no"))
@@ -348,7 +355,7 @@ def _cmd_dnumber(args):
     # against the power-sum oracle and say so
     squarefree = len(poly_squarefree_part(poly.coeffs)) == len(poly.coeffs)
     if poly.degree <= 3 and squarefree:
-        oracle = ratio_integrality_oracle(poly)
+        oracle = ratio_integrality_oracle(poly.coeffs)
         lines.append("oracle agreement: %s"
                      % ("yes" if oracle == verdict else "NO"))
         certificates["oracle"] = oracle
@@ -363,7 +370,8 @@ def _cmd_dnumber(args):
 
 def _cmd_ffib_bound(args):
     poly = IntPoly.from_csv(args.poly)
-    bound, m, pcp, d = ffib_fpdim_bound(poly)
+    bound, m, pcp, d = ffib_fpdim_bound(poly.coeffs)
+    pcp = IntPoly(pcp)
     config = {"poly": poly.to_str()}
     lines = _header(["ffib-bound"], config)
     lines.append("largest conjugate ~ %s" % _g(d.approx_float()))

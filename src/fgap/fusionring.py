@@ -16,10 +16,12 @@ against `spectrum.matrix` (Z) and `spectrum.fp_root`,
 """
 
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 
-from .algnum import (AlgebraicNumber, charpoly_int, factor_over_integers,
-                     inverse_square_sum, isolate_real_roots)
+from .algnum import (AlgebraicNumber, IntPoly, charpoly_int,
+                     factor_over_integers, inverse_square_sum,
+                     isolate_real_roots)
 from .errors import (AmbiguityError, BudgetError, InvalidInputError,
                      UnsupportedRingError)
 
@@ -232,7 +234,8 @@ def codegree_matrix(ring):
 
 
 class CodegreeOrbit:
-    """One Galois orbit of codegrees: an irreducible factor with its roots."""
+    """One Galois orbit of codegrees: an irreducible factor, as the IntPoly
+    the report prints, with its roots."""
 
     __slots__ = ("poly", "multiplicity", "roots")
 
@@ -334,10 +337,9 @@ def formal_codegrees(ring):
     cp = charpoly_int(z)
     orbits = []
     for poly, mult in factor_over_integers(cp):
-        roots = [AlgebraicNumber(poly, iv)
-                 for iv in isolate_real_roots(poly.coeffs)]
-        orbits.append(CodegreeOrbit(poly, mult, roots))
-    return CodegreeSpectrum(ring.rank, z, cp, orbits)
+        roots = [AlgebraicNumber(poly, iv) for iv in isolate_real_roots(poly)]
+        orbits.append(CodegreeOrbit(IntPoly(poly), mult, roots))
+    return CodegreeSpectrum(ring.rank, z, IntPoly(cp), orbits)
 
 
 POWER_ITERATIONS = 20000
@@ -484,7 +486,8 @@ def parse_ring_file(text):
     if sorted(dual) != list(range(r)):
         fail(lineno, "dual is not a permutation of 0..%d" % (r - 1))
 
-    tensor = [[None] * r for _ in range(r)]
+    # N rows keyed by i*r + j: no r x r grid exists before r*r lines do
+    rows = {}
     for lineno, toks in entries[2:]:
         if toks[0] != "N":
             fail(lineno, "expected `N i j : m0 ... m%d`" % (r - 1))
@@ -497,16 +500,18 @@ def parse_ring_file(text):
             fail(lineno, "N line entries must be integers")
         if not (0 <= i < r and 0 <= j < r):
             fail(lineno, "indices (%d,%d) out of range" % (i, j))
-        if tensor[i][j] is not None:
+        if i * r + j in rows:
             fail(lineno, "duplicate entry for N %d %d" % (i, j))
-        tensor[i][j] = row
-    missing = [(i, j) for i in range(r) for j in range(r)
-               if tensor[i][j] is None]
-    if missing:
+        rows[i * r + j] = row
+    if len(rows) < r * r:
+        # the first 8 absent keys, after at most len(rows) present ones
+        missing = islice((key for key in range(r * r)
+                           if key not in rows), 8)
         raise InvalidInputError("missing N lines for (i,j): %s"
-                                % ", ".join("(%d,%d)" % ij
-                                            for ij in missing[:8]))
-    ring = FusionRing(r, dual, tensor)
+                                % ", ".join("(%d,%d)" % divmod(key, r)
+                                            for key in missing))
+    ring = FusionRing(r, dual, [[rows[i * r + j] for j in range(r)]
+                                for i in range(r)])
     violations = ring.validate()
     if violations:
         raise InvalidInputError(

@@ -47,7 +47,9 @@ the pair's weights.  The walk never visits an s that breaks one, and
 reaches the same leaves in the same order.  From depth 3 on, the leaf's
 realness test also prunes the walk: by Rolle's theorem a node whose
 polynomial lacks distinct real roots has no survivor below it.  A final
-node hands each s of its range straight to the leaf battery.
+node hands each s of its range straight to the leaf battery.  A leaf is its
+ascending coefficient tuple; an IntPoly is built only for a Candidate the
+leaf returns, to be printed.
 
 The appendix searches bound their coefficients on integers too: a search
 writes each window end s = (x + y sqrt n)/d and its powers once, as integer
@@ -128,7 +130,8 @@ def surd_text(s):
 
 
 class Candidate:
-    """One enumerated polynomial with its ordered filter trace.
+    """One enumerated polynomial, as the IntPoly the report prints, with its
+    ordered filter trace.
 
     A search without --audit keeps only survivors, so _cubic_candidate
     returns one shared candidate, _A3_REJECTED, for every cubic that fails
@@ -393,14 +396,14 @@ def search_quadratic(cfg=None):
 
 
 def _quad_candidate(cfg, a, b):
-    poly = IntPoly([b, -a, 1])
+    asc = (b, -a, 1)
     trace = []
     roots = None
     ok = _run_filter(cfg, trace, "integer-prefilter",
                      lambda: 16 - 12 * a + 9 * b >= 1)
     if ok:
         ok = _run_filter(cfg, trace, "irreducible",
-                         lambda: is_irreducible(poly))
+                         lambda: is_irreducible(asc))
     disc = a * a - 4 * b
     if ok:
         ok = _run_filter(cfg, trace, "totally-positive",
@@ -418,10 +421,10 @@ def _quad_candidate(cfg, a, b):
         # the orbit inequality at the larger root d2 is the pair inequality
         _run_filter(cfg, trace, "mainineq",
                     lambda: d1 is not None and orbit_inequality(
-                        inverse_square_sum(poly.coeffs), d2)[0])
+                        inverse_square_sum(asc), d2)[0])
     if d1 is not None:
         roots = (float(d1), float(d2))
-    return Candidate(poly, trace, roots)
+    return Candidate(IntPoly(asc), trace, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +494,8 @@ def _cubic_candidate(cfg, a, b, c):
     # nothing outside the audit reads a rejected candidate's polynomial
     if a ** 3 % c and not cfg.audit and "divisibility-a3" not in cfg.drop:
         return _A3_REJECTED
-    poly = IntPoly([-c, b, -a, 1])
+    poly = IntPoly((-c, b, -a, 1))
+    asc = poly.coeffs
     trace = []
     roots = None
     ok = _run_filter(cfg, trace, "divisibility-a3", lambda: a ** 3 % c == 0)
@@ -500,17 +504,17 @@ def _cubic_candidate(cfg, a, b, c):
                          lambda: b ** 3 % (c * c) == 0)
     if ok:
         ok = _run_filter(cfg, trace, "irreducible",
-                         lambda: is_irreducible(poly))
+                         lambda: is_irreducible(asc))
     if ok:
         ok = _run_filter(cfg, trace, "totally-positive",
-                         lambda: kernels.real_rooted(poly.coeffs)
+                         lambda: kernels.real_rooted(asc)
                          and a > 0 and b > 0 and c > 0)
     ivs = None
     if ok:
         # a candidate that reaches here with a filter dropped may have a
         # repeated root; AlgebraicNumber needs a squarefree polynomial
-        sqf = IntPoly(poly_squarefree_part(poly.coeffs))
-        ivs = isolate_real_roots(sqf.coeffs)
+        sqf = poly_squarefree_part(asc)
+        ivs = isolate_real_roots(sqf)
         d1 = AlgebraicNumber(sqf, ivs[0])
         ok = _run_filter(cfg, trace, "root-window",
                          lambda: d1.cmp(cfg.d_lo) >= 0
@@ -817,8 +821,9 @@ def _next_coeff_range(prefix, plan):
     return lo, hi
 
 
-def _gap_leaf(poly, d_max, bracket, keep_all):
-    """Run the survivor battery on one candidate.
+def _gap_leaf(asc, d_max, bracket, keep_all):
+    """Run the survivor battery on one candidate, the monic polynomial with
+    ascending coefficient tuple asc.
 
     Decisions are exact but routed through cheap paths.  An irreducible
     candidate is squarefree, so one kernels.real_rooted call (distinct real
@@ -833,7 +838,8 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     the exact algebraic comparison only runs for a smallest root between
     them.  Isolation runs at most once: for that smallest root, or for the
     few candidates that reach the orbit inequality.  Without keep_all a
-    rejected leaf returns None before any Candidate is built.
+    rejected leaf returns None before any Candidate is built, and the
+    IntPoly a Candidate prints is built only for one that is returned.
 
     The d-number test comes first: without keep_all, a leaf that is no
     d-number returns None before the battery runs (3 of the 4,810 leaves at
@@ -847,15 +853,14 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     are exact.  --audit and the benchmark's tracer pass keep_all, so they
     still see every leaf's full trace.
     """
-    dnum = poly.coeffs[0] != 0 and is_d_number(poly)
+    dnum = asc[0] != 0 and is_d_number(asc)
     if not (dnum or keep_all):
         return None
     trace = []
     roots = None
-    k = poly.degree
-    asc = list(poly.coeffs)
+    k = len(asc) - 1
 
-    irr = is_irreducible(poly)
+    irr = is_irreducible(asc)
     trace.append(("irreducible", "pass" if irr else "fail"))
     ok = irr
 
@@ -878,7 +883,7 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
             inwin = False  # smallest root above d_max
         else:
             ivs = isolate_real_roots(asc)
-            d1 = AlgebraicNumber(poly, ivs[0])
+            d1 = AlgebraicNumber(asc, ivs[0])
             inwin = d1.cmp(d_max) <= 0
         trace.append(("root-window", "pass" if inwin else "fail"))
         ok = inwin
@@ -892,14 +897,14 @@ def _gap_leaf(poly, d_max, bracket, keep_all):
     if ok:
         if ivs is None:
             ivs = isolate_real_roots(asc)
-        fmax = AlgebraicNumber(poly, ivs[-1])
+        fmax = AlgebraicNumber(asc, ivs[-1])
         good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
         trace.append(("orbit-inequality", "pass" if good else "fail"))
         ok = good
-        roots = tuple(AlgebraicNumber(poly, iv).approx_float()
+        roots = tuple(AlgebraicNumber(asc, iv).approx_float()
                       for iv in ivs)
     if ok or keep_all:
-        return Candidate(poly, trace, roots)
+        return Candidate(IntPoly(asc), trace, roots)
     return None
 
 
@@ -915,8 +920,9 @@ def _box_floor(t):
 def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
     """All candidates of one degree via depth-first coefficient search.
 
-    A final node (depth k - 1) hands each coefficient of its range straight
-    to _gap_leaf; only the nodes above it recurse."""
+    A final node (depth k - 1) hands each coefficient s of its range
+    straight to _gap_leaf as the leaf's ascending tuple (s, *asc); only the
+    nodes above it recurse."""
     out = []
     plans = [_DepthPlan(k, j, box_lo, f_hi, cuts) for j in range(k)]
 
@@ -928,7 +934,7 @@ def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
             return
         asc = prefix[::-1]
         for s in range(lo, hi + 1):
-            cand = _gap_leaf(IntPoly([s] + asc), d_max, bracket, audit)
+            cand = _gap_leaf((s, *asc), d_max, bracket, audit)
             if cand is not None:
                 out.append(cand)
 

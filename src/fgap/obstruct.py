@@ -9,17 +9,12 @@ obstructed", never a categorification claim.
 
 from fractions import Fraction
 
-from .algnum import (AlgebraicNumber, IntPoly, Surd, is_d_number,
+from .algnum import (POWER_BITS_CAP, AlgebraicNumber, Surd, is_d_number,
                      is_irreducible, isolate_real_roots,
                      largest_integer_divisor, power_char_poly)
 from .errors import BudgetError, InvalidInputError
 
 FOUR_THIRDS = Fraction(4, 3)
-
-# Most bits a coefficient of ffib_fpdim_bound's power characteristic
-# polynomial may have: 2**14000 < 10**4215, so every printed coefficient
-# stays below Python's 4,300-digit int-to-str limit.
-POWER_BITS_CAP = 14000
 
 
 def threshold(kind, param=None):
@@ -195,7 +190,7 @@ def spherical_obstruction_report(spectrum):
         global_checks.append(CheckResult("min-codegree-bound", "skip",
                                          "spectrum not totally real"))
     bad = [orb.poly.to_str() for orb in spectrum.orbits
-           if not is_d_number(orb.poly)]
+           if not is_d_number(orb.poly.coeffs)]
     global_checks.append(CheckResult(
         "codegrees-are-d-numbers", "pass" if not bad else "fail",
         "every orbit polynomial divides-all-roots" if not bad
@@ -207,24 +202,24 @@ def spherical_obstruction_report(spectrum):
 def ffib_fpdim_bound(p):
     """Integer M bounding FPdim for any category of global dimension d.
 
-    p is the minimal polynomial of d: a monic irreducible IntPoly with every
-    root in (0, oo); any other input raises InvalidInputError.  f is the
-    largest root of p, and M is the largest integer divisor (in the M^i | c_i
-    sense) of the characteristic polynomial of d^floor(f).  Irreducibility
+    p is the minimal polynomial of d as ascending coefficients: monic,
+    irreducible, every root in (0, oo); any other input raises
+    InvalidInputError.  f is the largest root of p, and M is the largest
+    integer divisor (in the M^i | c_i sense) of the characteristic
+    polynomial of d^floor(f).  Irreducibility
     is algnum.is_irreducible, the searches' own test (DegreeCapError above
     DEGREE_CAP).  Total positivity is read from one isolation: deg p real
     roots, the smallest above 0.
-    Returns (M, floor(f), that characteristic polynomial, f).
+    Returns (M, floor(f), that characteristic polynomial as a tuple, f).
     """
-    if not isinstance(p, IntPoly):
-        raise InvalidInputError("expected an IntPoly")
-    if not p.is_monic:
+    if not p or p[-1] != 1:
         raise InvalidInputError("the bound needs a monic polynomial")
     if not is_irreducible(p):
         raise InvalidInputError("the bound needs an irreducible polynomial")
-    ivs = isolate_real_roots(p.coeffs)
-    # totally positive: all deg p roots are real and lie in (0, oo)
-    if len(ivs) != p.degree or AlgebraicNumber(p, ivs[0]).cmp(0) <= 0:
+    ivs = isolate_real_roots(p)
+    k = len(p) - 1
+    # totally positive: all k roots are real and lie in (0, oo)
+    if len(ivs) != k or AlgebraicNumber(p, ivs[0]).cmp(0) <= 0:
         raise InvalidInputError("the bound needs a totally positive "
                                 "polynomial")
     f = AlgebraicNumber(p, ivs[-1])
@@ -233,8 +228,8 @@ def ffib_fpdim_bound(p):
     # function of the m-th powers of p's roots, so at most C(k, i) M(p)**m,
     # and the Mahler measure M(p) is at most the 2-norm of p (Landau's
     # inequality): at most k + m * ceil(log2 |p|_2) bits
-    norm_sq = sum(x * x for x in p.coeffs)
-    bits = p.degree + m * ((norm_sq - 1).bit_length() + 1) // 2
+    norm_sq = sum(x * x for x in p)
+    bits = k + m * ((norm_sq - 1).bit_length() + 1) // 2
     if bits > POWER_BITS_CAP:
         raise BudgetError(
             "the characteristic polynomial of d^%d may have coefficients of "

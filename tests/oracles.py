@@ -13,8 +13,9 @@ The appendix searches' plans on Surd arithmetic, with divisors by trial
 division: the package computes the same window bounds on integer pairs and
 lists divisors from a factorization.
 
-IntPoly values and products: the package evaluates on integers
-(kernels.eval_qnum) and multiplies coefficient lists (kernels.poly_mul).
+Polynomial values and products by Horner and repeated poly_mul: the
+package evaluates on integers (kernels.eval_qnum) and multiplies
+coefficient lists (kernels.poly_mul).
 
 Symmetric functions of roots by other routes than the package's power sums
 (kernels.power_sums and kernels.from_power_sums): the subresultant PRS
@@ -37,7 +38,7 @@ map(mul, ...): the package must return the same floats bit for bit.
 from fractions import Fraction
 from math import isqrt
 
-from fgap.algnum import DEGREE_CAP, IntPoly, RatInterval
+from fgap.algnum import DEGREE_CAP, RatInterval
 from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.kernels import (derivative, eval_qnum, int_content, normalize,
                           poly_mul, pseudo_rem, sign_variations)
@@ -208,20 +209,21 @@ def cubic_plan_reference(cfg):
     return plan
 
 
-def poly_value(poly, x):
-    """The IntPoly poly at an int or Fraction x, by Horner."""
+def poly_value(asc, x):
+    """The polynomial with ascending coefficients asc at an int or Fraction
+    x, by Horner."""
     acc = 0
-    for c in reversed(poly.coeffs):
+    for c in reversed(asc):
         acc = acc * x + c
     return acc
 
 
 def poly_product(*polys):
-    """The product of IntPolys."""
+    """The product of ascending coefficient sequences, as a tuple."""
     acc = [1]
     for p in polys:
-        acc = poly_mul(acc, list(p.coeffs))
-    return IntPoly(acc)
+        acc = poly_mul(acc, list(p))
+    return tuple(acc)
 
 
 def resultant(a, b):
@@ -275,8 +277,8 @@ def resultant(a, b):
 
 
 def ratio_integrality_reference(p):
-    """Are all root ratios of the monic squarefree IntPoly p (p(0) != 0)
-    algebraic integers?
+    """Are all root ratios of the monic squarefree p (ascending
+    coefficients, p(0) != 0) algebraic integers?
 
     Builds S(x) = Res_y(p(y), p(x*y)), whose roots are exactly the pairwise
     root ratios, by evaluation at n^2 + 1 integer points and exact
@@ -285,11 +287,11 @@ def ratio_integrality_reference(p):
     leading coefficient is +-1 (leading coefficients of primitive factors
     multiply).
     """
-    n = p.degree
+    n = len(p) - 1
     if n == 1:
         return True
     xs = list(range(1, n * n + 2))
-    base = list(p.coeffs)
+    base = list(p)
     ys = [resultant(base, [base[i] * t ** i for i in range(len(base))])
           for t in xs]
     s_coeffs = normalize(_interpolate_int(xs, ys))
@@ -328,8 +330,8 @@ def _matmul(a, b):
 
 
 def charpoly_reference(mat):
-    """Characteristic polynomial of a square integer matrix, ascending
-    IntPoly, by the Faddeev-LeVerrier recurrence M_1 = A, c_1 = -tr A,
+    """Characteristic polynomial of a square integer matrix, an ascending
+    tuple, by the Faddeev-LeVerrier recurrence M_1 = A, c_1 = -tr A,
     M_k = A (M_(k-1) + c_(k-1) I), c_k = -tr(M_k) / k."""
     n = len(mat)
     desc = [1]
@@ -345,7 +347,7 @@ def charpoly_reference(mat):
             raise ArithmeticError("inexact trace division")
         ck = -tr // k
         desc.append(ck)
-    return IntPoly(list(reversed(desc)))
+    return tuple(reversed(desc))
 
 
 def power_char_poly_reference(a, m):
@@ -353,7 +355,7 @@ def power_char_poly_reference(a, m):
     algebraic number a's minpoly: the Faddeev-LeVerrier characteristic
     polynomial of the m-th power of its companion matrix, by repeated
     squaring."""
-    c = a.minpoly.coeffs
+    c = a.minpoly
     n = len(c) - 1
     comp = [[0] * n for _ in range(n)]
     for i in range(1, n):
@@ -375,13 +377,13 @@ def is_d_number_reference(p):
     """algnum.is_d_number with the coefficient criterion as one all(...)
     over fresh powers, and the same checks and messages in the same
     order."""
-    p = p if isinstance(p, IntPoly) else IntPoly(p)
-    if not p.is_monic:
+    c = tuple(p)
+    n = len(c) - 1
+    if n < 0 or c[n] != 1:
         raise InvalidInputError("d-number test requires a monic polynomial")
-    if p.degree < 1 or p.coeffs[0] == 0:
+    if n < 1 or c[0] == 0:
         raise InvalidInputError("d-number test requires degree >= 1 and a "
                                 "nonzero constant term")
-    c, n = p.coeffs, p.degree
     if n > DEGREE_CAP:
         raise DegreeCapError("degree %d exceeds the d-number test's cap of %d"
                              % (n, DEGREE_CAP))

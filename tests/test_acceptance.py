@@ -16,7 +16,6 @@ import pytest
 
 from conftest import run_cli
 from fgap.algnum import (
-    IntPoly,
     Surd,
     is_d_number,
     poly_gcd_int,
@@ -153,11 +152,11 @@ def test_c08_d_number_fast_path_equals_oracle(capsys):
         checked = 0
         for degree in (1, 2, 3):
             for coeffs in _monic_coeff_grid(degree, 10):
-                p = IntPoly(coeffs)
                 dp = [i * coeffs[i] for i in range(1, len(coeffs))]
                 if len(poly_gcd_int(list(coeffs), dp)) > 1:
                     continue  # not squarefree
-                assert is_d_number(p) == ratio_integrality_oracle(p), coeffs
+                assert is_d_number(coeffs) == \
+                    ratio_integrality_oracle(coeffs), coeffs
                 checked += 1
         assert checked > 8000
         assert time.monotonic() - t0 <= 60.0

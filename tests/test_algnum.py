@@ -32,8 +32,8 @@ X = sympy.Symbol("x")
 
 
 def P(*desc):
-    """IntPoly from descending coefficients."""
-    return IntPoly(list(reversed(desc)))
+    """Ascending coefficient tuple from descending coefficients."""
+    return tuple(reversed(desc))
 
 
 def varcount_at_surd(chain, a, b, n, d):
@@ -127,15 +127,14 @@ def sign(s):
 
 
 # ---------------------------------------------------------------------------
-# IntPoly basics
+# IntPoly: the parsed and printed form
 
 def test_intpoly_text_forms():
-    p = P(1, -5, 5)
+    p = IntPoly(P(1, -5, 5))
     assert p.to_str() == "x^2 - 5x + 5"
     assert p.to_csv() == "1,-5,5"
-    assert IntPoly.from_csv("1,-5,5") == p
-    assert IntPoly.from_csv(" 1 , -5 , 5 ") == p
-    assert IntPoly.from_csv("+1,-5,+5") == p
+    for text in ("1,-5,5", " 1 , -5 , 5 ", "+1,-5,+5"):
+        assert IntPoly.from_csv(text).coeffs == p.coeffs == P(1, -5, 5)
 
 
 def test_intpoly_csv_rejects_garbage():
@@ -157,7 +156,7 @@ def test_intpoly_evaluate_exact():
     p = P(1, -5, 5)
     assert poly_value(p, Fraction(4, 3)) == Fraction(16 - 60 + 45, 9)
     assert poly_value(p, 0) == 5
-    assert kernels.eval_qnum(p.coeffs, 4, 3) == 16 - 60 + 45
+    assert kernels.eval_qnum(p, 4, 3) == 16 - 60 + 45
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def isolate_reference(p):
     shrinking until the intervals of different factors are disjoint, and a
     shrink of the smallest interval off 0 to decide total positivity.
     """
-    coeffs = kernels.normalize(p.coeffs if isinstance(p, IntPoly) else p)
+    coeffs = kernels.normalize(p)
     degree = len(coeffs) - 1
     if degree == 0:
         return RootProfile((), 0, True, True)
@@ -215,8 +214,8 @@ def positive_roots(chain):
 
 def test_isolate_pinned_quadratic():
     p = P(1, -5, 5)
-    iv1, iv2 = isolate_real_roots(p.coeffs)
-    assert positive_roots(sturm_chain(p.coeffs)) == 2
+    iv1, iv2 = isolate_real_roots(p)
+    assert positive_roots(sturm_chain(p)) == 2
     assert iv1.hi <= iv2.lo
     assert float(iv1.lo) - 1e-15 <= 1.3819660112501051 <= float(iv1.hi) + 1e-15
     assert float(iv2.lo) - 1e-15 <= 3.6180339887498949 <= float(iv2.hi) + 1e-15
@@ -227,7 +226,7 @@ def test_isolate_pinned_quadratic():
 
 
 def test_isolate_no_real_roots():
-    assert isolate_real_roots(P(1, 0, 1).coeffs) == []
+    assert isolate_real_roots(P(1, 0, 1)) == []
     prof = isolate_reference(P(1, 0, 1))
     assert prof.n_real == 0 and not prof.totally_real
 
@@ -235,7 +234,7 @@ def test_isolate_no_real_roots():
 def test_isolate_multiplicity():
     # (x - 2)^2: the squarefree part x - 2 carries the one distinct root
     p = P(1, -4, 4)
-    sqf = poly_squarefree_part(p.coeffs)
+    sqf = poly_squarefree_part(p)
     assert sqf == [-2, 1]
     (iv,) = isolate_real_roots(sqf)
     assert iv.lo < 2 <= iv.hi and positive_roots(sturm_chain(sqf)) == 1
@@ -248,16 +247,16 @@ def test_isolate_counts_match_sympy():
     rng = random.Random(3)
     for _ in range(80):
         c = [rng.randint(-10, 10) for _ in range(rng.randint(2, 6))]
-        p = IntPoly(c) if any(c) and c[-1] else None
-        if p is None or p.degree < 1:
+        p = tuple(c) if any(c) and c[-1] else None
+        if p is None or len(p) < 2:
             continue
-        sqf = poly_squarefree_part(p.coeffs)
+        sqf = poly_squarefree_part(p)
         ivs = isolate_real_roots(sqf)
         ivals = sympy.Poly(to_sympy_poly(p), X).intervals()
         assert len(ivs) == len(ivals)
         # the squarefree part keeps every real root of p, each once
         assert all(m == 1 for _, m in sympy.Poly(
-            to_sympy_poly(IntPoly(sqf)), X).intervals())
+            to_sympy_poly(sqf), X).intervals())
         prof = isolate_reference(p)
         assert prof.n_real == sum(m for _, m in ivals)
         assert [m for _, m in prof.roots] == [m for _, m in ivals]
@@ -316,20 +315,20 @@ def test_isolate_matches_reference_on_squarefree_input(c):
         (iv.lo, iv.hi) for iv, _ in prof.roots]
     monic = _primitive_pos(c)
     if monic[-1] == 1:
-        poly = IntPoly(monic)
+        poly = tuple(monic)
         assert [AlgebraicNumber(poly, iv).approx_float() for iv in ivs] == [
             AlgebraicNumber(poly, iv).approx_float() for iv in old]
 
 
 def to_sympy_poly(p):
-    return sum(v * X ** i for i, v in enumerate(p.coeffs))
+    return sum(v * X ** i for i, v in enumerate(p))
 
 
 # ---------------------------------------------------------------------------
 # refinement
 
 def test_refine_width_and_containment():
-    ivs = isolate_real_roots(P(1, -5, 5).coeffs)
+    ivs = isolate_real_roots(P(1, -5, 5))
     a = AlgebraicNumber(P(1, -5, 5), ivs[0])
     iv = a.refine(Fraction(1, 10 ** 6))
     assert iv.width <= Fraction(1, 10 ** 6)
@@ -343,7 +342,7 @@ def test_refine_rational_point():
 
 
 def test_refine_sqrt2():
-    ivs = isolate_real_roots(P(1, 0, -2).coeffs)
+    ivs = isolate_real_roots(P(1, 0, -2))
     a = AlgebraicNumber(P(1, 0, -2), ivs[1])
     iv = a.refine(Fraction(1, 1000))
     assert iv.width <= Fraction(1, 1000)
@@ -351,7 +350,7 @@ def test_refine_sqrt2():
 
 
 def test_refine_deterministic():
-    ivs = isolate_real_roots(P(1, -5, 5).coeffs)
+    ivs = isolate_real_roots(P(1, -5, 5))
     a1 = AlgebraicNumber(P(1, -5, 5), ivs[0])
     a2 = AlgebraicNumber(P(1, -5, 5), ivs[0])
     w = Fraction(1, 10 ** 9)
@@ -393,9 +392,9 @@ def _assert_refine_matches_reference(poly, iv):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=5))
 def test_refine_matches_fraction_bisection(low):
-    poly = IntPoly(low + [1])
+    poly = tuple(low + [1])
     assume(factor_over_integers(poly) == [(poly, 1)])
-    for iv in isolate_real_roots(poly.coeffs):
+    for iv in isolate_real_roots(poly):
         _assert_refine_matches_reference(poly, iv)
 
 
@@ -403,7 +402,7 @@ def test_refine_root_at_an_endpoint():
     # (x - 1)(x^2 - 2): (1, 2] holds only sqrt 2 and its lower end is the
     # root 1; (1/2, 1] holds the root 1 at its upper end
     poly = P(1, -1, -2, 2)
-    chain = sturm_chain(poly.coeffs)
+    chain = sturm_chain(poly)
     for iv in (RatInterval(1, 2), RatInterval(Fraction(1, 2), 1)):
         a = AlgebraicNumber(poly, iv)
         for width in REFINE_WIDTHS:
@@ -464,7 +463,7 @@ def test_factor_matches_sympy_on_random_products():
         c = [rng.randint(-8, 8) for _ in range(rng.randint(2, 7))]
         if not any(c) or not c[-1]:
             continue
-        p = IntPoly(c)
+        p = tuple(c)
         got = factor_over_integers(p)
         want = sympy.factor_list(to_sympy_poly(p))[1]
         want_set = {}
@@ -475,7 +474,7 @@ def test_factor_matches_sympy_on_random_products():
             if coeffs[-1] < 0:
                 coeffs = [-v for v in coeffs]
             want_set[tuple(coeffs)] = want_set.get(tuple(coeffs), 0) + mult
-        got_set = {tuple(f.coeffs): m for f, m in got}
+        got_set = dict(got)
         assert got_set == want_set, (c, got, want)
 
 
@@ -485,17 +484,25 @@ def test_factor_roundtrip_reproduces_input():
         c = [rng.randint(-9, 9) for _ in range(rng.randint(2, 8))]
         if not any(c) or not c[-1]:
             continue
-        p = IntPoly(c)
-        prod = IntPoly([1])
+        p = tuple(c)
+        prod = (1,)
         for fac, mult in factor_over_integers(p):
             for _ in range(mult):
                 prod = poly_product(prod, fac)
         # equality up to rational content times sign
-        k = len(p.coeffs) - 1
-        assert prod.degree == p.degree
-        lhs = [x * p.coeffs[-1] for x in prod.coeffs]
-        rhs = [x * prod.coeffs[-1] for x in p.coeffs]
+        assert len(prod) == len(p)
+        lhs = [x * p[-1] for x in prod]
+        rhs = [x * prod[-1] for x in p]
         assert lhs == rhs
+
+
+def test_factor_takes_coefficients_past_the_int_to_str_limit():
+    # the equal-degree splitter's generator was seeded with the
+    # coefficients written in decimal, which Python refuses past 4,300
+    # digits; the constant term here has 5,001
+    n = 10 ** 2500 + 7
+    p = poly_product((-n, 1), (-n - 3, 1))
+    assert factor_over_integers(p) == [((-n - 3, 1), 1), ((-n, 1), 1)]
 
 
 def test_factor_degree_cap():
@@ -503,15 +510,15 @@ def test_factor_degree_cap():
     coeffs[0] = -1
     coeffs[25] = 1  # x^25 - 1, degree above the cap
     with pytest.raises(DegreeCapError):
-        factor_over_integers(IntPoly(coeffs))
+        factor_over_integers(coeffs)
 
 
 def test_squarefree_decomposition_known():
     p = poly_product(P(1, -4, 4), P(1, -1))
-    parts = squarefree_decomposition(list(p.coeffs))
+    parts = squarefree_decomposition(list(p))
     rebuilt = {}
     for fac, mult in parts:
-        rebuilt[mult] = IntPoly(fac)
+        rebuilt[mult] = tuple(fac)
     assert rebuilt[1] == P(1, -1)
     assert rebuilt[2] == P(1, -2)
 
@@ -551,15 +558,15 @@ def monic_polys(draw):
     else:
         asc = draw(st.lists(st.integers(-20, 20), min_size=deg,
                             max_size=deg)) + [1]
-    return IntPoly(asc)
+    return tuple(asc)
 
 
 @given(monic_polys())
 @settings(max_examples=300, deadline=None)
-@example(poly=IntPoly([0, 0, 0, 1]))        # x^3
-@example(poly=IntPoly([-2, 0, 0, 1]))       # x^3 - 2
-@example(poly=IntPoly([4, 0, -5, 0, 1]))    # (x^2 - 1)(x^2 - 4)
-@example(poly=IntPoly([1, 0, 0, 0, 1]))     # x^4 + 1
+@example(poly=(0, 0, 0, 1))        # x^3
+@example(poly=(-2, 0, 0, 1))       # x^3 - 2
+@example(poly=(4, 0, -5, 0, 1))    # (x^2 - 1)(x^2 - 4)
+@example(poly=(1, 0, 0, 0, 1))     # x^4 + 1
 # cubics at and past |c0| = 10^6, where trial division hands over to
 # factoring: (x - 100)(x^2 + 10^4), (x - 1009)(x^2 + x + 1000), x^3 - 2000003
 @example(poly=poly_product(P(1, -100), P(1, 0, 10 ** 4)))
@@ -818,7 +825,7 @@ def test_surd_floor_matches_sympy(x):
 
 def fib_roots():
     p = P(1, -5, 5)
-    iv1, iv2 = isolate_real_roots(p.coeffs)
+    iv1, iv2 = isolate_real_roots(p)
     return AlgebraicNumber(p, iv1), AlgebraicNumber(p, iv2)
 
 
@@ -869,11 +876,10 @@ def test_algnum_floor_at_an_integer_root():
 
 SHARED_ROOT_CMP = """
 from fractions import Fraction as F
-from fgap.algnum import AlgebraicNumber, IntPoly, RatInterval
+from fgap.algnum import AlgebraicNumber, RatInterval
 
 def num(desc, lo, hi):
-    p = IntPoly(list(reversed(desc)))
-    return AlgebraicNumber(p, RatInterval(lo, hi))
+    return AlgebraicNumber(desc[::-1], RatInterval(lo, hi))
 
 two = num((1, -2, -2, 4), F(3, 2), F(5, 2))      # 2, (x - 2)(x^2 - 2)
 two_b = num((1, 1, -6), F(3, 2), F(5, 2))        # 2, (x - 2)(x + 3)
@@ -883,11 +889,11 @@ cases = [
     (two, two_b, 0), (two_b, two, 0),
     (sqrt2, sqrt2_b, 0), (sqrt2_b, sqrt2, 0),
     (two_b, sqrt2_b, 1), (sqrt2_b, two_b, -1),
-    (two, AlgebraicNumber(IntPoly([-2, 1]), None), 0),
-    (AlgebraicNumber(IntPoly([-2, 1]), None), two_b, 0),
+    (two, AlgebraicNumber((-2, 1), None), 0),
+    (AlgebraicNumber((-2, 1), None), two_b, 0),
     (num((1, 0, -3), 1, 2), two_b, -1),          # sqrt 3 < 2
-    (AlgebraicNumber(IntPoly([-1, 1]), None), sqrt2, -1),
-    (sqrt2_b, AlgebraicNumber(IntPoly([-1, 1]), None), 1),
+    (AlgebraicNumber((-1, 1), None), sqrt2, -1),
+    (sqrt2_b, AlgebraicNumber((-1, 1), None), 1),
 ]
 print([a.cmp(b) == want for a, b, want in cases])
 """
@@ -927,11 +933,10 @@ def test_cmp_at_the_interval_ends():
 
 OVERLAP_END_CMP = """
 from fractions import Fraction as F
-from fgap.algnum import AlgebraicNumber, IntPoly, RatInterval
+from fgap.algnum import AlgebraicNumber, RatInterval
 
 def num(desc, lo, hi):
-    p = IntPoly(list(reversed(desc)))
-    return AlgebraicNumber(p, RatInterval(lo, hi))
+    return AlgebraicNumber(desc[::-1], RatInterval(lo, hi))
 
 two = num((1, -2, -2, 4), F(3, 2), 2)        # 2, (x - 2)(x^2 - 2)
 two_b = num((1, 1, -6), 1, 2)                # 2, (x - 2)(x + 3)
@@ -969,13 +974,13 @@ def bisect_cmp_surd(poly, iv, s):
     """Sign of (the root of poly in iv) - s for an irrational RefSurd s, by
     the interval bisection cmp_surd ran before its surd-point Sturm count:
     the reference.  poly is squarefree and iv = (lo, hi] isolates one root."""
-    chain = sturm_chain(list(poly.coeffs))
+    chain = sturm_chain(list(poly))
 
     def inside(x):
         return x.cmp_fraction(iv.lo) >= 0 and x.cmp_fraction(iv.hi) <= 0
 
     acc = RefSurd(0)
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly):
         acc = acc * s + RefSurd(c)
     if acc.sign() == 0:
         other = s.conjugate()
@@ -994,14 +999,14 @@ def surd_points(poly, rng):
     roots and their conjugates, points just beside each root, and a few
     random ones."""
     pts = []
-    if poly.degree == 2:
-        c0, c1, _ = poly.coeffs
+    if len(poly) == 3:
+        c0, c1, _ = poly
         disc = c1 * c1 - 4 * c0
         if disc > 0 and isqrt(disc) ** 2 != disc:
             n, m = sympy_squarefree(disc)
             for sgn in (1, -1):
                 pts.append(RefSurd(Fraction(-c1, 2), Fraction(sgn * m, 2), n))
-    for iv in isolate_real_roots(poly.coeffs):
+    for iv in isolate_real_roots(poly):
         for n in (2, 3, 5):
             for k in (1, 6, 30):
                 step = Fraction(1, 10 ** k)
@@ -1019,7 +1024,7 @@ def bisect_cmp_fraction(poly, iv, r):
     """Sign of (the root of poly in iv) - r for a rational r, by shrinking
     iv with _shrink until r lies outside it, as src compared with a rational
     before its one Sturm count at the point: the reference."""
-    chain = sturm_chain(list(poly.coeffs))
+    chain = sturm_chain(list(poly))
     if iv.lo < r <= iv.hi and poly_value(poly, r) == 0:
         return 0
     while iv.lo <= r <= iv.hi:
@@ -1032,7 +1037,7 @@ def rational_points(poly, rng):
     midpoint, the integer roots (a monic poly has no other rational ones),
     points just beside each, and a few random ones."""
     pts = [Fraction(t) for t in range(-14, 15) if poly_value(poly, t) == 0]
-    for iv in isolate_real_roots(poly.coeffs):
+    for iv in isolate_real_roots(poly):
         pts.extend([iv.lo, iv.hi, iv.mid])
         for k in (1, 6, 30):
             step = Fraction(1, 10 ** k)
@@ -1058,12 +1063,12 @@ poly_coeffs = st.lists(st.integers(-12, 12), min_size=2, max_size=4)
 @settings(max_examples=120, deadline=None)
 @example(low=[0, -1], seed=0)  # x^2 - x: the root 0 is the end of (-3, 0]
 def test_cmp_surd_and_surd_sturm_count_match_bisection(low, seed):
-    poly = IntPoly(low + [1])
-    if [m for _, m in squarefree_decomposition(list(poly.coeffs))] != [1]:
+    poly = tuple(low + [1])
+    if [m for _, m in squarefree_decomposition(list(poly))] != [1]:
         return  # the reference needs a squarefree polynomial
     rng = random.Random(seed)
-    chain = sturm_chain(list(poly.coeffs))
-    roots = isolate_real_roots(poly.coeffs)
+    chain = sturm_chain(list(poly))
+    roots = isolate_real_roots(poly)
     nums = [AlgebraicNumber(poly, iv) for iv in roots]
     for s in surd_points(poly, rng):
         want = [bisect_cmp_surd(poly, iv, s) for iv in roots]
@@ -1128,8 +1133,8 @@ def monic_up_to_the_cap(draw):
     n = draw(st.integers(1, 24))
     middle = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -4, 8]),
                            min_size=n - 1, max_size=n - 1))
-    return IntPoly([draw(st.sampled_from([-8, -2, -1, 1, 2, 4]))]
-                   + middle + [1])
+    return tuple([draw(st.sampled_from([-8, -2, -1, 1, 2, 4]))]
+                 + middle + [1])
 
 
 @given(monic_up_to_the_cap())
@@ -1190,7 +1195,7 @@ def monic_products(draw):
             if len(asc) + deg <= 7:
                 asc = poly_mul(asc, factor)
         if len(asc) == 7 or draw(st.booleans()):
-            return IntPoly(asc)
+            return tuple(asc)
 
 
 @given(monic_products())
@@ -1202,11 +1207,11 @@ def monic_products(draw):
 def test_d_number_matches_ratio_oracle(p):
     # the coefficient criterion holds for any monic p with p(0) != 0; the
     # oracle reads the root ratios of the squarefree part
-    want = ratio_integrality_oracle(IntPoly(poly_squarefree_part(p.coeffs)))
+    want = ratio_integrality_oracle(poly_squarefree_part(p))
     assert is_d_number(p) is want, p
 
 
-@given(monic_products().filter(lambda p: p.degree <= 4))
+@given(monic_products().filter(lambda p: len(p) <= 5))
 @settings(max_examples=150, deadline=None)
 @example(p=P(1, -5, 5))
 @example(p=P(1, -7, 14, -7))
@@ -1216,7 +1221,7 @@ def test_d_number_matches_ratio_oracle(p):
 def test_ratio_oracle_matches_resultant_reference(p):
     # the power-sum oracle against the resultant-interpolation reference,
     # both on the squarefree part (of degree 1-4)
-    q = IntPoly(poly_squarefree_part(p.coeffs))
+    q = tuple(poly_squarefree_part(p))
     assert ratio_integrality_oracle(q) is ratio_integrality_reference(q), p
 
 
@@ -1254,7 +1259,7 @@ def test_charpoly_int_matches_faddeev_leverrier_and_sympy(mat):
     got = charpoly_int(mat)
     assert got == charpoly_reference(mat)
     desc = sympy.Matrix(mat).charpoly(X).all_coeffs()
-    assert got == IntPoly([int(v) for v in reversed(desc)])
+    assert got == tuple(int(v) for v in reversed(desc))
 
 
 def test_charpoly_int_rejects_a_non_square_matrix():
@@ -1275,7 +1280,7 @@ WithMinpoly = namedtuple("WithMinpoly", "minpoly")
 def test_power_char_poly_matches_companion_powers(low, m):
     # both read only a.minpoly, which need not be irreducible for the power
     # sums to agree
-    a = WithMinpoly(IntPoly(low + [1]))
+    a = WithMinpoly(tuple(low + [1]))
     assert power_char_poly(a, m) == power_char_poly_reference(a, m)
 
 
@@ -1296,10 +1301,10 @@ def test_largest_integer_divisor_pinned():
 @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_power_char_poly_contains_powered_root(a1, a0, m):
-    p = IntPoly([a0, a1, 1])
+    p = (a0, a1, 1)
     if factor_over_integers(p) != [(p, 1)]:
         return
-    ivs = isolate_real_roots(p.coeffs)
+    ivs = isolate_real_roots(p)
     if len(ivs) != 2:
         return
     root = AlgebraicNumber(p, ivs[0])
@@ -1313,7 +1318,7 @@ def test_power_char_poly_contains_powered_root(a1, a0, m):
 
 
 def _count_roots_between(p, lo, hi):
-    sq = squarefree_decomposition(list(p.coeffs))
+    sq = squarefree_decomposition(list(p))
     total = 0
     for fac, _ in sq:
         if len(fac) < 2:
@@ -1328,7 +1333,7 @@ def _count_roots_between(p, lo, hi):
 @settings(max_examples=60, deadline=None)
 def test_lid_is_one_for_unit_constant_term(a2, a1, neg):
     c0 = -1 if neg else 1
-    p = IntPoly([c0, a1, a2, 1])
+    p = (c0, a1, a2, 1)
     assert largest_integer_divisor(p) == 1
 
 
@@ -1338,17 +1343,16 @@ def test_lid_is_one_for_unit_constant_term(a2, a1, neg):
 
 def conjugate_stats(p):
     """(smallest root, largest root, exact mean) of a totally real monic p."""
-    p = p if isinstance(p, IntPoly) else IntPoly(p)
-    if not p.is_monic:
+    if not p or p[-1] != 1:
         raise InvalidInputError("conjugate statistics require a monic "
                                 "polynomial")
     if not isolate_reference(p).totally_real:
         raise InvalidInputError("polynomial is not totally real")
-    mean = Fraction(-p.coeffs[p.degree - 1], p.degree)
+    mean = Fraction(-p[-2], len(p) - 1)
     lo_an = None
     hi_an = None
     for factor, _ in factor_over_integers(p):
-        fivs = isolate_real_roots(factor.coeffs)
+        fivs = isolate_real_roots(factor)
         first = AlgebraicNumber(factor, fivs[0])
         last = AlgebraicNumber(factor, fivs[-1])
         if lo_an is None or first.cmp(lo_an) < 0:

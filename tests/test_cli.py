@@ -545,6 +545,142 @@ def test_numeric_tokens_are_ascii_integers(argv, err):
     assert (code, out.getvalue(), got.getvalue()) == (1, "", err)
 
 
+# integers past the digit cap (algnum.INT_DIGITS_CAP = 2,000): past Python's
+# 4,300-digit limit, int() itself raised ValueError; between the two, a
+# number derived from one (repg's inverse square sum, search gap's f_max)
+# could not be printed
+BIG = "7" * 5000
+OVER = "7" * 2500
+RING_3000 = ("rank 2\ndual 0 1\nN 0 0 : 1 0\nN 0 1 : 0 1\nN 1 0 : 0 1\n"
+             "N 1 1 : 1 %d\n" % (10 ** 2999 + 7))
+NUMBER_ERROR = ("error: cannot parse %r as an exact number; use INT, a "
+                "decimal, P/Q, or k*sqrt(n)/m\n")
+OVERSIZED_INTEGER_INPUTS = [
+    (["dnumber", "--poly", "1," + BIG], None, 1,
+     "error: bad polynomial '1,%s': coefficients must be integers\n" % BIG),
+    (["ffib-bound", "--poly", "1," + BIG], None, 1,
+     "error: bad polynomial '1,%s': coefficients must be integers\n" % BIG),
+    (["repg", "--classes", "1," + BIG], None, 1,
+     "error: bad class size list '1,%s'\n" % BIG),
+    (["search", "gap", "--dmax", BIG + "/3"], None, 1,
+     NUMBER_ERROR % (BIG + "/3")),
+    (["search", "quadratic", "--window", "1.35," + BIG], None, 1,
+     NUMBER_ERROR % BIG),
+    (["analyze", "-", "--tol", "1/" + BIG], None, 1,
+     "error: cannot parse '1/%s' as a rational\n" % BIG),
+    (["builtin", "kn", "--n", BIG], None, 1,
+     "error: argument --n: invalid int value: '%s'\n" % BIG),
+    (["search", "quadratic", "--amax", BIG], None, 1,
+     "error: argument --amax: invalid int value: '%s'\n" % BIG),
+    (["repg", "--classes", "1," + OVER], None, 1,
+     "error: bad class size list '1,%s'\n" % OVER),
+    (["search", "gap", "--dmax", "4%s1/3%s" % ("0" * 2499, "0" * 2500)], None,
+     1, NUMBER_ERROR % ("4%s1/3%s" % ("0" * 2499, "0" * 2500))),
+    (["search", "gap", "--dmax", "1.%s1" % ("3" * 2000)], None, 1,
+     NUMBER_ERROR % ("1.%s1" % ("3" * 2000))),
+    # a ring file is no CLI token: its 3,000-digit multiplicity is read, and
+    # the charpoly's bit bound stops the run before anything is printed
+    (["analyze", "-"], RING_3000, 2,
+     "not certified: the characteristic polynomial may have coefficients "
+     "of 39852 bits, whose squares pass the cap of 14000 bits\n"),
+    # a radicand past 10^20 is not factored: a 39-digit semiprime
+    (["search", "quadratic", "--window",
+      "sqrt(300000000000000001940000000000000002091)/10000000000000000000,"
+      "1.4"], None, 1, "error: radicand over the cap of 10^20\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,code,err", OVERSIZED_INTEGER_INPUTS,
+    ids=["dnumber", "ffib-bound", "repg", "gap", "quadratic-window", "tol",
+         "builtin-n", "amax", "repg-2500-digits", "gap-2501-digits",
+         "gap-2002-digit-decimal", "ring-file-3000-digits", "radicand"])
+def test_oversized_integers_end_in_one_line(argv, stdin, code, err,
+                                            monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    out, got = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(got):
+        rc = fgap.cli.main(argv)
+    assert (rc, out.getvalue(), got.getvalue()) == (code, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "gap", "--dmax", "4%s1/3%s" % ("0" * 1998, "0" * 1999)],
+    ["search", "gap", "--dmax", "1.%s4" % ("3" * 1997)],
+    ["repg", "--classes", "1,%s,%s" % ("9" * 2000, "8" * 2000)],
+    ["search", "quadratic", "--window",
+     "sqrt(99999999100000001881)/10000000000,1.4"],
+], ids=["gap-fraction", "gap-decimal", "repg", "radicand-at-20-digits"])
+def test_integers_at_the_caps_print_their_report(argv):
+    # 2,000 digits: every printed number derived from them stays under the
+    # int-to-str limit; a 20-digit semiprime radicand is factored
+    out, got = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(got):
+        rc = fgap.cli.main(argv)
+    assert (rc, got.getvalue()) == (0, "") and out.getvalue()
+
+
+@st.composite
+def exact_tokens(draw):
+    """parse_exact tokens: INT, decimal, P/Q and k*sqrt(n)/m in their
+    spellings, integers of up to 5,000 digits, radicands past 10^20, and
+    garbage."""
+    def integer():
+        # digit strings: a 5,000-digit int cannot even be turned into one
+        return draw(st.one_of(
+            st.integers(-10 ** 6, 10 ** 6).map(str),
+            st.integers(0, 5000).map(lambda e: "1" + "0" * e),
+            st.integers(1990, 2010).map(lambda e: "7" + "0" * e + "1")))
+
+    def natural():
+        return integer().lstrip("-")
+    kind = draw(st.sampled_from(["int", "decimal", "fraction", "surd",
+                                 "radicand", "garbage"]))
+    if kind == "int":
+        return integer()
+    if kind == "decimal":
+        return "%s.%s" % (integer(), natural())
+    if kind == "fraction":
+        return "%s/%s" % (integer(), natural())
+    if kind in ("surd", "radicand"):
+        n = (str(draw(st.integers(10 ** 20 + 1, 10 ** 60)))
+             if kind == "radicand" else natural())
+        k = draw(st.sampled_from(["", "-", "+", "3", "-2*", "12"]))
+        root = draw(st.sampled_from(["sqrt(%s)", "sqrt%s", "\u221a%s"])) % n
+        den = draw(st.sampled_from(["", "/5", "/0", "/" + natural()]))
+        return k + root + den
+    return draw(st.one_of(
+        st.text(max_size=12),
+        st.sampled_from(["", "1e3", "1_000", "0x10", "--1", "sqrt()",
+                         "1/2/3", "nan", "inf", "\u0663", "1.", ".5",
+                         "4sqrt(3)/5/", "sqrt(-2)"])))
+
+
+@given(exact_tokens())
+@settings(max_examples=150, deadline=None)
+@example(tok="sqrt(300000000000000001940000000000000002091)")
+@example(tok="1." + "3" * 5000)
+@example(tok="7" + "0" * 1999)
+def test_exact_tokens_end_in_one_line_or_a_report(tok):
+    """parse_exact tokens through search quadratic --window (either end)
+    and repg --classes, in process: exit 0 with a report, or exit 1 or 2
+    with one stderr line and nothing on stdout; no exception escapes main.
+    The gap search is left out: past 4sqrt(3)/5 it still runs without
+    bound."""
+    for argv in (["search", "quadratic", "--window", tok + ",1.4"],
+                 ["search", "quadratic", "--window", "1.35," + tok],
+                 ["repg", "--classes", "1," + tok]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = fgap.cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert out and err == "", argv
+            continue
+        assert code in (1, 2) and out == "", (argv, code)
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
 def test_dnumber_over_the_degree_cap_exits_1():
     # the d-number test shares the factorization's degree cap of 24
     err = _assert_one_line_exit(1, "dnumber", "--poly", "1" + ",1" * 40)

@@ -3,6 +3,7 @@
 import importlib
 import math
 import pathlib
+import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
 
@@ -579,3 +580,37 @@ def test_parse_errors_carry_line_numbers():
         parse_ring_file("rank 1\ndual 0\nN 0 0 : 1\nN 0 0 : 1\n")
     with pytest.raises(InvalidInputError, match="missing N lines"):
         parse_ring_file("rank 2\ndual 0 1\n")
+
+
+@pytest.mark.parametrize("present", [
+    [], [(0, 0)], [(0, 0), (0, 2), (1, 1), (2, 0), (2, 1)],
+    [(i, j) for i in range(4) for j in range(4) if (i + j) % 3],
+    [(i, j) for i in range(4) for j in range(4) if (i, j) != (3, 3)],
+], ids=["none", "unit-row-start", "scattered", "every-third", "last"])
+def test_missing_n_lines_name_the_first_eight_absent_pairs(present):
+    r = 4
+    lines = ["rank %d" % r, "dual 0 1 2 3"]
+    lines += ["N %d %d : %s" % (i, j, " ".join(["0"] * r))
+              for i, j in present]
+    want = [(i, j) for i in range(r) for j in range(r)
+            if (i, j) not in present][:8]
+    with pytest.raises(InvalidInputError) as info:
+        parse_ring_file("\n".join(lines) + "\n")
+    assert str(info.value) == "missing N lines for (i,j): " + ", ".join(
+        "(%d,%d)" % ij for ij in want)
+
+
+def test_a_ring_header_allocates_no_rank_squared_grid():
+    # rank 1,000 and its dual line, no N line: the parser used to build the
+    # 1,000 x 1,000 grid of the tensor before reading one (92 MB traced)
+    text = "rank 1000\ndual %s\n" % " ".join(map(str, range(1000)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError,
+                           match=r"missing N lines for \(i,j\): \(0,0\), "
+                                 r"\(0,1\), .*\(0,7\)$"):
+            parse_ring_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 ** 6

@@ -164,8 +164,8 @@ def test_mainineq_encodings_agree_on_grid():
             disc = a * a - 4 * b
             if disc <= 0 or math.isqrt(disc) ** 2 == disc:
                 continue
-            p = IntPoly([b, -a, 1])
-            iv1, iv2 = isolate_real_roots(p.coeffs)
+            p = (b, -a, 1)
+            iv1, iv2 = isolate_real_roots(p)
             d1 = AlgebraicNumber(p, iv1)
             d2 = AlgebraicNumber(p, iv2)
             exact = mainineq_exact_quadratic(a, b)
@@ -252,11 +252,10 @@ def test_orbit_inequality_matches_quadratic_form():
     for a, b in [(5, 5), (6, 4), (7, 7), (9, 27), (23, 23)]:
         disc = a * a - 4 * b
         if disc <= 0 or math.isqrt(disc) ** 2 == disc:
-            p = IntPoly([b, -a, 1])
             continue
-        p = IntPoly([b, -a, 1])
-        top = AlgebraicNumber(p, isolate_real_roots(p.coeffs)[-1])
-        assert orbit_inequality(inverse_square_sum(p.coeffs), top)[0] == \
+        p = (b, -a, 1)
+        top = AlgebraicNumber(p, isolate_real_roots(p)[-1])
+        assert orbit_inequality(inverse_square_sum(p), top)[0] == \
             mainineq_exact_quadratic(a, b)
 
 
@@ -457,6 +456,26 @@ def test_cubic_search_without_audit_builds_no_polynomial_for_an_a3_failure(
     assert len(built) == 18393
 
 
+@pytest.mark.parametrize("d_max", [QUAD_DEFAULT_HI, Surd(Fraction(277, 200))],
+                         ids=["4sqrt(3)/5", "277/200"])
+def test_gap_search_builds_an_intpoly_only_for_a_returned_candidate(
+        d_max, monkeypatch):
+    # a leaf is its coefficient tuple; of the 4,810 leaves only the one
+    # survivor becomes a Candidate, the one IntPoly the search prints
+    built = []
+
+    class CountedIntPoly(IntPoly):
+        __slots__ = ()
+
+        def __init__(self, coeffs):
+            built.append(tuple(coeffs))
+            super().__init__(coeffs)
+
+    monkeypatch.setattr(gapsearch, "IntPoly", CountedIntPoly)
+    r = search_gap(d_max)
+    assert built == [c.poly.coeffs for c in r.survivors] == [(5, -5, 1)]
+
+
 # ---------------------------------------------------------------------------
 # the appendix plans on integers against their Surd references
 
@@ -584,7 +603,7 @@ def test_gap_bracket_verdicts_match_isolation(audit, d_max, request):
         got = dict(cand.trace).get("root-window")
         if got is None:
             continue
-        d1 = AlgebraicNumber(cand.poly,
+        d1 = AlgebraicNumber(cand.poly.coeffs,
                              isolate_real_roots(cand.poly.coeffs)[0])
         inwin = d1.cmp(FOUR_THIRDS) > 0 and d1.cmp(d_max) <= 0
         assert got == ("pass" if inwin else "fail"), cand
@@ -961,7 +980,7 @@ def test_degree_4_walk_slice_matches_references(monkeypatch):
 
     def leaf(poly, d_max, bracket, keep_all):
         got = real_leaf(poly, d_max, bracket, True)
-        if poly.degree == 4:
+        if len(poly) == 5:
             want = gap_leaf_reference(poly, d_max, bracket, True)
             assert (got.trace, got.roots) == (want.trace, want.roots), poly
             counts["leaf", got.first_fail()] += 1
@@ -992,11 +1011,10 @@ def test_gap_leaf_keeps_four_positional_parameters():
 # ---------------------------------------------------------------------------
 # the leaf battery against its Sturm-chain reference
 
-def irreducible_reference(poly):
+def irreducible_reference(asc):
     """The degree <= 3 irreducibility test over a sorted divisor list and
-    IntPoly evaluation (the form before the inline Horner pairs)."""
-    asc = poly.coeffs
-    k = poly.degree
+    Horner evaluation (the form before the inline Horner pairs)."""
+    k = len(asc) - 1
     if k == 1:
         return True
     if k == 2:
@@ -1005,21 +1023,21 @@ def irreducible_reference(poly):
     if k == 3:
         if asc[0] == 0:
             return False
-        return all(poly_value(poly, t) != 0 and poly_value(poly, -t) != 0
+        return all(poly_value(asc, t) != 0 and poly_value(asc, -t) != 0
                    for t in divisors(abs(asc[0])))
-    factors = factor_over_integers(poly)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0] == poly
+    factors = factor_over_integers(asc)
+    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0] == asc
 
 
 def gap_leaf_reference(poly, d_max, bracket, keep_all):
     """The leaf battery on Sturm counts alone: one chain per irreducible
     leaf, read at -inf, +inf, 1, 4/3, r_lo and r_hi, and isolation on that
     chain (the form before the closed-form realness, the Taylor-shift sign
-    tests and Descartes isolation)."""
+    tests and Descartes isolation).  poly is an ascending tuple."""
     trace = []
     roots = None
-    k = poly.degree
-    asc = list(poly.coeffs)
+    k = len(poly) - 1
+    asc = list(poly)
     ok = irreducible_reference(poly)
     trace.append(("irreducible", "pass" if ok else "fail"))
     ivs = None
@@ -1058,7 +1076,7 @@ def gap_leaf_reference(poly, d_max, bracket, keep_all):
         good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
         trace.append(("orbit-inequality", "pass" if good else "fail"))
         roots = tuple(AlgebraicNumber(poly, iv).approx_float() for iv in ivs)
-    cand = Candidate(poly, trace, roots)
+    cand = Candidate(IntPoly(poly), trace, roots)
     return cand if cand.survivor or keep_all else None
 
 
@@ -1129,7 +1147,7 @@ def leaf_cases(draw):
             asc = kernels.poly_mul(asc, [-root, 1])
         asc[0] += draw(st.integers(-4, 4))
         asc[1 % k] += draw(st.integers(-4, 4))
-    return (IntPoly(asc),) + _draw_window(draw)
+    return (tuple(asc),) + _draw_window(draw)
 
 
 def _draw_window(draw):
@@ -1146,7 +1164,7 @@ def _draw_window(draw):
 
 def _leaf(asc, d_max, width):
     iv = d_max.approx(width)
-    return IntPoly(asc), d_max, (iv.lo, iv.hi)
+    return tuple(asc), d_max, (iv.lo, iv.hi)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1213,7 +1231,7 @@ def shortcut_leaf_cases(draw):
         if kind == "near-product":
             asc[0] += draw(st.integers(-4, 4))
             asc[1] += draw(st.integers(-4, 4))
-    return (IntPoly(asc),) + _draw_window(draw)
+    return (tuple(asc),) + _draw_window(draw)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1234,8 +1252,8 @@ def test_gap_leaf_shortcut_keeps_exactly_the_survivors(case):
     assert (full.trace, full.roots) == (want.trace, want.roots)
     got = gapsearch._gap_leaf(*case, False)
     if full.survivor:
-        assert (got.poly, got.trace, got.roots) == (
-            full.poly, full.trace, full.roots)
+        assert (got.poly.coeffs, got.trace, got.roots) == (
+            full.poly.coeffs, full.trace, full.roots)
     else:
         assert got is None
 
@@ -1400,7 +1418,7 @@ def test_walks_reach_the_same_leaves_without_the_look_ahead(monkeypatch):
         out = []
 
         def leaf(poly, d_max, bracket, keep_all):
-            out.append(poly.coeffs)
+            out.append(poly)
 
         monkeypatch.setattr(gapsearch, "_next_coeff_range", coeff_range)
         monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)

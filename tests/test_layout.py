@@ -6,7 +6,9 @@ and so is every public non-dunder method or property of a public class
 (an API only the tests reach belongs in the tests, as an oracle; the
 method rule matches spellings, so it is weaker, see its test).  No
 module imports a name it never uses, so a fold that moves code leaves no
-import behind.  And no function takes a parameter its body never reads.
+import behind.  No function takes a parameter its body never reads.  And
+the exact layer takes one polynomial type, the coefficient sequence: no
+isinstance test names IntPoly, the class that only parses and prints.
 """
 
 import ast
@@ -124,3 +126,15 @@ def test_no_function_has_an_unread_parameter():
                        for p in params
                        if p not in read and p not in ("self", "cls")]
     assert unread == []
+
+
+def test_no_isinstance_test_names_intpoly():
+    named = []
+    for mod, tree in _parse_package().items():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) \
+                    and call.func.id == "isinstance" and any(
+                        "IntPoly" in _loaded_names(arg)
+                        for arg in call.args[1:]):
+                named.append("%s:%d" % (mod, call.lineno))
+    assert named == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fgap.algnum import AlgebraicNumber, IntPoly, Surd, isolate_real_roots
+from fgap.algnum import AlgebraicNumber, Surd, isolate_real_roots
 from fgap.errors import InvalidInputError
 from fgap.fusionring import builtin_ring, formal_codegrees
 from fgap.obstruct import (
@@ -17,23 +17,23 @@ from fgap.obstruct import (
 
 
 def P(*desc):
-    """IntPoly from descending coefficients."""
-    return IntPoly(list(reversed(desc)))
+    """Ascending coefficient tuple from descending coefficients."""
+    return tuple(reversed(desc))
 
 
 def alg(*desc):
     """Largest real root of the monic polynomial with descending coeffs."""
     p = P(*desc)
-    return AlgebraicNumber(p, isolate_real_roots(p.coeffs)[-1])
+    return AlgebraicNumber(p, isolate_real_roots(p)[-1])
 
 
 def as_root(s):
     """An algebraic-integer Surd as the AlgebraicNumber on its minimal
     polynomial that equals it."""
-    p = (IntPoly([-s.p, 1]) if s.is_rational else
-         IntPoly([s.p * s.p - s.q * s.q * s.n, -2 * s.p, 1]))
+    p = ((int(-s.p), 1) if s.is_rational else
+         (int(s.p * s.p - s.q * s.q * s.n), int(-2 * s.p), 1))
     return next(a for a in (AlgebraicNumber(p, iv)
-                            for iv in isolate_real_roots(p.coeffs))
+                            for iv in isolate_real_roots(p))
                 if a.cmp(s) == 0)
 
 
@@ -197,9 +197,7 @@ def test_ffib_bound_divides_norm_power():
 
 
 def test_ffib_bound_rejects_non_algebraic_input():
-    with pytest.raises(InvalidInputError):
-        ffib_fpdim_bound(Surd(Fraction(5, 2), Fraction(-1, 2), 5))
-    # the minimal polynomial, not its root, and only a monic irreducible one
-    for bad in (alg(1, -5, 5), P(2, -5, 5), P(1, -4, 4)):
+    # only a monic irreducible totally positive minimal polynomial
+    for bad in (P(2, -5, 5), P(1, -4, 4), P(1, 0, -2)):
         with pytest.raises(InvalidInputError):
             ffib_fpdim_bound(bad)
