@@ -33,11 +33,13 @@ outside (the constructor, sqrt_fraction); arithmetic within one field, the
 sign (one comparison of x^2 with y^2 n), floor and ceil (one isqrt of
 b^2 n) stay on plain integers, and a polynomial is evaluated at a surd by
 one Horner pass in Z[sqrt(n)] (kernels.eval_surd).  A real algebraic
-number is the pair (minpoly, interval): it is compared with a rational or
-a surd x by the sign of the minpoly at x against its sign at the interval's
-upper end, so no decision ever rests on a rounded value and no interval is
-bisected for it; its interval shrinks only by refine, one integer sign
-bisection.
+number is a minpoly with an isolating interval, the integer triple
+(lo, hi, den) meaning (lo/den, hi/den], and only isolate_real_roots makes
+one, from the triple its bisection ends at.  It is compared with a
+rational or a surd x by the sign of the minpoly at x against its sign at
+the interval's upper end, so no decision ever rests on a rounded value and
+no interval is bisected for it; its interval shrinks only by one integer
+sign bisection (refine, approx_float, floor).
 """
 
 import re
@@ -71,6 +73,12 @@ INT_DIGITS_CAP = 2000
 # (charpoly_int; power_char_poly under ffib_fpdim_bound): 2**14000 <
 # 10**4215, so every printed coefficient stays below the same limit
 POWER_BITS_CAP = 14000
+
+# most bits of the largest absolute row sum of a matrix charpoly_int takes:
+# the sum bounds every eigenvalue, which a report prints as a float, and
+# below 2**1023 each eigenvalue and the midpoint of its isolating interval
+# stay inside the float range (below 2**1024)
+FLOAT_BITS_CAP = 1023
 
 # largest radicand a Surd factors (InvalidInputError above it):
 # square_free_part runs Pollard rho, whose steps grow with the square root
@@ -205,34 +213,6 @@ class IntPoly:
             raise InvalidInputError("bad polynomial %r: leading zero "
                                     "coefficient" % text)
         return IntPoly(vals[::-1])
-
-
-# ---------------------------------------------------------------------------
-# RatInterval
-
-class RatInterval:
-    """Closed interval with exact rational endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        lo = Fraction(lo)
-        hi = Fraction(hi)
-        if lo > hi:
-            raise InvalidInputError("interval endpoints out of order")
-        self.lo = lo
-        self.hi = hi
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    @property
-    def mid(self):
-        return (self.lo + self.hi) / 2
-
-    def __repr__(self):
-        return "RatInterval(%s, %s)" % (self.lo, self.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +392,8 @@ class Surd:
         return -((_floor_root(-self.b, self.n) - self.a) // self.d)
 
     def approx(self, eps):
-        """Enclosing RatInterval of width <= eps (outward rounding).
+        """Enclosing pair (lo, hi) of Fractions, hi - lo <= eps (outward
+        rounding).
 
         The endpoints lie on the decimal grid 10**-k of the smallest k >= 1
         with |q| / 10**k <= eps, so a given eps always yields the same
@@ -422,7 +403,7 @@ class Surd:
         if eps <= 0:
             raise InvalidInputError("width must be positive")
         if self.is_rational:
-            return RatInterval(self.p, self.p)
+            return self.p, self.p
         a, b, d = self.a, self.b, self.d
         scale = 10
         while abs(b) * eps.denominator > eps.numerator * d * scale:
@@ -430,11 +411,11 @@ class Surd:
         r = isqrt(self.n * scale * scale)
         lo = Fraction(a * scale + b * r, d * scale)
         hi = Fraction(a * scale + b * (r + 1), d * scale)
-        return RatInterval(lo, hi) if b > 0 else RatInterval(hi, lo)
+        return (lo, hi) if b > 0 else (hi, lo)
 
     def __float__(self):
-        iv = self.approx(Fraction(1, 10 ** 18))
-        return float(iv.mid)
+        lo, hi = self.approx(Fraction(1, 10 ** 18))
+        return float((lo + hi) / 2)
 
     def __repr__(self):
         if self.is_rational:
@@ -452,29 +433,20 @@ def _cauchy_bound(c):
     return 1 + top // lead + 1
 
 
-def _over_one_den(lo, hi):
-    """Integers (a, b, den) with lo = a/den and hi = b/den.
-
-    A bisection on them doubles all three when a + b is odd, so each
-    midpoint (a + b)/2 is an integer and the rational a Fraction bisection
-    would take.
-    """
-    den = lcm(lo.denominator, hi.denominator)
-    return (lo.numerator * (den // lo.denominator),
-            hi.numerator * (den // hi.denominator), den)
-
-
-def _isolate_in(c, lo, hi):
+def _isolate_in(c, a, b, d):
     """Ascending isolating intervals of the roots of the squarefree c in
-    (lo, hi]; their number is the exact root count there.
+    (a/d, b/d], each an integer triple (a_i, b_i, d_i) meaning
+    (a_i/d_i, b_i/d_i]; their number is the exact root count there.
 
-    A node (a/d, b/d] counts descartes_bound (exact when 0 or 1) plus a root
-    at b/d: it is dropped at 0 and kept at 1; any other is halved at its
-    midpoint, which goes to the left half.  A squarefree c ends every path.
+    A node counts descartes_bound (exact when 0 or 1) plus a root at its
+    upper end: it is dropped at 0 and kept at 1; any other is halved at its
+    midpoint, which goes to the left half.  A halving doubles all three
+    integers when a + b is odd, so each midpoint is (a + b)/2 over the same
+    d.  A squarefree c ends every path.
     """
-    if lo >= hi:
+    if a >= b:
         return []
-    stack = [_over_one_den(lo, hi)]
+    stack = [(a, b, d)]
     out = []
     while stack:
         a, b, d = stack.pop()
@@ -484,7 +456,7 @@ def _isolate_in(c, lo, hi):
             if n == 0:
                 continue
             if n == 1:
-                out.append(RatInterval(Fraction(a, d), Fraction(b, d)))
+                out.append((a, b, d))
                 continue
         if (a + b) % 2:
             a, b, d = 2 * a, 2 * b, 2 * d
@@ -496,57 +468,57 @@ def _isolate_in(c, lo, hi):
 
 
 def isolate_real_roots(c):
-    """Isolating intervals for the real roots of a squarefree polynomial.
+    """The real roots of a squarefree polynomial, ascending, as
+    AlgebraicNumbers: the one place a root is made.
 
     c is an ascending coefficient sequence of any content and leading
-    sign, and must be squarefree: an irreducible polynomial or a
-    squarefree part.  Returns one RatInterval per real root,
-    in ascending order, each holding exactly its root in (lo, hi]: nodes of
-    the dyadic bisection of (-B, B] for a Cauchy bound B.
+    sign, and must be squarefree: an irreducible polynomial or a squarefree
+    part.  Each root keeps the integer triple of its isolating interval,
+    a node of the dyadic bisection of (-B, B] for a Cauchy bound B that
+    holds exactly that root.
     """
+    c = tuple(c)
     bound = _cauchy_bound(c)
-    return _isolate_in(c, Fraction(-bound), Fraction(bound))
+    return [AlgebraicNumber(c, a, b, d)
+            for a, b, d in _isolate_in(c, -bound, bound, 1)]
 
 
 # ---------------------------------------------------------------------------
 # AlgebraicNumber
 
 class AlgebraicNumber:
-    """A designated real root: a monic squarefree minpoly, an ascending
-    coefficient tuple, and an isolating interval.
+    """A designated real root: a squarefree minpoly, an ascending
+    coefficient tuple, and an isolating interval, the integer triple
+    (lo, hi, den) meaning (lo/den, hi/den].
 
-    The minpoly must be squarefree, so every root is simple and a sign
-    bisection can follow it; it need not be irreducible.  A reducible one
+    Only isolate_real_roots makes one, so the interval holds exactly one
+    root; the constructor stores the triple it is given.  The minpoly must
+    be squarefree, so every root is simple and a sign bisection can follow
+    it; it need be neither monic nor irreducible.  A reducible one
     (exploratory searches isolate a candidate's squarefree part) may have a
-    rational root, which refine and cmp meet exactly.  The interval (lo, hi]
-    holds exactly one root, and the constructor rejects one that does not.
-    It only ever shrinks, and only by refine, so the designation is stable;
-    cmp against a rational or a surd is one sign evaluation at that point
-    and leaves it as it is.  For a degree-1 minpoly the interval is the
-    exact point.
+    rational root, which refine and cmp meet exactly.  The interval only
+    ever shrinks, and only by bisection (refine, approx_float, floor), so
+    the designation is stable; cmp against a rational or a surd is one
+    sign evaluation at that point and leaves it as it is.  For a degree-1
+    minpoly the interval is the exact point -c0/c1.
     """
 
-    __slots__ = ("minpoly", "_isol")
+    __slots__ = ("minpoly", "lo", "hi", "den")
 
-    def __init__(self, minpoly, isol):
-        minpoly = tuple(minpoly)
-        if not minpoly or minpoly[-1] != 1:
-            raise InvalidInputError("minimal polynomial must be monic")
+    def __init__(self, minpoly, lo, hi, den):
         self.minpoly = minpoly
         if len(minpoly) == 2:
-            r = Fraction(-minpoly[0])
-            self._isol = RatInterval(r, r)
-            return
-        if len(_isolate_in(minpoly, isol.lo, isol.hi)) != 1:
-            raise InvalidInputError("interval does not isolate one root")
-        self._isol = RatInterval(isol.lo, isol.hi)
+            r = Fraction(-minpoly[0], minpoly[1])
+            lo = hi = r.numerator
+            den = r.denominator
+        self.lo, self.hi, self.den = lo, hi, den
 
     @property
     def degree(self):
         return len(self.minpoly) - 1
 
-    def refine(self, width):
-        """Shrink the cached interval to width <= width and return it.
+    def _shrink(self, w_num, w_den):
+        """Bisect the interval until its width is at most w_num/w_den.
 
         Sign bisection on the one simple root in (lo, hi]: the sign on
         (lo, root) is -sign p(hi), and a midpoint where p vanishes is the
@@ -554,18 +526,13 @@ class AlgebraicNumber:
         midpoint lies below it and becomes lo.  A root of p at lo lies
         outside (lo, hi] and needs no special case.  Every interval is a
         node of the midpoint bisection of the one it started from, so
-        refining any node on the root's path gives the same interval.
+        shrinking any node on the root's path gives the same interval.
         """
-        width = Fraction(width)
-        if width <= 0:
-            raise InvalidInputError("width must be positive")
-        iv = self._isol
-        if iv.width <= width:  # also the exact point of a degree-1 minpoly
-            return iv
+        lo, hi, den = self.lo, self.hi, self.den
+        if (hi - lo) * w_den <= w_num * den:
+            return  # also the exact point of a degree-1 minpoly
         c = self.minpoly
-        lo, hi, den = _over_one_den(iv.lo, iv.hi)
         s_lo = -_sign(kernels.eval_qnum(c, hi, den))
-        w_num, w_den = width.numerator, width.denominator
         while (hi - lo) * w_den > w_num * den:
             if (lo + hi) % 2:
                 lo, hi, den = 2 * lo, 2 * hi, 2 * den
@@ -574,11 +541,22 @@ class AlgebraicNumber:
                 lo = mid
             else:
                 hi = mid
-        self._isol = RatInterval(Fraction(lo, den), Fraction(hi, den))
-        return self._isol
+        self.lo, self.hi, self.den = lo, hi, den
+
+    def refine(self, width):
+        """Shrink the interval to width <= width and return its ends
+        (lo, hi) as Fractions."""
+        width = Fraction(width)
+        if width <= 0:
+            raise InvalidInputError("width must be positive")
+        self._shrink(width.numerator, width.denominator)
+        return Fraction(self.lo, self.den), Fraction(self.hi, self.den)
 
     def approx_float(self):
-        return float(self.refine(Fraction(1, 10 ** 18)).mid)
+        """The midpoint of the interval shrunk to width 10**-18, rounded
+        once (int true division rounds correctly)."""
+        self._shrink(1, 10 ** 18)
+        return (self.lo + self.hi) / (2 * self.den)
 
     def cmp(self, other):
         """Exact sign of (self - other) for a Fraction/int, a Surd or an
@@ -594,54 +572,58 @@ class AlgebraicNumber:
         if isinstance(other, AlgebraicNumber):
             return self._cmp_algebraic(other)
         x = other if isinstance(other, Surd) else Surd(other)
-        lo, hi = self._isol.lo, self._isol.hi
+        a, b, n, d = x.a, x.b, x.n, x.d
+        lo, hi, den = self.lo, self.hi, self.den
+        # the sign of x - lo/den, read off den*d*(x - lo/den)
+        x_lo = kernels.surd_sign(a * den - lo * d, b * den, n)
         if self.degree == 1:
-            return -x.cmp(lo)
-        if x.cmp(lo) <= 0:
+            return -x_lo
+        if x_lo <= 0:
             return 1
-        if x.cmp(hi) > 0:
+        if kernels.surd_sign(a * den - hi * d, b * den, n) > 0:
             return -1
         c = self.minpoly
         # a rational x has b == n == 0, where the surd kernels reduce to the
         # rational ones
-        at_x = kernels.surd_sign(*kernels.eval_surd(c, x.a, x.b, x.n, x.d),
-                                 x.n)
+        at_x = kernels.surd_sign(*kernels.eval_surd(c, a, b, n, d), n)
         if at_x == 0:
             return 0
-        at_hi = _sign(kernels.eval_qnum(c, hi.numerator, hi.denominator))
+        at_hi = _sign(kernels.eval_qnum(c, hi, den))
         return -1 if at_x == at_hi else 1
 
     def _cmp_algebraic(self, other):
         if other.degree == 1:
-            return self.cmp(other._isol.lo)
+            return self.cmp(Fraction(other.lo, other.den))
         if self.degree == 1:
-            return -other.cmp(self._isol.lo)
-        a, b = self._isol, other._isol
+            return -other.cmp(Fraction(self.lo, self.den))
         # a root of gcd(p, q) in the overlap of (lo, hi] is the one root of
-        # p in a and the one root of q in b, so the two values are equal;
-        # otherwise they differ and refining both at halving widths
-        # separates the intervals
-        lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+        # p in self's interval and the one root of q in other's, so the two
+        # values are equal; otherwise they differ and refining both at
+        # halving widths separates the intervals
+        sd, od = self.den, other.den
+        lo = max(self.lo * od, other.lo * sd)
+        hi = min(self.hi * od, other.hi * sd)
         if lo < hi:
             g = poly_gcd_int(self.minpoly, other.minpoly)
-            if len(g) > 1 and _isolate_in(g, lo, hi):
+            if len(g) > 1 and _isolate_in(g, lo, hi, sd * od):
                 return 0
-        width = max(a.width, b.width)
-        while not (a.hi <= b.lo or b.hi <= a.lo):
+        width = max(Fraction(self.hi - self.lo, sd),
+                    Fraction(other.hi - other.lo, od))
+        while True:
+            (a_lo, a_hi), (b_lo, b_hi) = (self.refine(width),
+                                          other.refine(width))
+            if a_hi <= b_lo or b_hi <= a_lo:
+                return -1 if a_hi <= b_lo else 1
             width /= 2
-            a = self.refine(width)
-            b = other.refine(width)
-        return -1 if a.hi <= b.lo else 1
 
     def floor(self):
         """Exact floor.
 
-        refine(1) leaves an interval that meets at most one integer; when it
+        Width 1 leaves an interval that meets at most one integer; when it
         does, one cmp against it decides (and meets an integer root exactly).
         """
-        iv = self.refine(1)
-        flo = iv.lo.numerator // iv.lo.denominator
-        fhi = iv.hi.numerator // iv.hi.denominator
+        self._shrink(1, 1)
+        flo, fhi = self.lo // self.den, self.hi // self.den
         return fhi if flo == fhi or self.cmp(fhi) >= 0 else flo
 
     def __repr__(self):
@@ -813,17 +795,24 @@ def charpoly_int(mat):
     Every eigenvalue is at most the largest absolute row sum b, so
     coefficient i is at most C(n, i) b**i < 2**(n (bits(b) + 1)).  A
     report squares the coefficients (inverse_square_sum), so BudgetError
-    stops a matrix where twice that bound passes POWER_BITS_CAP.
+    stops a matrix where twice that bound passes POWER_BITS_CAP; a report
+    also prints every eigenvalue as a float, so BudgetError stops one where
+    b has more than FLOAT_BITS_CAP bits.
     """
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise InvalidInputError("characteristic polynomial needs a square "
                                 "nonempty matrix")
-    bits = n * (max(sum(map(abs, row)) for row in mat).bit_length() + 1)
+    top = max(sum(map(abs, row)) for row in mat).bit_length()
+    bits = n * (top + 1)
     if 2 * bits > POWER_BITS_CAP:
         raise BudgetError("the characteristic polynomial may have "
                           "coefficients of %d bits, whose squares pass the "
                           "cap of %d bits" % (bits, POWER_BITS_CAP))
+    if top > FLOAT_BITS_CAP:
+        raise BudgetError("an eigenvalue may have %d bits, over the cap of "
+                          "%d bits for the floats a report prints"
+                          % (top, FLOAT_BITS_CAP))
     h = (n + 1) // 2
     cols = list(zip(*mat))
     powers = [mat]  # powers[i - 1] = mat**i

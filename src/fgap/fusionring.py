@@ -19,9 +19,8 @@ from fractions import Fraction
 from itertools import islice
 from operator import mul
 
-from .algnum import (AlgebraicNumber, IntPoly, charpoly_int,
-                     factor_over_integers, inverse_square_sum,
-                     isolate_real_roots)
+from .algnum import (IntPoly, charpoly_int, factor_over_integers,
+                     inverse_square_sum, isolate_real_roots)
 from .errors import (AmbiguityError, BudgetError, InvalidInputError,
                      UnsupportedRingError)
 
@@ -337,8 +336,8 @@ def formal_codegrees(ring):
     cp = charpoly_int(z)
     orbits = []
     for poly, mult in factor_over_integers(cp):
-        roots = [AlgebraicNumber(poly, iv) for iv in isolate_real_roots(poly)]
-        orbits.append(CodegreeOrbit(IntPoly(poly), mult, roots))
+        orbits.append(CodegreeOrbit(IntPoly(poly), mult,
+                                    isolate_real_roots(poly)))
     return CodegreeSpectrum(ring.rank, z, IntPoly(cp), orbits)
 
 
@@ -385,8 +384,8 @@ def fp_dimension_vector(ring, spectrum, tol=Fraction(1, 10 ** 12)):
             "Rayleigh residual %.3g exceeds tolerance %.3g"
             % (float(res) ** 0.5, float(tol)))
     # rho must sit on the designated top eigenvalue
-    iv = fp.refine(tol if tol < Fraction(1, 10 ** 6) else Fraction(1, 10 ** 6))
-    if not (iv.lo - tol * rho <= rho <= iv.hi + tol * rho):
+    lo, hi = fp.refine(min(tol, Fraction(1, 10 ** 6)))
+    if not (lo - tol * rho <= rho <= hi + tol * rho):
         raise AmbiguityError("Rayleigh quotient does not match the top "
                              "eigenvalue enclosure")
     certificate = {

@@ -64,6 +64,9 @@ Both appendix searches count their enumeration before building any
 candidate and stop with BudgetError above SEARCH_BUDGET, so no window or
 --amax makes them run without bound: search_cubic counts (a, b) pairs and
 candidates, search_quadratic the values of a and the divisors of a^2.
+search_gap cannot know its tree's size in advance, so it keeps one running
+count of coefficient ranges and leaves over all degrees and stops with
+BudgetError past the same SEARCH_BUDGET, before any result is printed.
 """
 
 from fractions import Fraction
@@ -71,9 +74,9 @@ from math import comb, factorial, prod
 from operator import itemgetter, mul
 
 from . import _intfactor, kernels
-from .algnum import (DEGREE_CAP, AlgebraicNumber, IntPoly, Surd, WIDTH_CAP,
-                     _floor_root, inverse_square_sum, is_d_number,
-                     is_irreducible, isolate_real_roots, poly_squarefree_part)
+from .algnum import (DEGREE_CAP, IntPoly, Surd, WIDTH_CAP, _floor_root,
+                     inverse_square_sum, is_d_number, is_irreducible,
+                     isolate_real_roots, poly_squarefree_part)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .obstruct import FOUR_THIRDS, orbit_inequality, threshold
 
@@ -87,12 +90,15 @@ CUBIC_DEFAULT_HI = QUAD_DEFAULT_HI
 QUAD_A_MAX = 23
 CUBIC_A_MAX = 45
 
-# Most enumeration steps one appendix search may take, counted before any
-# candidate is built: for the cubic search (a, b) pairs plus candidates (the
-# default window needs 28,848 = 10,455 + 18,393, --window 1.4,3 about 1.6
-# million), for the quadratic search each a plus the tau(a^2) divisors of
-# a^2 (the default needs 170, --amax 20000 844,160, and --amax 41951 is the
-# last within budget).  A wider window or --amax stops with BudgetError.
+# Most enumeration steps one search may take.  An appendix search counts
+# before any candidate is built: for the cubic search (a, b) pairs plus
+# candidates (the default window needs 28,848 = 10,455 + 18,393, --window
+# 1.4,3 about 1.6 million), for the quadratic search each a plus the
+# tau(a^2) divisors of a^2 (the default needs 170, --amax 20000 844,160,
+# and --amax 41951 is the last within budget).  The gap search counts as it
+# walks, coefficient ranges plus leaves over all degrees (4sqrt(3)/5 needs
+# 8,866 = 4,056 + 4,810).  A wider window, --amax or --dmax stops with
+# BudgetError.
 SEARCH_BUDGET = 2 * 10 ** 6
 
 # Filters an appendix search can drop (--drop-filter), by degree, in the
@@ -239,19 +245,20 @@ def _as_surd(x):
 
 def _pair_bounds(iv1, iv3):
     """Exact bounds (lower, upper) on g = 1/d1^2 + h(d3) - 1/2, with
-    h(x) = 1/x^2 - 1/(2x), over d1 in iv1 and d3 in iv3 (positive ends).
+    h(x) = 1/x^2 - 1/(2x), over d1 in iv1 and d3 in iv3, each a pair
+    (lo, hi) of positive Fractions.
 
     g falls in d1, and h'(x) = (x - 4)/(2x^3), so h falls below 4 and rises
-    above it: the largest g is at d1 = iv1.lo and the larger of h at the ends
-    of iv3, the smallest at d1 = iv1.hi and d3 = 4 clamped into iv3.
+    above it: the largest g is at d1 = lo1 and the larger of h at the ends
+    of iv3, the smallest at d1 = hi1 and d3 = 4 clamped into iv3.
     """
     def h(x):
         return 1 / (x * x) - 1 / (2 * x)
 
+    (lo1, hi1), (lo3, hi3) = iv1, iv3
     half = Fraction(1, 2)
-    upper = 1 / (iv1.lo * iv1.lo) + max(h(iv3.lo), h(iv3.hi)) - half
-    lower = (1 / (iv1.hi * iv1.hi)
-             + h(min(max(Fraction(4), iv3.lo), iv3.hi)) - half)
+    upper = 1 / (lo1 * lo1) + max(h(lo3), h(hi3)) - half
+    lower = 1 / (hi1 * hi1) + h(min(max(Fraction(4), lo3), hi3)) - half
     return lower, upper
 
 
@@ -267,7 +274,7 @@ def mainineq_enclosure_pair(d1, d3, label=""):
     while True:
         iv1 = d1.refine(width)
         iv3 = d3.refine(width)
-        if iv1.lo <= 0 or iv3.lo <= 0:
+        if iv1[0] <= 0 or iv3[0] <= 0:
             width /= 16
             continue
         lower, upper = _pair_bounds(iv1, iv3)
@@ -438,7 +445,7 @@ def _cubic_plan(cfg):
     if drop_window:
         # rational lower bound on d_lo: P(r) <= 0 stays necessary at any
         # r below every root, which keeps the dropped-window enumeration sane
-        r_lo = cfg.d_lo.approx(Fraction(1, 10 ** 20)).lo
+        r_lo = cfg.d_lo.approx(Fraction(1, 10 ** 20))[0]
     else:
         lo_form = _window_form(cfg.d_lo, 3)
         hi_form = _window_form(cfg.d_hi, 3)
@@ -509,23 +516,20 @@ def _cubic_candidate(cfg, a, b, c):
         ok = _run_filter(cfg, trace, "totally-positive",
                          lambda: kernels.real_rooted(asc)
                          and a > 0 and b > 0 and c > 0)
-    ivs = None
     if ok:
         # a candidate that reaches here with a filter dropped may have a
-        # repeated root; AlgebraicNumber needs a squarefree polynomial
-        sqf = poly_squarefree_part(asc)
-        ivs = isolate_real_roots(sqf)
-        d1 = AlgebraicNumber(sqf, ivs[0])
+        # repeated root; isolation needs a squarefree polynomial
+        isolated = isolate_real_roots(poly_squarefree_part(asc))
+        roots = tuple(r.approx_float() for r in isolated)
+        d1 = isolated[0]
         ok = _run_filter(cfg, trace, "root-window",
                          lambda: d1.cmp(cfg.d_lo) >= 0
                          and d1.cmp(cfg.d_hi) < 0)
-    if ok:
-        d3 = AlgebraicNumber(sqf, ivs[-1])
-        label = poly.to_str()
-        _run_filter(cfg, trace, "mainineq",
-                    lambda: mainineq_enclosure_pair(d1, d3, label=label))
-    if ivs is not None:
-        roots = tuple(AlgebraicNumber(sqf, iv).approx_float() for iv in ivs)
+        if ok:
+            label = poly.to_str()
+            _run_filter(cfg, trace, "mainineq",
+                        lambda: mainineq_enclosure_pair(
+                            d1, isolated[-1], label=label))
     return Candidate(poly, trace, roots)
 
 
@@ -584,15 +588,19 @@ def _gap_cut_points(d_max):
     raise AmbiguityError("could not certify a root-free band above d_max")
 
 
-def _interval_eval(asc, iv):
-    """Enclosure (lo, hi) of asc over iv by Horner's rule on endpoint pairs:
-    each step takes the least and the largest of the four endpoint products,
-    then adds the coefficient."""
-    x_lo, x_hi = iv.lo, iv.hi
+def _interval_eval(asc, root):
+    """Integer enclosure (lo, hi) of den^deg asc(x) over the isolating
+    interval (a/den, b/den] of root, deg = len(asc) - 1, by Horner's rule
+    on endpoint pairs, homogeneously: each step takes the least and the
+    largest of the four products with a and b, then adds the coefficient
+    times den^i for the i-th step."""
+    a, b, den = root.lo, root.hi, root.den
     lo = hi = asc[-1]
+    scale = 1
     for c in reversed(asc[:-1]):
-        prods = (lo * x_lo, lo * x_hi, hi * x_lo, hi * x_hi)
-        lo, hi = min(prods) + c, max(prods) + c
+        scale *= den
+        prods = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(prods) + c * scale, max(prods) + c * scale
     return lo, hi
 
 
@@ -723,9 +731,12 @@ def _next_coeff_range(prefix, plan):
     rational x, N is kernels.eval_qnum(w, p, q); at a quadratic critical
     point x = (a + b sqrt(disc))/d (d > 0) the bound is
     -(X + Y sqrt(disc))/M with X + Y sqrt(disc) = d^deg w(x)
-    (kernels.eval_surd) and M = d^deg bcoef.  Each bound is rounded once,
-    outward (ceil for lo, floor for hi) by one floor division, after one
-    isqrt for a surd, so no valid candidate is lost.
+    (kernels.eval_surd) and M = d^deg bcoef.  From depth 3 on, a critical
+    point is a root from isolate_real_roots(deriv) with its isolating
+    interval (a/den, b/den]: _interval_eval encloses den^deg w over it on
+    integers, and M = den^deg bcoef.  Each bound is rounded once, outward
+    (ceil for lo, floor for hi) by one floor division, after one isqrt for
+    a surd, so no valid candidate is lost.
 
     Look-ahead, at j + 1 < k: the child prefix + [s] bounds its coefficient
     with w' = w0 + bcoef*s*x in place of w, where w0 is P^(k-j-2) of
@@ -800,14 +811,13 @@ def _next_coeff_range(prefix, plan):
             # survives
             if not kernels.real_rooted(deriv):
                 return 1, 0
-            for t, iv in enumerate(isolate_real_roots(deriv), start=1):
-                enc_lo, enc_hi = _interval_eval(w, iv)
+            for t, x in enumerate(isolate_real_roots(deriv), start=1):
+                enc_lo, enc_hi = _interval_eval(w, x)
+                mod = x.den ** (j + 1) * bcoef
                 if (j + 1 - t) % 2 == 0:
-                    v = enc_hi
-                    lo = max(lo, -(v.numerator // (v.denominator * bcoef)))
+                    lo = max(lo, -(enc_hi // mod))
                 else:
-                    v = enc_lo
-                    hi = min(hi, (-v.numerator) // (v.denominator * bcoef))
+                    hi = min(hi, (-enc_lo) // mod)
 
     # look-ahead: keep only the s whose child is nonempty at its fixed
     # points
@@ -864,7 +874,7 @@ def _gap_leaf(asc, d_max, bracket, keep_all):
     trace.append(("irreducible", "pass" if irr else "fail"))
     ok = irr
 
-    ivs = None  # isolating intervals, computed at most once
+    isolated = None  # the roots, isolated at most once
     if ok:
         real = kernels.real_rooted(asc)
         above = real and kernels.real_roots_above(asc, 4, 3, True)
@@ -882,9 +892,8 @@ def _gap_leaf(asc, d_max, bracket, keep_all):
                 asc, r_hi.numerator, r_hi.denominator, True):
             inwin = False  # smallest root above d_max
         else:
-            ivs = isolate_real_roots(asc)
-            d1 = AlgebraicNumber(asc, ivs[0])
-            inwin = d1.cmp(d_max) <= 0
+            isolated = isolate_real_roots(asc)
+            inwin = isolated[0].cmp(d_max) <= 0
         trace.append(("root-window", "pass" if inwin else "fail"))
         ok = inwin
     if ok:
@@ -895,14 +904,12 @@ def _gap_leaf(asc, d_max, bracket, keep_all):
         trace.append(("integer-prefilter", "pass" if pref >= 1 else "fail"))
         ok = pref >= 1
     if ok:
-        if ivs is None:
-            ivs = isolate_real_roots(asc)
-        fmax = AlgebraicNumber(asc, ivs[-1])
-        good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
+        if isolated is None:
+            isolated = isolate_real_roots(asc)
+        good = orbit_inequality(inverse_square_sum(asc), isolated[-1])[0]
         trace.append(("orbit-inequality", "pass" if good else "fail"))
         ok = good
-        roots = tuple(AlgebraicNumber(asc, iv).approx_float()
-                      for iv in ivs)
+        roots = tuple(r.approx_float() for r in isolated)
     if ok or keep_all:
         return Candidate(IntPoly(asc), trace, roots)
     return None
@@ -914,32 +921,45 @@ def _box_floor(t):
     this is a certified rational lower bound (at least 4/3)."""
     if t.is_rational:
         return t.p
-    return max(FOUR_THIRDS, t.approx(Fraction(1, 10 ** 6)).lo)
+    return max(FOUR_THIRDS, t.approx(Fraction(1, 10 ** 6))[0])
 
 
-def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit):
-    """All candidates of one degree via depth-first coefficient search.
+def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit, steps):
+    """All candidates of one degree via depth-first coefficient search, and
+    the search's running count of enumeration steps.
 
-    A final node (depth k - 1) hands each coefficient s of its range
-    straight to _gap_leaf as the leaf's ascending tuple (s, *asc); only the
-    nodes above it recurse."""
+    steps counts the steps of the lower degrees: one per coefficient range,
+    and one per leaf, which a final node adds at once by the width of its
+    range.  Past SEARCH_BUDGET the search stops with BudgetError.  A final
+    node (depth k - 1) hands each coefficient s of its range straight to
+    _gap_leaf as the leaf's ascending tuple (s, *asc); only the nodes above
+    it recurse.  Returns (candidates, steps)."""
     out = []
     plans = [_DepthPlan(k, j, box_lo, f_hi, cuts) for j in range(k)]
 
     def descend(prefix):
+        nonlocal steps
         lo, hi = _next_coeff_range(prefix, plans[len(prefix) - 1])
+        coeffs = range(lo, hi + 1)
+        # a final node also counts its leaves
+        steps += 1 if len(prefix) < k else 1 + len(coeffs)
+        if steps > SEARCH_BUDGET:
+            raise BudgetError(
+                "budget exhausted at degree %d: the gap search takes more "
+                "than %d enumeration steps (coefficient ranges and leaves); "
+                "lower --dmax" % (k, SEARCH_BUDGET))
         if len(prefix) < k:
-            for s in range(lo, hi + 1):
+            for s in coeffs:
                 descend(prefix + [s])
             return
         asc = prefix[::-1]
-        for s in range(lo, hi + 1):
+        for s in coeffs:
             cand = _gap_leaf((s, *asc), d_max, bracket, audit)
             if cand is not None:
                 out.append(cand)
 
     descend([1])
-    return out
+    return out, steps
 
 
 def search_gap(d_max, audit=False):
@@ -996,12 +1016,15 @@ def search_gap(d_max, audit=False):
     cuts = _gap_cut_points(d_max)
     # rationals r_lo <= d_max <= r_hi (both equal to a rational d_max), so a
     # leaf settles its root window with sign tests at fixed points
-    iv = d_max.approx(Fraction(1, 10 ** 20))
-    bracket = (iv.lo, iv.hi)
+    bracket = d_max.approx(Fraction(1, 10 ** 20))
 
-    survivors, rejected = _split(
-        [_gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit)
-         for k, box_lo in degrees], audit)
+    batches = []
+    steps = 0
+    for k, box_lo in degrees:
+        cands, steps = _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket,
+                                   audit, steps)
+        batches.append(cands)
+    survivors, rejected = _split(batches, audit)
     config = {
         "d_max": surd_text(d_max),
         "k_max": k_max,

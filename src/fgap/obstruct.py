@@ -9,9 +9,9 @@ obstructed", never a categorification claim.
 
 from fractions import Fraction
 
-from .algnum import (POWER_BITS_CAP, AlgebraicNumber, Surd, is_d_number,
-                     is_irreducible, isolate_real_roots,
-                     largest_integer_divisor, power_char_poly)
+from .algnum import (POWER_BITS_CAP, Surd, is_d_number, is_irreducible,
+                     isolate_real_roots, largest_integer_divisor,
+                     power_char_poly)
 from .errors import BudgetError, InvalidInputError
 
 FOUR_THIRDS = Fraction(4, 3)
@@ -216,13 +216,13 @@ def ffib_fpdim_bound(p):
         raise InvalidInputError("the bound needs a monic polynomial")
     if not is_irreducible(p):
         raise InvalidInputError("the bound needs an irreducible polynomial")
-    ivs = isolate_real_roots(p)
+    roots = isolate_real_roots(p)
     k = len(p) - 1
     # totally positive: all k roots are real and lie in (0, oo)
-    if len(ivs) != k or AlgebraicNumber(p, ivs[0]).cmp(0) <= 0:
+    if len(roots) != k or roots[0].cmp(0) <= 0:
         raise InvalidInputError("the bound needs a totally positive "
                                 "polynomial")
-    f = AlgebraicNumber(p, ivs[-1])
+    f = roots[-1]
     m = f.floor()
     # coefficient i of the power charpoly is the i-th elementary symmetric
     # function of the m-th powers of p's roots, so at most C(k, i) M(p)**m,

@@ -1,13 +1,14 @@
 """Reference implementations the tests check the package against.
 
 Sturm counts: a Sturm chain of primitive integer polynomials
-(sturm_chain) and its sign variations at a rational point or at an
-infinity; the package counts roots by Descartes bisection and decides
+(sturm_chain) and its sign variations at a rational point, at a surd or at
+an infinity, and the isolation and bisection of intervals (lo, hi] on those
+counts; the package counts roots by Descartes bisection and decides
 realness by Hermite's criterion (kernels.real_rooted), and builds no chain.
 
-Interval arithmetic on RatInterval: the enclosure the pair inequality was
-decided by before its exact corner bounds, and the Horner enclosure of a
-polynomial over an interval.
+Interval arithmetic on plain (lo, hi) pairs of Fractions: the enclosure
+the pair inequality was decided by before its exact corner bounds, and the
+Horner enclosure of a polynomial over an interval.
 
 The appendix searches' plans on Surd arithmetic, with divisors by trial
 division: the package computes the same window bounds on integer pairs and
@@ -38,10 +39,11 @@ map(mul, ...): the package must return the same floats bit for bit.
 from fractions import Fraction
 from math import isqrt
 
-from fgap.algnum import DEGREE_CAP, RatInterval
+from fgap.algnum import DEGREE_CAP, _cauchy_bound
 from fgap.errors import DegreeCapError, InvalidInputError
-from fgap.kernels import (derivative, eval_qnum, int_content, normalize,
-                          poly_mul, pseudo_rem, sign_variations)
+from fgap.kernels import (derivative, eval_qnum, eval_surd, int_content,
+                          normalize, poly_mul, pseudo_rem, sign_variations,
+                          surd_sign)
 
 
 def sturm_chain(c):
@@ -111,37 +113,99 @@ def varcount_inf(chain, positive):
     return sign_variations(vals)
 
 
+def varcount_at_surd(chain, a, b, n, d):
+    """Sign variations of a Sturm chain at the surd (a + b*sqrt(n))/d: the
+    count AlgebraicNumber.cmp read before its one sign evaluation."""
+    return sign_variations([surd_sign(*eval_surd(c, a, b, n, d), n)
+                            for c in chain])
+
+
+def isolate_sturm(c, chain=None):
+    """The Sturm isolator the package ran before Descartes bisection.
+
+    Bisects (-B, B] at midpoints (a root at a midpoint goes left), counts
+    the roots of the squarefree c in each half by Sturm variations, keeps a
+    node with exactly one and drops one with none.  Returns (ascending
+    intervals, chain).
+    """
+    if chain is None:
+        chain = sturm_chain(c)
+    bound = _cauchy_bound(c)
+    out = []
+    stack = [(Fraction(-bound), Fraction(bound))]
+    while stack:
+        lo, hi = stack.pop()
+        k = (varcount_at(chain, lo.numerator, lo.denominator)
+             - varcount_at(chain, hi.numerator, hi.denominator))
+        if k == 1:
+            out.append((lo, hi))
+        elif k > 1:
+            m = (lo + hi) / 2
+            stack.append((m, hi))
+            stack.append((lo, m))
+    return out, chain
+
+
+def interval(root):
+    """The isolating interval of an AlgebraicNumber as Fractions (lo, hi)."""
+    return Fraction(root.lo, root.den), Fraction(root.hi, root.den)
+
+
+def mid(iv):
+    """The midpoint of an interval (lo, hi)."""
+    return (iv[0] + iv[1]) / 2
+
+
+def sturm_shrink(chain, iv):
+    """Halve an isolating interval (lo, hi) by one Sturm count, keeping the
+    unique root in (lo, hi]: the bisection src ran before refine became the
+    one way to shrink an interval."""
+    lo, hi = iv
+    m = mid(iv)
+    if (varcount_at(chain, lo.numerator, lo.denominator)
+            - varcount_at(chain, m.numerator, m.denominator)) == 1:
+        return lo, m
+    return m, hi
+
+
+def sturm_refine(chain, iv, width):
+    """iv halved by sturm_shrink until its width is at most width."""
+    while iv[1] - iv[0] > width:
+        iv = sturm_shrink(chain, iv)
+    return iv
+
+
 def iv_add(a, b):
-    return RatInterval(a.lo + b.lo, a.hi + b.hi)
+    return a[0] + b[0], a[1] + b[1]
 
 
 def iv_sub(a, b):
-    return RatInterval(a.lo - b.hi, a.hi - b.lo)
+    return a[0] - b[1], a[1] - b[0]
 
 
 def iv_mul(a, b):
-    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return RatInterval(min(cands), max(cands))
+    cands = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(cands), max(cands)
 
 
 def iv_scale(a, f):
     f = Fraction(f)
     if f >= 0:
-        return RatInterval(a.lo * f, a.hi * f)
-    return RatInterval(a.hi * f, a.lo * f)
+        return a[0] * f, a[1] * f
+    return a[1] * f, a[0] * f
 
 
 def iv_inv(a):
     """1/a for an interval that excludes 0."""
-    assert a.lo > 0 or a.hi < 0
-    return RatInterval(1 / a.hi, 1 / a.lo)
+    assert a[0] > 0 or a[1] < 0
+    return 1 / Fraction(a[1]), 1 / Fraction(a[0])
 
 
 def iv_horner(asc, iv):
     """Enclosure of the polynomial asc over iv by interval Horner steps."""
-    acc = RatInterval(asc[-1], asc[-1])
+    acc = (asc[-1], asc[-1])
     for c in reversed(asc[:-1]):
-        acc = iv_add(iv_mul(acc, iv), RatInterval(c, c))
+        acc = iv_add(iv_mul(acc, iv), (c, c))
     return acc
 
 
@@ -150,7 +214,7 @@ def pair_enclosure(iv1, iv3):
     and d3 in iv3 (positive intervals), each 1/d3 term taken apart."""
     inv1 = iv_inv(iv1)
     inv3 = iv_inv(iv3)
-    half = RatInterval(Fraction(1, 2), Fraction(1, 2))
+    half = (Fraction(1, 2), Fraction(1, 2))
     return iv_sub(iv_sub(iv_add(iv_mul(inv1, inv1), iv_mul(inv3, inv3)),
                          iv_scale(inv3, Fraction(1, 2))), half)
 
@@ -190,7 +254,7 @@ def cubic_plan_reference(cfg):
     lo1, lo2 = cfg.d_lo, cfg.d_lo * cfg.d_lo
     hi1, hi2 = cfg.d_hi, cfg.d_hi * cfg.d_hi
     lo3, hi3 = lo2 * lo1, hi2 * hi1
-    r_lo = cfg.d_lo.approx(Fraction(1, 10 ** 20)).lo
+    r_lo = cfg.d_lo.approx(Fraction(1, 10 ** 20))[0]
     plan = []
     for a in range(1, cfg.a_max + 1):
         lo_base = lo3 - lo2 * a

@@ -13,20 +13,20 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
-                         _cauchy_bound, _primitive_pos, charpoly_int,
+from fgap.algnum import (IntPoly, Surd, _cauchy_bound, _isolate_in,
+                         _primitive_pos, charpoly_int,
                          factor_over_integers, is_d_number, is_irreducible,
                          isolate_real_roots, largest_integer_divisor,
                          poly_gcd_int, poly_squarefree_part,
                          power_char_poly, ratio_integrality_oracle)
 from fgap.errors import DegreeCapError, InvalidInputError
-from fgap.kernels import (eval_surd, normalize, poly_mul, sign_variations,
-                          surd_sign)
+from fgap.kernels import normalize, poly_mul, surd_sign
 from fgap import kernels
-from oracles import (charpoly_reference, iv_scale, poly_product,
-                     poly_value, power_char_poly_reference,
+from oracles import (charpoly_reference, interval, isolate_sturm, iv_scale,
+                     mid, poly_product, poly_value, power_char_poly_reference,
                      is_d_number_reference, ratio_integrality_reference,
-                     sturm_chain, varcount_at, varcount_inf)
+                     sturm_chain, sturm_refine, sturm_shrink, varcount_at,
+                     varcount_at_surd, varcount_inf)
 
 X = sympy.Symbol("x")
 
@@ -34,50 +34,6 @@ X = sympy.Symbol("x")
 def P(*desc):
     """Ascending coefficient tuple from descending coefficients."""
     return tuple(reversed(desc))
-
-
-def varcount_at_surd(chain, a, b, n, d):
-    """Sign variations of a Sturm chain at the surd (a + b*sqrt(n))/d: the
-    count AlgebraicNumber.cmp read before its one sign evaluation."""
-    return sign_variations([surd_sign(*eval_surd(c, a, b, n, d), n)
-                            for c in chain])
-
-
-def isolate_sturm(c, chain=None):
-    """The Sturm isolator src ran before Descartes bisection: the oracle.
-
-    Bisects (-B, B] at midpoints (a root at a midpoint goes left), counts
-    the roots of the squarefree c in each half by Sturm variations, keeps a
-    node with exactly one and drops one with none.  Returns (ascending
-    intervals, chain).
-    """
-    if chain is None:
-        chain = sturm_chain(c)
-    bound = _cauchy_bound(c)
-    out = []
-    stack = [(Fraction(-bound), Fraction(bound))]
-    while stack:
-        lo, hi = stack.pop()
-        k = (varcount_at(chain, lo.numerator, lo.denominator)
-             - varcount_at(chain, hi.numerator, hi.denominator))
-        if k == 1:
-            out.append(RatInterval(lo, hi))
-        elif k > 1:
-            mid = (lo + hi) / 2
-            stack.append((mid, hi))
-            stack.append((lo, mid))
-    return out, chain
-
-
-def _shrink(chain, iv):
-    """Halve an isolating interval by one Sturm count, keeping the unique
-    root in (lo, hi]: the bisection src ran before refine became the one
-    way to shrink an interval."""
-    mid = iv.mid
-    if (varcount_at(chain, iv.lo.numerator, iv.lo.denominator)
-            - varcount_at(chain, mid.numerator, mid.denominator)) == 1:
-        return RatInterval(iv.lo, mid)
-    return RatInterval(mid, iv.hi)
 
 
 def poly_div_exact(a, b):
@@ -186,22 +142,22 @@ def isolate_reference(p):
     changed = True
     while changed:
         changed = False
-        items.sort(key=lambda it: (it[0].lo, it[0].hi))
+        items.sort(key=lambda it: it[0])
         for a, b in zip(items, items[1:]):
-            while not (a[0].hi <= b[0].lo or b[0].hi <= a[0].lo):
-                a[0] = _shrink(a[2], a[0])
-                b[0] = _shrink(b[2], b[0])
+            while not (a[0][1] <= b[0][0] or b[0][1] <= a[0][0]):
+                a[0] = sturm_shrink(a[2], a[0])
+                b[0] = sturm_shrink(b[2], b[0])
                 changed = True
-    items.sort(key=lambda it: (it[0].lo, it[0].hi))
+    items.sort(key=lambda it: it[0])
     roots = tuple((iv, m) for iv, m, _ in items)
     n_real = sum(m for _, m in roots)
     positive = False
     if n_real == degree:
         if coeffs[0] != 0 and items:
             iv, chain = items[0][0], items[0][2]
-            while iv.lo < 0 <= iv.hi:
-                iv = _shrink(chain, iv)
-            positive = iv.lo >= 0
+            while iv[0] < 0 <= iv[1]:
+                iv = sturm_shrink(chain, iv)
+            positive = iv[0] >= 0
         else:
             positive = coeffs[0] != 0
     return RootProfile(roots, n_real, n_real == degree, positive)
@@ -214,15 +170,14 @@ def positive_roots(chain):
 
 def test_isolate_pinned_quadratic():
     p = P(1, -5, 5)
-    iv1, iv2 = isolate_real_roots(p)
+    (lo1, hi1), (lo2, hi2) = (interval(r) for r in isolate_real_roots(p))
     assert positive_roots(sturm_chain(p)) == 2
-    assert iv1.hi <= iv2.lo
-    assert float(iv1.lo) - 1e-15 <= 1.3819660112501051 <= float(iv1.hi) + 1e-15
-    assert float(iv2.lo) - 1e-15 <= 3.6180339887498949 <= float(iv2.hi) + 1e-15
+    assert hi1 <= lo2
+    assert float(lo1) - 1e-15 <= 1.3819660112501051 <= float(hi1) + 1e-15
+    assert float(lo2) - 1e-15 <= 3.6180339887498949 <= float(hi2) + 1e-15
     prof = isolate_reference(p)
     assert prof.n_real == 2 and prof.totally_real and prof.totally_positive
-    assert [(iv.lo, iv.hi, m) for iv, m in prof.roots] == [
-        (iv1.lo, iv1.hi, 1), (iv2.lo, iv2.hi, 1)]
+    assert list(prof.roots) == [((lo1, hi1), 1), ((lo2, hi2), 1)]
 
 
 def test_isolate_no_real_roots():
@@ -236,8 +191,10 @@ def test_isolate_multiplicity():
     p = P(1, -4, 4)
     sqf = poly_squarefree_part(p)
     assert sqf == [-2, 1]
-    (iv,) = isolate_real_roots(sqf)
-    assert iv.lo < 2 <= iv.hi and positive_roots(sturm_chain(sqf)) == 1
+    # a degree-1 polynomial's root is the exact point
+    (two,) = isolate_real_roots(sqf)
+    assert interval(two) == (2, 2) and two.cmp(2) == 0
+    assert positive_roots(sturm_chain(sqf)) == 1
     prof = isolate_reference(p)
     assert [m for _, m in prof.roots] == [2]
     assert prof.totally_real and prof.totally_positive
@@ -262,9 +219,10 @@ def test_isolate_counts_match_sympy():
         assert [m for _, m in prof.roots] == [m for _, m in ivals]
         # both lists enclose the same roots in the same order, so the
         # corresponding intervals must overlap
-        for iv, ((a, b), _) in zip(ivs, ivals):
-            assert max(iv.lo, Fraction(int(a.p), int(a.q))) <= min(
-                iv.hi, Fraction(int(b.p), int(b.q)))
+        for root, ((a, b), _) in zip(ivs, ivals):
+            lo, hi = interval(root)
+            assert max(lo, Fraction(int(a.p), int(a.q))) <= min(
+                hi, Fraction(int(b.p), int(b.q)))
 
 
 @st.composite
@@ -280,9 +238,10 @@ def squarefree_inputs(draw):
 
 
 def is_dyadic_descendant(new, old):
-    """Is new a node of the midpoint bisection of old (old itself too)?"""
-    ratio = (old.hi - old.lo) / (new.hi - new.lo)
-    step = (new.lo - old.lo) / (new.hi - new.lo)
+    """Is new a node of the midpoint bisection of old (old itself too)?
+    Both are pairs (lo, hi)."""
+    ratio = (old[1] - old[0]) / (new[1] - new[0])
+    step = (new[0] - old[0]) / (new[1] - new[0])
     power_of_two = ratio.denominator == 1 and ratio.numerator.bit_count() == 1
     return power_of_two and step.denominator == 1 and 0 <= step < ratio
 
@@ -303,21 +262,28 @@ def is_dyadic_descendant(new, old):
 def test_isolate_matches_reference_on_squarefree_input(c):
     # Descartes bisection walks the Sturm isolator's dyadic tree: the same
     # roots in the same order, each interval the Sturm one or a node below
-    # it on its root's path, so refine reaches the same floats
-    ivs = isolate_real_roots(c)
-    old, _ = isolate_sturm(c)
+    # it on its root's path, so shrinking reaches the same floats
+    bound = _cauchy_bound(c)
+    ivs = [(Fraction(a, d), Fraction(b, d))
+           for a, b, d in _isolate_in(c, -bound, bound, 1)]
+    old, chain = isolate_sturm(c)
     assert len(ivs) == len(old)
-    assert all(a.hi <= b.lo for a, b in zip(ivs, ivs[1:]))
+    assert all(a[1] <= b[0] for a, b in zip(ivs, ivs[1:]))
     assert all(is_dyadic_descendant(new, ref) for new, ref in zip(ivs, old))
     prof = isolate_reference(c)
     assert all(m == 1 for _, m in prof.roots)
-    assert [(iv.lo, iv.hi) for iv in old] == [
-        (iv.lo, iv.hi) for iv, _ in prof.roots]
-    monic = _primitive_pos(c)
-    if monic[-1] == 1:
-        poly = tuple(monic)
-        assert [AlgebraicNumber(poly, iv).approx_float() for iv in ivs] == [
-            AlgebraicNumber(poly, iv).approx_float() for iv in old]
+    assert old == [iv for iv, _ in prof.roots]
+    roots = isolate_real_roots(c)
+    if len(c) == 2:
+        # a degree-1 root is the exact point, whatever the leading sign
+        want = [Fraction(-c[0], c[1])] * 2
+        assert [interval(r) for r in roots] == [tuple(want)]
+        assert roots[0].approx_float() == float(want[0])
+        return
+    assert [interval(r) for r in roots] == ivs
+    eps = Fraction(1, 10 ** 18)
+    assert [r.approx_float() for r in roots] == [
+        float(mid(sturm_refine(chain, iv, eps))) for iv in old]
 
 
 def to_sympy_poly(p):
@@ -328,43 +294,42 @@ def to_sympy_poly(p):
 # refinement
 
 def test_refine_width_and_containment():
-    ivs = isolate_real_roots(P(1, -5, 5))
-    a = AlgebraicNumber(P(1, -5, 5), ivs[0])
-    iv = a.refine(Fraction(1, 10 ** 6))
-    assert iv.width <= Fraction(1, 10 ** 6)
-    assert Fraction("1.381965") <= iv.lo and iv.hi <= Fraction("1.381967")
+    a = isolate_real_roots(P(1, -5, 5))[0]
+    lo, hi = a.refine(Fraction(1, 10 ** 6))
+    assert hi - lo <= Fraction(1, 10 ** 6)
+    assert Fraction("1.381965") <= lo and hi <= Fraction("1.381967")
+    assert interval(a) == (lo, hi)
 
 
 def test_refine_rational_point():
-    a = AlgebraicNumber(P(1, -2), None)
-    iv = a.refine(Fraction(1, 10 ** 30))
-    assert iv.lo == iv.hi == 2
+    (a,) = isolate_real_roots(P(1, -2))
+    assert a.refine(Fraction(1, 10 ** 30)) == (2, 2)
+    # any leading coefficient: -3 + 5x has the root 3/5
+    (b,) = isolate_real_roots((-3, 5))
+    assert b.refine(1) == (Fraction(3, 5), Fraction(3, 5))
+    assert b.approx_float() == 0.6 and b.floor() == 0
 
 
 def test_refine_sqrt2():
-    ivs = isolate_real_roots(P(1, 0, -2))
-    a = AlgebraicNumber(P(1, 0, -2), ivs[1])
-    iv = a.refine(Fraction(1, 1000))
-    assert iv.width <= Fraction(1, 1000)
-    assert iv.lo < Fraction(1414214, 1000000) < iv.hi + Fraction(1, 1000)
+    a = isolate_real_roots(P(1, 0, -2))[1]
+    lo, hi = a.refine(Fraction(1, 1000))
+    assert hi - lo <= Fraction(1, 1000)
+    assert lo < Fraction(1414214, 1000000) < hi + Fraction(1, 1000)
 
 
 def test_refine_deterministic():
-    ivs = isolate_real_roots(P(1, -5, 5))
-    a1 = AlgebraicNumber(P(1, -5, 5), ivs[0])
-    a2 = AlgebraicNumber(P(1, -5, 5), ivs[0])
+    a1 = isolate_real_roots(P(1, -5, 5))[0]
+    a2 = isolate_real_roots(P(1, -5, 5))[0]
     w = Fraction(1, 10 ** 9)
-    r1 = a1.refine(w)
-    r2 = a2.refine(w)
-    assert (r1.lo, r1.hi) == (r2.lo, r2.hi)
+    assert a1.refine(w) == a2.refine(w)
 
 
 def refine_reference(a, iv, width):
-    """Refinement by bisection on Fraction endpoints, as refine ran before
-    it kept its endpoints as integers over one denominator.  Neither
-    endpoint may be a root."""
+    """Refinement of the pair iv by bisection on Fraction endpoints, as
+    refine ran before it kept its endpoints as integers over one
+    denominator.  Neither endpoint may be a root."""
     p = a.minpoly
-    lo, hi = iv.lo, iv.hi
+    lo, hi = iv
     s_lo = (poly_value(p, lo) > 0) - (poly_value(p, lo) < 0)
     assert s_lo and poly_value(p, hi)
     while hi - lo > width:
@@ -374,19 +339,19 @@ def refine_reference(a, iv, width):
             lo = mid
         else:
             hi = mid
-    return RatInterval(lo, hi)
+    return lo, hi
 
 
 REFINE_WIDTHS = [Fraction(1, 10 ** 3), Fraction(3, 2 ** 31),
                  Fraction(1, 10 ** 12), Fraction(1, 10 ** 18)]
 
 
-def _assert_refine_matches_reference(poly, iv):
-    a = AlgebraicNumber(poly, iv)
+def _assert_refine_matches_reference(a):
+    iv = interval(a)
     for width in REFINE_WIDTHS:
         got = a.refine(width)
         iv = refine_reference(a, iv, width)
-        assert (got.lo, got.hi) == (iv.lo, iv.hi), width
+        assert got == iv, width
 
 
 @settings(max_examples=150, deadline=None)
@@ -394,39 +359,42 @@ def _assert_refine_matches_reference(poly, iv):
 def test_refine_matches_fraction_bisection(low):
     poly = tuple(low + [1])
     assume(factor_over_integers(poly) == [(poly, 1)])
-    for iv in isolate_real_roots(poly):
-        _assert_refine_matches_reference(poly, iv)
+    for a in isolate_real_roots(poly):
+        _assert_refine_matches_reference(a)
 
 
 def test_refine_root_at_an_endpoint():
-    # (x - 1)(x^2 - 2): (1, 2] holds only sqrt 2 and its lower end is the
-    # root 1; (1/2, 1] holds the root 1 at its upper end
+    # (x - 1)(x^2 - 2) isolates to (-4, 0], (0, 1] and (1, 2]: (1, 2] holds
+    # only sqrt 2 and its lower end is the root 1; (0, 1] holds the root 1
+    # at its upper end
     poly = P(1, -1, -2, 2)
     chain = sturm_chain(poly)
-    for iv in (RatInterval(1, 2), RatInterval(Fraction(1, 2), 1)):
-        a = AlgebraicNumber(poly, iv)
+    _, one, sqrt2 = isolate_real_roots(poly)
+    assert (interval(one), interval(sqrt2)) == ((0, 1), (1, 2))
+    for a in (sqrt2, one):
+        lo, hi = iv = interval(a)
         for width in REFINE_WIDTHS:
             got = a.refine(width)
             # the same root: a subinterval of iv that still holds one root
-            assert got.width <= width
-            assert iv.lo <= got.lo and got.hi <= iv.hi
-            assert (varcount_at(chain, got.lo.numerator, got.lo.denominator)
-                    - varcount_at(chain, got.hi.numerator,
-                                  got.hi.denominator)) == 1
-            if iv.hi == 1:
+            assert got[1] - got[0] <= width
+            assert lo <= got[0] and got[1] <= hi
+            assert (varcount_at(chain, got[0].numerator, got[0].denominator)
+                    - varcount_at(chain, got[1].numerator,
+                                  got[1].denominator)) == 1
+            if hi == 1:
                 # a root at hi stays hi, and lo takes the midpoints up to it
-                assert got.hi == 1 and is_dyadic_descendant(got, iv)
-                assert width < 2 * got.width
-        assert a.cmp(1) == (0 if iv.hi == 1 else 1)
+                assert got[1] == 1 and is_dyadic_descendant(got, iv)
+                assert width < 2 * (got[1] - got[0])
+        assert a.cmp(1) == (0 if hi == 1 else 1)
 
 
 def test_refine_takes_a_zero_midpoint_as_the_root():
-    # (x - 2)(x^2 - 2) is squarefree but reducible: (3/2, 5/2] isolates the
-    # rational root 2, which is the first bisection midpoint
-    two = AlgebraicNumber(P(1, -2, -2, 4),
-                          RatInterval(Fraction(3, 2), Fraction(5, 2)))
-    iv = two.refine(Fraction(1, 100))
-    assert iv.lo < 2 <= iv.hi and iv.width <= Fraction(1, 100)
+    # (x - 2)(x + 3) is squarefree but reducible: (0, 8] isolates the
+    # rational root 2, which is the second bisection midpoint
+    two = isolate_real_roots(P(1, 1, -6))[1]
+    assert interval(two) == (0, 8)
+    lo, hi = two.refine(Fraction(1, 100))
+    assert lo < 2 <= hi and hi - lo <= Fraction(1, 100)
     assert two.cmp(2) == 0
     assert two.cmp(Fraction(199, 100)) == 1
     assert two.cmp(Fraction(201, 100)) == -1
@@ -621,10 +589,10 @@ def test_surd_floor_ceil():
 
 def test_surd_approx_encloses():
     s = Surd(1, 2, 7)
-    iv = s.approx(Fraction(1, 10 ** 12))
-    assert iv.hi - iv.lo <= Fraction(1, 10 ** 12)
-    assert iv.lo <= Fraction(float(s)) + Fraction(1, 10 ** 9)
-    assert s.cmp(iv.lo) >= 0 and s.cmp(iv.hi) <= 0
+    lo, hi = s.approx(Fraction(1, 10 ** 12))
+    assert hi - lo <= Fraction(1, 10 ** 12)
+    assert lo <= Fraction(float(s)) + Fraction(1, 10 ** 9)
+    assert s.cmp(lo) >= 0 and s.cmp(hi) <= 0
 
 
 def test_surd_sqrt_fraction():
@@ -746,17 +714,17 @@ class RefSurd:
     def approx(self, eps):
         eps = Fraction(eps)
         if self.q == 0:
-            return RatInterval(self.p, self.p)
+            return self.p, self.p
         k = 1
         while Fraction(abs(self.q), 10 ** k) > eps:
             k += 1
         scale = 10 ** k
         r = isqrt(self.n * scale * scale)
-        root = RatInterval(Fraction(r, scale), Fraction(r + 1, scale))
+        root = (Fraction(r, scale), Fraction(r + 1, scale))
         return shift(iv_scale(root, self.q), self.p)
 
     def floor(self):
-        m = int(float(self.approx(Fraction(1, 10 ** 18)).mid))
+        m = int(float(mid(self.approx(Fraction(1, 10 ** 18)))))
         while self.cmp_fraction(m + 1) >= 0:
             m += 1
         while self.cmp_fraction(m) < 0:
@@ -772,7 +740,7 @@ class RefSurd:
 
 def shift(iv, f):
     """The interval iv + f."""
-    return RatInterval(iv.lo + f, iv.hi + f)
+    return iv[0] + f, iv[1] + f
 
 
 SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 41, 102)
@@ -795,9 +763,8 @@ def test_surd_matches_fraction_reference(x, y, r):
     assert s.cmp(r) == x.cmp_fraction(r)
     assert s.cmp(t) == x.cmp(y) == -t.cmp(s)
     for eps in (Fraction(1, 3), Fraction(1, 10 ** 6), Fraction(7, 10 ** 20)):
-        got, want = s.approx(eps), x.approx(eps)
-        assert (got.lo, got.hi) == (want.lo, want.hi)
-    assert float(s) == float(x.approx(Fraction(1, 10 ** 18)).mid)
+        assert s.approx(eps) == x.approx(eps)
+    assert float(s) == float(mid(x.approx(Fraction(1, 10 ** 18))))
     y = RefSurd(y.p, y.q, x.n)  # same field for the arithmetic
     t = y.surd()
     assert same_value(s + t, x + y)
@@ -824,9 +791,7 @@ def test_surd_floor_matches_sympy(x):
 # AlgebraicNumber comparisons
 
 def fib_roots():
-    p = P(1, -5, 5)
-    iv1, iv2 = isolate_real_roots(p)
-    return AlgebraicNumber(p, iv1), AlgebraicNumber(p, iv2)
+    return tuple(isolate_real_roots(P(1, -5, 5)))
 
 
 def test_algnum_cmp_families():
@@ -840,60 +805,57 @@ def test_algnum_cmp_families():
     assert lo.cmp(Surd(Fraction(5, 2), Fraction(-1, 2), 5)) == 0
 
 
-def test_algnum_rejects_non_monic_and_bad_interval():
-    with pytest.raises(InvalidInputError):
-        AlgebraicNumber(P(2, -5, 5), RatInterval(1, 2))
-    with pytest.raises(InvalidInputError):
-        AlgebraicNumber(P(1, -5, 5), RatInterval(5, 9))
-    with pytest.raises(InvalidInputError):
-        AlgebraicNumber(SHARED, RatInterval(2, 2))  # (2, 2] is empty
-
-
 def test_algnum_floor():
     lo, hi = fib_roots()
     assert lo.floor() == 1
     assert hi.floor() == 3
-    assert AlgebraicNumber(P(1, -2), None).floor() == 2
+    assert isolate_real_roots(P(1, -2))[0].floor() == 2
 
 
-# (x - 2)(x^2 - 2) on (3/2, 5/2]: a reducible squarefree minpoly whose
-# designated root is the rational 2
+# (x - 2)(x^2 - 2) isolates to (-6, 0], (0, 3/2] and (3/2, 3]: a reducible
+# squarefree minpoly whose roots include the rational 2
 SHARED = P(1, -2, -2, 4)
+
+# (x - 2)(x^2 - 7) isolates to (-16, 0], (0, 2] and (2, 4]: the root 2 at
+# the upper end of its interval, and the lower end of sqrt 7's
+SEVEN = P(1, -2, -7, 14)
 
 
 def test_algnum_floor_at_an_integer_root():
-    assert AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2),
-                                               Fraction(5, 2))).floor() == 2
-    assert AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2),
-                                               2)).floor() == 2
-    # sqrt 2 with the candidate 1 inside (1/2, 3/2]
-    assert AlgebraicNumber(SHARED, RatInterval(Fraction(1, 2),
-                                               Fraction(3, 2))).floor() == 1
-    # (x - 3)(x^3 - 3) on (2, 13]: shrinking leaves the one candidate 3
-    p = P(1, -3, 0, -3, 9)
-    assert AlgebraicNumber(p, RatInterval(2, 13)).floor() == 3
+    _, sqrt2, two = isolate_real_roots(SHARED)
+    assert interval(two) == (Fraction(3, 2), 3) and two.floor() == 2
+    _, two_at_hi, _ = isolate_real_roots(SEVEN)
+    assert interval(two_at_hi) == (0, 2) and two_at_hi.floor() == 2
+    # sqrt 2 on (0, 3/2] shrinks to (3/4, 3/2], with the candidate 1 inside
+    assert interval(sqrt2) == (0, Fraction(3, 2)) and sqrt2.floor() == 1
+    assert interval(sqrt2) == (Fraction(3, 4), Fraction(3, 2))
+    # (x - 3)(x^3 - 3) on (11/4, 11/2]: shrinking leaves the one candidate 3
+    three = isolate_real_roots(P(1, -3, 0, -3, 9))[1]
+    assert interval(three) == (Fraction(11, 4), Fraction(11, 2))
+    assert three.floor() == 3
 
 
 SHARED_ROOT_CMP = """
-from fractions import Fraction as F
-from fgap.algnum import AlgebraicNumber, RatInterval
+from fgap.algnum import isolate_real_roots
 
-def num(desc, lo, hi):
-    return AlgebraicNumber(desc[::-1], RatInterval(lo, hi))
+def roots(desc):
+    return isolate_real_roots(desc[::-1])
 
-two = num((1, -2, -2, 4), F(3, 2), F(5, 2))      # 2, (x - 2)(x^2 - 2)
-two_b = num((1, 1, -6), F(3, 2), F(5, 2))        # 2, (x - 2)(x + 3)
-sqrt2 = num((1, -2, -2, 4), 1, F(3, 2))          # sqrt 2, (x - 2)(x^2 - 2)
-sqrt2_b = num((1, 0, -2), 1, 2)                  # sqrt 2, x^2 - 2
+_, sqrt2, two = roots((1, -2, -2, 4))   # (0, 3/2], (3/2, 3]: (x - 2)(x^2 - 2)
+_, two_b = roots((1, 1, -6))            # (0, 8]: (x - 2)(x + 3)
+_, sqrt2_b = roots((1, 0, -2))          # (0, 4]: x^2 - 2
+_, sqrt3 = roots((1, 0, -3))            # (0, 5]: x^2 - 3
+(one,) = roots((1, -1))
+(two_c,) = roots((1, -2))
 cases = [
     (two, two_b, 0), (two_b, two, 0),
     (sqrt2, sqrt2_b, 0), (sqrt2_b, sqrt2, 0),
     (two_b, sqrt2_b, 1), (sqrt2_b, two_b, -1),
-    (two, AlgebraicNumber((-2, 1), None), 0),
-    (AlgebraicNumber((-2, 1), None), two_b, 0),
-    (num((1, 0, -3), 1, 2), two_b, -1),          # sqrt 3 < 2
-    (AlgebraicNumber((-1, 1), None), sqrt2, -1),
-    (sqrt2_b, AlgebraicNumber((-1, 1), None), 1),
+    (two, two_c, 0),
+    (two_c, two_b, 0),
+    (sqrt3, two_b, -1),                  # sqrt 3 < 2
+    (one, sqrt2, -1),
+    (sqrt2_b, one, 1),
 ]
 print([a.cmp(b) == want for a, b, want in cases])
 """
@@ -911,41 +873,43 @@ def test_algnum_cmp_at_a_shared_root():
 def test_cmp_at_the_interval_ends():
     # sqrt 2 on (1, 2] for (x - 1)(x^2 - 2): lo is the root 1, outside the
     # half-open interval; hi is not a root
-    sqrt2 = AlgebraicNumber(P(1, -1, -2, 2), RatInterval(1, 2))
+    sqrt2 = isolate_real_roots(P(1, -1, -2, 2))[2]
+    assert interval(sqrt2) == (1, 2)
     assert sqrt2.cmp(1) == 1 and sqrt2.cmp(2) == -1
     assert sqrt2.cmp(Fraction(5, 4)) == 1 and sqrt2.cmp(Fraction(3, 2)) == -1
     assert sqrt2.cmp(Surd(0, 1, 2)) == 0
-    # 2 on (3/2, 2] for (x - 2)(x^2 - 2): hi is the designated root
-    two = AlgebraicNumber(SHARED, RatInterval(Fraction(3, 2), 2))
+    # 2 on (0, 2] for (x - 2)(x^2 - 7): hi is the designated root
+    two = isolate_real_roots(SEVEN)[1]
+    assert interval(two) == (0, 2)
     assert two.cmp(2) == 0 and two.cmp(Fraction(7, 4)) == 1
     assert two.cmp(Surd(0, Fraction(3, 2), 3)) == -1     # 2.598 > 2
     assert two.cmp(Surd(0, Fraction(6, 5), 2)) == 1      # 1.697 < 2
     assert two.cmp(Fraction(3, 2)) == 1 and two.cmp(Fraction(201, 100)) == -1
     # sqrt 2 on (1, 3/2] for x^2 - 2: x at hi, where p(hi) != 0
-    root = AlgebraicNumber(P(1, 0, -2), RatInterval(1, Fraction(3, 2)))
+    root = isolate_real_roots(P(1, 0, -2))[1]
+    assert root.refine(Fraction(1, 2)) == (1, Fraction(3, 2))
     assert root.cmp(Fraction(3, 2)) == -1
-    for a, iv in ((sqrt2, RatInterval(1, 2)),
-                  (two, RatInterval(Fraction(3, 2), 2)),
-                  (root, RatInterval(1, Fraction(3, 2)))):
-        for r in (iv.lo, iv.hi, iv.mid, iv.hi - Fraction(1, 10 ** 9)):
+    for a in (sqrt2, two, root):
+        iv = interval(a)
+        for r in (iv[0], iv[1], mid(iv), iv[1] - Fraction(1, 10 ** 9)):
             assert a.cmp(r) == bisect_cmp_fraction(a.minpoly, iv, r), r
+        assert interval(a) == iv
 
 
 OVERLAP_END_CMP = """
 from fractions import Fraction as F
-from fgap.algnum import AlgebraicNumber, RatInterval
+from fgap.algnum import isolate_real_roots
 
-def num(desc, lo, hi):
-    return AlgebraicNumber(desc[::-1], RatInterval(lo, hi))
+def roots(desc):
+    return isolate_real_roots(desc[::-1])
 
-two = num((1, -2, -2, 4), F(3, 2), 2)        # 2, (x - 2)(x^2 - 2)
-two_b = num((1, 1, -6), 1, 2)                # 2, (x - 2)(x + 3)
-sqrt7 = num((1, -2, -7, 14), 2, 3)           # sqrt 7, (x - 2)(x^2 - 7)
-two_c = num((1, 3, -10), 1, F(5, 2))         # 2, (x - 2)(x + 5)
-two_d = num((1, -2, -2, 4), F(3, 2), F(5, 2))
-fib_lo = num((1, -5, 5), 1, 2)
-fib_lo_b = num((1, -5, 5), 1, F(3, 2))
-fib_hi = num((1, -5, 5), 3, 4)
+_, two, sqrt7 = roots((1, -2, -7, 14))  # (0, 2], (2, 4]: (x - 2)(x^2 - 7)
+_, two_b = roots((1, 1, -6))            # (0, 8]: (x - 2)(x + 3)
+_, two_c = roots((1, 3, -10))           # (0, 12]: (x - 2)(x + 5)
+_, _, two_d = roots((1, -2, -2, 4))     # (3/2, 3]: (x - 2)(x^2 - 2)
+fib_lo, fib_hi = roots((1, -5, 5))      # (0, 7/2], (7/2, 7]
+fib_lo_b = roots((1, -5, 5))[0]
+assert fib_lo_b.refine(2) == (0, F(7, 4))
 cases = [
     # the gcd's root 2 at the overlap's upper end is the value of both
     (two, two_b, 0), (two_b, two, 0),
@@ -977,7 +941,7 @@ def bisect_cmp_surd(poly, iv, s):
     chain = sturm_chain(list(poly))
 
     def inside(x):
-        return x.cmp_fraction(iv.lo) >= 0 and x.cmp_fraction(iv.hi) <= 0
+        return x.cmp_fraction(iv[0]) >= 0 and x.cmp_fraction(iv[1]) <= 0
 
     acc = RefSurd(0)
     for c in reversed(poly):
@@ -985,13 +949,13 @@ def bisect_cmp_surd(poly, iv, s):
     if acc.sign() == 0:
         other = s.conjugate()
         while inside(s) and inside(other):
-            iv = _shrink(chain, iv)
+            iv = sturm_shrink(chain, iv)
         if inside(s):
             return 0
-        return 1 if s.cmp_fraction(iv.lo) < 0 else -1
+        return 1 if s.cmp_fraction(iv[0]) < 0 else -1
     while inside(s):
-        iv = _shrink(chain, iv)
-    return 1 if s.cmp_fraction(iv.lo) < 0 else -1
+        iv = sturm_shrink(chain, iv)
+    return 1 if s.cmp_fraction(iv[0]) < 0 else -1
 
 
 def surd_points(poly, rng):
@@ -1006,12 +970,13 @@ def surd_points(poly, rng):
             n, m = sympy_squarefree(disc)
             for sgn in (1, -1):
                 pts.append(RefSurd(Fraction(-c1, 2), Fraction(sgn * m, 2), n))
-    for iv in isolate_real_roots(poly):
+    for root in isolate_real_roots(poly):
+        m = mid(interval(root))
         for n in (2, 3, 5):
             for k in (1, 6, 30):
                 step = Fraction(1, 10 ** k)
-                pts.append(RefSurd(iv.mid, step, n))
-                pts.append(RefSurd(iv.mid, -step, n))
+                pts.append(RefSurd(m, step, n))
+                pts.append(RefSurd(m, -step, n))
     for _ in range(4):
         pts.append(RefSurd(Fraction(rng.randint(-60, 60), rng.randint(1, 9)),
                            Fraction(rng.randint(-9, 9) or 1,
@@ -1022,14 +987,14 @@ def surd_points(poly, rng):
 
 def bisect_cmp_fraction(poly, iv, r):
     """Sign of (the root of poly in iv) - r for a rational r, by shrinking
-    iv with _shrink until r lies outside it, as src compared with a rational
-    before its one Sturm count at the point: the reference."""
+    iv with sturm_shrink until r lies outside it, as src compared with a
+    rational before its one Sturm count at the point: the reference."""
     chain = sturm_chain(list(poly))
-    if iv.lo < r <= iv.hi and poly_value(poly, r) == 0:
+    if iv[0] < r <= iv[1] and poly_value(poly, r) == 0:
         return 0
-    while iv.lo <= r <= iv.hi:
-        iv = _shrink(chain, iv)
-    return 1 if iv.lo > r else -1
+    while iv[0] <= r <= iv[1]:
+        iv = sturm_shrink(chain, iv)
+    return 1 if iv[0] > r else -1
 
 
 def rational_points(poly, rng):
@@ -1037,11 +1002,13 @@ def rational_points(poly, rng):
     midpoint, the integer roots (a monic poly has no other rational ones),
     points just beside each, and a few random ones."""
     pts = [Fraction(t) for t in range(-14, 15) if poly_value(poly, t) == 0]
-    for iv in isolate_real_roots(poly):
-        pts.extend([iv.lo, iv.hi, iv.mid])
+    for root in isolate_real_roots(poly):
+        lo, hi = iv = interval(root)
+        m = mid(iv)
+        pts.extend([lo, hi, m])
         for k in (1, 6, 30):
             step = Fraction(1, 10 ** k)
-            pts.extend([iv.mid + step, iv.mid - step, iv.hi - step])
+            pts.extend([m + step, m - step, hi - step])
     for _ in range(4):
         pts.append(Fraction(rng.randint(-60, 60), rng.randint(1, 9)))
     return pts
@@ -1068,8 +1035,8 @@ def test_cmp_surd_and_surd_sturm_count_match_bisection(low, seed):
         return  # the reference needs a squarefree polynomial
     rng = random.Random(seed)
     chain = sturm_chain(list(poly))
-    roots = isolate_real_roots(poly)
-    nums = [AlgebraicNumber(poly, iv) for iv in roots]
+    nums = isolate_real_roots(poly)
+    roots = [interval(a) for a in nums]
     for s in surd_points(poly, rng):
         want = [bisect_cmp_surd(poly, iv, s) for iv in roots]
         got = [a.cmp(s.surd()) for a in nums]
@@ -1085,8 +1052,7 @@ def test_cmp_surd_and_surd_sturm_count_match_bisection(low, seed):
             chain, r.numerator, r.denominator)
         assert below == sum(1 for c in want if c <= 0)
     # a comparison never shrinks the interval
-    assert [(a._isol.lo, a._isol.hi) for a in nums] == [
-        (iv.lo, iv.hi) for iv in roots]
+    assert [interval(a) for a in nums] == roots
 
 
 # ---------------------------------------------------------------------------
@@ -1288,7 +1254,7 @@ def test_power_char_poly_pinned():
     lo, _ = fib_roots()
     assert power_char_poly(lo, 3) == P(1, -50, 125)
     assert power_char_poly(lo, 1) == P(1, -5, 5)
-    two = AlgebraicNumber(P(1, -2), None)
+    (two,) = isolate_real_roots(P(1, -2))
     assert power_char_poly(two, 3) == P(1, -8)
 
 
@@ -1304,14 +1270,14 @@ def test_power_char_poly_contains_powered_root(a1, a0, m):
     p = (a0, a1, 1)
     if factor_over_integers(p) != [(p, 1)]:
         return
-    ivs = isolate_real_roots(p)
-    if len(ivs) != 2:
+    roots = isolate_real_roots(p)
+    if len(roots) != 2:
         return
-    root = AlgebraicNumber(p, ivs[0])
+    root = roots[0]
     pcp = power_char_poly(root, m)
-    iv = root.refine(Fraction(1, 10 ** 12))
-    lo = min(iv.lo ** m, iv.hi ** m)
-    hi = max(iv.lo ** m, iv.hi ** m)
+    a, b = root.refine(Fraction(1, 10 ** 12))
+    lo = min(a ** m, b ** m)
+    hi = max(a ** m, b ** m)
     # certified: pcp vanishes somewhere on the powered enclosure
     assert poly_value(pcp, lo) == 0 or poly_value(pcp, hi) == 0 or \
         _count_roots_between(pcp, lo, hi) >= 1
@@ -1353,8 +1319,7 @@ def conjugate_stats(p):
     hi_an = None
     for factor, _ in factor_over_integers(p):
         fivs = isolate_real_roots(factor)
-        first = AlgebraicNumber(factor, fivs[0])
-        last = AlgebraicNumber(factor, fivs[-1])
+        first, last = fivs[0], fivs[-1]
         if lo_an is None or first.cmp(lo_an) < 0:
             lo_an = first
         if hi_an is None or last.cmp(hi_an) > 0:

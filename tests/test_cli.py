@@ -2,8 +2,10 @@
 needs to count calls inside the program."""
 
 import contextlib
+import functools
 import hashlib
 import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -12,6 +14,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +24,7 @@ import fgap.algnum
 import fgap.cli
 import fgap.gapsearch
 from conftest import group_ring, run_cli
+from oracles import interval
 from test_acceptance import _children_cpu_s
 from test_golden import GOLDEN
 from fgap.errors import BudgetError
@@ -351,6 +355,24 @@ def test_search_gap_past_the_degree_cap_exits_2(dmax):
                    "24, the factorization cap; lower --dmax\n")
 
 
+@pytest.mark.parametrize("budget,code", [(8865, 2), (8866, 0)])
+def test_search_gap_stops_at_the_step_budget(budget, code, monkeypatch):
+    # 4sqrt(3)/5 walks 4,056 coefficient ranges and 4,810 leaves: one step
+    # less than that stops the walk in degree 3, with no partial report
+    monkeypatch.setattr(fgap.gapsearch, "SEARCH_BUDGET", budget)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = fgap.cli.main(["search", "gap", "--dmax", "4sqrt(3)/5"])
+    assert rc == code
+    if code:
+        assert (out.getvalue(), err.getvalue()) == (
+            "", "not certified: budget exhausted at degree 3: the gap search "
+            "takes more than 8865 enumeration steps (coefficient ranges and "
+            "leaves); lower --dmax\n")
+    else:
+        assert err.getvalue() == "" and "survivors: 1\n" in out.getvalue()
+
+
 def _assert_over_budget(*argv):
     err = _assert_one_line_exit(2, "search", *argv)
     assert err.startswith("not certified: ")
@@ -407,9 +429,11 @@ def test_ffib_bound_rejections():
 
 
 def test_ffib_bound_degree_one_root_in_a_wide_interval():
-    # x - 2 is isolated on (-4, 4], whose lower end is negative; the root
-    # itself, 2, decides total positivity
-    assert fgap.algnum.isolate_real_roots([-2, 1])[0].lo < 0
+    # bisection ends x - 2 on (-4, 4], whose lower end is negative; the
+    # root isolation makes is the exact point 2, which decides total
+    # positivity
+    assert fgap.algnum._isolate_in((-2, 1), -4, 4, 1) == [(-4, 4, 1)]
+    assert interval(fgap.algnum.isolate_real_roots([-2, 1])[0]) == (2, 2)
     rc, out, _ = run_cli("ffib-bound", "--poly", "1,-2")
     assert rc == 0
     assert "power: 2" in out
@@ -553,6 +577,9 @@ BIG = "7" * 5000
 OVER = "7" * 2500
 RING_3000 = ("rank 2\ndual 0 1\nN 0 0 : 1 0\nN 0 1 : 0 1\nN 1 0 : 0 1\n"
              "N 1 1 : 1 %d\n" % (10 ** 2999 + 7))
+RING_400 = RING_3000.replace(str(10 ** 2999 + 7), str(10 ** 399 + 7))
+FLOAT_CAP_ERROR = ("not certified: an eigenvalue may have %d bits, over the "
+                   "cap of 1023 bits for the floats a report prints\n")
 NUMBER_ERROR = ("error: cannot parse %r as an exact number; use INT, a "
                 "decimal, P/Q, or k*sqrt(n)/m\n")
 OVERSIZED_INTEGER_INPUTS = [
@@ -583,6 +610,11 @@ OVERSIZED_INTEGER_INPUTS = [
     (["analyze", "-"], RING_3000, 2,
      "not certified: the characteristic polynomial may have coefficients "
      "of 39852 bits, whose squares pass the cap of 14000 bits\n"),
+    # below the charpoly's bit bound, the codegrees still pass the float
+    # range: Z's largest row sum stops the run before any float is formed
+    (["analyze", "-"], RING_400, 2, FLOAT_CAP_ERROR % 2651),
+    (["analyze", "-"], emit_ring_file(builtin_ring("kn", 10 ** 160)), 2,
+     FLOAT_CAP_ERROR % 1064),
     # a radicand past 10^20 is not factored: a 39-digit semiprime
     (["search", "quadratic", "--window",
       "sqrt(300000000000000001940000000000000002091)/10000000000000000000,"
@@ -594,7 +626,8 @@ OVERSIZED_INTEGER_INPUTS = [
     "argv,stdin,code,err", OVERSIZED_INTEGER_INPUTS,
     ids=["dnumber", "ffib-bound", "repg", "gap", "quadratic-window", "tol",
          "builtin-n", "amax", "repg-2500-digits", "gap-2501-digits",
-         "gap-2002-digit-decimal", "ring-file-3000-digits", "radicand"])
+         "gap-2002-digit-decimal", "ring-file-3000-digits",
+         "ring-file-400-digits", "kn-10^160", "radicand"])
 def test_oversized_integers_end_in_one_line(argv, stdin, code, err,
                                             monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
@@ -602,6 +635,25 @@ def test_oversized_integers_end_in_one_line(argv, stdin, code, err,
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(got):
         rc = fgap.cli.main(argv)
     assert (rc, out.getvalue(), got.getvalue()) == (code, "", err)
+
+
+def test_analyze_prints_codegrees_up_to_the_float_cap(monkeypatch):
+    # K_n's Z = [[2, n], [n, n^2 + 2]] has the largest row sum n^2 + n + 2:
+    # at FLOAT_BITS_CAP bits the report prints its top codegree, near
+    # 9e307, and one bit more stops the run
+    cap = fgap.algnum.FLOAT_BITS_CAP
+    n = isqrt(2 ** cap)
+    while (n * n + n + 2).bit_length() > cap:
+        n -= 1
+    for m, code, err in ((n, 0, ""), (n + 1, 2, FLOAT_CAP_ERROR % (cap + 1))):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            emit_ring_file(builtin_ring("kn", m))))
+        out, got = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(got):
+            rc = fgap.cli.main(["analyze", "-"])
+        assert (rc, got.getvalue()) == (code, err)
+        assert ("codegrees ~ [1, 8.98846567431e+307]" in out.getvalue()) \
+            == (code == 0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -786,6 +838,80 @@ def test_analyze_bytes_pinned_on_every_benchmark_ring(monkeypatch):
             count += 1
     assert count == 420
     assert digest.hexdigest() == EVERY_RING_SHA256
+
+
+@functools.lru_cache(maxsize=None)
+def deck_ring_texts():
+    """The ring files of perfbench's deck (rings.every_ring), in order."""
+    spec = importlib.util.spec_from_file_location("rings",
+                                                  PERFBENCH / "rings.py")
+    rings = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rings)
+    return tuple(ring.text() for ring in rings.every_ring())
+
+
+# tokens a mutation writes into a ring file: small and signed integers, a
+# 400-digit one, garbage and the format's own keywords
+FUZZ_TOKENS = ("0", "-1", "1", "+2", "-0", "7" * 400, "x", "1.5", "1/2",
+               "1_0", "\u0663", "#", ":", "rank", "dual", "N")
+
+
+@st.composite
+def mutated_ring_files(draw):
+    """A deck ring file with one to three mutations: a token replaced or
+    its sign flipped, or a line deleted, duplicated or extended by a
+    token."""
+    texts = deck_ring_texts()
+    lines = texts[draw(st.integers(0, len(texts) - 1))].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        kind = draw(st.sampled_from(("replace", "sign", "delete",
+                                     "duplicate", "extend")))
+        if kind in ("replace", "sign") and toks:
+            j = draw(st.integers(0, len(toks) - 1))
+            toks[j] = (draw(st.sampled_from(FUZZ_TOKENS)) if kind == "replace"
+                       else toks[j][1:] if toks[j][0] in "+-"
+                       else "-" + toks[j])
+            lines[i] = " ".join(toks)
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] += " " + draw(st.sampled_from(FUZZ_TOKENS))
+    return "\n".join(lines) + "\n"
+
+
+# K_1 with a 400-digit N 1 1 multiplicity: a valid ring whose codegrees pass
+# the float range, once an OverflowError traceback
+RING_KN_400 = ("rank 2\ndual 0 1\nN 0 0 : 1 0\nN 0 1 : 0 1\nN 1 0 : 0 1\n"
+               "N 1 1 : 1 %s\n" % ("7" * 400))
+
+
+@given(text=mutated_ring_files())
+@settings(max_examples=150, deadline=None)
+@example(text=RING_KN_400)
+def test_mutated_ring_files_end_in_an_exit_code(text):
+    # no exception escapes main; a nonzero exit explains itself on stderr
+    # (an axiom violation lists one line per violation)
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = fgap.cli.main(["analyze", "-"])
+    finally:
+        sys.stdin = stdin
+    assert rc in (0, 1, 2, 3)
+    if rc:
+        assert err.getvalue().startswith(("error: ", "not certified: ",
+                                          "ambiguous: ")), err.getvalue()
+    if text == RING_KN_400:
+        assert (rc, out.getvalue(), err.getvalue()) == (
+            2, "", FLOAT_CAP_ERROR % 2657)
 
 
 @pytest.mark.parametrize("argv", [

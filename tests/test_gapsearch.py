@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from fgap import algnum, gapsearch, kernels
 from fgap._intfactor import factorize
-from fgap.algnum import (AlgebraicNumber, IntPoly, RatInterval, Surd,
-                         factor_over_integers, inverse_square_sum,
-                         is_d_number, isolate_real_roots, poly_gcd_int,
-                         poly_squarefree_part)
+from fgap.algnum import (IntPoly, Surd, factor_over_integers,
+                         inverse_square_sum, is_d_number, isolate_real_roots,
+                         poly_gcd_int, poly_squarefree_part)
 from fgap.errors import BudgetError, InvalidInputError
 from fgap.obstruct import FOUR_THIRDS, orbit_inequality, threshold
 from fgap.gapsearch import (
@@ -36,10 +35,11 @@ from fgap.gapsearch import (
     surd_text,
 )
 from fgap.gapsearch import _DepthPlan, _next_coeff_range, _pair_bounds
-from oracles import (_deriv_prefix, cubic_plan_reference, divisors, iv_horner,
-                     pair_enclosure, poly_value, quad_plan_reference,
-                     real_root_count, sturm_chain, varcount_at, varcount_inf)
-from test_algnum import isolate_sturm
+from oracles import (_deriv_prefix, cubic_plan_reference, divisors,
+                     interval, isolate_sturm, iv_horner, mid, pair_enclosure,
+                     poly_value, quad_plan_reference, real_root_count,
+                     sturm_chain, sturm_refine, varcount_at, varcount_at_surd,
+                     varcount_inf)
 
 GOLDEN_GAP = Surd(Fraction(5, 2), Fraction(-1, 2), 5)  # (5 - sqrt 5)/2
 
@@ -66,19 +66,18 @@ def cubic_default_audit():
 def K_of(d, digits=40):
     """Outward-rounded enclosure of K(d) = 1/(1/4 - sqrt(9/16 - 1/d^2)).
 
-    Accepts a Surd, Fraction-like, or RatInterval; requires certified
-    4/3 < d < sqrt(2).
+    Accepts a Surd, Fraction-like, or an interval (lo, hi); requires
+    certified 4/3 < d < sqrt(2).  Returns the enclosure (lo, hi).
     """
-    if isinstance(d, RatInterval):
-        lo, hi = d.lo, d.hi
+    if isinstance(d, tuple):
+        lo, hi = d
         if not (lo > FOUR_THIRDS and hi * hi < 2):
             raise InvalidInputError("K(d) needs 4/3 < d < sqrt(2)")
     else:
         s = gapsearch._as_surd(d)
         if not (s.cmp(FOUR_THIRDS) > 0 and s.cmp(SQRT2) < 0):
             raise InvalidInputError("K(d) needs 4/3 < d < sqrt(2)")
-        iv = s.approx(Fraction(1, 10 ** digits))
-        lo, hi = iv.lo, iv.hi
+        lo, hi = s.approx(Fraction(1, 10 ** digits))
 
     def k_at(v, round_up):
         t = Fraction(9, 16) - 1 / (v * v)
@@ -91,7 +90,7 @@ def K_of(d, digits=40):
                                     "sqrt(2) at this precision)")
         return 1 / den
 
-    return RatInterval(k_at(lo, False), k_at(hi, True))
+    return k_at(lo, False), k_at(hi, True)
 
 
 def _sqrt_bounds(f, digits):
@@ -106,29 +105,29 @@ def _sqrt_bounds(f, digits):
 
 def test_K_pinned_endpoint():
     # K(4 sqrt 3 / 5) = 12 + 4 sqrt 6, just under 22
-    iv = K_of(QUAD_DEFAULT_HI)
+    lo, hi = K_of(QUAD_DEFAULT_HI)
     exact = Surd(12, 4, 6)
-    assert exact.cmp(iv.lo) >= 0
-    assert exact.cmp(iv.hi) <= 0
-    assert iv.hi < 22
-    assert abs(float(iv.lo) - 21.79795897113271) < 1e-9
+    assert exact.cmp(lo) >= 0
+    assert exact.cmp(hi) <= 0
+    assert hi < 22
+    assert abs(float(lo) - 21.79795897113271) < 1e-9
 
 
 def test_K_pinned_golden():
     # K((5 - sqrt 5)/2) = 10 + 4 sqrt 5
-    iv = K_of(GOLDEN_GAP)
+    lo, hi = K_of(GOLDEN_GAP)
     exact = Surd(10, 4, 5)
-    assert exact.cmp(iv.lo) >= 0
-    assert exact.cmp(iv.hi) <= 0
-    assert abs(float(iv.lo) - 18.94427190999916) < 1e-9
+    assert exact.cmp(lo) >= 0
+    assert exact.cmp(hi) <= 0
+    assert abs(float(lo) - 18.94427190999916) < 1e-9
 
 
 def test_K_matches_float_formula():
     for num, den in [(27, 20), (69, 50), (11, 8), (138, 100)]:
         d = Fraction(num, den)
-        iv = K_of(Surd(d))
+        lo, _ = K_of(Surd(d))
         want = 1.0 / (0.25 - math.sqrt(9.0 / 16.0 - 1.0 / float(d) ** 2))
-        assert abs(float(iv.lo) - want) < 1e-9 * want
+        assert abs(float(lo) - want) < 1e-9 * want
 
 
 def test_K_domain_errors():
@@ -165,9 +164,7 @@ def test_mainineq_encodings_agree_on_grid():
             if disc <= 0 or math.isqrt(disc) ** 2 == disc:
                 continue
             p = (b, -a, 1)
-            iv1, iv2 = isolate_real_roots(p)
-            d1 = AlgebraicNumber(p, iv1)
-            d2 = AlgebraicNumber(p, iv2)
+            d1, d2 = isolate_real_roots(p)
             exact = mainineq_exact_quadratic(a, b)
             enclosed = mainineq_enclosure_pair(d1, d2)
             assert exact == enclosed, (a, b)
@@ -206,8 +203,7 @@ def pair_boxes(draw):
                         max_denominator=64)
     widths = st.fractions(min_value=0, max_value=3, max_denominator=64)
     l1, l3 = draw(ends), draw(ends)
-    return (RatInterval(l1, l1 + draw(widths)),
-            RatInterval(l3, l3 + draw(widths)))
+    return (l1, l1 + draw(widths)), (l3, l3 + draw(widths))
 
 
 def pair_g(d1, d3):
@@ -219,25 +215,28 @@ def pair_g(d1, d3):
        ts=st.lists(st.fractions(min_value=0, max_value=1,
                                 max_denominator=50), min_size=2, max_size=2))
 # d3's interval holds 4, where 1/d3^2 - 1/(2 d3) is least
-@example(boxes=(RatInterval(Fraction(13, 10), Fraction(7, 5)),
-                RatInterval(3, 5)), ts=[Fraction(1, 2), Fraction(1, 3)])
+@example(boxes=((Fraction(13, 10), Fraction(7, 5)),
+                (Fraction(3), Fraction(5))),
+         ts=[Fraction(1, 2), Fraction(1, 3)])
 # d3's interval ends at 4, from either side
-@example(boxes=(RatInterval(1, 2), RatInterval(Fraction(7, 2), 4)), ts=[0, 1])
-@example(boxes=(RatInterval(1, 2), RatInterval(4, Fraction(9, 2))), ts=[0, 1])
+@example(boxes=((Fraction(1), Fraction(2)), (Fraction(7, 2), Fraction(4))),
+         ts=[0, 1])
+@example(boxes=((Fraction(1), Fraction(2)), (Fraction(4), Fraction(9, 2))),
+         ts=[0, 1])
 # point intervals
-@example(boxes=(RatInterval(Fraction(4, 3), Fraction(4, 3)),
-                RatInterval(4, 4)), ts=[0, 0])
+@example(boxes=((Fraction(4, 3), Fraction(4, 3)), (Fraction(4), Fraction(4))),
+         ts=[0, 0])
 def test_pair_bounds_are_exact_inside_the_interval_enclosure(boxes, ts):
     # the corner bounds lie inside the interval-arithmetic enclosure the
     # pair inequality was decided by, hold g at sample points of the box and
     # are attained at a corner or at d3 = 4
-    iv1, iv3 = boxes
-    lower, upper = _pair_bounds(iv1, iv3)
-    enc = pair_enclosure(iv1, iv3)
-    assert enc.lo <= lower <= upper <= enc.hi
-    xs1 = [iv1.lo, iv1.hi, iv1.lo + ts[0] * iv1.width]
-    xs3 = [iv3.lo, iv3.hi, iv3.lo + ts[1] * iv3.width]
-    if iv3.lo <= 4 <= iv3.hi:
+    (lo1, hi1), (lo3, hi3) = boxes
+    lower, upper = _pair_bounds(*boxes)
+    enc_lo, enc_hi = pair_enclosure(*boxes)
+    assert enc_lo <= lower <= upper <= enc_hi
+    xs1 = [lo1, hi1, lo1 + ts[0] * (hi1 - lo1)]
+    xs3 = [lo3, hi3, lo3 + ts[1] * (hi3 - lo3)]
+    if lo3 <= 4 <= hi3:
         xs3.append(Fraction(4))
     values = [pair_g(x1, x3) for x1 in xs1 for x3 in xs3]
     assert min(values) == lower and max(values) == upper
@@ -254,7 +253,7 @@ def test_orbit_inequality_matches_quadratic_form():
         if disc <= 0 or math.isqrt(disc) ** 2 == disc:
             continue
         p = (b, -a, 1)
-        top = AlgebraicNumber(p, isolate_real_roots(p)[-1])
+        top = isolate_real_roots(p)[-1]
         assert orbit_inequality(inverse_square_sum(p), top)[0] == \
             mainineq_exact_quadratic(a, b)
 
@@ -603,8 +602,7 @@ def test_gap_bracket_verdicts_match_isolation(audit, d_max, request):
         got = dict(cand.trace).get("root-window")
         if got is None:
             continue
-        d1 = AlgebraicNumber(cand.poly.coeffs,
-                             isolate_real_roots(cand.poly.coeffs)[0])
+        d1 = isolate_real_roots(cand.poly.coeffs)[0]
         inwin = d1.cmp(FOUR_THIRDS) > 0 and d1.cmp(d_max) <= 0
         assert got == ("pass" if inwin else "fail"), cand
         seen[got] += 1
@@ -756,10 +754,10 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
         q3 = _deriv_prefix(prefix, k)
         # the critical points count only when all j are real and simple
         if real_root_count(q3) == j:
-            for t, iv in enumerate(isolate_real_roots(q3), start=1):
+            for t, x in enumerate(isolate_real_roots(q3), start=1):
                 sigma = 1 if (j + 1 - t) % 2 == 0 else -1
-                enc = iv_horner(w_asc, iv)
-                add(sigma, enc.hi if sigma > 0 else enc.lo)
+                enc = iv_horner(w_asc, interval(x))
+                add(sigma, enc[1] if sigma > 0 else enc[0])
         elif rolle:
             return 1, 0
     if look_ahead and j + 1 < k and lo <= hi:
@@ -943,7 +941,7 @@ def test_depth_3_node_makes_one_realness_test_and_no_squarefree_part(
         monkeypatch.setattr(gapsearch, "_next_coeff_range", steered)
         counts.clear()
         gapsearch._gap_degree(4, d_max, FOUR_THIRDS, 29, cuts,
-                              (d_max.p, d_max.p), False)
+                              (d_max.p, d_max.p), False, 0)
         assert len(ranges) == 1
         assert (ranges[0][0] <= ranges[0][1]) == nonempty, path
         assert counts == {"real_rooted": 1}
@@ -1031,16 +1029,17 @@ def irreducible_reference(asc):
 
 def gap_leaf_reference(poly, d_max, bracket, keep_all):
     """The leaf battery on Sturm counts alone: one chain per irreducible
-    leaf, read at -inf, +inf, 1, 4/3, r_lo and r_hi, and isolation on that
-    chain (the form before the closed-form realness, the Taylor-shift sign
-    tests and Descartes isolation).  poly is an ascending tuple."""
+    leaf, read at -inf, +inf, 1, 4/3, r_lo and r_hi, at d_max and at the
+    orbit inequality's bound, and isolation and bisection on that chain for
+    the roots' floats (the form before the closed-form realness, the
+    Taylor-shift sign tests and Descartes isolation).  poly is an ascending
+    tuple."""
     trace = []
     roots = None
     k = len(poly) - 1
     asc = list(poly)
     ok = irreducible_reference(poly)
     trace.append(("irreducible", "pass" if ok else "fail"))
-    ivs = None
     if ok:
         chain = sturm_chain(asc)
         v_minus = varcount_inf(chain, False)
@@ -1060,8 +1059,10 @@ def gap_leaf_reference(poly, d_max, bracket, keep_all):
                                                 r_hi.denominator):
             ok = False
         else:
-            ivs, _ = isolate_sturm(asc, chain)
-            ok = AlgebraicNumber(poly, ivs[0]).cmp(d_max) <= 0
+            # the smallest root is at most d_max iff a root lies in
+            # (-inf, d_max]
+            ok = v_minus - varcount_at_surd(chain, d_max.a, d_max.b,
+                                            d_max.n, d_max.d) >= 1
         trace.append(("root-window", "pass" if ok else "fail"))
     if ok:
         ok = is_d_number(poly)
@@ -1070,12 +1071,15 @@ def gap_leaf_reference(poly, d_max, bracket, keep_all):
         ok = (-1 if k % 2 else 1) * kernels.eval_qnum(asc, 4, 3) >= 1
         trace.append(("integer-prefilter", "pass" if ok else "fail"))
     if ok:
-        if ivs is None:
-            ivs, _ = isolate_sturm(asc, chain)
-        fmax = AlgebraicNumber(poly, ivs[-1])
-        good = orbit_inequality(inverse_square_sum(asc), fmax)[0]
+        # lhs <= (1 + 1/f)/2 at the largest root f: 2 lhs - 1 <= 0, or no
+        # root above 1/(2 lhs - 1)
+        t = 2 * inverse_square_sum(asc) - 1
+        good = t <= 0 or varcount_at(chain, t.denominator, t.numerator) == \
+            varcount_inf(chain, True)
         trace.append(("orbit-inequality", "pass" if good else "fail"))
-        roots = tuple(AlgebraicNumber(poly, iv).approx_float() for iv in ivs)
+        eps = Fraction(1, 10 ** 18)
+        roots = tuple(float(mid(sturm_refine(chain, iv, eps)))
+                      for iv in isolate_sturm(asc, chain)[0])
     cand = Candidate(IntPoly(poly), trace, roots)
     return cand if cand.survivor or keep_all else None
 
@@ -1157,14 +1161,12 @@ def _draw_window(draw):
         d = Fraction(draw(st.integers(1334, 1414)), 1000)
         return Surd(d), (d, d)
     d_max = draw(st.sampled_from(LEAF_SURDS))
-    iv = d_max.approx(Fraction(1, draw(st.sampled_from([10, 100, 10 ** 4,
-                                                         10 ** 20]))))
-    return d_max, (iv.lo, iv.hi)
+    return d_max, d_max.approx(Fraction(1, draw(st.sampled_from(
+        [10, 100, 10 ** 4, 10 ** 20]))))
 
 
 def _leaf(asc, d_max, width):
-    iv = d_max.approx(width)
-    return tuple(asc), d_max, (iv.lo, iv.hi)
+    return tuple(asc), d_max, d_max.approx(width)
 
 
 @settings(max_examples=400, deadline=None)

@@ -8,7 +8,9 @@ method rule matches spellings, so it is weaker, see its test).  No
 module imports a name it never uses, so a fold that moves code leaves no
 import behind.  No function takes a parameter its body never reads.  And
 the exact layer takes one polynomial type, the coefficient sequence: no
-isinstance test names IntPoly, the class that only parses and prints.
+isinstance test names IntPoly, the class that only parses and prints.  A
+real root is made only by isolation: AlgebraicNumber is called only inside
+isolate_real_roots.
 """
 
 import ast
@@ -138,3 +140,25 @@ def test_no_isinstance_test_names_intpoly():
                         for arg in call.args[1:]):
                 named.append("%s:%d" % (mod, call.lineno))
     assert named == []
+
+
+def _calls_by_function(node, name, where=None):
+    """The innermost enclosing function name (None at module level) of
+    every call of name under node, as a bare name or an attribute."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None)):
+            yield where
+        inner = child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _calls_by_function(child, name, inner)
+
+
+def test_only_isolation_makes_an_algebraic_number():
+    """Every AlgebraicNumber holds an interval that isolation's bisection
+    ended at, so no constructor check is needed: the one call that builds
+    one is in isolate_real_roots."""
+    callers = [(mod, where) for mod, tree in _parse_package().items()
+               for where in _calls_by_function(tree, "AlgebraicNumber")]
+    assert callers == [("algnum.py", "isolate_real_roots")]

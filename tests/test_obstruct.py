@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fgap.algnum import AlgebraicNumber, Surd, isolate_real_roots
+from fgap.algnum import Surd, isolate_real_roots
 from fgap.errors import InvalidInputError
 from fgap.fusionring import builtin_ring, formal_codegrees
 from fgap.obstruct import (
@@ -24,7 +24,7 @@ def P(*desc):
 def alg(*desc):
     """Largest real root of the monic polynomial with descending coeffs."""
     p = P(*desc)
-    return AlgebraicNumber(p, isolate_real_roots(p)[-1])
+    return isolate_real_roots(p)[-1]
 
 
 def as_root(s):
@@ -32,9 +32,7 @@ def as_root(s):
     polynomial that equals it."""
     p = ((int(-s.p), 1) if s.is_rational else
          (int(s.p * s.p - s.q * s.q * s.n), int(-2 * s.p), 1))
-    return next(a for a in (AlgebraicNumber(p, iv)
-                            for iv in isolate_real_roots(p))
-                if a.cmp(s) == 0)
+    return next(a for a in isolate_real_roots(p) if a.cmp(s) == 0)
 
 
 # ---------------------------------------------------------------------------
