@@ -271,9 +271,6 @@ def _mignotte_exponent(f, q):
 
 def _factor_monic_squarefree(f):
     """Irreducible monic integer factors of monic squarefree f, deg >= 1."""
-    n = len(f) - 1
-    if n == 1:
-        return [list(f)]
     q = _choose_prime(f)
     rng = random.Random(q)
     modular = _gf_factor_squarefree(_gf_norm(f, q), q, rng)

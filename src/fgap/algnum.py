@@ -11,13 +11,15 @@ locations) are exact; floats appear only in reporting helpers.
 Root isolation takes a squarefree polynomial (every caller holds an
 irreducible polynomial or a squarefree part) and bisects (lo, hi] by
 Descartes' rule on the Taylor shift (kernels.descartes_bound); the same
-bisection from any (lo, hi] is the exact root count there.
+bisection from any (lo, hi] is the exact root count there.  A linear
+polynomial's root is written down as its exact point, not bisected.
 factor_over_integers factors the squarefree part once and reads each
 factor's multiplicity by repeated exact division; is_irreducible, the one
-irreducibility decision, uses closed forms through degree 3 and factors
-beyond.  is_d_number reads the d-number property off the coefficients
-(a_n^i | a_i^n) at every degree; ratio_integrality_oracle, built on the
-power sums of all root ratios, only cross-checks it.
+irreducibility decision, uses closed forms at degrees 2 and 3 and
+factors every other degree.  is_d_number reads the d-number property off
+the coefficients (a_n^i | a_i^n) at every degree;
+ratio_integrality_oracle, built on the power sums of all root ratios, only
+cross-checks it.
 
 The coefficient-list primitives (normalize, derivative, add, subtract,
 multiply, exact division, pseudo-remainder) live in kernels.  Built on them
@@ -35,11 +37,12 @@ b^2 n) stay on plain integers, and a polynomial is evaluated at a surd by
 one Horner pass in Z[sqrt(n)] (kernels.eval_surd).  A real algebraic
 number is a minpoly with an isolating interval, the integer triple
 (lo, hi, den) meaning (lo/den, hi/den], and only isolate_real_roots makes
-one, from the triple its bisection ends at.  It is compared with a
-rational or a surd x by the sign of the minpoly at x against its sign at
-the interval's upper end, so no decision ever rests on a rounded value and
-no interval is bisected for it; its interval shrinks only by one integer
-sign bisection (refine, approx_float, floor).
+one, from the triple its bisection ends at (a linear minpoly's root is
+its exact point, lo == hi).  It is compared with a rational or a surd x
+by the sign of the minpoly at x against its sign at the interval's upper
+end, so no decision ever rests on a rounded value and no interval is
+bisected for it; its interval shrinks only by one integer sign bisection
+(refine, approx_float, floor).
 """
 
 import re
@@ -132,8 +135,6 @@ def poly_squarefree_part(c):
     """Squarefree part of c: primitive, positive lead, and vanishing exactly
     once at each distinct root of c."""
     w = _primitive_pos(c)
-    if len(w) <= 2:
-        return w
     g = poly_gcd_int(w, kernels.derivative(w))
     if len(g) == 1:
         return w
@@ -475,12 +476,17 @@ def isolate_real_roots(c):
     sign, and must be squarefree: an irreducible polynomial or a squarefree
     part.  Each root keeps the integer triple of its isolating interval,
     a node of the dyadic bisection of (-B, B] for a Cauchy bound B that
-    holds exactly that root.
+    holds exactly that root.  A linear c has the one root -c0/c1, which
+    is its exact point: the triple (p, p, q) with p/q reduced and q > 0.
     """
     c = tuple(c)
-    bound = _cauchy_bound(c)
-    return [AlgebraicNumber(c, a, b, d)
-            for a, b, d in _isolate_in(c, -bound, bound, 1)]
+    if len(c) == 2:
+        r = Fraction(-c[0], c[1])
+        triples = [(r.numerator, r.numerator, r.denominator)]
+    else:
+        bound = _cauchy_bound(c)
+        triples = _isolate_in(c, -bound, bound, 1)
+    return [AlgebraicNumber(c, a, b, d) for a, b, d in triples]
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +506,13 @@ class AlgebraicNumber:
     ever shrinks, and only by bisection (refine, approx_float, floor), so
     the designation is stable; cmp against a rational or a surd is one
     sign evaluation at that point and leaves it as it is.  For a degree-1
-    minpoly the interval is the exact point -c0/c1.
+    minpoly isolation gives the exact point -c0/c1, lo == hi.
     """
 
     __slots__ = ("minpoly", "lo", "hi", "den")
 
     def __init__(self, minpoly, lo, hi, den):
         self.minpoly = minpoly
-        if len(minpoly) == 2:
-            r = Fraction(-minpoly[0], minpoly[1])
-            lo = hi = r.numerator
-            den = r.denominator
         self.lo, self.hi, self.den = lo, hi, den
 
     @property
@@ -672,17 +674,15 @@ def is_irreducible(asc):
     """Is the monic polynomial asc irreducible over the rationals?
 
     The one irreducibility decision of the searches and ffib_fpdim_bound.
-    Closed forms through degree 3: degree 1 is irreducible; a monic
-    quadratic is reducible iff its discriminant is a square; a monic cubic
-    iff it has an integer root, which divides c0, so each divisor pair t,
-    |c0|/t is tried with both signs by Horner.  That trial division takes
-    sqrt|c0| steps, more than a factorization once |c0| passes 10^6, so a
-    cubic with a larger constant term, and every other degree, is factored
-    (DegreeCapError above DEGREE_CAP).
+    Closed forms at degrees 2 and 3: a monic quadratic is reducible iff its
+    discriminant is a square; a monic cubic iff it has an integer root,
+    which divides c0, so each divisor pair t, |c0|/t is tried with both
+    signs by Horner.  That trial division takes sqrt|c0| steps, more than
+    a factorization once |c0| passes 10^6, so a cubic with a larger
+    constant term, and every other degree, is factored (DegreeCapError
+    above DEGREE_CAP).
     """
     k = len(asc) - 1
-    if k == 1:
-        return True
     if k == 2:
         disc = asc[1] * asc[1] - 4 * asc[0]
         return disc < 0 or isqrt(disc) ** 2 != disc

@@ -156,7 +156,8 @@ def _check_json(chk):
 
 
 def _cmd_analyze(args):
-    tol = _parse_fraction(args.tol) if args.tol else Fraction(1, 10 ** 12)
+    tol = (Fraction(1, 10 ** 12) if args.tol is None
+           else _parse_fraction(args.tol))
     ring = parse_ring_file(_read_source(args.ring))
     spectrum = formal_codegrees(ring)
     report = spherical_obstruction_report(spectrum)
@@ -272,7 +273,8 @@ def _cmd_search(args):
         if args.window is not None:
             raise InvalidInputError("the gap search takes --dmax, "
                                     "not --window")
-        d_max = parse_exact(args.dmax) if args.dmax else QUAD_DEFAULT_HI
+        d_max = (QUAD_DEFAULT_HI if args.dmax is None
+                 else parse_exact(args.dmax))
         result = search_gap(d_max, audit=args.audit)
     else:
         degree = 2 if mode == "quadratic" else 3

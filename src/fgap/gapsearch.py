@@ -17,14 +17,13 @@ exact comparisons rather than assumed.
 
 search_gap brackets d_max once between rationals r_lo <= d_max <= r_hi
 (equal when d_max is rational).  A leaf decides realness by one
-kernels.real_rooted call (the discriminant's sign through degree 3,
-Hermite's criterion beyond), and each root bound by one sign test on a
-Taylor shift (Descartes' rule, exact on real-rooted polynomials): a root
-in (4/3, r_lo] passes the window, none in (4/3, r_hi] fails it, and only a
-smallest root between the two needs isolation and the exact comparison with
-d_max.  Without --audit a leaf first takes the coefficient test of
-is_d_number, and only a d-number runs the battery (3 of the 4,810 leaves at
-4sqrt(3)/5); see _gap_leaf.
+kernels.real_rooted call (Hermite's criterion at every degree), and each
+root bound by one sign test on a Taylor shift (Descartes' rule, exact on
+real-rooted polynomials): a root in (4/3, r_lo] passes the window, none in
+(4/3, r_hi] fails it, and only a smallest root between the two needs
+isolation and the exact comparison with d_max.  Without --audit a leaf
+first takes the coefficient test of is_d_number, and only a d-number runs
+the battery (3 of the 4,810 leaves at 4sqrt(3)/5); see _gap_leaf.
 
 The coefficient walk computes each bound on integers, and the one
 rounding point of each bound is a floor division, after one isqrt for a
@@ -36,8 +35,10 @@ node's homogeneous value at a fixed point is one dot product of its prefix
 with the weights.  A node is its prefix and its depth's plan: the walk
 makes one _next_coeff_range(prefix, plan) call per interior node, and the
 plan keeps the degree, depth, box and cut points it was built from.  A
-critical point moves with the prefix and takes one homogeneous evaluation
-(kernels.eval_qnum, kernels.eval_surd).  Each non-final node also looks
+critical point moves with the prefix: at depth 2 it is a surd in closed
+form (kernels.eval_surd), at every other depth a root from
+isolate_real_roots (the exact rational point at depth 1), over whose
+interval _interval_eval encloses the bound.  Each non-final node also looks
 one depth ahead: a child's bound at a fixed point (box_lo, f_hi, and the
 cut points for a final child) is affine in the child's coefficient s, so
 each pair of a lower-type and an upper-type point is one linear inequality
@@ -704,9 +705,12 @@ def _next_coeff_range(prefix, plan):
     the root-free band cut points for the final coefficient.
 
     A survivor has k simple real roots, so by Rolle's theorem every
-    deriv = P^(k-j) has j.  From depth 3 on, a node where
-    kernels.real_rooted(deriv) fails gets an empty range, and otherwise all
-    j critical points come from isolate_real_roots(deriv).
+    deriv = P^(k-j) has j.  At depth 2 the two critical points are surds in
+    closed form.  Every other depth j >= 1 takes the general branch: a node
+    where kernels.real_rooted(deriv) fails gets an empty range, and
+    otherwise all j critical points come from isolate_real_roots(deriv).
+    At depth 1 the Rolle test holds for the linear deriv, and isolation
+    returns its one rational critical point as an exact point.
 
     No separate test that a node's roots lie in the box (box_lo, f_hi] is
     needed.  Through depth 2 the critical-point bounds are exact: the child
@@ -727,16 +731,17 @@ def _next_coeff_range(prefix, plan):
     Evaluation is integer-only.  At a fixed rational x = p/q (q > 0) the
     bound on s is -N/M with N = q^deg w(p/q), one dot product of the prefix
     with the plan's weights at x, and M = q^deg bcoef, the plan's mod.  At
-    a critical point the list w is built from the plan's multipliers: at a
-    rational x, N is kernels.eval_qnum(w, p, q); at a quadratic critical
-    point x = (a + b sqrt(disc))/d (d > 0) the bound is
-    -(X + Y sqrt(disc))/M with X + Y sqrt(disc) = d^deg w(x)
-    (kernels.eval_surd) and M = d^deg bcoef.  From depth 3 on, a critical
-    point is a root from isolate_real_roots(deriv) with its isolating
-    interval (a/den, b/den]: _interval_eval encloses den^deg w over it on
-    integers, and M = den^deg bcoef.  Each bound is rounded once, outward
-    (ceil for lo, floor for hi) by one floor division, after one isqrt for
-    a surd, so no valid candidate is lost.
+    a critical point the list w is built from the plan's multipliers.  At
+    depth 2 a critical point is x = (a + b sqrt(disc))/d (d > 0) and the
+    bound is -(X + Y sqrt(disc))/M with X + Y sqrt(disc) = d^deg w(x)
+    (kernels.eval_surd) and M = d^deg bcoef.  At every other depth a
+    critical point is a root from isolate_real_roots(deriv) with its
+    isolating interval (a/den, b/den]: _interval_eval encloses den^deg w
+    over it on integers, and M = den^deg bcoef.  At depth 1 the interval is
+    the point a = b, where the enclosure is the exact value, so that bound
+    is exact too.  Each bound is rounded once, outward (ceil for lo, floor
+    for hi) by one floor division, after one isqrt for a surd, so no valid
+    candidate is lost.
 
     Look-ahead, at j + 1 < k: the child prefix + [s] bounds its coefficient
     with w' = w0 + bcoef*s*x in place of w, where w0 is P^(k-j-2) of
@@ -786,14 +791,7 @@ def _next_coeff_range(prefix, plan):
         w = list(map(mul, prefix, plan.w_mul))
         w.append(0)
         w.reverse()
-        if j == 1:
-            # the root -deriv[0]/deriv[1] needs no sign flip: deg is 2, so
-            # N and M keep their signs when numerator and denominator
-            # change sign
-            q = deriv[1]
-            num = kernels.eval_qnum(w, -deriv[0], q)
-            hi = min(hi, (-num) // (q * q * bcoef))
-        elif j == 2:
+        if j == 2:
             c0, c1, c2 = deriv
             disc = c1 * c1 - 4 * c2 * c0
             if disc > 0:
@@ -808,7 +806,7 @@ def _next_coeff_range(prefix, plan):
                 hi = min(hi, (-x + _floor_root(-y, disc)) // mod)
         else:
             # Rolle: without j distinct real critical points no leaf
-            # survives
+            # survives (always true at j = 1)
             if not kernels.real_rooted(deriv):
                 return 1, 0
             for t, x in enumerate(isolate_real_roots(deriv), start=1):

@@ -9,8 +9,8 @@ Fraction objects.
 This module is the one home of the coefficient-list primitives: normalize,
 derivative, poly_add, poly_sub, poly_mul, div_exact, pseudo_rem and
 taylor_shift, and of the root tests built on them: descartes_bound (for
-isolation), real_roots_above, and real_rooted, the gap search's one
-realness decision (Hermite's criterion from degree 4 on).  power_sums
+isolation), real_roots_above, and real_rooted, the searches' one
+realness decision (Hermite's criterion at every degree).  power_sums
 and from_power_sums are the one Newton-identity path between coefficients
 and power sums of roots: characteristic polynomials, powers of algebraic
 numbers, the d-number oracle and inverse square sums all go through them.
@@ -249,11 +249,7 @@ def sign_variations(vals):
 def real_rooted(c):
     """Does c, of degree k, have k distinct real roots?
 
-    Through degree 3 the discriminant decides: positive iff the roots are
-    real and distinct.  For the cubic with ascending coefficients a0..a3 it
-    is 18 a3 a2 a1 a0 - 4 a2^3 a0 + a2^2 a1^2 - 4 a3 a1^3 - 27 a3^2 a0^2.
-
-    From degree 4 on, Hermite's criterion: the roots are real and distinct
+    Hermite's criterion at every degree: the roots are real and distinct
     iff the Hankel matrix H[i][j] = s_(i+j) (0 <= i, j < k) of their power
     sums s_m is positive definite (Basu, Pollack and Roy, Algorithms in Real
     Algebraic Geometry, 4.3: its signature counts the distinct real roots,
@@ -261,17 +257,11 @@ def real_rooted(c):
     power_sums gives the integers t_m = l**m s_m, and the Hankel matrix of
     the t_m is diag(l**i) H diag(l**i), whose leading principal minors have
     the signs of H's.  Fraction-free (Bareiss) elimination leaves those
-    minors as its pivots; the first pivot <= 0 decides False.
+    minors as its pivots; the first pivot <= 0 decides False.  A constant
+    has the empty matrix and a linear c the 1x1 matrix [1], so both are
+    real-rooted.
     """
     k = len(c) - 1
-    if k <= 1:
-        return True
-    if k == 2:
-        return c[1] * c[1] - 4 * c[2] * c[0] > 0
-    if k == 3:
-        a0, a1, a2, a3 = c
-        return (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0 + a2 * a2 * a1 * a1
-                - 4 * a3 * a1 ** 3 - 27 * a3 * a3 * a0 * a0) > 0
     t = power_sums(c, 2 * k - 2)
     a = [t[i:i + k] for i in range(k)]
     prev = 1

@@ -5,6 +5,8 @@ Sturm counts: a Sturm chain of primitive integer polynomials
 an infinity, and the isolation and bisection of intervals (lo, hi] on those
 counts; the package counts roots by Descartes bisection and decides
 realness by Hermite's criterion (kernels.real_rooted), and builds no chain.
+The discriminants of quadratics and cubics, whose sign real_rooted read
+through degree 3 before Hermite's criterion took every degree.
 
 Interval arithmetic on plain (lo, hi) pairs of Fractions: the enclosure
 the pair inequality was decided by before its exact corner bounds, and the
@@ -93,6 +95,19 @@ def real_root_count(c):
     at_minus = [e[-1] if len(e) % 2 else -e[-1] for e in chain]
     return (sign_variations(at_minus)
             - sign_variations([e[-1] for e in chain]))
+
+
+def low_degree_discriminant(c):
+    """Discriminant of a quadratic or cubic with ascending coefficients c,
+    any nonzero leading coefficient: positive iff the roots are real and
+    distinct.  a1^2 - 4 a2 a0 for the quadratic, and for the cubic
+    18 a3 a2 a1 a0 - 4 a2^3 a0 + a2^2 a1^2 - 4 a3 a1^3 - 27 a3^2 a0^2."""
+    if len(c) == 3:
+        a0, a1, a2 = c
+        return a1 * a1 - 4 * a2 * a0
+    a0, a1, a2, a3 = c
+    return (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0 + a2 * a2 * a1 * a1
+            - 4 * a3 * a1 ** 3 - 27 * a3 * a3 * a0 * a0)
 
 
 def varcount_at(chain, p, q):

@@ -200,6 +200,21 @@ def test_isolate_multiplicity():
     assert prof.totally_real and prof.totally_positive
 
 
+@pytest.mark.parametrize("c,root", [((-5, 3), Fraction(5, 3)),
+                                    ((4, -2), Fraction(2))])
+def test_a_linear_root_is_its_exact_point_without_bisection(c, root,
+                                                            monkeypatch):
+    # 3x - 5 and -2x + 4: the triple of -c0/c1 in lowest terms, den > 0
+    calls = []
+    monkeypatch.setattr(kernels, "descartes_bound",
+                        lambda *args: calls.append(args))
+    (r,) = isolate_real_roots(c)
+    assert calls == []
+    assert (r.lo, r.hi, r.den) == (root.numerator, root.numerator,
+                                   root.denominator)
+    assert r.cmp(root) == 0 and r.floor() == root.__floor__()
+
+
 def test_isolate_counts_match_sympy():
     rng = random.Random(3)
     for _ in range(80):

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 import fgap.algnum
 import fgap.cli
 import fgap.gapsearch
+import fgap.kernels
 from conftest import group_ring, run_cli
 from oracles import interval
 from test_acceptance import _children_cpu_s
@@ -518,8 +520,11 @@ def test_poly_commands_end_in_one_line_or_a_report(arg):
 
 
 # tokens that Python's int() or a Unicode \d reads but the ASCII integer
-# grammar [+-]?[0-9]+ does not: a digit separator and Arabic-Indic digits
+# grammar [+-]?[0-9]+ does not: a digit separator and Arabic-Indic digits;
+# and an empty --dmax or --tol, which once fell back to the default
 NON_ASCII_INTEGER_INPUTS = [
+    (["search", "gap", "--dmax", ""], "error: empty numeric token\n"),
+    (["analyze", "-", "--tol", ""], "error: cannot parse '' as a rational\n"),
     (["dnumber", "--poly", "1,1_000"],
      "error: bad polynomial '1,1_000': coefficients must be integers\n"),
     (["dnumber", "--poly", "\u0661,-5,5"],
@@ -717,8 +722,7 @@ def test_exact_tokens_end_in_one_line_or_a_report(tok):
     """parse_exact tokens through search quadratic --window (either end)
     and repg --classes, in process: exit 0 with a report, or exit 1 or 2
     with one stderr line and nothing on stdout; no exception escapes main.
-    The gap search is left out: past 4sqrt(3)/5 it still runs without
-    bound."""
+    The gap search and window pairs have their own test below."""
     for argv in (["search", "quadratic", "--window", tok + ",1.4"],
                  ["search", "quadratic", "--window", "1.35," + tok],
                  ["repg", "--classes", "1," + tok]):
@@ -731,6 +735,74 @@ def test_exact_tokens_end_in_one_line_or_a_report(tok):
             continue
         assert code in (1, 2) and out == "", (argv, code)
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
+# --dmax and --window tokens besides the grammar's: decimals just past the
+# degree-4 threshold 4sqrt(3)/5 = 1.3856406... and near sqrt 2, and the
+# empty, blank, exponent and digit-separator spellings
+NEAR_THRESHOLD_TOKENS = ("1.385641", "1.41421356")
+ODD_TOKENS = ("", " ", "1e0", "1_3")
+
+
+@st.composite
+def window_tokens(draw):
+    """A --dmax token or a --window end: exact_tokens, a decimal around
+    the gap window (4/3, sqrt 2), a fraction of two 2,000-digit integers
+    there, or an odd spelling."""
+    kind = draw(st.sampled_from(["exact", "near", "decimal", "long",
+                                 "odd"]))
+    if kind == "exact":
+        return draw(exact_tokens())
+    if kind == "near":
+        return draw(st.sampled_from(NEAR_THRESHOLD_TOKENS))
+    if kind == "decimal":
+        return "1.%06d" % draw(st.integers(300000, 450000))
+    if kind == "long":
+        den = draw(st.integers(10 ** 1999, 6 * 10 ** 1999))
+        return "%d/%d" % (draw(st.integers(den * 13 // 10, den * 3 // 2)),
+                          den)
+    return draw(st.sampled_from(ODD_TOKENS))
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = fgap.cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(dmax=window_tokens(), lo=window_tokens(), hi=window_tokens())
+@settings(max_examples=100, deadline=None)
+@example(dmax="", lo="1.35", hi="4sqrt(3)/5")
+def test_gap_tokens_and_window_pairs_end_in_an_exit_code(dmax, lo, hi):
+    """search gap --dmax, and both appendix searches with --window lo,hi,
+    with and without --drop-filter mainineq, in process: exit 0 with a
+    report whose config echoes the tokens given and the same stdout on a
+    second call, or exit 1 or 2 with one stderr line; no exception escapes
+    main.  A 20,000-step budget stops a degree-4 gap search in about 0.1 s.
+    --audit is left out: it factors every quartic leaf, which costs
+    seconds at the same budget."""
+    runs = [(["search", "gap", "--dmax", dmax], {"d_max": dmax})]
+    for mode in ("quadratic", "cubic"):
+        for drop in ([], ["--drop-filter", "mainineq"]):
+            runs.append((["search", mode, "--window", lo + "," + hi] + drop,
+                         {"d_lo": lo, "d_hi": hi}))
+    with mock.patch.object(fgap.gapsearch, "SEARCH_BUDGET", 20000):
+        for argv, tokens in runs:
+            code, out, err = _run_in_process(argv)
+            if code == 0:
+                config = json.loads(re.search(r"^config: (.*)$", out,
+                                              re.M).group(1))
+                assert {key: config[key] for key in tokens} == {
+                    key: fgap.gapsearch.surd_text(fgap.cli.parse_exact(tok))
+                    for key, tok in tokens.items()}, argv
+                assert err == "" and _run_in_process(argv) == (0, out, ""), \
+                    argv
+                continue
+            assert code in (1, 2) and out == "", (argv, code)
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+            assert err.startswith(("error: ", "not certified: ",
+                                   "ambiguous: ")), (argv, err)
 
 
 def test_dnumber_over_the_degree_cap_exits_1():
@@ -848,6 +920,27 @@ def deck_ring_texts():
     rings = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(rings)
     return tuple(ring.text() for ring in rings.every_ring())
+
+
+# most kernels.descartes_bound calls of analyze over the deck: isolation
+# writes a linear polynomial's root down and bisects only the others
+DECK_DESCARTES_CALLS = 1609
+
+
+def test_analyze_isolation_work_on_every_benchmark_ring(monkeypatch):
+    calls = []
+    real_bound = fgap.kernels.descartes_bound
+
+    def bound(*args):
+        calls.append(args)
+        return real_bound(*args)
+
+    monkeypatch.setattr(fgap.kernels, "descartes_bound", bound)
+    for text in deck_ring_texts():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert fgap.cli.main(["analyze", "-"]) == 0
+    assert len(calls) <= DECK_DESCARTES_CALLS, len(calls)
 
 
 # tokens a mutation writes into a ring file: small and signed integers, a

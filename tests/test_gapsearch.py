@@ -1108,26 +1108,41 @@ def test_walk_leaves_match_chain_reference(d_max, leaves, monkeypatch):
 def test_rational_gap_search_builds_no_chain(monkeypatch):
     # at 277/200 the bracket is the point d_max, so no root window needs
     # isolation: only the leaves that reach the orbit inequality isolate
-    # their roots, by Descartes bisection
+    # their roots, by Descartes bisection.  The walk isolates each depth-1
+    # node's linear critical point too, as an exact point without any
+    # bisection, so isolations are counted inside the leaf and bisection
+    # steps outside it
     counts = Counter()
     real_isolate = gapsearch.isolate_real_roots
+    real_bound = kernels.descartes_bound
     real_leaf = gapsearch._gap_leaf
     reached = []
+    in_leaf = []
 
     def isolate(*args):
-        counts["isolate"] += 1
+        counts["leaf isolate" if in_leaf else "walk isolate"] += 1
         return real_isolate(*args)
 
+    def bound(*args):
+        counts["leaf bound" if in_leaf else "walk bound"] += 1
+        return real_bound(*args)
+
     def leaf(poly, d_max, bracket, keep_all):
-        cand = real_leaf(poly, d_max, bracket, True)
+        in_leaf.append(poly)
+        try:
+            cand = real_leaf(poly, d_max, bracket, True)
+        finally:
+            in_leaf.pop()
         if "orbit-inequality" in dict(cand.trace):
             reached.append(cand)
         return cand if cand.survivor or keep_all else None
 
     monkeypatch.setattr(gapsearch, "isolate_real_roots", isolate)
+    monkeypatch.setattr(kernels, "descartes_bound", bound)
     monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)
     search_gap(Surd(Fraction(277, 200)))
-    assert counts["isolate"] == len(reached) == 2
+    assert counts["leaf isolate"] == len(reached) == 2
+    assert counts["walk isolate"] > 0 and counts["walk bound"] == 0
 
 
 # irrational windows for the leaf; a coarse bracket around one sends leaves

@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap import kernels
-from oracles import (real_root_count, resultant, sturm_chain, varcount_at,
-                     varcount_inf)
+from oracles import (low_degree_discriminant, real_root_count, resultant,
+                     sturm_chain, varcount_at, varcount_inf)
 
 X = sympy.Symbol("x")
 
@@ -245,6 +245,44 @@ def test_real_rooted_matches_sturm_count_and_sympy(c):
     distinct = len(set(sympy.real_roots(to_sympy(c))))
     assert real_root_count(c) == distinct
     assert kernels.real_rooted(c) == (distinct == k)
+
+
+@st.composite
+def low_degree_cases(draw):
+    """A quadratic or cubic with any nonzero leading coefficient: random
+    coefficients, or the leading coefficient times a product of factors
+    x - r over small integers r, often repeated (discriminant 0)."""
+    k = draw(st.integers(2, 3))
+    lead = draw(st.integers(-6, 6).filter(bool))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-40, 40), min_size=k,
+                             max_size=k)) + [lead]
+    c = [lead]
+    for _ in range(k):
+        c = kernels.poly_mul(c, [-draw(st.integers(-3, 3)), 1])
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_degree_cases())
+@example([1, 2, 1])               # (x + 1)^2: discriminant 0
+@example([-4, 0, -1])             # -(x^2 + 4): no real root
+@example([5, -5, 1])              # x^2 - 5x + 5
+@example([-10, 10, -2])           # -2(x^2 - 5x + 5): negative lead
+@example([0, 0, 0, 1])            # x^3: a triple root
+@example([-4, 8, -5, 1])          # (x - 1)(x - 2)^2: a double root
+@example([-6, 11, -6, 1])         # (x - 1)(x - 2)(x - 3)
+@example([6, -11, 6, -1])         # the same, negated
+@example([1, 0, 0, -3])           # -3x^3 + 1: one real root
+def test_real_rooted_matches_the_discriminant_at_degrees_2_and_3(c):
+    # Hermite's criterion agrees with the closed forms it replaced
+    assert kernels.real_rooted(c) == (low_degree_discriminant(c) > 0)
+
+
+@pytest.mark.parametrize("c", [[5], [-3], [0, 1], [7, -2], [-3, 5]])
+def test_constants_and_linear_polynomials_are_real_rooted(c):
+    # the Hankel matrix is empty (k = 0) or [[1]] (k = 1)
+    assert kernels.real_rooted(c)
 
 
 @st.composite
