@@ -26,17 +26,22 @@ first takes the coefficient test of is_d_number, and only a d-number runs
 the battery (3 of the 4,810 leaves at 4sqrt(3)/5); see _gap_leaf.
 
 The coefficient walk computes each bound on integers, and the one
-rounding point of each bound is a floor division, after one isqrt for a
-surd.  Each degree builds a plan once per depth (_DepthPlan): the
-coefficient envelope, the falling-factorial multipliers that turn a prefix
-into its node polynomial, and one integer weight vector per fixed point
+rounding point of each bound is a floor division.  Each degree builds a
+plan once per depth (_DepthPlan): the coefficient envelope, the
+falling-factorial multipliers that turn a prefix into its node
+polynomial, and one integer weight vector per fixed point
 (box_lo, f_hi, and at the final depth the cut points gamma, delta), so a
 node's homogeneous value at a fixed point is one dot product of its prefix
 with the weights.  A node is its prefix and its depth's plan: the walk
 makes one _next_coeff_range(prefix, plan) call per interior node, and the
 plan keeps the degree, depth, box and cut points it was built from.  A
-critical point moves with the prefix: at depth 2 it is a surd in closed
-form (kernels.eval_surd), at every other depth a root from
+critical point moves with the prefix.  At depth 2 the walk builds none:
+the node's cubic w = A x^3 + B x^2 + C x has the critical values
+27 A^2 w((-B -+ sqrt D)/(3A)) = X +- sqrt M with D = B^2 - 3AC,
+X = B(2B^2 - 9AC) and M = 4D^3, so each bound is floor((Y + sqrt M)/Q)
+for an integer Y = +-X and Q = 27 A^2 bcoef, which is
+(Y + isqrt(M)) // Q: an integer nQ - Y is at most sqrt M exactly when it
+is at most isqrt(M).  At every other depth a critical point is a root from
 isolate_real_roots (the exact rational point at depth 1), over whose
 interval _interval_eval encloses the bound.  Each non-final node also looks
 one depth ahead: a child's bound at a fixed point (box_lo, f_hi, and the
@@ -71,7 +76,7 @@ BudgetError past the same SEARCH_BUDGET, before any result is printed.
 """
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 from operator import itemgetter, mul
 
 from . import _intfactor, kernels
@@ -697,15 +702,16 @@ def _next_coeff_range(prefix, plan):
     plan is the _DepthPlan of the depth j = len(prefix) - 1: it keeps the
     degree k, the box (box_lo, f_hi] and the cut points, and holds every
     value the range needs at them.  deriv = P^(k-j) (ascending) is built
-    from the plan's multipliers, only for critical points (j >= 1) while the
-    range is nonempty.  P^(k-j-1) of the prefix extended by the coefficient
-    s is w + bcoef*s, with w of degree deg = j + 1; each further bound is a
-    sign condition sigma * (w(x) + bcoef*s) >= 0 at the box endpoints, at
-    the (exactly computable) critical points for low depth, and, strict, at
-    the root-free band cut points for the final coefficient.
+    from the plan's multipliers, only for critical points (j = 1 and
+    j >= 3) while the range is nonempty.  P^(k-j-1) of the prefix extended
+    by the coefficient s is w + bcoef*s, with w of degree deg = j + 1; each
+    further bound is a sign condition sigma * (w(x) + bcoef*s) >= 0 at the
+    box endpoints, at the (exactly computable) critical points for low
+    depth, and, strict, at the root-free band cut points for the final
+    coefficient.
 
     A survivor has k simple real roots, so by Rolle's theorem every
-    deriv = P^(k-j) has j.  At depth 2 the two critical points are surds in
+    deriv = P^(k-j) has j.  At depth 2 the two critical values have a
     closed form.  Every other depth j >= 1 takes the general branch: a node
     where kernels.real_rooted(deriv) fails gets an empty range, and
     otherwise all j critical points come from isolate_real_roots(deriv).
@@ -730,18 +736,31 @@ def _next_coeff_range(prefix, plan):
 
     Evaluation is integer-only.  At a fixed rational x = p/q (q > 0) the
     bound on s is -N/M with N = q^deg w(p/q), one dot product of the prefix
-    with the plan's weights at x, and M = q^deg bcoef, the plan's mod.  At
-    a critical point the list w is built from the plan's multipliers.  At
-    depth 2 a critical point is x = (a + b sqrt(disc))/d (d > 0) and the
-    bound is -(X + Y sqrt(disc))/M with X + Y sqrt(disc) = d^deg w(x)
-    (kernels.eval_surd) and M = d^deg bcoef.  At every other depth a
-    critical point is a root from isolate_real_roots(deriv) with its
-    isolating interval (a/den, b/den]: _interval_eval encloses den^deg w
-    over it on integers, and M = den^deg bcoef.  At depth 1 the interval is
-    the point a = b, where the enclosure is the exact value, so that bound
-    is exact too.  Each bound is rounded once, outward (ceil for lo, floor
-    for hi) by one floor division, after one isqrt for a surd, so no valid
-    candidate is lost.
+    with the plan's weights at x, and M = q^deg bcoef, the plan's mod.
+
+    At depth 2, w = A x^3 + B x^2 + C x, where (A, B, C) is the prefix
+    times the plan's w_mul, and deriv = w'.  With D = B^2 - 3AC > 0 the
+    critical points are (-B -+ sqrt D)/(3A), and
+
+        27 A^2 w((-B -+ sqrt D)/(3A)) = X +- sqrt M,
+        X = B(2B^2 - 9AC),  M = 4D^3  (here M is not the mod above).
+
+    On a walk A > 0, so the first point is the smaller one and bounds s
+    from below, s >= -floor((X + sqrt M)/Q) with Q = 27 A^2 bcoef > 0, and
+    the second bounds it from above, s <= floor((sqrt M - X)/Q).  For an
+    integer Y, floor((Y + sqrt M)/Q) = (Y + isqrt(M)) // Q: an integer
+    nQ - Y is at most sqrt M exactly when it is at most isqrt(M).  M is a
+    square exactly when D is, and a rational critical point's bound is
+    exact.  D <= 0 (no two distinct critical points) gives no bound.
+
+    At every other depth a critical point is a root from
+    isolate_real_roots(deriv) with its isolating interval (a/den, b/den]:
+    the list w is built from the plan's multipliers, _interval_eval
+    encloses den^deg w over the interval on integers, and M = den^deg
+    bcoef.  At depth 1 the interval is the point a = b, where the enclosure
+    is the exact value, so that bound is exact too.  Each bound is rounded
+    once, outward (ceil for lo, floor for hi) by one floor division, so no
+    valid candidate is lost.
 
     Look-ahead, at j + 1 < k: the child prefix + [s] bounds its coefficient
     with w' = w0 + bcoef*s*x in place of w, where w0 is P^(k-j-2) of
@@ -763,59 +782,75 @@ def _next_coeff_range(prefix, plan):
     """
     j = plan.j
     lo, hi = plan.envelope
+    # each bound folds into lo or hi by one comparison: builtin max and min
+    # calls took about a fifth of a gap search
 
     # lower box end: sigma = -1 for odd j + 1
     weights, mod = plan.box
     num = sum(map(mul, prefix, weights))
     if (j + 1) % 2:
-        hi = min(hi, (-num) // mod)
+        bound = (-num) // mod
+        if bound < hi:
+            hi = bound
     else:
-        lo = max(lo, -(num // mod))
+        bound = -(num // mod)
+        if bound > lo:
+            lo = bound
     weights, mod = plan.top
-    lo = max(lo, -(sum(map(mul, prefix, weights)) // mod))
+    bound = -(sum(map(mul, prefix, weights)) // mod)
+    if bound > lo:
+        lo = bound
     if plan.cut_weights and lo <= hi:
         # final depth, strict at the cut points: an exact tie moves the
         # bound by one
         for weights, mod in plan.cut_weights:
             num = sum(map(mul, prefix, weights))
             if plan.cut_hi:
-                hi = min(hi, (-num) // mod - (num % mod == 0))
+                bound = (-num) // mod - (num % mod == 0)
+                if bound < hi:
+                    hi = bound
             else:
-                lo = max(lo, -(num // mod) + (num % mod == 0))
+                bound = -(num // mod) + (num % mod == 0)
+                if bound > lo:
+                    lo = bound
 
     # interior alternation at the critical points (roots of P^(k-j))
-    if j and lo <= hi:
+    if j == 2 and lo <= hi:
+        # the critical values of w = a x^3 + b x^2 + c x in closed form
+        a, b, c = map(mul, prefix, plan.w_mul)
+        d = b * b - 3 * a * c
+        if d > 0:
+            x = b * (2 * b * b - 9 * a * c)
+            root = isqrt(4 * d ** 3)
+            q = 27 * a * a * plan.bcoef
+            bound = -((x + root) // q)
+            if bound > lo:
+                lo = bound
+            bound = (root - x) // q
+            if bound < hi:
+                hi = bound
+    elif j and lo <= hi:
         bcoef = plan.bcoef
         deriv = list(map(mul, prefix, plan.deriv_mul))
         deriv.reverse()
         w = list(map(mul, prefix, plan.w_mul))
         w.append(0)
         w.reverse()
-        if j == 2:
-            c0, c1, c2 = deriv
-            disc = c1 * c1 - 4 * c2 * c0
-            if disc > 0:
-                # r1 = (-c1 - sqrt disc)/(2 c2) bounds from below, its
-                # conjugate r2 from above; a negative c2 flips the signs
-                # into d > 0
-                a, b, d = (-c1, -1, 2 * c2) if c2 > 0 else (c1, 1, -2 * c2)
-                mod = d ** 3 * bcoef
-                x, y = kernels.eval_surd(w, a, b, disc, d)
-                lo = max(lo, -((x + _floor_root(y, disc)) // mod))
-                x, y = kernels.eval_surd(w, a, -b, disc, d)
-                hi = min(hi, (-x + _floor_root(-y, disc)) // mod)
-        else:
-            # Rolle: without j distinct real critical points no leaf
-            # survives (always true at j = 1)
-            if not kernels.real_rooted(deriv):
-                return 1, 0
-            for t, x in enumerate(isolate_real_roots(deriv), start=1):
-                enc_lo, enc_hi = _interval_eval(w, x)
-                mod = x.den ** (j + 1) * bcoef
-                if (j + 1 - t) % 2 == 0:
-                    lo = max(lo, -(enc_hi // mod))
-                else:
-                    hi = min(hi, (-enc_lo) // mod)
+        # Rolle: without j distinct real critical points no leaf survives
+        # (always true at j = 1)
+        if not kernels.real_rooted(deriv):
+            return 1, 0
+        for t, x in enumerate(isolate_real_roots(deriv), start=1):
+            enc_lo, enc_hi = _interval_eval(w, x)
+            mod = x.den ** (j + 1) * bcoef
+            if (j + 1 - t) % 2 == 0:
+                bound = -(enc_hi // mod)
+                if bound > lo:
+                    lo = bound
+            else:
+                bound = (-enc_lo) // mod
+                if bound < hi:
+                    hi = bound
 
     # look-ahead: keep only the s whose child is nonempty at its fixed
     # points
@@ -823,9 +858,13 @@ def _next_coeff_range(prefix, plan):
         for weights, a in plan.pairs:
             b = sum(map(mul, prefix, weights))
             if a > 0:
-                lo = max(lo, -((-b) // a))
+                bound = -((-b) // a)
+                if bound > lo:
+                    lo = bound
             else:
-                hi = min(hi, (-b) // (-a))
+                bound = (-b) // (-a)
+                if bound < hi:
+                    hi = bound
     return lo, hi
 
 

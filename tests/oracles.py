@@ -28,7 +28,9 @@ powers of the companion matrix.
 
 The coefficient walk's derivative prefixes by nested loops over the
 falling factorials: the package reads the same multipliers from its
-per-depth plan (gapsearch._DepthPlan).
+per-depth plan (gapsearch._DepthPlan).  Its depth-2 critical bounds by
+Horner passes in Z[sqrt(disc)] at the two critical points, as the walk
+took them before it wrote the critical values in closed form.
 
 The d-number criterion as one all(...) over fresh powers a_n^i: the
 package builds the powers as it goes and stops at the first failure.
@@ -41,7 +43,7 @@ map(mul, ...): the package must return the same floats bit for bit.
 from fractions import Fraction
 from math import isqrt
 
-from fgap.algnum import DEGREE_CAP, _cauchy_bound
+from fgap.algnum import DEGREE_CAP, _cauchy_bound, _floor_root
 from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.kernels import (derivative, eval_qnum, eval_surd, int_content,
                           normalize, poly_mul, pseudo_rem, sign_variations,
@@ -479,6 +481,30 @@ def _deriv_prefix(prefix, k):
             c *= v
         asc[j - i] = c
     return asc
+
+
+def depth2_critical_bounds_reference(w, deriv, bcoef):
+    """The bounds (lo, hi) that the critical points of a depth-2 node put on
+    the next coefficient s, or None when deriv has no two distinct real
+    roots.  w is the node's cubic with zero constant term and deriv = w'
+    (both ascending); the child is w + bcoef*s.
+
+    The critical points are (-c1 -+ sqrt(disc))/(2 c2) for deriv = c0 + c1 x
+    + c2 x^2, written over the positive denominator 2|c2|; the first bounds
+    s from below by ceil(-w/bcoef), the second from above by floor(-w/bcoef).
+    Each value is d^3 w = x + y sqrt(disc) (kernels.eval_surd), rounded by
+    one floor of y sqrt(disc) and one floor division."""
+    c0, c1, c2 = deriv
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc <= 0:
+        return None
+    a, b, d = (-c1, -1, 2 * c2) if c2 > 0 else (c1, 1, -2 * c2)
+    mod = d ** 3 * bcoef
+    x, y = eval_surd(w, a, b, disc, d)
+    lo = -((x + _floor_root(y, disc)) // mod)
+    x, y = eval_surd(w, a, -b, disc, d)
+    hi = (-x + _floor_root(-y, disc)) // mod
+    return lo, hi
 
 
 def fp_power_iteration_reference(ring, iterations=20000):

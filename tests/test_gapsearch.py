@@ -35,8 +35,9 @@ from fgap.gapsearch import (
     surd_text,
 )
 from fgap.gapsearch import _DepthPlan, _next_coeff_range, _pair_bounds
-from oracles import (_deriv_prefix, cubic_plan_reference, divisors,
-                     interval, isolate_sturm, iv_horner, mid, pair_enclosure,
+from oracles import (_deriv_prefix, cubic_plan_reference,
+                     depth2_critical_bounds_reference, divisors, interval,
+                     isolate_sturm, iv_horner, mid, pair_enclosure,
                      poly_value, quad_plan_reference, real_root_count,
                      sturm_chain, sturm_refine, varcount_at, varcount_at_surd,
                      varcount_inf)
@@ -1354,8 +1355,7 @@ F = Fraction
 @given(case=coeff_cases())
 # depth 1, a negative linear-derivative denominator sets hi
 @example(case=([-1, 59], 3, F(6, 7), 8, (F(1, 4), F(-3)), False))
-# depth 2, a negative quadratic-derivative lead: the critical point is
-# rewritten with a positive denominator
+# depth 2, a negative lead A of the node's cubic
 @example(case=([-1, -78, 134], 4, F(-41), -60, (F(54), F(248, 11)), False))
 # depth 2, a square discriminant (rational critical points) sets lo, then hi
 @example(case=([1, 1, 0], 5, F(0), 3, (F(-5, 3), F(-1, 12)), False))
@@ -1370,6 +1370,82 @@ F = Fraction
 @example(case=([-1, 8, 39, 24], 4, F(0), 4, (F(127, 8), F(203, 5)), True))
 def test_coeff_range_matches_reference_off_walk(case):
     assert _coeff_range(*case) == reference_coeff_range(*case)
+
+
+WIDE = 10 ** 60
+
+
+def _critical_only_plan(k, prefix):
+    """The depth-2 plan of degree k with every bound but the critical ones
+    opened: the envelope is (-WIDE, WIDE), the box ends bound s only
+    beyond it (their values are -WIDE*p0^2 and WIDE*p0^2), and there are
+    no cut points and no look-ahead pairs."""
+    plan = _DepthPlan(k, 2, FOUR_THIRDS, 29, (Fraction(7, 5), Fraction(2)))
+    plan.envelope = (-WIDE, WIDE)
+    plan.box = ([-WIDE * prefix[0], 0, 0], 1)
+    plan.top = ([WIDE * prefix[0], 0, 0], 1)
+    plan.cut_weights = []
+    plan.pairs = []
+    return plan
+
+
+@st.composite
+def depth2_prefixes(draw):
+    """A degree k = 3..6 and a depth-2 prefix with any nonzero lead, its
+    coefficients small or near +-10^6."""
+    coeff = st.one_of(st.integers(-60, 60),
+                      st.integers(-10 ** 6, 10 ** 6))
+    lead = draw(st.one_of(st.sampled_from([1, 2, -1, -3]),
+                          coeff.filter(bool)))
+    return draw(st.integers(3, 6)), [lead, draw(coeff), draw(coeff)]
+
+
+# the examples pin cases random draws rarely reach; all but D < 0 fail a
+# mutant of the closed form (isqrt(M) -+ 1, the two roundings swapped,
+# D >= 0 for D > 0, Q without its 27 or its A^2)
+@settings(max_examples=500, deadline=None)
+@given(case=depth2_prefixes())
+# A < 0
+@example(case=(4, [-1, -78, 134]))
+# D = 9, a square: the critical points -1 and 1 are rational and the
+# critical values 2 and -2 tie with integers
+@example(case=(3, [1, 0, -3]))
+# D = 165: isqrt(M) + 1 is a multiple of Q at both critical points
+@example(case=(3, [1, -12, -7]))
+# D = 0 (a double critical point) and D < 0: no bound
+@example(case=(3, [1, 3, 3]))
+@example(case=(3, [1, 0, 1]))
+# bcoef = 2 and 6, the latter with coefficients near +-10^6
+@example(case=(5, [1, -12, -10]))
+@example(case=(6, [999_999, -1_000_000, -999_997]))
+def test_depth_2_critical_bounds_match_the_surd_reference(case):
+    # the closed-form critical values of a depth-2 node bound s exactly as
+    # Horner passes in Z[sqrt(disc)] at its critical points do
+    k, prefix = case
+    ref = depth2_critical_bounds_reference(
+        _deriv_prefix(prefix + [0], k), _deriv_prefix(prefix, k),
+        math.factorial(k - 3))
+    want = (-WIDE, WIDE) if ref is None else (max(-WIDE, ref[0]),
+                                              min(WIDE, ref[1]))
+    assert _next_coeff_range(prefix, _critical_only_plan(k, prefix)) == want
+
+
+# walks whose depth-2 ranges take the closed form make no kernels.eval_surd
+# call, where their Horner passes in Z[sqrt(disc)] made 7,376; the one call
+# left is a leaf's orbit inequality, which compares a root with a surd
+@pytest.mark.parametrize("d_max", [QUAD_DEFAULT_HI, Surd(Fraction(277, 200))],
+                         ids=["4sqrt(3)/5", "277/200"])
+def test_gap_walk_makes_no_surd_horner_pass(d_max, monkeypatch):
+    calls = []
+    real_eval = kernels.eval_surd
+
+    def eval_surd(*args):
+        calls.append(args)
+        return real_eval(*args)
+
+    monkeypatch.setattr(kernels, "eval_surd", eval_surd)
+    search_gap(d_max)
+    assert len(calls) <= 1, len(calls)
 
 
 def _dropped(old, new, limit=2048):
