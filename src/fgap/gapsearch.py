@@ -32,9 +32,12 @@ falling-factorial multipliers that turn a prefix into its node
 polynomial, and one integer weight vector per fixed point
 (box_lo, f_hi, and at the final depth the cut points gamma, delta), so a
 node's homogeneous value at a fixed point is one dot product of its prefix
-with the weights.  A node is its prefix and its depth's plan: the walk
-makes one _next_coeff_range(prefix, plan) call per interior node, and the
-plan keeps the degree, depth, box and cut points it was built from.  A
+with the weights.  A node is its prefix and its depth's plan, which keeps
+the degree, depth, box and cut points it was built from.  The walk asks
+each interior node for the ranges of its children prefix + [s] as one lazy
+row, _child_ranges(prefix, coeffs, plan): every fixed-point value and
+look-ahead bound of a child is affine in s, so the row takes each dot
+product once and steps it by addition from one child to the next.  A
 critical point moves with the prefix.  At depth 2 the walk builds none:
 the node's cubic w = A x^3 + B x^2 + C x has the critical values
 27 A^2 w((-B -+ sqrt D)/(3A)) = X +- sqrt M with D = B^2 - 3AC,
@@ -639,7 +642,7 @@ class _DepthPlan:
         The strict cut bounds move hi when cut_hi (odd k - 1), else lo.
     pairs: (weights, a), one per look-ahead pair of a lower-type and an
         upper-type point whose a is nonzero: the prefix's dot product with
-        weights is that pair's b (see _next_coeff_range).
+        weights is that pair's b (see _child_ranges).
     """
 
     __slots__ = ("k", "j", "box_lo", "f_hi", "cuts", "bcoef", "cut_hi",
@@ -696,31 +699,45 @@ class _DepthPlan:
                                         for u, v in zip(n_u, n_l)], a))
 
 
-def _next_coeff_range(prefix, plan):
-    """Integer range [lo, hi] for the next descending coefficient.
+def _child_ranges(prefix, coeffs, plan):
+    """Integer ranges [lo, hi] of the next descending coefficient t below
+    each child prefix + [s] of a node, s running over coeffs, yielded lazily
+    and in that order.  The walk's root is the row ([], range(1, 2)).
 
-    plan is the _DepthPlan of the depth j = len(prefix) - 1: it keeps the
-    degree k, the box (box_lo, f_hi] and the cut points, and holds every
-    value the range needs at them.  deriv = P^(k-j) (ascending) is built
-    from the plan's multipliers, only for critical points (j = 1 and
-    j >= 3) while the range is nonempty.  P^(k-j-1) of the prefix extended
-    by the coefficient s is w + bcoef*s, with w of degree deg = j + 1; each
-    further bound is a sign condition sigma * (w(x) + bcoef*s) >= 0 at the
-    box endpoints, at the (exactly computable) critical points for low
-    depth, and, strict, at the root-free band cut points for the final
-    coefficient.
+    coeffs is a range of consecutive integers and plan is the _DepthPlan of
+    the children's depth j = len(prefix): it keeps the degree k, the box
+    (box_lo, f_hi] and the cut points, and holds every value a range needs
+    at them.  P^(k-j-1) of a child extended by t is w + bcoef*t, with w of
+    degree deg = j + 1; each bound is a sign condition
+    sigma * (w(x) + bcoef*t) >= 0 at the box endpoints, at the (exactly
+    computable) critical points for low depth, and, strict, at the
+    root-free band cut points for the final coefficient.
+
+    The row is lazy: the walk counts each child's step against
+    SEARCH_BUDGET before it asks for the next sibling's range, and a row is
+    as wide as its parent's range, so an eager row could compute far more
+    ranges than the budget allows.
+
+    Each child's numerator at a fixed point is the dot product of prefix +
+    [s] with the point's weights, and each look-ahead b is one more, so all
+    are affine in s: the row takes each dot product once, at the first s,
+    and steps it by the weights' last entry from one child to the next.  At
+    depth 2 the critical values' D and X below are affine in the child's
+    last coefficient too, and step the same way.  Depths 1 and >= 3 build
+    each child's deriv = P^(k-j) (ascending) and w from the plan's
+    multipliers for its critical points, only while its range is nonempty.
 
     A survivor has k simple real roots, so by Rolle's theorem every
     deriv = P^(k-j) has j.  At depth 2 the two critical values have a
-    closed form.  Every other depth j >= 1 takes the general branch: a node
-    where kernels.real_rooted(deriv) fails gets an empty range, and
+    closed form.  Every other depth j >= 1 takes the general branch: a child
+    where kernels.real_rooted(deriv) fails gets the empty range (1, 0), and
     otherwise all j critical points come from isolate_real_roots(deriv).
     At depth 1 the Rolle test holds for the linear deriv, and isolation
     returns its one rational critical point as an exact point.
 
     No separate test that a node's roots lie in the box (box_lo, f_hi] is
     needed.  Through depth 2 the critical-point bounds are exact: the child
-    w + bcoef*s has weakly alternating signs at box_lo, at the critical
+    w + bcoef*t has weakly alternating signs at box_lo, at the critical
     points and at f_hi, so when the node's own roots are simple and in the
     box, the intermediate value theorem puts all j + 1 roots of every child
     in [box_lo, f_hi].  Below a depth-2 node with a double root, a depth-3
@@ -735,137 +752,165 @@ def _next_coeff_range(prefix, plan):
     battery decides every candidate.
 
     Evaluation is integer-only.  At a fixed rational x = p/q (q > 0) the
-    bound on s is -N/M with N = q^deg w(p/q), one dot product of the prefix
-    with the plan's weights at x, and M = q^deg bcoef, the plan's mod.
+    bound on t is -N/M with N = q^deg w(p/q), the child's dot product with
+    the plan's weights at x, and M = q^deg bcoef, the plan's mod.
 
-    At depth 2, w = A x^3 + B x^2 + C x, where (A, B, C) is the prefix
-    times the plan's w_mul, and deriv = w'.  With D = B^2 - 3AC > 0 the
-    critical points are (-B -+ sqrt D)/(3A), and
+    At depth 2, w = A x^3 + B x^2 + C x, where (A, B, C) is the child times
+    the plan's w_mul, and deriv = w'.  With D = B^2 - 3AC > 0 the critical
+    points are (-B -+ sqrt D)/(3A), and
 
         27 A^2 w((-B -+ sqrt D)/(3A)) = X +- sqrt M,
         X = B(2B^2 - 9AC),  M = 4D^3  (here M is not the mod above).
 
-    On a walk A > 0, so the first point is the smaller one and bounds s
-    from below, s >= -floor((X + sqrt M)/Q) with Q = 27 A^2 bcoef > 0, and
-    the second bounds it from above, s <= floor((sqrt M - X)/Q).  For an
+    On a walk A > 0, so the first point is the smaller one and bounds t
+    from below, t >= -floor((X + sqrt M)/Q) with Q = 27 A^2 bcoef > 0, and
+    the second bounds it from above, t <= floor((sqrt M - X)/Q).  For an
     integer Y, floor((Y + sqrt M)/Q) = (Y + isqrt(M)) // Q: an integer
     nQ - Y is at most sqrt M exactly when it is at most isqrt(M).  M is a
     square exactly when D is, and a rational critical point's bound is
-    exact.  D <= 0 (no two distinct critical points) gives no bound.
+    exact.  D <= 0 (no two distinct critical points) gives no bound.  A and
+    B are fixed along a row and C = s w_mul[2], so D and X step by
+    -3A w_mul[2] and -9AB w_mul[2].
 
     At every other depth a critical point is a root from
     isolate_real_roots(deriv) with its isolating interval (a/den, b/den]:
-    the list w is built from the plan's multipliers, _interval_eval
-    encloses den^deg w over the interval on integers, and M = den^deg
-    bcoef.  At depth 1 the interval is the point a = b, where the enclosure
-    is the exact value, so that bound is exact too.  Each bound is rounded
-    once, outward (ceil for lo, floor for hi) by one floor division, so no
-    valid candidate is lost.
+    _interval_eval encloses den^deg w over the interval on integers, and
+    M = den^deg bcoef.  At depth 1 the interval is the point a = b, where
+    the enclosure is the exact value, so that bound is exact too.  Each
+    bound is rounded once, outward (ceil for lo, floor for hi) by one floor
+    division, so no valid candidate is lost.
 
-    Look-ahead, at j + 1 < k: the child prefix + [s] bounds its coefficient
-    with w' = w0 + bcoef*s*x in place of w, where w0 is P^(k-j-2) of
-    prefix + [0, 0] (s sits at x^1 with the factor (k-j-1)!/1! = bcoef).
-    Its bound at a fixed point x is -w'(x)/c with c = (k-j-2)! > 0:
-    lower-type at f_hi, at box_lo for even j and at the cut points for odd
-    j when the child is final, upper-type at the others.  The child's range
-    lies in [ceil(max lower), floor(min upper)] (a strict cut bound only
-    narrows it), so a nonempty one needs -w'(x_L) <= -w'(x_U) for every
-    lower-type x_L and upper-type x_U, that is bcoef*s*(x_L - x_U) >=
-    w0(x_U) - w0(x_L), affine in s.  A real-empty range is integer-empty,
-    so the s this drops have no leaf below them.  With x = p/q and
-    N = q^d w0(p/q) (d = j + 2), the inequality times q_L^d q_U^d > 0 is
-    a*s >= b with a = bcoef (p_L q_U - p_U q_L)(q_L q_U)^(d-1) and
-    b = N_U q_L^d - N_L q_U^d, which is linear in the prefix: the plan
-    keeps a and b's weights per pair.  s >= ceil(b/a) for a > 0 and
-    s <= floor(b/a) for a < 0.  a = 0 only where x_L = x_U, and then b = 0
-    too: no bound, and the plan keeps no such pair.
+    Look-ahead, at j + 1 < k: a grandchild prefix + [s, t] bounds its
+    coefficient with w' = w0 + bcoef*t*x in place of w, where w0 is
+    P^(k-j-2) of prefix + [s, 0, 0] (t sits at x^1 with the factor
+    (k-j-1)!/1! = bcoef).  Its bound at a fixed point x is -w'(x)/c with
+    c = (k-j-2)! > 0: lower-type at f_hi, at box_lo for even j and at the
+    cut points for odd j when the grandchild is final, upper-type at the
+    others.  The grandchild's range lies in [ceil(max lower),
+    floor(min upper)] (a strict cut bound only narrows it), so a nonempty
+    one needs -w'(x_L) <= -w'(x_U) for every lower-type x_L and upper-type
+    x_U, that is bcoef*t*(x_L - x_U) >= w0(x_U) - w0(x_L), affine in t.  A
+    real-empty range is integer-empty, so the t this drops have no leaf
+    below them.  With x = p/q and N = q^d w0(p/q) (d = j + 2), the
+    inequality times q_L^d q_U^d > 0 is a*t >= b with
+    a = bcoef (p_L q_U - p_U q_L)(q_L q_U)^(d-1) and b = N_U q_L^d - N_L q_U^d,
+    which is linear in the child: the plan keeps a and b's weights per
+    pair.  t >= ceil(b/a) for a > 0 and t <= floor(b/a) for a < 0.  a = 0
+    only where x_L = x_U, and then b = 0 too: no bound, and the plan keeps
+    no such pair.
     """
     j = plan.j
-    lo, hi = plan.envelope
-    # each bound folds into lo or hi by one comparison: builtin max and min
-    # calls took about a fifth of a gap search
+    env_lo, env_hi = plan.envelope
+    # every numerator starts one step before the first child and steps at
+    # the top of each child, so a bound a guard skips skips no step
+    before = coeffs.start - 1
 
-    # lower box end: sigma = -1 for odd j + 1
-    weights, mod = plan.box
-    num = sum(map(mul, prefix, weights))
-    if (j + 1) % 2:
-        bound = (-num) // mod
-        if bound < hi:
-            hi = bound
-    else:
-        bound = -(num // mod)
-        if bound > lo:
-            lo = bound
-    weights, mod = plan.top
-    bound = -(sum(map(mul, prefix, weights)) // mod)
-    if bound > lo:
-        lo = bound
-    if plan.cut_weights and lo <= hi:
-        # final depth, strict at the cut points: an exact tie moves the
-        # bound by one
-        for weights, mod in plan.cut_weights:
-            num = sum(map(mul, prefix, weights))
-            if plan.cut_hi:
-                bound = (-num) // mod - (num % mod == 0)
-                if bound < hi:
-                    hi = bound
-            else:
-                bound = -(num // mod) + (num % mod == 0)
-                if bound > lo:
-                    lo = bound
+    def start(weights):
+        return sum(map(mul, prefix, weights)) + before * weights[-1]
 
-    # interior alternation at the critical points (roots of P^(k-j))
-    if j == 2 and lo <= hi:
-        # the critical values of w = a x^3 + b x^2 + c x in closed form
-        a, b, c = map(mul, prefix, plan.w_mul)
-        d = b * b - 3 * a * c
-        if d > 0:
-            x = b * (2 * b * b - 9 * a * c)
-            root = isqrt(4 * d ** 3)
-            q = 27 * a * a * plan.bcoef
-            bound = -((x + root) // q)
-            if bound > lo:
-                lo = bound
-            bound = (root - x) // q
+    (box_w, box_mod), (top_w, top_mod) = plan.box, plan.top
+    box, box_step = start(box_w), box_w[-1]
+    top, top_step = start(top_w), top_w[-1]
+    box_hi = (j + 1) % 2  # sigma = -1 at box_lo for odd j + 1
+    cuts = [[start(w), w[-1], mod] for w, mod in plan.cut_weights]
+    cut_hi = plan.cut_hi
+    pairs = [[start(w), w[-1], a] for w, a in plan.pairs]
+    bcoef = plan.bcoef
+    if j == 2:
+        a, b = map(mul, prefix, plan.w_mul)
+        c_step = plan.w_mul[2]
+        c = before * c_step
+        d, d_step = b * b - 3 * a * c, -3 * a * c_step
+        x, x_step = b * (2 * b * b - 9 * a * c), -9 * a * b * c_step
+        q = 27 * a * a * bcoef
+
+    for s in coeffs:
+        box += box_step
+        top += top_step
+        for cut in cuts:
+            cut[0] += cut[1]
+        for pair in pairs:
+            pair[0] += pair[1]
+        if j == 2:
+            d += d_step
+            x += x_step
+        lo, hi = env_lo, env_hi
+        # each bound folds into lo or hi by one comparison: builtin max and
+        # min calls took about a fifth of a gap search
+
+        # lower box end: sigma = -1 for odd j + 1
+        if box_hi:
+            bound = (-box) // box_mod
             if bound < hi:
                 hi = bound
-    elif j and lo <= hi:
-        bcoef = plan.bcoef
-        deriv = list(map(mul, prefix, plan.deriv_mul))
-        deriv.reverse()
-        w = list(map(mul, prefix, plan.w_mul))
-        w.append(0)
-        w.reverse()
-        # Rolle: without j distinct real critical points no leaf survives
-        # (always true at j = 1)
-        if not kernels.real_rooted(deriv):
-            return 1, 0
-        for t, x in enumerate(isolate_real_roots(deriv), start=1):
-            enc_lo, enc_hi = _interval_eval(w, x)
-            mod = x.den ** (j + 1) * bcoef
-            if (j + 1 - t) % 2 == 0:
-                bound = -(enc_hi // mod)
-                if bound > lo:
-                    lo = bound
-            else:
-                bound = (-enc_lo) // mod
-                if bound < hi:
-                    hi = bound
+        else:
+            bound = -(box // box_mod)
+            if bound > lo:
+                lo = bound
+        bound = -(top // top_mod)
+        if bound > lo:
+            lo = bound
+        if cuts and lo <= hi:
+            # final depth, strict at the cut points: an exact tie moves the
+            # bound by one
+            for num, _, mod in cuts:
+                if cut_hi:
+                    bound = (-num) // mod - (num % mod == 0)
+                    if bound < hi:
+                        hi = bound
+                else:
+                    bound = -(num // mod) + (num % mod == 0)
+                    if bound > lo:
+                        lo = bound
 
-    # look-ahead: keep only the s whose child is nonempty at its fixed
-    # points
-    if lo <= hi:
-        for weights, a in plan.pairs:
-            b = sum(map(mul, prefix, weights))
-            if a > 0:
-                bound = -((-b) // a)
+        # interior alternation at the critical points (roots of P^(k-j))
+        if j == 2 and lo <= hi:
+            # the critical values of w = A x^3 + B x^2 + C x in closed form
+            if d > 0:
+                root = isqrt(4 * d ** 3)
+                bound = -((x + root) // q)
                 if bound > lo:
                     lo = bound
-            else:
-                bound = (-b) // (-a)
+                bound = (root - x) // q
                 if bound < hi:
                     hi = bound
-    return lo, hi
+        elif j and lo <= hi:
+            node = prefix + [s]
+            deriv = list(map(mul, node, plan.deriv_mul))
+            deriv.reverse()
+            # Rolle: without j distinct real critical points no leaf
+            # survives (always true at j = 1)
+            if not kernels.real_rooted(deriv):
+                yield 1, 0
+                continue
+            w = list(map(mul, node, plan.w_mul))
+            w.append(0)
+            w.reverse()
+            for i, pt in enumerate(isolate_real_roots(deriv), start=1):
+                enc_lo, enc_hi = _interval_eval(w, pt)
+                mod = pt.den ** (j + 1) * bcoef
+                if (j + 1 - i) % 2 == 0:
+                    bound = -(enc_hi // mod)
+                    if bound > lo:
+                        lo = bound
+                else:
+                    bound = (-enc_lo) // mod
+                    if bound < hi:
+                        hi = bound
+
+        # look-ahead: keep only the t whose grandchild is nonempty at its
+        # fixed points
+        if lo <= hi:
+            for b_num, _, a_pair in pairs:
+                if a_pair > 0:
+                    bound = -((-b_num) // a_pair)
+                    if bound > lo:
+                        lo = bound
+                else:
+                    bound = (-b_num) // (-a_pair)
+                    if bound < hi:
+                        hi = bound
+        yield lo, hi
 
 
 def _gap_leaf(asc, d_max, bracket, keep_all):
@@ -965,37 +1010,45 @@ def _gap_degree(k, d_max, box_lo, f_hi, cuts, bracket, audit, steps):
     """All candidates of one degree via depth-first coefficient search, and
     the search's running count of enumeration steps.
 
+    A node's children prefix + [s], s over its range, take their own ranges
+    from one _child_ranges row, which computes each child's range only
+    when the walk reaches that child; the root is the row ([], range(1, 2)).
     steps counts the steps of the lower degrees: one per coefficient range,
     and one per leaf, which a final node adds at once by the width of its
-    range.  Past SEARCH_BUDGET the search stops with BudgetError.  A final
-    node (depth k - 1) hands each coefficient s of its range straight to
-    _gap_leaf as the leaf's ascending tuple (s, *asc); only the nodes above
-    it recurse.  Returns (candidates, steps)."""
+    range.  Each child counts its step before its subtree is visited and
+    before the row computes the next sibling's range, so past SEARCH_BUDGET
+    the search stops with BudgetError before it computes another range.
+    A final node (depth k - 1) hands each coefficient t of its range
+    straight to _gap_leaf as the leaf's ascending tuple (t, *asc); only the
+    nodes above it recurse.  Returns (candidates, steps)."""
     out = []
     plans = [_DepthPlan(k, j, box_lo, f_hi, cuts) for j in range(k)]
 
-    def descend(prefix):
+    def descend(prefix, coeffs):
         nonlocal steps
-        lo, hi = _next_coeff_range(prefix, plans[len(prefix) - 1])
-        coeffs = range(lo, hi + 1)
-        # a final node also counts its leaves
-        steps += 1 if len(prefix) < k else 1 + len(coeffs)
-        if steps > SEARCH_BUDGET:
-            raise BudgetError(
-                "budget exhausted at degree %d: the gap search takes more "
-                "than %d enumeration steps (coefficient ranges and leaves); "
-                "lower --dmax" % (k, SEARCH_BUDGET))
-        if len(prefix) < k:
-            for s in coeffs:
-                descend(prefix + [s])
-            return
-        asc = prefix[::-1]
-        for s in coeffs:
-            cand = _gap_leaf((s, *asc), d_max, bracket, audit)
-            if cand is not None:
-                out.append(cand)
+        # the children prefix + [s] are final nodes when they reach depth
+        # k - 1
+        final = len(prefix) + 1 == k
+        row = _child_ranges(prefix, coeffs, plans[len(prefix)])
+        for s, (lo, hi) in zip(coeffs, row):
+            below = range(lo, hi + 1)
+            # a final node also counts its leaves
+            steps += 1 + len(below) if final else 1
+            if steps > SEARCH_BUDGET:
+                raise BudgetError(
+                    "budget exhausted at degree %d: the gap search takes "
+                    "more than %d enumeration steps (coefficient ranges and "
+                    "leaves); lower --dmax" % (k, SEARCH_BUDGET))
+            if not final:
+                descend(prefix + [s], below)
+                continue
+            asc = (s, *reversed(prefix))
+            for t in below:
+                cand = _gap_leaf((t, *asc), d_max, bracket, audit)
+                if cand is not None:
+                    out.append(cand)
 
-    descend([1])
+    descend([], range(1, 2))
     return out, steps
 
 

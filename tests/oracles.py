@@ -30,7 +30,10 @@ The coefficient walk's derivative prefixes by nested loops over the
 falling factorials: the package reads the same multipliers from its
 per-depth plan (gapsearch._DepthPlan).  Its depth-2 critical bounds by
 Horner passes in Z[sqrt(disc)] at the two critical points, as the walk
-took them before it wrote the critical values in closed form.
+took them before it wrote the critical values in closed form.  Its range
+at one node by dot products over the whole prefix (node_range): the
+package computes a node's child ranges as one row, stepping each affine
+bound by addition from sibling to sibling.
 
 The d-number criterion as one all(...) over fresh powers a_n^i: the
 package builds the powers as it goes and stops at the first failure.
@@ -42,9 +45,13 @@ map(mul, ...): the package must return the same floats bit for bit.
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
-from fgap.algnum import DEGREE_CAP, _cauchy_bound, _floor_root
+from fgap import kernels
+from fgap.algnum import (DEGREE_CAP, _cauchy_bound, _floor_root,
+                         isolate_real_roots)
 from fgap.errors import DegreeCapError, InvalidInputError
+from fgap.gapsearch import _interval_eval
 from fgap.kernels import (derivative, eval_qnum, eval_surd, int_content,
                           normalize, poly_mul, pseudo_rem, sign_variations,
                           surd_sign)
@@ -504,6 +511,100 @@ def depth2_critical_bounds_reference(w, deriv, bcoef):
     lo = -((x + _floor_root(y, disc)) // mod)
     x, y = eval_surd(w, a, -b, disc, d)
     hi = (-x + _floor_root(-y, disc)) // mod
+    return lo, hi
+
+
+def node_range(prefix, plan):
+    """The walk's integer range [lo, hi] of the next descending coefficient
+    below the node prefix, computed for that node alone: every fixed-point
+    numerator and look-ahead b is a dot product over the whole prefix, the
+    depth-2 closed form takes A, B and C afresh, and the other depths build
+    deriv and w, test Rolle and isolate as gapsearch._child_ranges does.
+    plan is the _DepthPlan of the depth len(prefix) - 1.  The row
+    _child_ranges(prefix, coeffs, plan) must yield node_range(prefix + [s],
+    plan) for each s in coeffs, in order."""
+    j = plan.j
+    lo, hi = plan.envelope
+    # lower box end: sigma = -1 for odd j + 1
+    weights, mod = plan.box
+    num = sum(map(mul, prefix, weights))
+    if (j + 1) % 2:
+        bound = (-num) // mod
+        if bound < hi:
+            hi = bound
+    else:
+        bound = -(num // mod)
+        if bound > lo:
+            lo = bound
+    weights, mod = plan.top
+    bound = -(sum(map(mul, prefix, weights)) // mod)
+    if bound > lo:
+        lo = bound
+    if plan.cut_weights and lo <= hi:
+        # final depth, strict at the cut points: an exact tie moves the
+        # bound by one
+        for weights, mod in plan.cut_weights:
+            num = sum(map(mul, prefix, weights))
+            if plan.cut_hi:
+                bound = (-num) // mod - (num % mod == 0)
+                if bound < hi:
+                    hi = bound
+            else:
+                bound = -(num // mod) + (num % mod == 0)
+                if bound > lo:
+                    lo = bound
+
+    # interior alternation at the critical points (roots of P^(k-j))
+    if j == 2 and lo <= hi:
+        # the critical values of w = a x^3 + b x^2 + c x in closed form
+        a, b, c = map(mul, prefix, plan.w_mul)
+        d = b * b - 3 * a * c
+        if d > 0:
+            x = b * (2 * b * b - 9 * a * c)
+            root = isqrt(4 * d ** 3)
+            q = 27 * a * a * plan.bcoef
+            bound = -((x + root) // q)
+            if bound > lo:
+                lo = bound
+            bound = (root - x) // q
+            if bound < hi:
+                hi = bound
+    elif j and lo <= hi:
+        bcoef = plan.bcoef
+        deriv = list(map(mul, prefix, plan.deriv_mul))
+        deriv.reverse()
+        w = list(map(mul, prefix, plan.w_mul))
+        w.append(0)
+        w.reverse()
+        # Rolle: without j distinct real critical points no leaf survives
+        # (always true at j = 1)
+        if not kernels.real_rooted(deriv):
+            return 1, 0
+        for t, x in enumerate(isolate_real_roots(deriv), start=1):
+            enc_lo, enc_hi = _interval_eval(w, x)
+            mod = x.den ** (j + 1) * bcoef
+            if (j + 1 - t) % 2 == 0:
+                bound = -(enc_hi // mod)
+                if bound > lo:
+                    lo = bound
+            else:
+                bound = (-enc_lo) // mod
+                if bound < hi:
+                    hi = bound
+
+    # look-ahead: keep only the s whose child is nonempty at its fixed
+    # points
+    if lo <= hi:
+        for weights, a in plan.pairs:
+            b = sum(map(mul, prefix, weights))
+            if a > 0:
+                bound = -((-b) // a)
+                if bound > lo:
+                    lo = bound
+            else:
+                bound = (-b) // (-a)
+                if bound < hi:
+                    hi = bound
     return lo, hi
 
 

@@ -844,10 +844,11 @@ def test_d_numbers_never_reach_the_resultant(monkeypatch, capsys):
     assert "codegrees-are-d-numbers" in capsys.readouterr().out
 
 
-# The functions the benchmark's tracer wraps in the search layer, each in an
-# adapter that takes positional arguments only.
+# The functions a tracer wraps in the search layer, each in an adapter that
+# takes positional arguments only: the leaf calls and the gap walk's rows of
+# coefficient ranges.
 TRACED_SEARCH_FUNCTIONS = ("_quad_candidate", "_cubic_candidate",
-                           "_gap_leaf", "_next_coeff_range")
+                           "_gap_leaf", "_child_ranges")
 
 
 @pytest.mark.parametrize("argv", [

@@ -34,13 +34,13 @@ from fgap.gapsearch import (
     search_quadratic,
     surd_text,
 )
-from fgap.gapsearch import _DepthPlan, _next_coeff_range, _pair_bounds
+from fgap.gapsearch import _child_ranges, _DepthPlan, _pair_bounds
 from oracles import (_deriv_prefix, cubic_plan_reference,
                      depth2_critical_bounds_reference, divisors, interval,
-                     isolate_sturm, iv_horner, mid, pair_enclosure,
-                     poly_value, quad_plan_reference, real_root_count,
-                     sturm_chain, sturm_refine, varcount_at, varcount_at_surd,
-                     varcount_inf)
+                     isolate_sturm, iv_horner, mid, node_range,
+                     pair_enclosure, poly_value, quad_plan_reference,
+                     real_root_count, sturm_chain, sturm_refine, varcount_at,
+                     varcount_at_surd, varcount_inf)
 
 GOLDEN_GAP = Surd(Fraction(5, 2), Fraction(-1, 2), 5)  # (5 - sqrt 5)/2
 
@@ -804,7 +804,20 @@ def _coeff_range(prefix, k, box_lo, f_hi, cuts, final):
     len(prefix) == k."""
     assert final == (len(prefix) == k)
     plan = _DepthPlan(k, len(prefix) - 1, box_lo, f_hi, cuts)
-    return _next_coeff_range(prefix, plan)
+    return one_child(prefix, plan)
+
+
+def one_child(prefix, plan):
+    """The walk's range below the node prefix: the row of its parent with
+    the node's last coefficient alone."""
+    s = prefix[-1]
+    return next(_child_ranges(prefix[:-1], range(s, s + 1), plan))
+
+
+def per_node(fn):
+    """A row for the walk from fn(prefix, plan), the range of one node."""
+    return lambda prefix, coeffs, plan: (fn(prefix + [s], plan)
+                                         for s in coeffs)
 
 
 def reference_at(prefix, plan, **kwargs):
@@ -880,7 +893,64 @@ def test_depth_plan_matches_derivative_prefixes(case):
         assert sorted(got) == sorted(want), j
 
 
-# interior nodes of each walk: one _next_coeff_range call apiece
+@st.composite
+def row_cases(draw):
+    """A degree k = 2..6 with its fixed points, a depth j = 0..k-1 and a row
+    at it: a prefix of length j and 0..6 consecutive child coefficients
+    from s0, which may cross 0."""
+    k, box_lo, f_hi, cuts, _ = draw(plan_cases())
+    j = draw(st.integers(0, k - 1))
+    prefix = [] if j == 0 else (
+        [draw(st.sampled_from([1, 2, -1, -3]))]
+        + draw(st.lists(st.integers(-60, 60), min_size=j - 1,
+                        max_size=j - 1)))
+    return (k, box_lo, f_hi, cuts, prefix, draw(st.integers(-60, 60)),
+            draw(st.integers(0, 6)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=row_cases())
+# the degree-2 box (4/3, 29] with cut points 7/5 and 2: the fifth child,
+# x^2 - 5x, ties at a cut point and its strict bound sets the range
+@example(case=(2, FOUR_THIRDS, 29, (Fraction(7, 5), Fraction(2)), [1], -9,
+               6))
+# depth 2 of degree 3: D > 0 for s = 10, 11 and D <= 0 from s = 12 on, where
+# the closed form gives no bound
+@example(case=(3, FOUR_THIRDS, 29, (Fraction(7, 5), Fraction(2)), [1, 6], 9,
+               5))
+# depth 2 of degree 6: D is a square at s = 0, and its critical value sets
+# the range
+@example(case=(6, FOUR_THIRDS, 29, (Fraction(7, 5), Fraction(2)), [1, 40],
+               -1, 5))
+# depth 4 of degree 5: s = 24 has a nonempty range, and s = 25..27 lack
+# four distinct real critical points (Rolle)
+@example(case=(5, Fraction(-34, 5), 29, (Fraction(115, 2), Fraction(80)),
+               [1, -20, -47, -16], 24, 4))
+# rows whose first children are empty before the cut points (degree 3,
+# s = 60..62) or the critical points (depth 2, s = 28 and 29), each guard
+# skips their bound, and later children are nonempty: a bound skipped by
+# its guard must still step
+@example(case=(3, FOUR_THIRDS, 29, (Fraction(7, 5), Fraction(2)), [-1, 27],
+               60, 6))
+@example(case=(3, FOUR_THIRDS, 29, (Fraction(7, 5), Fraction(2)), [1, -11],
+               28, 6))
+# the root's row, and a row of no children
+@example(case=(4, FOUR_THIRDS, 29, (Fraction(7, 5), Fraction(2)), [], 1, 1))
+@example(case=(3, FOUR_THIRDS, 29, (Fraction(7, 5), Fraction(2)), [1, -6],
+               4, 0))
+def test_child_ranges_match_the_per_node_oracle(case):
+    # the row steps each affine bound from sibling to sibling; each range
+    # it yields is the one node_range takes from dot products over the
+    # whole child prefix
+    k, box_lo, f_hi, cuts, prefix, s0, n = case
+    plan = _DepthPlan(k, len(prefix), box_lo, f_hi, cuts)
+    coeffs = range(s0, s0 + n)
+    assert list(_child_ranges(prefix, coeffs, plan)) == [
+        node_range(prefix + [s], plan) for s in coeffs]
+
+
+# interior nodes of each walk: one range apiece, yielded by its parent's
+# row
 WALK_NODES = [(QUAD_DEFAULT_HI, 4056), (Surd(Fraction(277, 200)), 4056),
               (Surd(Fraction(138, 100)), 2277)]
 
@@ -890,14 +960,14 @@ WALK_NODES = [(QUAD_DEFAULT_HI, 4056), (Surd(Fraction(277, 200)), 4056),
 def test_walk_ranges_match_fraction_reference(d_max, nodes, monkeypatch):
     calls = []
 
-    def checked(prefix, plan):
-        got = _next_coeff_range(prefix, plan)
-        assert plan.j == len(prefix) - 1
-        assert got == reference_at(prefix, plan), prefix
-        calls.append(got)
-        return got
+    def checked(prefix, coeffs, plan):
+        assert plan.j == len(prefix)
+        for s, got in zip(coeffs, _child_ranges(prefix, coeffs, plan)):
+            assert got == reference_at(prefix + [s], plan), prefix + [s]
+            calls.append(got)
+            yield got
 
-    monkeypatch.setattr(gapsearch, "_next_coeff_range", checked)
+    monkeypatch.setattr(gapsearch, "_child_ranges", checked)
     search_gap(d_max)
     assert len(calls) == nodes
 
@@ -925,21 +995,20 @@ def test_depth_3_node_makes_one_realness_test_and_no_squarefree_part(
                             counted("sqf", owner.poly_squarefree_part))
     monkeypatch.setattr(kernels, "real_rooted",
                         counted("real_rooted", kernels.real_rooted))
-    real_range = gapsearch._next_coeff_range
     d_max = Surd(Fraction(277, 200))
     cuts = gapsearch._gap_cut_points(d_max)
     for path, nonempty in (([-20, 132, -320], True),
                            ([-16, 90, -216], False)):
         ranges = []
 
-        def steered(prefix, *rest):
+        def steered(prefix, plan):
             j = len(prefix) - 1
             if j < 3:
                 return path[j], path[j]
-            ranges.append(real_range(prefix, *rest))
+            ranges.append(one_child(prefix, plan))
             return 1, 0  # no leaf
 
-        monkeypatch.setattr(gapsearch, "_next_coeff_range", steered)
+        monkeypatch.setattr(gapsearch, "_child_ranges", per_node(steered))
         counts.clear()
         gapsearch._gap_degree(4, d_max, FOUR_THIRDS, 29, cuts,
                               (d_max.p, d_max.p), False, 0)
@@ -957,7 +1026,6 @@ def test_degree_4_walk_slice_matches_references(monkeypatch):
     # coefficient range and quartic leaf against its Sturm or Fraction
     # reference
     real_degree = gapsearch._gap_degree
-    real_range = gapsearch._next_coeff_range
     real_leaf = gapsearch._gap_leaf
     degree = []
     counts = Counter()
@@ -966,16 +1034,17 @@ def test_degree_4_walk_slice_matches_references(monkeypatch):
         degree.append(k)
         return real_degree(k, *rest)
 
-    def coeff_range(prefix, plan):
-        if plan.k == 4 and len(prefix) == 4:
-            if counts["depth 3"] == 10:
-                raise _SliceDone
-            counts["depth 3"] += 1
-        got = real_range(prefix, plan)
-        if plan.k == 4:
-            assert got == reference_at(prefix, plan), prefix
-            counts["range"] += 1
-        return got
+    def coeff_range(prefix, coeffs, plan):
+        for s, got in zip(coeffs, _child_ranges(prefix, coeffs, plan)):
+            node = prefix + [s]
+            if plan.k == 4 and len(node) == 4:
+                if counts["depth 3"] == 10:
+                    raise _SliceDone
+                counts["depth 3"] += 1
+            if plan.k == 4:
+                assert got == reference_at(node, plan), node
+                counts["range"] += 1
+            yield got
 
     def leaf(poly, d_max, bracket, keep_all):
         got = real_leaf(poly, d_max, bracket, True)
@@ -986,7 +1055,7 @@ def test_degree_4_walk_slice_matches_references(monkeypatch):
         return got if got.survivor or keep_all else None
 
     monkeypatch.setattr(gapsearch, "_gap_degree", walk)
-    monkeypatch.setattr(gapsearch, "_next_coeff_range", coeff_range)
+    monkeypatch.setattr(gapsearch, "_child_ranges", coeff_range)
     monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)
     with pytest.raises(_SliceDone):
         search_gap(Surd(Fraction(139, 100)))
@@ -995,6 +1064,37 @@ def test_degree_4_walk_slice_matches_references(monkeypatch):
     assert counts == {"depth 3": 10, "range": 23,
                       ("leaf", "irreducible"): 2,
                       ("leaf", "roots-real-ge-1"): 1764}
+
+
+def test_rows_compute_no_range_past_the_step_budget(monkeypatch):
+    # search_gap(1.39) over a 60,000-step budget stops in degree 4 in the
+    # middle of a row: the rows yield, and the walk's Rolle tests run, as
+    # often as on the per-node oracle walk, which computes each range only
+    # when the walk visits its node.  An eager row would also test the
+    # siblings past the budget (340 Rolle tests, not 252)
+    monkeypatch.setattr(gapsearch, "SEARCH_BUDGET", 60000)
+    real_row, real_rooted = gapsearch._child_ranges, kernels.real_rooted
+    runs = []
+    for row in (real_row, per_node(node_range)):
+        counts = Counter()
+
+        def counted(prefix, coeffs, plan):
+            for got in row(prefix, coeffs, plan):
+                counts["ranges"] += 1
+                yield got
+
+        def rooted(asc):
+            counts["real_rooted"] += 1
+            return real_rooted(asc)
+
+        monkeypatch.setattr(gapsearch, "_child_ranges", counted)
+        monkeypatch.setattr(kernels, "real_rooted", rooted)
+        with pytest.raises(BudgetError) as err:
+            search_gap(Surd(Fraction(139, 100)))
+        runs.append((counts, str(err.value)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == {"ranges": 7582, "real_rooted": 252}
+    assert runs[0][1].startswith("budget exhausted at degree 4:")
 
 
 def test_gap_leaf_keeps_four_positional_parameters():
@@ -1427,7 +1527,7 @@ def test_depth_2_critical_bounds_match_the_surd_reference(case):
         math.factorial(k - 3))
     want = (-WIDE, WIDE) if ref is None else (max(-WIDE, ref[0]),
                                               min(WIDE, ref[1]))
-    assert _next_coeff_range(prefix, _critical_only_plan(k, prefix)) == want
+    assert one_child(prefix, _critical_only_plan(k, prefix)) == want
 
 
 # walks whose depth-2 ranges take the closed form make no kernels.eval_surd
@@ -1513,7 +1613,7 @@ def test_walks_reach_the_same_leaves_without_the_look_ahead(monkeypatch):
         def leaf(poly, d_max, bracket, keep_all):
             out.append(poly)
 
-        monkeypatch.setattr(gapsearch, "_next_coeff_range", coeff_range)
+        monkeypatch.setattr(gapsearch, "_child_ranges", coeff_range)
         monkeypatch.setattr(gapsearch, "_gap_leaf", leaf)
         try:
             search_gap(d_max)
@@ -1523,8 +1623,8 @@ def test_walks_reach_the_same_leaves_without_the_look_ahead(monkeypatch):
 
     for d_max in (Surd(Fraction(277, 200)), QUAD_DEFAULT_HI,
                   Surd(Fraction(138, 100)), Surd(Fraction(136, 100))):
-        want = leaves(oracle, d_max)
-        assert leaves(_next_coeff_range, d_max) == want, d_max
+        want = leaves(per_node(oracle), d_max)
+        assert leaves(_child_ranges, d_max) == want, d_max
         assert want
     # the slice ends where the oracle walk meets its 11th degree-4 depth-3
     # node, after the first 2,055 quartic leaves; the walk, in the same
@@ -1540,12 +1640,13 @@ def test_walks_reach_the_same_leaves_without_the_look_ahead(monkeypatch):
             counts["depth 3"] += 1
         return oracle(prefix, plan)
 
-    def slice_walk(prefix, plan):
-        if plan.k == 4 and len(prefix) == 4 and prefix >= stop[0]:
-            raise _SliceDone
-        return _next_coeff_range(prefix, plan)
+    def slice_walk(prefix, coeffs, plan):
+        for s, got in zip(coeffs, _child_ranges(prefix, coeffs, plan)):
+            if plan.k == 4 and len(prefix) == 3 and prefix + [s] >= stop[0]:
+                raise _SliceDone
+            yield got
 
-    want = leaves(slice_oracle, Surd(Fraction(139, 100)))
+    want = leaves(per_node(slice_oracle), Surd(Fraction(139, 100)))
     assert sum(len(c) == 5 for c in want) == 2055
     got = leaves(slice_walk, Surd(Fraction(139, 100)))
     rest = iter(want)
