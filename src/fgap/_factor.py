@@ -17,7 +17,7 @@ its results.
 """
 
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 from . import kernels
 from ._intfactor import is_probable_prime
@@ -332,7 +332,7 @@ def factor_squarefree_primitive(c):
     monic = [c[i] * lead ** (n - 1 - i) for i in range(n)] + [1]
     for fac in _factor_monic_squarefree(monic):
         mapped = [fac[i] * lead ** i for i in range(len(fac))]
-        cont = kernels.int_content(mapped)
+        cont = gcd(*mapped)
         if mapped[-1] < 0:
             cont = -cont
         out.append([x // cont for x in mapped])

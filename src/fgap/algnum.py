@@ -34,15 +34,17 @@ n squarefree.  square_free_part runs only when a radicand enters from
 outside (the constructor, sqrt_fraction); arithmetic within one field, the
 sign (one comparison of x^2 with y^2 n), floor and ceil (one isqrt of
 b^2 n) stay on plain integers, and a polynomial is evaluated at a surd by
-one Horner pass in Z[sqrt(n)] (kernels.eval_surd).  A real algebraic
-number is a minpoly with an isolating interval, the integer triple
-(lo, hi, den) meaning (lo/den, hi/den], and only isolate_real_roots makes
-one, from the triple its bisection ends at (a linear minpoly's root is
-its exact point, lo == hi).  It is compared with a rational or a surd x
-by the sign of the minpoly at x against its sign at the interval's upper
-end, so no decision ever rests on a rounded value and no interval is
-bisected for it; its interval shrinks only by one integer sign bisection
-(refine, approx_float, floor).
+one Horner pass in Z[sqrt(n)] (kernels.eval_surd).  A rational operand
+becomes a Surd one way, by _coerce: Surd arithmetic and cmp,
+AlgebraicNumber.cmp and the searches' window endpoints all go through it.
+A real algebraic number is a minpoly with an isolating interval, the
+integer triple (lo, hi, den) meaning (lo/den, hi/den], and only
+isolate_real_roots makes one, from the triple its bisection ends at (a
+linear minpoly's root is its exact point, lo == hi).  It is compared with
+a rational or a surd x by the sign of the minpoly at x against its sign at
+the interval's upper end, so no decision ever rests on a rounded value and
+no interval is bisected for it; its interval shrinks only by one integer
+sign bisection (refine, approx_float, floor).
 """
 
 import re
@@ -106,7 +108,7 @@ def _primitive_pos(c):
     c = kernels.normalize(c)
     if not c:
         return c
-    g = kernels.int_content(c)
+    g = gcd(*c)
     if c[-1] < 0:
         g = -g
     return [x // g for x in c]
@@ -249,6 +251,17 @@ def _floor_root(b, n):
     return -r if r * r == m else -r - 1
 
 
+def _coerce(x):
+    """x as a Surd: a Surd is itself, anything else is the rational
+    Fraction(x)."""
+    if isinstance(x, Surd):
+        return x
+    if isinstance(x, int):
+        return _surd(x, 0, 0, 1)
+    x = Fraction(x)
+    return _surd(x.numerator, 0, 0, x.denominator)
+
+
 class Surd:
     """Quadratic surd (a + b*sqrt(n))/d with integer a, b, d and squarefree n.
 
@@ -310,16 +323,8 @@ class Surd:
     def _same_field(self, other):
         return self.n == other.n or self.b == 0 or other.b == 0
 
-    def _coerce(self, other):
-        if isinstance(other, Surd):
-            return other
-        if isinstance(other, int):
-            return _surd(other, 0, 0, 1)
-        other = Fraction(other)
-        return _surd(other.numerator, 0, 0, other.denominator)
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if not self._same_field(o):
             raise InvalidInputError("surds from different fields")
         return _surd(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d,
@@ -331,10 +336,10 @@ class Surd:
         return _surd(-self.a, -self.b, self.n, self.d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-_coerce(other))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if not self._same_field(o):
             raise InvalidInputError("surds from different fields")
         n = self.n or o.n
@@ -344,7 +349,7 @@ class Surd:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o.is_rational:
             if o.a == 0:
                 raise ZeroDivisionError("surd division by zero")
@@ -357,11 +362,7 @@ class Surd:
 
     def cmp(self, other):
         """Exact trichotomy against an int, a Fraction or any Surd."""
-        if not isinstance(other, Surd):
-            r = Fraction(other)
-            rn, rd = r.numerator, r.denominator
-            return kernels.surd_sign(self.a * rd - rn * self.d, self.b * rd,
-                                     self.n)
+        other = _coerce(other)
         # d1 d2 (self - other) = x + y sqrt(n1) - z sqrt(n2)
         x = self.a * other.d - other.a * self.d
         y = self.b * other.d
@@ -573,7 +574,7 @@ class AlgebraicNumber:
         """
         if isinstance(other, AlgebraicNumber):
             return self._cmp_algebraic(other)
-        x = other if isinstance(other, Surd) else Surd(other)
+        x = _coerce(other)
         a, b, n, d = x.a, x.b, x.n, x.d
         lo, hi, den = self.lo, self.hi, self.den
         # the sign of x - lo/den, read off den*d*(x - lo/den)
@@ -859,9 +860,7 @@ def largest_integer_divisor(c):
             pairs.append((i, abs(ci)))
     if not pairs:
         raise InvalidInputError("all trailing coefficients vanish (root 0)")
-    g = 0
-    for _, v in pairs:
-        g = gcd(g, v)
+    g = gcd(*(v for _, v in pairs))
     if g == 1:
         return 1
     m = 1

@@ -45,13 +45,6 @@ def _jf(x):
     return float(_g(x))
 
 
-def _frac_text(q):
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
 _DEC_RE = re.compile(r"([+-]?\d+)\.(\d+)", re.ASCII)
 _RAT_RE = re.compile(r"([+-]?\d+)/(\d+)", re.ASCII)
 _SURD_RE = re.compile(
@@ -164,7 +157,7 @@ def _cmd_analyze(args):
     dims, cert = fp_dimension_vector(ring, spectrum, tol=tol)
     sum_id = spectrum.sum_identity()
 
-    config = {"source": args.ring, "tol": _frac_text(tol)}
+    config = {"source": args.ring, "tol": str(tol)}
     lines = _header(["analyze"], config)
     lines.append("rank: %d" % ring.rank)
     # formal_codegrees raised UnsupportedRingError (exit 1, nothing printed)
@@ -176,24 +169,23 @@ def _cmd_analyze(args):
     lines.append("codegrees ~ [%s]" % ", ".join(_g(v) for v in codegrees))
 
     orbits_json = []
-    for orb_res in report.orbit_results:
-        orb = spectrum.orbits[orb_res.index]
-        roots = [orb_res_root.approx_float() for orb_res_root in orb.roots]
+    for idx, (orb, checks) in enumerate(zip(spectrum.orbits,
+                                            report.orbit_checks)):
+        roots = [root.approx_float() for root in orb.roots]
         lines.append("orbit %d: %s multiplicity %d roots ~ [%s]"
-                     % (orb_res.index, orb_res.poly.to_str(),
-                        orb_res.multiplicity,
+                     % (idx, orb.poly.to_str(), orb.multiplicity,
                         ", ".join(_g(r) for r in roots)))
-        for chk in orb_res.checks:
+        for chk in checks:
             lines.append("  %s: %s | %s" % (chk.name, chk.status, chk.detail))
         orbits_json.append({
-            "index": orb_res.index,
-            "poly": orb_res.poly.to_str(),
-            "coeffs": orb_res.poly.to_csv(),
-            "multiplicity": orb_res.multiplicity,
+            "index": idx,
+            "poly": orb.poly.to_str(),
+            "coeffs": orb.poly.to_csv(),
+            "multiplicity": orb.multiplicity,
             "roots": [_jf(r) for r in roots],
-            "mean": _frac_text(orb.mean()),
-            "checks": [_check_json(c) for c in orb_res.checks],
-            "survives": orb_res.survives,
+            "mean": str(orb.mean()),
+            "checks": [_check_json(c) for c in checks],
+            "survives": idx in report.surviving,
         })
     for chk in report.global_checks:
         lines.append("global %s: %s | %s" % (chk.name, chk.status,
@@ -205,7 +197,7 @@ def _cmd_analyze(args):
     lines.append("fp dims ~ [%s]" % ", ".join(_g(v) for v in dims))
     lines.append("fp certificate: rayleigh ~ %s residual_sq ~ %s tol %s "
                  "certified" % (_g(cert["rayleigh"]), _g(cert["residual_sq"]),
-                                _frac_text(cert["tol"])))
+                                cert["tol"]))
     lines.append("sum identity: %s" % ("holds" if sum_id else "violated"))
 
     payload = {
@@ -231,7 +223,7 @@ def _cmd_analyze(args):
             "fp": {
                 "rayleigh": _jf(cert["rayleigh"]),
                 "residual_sq": _jf(cert["residual_sq"]),
-                "tol": _frac_text(cert["tol"]),
+                "tol": str(cert["tol"]),
                 "certified": bool(cert["certified"]),
             },
             "sum_identity": sum_id,
@@ -405,25 +397,25 @@ def _cmd_repg(args):
     lines = _header(["repg"], config)
     lines.append("group order: %d" % rep.group_order)
     lines.append("codegrees: [%s]"
-                 % ", ".join(_frac_text(v) for v in rep.values))
+                 % ", ".join(map(str, rep.values)))
     lines.append("all integer: %s" % ("yes" if rep.all_integer else "no"))
-    lines.append("inverse sum: %s" % _frac_text(inv_sum))
-    lines.append("inverse square sum: %s" % _frac_text(inv_sq_sum))
+    lines.append("inverse sum: %s" % inv_sum)
+    lines.append("inverse square sum: %s" % inv_sq_sum)
     lines.append("pseudo-unitary at f = %d: %s (%s vs %s)"
                  % (rep.group_order, "pass" if pseudo_ok else "fail",
-                    _frac_text(inv_sq_sum), _frac_text(rhs)))
+                    inv_sq_sum, rhs))
     payload = {
         "command": "fgap repg",
         "config": config,
         "results": {
             "group_order": rep.group_order,
-            "codegrees": [_frac_text(v) for v in rep.values],
+            "codegrees": list(map(str, rep.values)),
             "all_integer": rep.all_integer,
-            "inverse_sum": _frac_text(inv_sum),
-            "inverse_square_sum": _frac_text(inv_sq_sum),
+            "inverse_sum": str(inv_sum),
+            "inverse_square_sum": str(inv_sq_sum),
             "pseudo_unitary": "pass" if pseudo_ok else "fail",
         },
-        "certificates": {"pseudo_unitary_rhs": _frac_text(rhs)},
+        "certificates": {"pseudo_unitary_rhs": str(rhs)},
     }
     return EXIT_OK, payload, "\n".join(lines) + "\n"
 
@@ -536,7 +528,3 @@ def main(argv=None):
     else:
         sys.stdout.write(text)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -83,9 +83,9 @@ from math import comb, factorial, isqrt, prod
 from operator import itemgetter, mul
 
 from . import _intfactor, kernels
-from .algnum import (DEGREE_CAP, IntPoly, Surd, WIDTH_CAP, _floor_root,
-                     inverse_square_sum, is_d_number, is_irreducible,
-                     isolate_real_roots, poly_squarefree_part)
+from .algnum import (DEGREE_CAP, IntPoly, Surd, WIDTH_CAP, _coerce,
+                     _floor_root, inverse_square_sum, is_d_number,
+                     is_irreducible, isolate_real_roots, poly_squarefree_part)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
 from .obstruct import FOUR_THIRDS, orbit_inequality, threshold
 
@@ -226,12 +226,9 @@ class SearchConfig:
 
 
 class SearchResult:
-    __slots__ = ("kind", "survivors", "rejected", "warnings", "exploratory",
-                 "config")
+    __slots__ = ("survivors", "rejected", "warnings", "exploratory", "config")
 
-    def __init__(self, kind, survivors, rejected, warnings, exploratory,
-                 config):
-        self.kind = kind
+    def __init__(self, survivors, rejected, warnings, exploratory, config):
         self.survivors = tuple(survivors)
         self.rejected = tuple(rejected)
         self.warnings = tuple(warnings)
@@ -240,12 +237,10 @@ class SearchResult:
 
 
 def _as_surd(x):
-    if isinstance(x, Surd):
-        return x
     if isinstance(x, float):
         raise InvalidInputError("window endpoints must be exact; pass a "
                                 "string, Fraction, or Surd")
-    return Surd(Fraction(x))
+    return _coerce(x)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +403,7 @@ def search_quadratic(cfg=None):
         raise InvalidInputError("config degree must be 2")
     plan = _quad_plan(cfg)
     cands = (_quad_candidate(cfg, a, b) for a, bs in plan for b in bs)
-    return _assemble("quadratic", cfg, [cands])
+    return _assemble(cfg, [cands])
 
 
 def _quad_candidate(cfg, a, b):
@@ -503,7 +498,7 @@ def search_cubic(cfg=None):
     # streamed: only the candidates the result keeps stay in memory
     cands = (_cubic_candidate(cfg, a, b, c)
              for a, b, c_iter in plan for c in c_iter)
-    return _assemble("cubic", cfg, [cands])
+    return _assemble(cfg, [cands])
 
 
 def _cubic_candidate(cfg, a, b, c):
@@ -555,13 +550,13 @@ def _split(batches, audit):
     return survivors, rejected
 
 
-def _assemble(kind, cfg, batches):
+def _assemble(cfg, batches):
     survivors, rejected = _split(batches, cfg.audit)
     warnings = []
     if cfg.exploratory:
         warnings.append(EXPLORATORY_MARK)
-    return SearchResult(kind, survivors, rejected, warnings,
-                        cfg.exploratory, cfg.echo())
+    return SearchResult(survivors, rejected, warnings, cfg.exploratory,
+                        cfg.echo())
 
 
 # ---------------------------------------------------------------------------
@@ -577,24 +572,27 @@ def _gap_cut_points(d_max):
     that bound is root-free and gives two sign conditions on candidates.
     gamma hugs d_max (tight final-coefficient windows) and delta hugs the
     far bound (sharp symmetric-function envelopes).
+
+    Both lie on the grid 1/1000.  search_gap reaches this only for
+    4/3 < d_max < threshold("gdim_k", DEGREE_CAP + 1) ~ 1.4105, where the
+    band 1/sqrt(h) - d_max is at least 0.275: gamma clears d_max and delta
+    stays under the bound by more than 0.008 each, and delta - gamma
+    exceeds 0.25, far beyond float error.  The three exact checks still
+    decide.
     """
     one = Surd(1)
     h = (Surd(Fraction(1, 2)) + one / (d_max * Fraction(2))
          - one / (d_max * d_max))
     dm = float(d_max)
     bb = 1.0 / float(h) ** 0.5
-    for digits in range(3, 60):
-        scale = 10 ** digits
-        gamma = Fraction(int((dm + (bb - dm) / 32) * scale) + 1, scale)
-        delta = Fraction(int((dm + 31 * (bb - dm) / 32) * scale), scale)
-        if gamma >= delta:
-            continue
-        if d_max.cmp(gamma) >= 0:
-            continue
-        # need delta < 1/sqrt(h)  <=>  h < 1/delta^2
-        if h.cmp(1 / (delta * delta)) < 0:
-            return gamma, delta
-    raise AmbiguityError("could not certify a root-free band above d_max")
+    gamma = Fraction(int((dm + (bb - dm) / 32) * 1000) + 1, 1000)
+    delta = Fraction(int((dm + 31 * (bb - dm) / 32) * 1000), 1000)
+    # need delta < 1/sqrt(h)  <=>  h < 1/delta^2
+    if gamma >= delta or d_max.cmp(gamma) >= 0 \
+            or h.cmp(1 / (delta * delta)) >= 0:
+        raise AmbiguityError("could not certify a root-free band above "
+                             "d_max")
+    return gamma, delta
 
 
 def _interval_eval(asc, root):
@@ -1121,4 +1119,4 @@ def search_gap(d_max, audit=False):
         "f_max": surd_text(f_max),
         "band": [str(cuts[0]), str(cuts[1])],
     }
-    return SearchResult("gap", survivors, rejected, warnings, False, config)
+    return SearchResult(survivors, rejected, warnings, False, config)

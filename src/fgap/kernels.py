@@ -21,8 +21,6 @@ Callers reach these functions as module attributes (`kernels.name(...)`),
 so a profiler can wrap them in one place.
 """
 
-from math import gcd
-
 BACKEND = "pure"  # the kernel implementation, recorded in benchmark reports
 
 
@@ -32,16 +30,6 @@ def normalize(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def int_content(c):
-    """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-        if g == 1:
-            return 1
-    return g
 
 
 def derivative(c):

@@ -50,28 +50,27 @@ class CheckResult:
         return "CheckResult(%s: %s)" % (self.name, self.status)
 
 
-class OrbitResult:
-    __slots__ = ("index", "poly", "multiplicity", "checks", "survives")
-
-    def __init__(self, index, poly, multiplicity, checks):
-        self.index = index
-        self.poly = poly
-        self.multiplicity = multiplicity
-        self.checks = tuple(checks)
-        self.survives = all(c.status != "fail" for c in checks)
-
-
 class ObstructionReport:
-    """Verdict is a pure function of the check statuses."""
+    """Verdict is a pure function of the check statuses.
 
-    __slots__ = ("orbit_results", "global_checks", "surviving", "obstructed")
+    orbit_checks holds one tuple of CheckResults per orbit, in the order
+    of spectrum.orbits; surviving lists the indices of the orbits none
+    of whose checks failed.
+    """
 
-    def __init__(self, orbit_results, global_checks):
-        self.orbit_results = tuple(orbit_results)
+    __slots__ = ("orbit_checks", "global_checks", "surviving", "obstructed")
+
+    def __init__(self, orbit_checks, global_checks):
+        self.orbit_checks = tuple(map(tuple, orbit_checks))
         self.global_checks = tuple(global_checks)
-        self.surviving = tuple(o.index for o in orbit_results if o.survives)
-        global_ok = all(c.status != "fail" for c in global_checks)
-        self.obstructed = (not self.surviving) or (not global_ok)
+        self.surviving = tuple(i for i, checks in enumerate(self.orbit_checks)
+                               if _survives(checks))
+        self.obstructed = (not self.surviving
+                           or not _survives(self.global_checks))
+
+
+def _survives(checks):
+    return all(c.status != "fail" for c in checks)
 
 
 def orbit_inequality(lhs, f):
@@ -119,8 +118,8 @@ def spherical_obstruction_report(spectrum):
     trivial_ring = (r == 1)
     lhs = spectrum.inverse_square_sum()
 
-    orbit_results = []
-    for idx, orb in enumerate(spectrum.orbits):
+    orbit_checks = []
+    for orb in spectrum.orbits:
         checks = []
         k = orb.poly.degree
 
@@ -165,8 +164,7 @@ def spherical_obstruction_report(spectrum):
                 "pseudo-unitary-sum", "fail",
                 "fails at f ~ %.9f: %s" % (worst[0].approx_float(),
                                            worst[1])))
-        orbit_results.append(OrbitResult(idx, orb.poly, orb.multiplicity,
-                                         checks))
+        orbit_checks.append(checks)
 
     global_checks = []
     global_checks.append(CheckResult(
@@ -196,7 +194,7 @@ def spherical_obstruction_report(spectrum):
         "every orbit polynomial divides-all-roots" if not bad
         else "not a d-number: " + "; ".join(bad)))
 
-    return ObstructionReport(orbit_results, global_checks)
+    return ObstructionReport(orbit_checks, global_checks)
 
 
 def ffib_fpdim_bound(p):

@@ -44,7 +44,7 @@ map(mul, ...): the package must return the same floats bit for bit.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 
 from fgap import kernels
@@ -52,9 +52,8 @@ from fgap.algnum import (DEGREE_CAP, _cauchy_bound, _floor_root,
                          isolate_real_roots)
 from fgap.errors import DegreeCapError, InvalidInputError
 from fgap.gapsearch import _interval_eval
-from fgap.kernels import (derivative, eval_qnum, eval_surd, int_content,
-                          normalize, poly_mul, pseudo_rem, sign_variations,
-                          surd_sign)
+from fgap.kernels import (derivative, eval_qnum, eval_surd, normalize,
+                          poly_mul, pseudo_rem, sign_variations, surd_sign)
 
 
 def sturm_chain(c):
@@ -90,7 +89,7 @@ def sturm_chain(c):
 
 
 def _primitive(c):
-    g = int_content(c)
+    g = gcd(*c)
     if g > 1:
         return [x // g for x in c]
     return list(c)
@@ -336,8 +335,8 @@ def resultant(a, b):
         a, b = b, a
         if (da & 1) and (db & 1):
             s = -s
-    ca = int_content(a)
-    cb = int_content(b)
+    ca = gcd(*a)
+    cb = gcd(*b)
     a = [x // ca for x in a]
     b = [x // cb for x in b]
     t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
@@ -383,7 +382,7 @@ def ratio_integrality_reference(p):
     ys = [resultant(base, [base[i] * t ** i for i in range(len(base))])
           for t in xs]
     s_coeffs = normalize(_interpolate_int(xs, ys))
-    return abs(s_coeffs[-1]) == int_content(s_coeffs)
+    return abs(s_coeffs[-1]) == gcd(*s_coeffs)
 
 
 def _interpolate_int(xs, ys):

@@ -949,6 +949,22 @@ def test_cmp_algebraic_with_a_shared_root_at_an_overlap_end():
     assert proc.stdout == "[%s]\n" % ", ".join(["True"] * 10)
 
 
+def test_cmp_algebraic_against_a_rational_root_and_by_refinement():
+    # 7/5 (the root of 5x - 7) below sqrt 2, and sqrt 2 below
+    # sqrt(2000001/10^6), each compared in both orders; the last two have
+    # overlapping first intervals and share no root, so only refining both
+    # separates them
+    seven_fifths = isolate_real_roots((-7, 5))[0]
+    sqrt2 = isolate_real_roots((-2, 0, 1))[-1]
+    near = isolate_real_roots((-2000001, 0, 10 ** 6))[-1]
+    r2, rn = sympy.sqrt(2), sympy.sqrt(sympy.Rational(2000001, 10 ** 6))
+    for a, b, va, vb in ((seven_fifths, sqrt2, sympy.Rational(7, 5), r2),
+                         (sqrt2, near, r2, rn)):
+        want = 1 if va > vb else -1
+        assert a.cmp(b) == want
+        assert b.cmp(a) == -want
+
+
 def bisect_cmp_surd(poly, iv, s):
     """Sign of (the root of poly in iv) - s for an irrational RefSurd s, by
     the interval bisection cmp_surd ran before its surd-point Sturm count:

@@ -1077,7 +1077,7 @@ def test_repg_pseudo_unitary_matches_rational_test(rest):
     assert rc == 0
     m = REPG_LINE.search(buf.getvalue())
     assert m.groups() == (str(order), "pass" if lhs <= rhs else "fail",
-                          fgap.cli._frac_text(lhs), fgap.cli._frac_text(rhs))
+                          str(lhs), str(rhs))
 
 
 def test_repg_requires_identity_class():

@@ -173,6 +173,18 @@ def test_mainineq_encodings_agree_on_grid():
     assert checked >= 50
 
 
+def test_mainineq_enclosure_pair_refines_past_the_first_width():
+    # d3 = 4: g = 1/d1^2 - 9/16 is rational for d1^2 rational.  At
+    # d1^2 = 1.777, g ~ +2.46e-4 is certified only below width 2^-8; at
+    # d1^2 = 2e-6 the first interval of d1 reaches 0, which the pair bounds
+    # cannot take, so d1 is refined before any bound is formed
+    d3 = isolate_real_roots((-4, 1))[0]
+    for c in (Fraction(1777, 1000), Fraction(2, 10 ** 6)):
+        d1 = isolate_real_roots((-c.numerator, 0, c.denominator))[-1]
+        g = 1 / c + Fraction(1, 16) - Fraction(1, 8) - Fraction(1, 2)
+        assert mainineq_enclosure_pair(d1, d3) == (g <= 0)
+
+
 def test_quadratic_mainineq_filter_matches_closed_form():
     # the search decides the pair inequality as the orbit inequality at the
     # larger root; with every earlier filter dropped it must agree with the
@@ -280,7 +292,6 @@ def test_quadratic_prefilter_identity():
 
 def test_quadratic_default_survivor():
     r = search_quadratic()
-    assert r.kind == "quadratic"
     assert [c.poly.coeffs for c in r.survivors] == [(5, -5, 1)]
     assert not r.exploratory
     assert r.warnings == ()
@@ -351,7 +362,6 @@ def test_quadratic_truncated_amax_is_exploratory():
 
 def test_cubic_default_is_empty(cubic_default_audit):
     r = cubic_default_audit
-    assert r.kind == "cubic"
     assert r.survivors == ()
     assert not r.exploratory
     assert len(r.rejected) == 18393
@@ -528,8 +538,11 @@ def test_cubic_plan_matches_surd_reference(kwargs):
     {"d_lo": "1.2", "d_hi": "1.4", "a_max": 300},
     {"d_lo": "1", "d_hi": "1.41", "drop": ("mainineq",), "a_max": 120},
     {"drop": ("window",), "a_max": 60},
+    # a window above the peak skips small a, and one past a/2 caps b at
+    # (a^2 - 1)/4
+    {"d_lo": "1.5", "d_hi": "2.5", "drop": ("mainineq",), "a_max": 40},
 ], ids=["default", "amax-300", "1.2,1.4", "1,1.41-mainineq",
-        "no-window-amax-60"])
+        "no-window-amax-60", "1.5,2.5-mainineq-amax-40"])
 def test_quadratic_plan_matches_surd_reference(kwargs):
     cfg = SearchConfig(2, **kwargs)
     assert gapsearch._quad_plan(cfg) == quad_plan_reference(cfg)
@@ -568,9 +581,23 @@ def test_quadratic_budget_stops_before_listing_the_divisors(monkeypatch):
 # ---------------------------------------------------------------------------
 # combined gap search
 
+def test_gap_cut_points_settle_on_the_thousandths_grid():
+    # search_gap reaches the cut points only for 4/3 < d_max <
+    # threshold("gdim_k", 25); both ends, a grid between them and every
+    # degree bound d_max may equal get a band on the grid 1/1000
+    lo = FOUR_THIRDS + Fraction(1, 10 ** 9)
+    hi = threshold("gdim_k", 25).approx(Fraction(1, 10 ** 12))[0]
+    grid = [lo + (hi - lo) * Fraction(i, 200) for i in range(201)]
+    bounds = [threshold("gdim_k", k) for k in range(3, 25)]
+    for d_max in [Surd(x) for x in grid] + bounds + [QUAD_DEFAULT_HI]:
+        gamma, delta = gapsearch._gap_cut_points(d_max)
+        assert 1000 % gamma.denominator == 0
+        assert 1000 % delta.denominator == 0
+        assert d_max.cmp(gamma) < 0 and gamma < delta
+
+
 def test_gap_default_certifies_unique_survivor(gap_default_audit):
     r = gap_default_audit
-    assert r.kind == "gap"
     assert [c.poly.coeffs for c in r.survivors] == [(5, -5, 1)]
     assert not r.exploratory
     assert r.config == {"d_max": "4*sqrt(3)/5", "k_max": 4, "f_max": "24",

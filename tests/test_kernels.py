@@ -78,12 +78,6 @@ def test_normalize_strips_trailing_zeros():
     assert kernels.normalize([]) == []
 
 
-def test_int_content():
-    assert kernels.int_content([6, -9, 12]) == 3
-    assert kernels.int_content([0, 0]) == 0
-    assert kernels.int_content([5]) == 5
-
-
 def test_poly_mul_known():
     # (x - 1)(x + 1) = x^2 - 1
     assert kernels.poly_mul([-1, 1], [1, 1]) == [-1, 0, 1]

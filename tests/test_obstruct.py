@@ -126,11 +126,11 @@ def test_report_fibonacci_clean(fibonacci):
     rep = spherical_obstruction_report(formal_codegrees(fibonacci))
     assert not rep.obstructed
     assert rep.surviving == (0,)
-    orb = rep.orbit_results[0]
-    assert {c.name for c in orb.checks} == {
+    checks = rep.orbit_checks[0]
+    assert {c.name for c in checks} == {
         "min-above-4/3", "conjugate-count-bound",
         "orbit-mean-at-least-rank", "pseudo-unitary-sum"}
-    assert all(c.status == "pass" for c in orb.checks)
+    assert all(c.status == "pass" for c in checks)
     assert all(c.status == "pass" for c in rep.global_checks)
 
 
@@ -138,7 +138,7 @@ def test_report_k2_obstructed(k2):
     rep = spherical_obstruction_report(formal_codegrees(k2))
     assert rep.obstructed
     assert rep.surviving == ()
-    failed = {c.name for c in rep.orbit_results[0].checks
+    failed = {c.name for c in rep.orbit_checks[0]
               if c.status == "fail"}
     # min codegree 4 - 2 sqrt 2 ~ 1.17 sits under every lower bound
     assert "min-above-4/3" in failed
@@ -160,8 +160,7 @@ def test_report_cyclic_family_clean():
         assert not rep.obstructed
         if n >= 2:
             # single orbit (x - n) with multiplicity n: mean equals rank
-            orb = rep.orbit_results[0]
-            mean = next(c for c in orb.checks
+            mean = next(c for c in rep.orbit_checks[0]
                         if c.name == "orbit-mean-at-least-rank")
             assert mean.status == "pass"
 
