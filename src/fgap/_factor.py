@@ -17,10 +17,11 @@ its results.
 """
 
 import random
-from math import gcd, isqrt
+from math import isqrt
 
 from . import kernels
 from ._intfactor import is_probable_prime
+from .algnum import _primitive_pos
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +332,6 @@ def factor_squarefree_primitive(c):
     n = len(c) - 1
     monic = [c[i] * lead ** (n - 1 - i) for i in range(n)] + [1]
     for fac in _factor_monic_squarefree(monic):
-        mapped = [fac[i] * lead ** i for i in range(len(fac))]
-        cont = gcd(*mapped)
-        if mapped[-1] < 0:
-            cont = -cont
-        out.append([x // cont for x in mapped])
+        out.append(_primitive_pos([fac[i] * lead ** i
+                                   for i in range(len(fac))]))
     return out

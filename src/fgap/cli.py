@@ -1,11 +1,11 @@
 """Command line front end: parsing, rendering, exit codes.
 
-Each subcommand builds its text lines and its JSON payload side by side,
+Each subcommand builds its text lines and its JSON results side by side,
 both with the shared %.12g float format (_g, _jf), so a number both views
 show agrees; the text may show more (ffib-bound's largest conjugate).
-Text output opens with a reproducibility header (the subcommand plus its
-mathematical configuration); timing never appears in the output, so
-reruns are byte-identical.
+_report frames both with the subcommand and its mathematical
+configuration: the text's reproducibility header, the JSON's command and
+config.  Timing never appears in the output, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 invalid input, 2 uncertified precision,
 3 obstruction found under --expect-pass.
@@ -21,10 +21,10 @@ from fractions import Fraction
 from .algnum import (IntPoly, Surd, is_d_number, poly_squarefree_part,
                      ratio_integrality_oracle, read_int)
 from .errors import AmbiguityError, BudgetError, InvalidInputError
-from .fusionring import (builtin_ring, emit_ring_file, formal_codegrees,
-                         fp_dimension_vector, parse_ring_file,
-                         rep_g_codegrees)
-from .gapsearch import (DROPPABLE_FILTERS, QUAD_DEFAULT_HI, SearchConfig,
+from .fusionring import (FP_TOL, builtin_ring, emit_ring_file,
+                         formal_codegrees, fp_dimension_vector,
+                         parse_ring_file, rep_g_codegrees)
+from .gapsearch import (QUAD_DEFAULT_HI, SearchConfig, check_drops,
                         search_cubic, search_gap, search_quadratic)
 from .obstruct import (ffib_fpdim_bound, orbit_inequality,
                        spherical_obstruction_report)
@@ -126,9 +126,15 @@ def _parse_int_csv(text, what):
     return vals
 
 
-def _header(words, config):
-    return ["fgap " + " ".join(words),
-            "config: " + json.dumps(config, sort_keys=True)]
+def _report(words, config, lines, results, certificates, code=EXIT_OK):
+    """(code, payload, text) of a subcommand: the header `fgap <words>` and
+    `config: <canonical JSON>` above the report lines, and the payload
+    {command, config, results, certificates}."""
+    command = "fgap " + " ".join(words)
+    header = [command, "config: " + json.dumps(config, sort_keys=True)]
+    payload = {"command": command, "config": config, "results": results,
+               "certificates": certificates}
+    return code, payload, "\n".join(header + lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +155,14 @@ def _check_json(chk):
 
 
 def _cmd_analyze(args):
-    tol = (Fraction(1, 10 ** 12) if args.tol is None
-           else _parse_fraction(args.tol))
+    tol = FP_TOL if args.tol is None else _parse_fraction(args.tol)
     ring = parse_ring_file(_read_source(args.ring))
     spectrum = formal_codegrees(ring)
     report = spherical_obstruction_report(spectrum)
     dims, cert = fp_dimension_vector(ring, spectrum, tol=tol)
     sum_id = spectrum.sum_identity()
 
-    config = {"source": args.ring, "tol": str(tol)}
-    lines = _header(["analyze"], config)
-    lines.append("rank: %d" % ring.rank)
+    lines = ["rank: %d" % ring.rank]
     # formal_codegrees raised UnsupportedRingError (exit 1, nothing printed)
     # if the ring were noncommutative, so this line and the JSON field are
     # constant
@@ -200,38 +203,35 @@ def _cmd_analyze(args):
                                 cert["tol"]))
     lines.append("sum identity: %s" % ("holds" if sum_id else "violated"))
 
-    payload = {
-        "command": "fgap analyze",
-        "config": config,
-        "results": {
-            "rank": ring.rank,
-            "commutative": True,
-            "charpoly": spectrum.charpoly.to_str(),
-            "charpoly_coeffs": spectrum.charpoly.to_csv(),
-            "codegrees": [_jf(v) for v in codegrees],
-            "orbits": orbits_json,
-            "global_checks": [_check_json(c) for c in report.global_checks],
-            "surviving_orbits": list(report.surviving),
-            "obstructed": report.obstructed,
-            "fp_dims": [_jf(v) for v in dims],
+    results = {
+        "rank": ring.rank,
+        "commutative": True,
+        "charpoly": spectrum.charpoly.to_str(),
+        "charpoly_coeffs": spectrum.charpoly.to_csv(),
+        "codegrees": [_jf(v) for v in codegrees],
+        "orbits": orbits_json,
+        "global_checks": [_check_json(c) for c in report.global_checks],
+        "surviving_orbits": list(report.surviving),
+        "obstructed": report.obstructed,
+        "fp_dims": [_jf(v) for v in dims],
+    }
+    certificates = {
+        "charpoly": spectrum.charpoly.to_csv(),
+        "factorization": [{"poly": o.poly.to_csv(),
+                           "multiplicity": o.multiplicity}
+                          for o in spectrum.orbits],
+        "fp": {
+            "rayleigh": _jf(cert["rayleigh"]),
+            "residual_sq": _jf(cert["residual_sq"]),
+            "tol": str(cert["tol"]),
+            "certified": bool(cert["certified"]),
         },
-        "certificates": {
-            "charpoly": spectrum.charpoly.to_csv(),
-            "factorization": [{"poly": o.poly.to_csv(),
-                               "multiplicity": o.multiplicity}
-                              for o in spectrum.orbits],
-            "fp": {
-                "rayleigh": _jf(cert["rayleigh"]),
-                "residual_sq": _jf(cert["residual_sq"]),
-                "tol": str(cert["tol"]),
-                "certified": bool(cert["certified"]),
-            },
-            "sum_identity": sum_id,
-        },
+        "sum_identity": sum_id,
     }
     code = EXIT_OBSTRUCTED if (args.expect_pass and report.obstructed) \
         else EXIT_OK
-    return code, payload, "\n".join(lines) + "\n"
+    return _report(["analyze"], {"source": args.ring, "tol": str(tol)},
+                   lines, results, certificates, code)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +270,7 @@ def _cmd_search(args):
         result = search_gap(d_max, audit=args.audit)
     else:
         degree = 2 if mode == "quadratic" else 3
-        known = DROPPABLE_FILTERS[degree]
-        unknown = sorted(set(drops) - set(known))
-        if unknown:
-            raise InvalidInputError(
-                "unknown filter(s) for the %s search: %s; known: %s"
-                % (mode, ", ".join(unknown), ", ".join(known)))
+        check_drops(degree, drops)
         if args.dmax is not None:
             raise InvalidInputError("--dmax applies to the gap search; use "
                                     "--window LO,HI here")
@@ -291,9 +286,7 @@ def _cmd_search(args):
 
     config = dict(result.config)
     config["audit"] = bool(args.audit)
-    lines = _header(["search", mode], config)
-    for w in result.warnings:
-        lines.append("warning: %s" % w)
+    lines = ["warning: %s" % w for w in result.warnings]
     lines.append("survivors: %d" % len(result.survivors))
     for cand in result.survivors:
         lines.append("+ %s" % cand.poly.to_str())
@@ -313,26 +306,22 @@ def _cmd_search(args):
             lines.append("- %s | first fail: %s"
                          % (cand.poly.to_str(), cand.first_fail()))
 
+    survivors = [_candidate_json(c) for c in result.survivors]
+    # a search keeps rejected candidates only under --audit
+    rejected = [_candidate_json(c) for c in result.rejected]
     results = {
-        "survivors": [_candidate_json(c) for c in result.survivors],
+        "survivors": survivors,
         "warnings": list(result.warnings),
         "exploratory": result.exploratory,
     }
     if args.audit:
-        results["rejected"] = [_candidate_json(c) for c in result.rejected]
-    traces = [{"poly": c.poly.to_csv(),
-               "trace": [{"filter": n, "status": s} for n, s in c.trace]}
-              for c in list(result.survivors) + list(result.rejected)]
-    payload = {
-        "command": "fgap search " + mode,
-        "config": config,
-        "results": results,
-        "certificates": {
-            "necessary_condition_certificate": not result.exploratory,
-            "filter_traces": traces,
-        },
+        results["rejected"] = rejected
+    certificates = {
+        "necessary_condition_certificate": not result.exploratory,
+        "filter_traces": [{"poly": d["coeffs"], "trace": d["trace"]}
+                          for d in survivors + rejected],
     }
-    return EXIT_OK, payload, "\n".join(lines) + "\n"
+    return _report(["search", mode], config, lines, results, certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +330,7 @@ def _cmd_search(args):
 def _cmd_dnumber(args):
     poly = IntPoly.from_csv(args.poly)
     verdict = is_d_number(poly.coeffs)
-    config = {"poly": poly.to_str()}
-    lines = _header(["dnumber"], config)
-    lines.append("d-number: %s" % ("yes" if verdict else "no"))
+    lines = ["d-number: %s" % ("yes" if verdict else "no")]
     certificates = {}
     # for small squarefree inputs, cross-check the coefficient criterion
     # against the power-sum oracle and say so
@@ -353,36 +340,25 @@ def _cmd_dnumber(args):
         lines.append("oracle agreement: %s"
                      % ("yes" if oracle == verdict else "NO"))
         certificates["oracle"] = oracle
-    payload = {
-        "command": "fgap dnumber",
-        "config": config,
-        "results": {"is_d_number": verdict},
-        "certificates": certificates,
-    }
-    return EXIT_OK, payload, "\n".join(lines) + "\n"
+    return _report(["dnumber"], {"poly": poly.to_str()}, lines,
+                   {"is_d_number": verdict}, certificates)
 
 
 def _cmd_ffib_bound(args):
     poly = IntPoly.from_csv(args.poly)
     bound, m, pcp, d = ffib_fpdim_bound(poly.coeffs)
     pcp = IntPoly(pcp)
-    config = {"poly": poly.to_str()}
-    lines = _header(["ffib-bound"], config)
-    lines.append("largest conjugate ~ %s" % _g(d.approx_float()))
-    lines.append("power: %d" % m)
-    lines.append("power charpoly: %s" % pcp.to_str())
-    lines.append("bound: %d" % bound)
-    payload = {
-        "command": "fgap ffib-bound",
-        "config": config,
-        "results": {"bound": bound},
-        "certificates": {
-            "power": m,
-            "power_charpoly": pcp.to_str(),
-            "power_charpoly_coeffs": pcp.to_csv(),
-        },
+    lines = ["largest conjugate ~ %s" % _g(d.approx_float()),
+             "power: %d" % m,
+             "power charpoly: %s" % pcp.to_str(),
+             "bound: %d" % bound]
+    certificates = {
+        "power": m,
+        "power_charpoly": pcp.to_str(),
+        "power_charpoly_coeffs": pcp.to_csv(),
     }
-    return EXIT_OK, payload, "\n".join(lines) + "\n"
+    return _report(["ffib-bound"], {"poly": poly.to_str()}, lines,
+                   {"bound": bound}, certificates)
 
 
 def _cmd_repg(args):
@@ -393,44 +369,33 @@ def _cmd_repg(args):
     # pseudo-unitary test at f = |G|, the largest codegree
     rhs = Fraction(1, 2) + Fraction(1, 2 * rep.group_order)
     pseudo_ok = orbit_inequality(inv_sq_sum, Surd(rep.group_order))[0]
-    config = {"class_sizes": sizes}
-    lines = _header(["repg"], config)
-    lines.append("group order: %d" % rep.group_order)
-    lines.append("codegrees: [%s]"
-                 % ", ".join(map(str, rep.values)))
-    lines.append("all integer: %s" % ("yes" if rep.all_integer else "no"))
-    lines.append("inverse sum: %s" % inv_sum)
-    lines.append("inverse square sum: %s" % inv_sq_sum)
-    lines.append("pseudo-unitary at f = %d: %s (%s vs %s)"
-                 % (rep.group_order, "pass" if pseudo_ok else "fail",
-                    inv_sq_sum, rhs))
-    payload = {
-        "command": "fgap repg",
-        "config": config,
-        "results": {
-            "group_order": rep.group_order,
-            "codegrees": list(map(str, rep.values)),
-            "all_integer": rep.all_integer,
-            "inverse_sum": str(inv_sum),
-            "inverse_square_sum": str(inv_sq_sum),
-            "pseudo_unitary": "pass" if pseudo_ok else "fail",
-        },
-        "certificates": {"pseudo_unitary_rhs": str(rhs)},
+    lines = ["group order: %d" % rep.group_order,
+             "codegrees: [%s]" % ", ".join(map(str, rep.values)),
+             "all integer: %s" % ("yes" if rep.all_integer else "no"),
+             "inverse sum: %s" % inv_sum,
+             "inverse square sum: %s" % inv_sq_sum,
+             "pseudo-unitary at f = %d: %s (%s vs %s)"
+             % (rep.group_order, "pass" if pseudo_ok else "fail",
+                inv_sq_sum, rhs)]
+    results = {
+        "group_order": rep.group_order,
+        "codegrees": list(map(str, rep.values)),
+        "all_integer": rep.all_integer,
+        "inverse_sum": str(inv_sum),
+        "inverse_square_sum": str(inv_sq_sum),
+        "pseudo_unitary": "pass" if pseudo_ok else "fail",
     }
-    return EXIT_OK, payload, "\n".join(lines) + "\n"
+    return _report(["repg"], {"class_sizes": sizes}, lines, results,
+                   {"pseudo_unitary_rhs": str(rhs)})
 
 
 def _cmd_builtin(args):
     ring = builtin_ring(args.kind, args.n)
     text = emit_ring_file(ring)
-    payload = {
-        "command": "fgap builtin",
-        "config": {"kind": args.kind, "n": args.n},
-        "results": {"rank": ring.rank, "ring_file": text},
-        "certificates": {},
-    }
+    code, payload, _ = _report(["builtin"], {"kind": args.kind, "n": args.n},
+                               [], {"rank": ring.rank, "ring_file": text}, {})
     # text mode emits the bare ring file so it can pipe into `analyze -`
-    return EXIT_OK, payload, text
+    return code, payload, text
 
 
 # ---------------------------------------------------------------------------

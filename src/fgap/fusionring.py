@@ -234,7 +234,8 @@ def codegree_matrix(ring):
 
 class CodegreeOrbit:
     """One Galois orbit of codegrees: an irreducible factor, as the IntPoly
-    the report prints, with its roots."""
+    the report prints, with its roots.  Z is real symmetric, so every
+    root is real and the orbit holds all deg(poly) of them."""
 
     __slots__ = ("poly", "multiplicity", "roots")
 
@@ -242,10 +243,6 @@ class CodegreeOrbit:
         self.poly = poly
         self.multiplicity = multiplicity
         self.roots = tuple(roots)  # ascending AlgebraicNumbers
-
-    @property
-    def size(self):
-        return len(self.roots)
 
     @property
     def min_root(self):
@@ -270,22 +267,19 @@ class CodegreeSpectrum:
     characteristic polynomial and its Galois orbits."""
 
     __slots__ = ("rank", "matrix", "charpoly", "orbits", "fp_root",
-                 "_min_root", "all_real")
+                 "_min_root")
 
     def __init__(self, rank, matrix, charpoly, orbits):
         self.rank = rank
         self.matrix = matrix
         self.charpoly = charpoly
         self.orbits = tuple(orbits)
-        self.all_real = all(orb.size == orb.poly.degree
-                            for orb in self.orbits)
         fp = low = None
         for orb in self.orbits:
-            if orb.size:
-                if fp is None or orb.max_root.cmp(fp) > 0:
-                    fp = orb.max_root
-                if low is None or orb.min_root.cmp(low) < 0:
-                    low = orb.min_root
+            if fp is None or orb.max_root.cmp(fp) > 0:
+                fp = orb.max_root
+            if low is None or orb.min_root.cmp(low) < 0:
+                low = orb.min_root
         self.fp_root = fp
         self._min_root = low
 
@@ -315,7 +309,7 @@ class CodegreeSpectrum:
 
     @property
     def min_root(self):
-        """The smallest real codegree, None when no codegree is real."""
+        """The smallest codegree."""
         return self._min_root
 
     def __repr__(self):
@@ -343,8 +337,11 @@ def formal_codegrees(ring):
 
 POWER_ITERATIONS = 20000
 
+# default tolerance of the Perron dimension certificate (analyze --tol)
+FP_TOL = Fraction(1, 10 ** 12)
 
-def fp_dimension_vector(ring, spectrum, tol=Fraction(1, 10 ** 12)):
+
+def fp_dimension_vector(ring, spectrum, tol=FP_TOL):
     """Perron dimensions of `ring`, certified against its codegree spectrum.
 
     `spectrum` is `formal_codegrees(ring)`.  Power iteration runs on

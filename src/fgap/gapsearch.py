@@ -119,6 +119,18 @@ DROPPABLE_FILTERS = {
         "totally-positive", "root-window", "mainineq"),
 }
 
+
+def check_drops(degree, drop):
+    """Reject the names in drop that the degree's search cannot drop."""
+    known = DROPPABLE_FILTERS[degree]
+    unknown = sorted(set(drop) - set(known))
+    if unknown:
+        raise InvalidInputError(
+            "unknown filter(s) for the %s search: %s; known: %s"
+            % ("quadratic" if degree == 2 else "cubic", ", ".join(unknown),
+               ", ".join(known)))
+
+
 EXPLORATORY_MARK = ("exploratory run - necessary-condition certificate "
                     "does not apply")
 
@@ -178,7 +190,8 @@ _A3_REJECTED = Candidate(None, (("divisibility-a3", "fail"),))
 
 
 class SearchConfig:
-    """Window and override state for the fixed-degree searches."""
+    """Window and override state for the fixed-degree searches; drop may
+    name only filters of DROPPABLE_FILTERS[degree] (check_drops)."""
 
     __slots__ = ("degree", "d_lo", "d_hi", "a_max", "drop", "audit",
                  "exploratory")
@@ -187,6 +200,8 @@ class SearchConfig:
                  audit=False):
         if degree not in (2, 3):
             raise InvalidInputError("degree must be 2 or 3")
+        drop = frozenset(drop)
+        check_drops(degree, drop)
         default_lo = QUAD_DEFAULT_LO if degree == 2 else CUBIC_DEFAULT_LO
         default_hi = QUAD_DEFAULT_HI if degree == 2 else CUBIC_DEFAULT_HI
         default_amax = QUAD_A_MAX if degree == 2 else CUBIC_A_MAX
@@ -198,7 +213,6 @@ class SearchConfig:
         d_hi = default_hi if d_hi is None else _as_surd(d_hi)
         if d_lo.cmp(d_hi) >= 0:
             raise InvalidInputError("empty window: d_lo >= d_hi")
-        drop = frozenset(drop)
         if d_hi.cmp(SQRT2) >= 0 and "mainineq" not in drop:
             raise InvalidInputError(
                 "window reaches sqrt(2); the pair inequality is undefined "
@@ -472,6 +486,8 @@ def _cubic_plan(cfg):
                 c_lo = max(1, lows[b - 1])
                 c_top = tops[b - 1]
                 c_iter = range(c_lo, c_top)
+                # not len(c_iter): len of a range past sys.maxsize raises
+                # OverflowError, and a huge window must end in BudgetError
                 size += 1 + max(0, c_top - c_lo)
             if size > SEARCH_BUDGET:
                 raise BudgetError(

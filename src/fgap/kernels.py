@@ -152,16 +152,15 @@ def real_roots_above(c, n, d, strict):
     coefficients are the strict case's, shifted up by m places, with m
     zeros below.  Conversely, s(-x) then has every nonzero coefficient of
     one sign and a nonzero leading one, so s(-x) has no root x > 0 and s
-    no root y < 0.
+    no root y < 0.  Both tests read s(-x), whose coefficients are
+    (-1)**i s_i: weak holds iff they have no sign variation, strict iff
+    in addition no s_i is zero.
     """
     s = taylor_shift(c, n, d)
-    want = 1 if s[-1] > 0 else -1
-    for i in range(len(s) - 2, -1, -1):
-        want = -want
-        v = s[i] * want
-        if v < 0 or (strict and v == 0):
-            return False
-    return True
+    if strict and 0 in s:
+        return False
+    s[1::2] = [-v for v in s[1::2]]  # s(-x)
+    return sign_variations(s) == 0
 
 
 def descartes_bound(c, a, b, d):

@@ -109,10 +109,11 @@ def spherical_obstruction_report(spectrum):
     Per orbit O: (a) min(O) >= 4/3 (the trivial rank-1 ring is exempt);
     (b) for |O| > 1, min(O) >= sqrt((16k-16)/(8k-7)) with k = |O|;
     (c) exact orbit mean >= rank; (d) the pseudo-unitary inequality at
-    every f in O.  Global: every orbit polynomial is a d-number, all
-    codegrees are real and >= 1, and the smallest codegree clears
-    sqrt(2r/(r+1)).  Verdict "obstructed" iff no orbit survives or a
-    global check fails.  `spectrum` is `formal_codegrees(ring)`.
+    every f in O.  Global: all codegrees are real (always: Z is real
+    symmetric) and >= 1, the smallest codegree clears sqrt(2r/(r+1)), and
+    every orbit polynomial is a d-number.  Verdict "obstructed" iff no
+    orbit survives or a global check fails.  `spectrum` is
+    `formal_codegrees(ring)`.
     """
     r = spectrum.rank
     trivial_ring = (r == 1)
@@ -166,27 +167,20 @@ def spherical_obstruction_report(spectrum):
                                            worst[1])))
         orbit_checks.append(checks)
 
-    global_checks = []
-    global_checks.append(CheckResult(
-        "codegrees-real", "pass" if spectrum.all_real else "fail",
-        "all eigenvalues real" if spectrum.all_real
-        else "complex eigenvalues present"))
-    if spectrum.all_real:
-        low = spectrum.min_root
-        low_f = low.approx_float()
-        global_checks.append(CheckResult(
-            "codegrees-at-least-1", "pass" if low.cmp(1) >= 0 else "fail",
-            "min codegree ~ %.9f" % low_f))
-        c = low.cmp(threshold("codeg_r", r))
-        global_checks.append(CheckResult(
-            "min-codegree-bound", "pass" if c >= 0 else "fail",
-            "bound sqrt(%s), min ~ %.9f"
-            % (Fraction(2 * r, r + 1), low_f)))
-    else:
-        global_checks.append(CheckResult("codegrees-at-least-1", "skip",
-                                         "spectrum not totally real"))
-        global_checks.append(CheckResult("min-codegree-bound", "skip",
-                                         "spectrum not totally real"))
+    low = spectrum.min_root
+    low_f = low.approx_float()
+    global_checks = [
+        # Z = sum_i N_i N_i^T is real symmetric, so its eigenvalues are real
+        CheckResult("codegrees-real", "pass", "all eigenvalues real"),
+        CheckResult("codegrees-at-least-1",
+                    "pass" if low.cmp(1) >= 0 else "fail",
+                    "min codegree ~ %.9f" % low_f),
+        CheckResult("min-codegree-bound",
+                    "pass" if low.cmp(threshold("codeg_r", r)) >= 0
+                    else "fail",
+                    "bound sqrt(%s), min ~ %.9f"
+                    % (Fraction(2 * r, r + 1), low_f)),
+    ]
     bad = [orb.poly.to_str() for orb in spectrum.orbits
            if not is_d_number(orb.poly.coeffs)]
     global_checks.append(CheckResult(

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, through a real subprocess unless a test
 needs to count calls inside the program."""
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -29,7 +30,7 @@ from conftest import group_ring, run_cli
 from oracles import interval
 from test_acceptance import _children_cpu_s
 from test_golden import GOLDEN
-from fgap.errors import BudgetError
+from fgap.errors import BudgetError, InvalidInputError
 from fgap.fusionring import FusionRing, builtin_ring, emit_ring_file
 
 FIB = ("rank 2\n"
@@ -322,6 +323,22 @@ def test_search_cubic_audit_histogram(run_cli_once):
     assert json.loads(m.group(1)) == {"divisibility-a3": 18243,
                                       "divisibility-b3": 149,
                                       "totally-positive": 1}
+
+
+@pytest.mark.parametrize("degree, mode, name", [
+    (2, "quadratic", "divisibility-a3"),   # a cubic-only filter
+    (3, "cubic", "integer-prefilter"),     # a quadratic-only filter
+    (3, "cubic", "bogus"),
+    (2, "quadratic", "mainineq "),
+])
+def test_search_config_rejects_a_filter_it_cannot_drop(degree, mode, name):
+    """The library refuses what the CLI refuses, with the same message."""
+    with pytest.raises(InvalidInputError) as exc:
+        fgap.gapsearch.SearchConfig(degree, drop=(name,))
+    assert "unknown filter(s) for the %s search: %s;" % (mode, name) \
+        in str(exc.value)
+    assert _run_in_process(["search", mode, "--drop-filter", name]) == (
+        1, "", "error: %s\n" % exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -1108,6 +1125,59 @@ def test_builtin_json():
     j = json.loads(raw)
     assert j["results"]["rank"] == 2
     assert j["results"]["ring_file"] == FIB
+
+
+# one command line per subcommand and search mode, each run in process
+# with and without --json
+FRAMED_ARGV = (
+    ("analyze", "-"),
+    ("search", "quadratic", "--audit"),
+    ("search", "cubic", "--amax", "8", "--drop-filter", "window"),
+    ("search", "gap", "--dmax", "1.34"),
+    ("dnumber", "--poly", "1,-5,5"),
+    ("ffib-bound", "--poly", "1,-5,5"),
+    ("repg", "--classes", "1,3,2"),
+)
+
+
+@pytest.mark.parametrize("argv", FRAMED_ARGV, ids=" ".join)
+def test_json_command_and_config_are_the_text_header(argv, monkeypatch):
+    runs = []
+    for extra in ((), ("--json",)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(FIB))
+        runs.append(_run_in_process(list(argv + extra)))
+    (code, text, _), (json_code, raw, _) = runs
+    assert code == json_code == 0
+    payload = json.loads(raw)
+    assert text.splitlines()[:2] == [
+        payload["command"],
+        "config: " + json.dumps(payload["config"], sort_keys=True)]
+    words = argv[:2] if argv[0] == "search" else argv[:1]
+    assert payload["command"] == "fgap " + " ".join(words)
+
+
+def test_every_subcommand_has_a_framed_report():
+    parser = fgap.cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {argv[0] for argv in FRAMED_ARGV} | {
+        "builtin"}
+    mode = next(a for a in sub.choices["search"]._actions
+                if a.dest == "mode")
+    assert {argv[1] for argv in FRAMED_ARGV
+            if argv[0] == "search"} == set(mode.choices)
+
+
+def test_builtin_json_frame_and_bare_text():
+    """builtin's text is the bare ring file; its JSON has the frame."""
+    code, text, _ = _run_in_process(["builtin", "kn", "--n", "1"])
+    assert (code, text) == (0, FIB)
+    code, raw, _ = _run_in_process(["builtin", "kn", "--n", "1", "--json"])
+    payload = json.loads(raw)
+    assert code == 0
+    assert (payload["command"], payload["config"]) == (
+        "fgap builtin", {"kind": "kn", "n": 1})
+    assert payload["certificates"] == {}
 
 
 def test_builtin_bad_kind():

@@ -421,6 +421,18 @@ def test_fp_dimensions_are_the_reference_iteration_bit_for_bit(monkeypatch):
         assert dims == fp_power_iteration_reference(ring), ring
 
 
+def test_every_codegree_orbit_holds_all_its_roots(monkeypatch):
+    """Z = sum_i N_i N_i^T is real symmetric, so each irreducible factor
+    of its characteristic polynomial has only real roots, and isolation
+    finds all of them; the battery's codegrees-real check rests on this."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    deck = importlib.import_module("rings").every_ring()
+    for ring in COMMUTATIVE_ORACLE_RINGS + [
+            FusionRing(x.rank, x.dual, x.N) for x in deck]:
+        for orb in formal_codegrees(ring).orbits:
+            assert len(orb.roots) == orb.poly.degree, ring
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(COMMUTATIVE_ORACLE_RINGS), st.data())
 def test_rayleigh_matches_fraction_reference(ring, data):
