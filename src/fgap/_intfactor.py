@@ -37,8 +37,6 @@ def is_probable_prime(n):
 
 def _rho(n):
     """One nontrivial factor of composite odd n (Brent's cycle finding)."""
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         x = 2
@@ -75,8 +73,6 @@ def factorize(n):
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

@@ -303,8 +303,6 @@ class Surd:
         fr = Fraction(fr)
         if fr < 0:
             raise InvalidInputError("negative radicand")
-        if fr == 0:
-            return Surd(0)
         a, b = fr.numerator, fr.denominator
         return Surd(0, Fraction(1, b), a * b)
 
@@ -444,10 +442,8 @@ def _isolate_in(c, a, b, d):
     upper end: it is dropped at 0 and kept at 1; any other is halved at its
     midpoint, which goes to the left half.  A halving doubles all three
     integers when a + b is odd, so each midpoint is (a + b)/2 over the same
-    d.  A squarefree c ends every path.
+    d.  A squarefree c ends every path.  Both callers pass a < b.
     """
-    if a >= b:
-        return []
     stack = [(a, b, d)]
     out = []
     while stack:
@@ -860,11 +856,8 @@ def largest_integer_divisor(c):
             pairs.append((i, abs(ci)))
     if not pairs:
         raise InvalidInputError("all trailing coefficients vanish (root 0)")
-    g = gcd(*(v for _, v in pairs))
-    if g == 1:
-        return 1
     m = 1
-    for q, _ in factorize(g).items():
+    for q, _ in factorize(gcd(*(v for _, v in pairs))).items():
         e = None
         for i, v in pairs:
             vq = 0

@@ -447,11 +447,19 @@ def parse_ring_file(text):
     1-based line numbers.
     """
     entries = []  # (lineno, tokens)
+    # lines with a token that holds "_" or a non-ASCII character: int()
+    # reads 1_0 or Arabic-Indic digits, which the CLI's integer spelling
+    # rejects; only a text that holds such a character can have one
+    odd = set()
+    suspect = "_" in text or not text.isascii()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        entries.append((lineno, line.split()))
+        toks = line.split()
+        if suspect and ("_" in line or not "".join(toks).isascii()):
+            odd.add(lineno)
+        entries.append((lineno, toks))
     if not entries:
         raise InvalidInputError("empty ring file")
 
@@ -462,6 +470,8 @@ def parse_ring_file(text):
     if len(toks) != 2 or toks[0] != "rank":
         fail(lineno, "expected `rank r`")
     try:
+        if lineno in odd:
+            raise ValueError(toks)
         r = int(toks[1])
     except ValueError:
         fail(lineno, "rank is not an integer")
@@ -476,6 +486,8 @@ def parse_ring_file(text):
     if len(toks) != r + 1:
         fail(lineno, "dual needs %d entries, got %d" % (r, len(toks) - 1))
     try:
+        if lineno in odd:
+            raise ValueError(toks)
         dual = list(map(int, toks[1:]))
     except ValueError:
         fail(lineno, "dual entries must be integers")
@@ -490,6 +502,8 @@ def parse_ring_file(text):
         if len(toks) != r + 4 or toks[3] != ":":
             fail(lineno, "malformed N line (needs `N i j : %d integers`)" % r)
         try:
+            if lineno in odd:
+                raise ValueError(toks)
             i, j = int(toks[1]), int(toks[2])
             row = list(map(int, toks[4:]))
         except ValueError:

@@ -60,12 +60,12 @@ node hands each s of its range straight to the leaf battery.  A leaf is its
 ascending coefficient tuple; an IntPoly is built only for a Candidate the
 leaf returns, to be printed.
 
-The appendix searches bound their coefficients on integers too: a search
-writes each window end s = (x + y sqrt n)/d and its powers once, as integer
-pairs over the denominator d^k (_window_form), and rounds every b or c
-bound with one isqrt and one floor division, as Surd.ceil does; no Surd is
-built per coefficient pair.  Divisors of a^2 and a^3 come from the
-factorization of a.  Without --audit, a cubic that fails divisibility-a3
+The appendix searches bound their coefficients on integers too: a bound's
+value at a window end s = (x + y sqrt n)/d is one integer pair over d^k
+from kernels.eval_surd (the cubic steps it by d^3 s from one b to the
+next), rounded with one isqrt and one floor division, as Surd.ceil does;
+no Surd is built per coefficient pair.  Divisors of a^2 and a^3 come from
+the factorization of a.  Without --audit, a cubic that fails divisibility-a3
 (18,243 of the default window's 18,393) costs one modulo and returns a
 shared rejected candidate; no polynomial or trace is built for it.
 
@@ -332,33 +332,22 @@ def _power_divisors(fac, e):
     return divs
 
 
-def _window_form(s, k):
-    """The powers s, s^2, ..., s^k of a window end s = (x + y sqrt n)/d over
-    the one denominator L = d^k: (pairs, n, L), where pairs[i - 1] is the
-    integer pair (x_i, y_i) with s^i = (x_i + y_i sqrt n)/L."""
-    x, y, n, d = s.a, s.b, s.n, s.d
-    pairs = []
-    px, py = 1, 0
-    for i in range(k - 1, -1, -1):
-        px, py = px * x + py * y * n, px * y + py * x
-        pairs.append((px * d ** i, py * d ** i))
-    return pairs, n, d ** k
-
-
 # Both window bounds below round (X + Y sqrt n)/L up as Surd.ceil does:
-# ceil = -floor((-X - Y sqrt n)/L) = -((_floor_root(-Y, n) - X) // L).
+# ceil = -floor((-X - Y sqrt n)/L) = -((_floor_root(-Y, n) - X) // L), where
+# kernels.eval_surd writes L = d^k times the value at s = (x + y sqrt n)/d.
 
-def _quad_ceil(form, a):
-    """ceil(a s - s^2) at the window end s, form = _window_form(s, 2)."""
-    ((x1, y1), (x2, y2)), n, den = form
-    return -((_floor_root(y2 - a * y1, n) + x2 - a * x1) // den)
+def _quad_ceil(s, a):
+    """ceil(a s - s^2) at the window end s."""
+    x, y = kernels.eval_surd((0, a, -1), s.a, s.b, s.n, s.d)
+    return -((_floor_root(-y, s.n) - x) // (s.d * s.d))
 
 
-def _cubic_ceils(form, a, b_max):
-    """ceil(s^3 - a s^2 + b s) for b = 1 .. b_max at the window end s,
-    form = _window_form(s, 3); each step of b adds s to the value."""
-    ((x1, y1), (x2, y2), (x3, y3)), n, den = form
-    x, y = x3 - a * x2, y3 - a * y2
+def _cubic_ceils(s, a, b_max):
+    """ceil(s^3 - a s^2 + b s) for b = 1 .. b_max at the window end s; each
+    step of b adds the pair of d^3 s, (x d^2, y d^2)."""
+    n, dd = s.n, s.d * s.d
+    x, y = kernels.eval_surd((0, 0, -a, 1), s.a, s.b, n, s.d)
+    x1, y1, den = s.a * dd, s.b * dd, dd * s.d
     out = []
     for _ in range(b_max):
         x += x1
@@ -388,9 +377,6 @@ def _quad_plan(cfg):
                 "steps (values of a and divisors of a^2); lower --amax"
                 % SEARCH_BUDGET)
         counted.append((a, fac))
-    if not drop_window:
-        lo_form = _window_form(cfg.d_lo, 2)
-        hi_form = _window_form(cfg.d_hi, 2)
     plan = []
     for a, fac in counted:
         if drop_window:
@@ -399,9 +385,9 @@ def _quad_plan(cfg):
             # integer b window from the root window: the endpoint values
             # bound it; past the peak fall back to the unconditional
             # b < a^2/4
-            blo = _quad_ceil(lo_form, a)
+            blo = _quad_ceil(cfg.d_lo, a)
             if cfg.d_hi.cmp(Fraction(a, 2)) <= 0:
-                bhi = _quad_ceil(hi_form, a) - 1
+                bhi = _quad_ceil(cfg.d_hi, a) - 1
             else:
                 bhi = (a * a - 1) // 4
         plan.append((a, [b for b in _power_divisors(fac, 2)
@@ -420,19 +406,25 @@ def search_quadratic(cfg=None):
     return _assemble(cfg, [cands])
 
 
+def _prefilter(asc):
+    """The integer prefilter prod(3 d_i - 4) >= 1 over the roots d_i of the
+    monic asc: (-1)^k 3^k asc(4/3) at degree k."""
+    return (-1) ** (len(asc) - 1) * kernels.eval_qnum(asc, 4, 3) >= 1
+
+
 def _quad_candidate(cfg, a, b):
     asc = (b, -a, 1)
     trace = []
     roots = None
-    ok = _run_filter(cfg, trace, "integer-prefilter",
-                     lambda: 16 - 12 * a + 9 * b >= 1)
+    ok = _run_filter(cfg, trace, "integer-prefilter", lambda: _prefilter(asc))
     if ok:
         ok = _run_filter(cfg, trace, "irreducible",
                          lambda: is_irreducible(asc))
     disc = a * a - 4 * b
     if ok:
-        ok = _run_filter(cfg, trace, "totally-positive",
-                         lambda: disc > 0 and a > 0 and b > 0)
+        # the plan's a >= 3 and b >= 1 alternate the signs, so by Descartes'
+        # rule no real root is <= 0: totally positive is real
+        ok = _run_filter(cfg, trace, "totally-positive", lambda: disc > 0)
     # with disc < 0 there is no real root: root-window and mainineq fail
     d1 = d2 = None
     if ok and disc >= 0:
@@ -464,9 +456,6 @@ def _cubic_plan(cfg):
         # rational lower bound on d_lo: P(r) <= 0 stays necessary at any
         # r below every root, which keeps the dropped-window enumeration sane
         r_lo = cfg.d_lo.approx(Fraction(1, 10 ** 20))[0]
-    else:
-        lo_form = _window_form(cfg.d_lo, 3)
-        hi_form = _window_form(cfg.d_hi, 3)
     plan = []
     size = 0
     for a in range(1, cfg.a_max + 1):
@@ -475,8 +464,8 @@ def _cubic_plan(cfg):
             # finiteness comes from the divisibility constraint
             divs = _power_divisors(_intfactor.factorize(a), 3)
         else:
-            lows = _cubic_ceils(lo_form, a, b_max)
-            tops = _cubic_ceils(hi_form, a, b_max)
+            lows = _cubic_ceils(cfg.d_lo, a, b_max)
+            tops = _cubic_ceils(cfg.d_hi, a, b_max)
         for b in range(1, b_max + 1):
             if drop_window:
                 c_min = r_lo * (r_lo * (r_lo - a) + b)
@@ -518,6 +507,8 @@ def search_cubic(cfg=None):
 
 
 def _cubic_candidate(cfg, a, b, c):
+    """The filter trace of x^3 - ax^2 + bx - c, where the plan's a, b and c
+    are at least 1."""
     # nothing outside the audit reads a rejected candidate's polynomial
     if a ** 3 % c and not cfg.audit and "divisibility-a3" not in cfg.drop:
         return _A3_REJECTED
@@ -533,9 +524,9 @@ def _cubic_candidate(cfg, a, b, c):
         ok = _run_filter(cfg, trace, "irreducible",
                          lambda: is_irreducible(asc))
     if ok:
+        # signs alternate, so totally positive is real (see _quad_candidate)
         ok = _run_filter(cfg, trace, "totally-positive",
-                         lambda: kernels.real_rooted(asc)
-                         and a > 0 and b > 0 and c > 0)
+                         lambda: kernels.real_rooted(asc))
     if ok:
         # a candidate that reaches here with a filter dropped may have a
         # repeated root; isolation needs a squarefree polynomial
@@ -964,7 +955,6 @@ def _gap_leaf(asc, d_max, bracket, keep_all):
         return None
     trace = []
     roots = None
-    k = len(asc) - 1
 
     irr = is_irreducible(asc)
     trace.append(("irreducible", "pass" if irr else "fail"))
@@ -996,9 +986,8 @@ def _gap_leaf(asc, d_max, bracket, keep_all):
         trace.append(("d-number", "pass" if dnum else "fail"))
         ok = dnum
     if ok:
-        pref = (-1 if k % 2 else 1) * kernels.eval_qnum(asc, 4, 3)
-        trace.append(("integer-prefilter", "pass" if pref >= 1 else "fail"))
-        ok = pref >= 1
+        ok = _prefilter(asc)
+        trace.append(("integer-prefilter", "pass" if ok else "fail"))
     if ok:
         if isolated is None:
             isolated = isolate_real_roots(asc)

@@ -591,6 +591,77 @@ def test_numeric_tokens_are_ascii_integers(argv, err):
     assert (code, out.getvalue(), got.getvalue()) == (1, "", err)
 
 
+def _ring_token_cases():
+    """The ring file `rank 1 / dual 0 / N 0 0 : 1` with one integer token
+    spelled with a digit separator or an Arabic-Indic digit, which int()
+    reads as the same value; each must exit 1 with its line's message."""
+    lines = [["rank", "1"], ["dual", "0"], ["N", "0", "0", ":", "1"]]
+    positions = [("rank", 0, 1, "rank is not an integer"),
+                 ("dual", 1, 1, "dual entries must be integers"),
+                 ("N-i", 2, 1, "N line entries must be integers"),
+                 ("N-j", 2, 2, "N line entries must be integers"),
+                 ("N-m", 2, 4, "N line entries must be integers")]
+    cases = []
+    for name, row, col, msg in positions:
+        value = int(lines[row][col])
+        for kind, spelled in (("separator", "0_%d" % value),
+                              ("arabic-indic", chr(0x660 + value))):
+            toks = [list(t) for t in lines]
+            toks[row][col] = spelled
+            text = "".join(" ".join(t) + "\n" for t in toks)
+            cases.append(("ring-%s-%s" % (name, kind), ["analyze", "-"],
+                          text, "error: line %d: %s\n" % (row + 1, msg)))
+    return cases
+
+
+# exits of the search and ring-file checks, each with its one-line message
+ONE_LINE_EXITS = [
+    ("gap-drop-filter", ["search", "gap", "--drop-filter", "mainineq"], "",
+     "error: the gap search has no droppable filters; --drop-filter "
+     "applies to quadratic and cubic searches\n"),
+    ("gap-amax", ["search", "gap", "--amax", "5"], "",
+     "error: --amax applies to quadratic and cubic searches\n"),
+    # a value that starts with "-" must be attached with "="
+    ("window-detached-minus", ["search", "quadratic", "--window",
+                               "-sqrt2,1.3"], "",
+     "error: argument --window: expected one argument\n"),
+    ("ring-empty", ["analyze", "-"], "", "error: empty ring file\n"),
+    ("ring-comments-only", ["analyze", "-"], "# only\n  # comments\n\n",
+     "error: empty ring file\n"),
+    ("ring-no-dual", ["analyze", "-"], "rank 2\n",
+     "error: missing `dual` line\n"),
+    ("ring-dual-x", ["analyze", "-"], "rank 2\ndual 0 x\n",
+     "error: line 2: dual entries must be integers\n"),
+    ("tol-0", ["analyze", "-", "--tol=0"], FIB,
+     "error: tolerance must be positive\n"),
+    ("tol-negative", ["analyze", "-", "--tol=-1/2"], FIB,
+     "error: tolerance must be positive\n"),
+] + _ring_token_cases()
+
+
+@pytest.mark.parametrize("argv,stdin,err",
+                         [case[1:] for case in ONE_LINE_EXITS],
+                         ids=[case[0] for case in ONE_LINE_EXITS])
+def test_input_errors_exit_1_in_one_line(argv, stdin, err, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert _run_in_process(argv) == (1, "", err)
+
+
+def test_ring_file_comment_may_hold_any_text(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "# ١ 1_0 any text\nrank 1\ndual 0\nN 0 0 : 1\n"))
+    code, out, err = _run_in_process(["analyze", "-"])
+    assert (code, err) == (0, "") and "rank: 1\n" in out
+
+
+def test_window_end_below_zero_is_echoed():
+    code, out, err = _run_in_process(
+        ["search", "quadratic", "--window=-sqrt2,1.3", "--json"])
+    assert (code, err) == (0, "")
+    config = json.loads(out)["config"]
+    assert (config["d_lo"], config["d_hi"]) == ("-sqrt(2)", "13/10")
+
+
 # integers past the digit cap (algnum.INT_DIGITS_CAP = 2,000): past Python's
 # 4,300-digit limit, int() itself raised ValueError; between the two, a
 # number derived from one (repg's inverse square sum, search gap's f_max)

@@ -62,6 +62,17 @@ def test_validate_duality_violation():
     assert any(m.startswith("transpose law") for m in msgs)
 
 
+def test_validate_duality_of_the_unit_and_a_three_cycle():
+    t = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    assert FusionRing(2, (1, 0), t).validate()[0] == \
+        "duality: dual(0) = 1, expected 0"
+    msgs = FusionRing(4, (0, 2, 3, 1), builtin_ring("cyclic", 4).N).validate()
+    assert [m for m in msgs if "dual(dual" in m] == [
+        "duality: dual(dual(1)) = 3, expected 1",
+        "duality: dual(dual(2)) = 1, expected 2",
+        "duality: dual(dual(3)) = 2, expected 3"]
+
+
 def test_validate_doubled_identity_coefficient():
     # X*X = 2*1: coefficient of 1 in X*X must equal 1 when dual(X) = X
     t = [[[1, 0], [0, 1]], [[0, 1], [2, 0]]]

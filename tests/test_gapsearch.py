@@ -341,6 +341,25 @@ def test_quadratic_empty_window_rejected():
                      d_hi=Surd(Fraction(34, 25)))
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: SearchConfig(4), "degree must be 2 or 3"),
+    (lambda: search_quadratic(SearchConfig(3)), "config degree must be 2"),
+    (lambda: search_cubic(SearchConfig(2)), "config degree must be 3"),
+    (lambda: SearchConfig(2, d_lo=1.2), "window endpoints must be exact; "
+     "pass a string, Fraction, or Surd"),
+], ids=["degree-4", "quadratic-of-cubic", "cubic-of-quadratic", "float-end"])
+def test_search_config_errors(build, message):
+    with pytest.raises(InvalidInputError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_factorize_splits_a_square_past_trial_division():
+    # 100003 is prime and past the trial-division bound of 100000
+    assert factorize(100003 ** 2) == {100003: 2}
+    assert factorize(3 * 100003 ** 2) == {3: 1, 100003: 2}
+
+
 def test_quadratic_dropped_window_is_exploratory():
     r = search_quadratic(SearchConfig(2, drop=("window",), audit=True))
     assert r.exploratory
@@ -509,9 +528,9 @@ def window_cases(draw):
 @example(case=(Surd(Fraction(13, 10)), 2, 1))
 def test_window_ceilings_match_surd_ceil(case):
     end, a, b = case
-    assert gapsearch._quad_ceil(gapsearch._window_form(end, 2), a) == \
+    assert gapsearch._quad_ceil(end, a) == \
         (end * Fraction(a) - end * end).ceil()
-    row = gapsearch._cubic_ceils(gapsearch._window_form(end, 3), a, b)
+    row = gapsearch._cubic_ceils(end, a, b)
     assert len(row) == b
     for t in {1, (b + 1) // 2, b}:
         assert row[t - 1] == ((end - a) * end * end + end * t).ceil()
@@ -649,6 +668,22 @@ PINNED = {
     ("search", "cubic", "--drop-filter", "mainineq",
      "--window", "1.3,sqrt(3)"): (0,
         "e18016b3ccb4e361f2ee2407f829a69bcba2692f164e8157d2a592908bb61920"),
+    # the appendix filters without the window: integer-prefilter and
+    # totally-positive failures, and root-window on candidates with no
+    # real root once totally-positive is dropped; captured before the
+    # window ends and the prefilter went through the kernels
+    ("search", "quadratic", "--drop-filter", "window", "--amax", "30",
+     "--audit"): (0,
+        "0d7a403ac63adbe60718985be91a6827c4beac359ef632b877217d959741256e"),
+    ("search", "quadratic", "--drop-filter", "window", "--drop-filter",
+     "totally-positive", "--amax", "30", "--audit"): (0,
+        "ea85e32b8151630ec731ad756204fe63e5f225ad13724a0d904955a2d597af03"),
+    ("search", "cubic", "--drop-filter", "window", "--amax", "12",
+     "--audit"): (0,
+        "792edb4b6d6b98faac7dbc020c4d2ba6eede5a5eb7ca3c45e60a2cf5f1f2c5e3"),
+    ("search", "cubic", "--drop-filter", "window", "--drop-filter",
+     "totally-positive", "--amax", "9", "--audit"): (0,
+        "8b46ff913cc7c015e3f44ce98024e58111cc9d9330493bc6d78c3b1b77590a09"),
 }
 
 

@@ -1,8 +1,9 @@
 """Layout rules for the package source, read with the standard library's ast.
 
-Nothing unreachable: every public module-level function or class in
-src/fgap is referenced somewhere in src/fgap outside its own definition,
-and so is every public non-dunder method or property of a public class
+Nothing unreachable: every module-level function or class in src/fgap,
+public or underscore-named, is referenced somewhere in src/fgap outside its
+own definition, and so is every public non-dunder method or property of a
+public class
 (an API only the tests reach belongs in the tests, as an oracle; the
 method rule matches spellings, so it is weaker, see its test).  No
 module imports a name it never uses, so a fold that moves code leaves no
@@ -47,7 +48,9 @@ def _dunder_all(tree):
     return set()
 
 
-def test_every_public_definition_is_referenced_in_the_package():
+def _unreferenced_definitions(private):
+    """Module-level functions and classes, underscore-named or public as
+    private says, that no other top-level statement in src/fgap reads."""
     trees = _parse_package()
     # names read by each top-level statement, keyed by (module, index)
     reads = {(mod, i): _loaded_names(stmt)
@@ -58,12 +61,21 @@ def test_every_public_definition_is_referenced_in_the_package():
         for i, stmt in enumerate(tree.body):
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if stmt.name.startswith("_"):
+            if stmt.name.startswith("_") != private:
                 continue
             if not any(stmt.name in names for key, names in reads.items()
                        if key != (mod, i)):
                 unreferenced.append("%s:%s" % (mod, stmt.name))
-    assert unreferenced == []
+    return unreferenced
+
+
+def test_every_public_definition_is_referenced_in_the_package():
+    assert _unreferenced_definitions(private=False) == []
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    """A helper that only the tests call belongs in tests/oracles.py."""
+    assert _unreferenced_definitions(private=True) == []
 
 
 def test_every_public_method_is_referenced_in_the_package():
