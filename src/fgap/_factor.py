@@ -17,11 +17,11 @@ its results.
 """
 
 import random
+from itertools import combinations
 from math import isqrt
 
 from . import kernels
 from ._intfactor import is_probable_prime
-from .algnum import _primitive_pos
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,6 @@ def _factor_monic_squarefree(f):
     modulus = q ** ell
     lifted = _hensel_lift_tree(q, f, modular, ell)
 
-    from itertools import combinations
     remaining = list(range(len(lifted)))
     current = list(f)
     found = []
@@ -332,6 +331,6 @@ def factor_squarefree_primitive(c):
     n = len(c) - 1
     monic = [c[i] * lead ** (n - 1 - i) for i in range(n)] + [1]
     for fac in _factor_monic_squarefree(monic):
-        out.append(_primitive_pos([fac[i] * lead ** i
-                                   for i in range(len(fac))]))
+        out.append(kernels.primitive_part([fac[i] * lead ** i
+                                           for i in range(len(fac))]))
     return out

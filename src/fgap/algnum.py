@@ -21,9 +21,9 @@ the coefficients (a_n^i | a_i^n) at every degree;
 ratio_integrality_oracle, built on the power sums of all root ratios, only
 cross-checks it.
 
-The coefficient-list primitives (normalize, derivative, add, subtract,
-multiply, exact division, pseudo-remainder) live in kernels.  Built on them
-here: the primitive part, poly_gcd_int, poly_squarefree_part and
+The coefficient-list primitives (normalize, primitive_part, derivative,
+add, subtract, multiply, exact division, pseudo-remainder) live in
+kernels.  Built on them here: poly_gcd_int, poly_squarefree_part and
 inverse_square_sum.  Symmetric functions of roots take one path, the power
 sums of kernels.power_sums and their inverse kernels.from_power_sums:
 inverse_square_sum, ratio_integrality_oracle, charpoly_int (traces of
@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from . import kernels
+from . import _factor, kernels
 from ._intfactor import factorize, square_free_part
 from .errors import BudgetError, DegreeCapError, InvalidInputError
 
@@ -103,40 +103,29 @@ def read_int(text):
 # ---------------------------------------------------------------------------
 # coefficient-list helpers (ascending order, plain ints)
 
-def _primitive_pos(c):
-    """Primitive part with positive leading coefficient."""
-    c = kernels.normalize(c)
-    if not c:
-        return c
-    g = gcd(*c)
-    if c[-1] < 0:
-        g = -g
-    return [x // g for x in c]
-
-
 def poly_gcd_int(a, b):
     """Primitive gcd over the integers, positive leading coefficient."""
     a = kernels.normalize(a)
     b = kernels.normalize(b)
     if not a:
-        return _primitive_pos(b)
+        return kernels.primitive_part(b)
     if not b:
-        return _primitive_pos(a)
-    a = _primitive_pos(a)
-    b = _primitive_pos(b)
+        return kernels.primitive_part(a)
+    a = kernels.primitive_part(a)
+    b = kernels.primitive_part(b)
     while b:
         if len(a) < len(b):
             a, b = b, a
             continue
         r = kernels.pseudo_rem(a, b)
-        a, b = b, _primitive_pos(r)
-    return _primitive_pos(a)
+        a, b = b, kernels.primitive_part(r)
+    return kernels.primitive_part(a)
 
 
 def poly_squarefree_part(c):
     """Squarefree part of c: primitive, positive lead, and vanishing exactly
     once at each distinct root of c."""
-    w = _primitive_pos(c)
+    w = kernels.primitive_part(c)
     g = poly_gcd_int(w, kernels.derivative(w))
     if len(g) == 1:
         return w
@@ -645,7 +634,6 @@ def factor_over_integers(p):
     integer content.  Factors have positive leading coefficients and are
     sorted by degree, then by coefficient sequence.
     """
-    from ._factor import factor_squarefree_primitive
     coeffs = kernels.normalize(p)
     if not coeffs:
         raise InvalidInputError("cannot factor the zero polynomial")
@@ -654,9 +642,9 @@ def factor_over_integers(p):
                              % (len(coeffs) - 1, DEGREE_CAP))
     if len(coeffs) == 1:
         return []
-    w = _primitive_pos(coeffs)
+    w = kernels.primitive_part(coeffs)
     out = []
-    for irr in factor_squarefree_primitive(poly_squarefree_part(w)):
+    for irr in _factor.factor_squarefree_primitive(poly_squarefree_part(w)):
         mult = 0
         q = kernels.div_exact(w, irr)
         while q is not None:

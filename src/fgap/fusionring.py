@@ -447,34 +447,35 @@ def parse_ring_file(text):
     1-based line numbers.
     """
     entries = []  # (lineno, tokens)
-    # lines with a token that holds "_" or a non-ASCII character: int()
-    # reads 1_0 or Arabic-Indic digits, which the CLI's integer spelling
-    # rejects; only a text that holds such a character can have one
-    odd = set()
-    suspect = "_" in text or not text.isascii()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        if suspect and ("_" in line or not "".join(toks).isascii()):
-            odd.add(lineno)
-        entries.append((lineno, toks))
+        if line and not line.startswith("#"):
+            entries.append((lineno, line.split()))
     if not entries:
         raise InvalidInputError("empty ring file")
 
     def fail(lineno, msg):
         raise InvalidInputError("line %d: %s" % (lineno, msg))
 
+    # int() also reads 1_0 and Arabic-Indic digits, which the CLI's integer
+    # spelling rejects; only a text that holds "_" or a non-ASCII character
+    # can have such a token
+    suspect = "_" in text or not text.isascii()
+
+    def ints(lineno, tokens, msg):
+        try:
+            if suspect:
+                spelled = "".join(tokens)
+                if "_" in spelled or not spelled.isascii():
+                    raise ValueError(spelled)
+            return list(map(int, tokens))
+        except ValueError:
+            fail(lineno, msg)
+
     lineno, toks = entries[0]
     if len(toks) != 2 or toks[0] != "rank":
         fail(lineno, "expected `rank r`")
-    try:
-        if lineno in odd:
-            raise ValueError(toks)
-        r = int(toks[1])
-    except ValueError:
-        fail(lineno, "rank is not an integer")
+    r, = ints(lineno, toks[1:], "rank is not an integer")
     if r < 1:
         fail(lineno, "rank must be positive")
 
@@ -485,12 +486,7 @@ def parse_ring_file(text):
         fail(lineno, "expected `dual p0 ... p%d`" % (r - 1))
     if len(toks) != r + 1:
         fail(lineno, "dual needs %d entries, got %d" % (r, len(toks) - 1))
-    try:
-        if lineno in odd:
-            raise ValueError(toks)
-        dual = list(map(int, toks[1:]))
-    except ValueError:
-        fail(lineno, "dual entries must be integers")
+    dual = ints(lineno, toks[1:], "dual entries must be integers")
     if sorted(dual) != list(range(r)):
         fail(lineno, "dual is not a permutation of 0..%d" % (r - 1))
 
@@ -501,13 +497,8 @@ def parse_ring_file(text):
             fail(lineno, "expected `N i j : m0 ... m%d`" % (r - 1))
         if len(toks) != r + 4 or toks[3] != ":":
             fail(lineno, "malformed N line (needs `N i j : %d integers`)" % r)
-        try:
-            if lineno in odd:
-                raise ValueError(toks)
-            i, j = int(toks[1]), int(toks[2])
-            row = list(map(int, toks[4:]))
-        except ValueError:
-            fail(lineno, "N line entries must be integers")
+        i, j, *row = ints(lineno, toks[1:3] + toks[4:],
+                          "N line entries must be integers")
         if not (0 <= i < r and 0 <= j < r):
             fail(lineno, "indices (%d,%d) out of range" % (i, j))
         if i * r + j in rows:

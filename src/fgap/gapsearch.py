@@ -29,17 +29,19 @@ The coefficient walk computes each bound on integers, and the one
 rounding point of each bound is a floor division.  Each degree builds a
 plan once per depth (_DepthPlan): the coefficient envelope, the
 falling-factorial multipliers that turn a prefix into its node
-polynomial, and one integer weight vector per fixed point
-(box_lo, f_hi, and at the final depth the cut points gamma, delta), so a
-node's homogeneous value at a fixed point is one dot product of its prefix
-with the weights.  A node is its prefix and its depth's plan, which keeps
-the degree, depth, box and cut points it was built from.  The walk asks
-each interior node for the ranges of its children prefix + [s] as one lazy
-row, _child_ranges(prefix, coeffs, plan): every fixed-point value and
-look-ahead bound of a child is affine in s, so the row takes each dot
-product once and steps it by addition from one child to the next.  A
-critical point moves with the prefix.  At depth 2 the walk builds none:
-the node's cubic w = A x^3 + B x^2 + C x has the critical values
+polynomial, and every bound that is linear in the next coefficient t as
+one integer constraint N + m*t >= 0, where N is the prefix's dot product
+with the constraint's weights plus an offset: the fixed points box_lo and
+f_hi, at the final depth the strict cut points gamma and delta, and the
+look-ahead pairs (_child_ranges states the form and its proofs).  A node
+is its prefix and its depth's plan, which keeps the degree, depth, box and
+cut points it was built from.  The walk asks each interior node for the
+ranges of its children prefix + [s] as one lazy row,
+_child_ranges(prefix, coeffs, plan): every constraint's N is affine in s,
+so the row takes each dot product once, steps it by addition from one
+child to the next and folds all constraints in one loop.  A critical point
+moves with the prefix.  At depth 2 the walk builds none: the node's cubic
+w = A x^3 + B x^2 + C x has the critical values
 27 A^2 w((-B -+ sqrt D)/(3A)) = X +- sqrt M with D = B^2 - 3AC,
 X = B(2B^2 - 9AC) and M = 4D^3, so each bound is floor((Y + sqrt M)/Q)
 for an integer Y = +-X and Q = 27 A^2 bcoef, which is
@@ -47,18 +49,16 @@ for an integer Y = +-X and Q = 27 A^2 bcoef, which is
 is at most isqrt(M).  At every other depth a critical point is a root from
 isolate_real_roots (the exact rational point at depth 1), over whose
 interval _interval_eval encloses the bound.  Each non-final node also looks
-one depth ahead: a child's bound at a fixed point (box_lo, f_hi, and the
-cut points for a final child) is affine in the child's coefficient s, so
-each pair of a lower-type and an upper-type point is one linear inequality
-a*s >= b that every child with a nonempty range meets (a real-empty range
-is integer-empty); a is fixed per depth and b is one more dot product with
-the pair's weights.  The walk never visits an s that breaks one, and
-reaches the same leaves in the same order.  From depth 3 on, the leaf's
-realness test also prunes the walk: by Rolle's theorem a node whose
-polynomial lacks distinct real roots has no survivor below it.  A final
-node hands each s of its range straight to the leaf battery.  A leaf is its
-ascending coefficient tuple; an IntPoly is built only for a Candidate the
-leaf returns, to be printed.
+one depth ahead: a child's bound at a fixed point is affine in the child's
+coefficient s, so each pair of a lower-type and an upper-type point is one
+linear inequality a*s >= b that every child with a nonempty range meets (a
+real-empty range is integer-empty).  The walk never visits an s that
+breaks one, and reaches the same leaves in the same order.  From depth 3
+on, the leaf's realness test also prunes the walk: by Rolle's theorem a
+node whose polynomial lacks distinct real roots has no survivor below it.
+A final node hands each s of its range straight to the leaf battery.  A
+leaf is its ascending coefficient tuple; an IntPoly is built only for a
+Candidate the leaf returns, to be printed.
 
 The appendix searches bound their coefficients on integers too: a bound's
 value at a window end s = (x + y sqrt n)/d is one integer pair over d^k
@@ -641,18 +641,15 @@ class _DepthPlan:
         elementary symmetric function of one root in (box_lo, gamma) and k-1
         roots in (delta, f_hi]; the envelope bounds e_m by its values at the
         ends of those ranges.
-    box, top, cut_weights: (weights, mod) at box_lo, at f_hi and, at the
-        final depth j = k - 1 only, at each cut point x = p/q: the prefix's
-        dot product with weights is N = q^deg w(p/q), and mod = q^deg bcoef.
-        The strict cut bounds move hi when cut_hi (odd k - 1), else lo.
-    pairs: (weights, a), one per look-ahead pair of a lower-type and an
-        upper-type point whose a is nonzero: the prefix's dot product with
-        weights is that pair's b (see _child_ranges).
+    bounds: (weights, m, offset), one per linear bound N + m*t >= 0 on the
+        next coefficient t, where N is the prefix's dot product with weights
+        plus offset and m is never 0 (see _child_ranges).  In order: box_lo,
+        f_hi, at the final depth j = k - 1 the strict cut points gamma and
+        delta (offset -1), and one per look-ahead pair whose a is nonzero.
     """
 
-    __slots__ = ("k", "j", "box_lo", "f_hi", "cuts", "bcoef", "cut_hi",
-                 "envelope", "deriv_mul", "w_mul", "box", "top", "cut_weights",
-                 "pairs")
+    __slots__ = ("k", "j", "box_lo", "f_hi", "cuts", "bcoef", "envelope",
+                 "deriv_mul", "w_mul", "bounds")
 
     def __init__(self, k, j, box_lo, f_hi, cuts):
         self.k, self.j = k, j
@@ -669,22 +666,26 @@ class _DepthPlan:
             self.envelope = (e_min.__ceil__(), e_max.__floor__())
 
         self.bcoef = bcoef = factorial(k - deg)
-        self.cut_hi = (k - 1) % 2 == 1
         self.deriv_mul = [factorial(k - i) // factorial(j - i)
                           for i in range(deg)]
         self.w_mul = [factorial(k - i) // factorial(deg - i)
                       for i in range(deg)]
-        self.box, self.top, *self.cut_weights = [
-            (_point_weights(x, self.w_mul, deg), x.denominator ** deg * bcoef)
-            for x in (box_lo, f_hi, *(cuts if deg == k else ()))]
+        # (point, sigma, offset): sigma = -1 at box_lo for odd deg and at
+        # the cut points for odd k - 1
+        points = [(box_lo, (-1) ** deg, 0), (f_hi, 1, 0)]
+        if deg == k:
+            points += [(x, (-1) ** (k - 1), -1) for x in cuts]
+        self.bounds = [
+            ([sigma * c for c in _point_weights(x, self.w_mul, deg)],
+             sigma * x.denominator ** deg * bcoef, offset)
+            for x, sigma, offset in points]
+        if deg == k:
+            return
 
         # look-ahead, at j + 1 < k: lower-type points at f_hi, at box_lo
         # for even j and at the cut points for odd j when the child is
         # final, upper-type at the others; without an upper-type point
         # (even j, child not final) there is no pair
-        self.pairs = []
-        if deg == k:
-            return
         child_cuts = list(cuts) if deg + 1 == k else []
         if j % 2:
             lows, ups = [f_hi] + child_cuts, [box_lo]
@@ -700,8 +701,8 @@ class _DepthPlan:
                 a = bcoef * (p_l * q_u - p_u * q_l) * (q_l * q_u) ** deg
                 if a:
                     n_u = _point_weights(x_u, w0_mul, d)
-                    self.pairs.append(([u * q_l ** d - v * q_u ** d
-                                        for u, v in zip(n_u, n_l)], a))
+                    self.bounds.append(([v * q_u ** d - u * q_l ** d
+                                         for u, v in zip(n_u, n_l)], a, 0))
 
 
 def _child_ranges(prefix, coeffs, plan):
@@ -723,14 +724,14 @@ def _child_ranges(prefix, coeffs, plan):
     as wide as its parent's range, so an eager row could compute far more
     ranges than the budget allows.
 
-    Each child's numerator at a fixed point is the dot product of prefix +
-    [s] with the point's weights, and each look-ahead b is one more, so all
-    are affine in s: the row takes each dot product once, at the first s,
-    and steps it by the weights' last entry from one child to the next.  At
-    depth 2 the critical values' D and X below are affine in the child's
-    last coefficient too, and step the same way.  Depths 1 and >= 3 build
-    each child's deriv = P^(k-j) (ascending) and w from the plan's
-    multipliers for its critical points, only while its range is nonempty.
+    Each linear bound's N (below) is the dot product of prefix + [s] with
+    the bound's weights, plus its offset, so it is affine in s: the row
+    takes each dot product once, at the first s, and steps it by the
+    weights' last entry from one child to the next.  At depth 2 the
+    critical values' D and X below are affine in the child's last
+    coefficient too, and step the same way.  Depths 1 and >= 3 build each
+    child's deriv = P^(k-j) (ascending) and w from the plan's multipliers
+    for its critical points, only while its range is nonempty.
 
     A survivor has k simple real roots, so by Rolle's theorem every
     deriv = P^(k-j) has j.  At depth 2 the two critical values have a
@@ -756,16 +757,29 @@ def _child_ranges(prefix, coeffs, plan):
     or outside the box, which costs time but not soundness, since the leaf
     battery decides every candidate.
 
-    Evaluation is integer-only.  At a fixed rational x = p/q (q > 0) the
-    bound on t is -N/M with N = q^deg w(p/q), the child's dot product with
-    the plan's weights at x, and M = q^deg bcoef, the plan's mod.
+    Evaluation is integer-only.  Every bound that is linear in t is one
+    constraint N + m*t >= 0 of plan.bounds, m != 0: it gives
+    t >= ceil(-N/m) = -(N // m) for m > 0 and t <= floor(N/-m) = N // -m
+    for m < 0, one floor division each, and the row folds them all in one
+    loop before the critical points.  Three kinds of bound take this form:
+    - At a fixed rational point x = p/q (q > 0): multiplying
+      sigma * (w(x) + bcoef*t) >= 0 by q^deg > 0 gives
+      sigma*N + sigma*M*t >= 0 with N = q^deg w(p/q) and M = q^deg bcoef,
+      so the weights carry sigma and m = sigma*M.
+    - At a cut point, a fixed point where the bound is strict: on
+      integers N + m*t > 0 is the same as N - 1 + m*t >= 0, so the offset
+      is -1.
+    - A look-ahead pair's a*t >= b (below) is -b + a*t >= 0.
+    A nonempty range is the intersection of all bounds, so their order
+    does not change it; it only changes the (lo, hi) of an empty range,
+    which the walk reads only as range(lo, hi + 1).
 
     At depth 2, w = A x^3 + B x^2 + C x, where (A, B, C) is the child times
     the plan's w_mul, and deriv = w'.  With D = B^2 - 3AC > 0 the critical
     points are (-B -+ sqrt D)/(3A), and
 
         27 A^2 w((-B -+ sqrt D)/(3A)) = X +- sqrt M,
-        X = B(2B^2 - 9AC),  M = 4D^3  (here M is not the mod above).
+        X = B(2B^2 - 9AC),  M = 4D^3.
 
     On a walk A > 0, so the first point is the smaller one and bounds t
     from below, t >= -floor((X + sqrt M)/Q) with Q = 27 A^2 bcoef > 0, and
@@ -799,27 +813,17 @@ def _child_ranges(prefix, coeffs, plan):
     below them.  With x = p/q and N = q^d w0(p/q) (d = j + 2), the
     inequality times q_L^d q_U^d > 0 is a*t >= b with
     a = bcoef (p_L q_U - p_U q_L)(q_L q_U)^(d-1) and b = N_U q_L^d - N_L q_U^d,
-    which is linear in the child: the plan keeps a and b's weights per
-    pair.  t >= ceil(b/a) for a > 0 and t <= floor(b/a) for a < 0.  a = 0
-    only where x_L = x_U, and then b = 0 too: no bound, and the plan keeps
-    no such pair.
+    which is linear in the child: the plan keeps it as the constraint
+    -b + a*t >= 0.  a = 0 only where x_L = x_U, and then b = 0 too: no
+    bound, and the plan keeps no such pair.
     """
     j = plan.j
     env_lo, env_hi = plan.envelope
     # every numerator starts one step before the first child and steps at
-    # the top of each child, so a bound a guard skips skips no step
+    # the top of each child
     before = coeffs.start - 1
-
-    def start(weights):
-        return sum(map(mul, prefix, weights)) + before * weights[-1]
-
-    (box_w, box_mod), (top_w, top_mod) = plan.box, plan.top
-    box, box_step = start(box_w), box_w[-1]
-    top, top_step = start(top_w), top_w[-1]
-    box_hi = (j + 1) % 2  # sigma = -1 at box_lo for odd j + 1
-    cuts = [[start(w), w[-1], mod] for w, mod in plan.cut_weights]
-    cut_hi = plan.cut_hi
-    pairs = [[start(w), w[-1], a] for w, a in plan.pairs]
+    cons = [[sum(map(mul, prefix, w)) + before * w[-1] + offset, w[-1], m]
+            for w, m, offset in plan.bounds]
     bcoef = plan.bcoef
     if j == 2:
         a, b = map(mul, prefix, plan.w_mul)
@@ -830,48 +834,26 @@ def _child_ranges(prefix, coeffs, plan):
         q = 27 * a * a * bcoef
 
     for s in coeffs:
-        box += box_step
-        top += top_step
-        for cut in cuts:
-            cut[0] += cut[1]
-        for pair in pairs:
-            pair[0] += pair[1]
+        lo, hi = env_lo, env_hi
+        # N + m*t >= 0 for each linear bound
+        for con in cons:
+            num = con[0] = con[0] + con[1]
+            m = con[2]
+            if m > 0:
+                bound = -(num // m)
+                if bound > lo:
+                    lo = bound
+            else:
+                bound = num // -m
+                if bound < hi:
+                    hi = bound
+
+        # interior alternation at the critical points (roots of P^(k-j))
         if j == 2:
             d += d_step
             x += x_step
-        lo, hi = env_lo, env_hi
-        # each bound folds into lo or hi by one comparison: builtin max and
-        # min calls took about a fifth of a gap search
-
-        # lower box end: sigma = -1 for odd j + 1
-        if box_hi:
-            bound = (-box) // box_mod
-            if bound < hi:
-                hi = bound
-        else:
-            bound = -(box // box_mod)
-            if bound > lo:
-                lo = bound
-        bound = -(top // top_mod)
-        if bound > lo:
-            lo = bound
-        if cuts and lo <= hi:
-            # final depth, strict at the cut points: an exact tie moves the
-            # bound by one
-            for num, _, mod in cuts:
-                if cut_hi:
-                    bound = (-num) // mod - (num % mod == 0)
-                    if bound < hi:
-                        hi = bound
-                else:
-                    bound = -(num // mod) + (num % mod == 0)
-                    if bound > lo:
-                        lo = bound
-
-        # interior alternation at the critical points (roots of P^(k-j))
-        if j == 2 and lo <= hi:
             # the critical values of w = A x^3 + B x^2 + C x in closed form
-            if d > 0:
+            if d > 0 and lo <= hi:
                 root = isqrt(4 * d ** 3)
                 bound = -((x + root) // q)
                 if bound > lo:
@@ -900,19 +882,6 @@ def _child_ranges(prefix, coeffs, plan):
                         lo = bound
                 else:
                     bound = (-enc_lo) // mod
-                    if bound < hi:
-                        hi = bound
-
-        # look-ahead: keep only the t whose grandchild is nonempty at its
-        # fixed points
-        if lo <= hi:
-            for b_num, _, a_pair in pairs:
-                if a_pair > 0:
-                    bound = -((-b_num) // a_pair)
-                    if bound > lo:
-                        lo = bound
-                else:
-                    bound = (-b_num) // (-a_pair)
                     if bound < hi:
                         hi = bound
         yield lo, hi

@@ -7,19 +7,22 @@ symmetric functions of roots and the search pruning, so they stay free of
 Fraction objects.
 
 This module is the one home of the coefficient-list primitives: normalize,
-derivative, poly_add, poly_sub, poly_mul, div_exact, pseudo_rem and
-taylor_shift, and of the root tests built on them: descartes_bound (for
-isolation), real_roots_above, and real_rooted, the searches' one
-realness decision (Hermite's criterion at every degree).  power_sums
-and from_power_sums are the one Newton-identity path between coefficients
-and power sums of roots: characteristic polynomials, powers of algebraic
-numbers, the d-number oracle and inverse square sums all go through them.
-Primitive parts, gcds, squarefree parts and isolation live in algnum,
-arithmetic over GF(q) (these primitives reduced mod q) in _factor.
+primitive_part, derivative, poly_add, poly_sub, poly_mul, div_exact,
+pseudo_rem and taylor_shift, and of the root tests built on them:
+descartes_bound (for isolation), real_roots_above, and real_rooted, the
+searches' one realness decision (Hermite's criterion at every degree).
+power_sums and from_power_sums are the one Newton-identity path between
+coefficients and power sums of roots: characteristic polynomials, powers
+of algebraic numbers, the d-number oracle and inverse square sums all go
+through them.  Gcds, squarefree parts and isolation live in algnum,
+arithmetic over GF(q) (these primitives reduced mod q) in _factor.  This
+module imports no other fgap module.
 
 Callers reach these functions as module attributes (`kernels.name(...)`),
 so a profiler can wrap them in one place.
 """
+
+from math import gcd
 
 BACKEND = "pure"  # the kernel implementation, recorded in benchmark reports
 
@@ -30,6 +33,17 @@ def normalize(c):
     while c and c[-1] == 0:
         c.pop()
     return c
+
+
+def primitive_part(c):
+    """Primitive part with positive leading coefficient."""
+    c = normalize(c)
+    if not c:
+        return c
+    g = gcd(*c)
+    if c[-1] < 0:
+        g = -g
+    return [x // g for x in c]
 
 
 def derivative(c):

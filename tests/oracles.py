@@ -515,43 +515,26 @@ def depth2_critical_bounds_reference(w, deriv, bcoef):
 
 def node_range(prefix, plan):
     """The walk's integer range [lo, hi] of the next descending coefficient
-    below the node prefix, computed for that node alone: every fixed-point
-    numerator and look-ahead b is a dot product over the whole prefix, the
-    depth-2 closed form takes A, B and C afresh, and the other depths build
-    deriv and w, test Rolle and isolate as gapsearch._child_ranges does.
+    below the node prefix, computed for that node alone: every linear
+    bound's N is a dot product over the whole prefix, the depth-2 closed
+    form takes A, B and C afresh, and the other depths build deriv and w,
+    test Rolle and isolate as gapsearch._child_ranges does.
     plan is the _DepthPlan of the depth len(prefix) - 1.  The row
     _child_ranges(prefix, coeffs, plan) must yield node_range(prefix + [s],
     plan) for each s in coeffs, in order."""
     j = plan.j
     lo, hi = plan.envelope
-    # lower box end: sigma = -1 for odd j + 1
-    weights, mod = plan.box
-    num = sum(map(mul, prefix, weights))
-    if (j + 1) % 2:
-        bound = (-num) // mod
-        if bound < hi:
-            hi = bound
-    else:
-        bound = -(num // mod)
-        if bound > lo:
-            lo = bound
-    weights, mod = plan.top
-    bound = -(sum(map(mul, prefix, weights)) // mod)
-    if bound > lo:
-        lo = bound
-    if plan.cut_weights and lo <= hi:
-        # final depth, strict at the cut points: an exact tie moves the
-        # bound by one
-        for weights, mod in plan.cut_weights:
-            num = sum(map(mul, prefix, weights))
-            if plan.cut_hi:
-                bound = (-num) // mod - (num % mod == 0)
-                if bound < hi:
-                    hi = bound
-            else:
-                bound = -(num // mod) + (num % mod == 0)
-                if bound > lo:
-                    lo = bound
+    # N + m*t >= 0 for each linear bound
+    for weights, m, offset in plan.bounds:
+        num = sum(map(mul, prefix, weights)) + offset
+        if m > 0:
+            bound = -(num // m)
+            if bound > lo:
+                lo = bound
+        else:
+            bound = num // -m
+            if bound < hi:
+                hi = bound
 
     # interior alternation at the critical points (roots of P^(k-j))
     if j == 2 and lo <= hi:
@@ -588,20 +571,6 @@ def node_range(prefix, plan):
                     lo = bound
             else:
                 bound = (-enc_lo) // mod
-                if bound < hi:
-                    hi = bound
-
-    # look-ahead: keep only the s whose child is nonempty at its fixed
-    # points
-    if lo <= hi:
-        for weights, a in plan.pairs:
-            b = sum(map(mul, prefix, weights))
-            if a > 0:
-                bound = -((-b) // a)
-                if bound > lo:
-                    lo = bound
-            else:
-                bound = (-b) // (-a)
                 if bound < hi:
                     hi = bound
     return lo, hi

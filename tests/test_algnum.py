@@ -14,13 +14,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgap.algnum import (IntPoly, Surd, _cauchy_bound, _isolate_in,
-                         _primitive_pos, charpoly_int,
-                         factor_over_integers, is_d_number, is_irreducible,
-                         isolate_real_roots, largest_integer_divisor,
-                         poly_gcd_int, poly_squarefree_part,
-                         power_char_poly, ratio_integrality_oracle)
+                         charpoly_int, factor_over_integers, is_d_number,
+                         is_irreducible, isolate_real_roots,
+                         largest_integer_divisor, poly_gcd_int,
+                         poly_squarefree_part, power_char_poly,
+                         ratio_integrality_oracle)
 from fgap.errors import DegreeCapError, InvalidInputError
-from fgap.kernels import normalize, poly_mul, surd_sign
+from fgap.kernels import normalize, poly_mul, primitive_part, surd_sign
 from fgap import kernels
 from oracles import (charpoly_reference, interval, isolate_sturm, iv_scale,
                      mid, poly_product, poly_value, power_char_poly_reference,
@@ -48,7 +48,7 @@ def squarefree_decomposition(c):
     with primitive squarefree factors of positive lead whose weighted
     product reproduces the primitive part of c.  The path factor_over_integers
     ran before it factored the squarefree part once."""
-    w = _primitive_pos(c)
+    w = primitive_part(c)
     if len(w) <= 1:
         return []
     d = kernels.derivative(w)

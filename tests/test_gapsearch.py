@@ -758,12 +758,14 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
                           look_ahead=True, rolle=True):
     """The coefficient range computed on Fractions and Surds, as the walk
     did before it moved to integer evaluation: every value is exact and
-    rounded by Fraction/Surd ceil and floor.  Without the look-ahead it is
-    the range before the walk dropped children that are empty at their
-    fixed points, the oracle for that drop.  From depth 3 on, a node whose
-    derivative lacks j distinct real roots (by a Sturm count) gets an empty
-    range; without the Rolle prune it only skips its critical points, as the
-    walk did beside its box test."""
+    rounded by Fraction/Surd ceil and floor.  The linear bounds (box ends,
+    cut points, look-ahead) apply before the critical points, as the walk
+    folds them, so an empty range reads as the walk's too.  Without the
+    look-ahead it is the range before the walk dropped children that are
+    empty at their fixed points, the oracle for that drop.  From depth 3
+    on, a node whose derivative lacks j distinct real roots (by a Sturm
+    count) gets an empty range; without the Rolle prune it only skips its
+    critical points, as the walk did beside its box test."""
     j = len(prefix) - 1
     gamma, delta = cuts
     w_asc = _deriv_prefix(prefix + [0], k)
@@ -797,10 +799,17 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
     sig_lo = -1 if (j + 1) % 2 else 1
     add(sig_lo, _frac_eval(w_asc, box_lo))
     add(1, _frac_eval(w_asc, f_hi))
-    if final and lo <= hi:
+    if final:
         sig_cut = 1 if (k - 1) % 2 == 0 else -1
         add(sig_cut, _frac_eval(w_asc, gamma), strict=True)
         add(sig_cut, _frac_eval(w_asc, delta), strict=True)
+    if look_ahead and j + 1 < k:
+        for kind, bound in reference_look_ahead(prefix, k, box_lo, f_hi,
+                                                cuts):
+            if kind == "lo":
+                lo = max(lo, bound)
+            else:
+                hi = min(hi, bound)
     if j == 1 and lo <= hi:
         q1 = _deriv_prefix(prefix, k)
         add(-1, _frac_eval(w_asc, Fraction(-q1[0], q1[1])))
@@ -823,13 +832,6 @@ def reference_coeff_range(prefix, k, box_lo, f_hi, cuts, final,
                 add(sigma, enc[1] if sigma > 0 else enc[0])
         elif rolle:
             return 1, 0
-    if look_ahead and j + 1 < k and lo <= hi:
-        for kind, bound in reference_look_ahead(prefix, k, box_lo, f_hi,
-                                                cuts):
-            if kind == "lo":
-                lo = max(lo, bound)
-            else:
-                hi = min(hi, bound)
     return lo, hi
 
 
@@ -922,10 +924,10 @@ def plan_cases(draw):
 @example(case=(3, Fraction(0), 4, (Fraction(0), Fraction(1, 2)),
                [[1], [1, -3], [1, -3, 2]]))
 def test_depth_plan_matches_derivative_prefixes(case):
-    # each plan numerator is the homogeneous value of w = P^(k-j-1) of
-    # prefix + [0] at its point, and the look-ahead pairs give the
-    # Fraction reference's bounds, at every depth of degrees 2..6; only the
-    # final depth has cut-point weights
+    # each fixed-point constraint's N is sigma times the homogeneous value
+    # of w = P^(k-j-1) of prefix + [0] at its point, and the look-ahead
+    # pairs give the Fraction reference's bounds, at every depth of degrees
+    # 2..6; only the final depth has the strict cut points, offset -1
     k, box_lo, f_hi, cuts, prefixes = case
     for j, prefix in enumerate(prefixes):
         plan = _DepthPlan(k, j, box_lo, f_hi, cuts)
@@ -933,23 +935,28 @@ def test_depth_plan_matches_derivative_prefixes(case):
         assert (plan.k, plan.j, plan.box_lo, plan.f_hi, plan.cuts) == (
             k, j, box_lo, f_hi, cuts)
         assert plan.bcoef == math.factorial(k - deg)
-        assert len(plan.cut_weights) == (2 if deg == k else 0)
         assert (list(map(mul, prefix, plan.deriv_mul))[::-1]
                 == _deriv_prefix(prefix, k))
         w = _deriv_prefix(prefix + [0], k)
         assert [0, *list(map(mul, prefix, plan.w_mul))[::-1]] == w
-        points = zip([box_lo, f_hi, *cuts],
-                     [plan.box, plan.top, *plan.cut_weights])
-        for x, (weights, mod) in points:
+        # sigma = -1 at box_lo for odd deg and at the cut points for odd
+        # k - 1
+        points = [(box_lo, (-1) ** deg), (f_hi, 1)]
+        if deg == k:
+            points += [(x, (-1) ** (k - 1)) for x in cuts]
+        fixed, pairs = plan.bounds[:len(points)], plan.bounds[len(points):]
+        assert all(m for _, m, _ in plan.bounds)
+        assert [offset for _, _, offset in plan.bounds] == (
+            [0, 0] + [-1] * (len(points) - 2) + [0] * len(pairs))
+        for (x, sigma), (weights, m, _) in zip(points, fixed):
             p, q = Fraction(x).numerator, Fraction(x).denominator
             assert (sum(map(mul, prefix, weights))
-                    == kernels.eval_qnum(w, p, q)), (j, x)
-            assert mod == q ** deg * math.factorial(k - deg)
+                    == sigma * kernels.eval_qnum(w, p, q)), (j, x)
+            assert m == sigma * q ** deg * math.factorial(k - deg)
         got = []
-        for weights, a in plan.pairs:
-            b = sum(map(mul, prefix, weights))
-            got.append(("lo", -((-b) // a)) if a > 0
-                       else ("hi", (-b) // (-a)))
+        for weights, m, offset in pairs:
+            num = sum(map(mul, prefix, weights)) + offset
+            got.append(("lo", -(num // m)) if m > 0 else ("hi", num // -m))
         want = (reference_look_ahead(prefix, k, box_lo, f_hi, cuts)
                 if deg < k else [])
         assert sorted(got) == sorted(want), j
@@ -1512,22 +1519,25 @@ F = Fraction
 
 
 # the examples pin inputs where a case random draws rarely reach decides
-# the range (each fails a mutant of its rounding):
+# the range; each fails the rounding mutant named in its comment
 @settings(max_examples=500, deadline=None)
 @given(case=coeff_cases())
-# depth 1, a negative linear-derivative denominator sets hi
-@example(case=([-1, 59], 3, F(6, 7), 8, (F(1, 4), F(-3)), False))
-# depth 2, a negative lead A of the node's cubic
+# depth 1, a negative linear-derivative denominator: the critical bound sets
+# hi after the linear bounds leave lo <= hi (fails with that hi rounded up)
+@example(case=([-1, 25], 3, F(-2), 18, (F(9, 4), F(-2)), False))
+# depth 2, a negative lead A of the node's cubic (fails with the
+# closed form's lo rounded down)
 @example(case=([-1, -78, 134], 4, F(-41), -60, (F(54), F(248, 11)), False))
 # depth 2, a square discriminant (rational critical points) sets lo, then hi
+# (each fails with isqrt(M) - 1)
 @example(case=([1, 1, 0], 5, F(0), 3, (F(-5, 3), F(-1, 12)), False))
 @example(case=([1, -8, 18], 4, F(-13, 7), 5, (F(-7, 12), F(-7, 12)), False))
 # at the final depth, an exact tie at a strict cut point moves hi (at gamma),
-# then lo (at delta), by one
+# then lo (at delta), by one (each fails with the cut offset 0)
 @example(case=([1, -19], 2, F(1, 2), 16, (F(5), F(28, 5)), True))
 @example(case=([2, 18, -15], 3, F(-2), 15, (F(15, 4), F(-4)), True))
 # depth 4 and 3, the interval enclosure at isolated critical points sets lo,
-# then hi
+# then hi (fails with that lo rounded down, then that hi rounded up)
 @example(case=([1, 9, -14, -28, 7], 5, F(-10, 7), 17, (F(4), F(13)), True))
 @example(case=([-1, 8, 39, 24], 4, F(0), 4, (F(127, 8), F(203, 5)), True))
 def test_coeff_range_matches_reference_off_walk(case):
@@ -1537,17 +1547,12 @@ def test_coeff_range_matches_reference_off_walk(case):
 WIDE = 10 ** 60
 
 
-def _critical_only_plan(k, prefix):
+def _critical_only_plan(k):
     """The depth-2 plan of degree k with every bound but the critical ones
-    opened: the envelope is (-WIDE, WIDE), the box ends bound s only
-    beyond it (their values are -WIDE*p0^2 and WIDE*p0^2), and there are
-    no cut points and no look-ahead pairs."""
+    opened: the envelope is (-WIDE, WIDE), and there is no linear bound."""
     plan = _DepthPlan(k, 2, FOUR_THIRDS, 29, (Fraction(7, 5), Fraction(2)))
     plan.envelope = (-WIDE, WIDE)
-    plan.box = ([-WIDE * prefix[0], 0, 0], 1)
-    plan.top = ([WIDE * prefix[0], 0, 0], 1)
-    plan.cut_weights = []
-    plan.pairs = []
+    plan.bounds = []
     return plan
 
 
@@ -1589,7 +1594,7 @@ def test_depth_2_critical_bounds_match_the_surd_reference(case):
         math.factorial(k - 3))
     want = (-WIDE, WIDE) if ref is None else (max(-WIDE, ref[0]),
                                               min(WIDE, ref[1]))
-    assert one_child(prefix, _critical_only_plan(k, prefix)) == want
+    assert one_child(prefix, _critical_only_plan(k)) == want
 
 
 # walks whose depth-2 ranges take the closed form make no kernels.eval_surd

@@ -11,7 +11,9 @@ import behind.  No function takes a parameter its body never reads.  And
 the exact layer takes one polynomial type, the coefficient sequence: no
 isinstance test names IntPoly, the class that only parses and prints.  A
 real root is made only by isolation: AlgebraicNumber is called only inside
-isolate_real_roots.
+isolate_real_roots.  Imports sit at module level, the leaf modules kernels
+and _intfactor import no other fgap module, and the package's import graph
+has no cycle.
 """
 
 import ast
@@ -174,3 +176,71 @@ def test_only_isolation_makes_an_algebraic_number():
     callers = [(mod, where) for mod, tree in _parse_package().items()
                for where in _calls_by_function(tree, "AlgebraicNumber")]
     assert callers == [("algnum.py", "isolate_real_roots")]
+
+
+def test_no_import_inside_a_function():
+    """A module's imports are its top-level statements, so its import
+    graph can be read, and a cycle cannot hide in a function body."""
+    nested = []
+    for mod, tree in _parse_package().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nested += ["%s:%d" % (mod, node.lineno)
+                       for node in ast.walk(fn)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+
+
+def _import_graph():
+    """Each fgap module (file stem) and the fgap modules its import
+    statements name, relative (`from . import x`, `from .x import y`) or
+    absolute (`import fgap.x`, `from fgap.x import y`)."""
+    graph = {}
+    for mod, tree in _parse_package().items():
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[1] for alias in node.names
+                             if alias.name.startswith("fgap."))
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level == 0 and module.split(".")[0] == "fgap":
+                    module = module[len("fgap."):]
+                elif node.level == 0:
+                    continue
+                if module:
+                    names.add(module.split(".")[0])
+                else:
+                    names.update(alias.name for alias in node.names)
+        graph[mod[:-len(".py")]] = names
+    return graph
+
+
+def test_leaf_modules_import_no_fgap_module():
+    """kernels and _intfactor are the integer layer everything else is
+    built on."""
+    graph = _import_graph()
+    assert {mod: graph[mod] for mod in ("kernels", "_intfactor")} == {
+        "kernels": set(), "_intfactor": set()}
+
+
+def test_import_graph_has_no_cycle():
+    graph = _import_graph()
+    done, path, cycles = set(), [], []
+
+    def visit(mod):
+        if mod in path:
+            cycles.append(path[path.index(mod):] + [mod])
+            return
+        if mod in done:
+            return
+        path.append(mod)
+        for dep in sorted(graph.get(mod, ())):
+            visit(dep)
+        path.pop()
+        done.add(mod)
+
+    for mod in sorted(graph):
+        visit(mod)
+    assert cycles == []
